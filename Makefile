@@ -5,7 +5,7 @@ SMOKE_SF ?= 0.005
 BENCH_SF ?= 0.05
 SF01 ?= 0.1
 
-.PHONY: all build test server-soak bench-smoke bench-compare bench-sf01 bench-fused bench-views bench-plancache check clean
+.PHONY: all build test server-soak bench-smoke bench-compare bench-sf01 bench-fused bench-views bench-plancache perf-smoke check clean
 
 all: build
 
@@ -86,6 +86,15 @@ bench-views: build
 bench-plancache: build
 	PYTOND_SF=$(SF01) PYTOND_RUNS=2 PYTOND_WARMUP=1 \
 	  $(DUNE) exec bench/main.exe -- plancache --json-out BENCH_plancache_run.json
+
+# Benchmark smoke: a 5 s analytic-1t run of perfbench (all 22 TPC-H
+# programs on both backends, every answer checked against the Python
+# baseline interpreter). Prints the result line and fails unless it
+# reports "failed":0.
+perf-smoke: build
+	@out=$$(bash perfbench/run.sh --workload analytic-1t --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	  echo "$$out"; \
+	  case "$$out" in *'"failed":0,'*) ;; *) echo "perf-smoke: failed requests" >&2; exit 1 ;; esac
 
 check: build test server-soak bench-smoke
 

@@ -78,6 +78,48 @@ let assign (t : t) name (c : Column.t) : t =
 (* Series operations (eager, element-wise, materializing)             *)
 (* ------------------------------------------------------------------ *)
 
+(* The interpreter keys every lookup table (groups, distinct rows, join
+   builds, [isin]) on boxed values in a generic [Hashtbl], independently
+   of the engines' key table, so it stays a separate reference for them.
+   [Hashtbl] compares with [compare] and normalizes float hashes, so float
+   keys follow SQL key semantics (-0.0 = 0.0, NaN = NaN); dates key as
+   their day number like ints. *)
+let value_key (v : Value.t) = match v with Value.VDate d -> Value.VInt d | v -> v
+
+let row_key (cols : Column.t array) (idxs : int list) row : Value.t list =
+  List.map (fun i -> value_key (Column.get cols.(i) row)) idxs
+
+(* Group id of every row over the key columns at [idxs] (first-seen order,
+   NULL a key value), and the group count. *)
+let group_ids (cols : Column.t array) (idxs : int list) ~(n : int) :
+    int * int array =
+  let tbl = Hashtbl.create 64 in
+  let ids =
+    Array.init n (fun row ->
+        let k = row_key cols idxs row in
+        match Hashtbl.find_opt tbl k with
+        | Some g -> g
+        | None ->
+          let g = Hashtbl.length tbl in
+          Hashtbl.add tbl k g;
+          g)
+  in
+  (Hashtbl.length tbl, ids)
+
+(* The first row of every distinct key over [idxs], ascending. *)
+let first_rows (cols : Column.t array) (idxs : int list) ~(n : int) :
+    int array =
+  let _, ids = group_ids cols idxs ~n in
+  let next = ref 0 and keep = ref [] in
+  Array.iteri
+    (fun row g ->
+      if g = !next then begin
+        incr next;
+        keep := row :: !keep
+      end)
+    ids;
+  Array.of_list (List.rev !keep)
+
 module Series = struct
   open Value
 
@@ -225,34 +267,21 @@ module Series = struct
   let max_ = min_max `Max
 
   let unique (c : Column.t) : Column.t =
-    let seen = Hashtbl.create 64 in
-    let keep = ref [] in
-    for i = 0 to length c - 1 do
-      let k = Hash_util.pack_values [ Column.get c i ] in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        keep := i :: !keep
-      end
-    done;
-    Column.take c (Array.of_list (List.rev !keep))
+    Column.take c (first_rows [| c |] [ 0 ] ~n:(length c))
 
   let nunique (c : Column.t) : int = length (unique c)
 
   let isin (c : Column.t) (values : Value.t list) : bool array =
     let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun v -> Hashtbl.replace tbl (Hash_util.pack_values [ v ]) ())
-      values;
-    Array.init (length c) (fun i ->
-        Hashtbl.mem tbl (Hash_util.pack_values [ Column.get c i ]))
+    List.iter (fun v -> Hashtbl.replace tbl (value_key v) ()) values;
+    Array.init (length c) (fun i -> Hashtbl.mem tbl (value_key (Column.get c i)))
 
   let isin_col (c : Column.t) (other : Column.t) : bool array =
     let tbl = Hashtbl.create 64 in
     for i = 0 to length other - 1 do
-      Hashtbl.replace tbl (Hash_util.pack_values [ Column.get other i ]) ()
+      Hashtbl.replace tbl (value_key (Column.get other i)) ()
     done;
-    Array.init (length c) (fun i ->
-        Hashtbl.mem tbl (Hash_util.pack_values [ Column.get c i ]))
+    Array.init (length c) (fun i -> Hashtbl.mem tbl (value_key (Column.get c i)))
 
   (* str accessor *)
   let str_contains (c : Column.t) (needle : string) : bool array =
@@ -318,10 +347,19 @@ let merge ?(how = Inner) ~left_on ~right_on (l : t) (r : t) : t =
       done;
       (li, ri)
     | _ ->
-      let tbl =
-        Hash_util.build_table ~null_as_key:false r.Relation.cols rkeys ~n:nr
+      (* key -> build rows, descending; NULL keys never match *)
+      let tbl = Hashtbl.create 64 in
+      for j = 0 to nr - 1 do
+        let k = row_key r.Relation.cols rkeys j in
+        if not (List.mem Value.VNull k) then
+          Hashtbl.replace tbl k
+            (j :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+      done;
+      let pf i =
+        let k = row_key l.Relation.cols lkeys i in
+        if List.mem Value.VNull k then []
+        else Option.value ~default:[] (Hashtbl.find_opt tbl k)
       in
-      let pf = Hash_util.probe_fn tbl l.Relation.cols lkeys in
       let lbuf = ref [] and rbuf = ref [] and count = ref 0 in
       let rmatched = Array.make nr false in
       for i = nl - 1 downto 0 do
@@ -403,36 +441,19 @@ let groupby_agg (t : t) ~(by : string list)
     ~(aggs : (string * string * agg_fn) list) : t =
   let key_idx = List.map (fun k -> Relation.col_index t k |> Option.get) by in
   let n = n_rows t in
-  let kf = Hash_util.key_fn ~null_as_key:true t.Relation.cols key_idx in
-  let groups : (Hash_util.key, int * int list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    match kf i with
-    | None -> ()
-    | Some k -> (
-      match Hashtbl.find_opt groups k with
-      | Some (_, rows) -> rows := i :: !rows
-      | None ->
-        let cell = (i, ref [ i ]) in
-        Hashtbl.add groups k cell;
-        order := k :: !order)
+  let n_out, ids = group_ids t.Relation.cols key_idx ~n in
+  (* per group: first row and member rows, ascending *)
+  let reps = Array.make n_out 0 and members = Array.make n_out [] in
+  for i = n - 1 downto 0 do
+    let g = ids.(i) in
+    reps.(g) <- i;
+    members.(g) <- i :: members.(g)
   done;
-  let order = List.rev !order in
-  let n_out = List.length order in
   let key_cols =
     List.map2
       (fun name idx ->
         let src = t.Relation.cols.(idx) in
-        ( name,
-          Column.of_values src.Column.ty
-            (Array.of_list
-               (List.map
-                  (fun k ->
-                    let rep, _ = Hashtbl.find groups k in
-                    Column.get src rep)
-                  order)) ))
+        (name, Column.of_values src.Column.ty (Array.map (Column.get src) reps)))
       by key_idx
   in
   let agg_cols =
@@ -446,10 +467,8 @@ let groupby_agg (t : t) ~(by : string list)
         let vals =
           Array.make n_out Value.VNull
         in
-        List.iteri
-          (fun gi k ->
-            let _, rows = Hashtbl.find groups k in
-            let rows = List.rev !rows in
+        Array.iteri
+          (fun gi rows ->
             let v =
               match fn with
               | ASize -> Value.VInt (List.length rows)
@@ -462,9 +481,7 @@ let groupby_agg (t : t) ~(by : string list)
                 List.iter
                   (fun i ->
                     if not (Column.is_null src i) then
-                      Hashtbl.replace seen
-                        (Hash_util.pack_values [ Column.get src i ])
-                        ())
+                      Hashtbl.replace seen (value_key (Column.get src i)) ())
                   rows;
                 Value.VInt (Hashtbl.length seen)
               | ASum | AMean -> (
@@ -502,7 +519,7 @@ let groupby_agg (t : t) ~(by : string list)
                 !best
             in
             vals.(gi) <- v)
-          order;
+          members;
         let ty =
           match fn with
           | ACount | ACountDistinct | ASize -> Value.TInt
@@ -549,19 +566,7 @@ let sort_values (t : t) ~(by : (string * bool) list) : t =
 let drop_duplicates (t : t) : t =
   let n = n_rows t in
   let all = List.init (Array.length t.Relation.cols) Fun.id in
-  let kf = Hash_util.key_fn ~null_as_key:true t.Relation.cols all in
-  let seen = Hashtbl.create 256 in
-  let keep = ref [] in
-  for i = 0 to n - 1 do
-    match kf i with
-    | None -> ()
-    | Some k ->
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        keep := i :: !keep
-      end
-  done;
-  Relation.take t (Array.of_list (List.rev !keep))
+  Relation.take t (first_rows t.Relation.cols all ~n)
 
 (* pivot_table(index, columns, values, aggfunc='sum'): one output column per
    distinct value of [columns] (paper §II-A). *)
@@ -576,9 +581,9 @@ let pivot_table (t : t) ~index ~columns:col_field ~values ~(aggfunc : agg_fn) :
   in
   let n = n_rows t in
   let key_idx = [ Relation.col_index t index |> Option.get ] in
-  let kf = Hash_util.key_fn ~null_as_key:true t.Relation.cols key_idx in
+  let _, ids = group_ids t.Relation.cols key_idx ~n in
   let col_src = column t col_field and val_src = column t values in
-  let groups : (Hash_util.key, int * Agg_util.ksum array * int array) Hashtbl.t =
+  let groups : (int, int * Agg_util.ksum array * int array) Hashtbl.t =
     Hashtbl.create 256
   in
   let order = ref [] in
@@ -586,32 +591,30 @@ let pivot_table (t : t) ~index ~columns:col_field ~values ~(aggfunc : agg_fn) :
   let col_pos =
     let tbl = Hashtbl.create 16 in
     List.iteri
-      (fun i v -> Hashtbl.replace tbl (Hash_util.pack_values [ v ]) i)
+      (fun i v -> Hashtbl.replace tbl (value_key v) i)
       cvals;
     tbl
   in
   for i = 0 to n - 1 do
-    match kf i with
-    | None -> ()
-    | Some k ->
-      let rep, sums, counts =
-        match Hashtbl.find_opt groups k with
-        | Some cell -> cell
-        | None ->
-          let cell =
-            (i, Array.init ncols (fun _ -> Agg_util.ksum ()),
-             Array.make ncols 0)
-          in
-          Hashtbl.add groups k cell;
-          order := k :: !order;
-          cell
-      in
-      ignore rep;
-      let j =
-        Hashtbl.find col_pos (Hash_util.pack_values [ Column.get col_src i ])
-      in
-      Agg_util.kadd sums.(j) (Column.float_at val_src i);
-      counts.(j) <- counts.(j) + 1
+    let k = ids.(i) in
+    let rep, sums, counts =
+      match Hashtbl.find_opt groups k with
+      | Some cell -> cell
+      | None ->
+        let cell =
+          (i, Array.init ncols (fun _ -> Agg_util.ksum ()),
+           Array.make ncols 0)
+        in
+        Hashtbl.add groups k cell;
+        order := k :: !order;
+        cell
+    in
+    ignore rep;
+    let j =
+      Hashtbl.find col_pos (value_key (Column.get col_src i))
+    in
+    Agg_util.kadd sums.(j) (Column.float_at val_src i);
+    counts.(j) <- counts.(j) + 1
   done;
   let order = List.rev !order in
   let idx_src = t.Relation.cols.(List.hd key_idx) in

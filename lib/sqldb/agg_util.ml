@@ -48,19 +48,14 @@ type acc = {
   mutable sumc : float; (* compensation term of [sumf] *)
   mutable minv : Value.t;
   mutable maxv : Value.t;
-  mutable seen : (string, unit) Hashtbl.t option; (* DISTINCT tracking *)
-  mutable seeni : (int, unit) Hashtbl.t option;
-      (* DISTINCT over int-like columns (ints, dictionary codes, bools):
-         unboxed keys instead of the packed strings of [seen]. Populated
-         lazily by the specialized updater in [update_fn]; a given
-         accumulator only ever uses one of [seen]/[seeni] because the
-         column representation is stable across the chunks of a query. *)
 }
 
-let create (spec : Plan.agg_spec) : acc =
-  { count = 0; sumi = 0; sumf = 0.; sumc = 0.; minv = VNull; maxv = VNull;
-    seen = (if spec.distinct then Some (Hashtbl.create 16) else None);
-    seeni = None }
+(* Boxed accumulators hold no DISTINCT state: the caller filters the rows
+   of a distinct aggregate first (the executors through a [slot_state]
+   [SDistinct] key set, {!Matview} through per-group value sets) and
+   updates with the [plain] spec. *)
+let create (_ : Plan.agg_spec) : acc =
+  { count = 0; sumi = 0; sumf = 0.; sumc = 0.; minv = VNull; maxv = VNull }
 
 (* Compensated [acc.sumf <- acc.sumf +. x]. *)
 let acc_add_f (acc : acc) (x : float) =
@@ -78,86 +73,37 @@ let update (spec : Plan.agg_spec) (acc : acc) (cols : Column.t array) row =
     let c = cols.(i) in
     if Column.is_null c row then ()
     else begin
-      let proceed =
-        match acc.seen with
-        | None -> true
-        | Some seen ->
-          (* one column per accumulator, so a dictionary code is a valid
-             distinct key on its own *)
-          let k =
-            match Column.codes_reader c with
-            | Some (codes, _) -> "\x01" ^ string_of_int (codes row)
-            | None -> Hash_util.pack_values [ Column.get c row ]
-          in
-          if Hashtbl.mem seen k then false
-          else begin
-            Hashtbl.add seen k ();
-            true
-          end
-      in
-      if proceed then begin
-        acc.count <- acc.count + 1;
-        match spec.fn with
-        | Sql_ast.Count | Sql_ast.CountStar -> ()
-        | Sql_ast.Sum | Sql_ast.Avg -> (
-          match c.Column.data with
-          | Column.I _ | Column.BI _ -> (
-            let x = Column.int_at c row in
-            acc.sumi <- acc.sumi + x;
-            match spec.fn with
-            | Sql_ast.Avg -> acc_add_f acc (float_of_int x)
-            | _ -> ())
-          | _ -> acc_add_f acc (Column.float_at c row))
-        | Sql_ast.Min ->
-          let v = Column.get c row in
-          if Value.is_null acc.minv || Value.compare_values v acc.minv < 0 then
-            acc.minv <- v
-        | Sql_ast.Max ->
-          let v = Column.get c row in
-          if Value.is_null acc.maxv || Value.compare_values v acc.maxv > 0 then
-            acc.maxv <- v
-      end
+      acc.count <- acc.count + 1;
+      match spec.fn with
+      | Sql_ast.Count | Sql_ast.CountStar -> ()
+      | Sql_ast.Sum | Sql_ast.Avg -> (
+        match c.Column.data with
+        | Column.I _ | Column.BI _ -> (
+          let x = Column.int_at c row in
+          acc.sumi <- acc.sumi + x;
+          match spec.fn with
+          | Sql_ast.Avg -> acc_add_f acc (float_of_int x)
+          | _ -> ())
+        | _ -> acc_add_f acc (Column.float_at c row))
+      | Sql_ast.Min ->
+        let v = Column.get c row in
+        if Value.is_null acc.minv || Value.compare_values v acc.minv < 0 then
+          acc.minv <- v
+      | Sql_ast.Max ->
+        let v = Column.get c row in
+        if Value.is_null acc.maxv || Value.compare_values v acc.maxv > 0 then
+          acc.maxv <- v
     end
 
 (* Pre-resolved per-row updater: the spec/column dispatch runs once at
    closure creation instead of once per row. Falls back to [update] for the
-   rarer shapes (DISTINCT, min/max, non-numeric columns). The closures only
-   read their captured arrays, so they are safe to share across domains. *)
+   rarer shapes (min/max, non-numeric columns). The closures only read
+   their captured arrays, so they are safe to share across domains. *)
 let update_fn (spec : Plan.agg_spec) (cols : Column.t array) :
     acc -> int -> unit =
   let generic acc row = update spec acc cols row in
   match spec.arg with
   | None -> fun acc _ -> acc.count <- acc.count + 1
-  | Some i when spec.distinct -> (
-    let c = cols.(i) in
-    let code =
-      match (Column.int_reader c, Column.codes_reader c, c.Column.data) with
-      | Some get, _, _ -> Some get
-      | _, Some (codes, _), _ -> Some codes
-      | _, _, Column.B b -> Some (fun row -> Bool.to_int b.(row))
-      | _ -> None
-    in
-    match (spec.fn, code) with
-    | (Sql_ast.Count | Sql_ast.CountStar), Some code ->
-      let body acc row =
-        let seen =
-          match acc.seeni with
-          | Some s -> s
-          | None ->
-            let s = Hashtbl.create 16 in
-            acc.seeni <- Some s;
-            s
-        in
-        let k = code row in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          acc.count <- acc.count + 1
-        end
-      in
-      (match c.Column.nulls with
-      | None -> body
-      | Some m -> fun acc row -> if not (Bitset.get m row) then body acc row)
-    | _ -> generic)
   | Some i -> (
     let c = cols.(i) in
     let counting body =
@@ -186,35 +132,12 @@ let update_fn (spec : Plan.agg_spec) (cols : Column.t array) :
       counting (fun acc row -> acc_add_f acc (get row))
     | _ -> generic)
 
-let update_fns (specs : Plan.agg_spec array) (cols : Column.t array) :
-    (acc -> int -> unit) array =
-  Array.map (fun spec -> update_fn spec cols) specs
-
 let merge (spec : Plan.agg_spec) (a : acc) (b : acc) =
-  (match (a.seeni, b.seeni) with
-  | Some sa, Some sb ->
-    Hashtbl.iter
-      (fun k () -> if not (Hashtbl.mem sa k) then Hashtbl.add sa k ())
-      sb;
-    a.count <- Hashtbl.length sa
-  | Some _, None when b.count = 0 -> ()
-  | None, Some sb when a.count = 0 ->
-    a.seeni <- Some sb;
-    a.count <- Hashtbl.length sb
-  | _ -> (
-    match (a.seen, b.seen) with
-    | Some sa, Some sb ->
-      (* Distinct accumulators merged across partitions: recount overlaps. *)
-      Hashtbl.iter
-        (fun k () -> if not (Hashtbl.mem sa k) then Hashtbl.add sa k ())
-        sb;
-      a.count <- Hashtbl.length sa
-    | _ ->
-      a.count <- a.count + b.count;
-      a.sumi <- a.sumi + b.sumi;
-      acc_add_f a b.sumf;
-      acc_add_f a b.sumc));
-  (match spec.fn with
+  a.count <- a.count + b.count;
+  a.sumi <- a.sumi + b.sumi;
+  acc_add_f a b.sumf;
+  acc_add_f a b.sumc;
+  match spec.fn with
   | Sql_ast.Min ->
     if
       Value.is_null a.minv
@@ -225,7 +148,7 @@ let merge (spec : Plan.agg_spec) (a : acc) (b : acc) =
       Value.is_null a.maxv
       || ((not (Value.is_null b.maxv)) && Value.compare_values b.maxv a.maxv > 0)
     then a.maxv <- b.maxv
-  | _ -> ())
+  | _ -> ()
 
 let finish (spec : Plan.agg_spec) (acc : acc) : Value.t =
   match spec.fn with
@@ -241,19 +164,20 @@ let finish (spec : Plan.agg_spec) (acc : acc) : Value.t =
   | Sql_ast.Max -> acc.maxv
 
 (* ------------------------------------------------------------------ *)
-(* Unboxed slot-indexed accumulators (dense aggregation)              *)
+(* Unboxed slot-indexed accumulators                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct-indexed grouping keeps one accumulator per packed key slot. The
-   boxed [acc] costs a 7-field record per (slot, spec) plus a [Value.t]
-   box per min/max update; for the common shapes the state is instead a
-   pair of unboxed [int array]/[float array] columns indexed by slot —
-   no allocation on the update path at all. The slot arrays are persistent
+(* Grouping keeps one accumulator per group slot: a packed key in dense
+   aggregation, a key-table group id in hash aggregation. The boxed [acc]
+   costs a 6-field record per (slot, spec) plus a [Value.t] box per
+   min/max update; for the common shapes the state is instead a pair of
+   unboxed [int array]/[float array] columns indexed by slot — no
+   allocation on the update path at all. The slot arrays are persistent
    per range while the row accessors are rebuilt per chunk (chunk columns
    are gathers of the base columns, so the data constructor — and hence
-   the chosen shape — is chunk-stable). Shapes that stay boxed (DISTINCT,
-   min/max over strings/dictionaries, sums over exotic columns) fall back
-   to lazily-created [acc]s behind the same updater interface. *)
+   the chosen shape — is chunk-stable). Shapes that stay boxed (min/max
+   over strings/dictionaries, sums over exotic columns) fall back to
+   lazily-created [acc]s behind the same updater interface. *)
 type dense =
   | DCount of int array
   | DSumI of { count : int array; sum : int array }
@@ -266,40 +190,38 @@ type dense =
    every chunk of the same base columns. *)
 let dense_create (spec : Plan.agg_spec) (cols : Column.t array) ~(card : int)
     : dense option =
-  if spec.distinct then None
-  else
-    match spec.arg with
-    | None -> Some (DCount (Array.make card 0))
-    | Some i -> (
-      match (spec.fn, cols.(i).Column.data) with
-      | (Sql_ast.Count | Sql_ast.CountStar), _ -> Some (DCount (Array.make card 0))
-      | Sql_ast.Sum, (Column.I _ | Column.BI _) when spec.out_ty = TInt ->
-        Some (DSumI { count = Array.make card 0; sum = Array.make card 0 })
-      | Sql_ast.Sum, (Column.F _ | Column.BF _) when spec.out_ty <> TInt ->
-        Some
-          (DSumF
-             { count = Array.make card 0;
-               sum = Array.make card 0.;
-               comp = Array.make card 0. })
-      | Sql_ast.Avg, (Column.I _ | Column.F _ | Column.BI _ | Column.BF _) ->
-        Some
-          (DSumF
-             { count = Array.make card 0;
-               sum = Array.make card 0.;
-               comp = Array.make card 0. })
-      | (Sql_ast.Min | Sql_ast.Max), (Column.I _ | Column.BI _) ->
-        Some
-          (DMinMaxI
-             { count = Array.make card 0;
-               best = Array.make card 0;
-               is_min = spec.fn = Sql_ast.Min })
-      | (Sql_ast.Min | Sql_ast.Max), (Column.F _ | Column.BF _) ->
-        Some
-          (DMinMaxF
-             { count = Array.make card 0;
-               best = Array.make card 0.;
-               is_min = spec.fn = Sql_ast.Min })
-      | _ -> None)
+  match spec.arg with
+  | None -> Some (DCount (Array.make card 0))
+  | Some i -> (
+    match (spec.fn, cols.(i).Column.data) with
+    | (Sql_ast.Count | Sql_ast.CountStar), _ -> Some (DCount (Array.make card 0))
+    | Sql_ast.Sum, (Column.I _ | Column.BI _) when spec.out_ty = TInt ->
+      Some (DSumI { count = Array.make card 0; sum = Array.make card 0 })
+    | Sql_ast.Sum, (Column.F _ | Column.BF _) when spec.out_ty <> TInt ->
+      Some
+        (DSumF
+           { count = Array.make card 0;
+             sum = Array.make card 0.;
+             comp = Array.make card 0. })
+    | Sql_ast.Avg, (Column.I _ | Column.F _ | Column.BI _ | Column.BF _) ->
+      Some
+        (DSumF
+           { count = Array.make card 0;
+             sum = Array.make card 0.;
+             comp = Array.make card 0. })
+    | (Sql_ast.Min | Sql_ast.Max), (Column.I _ | Column.BI _) ->
+      Some
+        (DMinMaxI
+           { count = Array.make card 0;
+             best = Array.make card 0;
+             is_min = spec.fn = Sql_ast.Min })
+    | (Sql_ast.Min | Sql_ast.Max), (Column.F _ | Column.BF _) ->
+      Some
+        (DMinMaxF
+           { count = Array.make card 0;
+             best = Array.make card 0.;
+             is_min = spec.fn = Sql_ast.Min })
+    | _ -> None)
 
 (* Per-chunk updater [fun slot row -> ...] over this chunk's columns.
    Must only be called with a [dense] created for the same spec. *)
@@ -359,51 +281,69 @@ let dense_update (spec : Plan.agg_spec) (cols : Column.t array) (d : dense) :
         count.(slot) <- count.(slot) + 1
       end
 
+(* Extend every slot array of [d] to [card] slots (hash aggregation grows
+   its states as the key table hands out new group ids). *)
+let extend (a : 'a array) (card : int) (fill : 'a) : 'a array =
+  let b = Array.make card fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let dense_grow (d : dense) (card : int) : dense =
+  match d with
+  | DCount count -> DCount (extend count card 0)
+  | DSumI { count; sum } ->
+    DSumI { count = extend count card 0; sum = extend sum card 0 }
+  | DSumF { count; sum; comp } ->
+    DSumF
+      { count = extend count card 0;
+        sum = extend sum card 0.;
+        comp = extend comp card 0. }
+  | DMinMaxI { count; best; is_min } ->
+    DMinMaxI { count = extend count card 0; best = extend best card 0; is_min }
+  | DMinMaxF { count; best; is_min } ->
+    DMinMaxF { count = extend count card 0; best = extend best card 0.; is_min }
+
 (* Slotwise merge of [b] into [a]; both must come from the same
-   [dense_create] call site (same spec, same card). *)
-let dense_merge (a : dense) (b : dense) : unit =
+   [dense_create] call site (same spec). Slot [k] of [b] folds into slot
+   [remap.(k)] of [a] (the identity without [remap]). *)
+let dense_merge ?remap (a : dense) (b : dense) : unit =
+  let at = match remap with None -> Fun.id | Some m -> Array.get m in
+  (* [f k c] for every slot [k] of [b] (every remapped one) with [c]
+     contributing rows *)
+  let slots count f =
+    let n = match remap with None -> Array.length count | Some m -> Array.length m in
+    for k = 0 to n - 1 do
+      let c = count.(k) in
+      if c > 0 then f k c
+    done
+  in
   match (a, b) with
-  | DCount ca, DCount cb ->
-    Array.iteri (fun k c -> ca.(k) <- ca.(k) + c) cb
+  | DCount ca, DCount cb -> slots cb (fun k c -> let t = at k in ca.(t) <- ca.(t) + c)
   | DSumI a, DSumI b ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          a.count.(k) <- a.count.(k) + c;
-          a.sum.(k) <- a.sum.(k) + b.sum.(k)
-        end)
-      b.count
+    slots b.count (fun k c ->
+        let t = at k in
+        a.count.(t) <- a.count.(t) + c;
+        a.sum.(t) <- a.sum.(t) + b.sum.(k))
   | DSumF a, DSumF b ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          a.count.(k) <- a.count.(k) + c;
-          kadd_slot a.sum a.comp k b.sum.(k);
-          kadd_slot a.sum a.comp k b.comp.(k)
-        end)
-      b.count
+    slots b.count (fun k c ->
+        let t = at k in
+        a.count.(t) <- a.count.(t) + c;
+        kadd_slot a.sum a.comp t b.sum.(k);
+        kadd_slot a.sum a.comp t b.comp.(k))
   | DMinMaxI a, DMinMaxI b ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          let v = b.best.(k) in
-          (if a.count.(k) = 0 then a.best.(k) <- v
-           else if (if a.is_min then v < a.best.(k) else v > a.best.(k)) then
-             a.best.(k) <- v);
-          a.count.(k) <- a.count.(k) + c
-        end)
-      b.count
+    slots b.count (fun k c ->
+        let t = at k and v = b.best.(k) in
+        (if a.count.(t) = 0 then a.best.(t) <- v
+         else if (if a.is_min then v < a.best.(t) else v > a.best.(t)) then
+           a.best.(t) <- v);
+        a.count.(t) <- a.count.(t) + c)
   | DMinMaxF a, DMinMaxF b ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          let v = b.best.(k) in
-          (if a.count.(k) = 0 then a.best.(k) <- v
-           else if (if a.is_min then v < a.best.(k) else v > a.best.(k)) then
-             a.best.(k) <- v);
-          a.count.(k) <- a.count.(k) + c
-        end)
-      b.count
+    slots b.count (fun k c ->
+        let t = at k and v = b.best.(k) in
+        (if a.count.(t) = 0 then a.best.(t) <- v
+         else if (if a.is_min then v < a.best.(t) else v > a.best.(t)) then
+           a.best.(t) <- v);
+        a.count.(t) <- a.count.(t) + c)
   | _ -> invalid_arg "Agg_util.dense_merge: shape mismatch"
 
 let dense_finish (spec : Plan.agg_spec) (d : dense) (slot : int) : Value.t =
@@ -420,55 +360,41 @@ let dense_finish (spec : Plan.agg_spec) (d : dense) (slot : int) : Value.t =
   | DMinMaxF { count; best; _ } ->
     if count.(slot) = 0 then VNull else VFloat best.(slot)
 
-(* Rebox one slot as an [acc] — used when dense partials fold into a
-   hash table that other (non-dense) partials merge into. O(1) per
-   group, not per row. *)
-let dense_to_acc (spec : Plan.agg_spec) (d : dense) (slot : int) : acc =
-  let acc = create spec in
-  (match d with
-  | DCount count -> acc.count <- count.(slot)
-  | DSumI { count; sum } ->
-    acc.count <- count.(slot);
-    acc.sumi <- sum.(slot)
-  | DSumF { count; sum; comp } ->
-    acc.count <- count.(slot);
-    acc.sumf <- sum.(slot);
-    acc.sumc <- comp.(slot)
-  | DMinMaxI { count; best; _ } ->
-    acc.count <- count.(slot);
-    if count.(slot) > 0 then begin
-      let v = VInt best.(slot) in
-      match spec.fn with
-      | Sql_ast.Min -> acc.minv <- v
-      | _ -> acc.maxv <- v
-    end
-  | DMinMaxF { count; best; _ } ->
-    acc.count <- count.(slot);
-    if count.(slot) > 0 then begin
-      let v = VFloat best.(slot) in
-      match spec.fn with
-      | Sql_ast.Min -> acc.minv <- v
-      | _ -> acc.maxv <- v
-    end);
-  acc
-
 (* Mixed per-spec slot state: unboxed where the shape allows, lazily
    created boxed accumulators elsewhere — both behind the same
-   [fun slot row -> unit] updater built per chunk. *)
+   [fun slot row -> unit] updater built per chunk. A DISTINCT aggregate
+   keeps one key-table set over (slot, argument value) and feeds a row to
+   its plain twin's state only when that pair is new. *)
 type slot_state =
   | SDense of dense
   | SBoxed of acc option array
+  | SDistinct of { set : Hash_util.keytab; inner : slot_state }
+
+let plain (spec : Plan.agg_spec) = { spec with Plan.distinct = false }
+
+let rec slot_state (spec : Plan.agg_spec) (cols : Column.t array) ~(card : int)
+    : slot_state =
+  match spec.arg with
+  | Some i when spec.distinct ->
+    SDistinct
+      { set = Hash_util.keytab ~size:card ~tagged:true cols [ i ];
+        inner = slot_state (plain spec) cols ~card }
+  | _ -> (
+    match dense_create (plain spec) cols ~card with
+    | Some d -> SDense d
+    | None -> SBoxed (Array.make card None))
 
 let slot_states (specs : Plan.agg_spec array) (cols : Column.t array)
     ~(card : int) : slot_state array =
-  Array.map
-    (fun spec ->
-      match dense_create spec cols ~card with
-      | Some d -> SDense d
-      | None -> SBoxed (Array.make card None))
-    specs
+  Array.map (fun spec -> slot_state spec cols ~card) specs
 
-let slot_update (spec : Plan.agg_spec) (cols : Column.t array)
+let rec slot_grow (st : slot_state) (card : int) : slot_state =
+  match st with
+  | SDense d -> SDense (dense_grow d card)
+  | SBoxed accs -> SBoxed (extend accs card None)
+  | SDistinct { set; inner } -> SDistinct { set; inner = slot_grow inner card }
+
+let rec slot_update (spec : Plan.agg_spec) (cols : Column.t array)
     (st : slot_state) : int -> int -> unit =
   match st with
   | SDense d -> dense_update spec cols d
@@ -484,28 +410,53 @@ let slot_update (spec : Plan.agg_spec) (cols : Column.t array)
           a
       in
       upd a row
+  | SDistinct { set; inner } ->
+    let i = Option.get spec.arg in
+    let c = cols.(i) in
+    let cur = ref 0 in
+    let rd =
+      match
+        Hash_util.reader ~tag:(fun _ -> !cur) ~null_as_key:true set cols [ i ]
+      with
+      | Some rd -> rd
+      | None -> invalid_arg "Agg_util: DISTINCT argument changed layout"
+    in
+    let upd = slot_update (plain spec) cols inner in
+    let body slot row =
+      cur := slot;
+      let before = Hash_util.length set in
+      if Hash_util.add set rd row = before then upd slot row
+    in
+    (match c.Column.nulls with
+    | None -> body
+    | Some m -> fun slot row -> if not (Bitset.get m row) then body slot row)
 
 let slot_updates (specs : Plan.agg_spec array) (cols : Column.t array)
     (sts : slot_state array) : (int -> int -> unit) array =
   Array.mapi (fun i spec -> slot_update spec cols sts.(i)) specs
 
-let slot_merge (spec : Plan.agg_spec) (a : slot_state) (b : slot_state) : unit
-    =
+(* Fold [b] into [a], slot [k] of [b] into slot [remap.(k)] of [a]. A
+   DISTINCT state does not merge: the executors aggregate distinct specs
+   as one input range. *)
+let slot_merge ?remap (spec : Plan.agg_spec) (a : slot_state) (b : slot_state)
+    : unit =
   match (a, b) with
-  | SDense da, SDense db -> dense_merge da db
+  | SDense da, SDense db -> dense_merge ?remap da db
   | SBoxed aa, SBoxed ba ->
-    Array.iteri
-      (fun k acc_b ->
-        match acc_b with
-        | None -> ()
-        | Some acc_b -> (
-          match aa.(k) with
-          | None -> aa.(k) <- Some acc_b
-          | Some acc_a -> merge spec acc_a acc_b))
-      ba
+    let n = match remap with None -> Array.length ba | Some m -> Array.length m in
+    for k = 0 to n - 1 do
+      match ba.(k) with
+      | None -> ()
+      | Some acc_b -> (
+        let t = match remap with None -> k | Some m -> m.(k) in
+        match aa.(t) with
+        | None -> aa.(t) <- Some acc_b
+        | Some acc_a -> merge spec acc_a acc_b)
+    done
+  | SDistinct _, _ -> invalid_arg "Agg_util.slot_merge: DISTINCT state"
   | _ -> invalid_arg "Agg_util.slot_merge: shape mismatch"
 
-let slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
+let rec slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
     Value.t =
   match st with
   | SDense d -> dense_finish spec d slot
@@ -513,8 +464,173 @@ let slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
     match accs.(slot) with
     | Some a -> finish spec a
     | None -> finish spec (create spec))
+  | SDistinct { inner; _ } -> slot_finish (plain spec) inner slot
 
-let slot_to_acc (spec : Plan.agg_spec) (st : slot_state) (slot : int) : acc =
-  match st with
-  | SDense d -> dense_to_acc spec d slot
-  | SBoxed accs -> ( match accs.(slot) with Some a -> a | None -> create spec)
+(* ------------------------------------------------------------------ *)
+(* GROUP BY                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Grouped aggregation state, shared by both executors. The key table
+   holds one entry per group in first-seen order, with the group's key
+   values copied into its unboxed columns — those become the output group
+   columns. The slot states above hold the accumulators. Hashed grouping
+   indexes them by entry id; dense grouping (a small packed key domain,
+   {!Hash_util.dense_domain}) indexes them by packed key, and touches the
+   key table only once per new group. *)
+
+(* Dense grouping's key capture: packed key -> key-table entry holding the
+   group's values, and back. The fused kernels ({!Kernel}) share it. *)
+type dense_index = {
+  slot_entry : int array; (* packed key -> entry, -1 while unseen *)
+  entry_slot : int array; (* entry -> packed key *)
+}
+
+let dense_index card =
+  { slot_entry = Array.make card (-1); entry_slot = Array.make card 0 }
+
+(* Note packed key [k] of [row]; its first sight copies the key values into
+   [keys] ([rd] reads the row's key columns). *)
+let[@inline] dense_see keys (d : dense_index) rd k row =
+  if Array.unsafe_get d.slot_entry k < 0 then begin
+    let e = Hash_util.add keys rd row in
+    d.slot_entry.(k) <- e;
+    d.entry_slot.(e) <- k
+  end
+
+(* Append the packed keys of [kb]/[db] unseen by [ka]/[da], in their
+   first-seen order. *)
+let dense_merge_keys ka (da : dense_index) kb (db : dense_index) =
+  let cols = Hash_util.key_columns kb in
+  let idxs = List.init (Array.length cols) Fun.id in
+  let rd = Option.get (Hash_util.reader ~null_as_key:true ka cols idxs) in
+  for e = 0 to Hash_util.length kb - 1 do
+    dense_see ka da rd db.entry_slot.(e) e
+  done
+
+(* An output group column of type [ty] from a key-table column. *)
+let key_column ty (c : Column.t) =
+  if c.Column.ty = ty then c
+  else Column.of_values ty (Array.init (Column.length c) (Column.get c))
+
+type groups = {
+  keys : Hash_util.keytab;
+  specs : Plan.agg_spec array;
+  mutable states : slot_state array;
+  mutable cap : int; (* slots allocated in [states] *)
+  dense : dense_index option;
+}
+
+(* Expected groups among [rows] input rows from the planner's estimate
+   [est] (0 when there is none). *)
+let size_hint (est : float) (rows : int) =
+  if est >= 1. then int_of_float (Float.min est (float_of_int rows)) else 16
+
+(* Hashed grouping sized for [size] groups (it grows past that), or dense
+   grouping over a packed domain of [card] keys. *)
+let groups_create ?(size = 16) ?card (specs : Plan.agg_spec array)
+    (cols : Column.t array) (idxs : int list) : groups =
+  let size = max 16 size in
+  match card with
+  | Some card ->
+    { keys = Hash_util.keytab ~size:(min card size) cols idxs;
+      specs;
+      states = slot_states specs cols ~card;
+      cap = card;
+      dense = Some (dense_index card) }
+  | None ->
+    { keys = Hash_util.keytab ~size cols idxs;
+      specs;
+      states = slot_states specs cols ~card:size;
+      cap = size;
+      dense = None }
+
+let groups_count (g : groups) = Hash_util.length g.keys
+
+let groups_reserve (g : groups) (n : int) =
+  if n > g.cap then begin
+    let cap = max n (2 * g.cap) in
+    g.states <- Array.map (fun st -> slot_grow st cap) g.states;
+    g.cap <- cap
+  end
+
+(* Row consumer over [cols]: find or insert the row's group, then update
+   every accumulator. Build one per chunk of columns; the consumers of one
+   [groups] run one after another. Dense grouping takes this chunk's
+   packed-key function [dense] ({!Hash_util.dense_domain}), which must span
+   the same domain as at creation. *)
+let groups_feeder ?dense (g : groups) (cols : Column.t array)
+    (idxs : int list) : int -> unit =
+  let rd =
+    match Hash_util.reader ~null_as_key:true g.keys cols idxs with
+    | Some rd -> rd
+    | None -> invalid_arg "Agg_util.groups_feeder: key layout changed"
+  in
+  let n_specs = Array.length g.specs in
+  match (g.dense, dense) with
+  | Some d, Some (pack, card) when card = Array.length d.slot_entry ->
+    let upds = slot_updates g.specs cols g.states in
+    fun row ->
+      let k = pack row in
+      dense_see g.keys d rd k row;
+      for i = 0 to n_specs - 1 do
+        (Array.unsafe_get upds i) k row
+      done
+  | Some _, _ -> invalid_arg "Agg_util.groups_feeder: packed domain changed"
+  | None, _ ->
+    let states = ref g.states in
+    let upds = ref (slot_updates g.specs cols g.states) in
+    fun row ->
+      let gid = Hash_util.add g.keys rd row in
+      if gid >= g.cap then groups_reserve g (gid + 1);
+      if !states != g.states then begin
+        states := g.states;
+        upds := slot_updates g.specs cols g.states
+      end;
+      let u = !upds in
+      for i = 0 to n_specs - 1 do
+        (Array.unsafe_get u i) gid row
+      done
+
+(* Fold [b]'s groups into [a] in [b]'s first-seen order: groups new to [a]
+   append after [a]'s own, so merging the partials of consecutive input
+   ranges in order keeps the global first-seen order. Both must come from
+   the same [groups_create] call site. *)
+let groups_merge (a : groups) (b : groups) : unit =
+  let nb = groups_count b in
+  if nb > 0 then begin
+    match (a.dense, b.dense) with
+    | Some da, Some db ->
+      dense_merge_keys a.keys da b.keys db;
+      Array.iteri
+        (fun i spec -> slot_merge spec a.states.(i) b.states.(i))
+        a.specs
+    | None, None ->
+      let cols = Hash_util.key_columns b.keys in
+      let idxs = List.init (Array.length cols) Fun.id in
+      let rd =
+        Option.get (Hash_util.reader ~null_as_key:true a.keys cols idxs)
+      in
+      let remap = Array.init nb (fun e -> Hash_util.add a.keys rd e) in
+      groups_reserve a (groups_count a);
+      Array.iteri
+        (fun i spec -> slot_merge ~remap spec a.states.(i) b.states.(i))
+        a.specs
+    | _ -> invalid_arg "Agg_util.groups_merge: dense and hashed partials"
+  end
+
+(* The output relation: the key table's columns as the group columns (in
+   first-seen order), then one finished column per spec. *)
+let groups_relation (g : groups) (schema : Plan.schema) : Relation.t =
+  let keys = Hash_util.key_columns g.keys in
+  let nk = Array.length keys and n = groups_count g in
+  let slot = match g.dense with Some d -> Array.get d.entry_slot | None -> Fun.id in
+  { Relation.names = Array.map fst schema;
+    cols =
+      Array.mapi
+        (fun i (_, ty) ->
+          if i < nk then key_column ty keys.(i)
+          else
+            let spec = g.specs.(i - nk) and st = g.states.(i - nk) in
+            Column.of_values ty
+              (Array.init n (fun e -> slot_finish spec st (slot e))))
+        schema }

@@ -31,6 +31,7 @@ type dict = {
   values : string array; (* code -> value; entries are unique *)
   rank : int array; (* code -> lexicographic rank among [values] *)
   index : (string, int) Hashtbl.t; (* value -> code *)
+  hashes : int array; (* code -> [Value.hash_string] of its value *)
 }
 
 type data =
@@ -106,7 +107,7 @@ let make_dict (values : string array) : dict =
   Array.sort (fun a b -> String.compare values.(a) values.(b)) order;
   let rank = Array.make n 0 in
   Array.iteri (fun pos code -> rank.(code) <- pos) order;
-  { values; rank; index }
+  { values; rank; index; hashes = Array.map Value.hash_string values }
 
 let dict_find (d : dict) (s : string) : int option = Hashtbl.find_opt d.index s
 let dict_size (d : dict) = Array.length d.values

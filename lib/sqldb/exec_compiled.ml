@@ -49,8 +49,8 @@ let chunk_probe ~left_outer (r : Relation.t)
     (tbl : Radix.t) (lkeys : int list)
     (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
-  (* probe_fn is created per chunk, so its per-code memo (and partition
-     routing state) never crosses domains *)
+  (* probe_fn is created per chunk, so its partition routing state never
+     crosses domains *)
   let probe = Radix.probe_fn tbl c.Relation.cols lkeys in
   let li = ref [] and ri = ref [] and count = ref 0 in
   for row = n - 1 downto 0 do
@@ -253,7 +253,7 @@ let rec compile_segment ctx (p : plan) : segment =
     (* large builds are radix-partitioned across workers; small ones keep
        the single shared table (threshold in Radix.should) *)
     let tbl =
-      Radix.build ~threads:ctx.threads ~null_as_key:false r.Relation.cols
+      Radix.build ~threads:ctx.threads r.Relation.cols
         (List.map snd keys) ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
@@ -297,10 +297,11 @@ let rec compile_segment ctx (p : plan) : segment =
          morsel gather. Left joins must keep unmatched rows. *)
       let seg =
         match (kind, lkeys, seg.transform) with
-        | JInner, [ lk ], None -> (
-          match Radix.scan_test tbl seg.source.Relation.cols.(lk) with
-          | Some test -> { seg with prescan = seg.prescan @ [ test ] }
-          | None -> seg)
+        | JInner, [ lk ], None ->
+          { seg with
+            prescan =
+              seg.prescan @ [ Radix.scan_test tbl seg.source.Relation.cols.(lk) ]
+          }
         | _ -> seg
       in
       if
@@ -400,8 +401,7 @@ let rec compile_segment ctx (p : plan) : segment =
       let out = ref [] in
       if nr > 2 * nl then begin
         let ltbl =
-          Radix.build ~threads:ctx.threads ~null_as_key:false
-            lrel.Relation.cols lkeys ~n:nl
+          Radix.build ~threads:ctx.threads lrel.Relation.cols lkeys ~n:nl
         in
         let matched = Bitset.create nl in
         let pf = Radix.probe_fn ltbl r.Relation.cols rkeys in
@@ -414,7 +414,7 @@ let rec compile_segment ctx (p : plan) : segment =
       end
       else begin
         let tbl =
-          Radix.build ~threads:ctx.threads ~null_as_key:false r.Relation.cols
+          Radix.build ~threads:ctx.threads r.Relation.cols
             rkeys ~n:nr
         in
         let pf = Radix.probe_fn tbl lrel.Relation.cols lkeys in
@@ -437,7 +437,7 @@ let rec compile_segment ctx (p : plan) : segment =
       | [] -> None
       | keys ->
         Some
-          (Radix.build ~threads:ctx.threads ~null_as_key:false r.Relation.cols
+          (Radix.build ~threads:ctx.threads r.Relation.cols
              (List.map snd keys) ~n:(Relation.n_rows r))
     in
     let lkeys = List.map fst keys in
@@ -446,10 +446,11 @@ let rec compile_segment ctx (p : plan) : segment =
        the scan. Anti joins keep exactly the misses — no pushdown. *)
     let seg =
       match (anti, tbl, lkeys, seg.transform) with
-      | false, Some tbl, [ lk ], None -> (
-        match Radix.scan_test tbl seg.source.Relation.cols.(lk) with
-        | Some test -> { seg with prescan = seg.prescan @ [ test ] }
-        | None -> seg)
+      | false, Some tbl, [ lk ], None ->
+        { seg with
+          prescan =
+            seg.prescan @ [ Radix.scan_test tbl seg.source.Relation.cols.(lk) ]
+        }
       | _ -> seg
     in
     seg_then seg (chunk_semi ~anti r tbl lkeys residual_check)
@@ -578,20 +579,7 @@ and materialize ctx (p : plan) : Relation.t =
     let r = stream ctx sub in
     let n = Relation.n_rows r in
     let all_cols = List.init (Array.length r.Relation.cols) Fun.id in
-    (* local keys: dictionary columns compare by code *)
-    let kf = Hash_util.key_fn ~local:true ~null_as_key:true r.Relation.cols all_cols in
-    let seen = Hashtbl.create (max 16 n) in
-    let keep = ref [] in
-    for row = 0 to n - 1 do
-      match kf row with
-      | None -> ()
-      | Some k ->
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          keep := row :: !keep
-        end
-    done;
-    Relation.take r (Array.of_list (List.rev !keep))
+    Relation.take r (Hash_util.first_rows r.Relation.cols all_cols ~n)
   | Window (sub, keys, name) ->
     let r = stream ctx sub in
     let n = Relation.n_rows r in
@@ -634,67 +622,81 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
 
 and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
   let specs_arr = Array.of_list specs in
+  let n_specs = Array.length specs_arr in
   let has_distinct = List.exists (fun s -> s.distinct) specs in
   let seg = compile_segment ctx sub in
   let n = Relation.n_rows seg.source in
   let ztest = seg_zone_test ctx.catalog seg in
+  (* Feed the range's rows to [consume cols lo hi passes]: straight off the
+     source columns for a scan-shaped segment (no morsel materialization;
+     zone-dead blocks drop out of the row ranges entirely), else morsel by
+     morsel. *)
+  let source_test () =
+    let cols = seg.source.Relation.cols in
+    match (List.map (Eval.compile_pred cols) seg.prefilter, seg.prescan) with
+    | [], [] -> fun _ -> true
+    | preds, prescan ->
+      fun row ->
+        List.for_all (fun p -> p row) preds
+        && List.for_all (fun t -> t row) prescan
+  in
+  let iter_range start len consume =
+    match seg.transform with
+    | None ->
+      let passes = source_test () in
+      List.iter
+        (fun (lo, hi) -> consume seg.source.Relation.cols lo hi passes)
+        (alive_ranges ztest start (start + len - 1))
+    | Some _ ->
+      iter_morsels ?ztest seg start len (fun c ->
+          consume c.Relation.cols 0 (Relation.n_rows c - 1) (fun _ -> true))
+  in
   match groups with
   | [] ->
+    (* slot 0 of the shared slot accumulators; their shapes come from the
+       first chunk's columns *)
     let fold_range start len =
-      let accs = Array.map Agg_util.create specs_arr in
-      let n_specs = Array.length specs_arr in
-      (match seg.transform with
-      | None ->
-        (* fused scan→filter→aggregate: no morsel materialization at all;
-           zone-dead blocks drop out of the row ranges entirely *)
-        let cols = seg.source.Relation.cols in
-        let preds = List.map (Eval.compile_pred cols) seg.prefilter in
-        let upds = Agg_util.update_fns specs_arr cols in
-        List.iter
-          (fun (lo, hi) ->
-            for row = lo to hi do
-              (* the fused loop has no morsel boundary: check every ~8K rows *)
-              if (row - lo) land 8191 = 0 then Guard.check ();
-              if
-                List.for_all (fun p -> p row) preds
-                && List.for_all (fun t -> t row) seg.prescan
-              then
-                for i = 0 to n_specs - 1 do
-                  upds.(i) accs.(i) row
-                done
-            done)
-          (alive_ranges ztest start (start + len - 1))
-      | Some _ ->
-        iter_morsels ?ztest seg start len (fun c ->
-            let upds = Agg_util.update_fns specs_arr c.Relation.cols in
-            for row = 0 to Relation.n_rows c - 1 do
+      let states = ref None in
+      iter_range start len (fun cols lo hi passes ->
+          let st =
+            match !states with
+            | Some st -> st
+            | None ->
+              let st = Agg_util.slot_states specs_arr cols ~card:1 in
+              states := Some st;
+              st
+          in
+          let upds = Agg_util.slot_updates specs_arr cols st in
+          for row = lo to hi do
+            (* the fused loop has no morsel boundary: check every ~8K rows *)
+            if (row - lo) land 8191 = 0 then Guard.check ();
+            if passes row then
               for i = 0 to n_specs - 1 do
-                upds.(i) accs.(i) row
+                upds.(i) 0 row
               done
-            done));
-      accs
+          done);
+      !states
     in
     let partials =
-      if n = 0 then [ fold_range 0 0 ]
-      else
-        Parallel.map_chunks
-          ~threads:(if has_distinct then 1 else ctx.threads)
-          n fold_range
+      List.filter_map Fun.id
+        (if n = 0 then [ fold_range 0 0 ]
+         else
+           Parallel.map_chunks
+             ~threads:(if has_distinct then 1 else ctx.threads)
+             n fold_range)
     in
-    let accs =
+    let out_vals =
       match partials with
-      | [] -> Array.map Agg_util.create specs_arr
+      | [] ->
+        Array.map (fun spec -> Agg_util.finish spec (Agg_util.create spec)) specs_arr
       | first :: rest ->
         List.iter
           (fun part ->
             Array.iteri
-              (fun i spec -> Agg_util.merge spec first.(i) part.(i))
+              (fun i spec -> Agg_util.slot_merge spec first.(i) part.(i))
               specs_arr)
           rest;
-        first
-    in
-    let out_vals =
-      Array.mapi (fun i spec -> Agg_util.finish spec accs.(i)) specs_arr
+        Array.mapi (fun i spec -> Agg_util.slot_finish spec first.(i) 0) specs_arr
     in
     { Relation.names = Array.map fst p.schema;
       cols =
@@ -702,198 +704,70 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
           (fun i (_, ty) -> Column.of_values ty [| out_vals.(i) |])
           p.schema }
   | groups ->
-    let n_groups = List.length groups in
-    let n_specs = Array.length specs_arr in
+    (* One range's partial: dense grouping for a small packed key domain,
+       else hashed. The choice follows the first chunk's key layout, which
+       every later chunk shares (chunk columns are gathers of the same
+       columns, so dictionaries and data constructors agree). *)
     let fold_range start len =
-      let tbl : (Hash_util.key, Value.t array * Agg_util.acc array) Hashtbl.t =
-        Hashtbl.create 1024
-      in
-      (* first-seen key order (reversed); groups are emitted in input order so
-         the output is identical whichever pipeline shape (fused morsels vs a
-         materialized breaker source) fed the aggregate *)
-      let order : Hash_util.key list ref = ref [] in
-      (* Direct-indexed accumulators for small packed key domains; shared
-         across the chunks of this range (the packed domain is chunk-stable
-         by construction, see [consume_chunk]). Slot state is unboxed
-         int/float arrays where the spec shape allows (see
-         {!Agg_util.dense}); group values are captured once per slot. *)
-      let gslots :
-          (Value.t array option array * Agg_util.slot_state array) option ref =
-        ref None
-      in
-      let consume_rows cols kf lo hi passes =
-        let upds = Agg_util.update_fns specs_arr cols in
-        for row = lo to hi do
-          if (row - lo) land 8191 = 0 then Guard.check ();
-          if passes row then
-            match kf row with
-            | None -> ()
-            | Some k ->
-              let _, accs =
-                match Hashtbl.find_opt tbl k with
-                | Some entry -> entry
-                | None ->
-                  let gvals =
-                    Array.of_list
-                      (List.map (fun g -> Column.get cols.(g) row) groups)
-                  in
-                  let entry = (gvals, Array.map Agg_util.create specs_arr) in
-                  Hashtbl.add tbl k entry;
-                  order := k :: !order;
-                  entry
-              in
-              for i = 0 to n_specs - 1 do
-                upds.(i) accs.(i) row
-              done
-        done
-      in
-      (* [cross_chunk] matters twice over: the packed keys seed the partial
-         table merged across ranges below, and the dense slot array persists
-         across the chunks of one range — both need chunk-stable
-         encodings. *)
-      let consume_chunk ~cross_chunk cols lo hi passes =
-        match
-          Hash_util.dense_domain ~cross_chunk ~limit:(1 lsl 16) cols groups
-        with
-        | Some (pack, card)
-          when (match !gslots with
-               | Some (gv, _) -> Array.length gv = card
-               | None -> true) ->
-          let gvals, states =
-            match !gslots with
-            | Some gs -> gs
-            | None ->
-              let gs =
-                ( Array.make card None,
-                  Agg_util.slot_states specs_arr cols ~card )
-              in
-              gslots := Some gs;
-              gs
+      let part = ref None in
+      iter_range start len (fun cols lo hi passes ->
+          (* [cross_chunk]: a morsel's packed keys must mean the same in
+             every other morsel *)
+          let dense =
+            Hash_util.dense_domain ~cross_chunk:(Option.is_some seg.transform)
+              ~limit:(1 lsl 16) cols groups
           in
-          (* updaters are rebuilt per chunk (chunk columns are distinct
-             gathers); the slot arrays they write persist across chunks *)
-          let upds = Agg_util.slot_updates specs_arr cols states in
+          let g =
+            match !part with
+            | Some g -> g
+            | None ->
+              let g =
+                Agg_util.groups_create ~size:(Agg_util.size_hint p.est n)
+                  ?card:(Option.map snd dense) specs_arr cols groups
+              in
+              part := Some g;
+              g
+          in
+          (* rebuilt per chunk (chunk columns are distinct gathers); the
+             group state it writes persists across chunks *)
+          let feed = Agg_util.groups_feeder ?dense g cols groups in
           for row = lo to hi do
             if (row - lo) land 8191 = 0 then Guard.check ();
-            if passes row then begin
-              let k = pack row in
-              (match gvals.(k) with
-              | Some _ -> ()
-              | None ->
-                gvals.(k) <-
-                  Some
-                    (Array.of_list
-                       (List.map (fun g -> Column.get cols.(g) row) groups));
-                order := Hash_util.KInt k :: !order);
-              for i = 0 to n_specs - 1 do
-                upds.(i) k row
-              done
-            end
-          done
-        | _ ->
-          let kf =
-            Hash_util.key_fn ~local:true ~cross_chunk ~null_as_key:true cols
-              groups
-          in
-          consume_rows cols kf lo hi passes
-      in
-      (match seg.transform with
-      | None ->
-        (* group chunks all view the same base columns (and thus the same
-           dictionaries), so dictionary codes — and int bounds — are valid
-           keys across the partial tables merged below *)
-        let cols = seg.source.Relation.cols in
-        let preds = List.map (Eval.compile_pred cols) seg.prefilter in
-        List.iter
-          (fun (lo, hi) ->
-            consume_chunk ~cross_chunk:false cols lo hi (fun row ->
-                List.for_all (fun p -> p row) preds
-                && List.for_all (fun t -> t row) seg.prescan))
-          (alive_ranges ztest start (start + len - 1))
-      | Some _ ->
-        iter_morsels ?ztest seg start len (fun c ->
-            (* chunk columns are gathers of the same base columns, so their
-               dictionaries (and codes) agree across chunks and domains;
-               cross_chunk keeps data-dependent (per-gather) key encodings
-               out of the shared tables *)
-            consume_chunk ~cross_chunk:true c.Relation.cols 0
-              (Relation.n_rows c - 1)
-              (fun _ -> true)));
-      (* fold the dense slots into the hash table keyed by packed slot;
-         unboxed slots are reboxed once per group here, never per row *)
-      (match !gslots with
-      | Some (gvals, states) ->
-        Array.iteri
-          (fun k gv ->
-            match gv with
-            | Some gv ->
-              let accs =
-                Array.mapi
-                  (fun i spec -> Agg_util.slot_to_acc spec states.(i) k)
-                  specs_arr
-              in
-              Hashtbl.replace tbl (Hash_util.KInt k) (gv, accs)
-            | None -> ())
-          gvals
-      | None -> ());
-      (tbl, List.rev !order)
+            if passes row then feed row
+          done);
+      !part
     in
     (* radix partition fold: rows arrive as a base-row selection vector over
        the materialized source; group keys are disjoint across partitions,
-       so the partial merge below only ever adds *)
+       so the partial merge below only ever appends *)
     let fold_sel (sel : int array) =
-      let tbl : (Hash_util.key, Value.t array * Agg_util.acc array) Hashtbl.t =
-        Hashtbl.create 1024
-      in
-      let order : Hash_util.key list ref = ref [] in
       let cols = seg.source.Relation.cols in
-      let preds = List.map (Eval.compile_pred cols) seg.prefilter in
-      let kf =
-        Hash_util.key_fn ~local:true ~cross_chunk:false ~null_as_key:true cols
-          groups
+      let passes = source_test () in
+      let g =
+        Agg_util.groups_create
+          ~size:(Agg_util.size_hint p.est (Array.length sel))
+          specs_arr cols groups
       in
-      let upds = Agg_util.update_fns specs_arr cols in
+      let feed = Agg_util.groups_feeder g cols groups in
       Array.iteri
         (fun i row ->
           if i land 8191 = 0 then Guard.check ();
-          if
-            List.for_all (fun p -> p row) preds
-            && List.for_all (fun t -> t row) seg.prescan
-          then
-            match kf row with
-            | None -> ()
-            | Some k ->
-              let _, accs =
-                match Hashtbl.find_opt tbl k with
-                | Some entry -> entry
-                | None ->
-                  let gvals =
-                    Array.of_list
-                      (List.map (fun g -> Column.get cols.(g) row) groups)
-                  in
-                  let entry = (gvals, Array.map Agg_util.create specs_arr) in
-                  Hashtbl.add tbl k entry;
-                  order := k :: !order;
-                  entry
-              in
-              for s = 0 to n_specs - 1 do
-                upds.(s) accs.(s) row
-              done)
+          if passes row then feed row)
         sel;
-      (tbl, List.rev !order)
+      Some g
     in
     (* radix aggregation applies to a materialized source (a pipeline
        breaker's output, e.g. a partition-wise join) whose group domain is
-       too wide for the dense slot path; fused pipelines keep the chunked
+       too wide for dense grouping; fused pipelines keep the chunked
        partial scheme — their rows never materialize *)
     let radix_parts =
       match (seg.transform, ztest) with
       | None, None when not has_distinct ->
         let cols = seg.source.Relation.cols in
         if
-          Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16) cols
-            groups
-          <> None
+          Option.is_some
+            (Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16) cols
+               groups)
         then None
         else Radix.group_parts ~threads:ctx.threads cols groups ~n
       | _ -> None
@@ -910,56 +784,17 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
             ~threads:(if has_distinct then 1 else ctx.threads)
             n fold_range
     in
-    (* merge partials in chunk order, walking each partial's first-seen list:
-       chunks are contiguous in input order, so the merged order is the
-       global first-seen order — independent of chunk boundaries *)
-    let tbl, order =
-      match partials with
-      | [] -> (Hashtbl.create 1, [])
-      | (first, ord0) :: rest ->
-        let order = ref (List.rev ord0) in
-        List.iter
-          (fun (part, ord) ->
-            List.iter
-              (fun k ->
-                match Hashtbl.find_opt part k with
-                | None -> ()
-                | Some (gvals, accs) -> (
-                  match Hashtbl.find_opt first k with
-                  | Some (_, main_accs) ->
-                    Array.iteri
-                      (fun i spec ->
-                        Agg_util.merge spec main_accs.(i) accs.(i))
-                      specs_arr
-                  | None ->
-                    Hashtbl.add first k (gvals, accs);
-                    order := k :: !order))
-              ord)
-          rest;
-        (first, List.rev !order)
-    in
-    let n_out = Hashtbl.length tbl in
-    let out =
-      Array.make_matrix (n_groups + Array.length specs_arr) n_out Value.VNull
-    in
-    let k = ref 0 in
-    List.iter
-      (fun key ->
-        (* remove as we emit: a key can appear twice in [order] only if two
-           consumption paths collided on it, and it must emit exactly once *)
-        match Hashtbl.find_opt tbl key with
-        | None -> ()
-        | Some (gvals, accs) ->
-          Hashtbl.remove tbl key;
-          Array.iteri (fun g v -> out.(g).(!k) <- v) gvals;
-          Array.iteri
-            (fun i spec ->
-              out.(n_groups + i).(!k) <- Agg_util.finish spec accs.(i))
-            specs_arr;
-          incr k)
-      order;
-    { Relation.names = Array.map fst p.schema;
-      cols = Array.mapi (fun i (_, ty) -> Column.of_values ty out.(i)) p.schema }
+    (* merge partials in chunk order: chunks are contiguous in input order,
+       so appending each partial's unseen groups in its first-seen order
+       yields the global first-seen order — independent of chunk
+       boundaries *)
+    match List.filter_map Fun.id partials with
+    | [] ->
+      { Relation.names = Array.map fst p.schema;
+        cols = Array.map (fun (_, ty) -> Column.of_values ty [||]) p.schema }
+    | first :: rest ->
+      List.iter (Agg_util.groups_merge first) rest;
+      Agg_util.groups_relation first p.schema
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)

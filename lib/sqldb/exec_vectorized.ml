@@ -345,8 +345,8 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
                Faults.crash_point ~site:"radix.build";
                Faults.slow_point ~site:"radix.build";
                let tbl =
-                 Hash_util.build_table ~sel:rparts.(p) ~null_as_key:false
-                   rcols rkeys ~n:(Relation.n_rows r.rel)
+                 Hash_util.build_table ~sel:rparts.(p) rcols rkeys
+                   ~n:(Relation.n_rows r.rel)
                in
                let pf = Hash_util.probe_fn tbl lcols lkeys in
                let lp = lparts.(p) in
@@ -425,12 +425,11 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
       (li, ri)
     | None ->
       let tbl =
-        Radix.build ~threads ?sel:r.sel ~null_as_key:false rcols rkeys
-          ~n:(Relation.n_rows r.rel)
+        Radix.build ~threads ?sel:r.sel rcols rkeys ~n:(Relation.n_rows r.rel)
       in
       let probe start len =
-        (* one probe_fn per chunk: its per-code memo is chunk-private, so
-           domains never share mutable state *)
+        (* one probe_fn per chunk: its partition-routing array is
+           chunk-private, so domains never share mutable state *)
         let pf = Radix.probe_fn tbl lcols lkeys in
         let lbuf = ref [] and rbuf = ref [] and count = ref 0 in
         for pos = start + len - 1 downto start do
@@ -626,21 +625,7 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let base = match s.sel with Some sel -> fun pos -> sel.(pos) | None -> Fun.id in
     let cols = relation_cols s.rel in
     let all_cols = List.init (Array.length cols) Fun.id in
-    (* local keys: dictionary columns compare by code *)
-    let kf = Hash_util.key_fn ~local:true ~null_as_key:true cols all_cols in
-    let seen = Hashtbl.create (max 16 n) in
-    let keep = ref [] in
-    for pos = 0 to n - 1 do
-      let row = base pos in
-      match kf row with
-      | None -> ()
-      | Some k ->
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          keep := row :: !keep
-        end
-    done;
-    { rel = s.rel; sel = Some (Array.of_list (List.rev !keep)) }
+    { rel = s.rel; sel = Some (Hash_util.first_rows ~row:base cols all_cols ~n) }
   | Window (sub, keys, _name) ->
     let r = materialize (run_sel ctx sub) in
     let n = Relation.n_rows r in
@@ -738,8 +723,8 @@ and run_semijoin ctx anti left right keys residual =
        witness. Only valid without a residual — marking loses the pairing. *)
     let lkeys = List.map fst keys and rkeys = List.map snd keys in
     let ltbl =
-      Radix.build ~threads:ctx.threads ?sel:ls.sel ~null_as_key:false
-        (relation_cols l) lkeys ~n:(Relation.n_rows l)
+      Radix.build ~threads:ctx.threads ?sel:ls.sel (relation_cols l) lkeys
+        ~n:(Relation.n_rows l)
     in
     let matched = Bitset.create (Relation.n_rows l) in
     let pf = Radix.probe_fn ltbl (relation_cols rs.rel) rkeys in
@@ -764,8 +749,7 @@ and run_semijoin ctx anti left right keys residual =
       | [] -> None
       | _ ->
         Some
-          (Radix.build ~threads:ctx.threads ~null_as_key:false
-             (relation_cols r) rkeys ~n:nr)
+          (Radix.build ~threads:ctx.threads (relation_cols r) rkeys ~n:nr)
     in
     let residual_check =
       match residual with
@@ -883,191 +867,84 @@ and run_aggregate ctx (p : plan) sub groups specs =
   let specs_arr = Array.of_list specs in
   match groups with
   | [] ->
-    (* Global aggregation: one output row even for empty input. *)
-    let accs = Array.map Agg_util.create specs_arr in
-    let upds = Agg_util.update_fns specs_arr cols in
-    let n_specs = Array.length specs_arr in
-    let partials =
-      Parallel.map_chunks
-        ~threads:(if has_distinct then 1 else ctx.threads)
-        n
-        (fun start len ->
-          let local = Array.map Agg_util.create specs_arr in
-          for pos = start to start + len - 1 do
-            let row = base pos in
-            for i = 0 to n_specs - 1 do
-              upds.(i) local.(i) row
-            done
-          done;
-          local)
+    (* Global aggregation: one output row even for empty input, kept in
+       slot 0 of the shared slot accumulators. *)
+    let run_range start len =
+      let states = Agg_util.slot_states specs_arr cols ~card:1 in
+      let upds = Agg_util.slot_updates specs_arr cols states in
+      for pos = start to start + len - 1 do
+        let row = base pos in
+        Array.iter (fun upd -> upd 0 row) upds
+      done;
+      states
     in
-    List.iter
-      (fun local ->
-        Array.iteri (fun i spec -> Agg_util.merge spec accs.(i) local.(i)) specs_arr)
-      partials;
-    let out_vals = Array.mapi (fun i spec -> Agg_util.finish spec accs.(i)) specs_arr in
+    let states =
+      match
+        Parallel.map_chunks
+          ~threads:(if has_distinct then 1 else ctx.threads)
+          n run_range
+      with
+      | [] -> run_range 0 0
+      | first :: rest ->
+        List.iter
+          (fun part ->
+            Array.iteri
+              (fun i spec -> Agg_util.slot_merge spec first.(i) part.(i))
+              specs_arr)
+          rest;
+        first
+    in
     srel_all
       { Relation.names = Array.map fst p.schema;
         cols =
           Array.mapi
-            (fun i (_, ty) -> Column.of_values ty [| out_vals.(i) |])
+            (fun i (_, ty) ->
+              Column.of_values ty
+                [| Agg_util.slot_finish specs_arr.(i) states.(i) 0 |])
             p.schema }
-  | groups when groups_dense ~n cols groups <> None ->
-    (* Small packed key domain (dictionary / bool / bounded-int group
-       columns): accumulate into a direct-indexed table, no hashing. Output
-       comes out in slot order, which is deterministic across runs. *)
-    let pack, card =
-      match groups_dense ~n cols groups with Some pc -> pc | None -> assert false
-    in
-    let n_specs = Array.length specs_arr in
-    (* unboxed slot-indexed accumulators where the spec shape allows: the
-       hot loop touches int/float arrays only, no acc records and no
-       Value boxing (see {!Agg_util.dense}) *)
-    let run_range start len =
-      let reps = Array.make card (-1) in
-      let states = Agg_util.slot_states specs_arr cols ~card in
-      let upds = Agg_util.slot_updates specs_arr cols states in
-      for pos = start to start + len - 1 do
-        let row = base pos in
-        let k = pack row in
-        if reps.(k) < 0 then reps.(k) <- row;
-        for i = 0 to n_specs - 1 do
-          upds.(i) k row
-        done
-      done;
-      (reps, states)
-    in
-    let reps, states =
-      if ctx.threads <= 1 || has_distinct || n < 8192 then run_range 0 n
-      else begin
-        let partials = Parallel.map_chunks ~threads:ctx.threads n run_range in
-        match partials with
-        | [] -> run_range 0 0
-        | (first_reps, first_states) :: rest ->
-          List.iter
-            (fun (reps, states) ->
-              for k = 0 to card - 1 do
-                if reps.(k) >= 0 && first_reps.(k) < 0 then
-                  first_reps.(k) <- reps.(k)
-              done;
-              Array.iteri
-                (fun i spec ->
-                  Agg_util.slot_merge spec first_states.(i) states.(i))
-                specs_arr)
-            rest;
-          (first_reps, first_states)
-      end
-    in
-    let n_groups = List.length groups in
-    let group_cols = Array.of_list (List.map (fun g -> cols.(g)) groups) in
-    let n_out = Array.fold_left (fun c r -> if r >= 0 then c + 1 else c) 0 reps in
-    let out = Array.make_matrix (n_groups + Array.length specs_arr) n_out VNull in
-    let k = ref 0 in
-    Array.iteri
-      (fun slot row ->
-        if row >= 0 then begin
-          Array.iteri (fun g c -> out.(g).(!k) <- Column.get c row) group_cols;
-          Array.iteri
-            (fun i spec ->
-              out.(n_groups + i).(!k) <-
-                Agg_util.slot_finish spec states.(i) slot)
-            specs_arr;
-          incr k
-        end)
-      reps;
-    srel_all
-      { Relation.names = Array.map fst p.schema;
-        cols = Array.mapi (fun i (_, ty) -> Column.of_values ty out.(i)) p.schema }
   | groups ->
-    (* local keys: a dictionary group column keys on its codes *)
-    let kf = Hash_util.key_fn ~local:true ~null_as_key:true cols groups in
-    let upds = Agg_util.update_fns specs_arr cols in
-    let n_specs = Array.length specs_arr in
+    (* Small packed key domains (dictionary / bool / bounded-int group
+       columns) index the accumulators directly by packed key; the rest
+       hash through the key table. Either way groups come out in
+       first-seen order. *)
+    let dense = groups_dense ~n cols groups in
     let fold (get : int -> int) (count : int) =
-      let tbl : (Hash_util.key, int * Agg_util.acc array) Hashtbl.t =
-        Hashtbl.create 1024
+      let g =
+        Agg_util.groups_create ~size:(Agg_util.size_hint p.est count)
+          ?card:(Option.map snd dense) specs_arr cols groups
       in
+      let feed = Agg_util.groups_feeder ?dense g cols groups in
       for i = 0 to count - 1 do
         if i land 8191 = 0 then Guard.check ();
-        let row = get i in
-        match kf row with
-        | None -> ()
-        | Some k ->
-          let _, accs =
-            match Hashtbl.find_opt tbl k with
-            | Some entry -> entry
-            | None ->
-              let entry = (row, Array.map Agg_util.create specs_arr) in
-              Hashtbl.add tbl k entry;
-              entry
-          in
-          for i = 0 to n_specs - 1 do
-            upds.(i) accs.(i) row
-          done
+        feed (get i)
       done;
-      tbl
+      g
     in
     let run_range start len = fold (fun i -> base (start + i)) len in
-    let radix_parts =
-      if has_distinct then None
-      else Radix.group_parts ~threads:ctx.threads ~base cols groups ~n
-    in
-    let tbl =
-      match radix_parts with
+    let partials =
+      match
+        if has_distinct || Option.is_some dense then None
+        else Radix.group_parts ~threads:ctx.threads ~base cols groups ~n
+      with
       | Some parts ->
         (* radix aggregation: every group key lives in exactly one
-           partition, so the per-partition tables are disjoint and combine
-           by union — no serial accumulator merge *)
-        let tbls =
-          Parallel.map_list ~threads:ctx.threads
-            (List.map
-               (fun sel () -> fold (fun i -> sel.(i)) (Array.length sel))
-               (Array.to_list parts))
-        in
-        (match tbls with
-        | [] -> Hashtbl.create 1
-        | first :: rest ->
-          List.iter (fun part -> Hashtbl.iter (Hashtbl.replace first) part) rest;
-          first)
+           partition, so the merge below only ever appends *)
+        Parallel.map_list ~threads:ctx.threads
+          (List.map
+             (fun sel () -> fold (fun i -> sel.(i)) (Array.length sel))
+             (Array.to_list parts))
       | None ->
-        if ctx.threads <= 1 || has_distinct || n < 8192 then run_range 0 n
-        else begin
-          let partials = Parallel.map_chunks ~threads:ctx.threads n run_range in
-          match partials with
-          | [] -> Hashtbl.create 1
-          | first :: rest ->
-            List.iter
-              (fun part ->
-                Hashtbl.iter
-                  (fun k (row, accs) ->
-                    match Hashtbl.find_opt first k with
-                    | Some (_, main_accs) ->
-                      Array.iteri
-                        (fun i spec ->
-                          Agg_util.merge spec main_accs.(i) accs.(i))
-                        specs_arr
-                    | None -> Hashtbl.add first k (row, accs))
-                  part)
-              rest;
-            first
-        end
+        if ctx.threads <= 1 || has_distinct || n < 8192 then [ run_range 0 n ]
+        else Parallel.map_chunks ~threads:ctx.threads n run_range
     in
-    let n_out = Hashtbl.length tbl in
-    let n_groups = List.length groups in
-    let group_cols = Array.of_list (List.map (fun g -> cols.(g)) groups) in
-    let out = Array.make_matrix (n_groups + Array.length specs_arr) n_out VNull in
-    let k = ref 0 in
-    Hashtbl.iter
-      (fun _ (row, accs) ->
-        Array.iteri (fun g c -> out.(g).(!k) <- Column.get c row) group_cols;
-        Array.iteri
-          (fun i spec -> out.(n_groups + i).(!k) <- Agg_util.finish spec accs.(i))
-          specs_arr;
-        incr k)
-      tbl;
-    srel_all
-      { Relation.names = Array.map fst p.schema;
-        cols = Array.mapi (fun i (_, ty) -> Column.of_values ty out.(i)) p.schema }
+    let g =
+      match partials with
+      | [] -> run_range 0 0
+      | first :: rest ->
+        List.iter (Agg_util.groups_merge first) rest;
+        first
+    in
+    srel_all (Agg_util.groups_relation g p.schema)
 
 (* Materializing entry point, kept for callers that need a plain relation
    (compiled executor, CTE evaluation). *)

@@ -1,43 +1,29 @@
-(** Hash keys over one or more columns, shared by joins, grouping and
-    distinct.
+(** Hash keys over one or more columns.
 
-    Dictionary-encoded string columns get two fast paths:
-    - [key_fn ~local:true] keys on the integer code directly. Codes are only
-      meaningful relative to one dictionary, so this is restricted to
-      single-relation uses (grouping, distinct) where every key comes from
-      the same column.
-    - [probe_fn] keys on the decoded string (safe across dictionaries) but
-      memoizes the hash lookup per code, so a join probe touches the hash
-      table once per *distinct* value and then runs on int indexing. *)
+    One open-addressing key table ({!keytab}) serves the join build and
+    probe, hash GROUP BY, [SELECT DISTINCT] and [COUNT(DISTINCT)] in both
+    executors; small grouping domains skip hashing altogether through the
+    dense packed-key domain ({!dense_domain}).
+
+    Key semantics are the same on every path. Ints and dates compare by
+    value whatever their backing; strings by value whatever their layout
+    (raw, or codes over any dictionary); floats with [Float.equal], so
+    -0.0 = 0.0 and NaN = NaN; bools by value. Keys of different families
+    (an int against a float, say) never compare equal. A join key with a
+    NULL component never matches; grouping and distinct treat NULL as one
+    more value of each component. Every layout hashes through {!row_hash},
+    so the table, the bloom filters and radix partitioning share one
+    hash. *)
 
 open Value
 
-type key = KInt of int | KStr of string
-
-(* Serialize a multi-column key into bytes: ints as decimal text, strings
-   raw; unit separator avoids ambiguity. *)
-let pack_values (vs : Value.t list) : string =
-  let buf = Buffer.create 24 in
-  List.iter
-    (fun v ->
-      (match v with
-      | VInt i | VDate i -> Buffer.add_string buf (string_of_int i)
-      | VFloat f -> Buffer.add_string buf (string_of_float f)
-      | VString s -> Buffer.add_string buf s
-      | VBool b -> Buffer.add_char buf (if b then 't' else 'f')
-      | VNull -> Buffer.add_string buf "\x00N");
-      Buffer.add_char buf '\x1f')
-    vs;
-  Buffer.contents buf
-
-(* Multi-column local keys: pack one small slot per column into a single
-   int, mixed-radix. Slot 0 is reserved for null, so nulls group together
-   (SQL GROUP BY) and are detectable for the null_as_key:false case.
-   Returns per-column [(slot_fn, radix)] or None when a column does not fit.
-   [cross_chunk] demands slots and radices that are identical across
-   take-gathered copies of the columns (the compiled executor builds one
-   key_fn per morsel and merges the partial tables by key): dictionary
-   radices come from the shared dict object so they qualify; int bounds are
+(* Dense grouping keys: pack one small slot per column into a single int,
+   mixed-radix. Slot 0 is reserved for null, so nulls group together (SQL
+   GROUP BY). Returns per-column [(slot_fn, radix)] or None when a column
+   does not fit. [cross_chunk] demands slots and radices that are identical
+   across take-gathered copies of the columns (the compiled executor packs
+   every morsel of a range into one slot space): dictionary radices come
+   from the shared dict object so they qualify; int bounds are
    data-dependent per copy so they do not. *)
 let mixed_radix ~cross_chunk (cs : Column.t list) :
     ((int -> int) * int) list option =
@@ -108,86 +94,456 @@ let dense_domain ?(cross_chunk = false) ~(limit : int) (cols : Column.t array)
       in
       Some (pack, card)
 
-(* Key extractor over [cols] at positions [idxs].
-   [null_as_key]: grouping treats null as a regular key; joins return None so
-   the row never matches.
-   [local]: keys never leave this column set (grouping/distinct), so
-   dictionary codes can stand in for their strings.
-   [cross_chunk]: key values must stay comparable across key_fn instances
-   built on take-gathered copies of these columns (see [mixed_radix]). *)
-let key_fn ?(local = false) ?(cross_chunk = false) ~(null_as_key : bool)
-    (cols : Column.t array) (idxs : int list) : int -> key option =
-  match idxs with
-  | [ i ] -> (
-    let c = cols.(i) in
-    (* lift a non-null key extractor over the column's null mask *)
-    let with_nulls (f : int -> key) : int -> key option =
-      match c.Column.nulls with
-      | None -> fun row -> Some (f row)
-      | Some m ->
-        fun row ->
-          if Bitset.get m row then
-            if null_as_key then Some (KStr "\x00N") else None
-          else Some (f row)
-    in
+(* ------------------------------------------------------------------ *)
+(* Row hashes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A key component: a column, or an int computed from the row (the group-id
+   tag of a COUNT(DISTINCT) set). *)
+type source = Col of Column.t | Tag of (int -> int)
+
+(* Hash of a non-null component value. Dictionary columns read the per-code
+   hash their dictionary precomputed, so equal strings hash alike across
+   raw and coded layouts and across dictionaries. *)
+let value_hash (s : source) : int -> int =
+  match s with
+  | Tag f -> fun r -> hash_int (f r)
+  | Col c -> (
     match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      with_nulls (fun row -> KInt (get row))
-    | Column.S a -> with_nulls (fun row -> KStr a.(row))
-    | (Column.D _ | Column.BD _) when local ->
-      let codes, _ = Option.get (Column.codes_reader c) in
-      with_nulls (fun row -> KInt (codes row))
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
-      let values = d.Column.values in
-      with_nulls (fun row -> KStr values.(codes row))
-    | _ ->
-      fun row ->
-        let v = Column.get c row in
-        if Value.is_null v then
-          if null_as_key then Some (KStr "\x00N") else None
-        else Some (KStr (pack_values [ v ])))
-  | idxs -> (
-    let cs = List.map (fun i -> cols.(i)) idxs in
-    match if local then mixed_radix ~cross_chunk cs else None with
-    | Some parts ->
-      let slots = Array.of_list (List.map fst parts) in
-      let radices = Array.of_list (List.map snd parts) in
-      let k = Array.length slots in
-      fun row ->
-        let rec go i acc =
-          if i = k then Some (KInt acc)
-          else
-            let s = slots.(i) row in
-            if s = 0 && not null_as_key then None
-            else go (i + 1) ((acc * radices.(i)) + s)
-        in
-        go 0 0
-    | None ->
-      fun row ->
-        let vs = List.map (fun c -> Column.get c row) cs in
-        if (not null_as_key) && List.exists Value.is_null vs then None
-        else Some (KStr (pack_values vs)))
+    | Column.I a -> fun r -> hash_int (Array.unsafe_get a r)
+    | Column.BI v -> fun r -> hash_int (Bigarray.Array1.unsafe_get v r)
+    | Column.F a -> fun r -> hash_float (Array.unsafe_get a r)
+    | Column.BF v -> fun r -> hash_float (Bigarray.Array1.unsafe_get v r)
+    | Column.S a -> fun r -> hash_string (Array.unsafe_get a r)
+    | Column.D (codes, d) ->
+      let h = d.Column.hashes in
+      fun r -> Array.unsafe_get h (Array.unsafe_get codes r)
+    | Column.BD (codes, d) ->
+      let h = d.Column.hashes in
+      fun r -> Array.unsafe_get h (Bigarray.Array1.unsafe_get codes r)
+    | Column.B a -> fun r -> hash_int (Bool.to_int (Array.unsafe_get a r)))
+
+let source_nulls = function Col c -> c.Column.nulls | Tag _ -> None
+
+(* the hash of a NULL component when NULL is a key value *)
+let null_hash = hash_int 0x6e756c6c
+
+(* Per-row key hash, always >= 0 with [null_as_key] (grouping: a NULL
+   component hashes as [null_hash]); without it a key with any NULL
+   component hashes to -1, which joins never match and radix partitioning
+   drops. Multi-column keys fold their component hashes. *)
+let sources_hash ~null_as_key (srcs : source list) : int -> int =
+  let comp s =
+    let h = value_hash s in
+    match source_nulls s with
+    | None -> h
+    | Some m ->
+      let nh = if null_as_key then null_hash else -1 in
+      fun r -> if Bitset.get m r then nh else h r
+  in
+  let fold acc h = mix ((acc * 31) + h) land max_int in
+  match srcs with
+  | [] -> fun _ -> 0
+  | [ s ] -> comp s
+  | [ s0; s1 ] ->
+    let f0 = comp s0 and f1 = comp s1 in
+    fun r ->
+      let h0 = f0 r and h1 = f1 r in
+      if h0 < 0 || h1 < 0 then -1 else fold (fold 0 h0) h1
+  | srcs ->
+    let fs = Array.of_list (List.map comp srcs) in
+    let k = Array.length fs in
+    fun r ->
+      let acc = ref 0 and i = ref 0 in
+      while !i < k do
+        let h = (Array.unsafe_get fs !i) r in
+        if h < 0 then begin
+          acc := -1;
+          i := k
+        end
+        else begin
+          acc := fold !acc h;
+          incr i
+        end
+      done;
+      !acc
+
+(* The key hash over [cols] at [idxs]: what the key table, bloom filters and
+   radix partitioning ({!Radix}) all route by. *)
+let row_hash ~null_as_key (cols : Column.t array) (idxs : int list) :
+    int -> int =
+  sources_hash ~null_as_key (List.map (fun i -> Col cols.(i)) idxs)
+
+(* ------------------------------------------------------------------ *)
+(* The key table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Open addressing with linear probing over dense entry ids. Each distinct
+   key becomes an entry numbered in first-seen order; on first sight its
+   component values are copied into the table's own unboxed key columns,
+   so equality never refers back to a morsel that is gone, and the key
+   columns double as GROUP BY output columns. Probing compares the slot's
+   hash fingerprint first, then the components one by one against the probe
+   row — no key is ever boxed. *)
+
+type family = FInt | FFloat | FString | FBool
+
+let family = function
+  | Tag _ -> FInt
+  | Col c -> (
+    match c.Column.data with
+    | Column.I _ | Column.BI _ -> FInt
+    | Column.F _ | Column.BF _ -> FFloat
+    | Column.S _ | Column.D _ | Column.BD _ -> FString
+    | Column.B _ -> FBool)
+
+type 'a vec = { mutable a : 'a array }
+
+(* one growable key column; bools are stored as 0/1 *)
+type store = Ints of int vec | Floats of float vec | Strings of string vec
+
+type comp = {
+  fam : family;
+  ty : Value.ty;
+  store : store;
+  mutable nul : Bytes.t;
+      (* entry -> '\001' when the component is NULL; allocated with the
+         first NULL, [has_null] from then on *)
+  mutable has_null : bool;
+}
+
+type keytab = {
+  comps : comp array;
+  mutable slots : int array;
+      (* -1 when empty, else [(fp lsl 31) lor entry] (entry < 2^31) where
+         [fp] is the key hash's top 31 bits: probes reject most mismatches,
+         and the table re-slots on growth, without touching the entries *)
+  mutable cap : int; (* entry capacity, half the slot count *)
+  mutable count : int;
+}
+
+(* A key reader over one set of columns, valid against one table: the
+   per-row hash, equality of a row against an entry, and the copy of a row's
+   key into a fresh entry. *)
+type reader = {
+  hash : int -> int;
+  eq : int -> int -> bool;
+  put : int -> int -> unit;
+}
+
+let new_comp cap (s : source) : comp =
+  let fam = family s in
+  let store =
+    match fam with
+    | FInt | FBool -> Ints { a = Array.make cap 0 }
+    | FFloat -> Floats { a = Array.make cap 0. }
+    | FString -> Strings { a = Array.make cap "" }
+  in
+  { fam;
+    ty = (match s with Col c -> c.Column.ty | Tag _ -> TInt);
+    store;
+    nul = Bytes.empty;
+    has_null = false }
+
+let create_table ~size (srcs : source list) : keytab =
+  let rec pow2 p = if p >= size then p else pow2 (2 * p) in
+  let cap = pow2 8 in
+  { comps = Array.of_list (List.map (new_comp cap) srcs);
+    slots = Array.make (2 * cap) (-1);
+    cap;
+    count = 0 }
+
+(** A table keyed by [cols] at [idxs] (only their layouts are read), sized
+    for [size] distinct keys; it grows past that. [tagged] prepends an int
+    component that readers supply through [?tag]. *)
+let keytab ?(size = 16) ?(tagged = false) (cols : Column.t array)
+    (idxs : int list) : keytab =
+  create_table ~size
+    ((if tagged then [ Tag Fun.id ] else [])
+    @ List.map (fun i -> Col cols.(i)) idxs)
+
+let length (t : keytab) = t.count
+
+(* A hash's fingerprint, which is also its home slot (masked). Radix
+   partitions and bloom filters use the low bits; the fingerprint takes the
+   top 31 of the 62. *)
+let fingerprint h = h lsr 31
+let entry_mask = (1 lsl 31) - 1
+
+(* Double the entry capacity (load factor stays <= 1/2) and re-slot every
+   entry from its fingerprint. *)
+let grow (t : keytab) =
+  let cap = t.cap in
+  let ncap = 2 * cap in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  Array.iter
+    (fun c ->
+      (match c.store with
+      | Ints v -> v.a <- extend v.a 0
+      | Floats v -> v.a <- extend v.a 0.
+      | Strings v -> v.a <- extend v.a "");
+      if c.has_null then begin
+        let nul = Bytes.make ncap '\000' in
+        Bytes.blit c.nul 0 nul 0 cap;
+        c.nul <- nul
+      end)
+    t.comps;
+  let mask = (2 * ncap) - 1 in
+  let slots = Array.make (2 * ncap) (-1) in
+  Array.iter
+    (fun v ->
+      if v >= 0 then begin
+        let i = ref ((v lsr 31) land mask) in
+        while slots.(!i) >= 0 do
+          i := (!i + 1) land mask
+        done;
+        slots.(!i) <- v
+      end)
+    t.slots;
+  t.slots <- slots;
+  t.cap <- ncap
+
+(* Equality of a non-null source value against a stored one; [None] when
+   the families differ (such keys never compare equal). *)
+let value_eq (s : source) (c : comp) : (int -> int -> bool) option =
+  if family s <> c.fam then None
+  else
+    Some
+      (match (s, c.store) with
+      | Tag f, Ints v -> fun r e -> Array.unsafe_get v.a e = f r
+      | Col col, Ints v -> (
+        match col.Column.data with
+        | Column.I a ->
+          fun r e -> Array.unsafe_get v.a e = Array.unsafe_get a r
+        | Column.BI b ->
+          fun r e -> Array.unsafe_get v.a e = Bigarray.Array1.unsafe_get b r
+        | Column.B a ->
+          fun r e -> Array.unsafe_get v.a e = Bool.to_int (Array.unsafe_get a r)
+        | _ -> assert false)
+      | Col col, Floats v -> (
+        match col.Column.data with
+        | Column.F a ->
+          fun r e -> Float.equal (Array.unsafe_get v.a e) (Array.unsafe_get a r)
+        | Column.BF b ->
+          fun r e ->
+            Float.equal (Array.unsafe_get v.a e) (Bigarray.Array1.unsafe_get b r)
+        | _ -> assert false)
+      | Col col, Strings v -> (
+        match col.Column.data with
+        | Column.S a ->
+          fun r e -> String.equal (Array.unsafe_get v.a e) (Array.unsafe_get a r)
+        | Column.D (codes, d) ->
+          let vals = d.Column.values in
+          fun r e ->
+            String.equal (Array.unsafe_get v.a e)
+              (Array.unsafe_get vals (Array.unsafe_get codes r))
+        | Column.BD (codes, d) ->
+          let vals = d.Column.values in
+          fun r e ->
+            String.equal (Array.unsafe_get v.a e)
+              (Array.unsafe_get vals (Bigarray.Array1.unsafe_get codes r))
+        | _ -> assert false)
+      | Tag _, (Floats _ | Strings _) -> assert false)
+
+let value_put (s : source) (c : comp) : int -> int -> unit =
+  match (s, c.store) with
+  | Tag f, Ints v -> fun r e -> v.a.(e) <- f r
+  | Col col, Ints v -> (
+    match col.Column.data with
+    | Column.I a -> fun r e -> v.a.(e) <- a.(r)
+    | Column.BI b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
+    | Column.B a -> fun r e -> v.a.(e) <- Bool.to_int a.(r)
+    | _ -> assert false)
+  | Col col, Floats v -> (
+    match col.Column.data with
+    | Column.F a -> fun r e -> v.a.(e) <- a.(r)
+    | Column.BF b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
+    | _ -> assert false)
+  | Col col, Strings v -> fun r e -> v.a.(e) <- Column.string_at col r
+  | Tag _, (Floats _ | Strings _) -> assert false
+
+(* Lift a component's value equality and copy over NULLs: a NULL equals
+   only a NULL. *)
+let comp_reader (t : keytab) (s : source) (c : comp) veq =
+  match source_nulls s with
+  | None ->
+    ( (fun r e ->
+        ((not c.has_null) || Bytes.unsafe_get c.nul e = '\000') && veq r e),
+      value_put s c )
+  | Some m ->
+    let vput = value_put s c in
+    ( (fun r e ->
+        let rn = Bitset.get m r in
+        let en = c.has_null && Bytes.unsafe_get c.nul e <> '\000' in
+        if rn || en then rn && en else veq r e),
+      fun r e ->
+        if Bitset.get m r then begin
+          if not c.has_null then begin
+            c.nul <- Bytes.make t.cap '\000';
+            c.has_null <- true
+          end;
+          Bytes.set c.nul e '\001'
+        end
+        else vput r e )
+
+let reader_of ~null_as_key (t : keytab) (srcs : source list) : reader option =
+  if List.length srcs <> Array.length t.comps then None
+  else
+    let parts =
+      List.mapi
+        (fun j s ->
+          let c = t.comps.(j) in
+          Option.map (comp_reader t s c) (value_eq s c))
+        srcs
+    in
+    if List.exists Option.is_none parts then None
+    else
+      let parts = Array.of_list (List.map Option.get parts) in
+      let eqs = Array.map fst parts and puts = Array.map snd parts in
+      let eq =
+        match eqs with
+        | [| e0 |] -> e0
+        | [| e0; e1 |] -> fun r e -> e0 r e && e1 r e
+        | eqs ->
+          let k = Array.length eqs in
+          fun r e ->
+            let i = ref 0 in
+            while !i < k && (Array.unsafe_get eqs !i) r e do
+              incr i
+            done;
+            !i = k
+      in
+      let put =
+        match puts with
+        | [| p0 |] -> p0
+        | [| p0; p1 |] ->
+          fun r e ->
+            p0 r e;
+            p1 r e
+        | puts ->
+          fun r e ->
+            for i = 0 to Array.length puts - 1 do
+              puts.(i) r e
+            done
+      in
+      Some { hash = sources_hash ~null_as_key srcs; eq; put }
+
+(** A reader of the keys of [cols] at [idxs] (after [tag]'s int, for a
+    tagged table) against [t]. [null_as_key] as for {!row_hash}: a join
+    reader's hash is -1 on NULL keys, which must not be added. [None] when a
+    component's family differs from the table's: no row can match. *)
+let reader ?tag ~null_as_key (t : keytab) (cols : Column.t array)
+    (idxs : int list) : reader option =
+  reader_of ~null_as_key t
+    ((match tag with Some f -> [ Tag f ] | None -> [])
+    @ List.map (fun i -> Col cols.(i)) idxs)
+
+(* Entry id of row [r]'s key (hash [h]), or [-1 - s] where [s] is the
+   empty slot that ended the probe. *)
+let probe (t : keytab) (rd : reader) h r =
+  let slots = t.slots and fp = fingerprint h in
+  let mask = Array.length slots - 1 in
+  let i = ref (fp land mask) and res = ref (-1) in
+  while !res = -1 do
+    let v = Array.unsafe_get slots !i in
+    if v < 0 then res := -2 - !i
+    else if v lsr 31 = fp && rd.eq r (v land entry_mask) then
+      res := v land entry_mask
+    else i := (!i + 1) land mask
+  done;
+  if !res >= 0 then !res else !res + 1
+
+(* Entry id of row [r]'s key, inserting it (id = previous [length]) when
+   new. *)
+let add_hashed (t : keytab) (rd : reader) h r =
+  let e = probe t rd h r in
+  if e >= 0 then e
+  else begin
+    let fp = fingerprint h in
+    let slot =
+      if t.count < t.cap then -1 - e
+      else begin
+        grow t;
+        let mask = Array.length t.slots - 1 in
+        let i = ref (fp land mask) in
+        while t.slots.(!i) >= 0 do
+          i := (!i + 1) land mask
+        done;
+        !i
+      end
+    in
+    let e = t.count in
+    t.slots.(slot) <- (fp lsl 31) lor e;
+    rd.put r e;
+    t.count <- e + 1;
+    e
+  end
+
+let add (t : keytab) (rd : reader) r = add_hashed t rd (rd.hash r) r
+
+(* Entry id of row [r]'s key, or -1 when absent. *)
+let find (t : keytab) (rd : reader) r =
+  let e = probe t rd (rd.hash r) r in
+  if e >= 0 then e else -1
+
+(** The table's key columns, one per component (after the tag), [length t]
+    rows each, in entry order — the output group columns of a GROUP BY. *)
+let key_columns (t : keytab) : Column.t array =
+  let n = t.count in
+  Array.map
+    (fun c ->
+      let data =
+        match c.store with
+        | Ints v when c.fam = FBool ->
+          Column.B (Array.init n (fun e -> v.a.(e) <> 0))
+        | Ints v -> Column.I (Array.sub v.a 0 n)
+        | Floats v -> Column.F (Array.sub v.a 0 n)
+        | Strings v -> Column.S (Array.sub v.a 0 n)
+      in
+      let nulls =
+        if not c.has_null then None
+        else begin
+          let m = Bitset.create n in
+          for e = 0 to n - 1 do
+            if Bytes.get c.nul e <> '\000' then Bitset.set m e
+          done;
+          Some m
+        end
+      in
+      { Column.ty = c.ty; data; nulls })
+    t.comps
+
+(** Rows whose key over [idxs] has not been seen before, in input order
+    ([SELECT DISTINCT]); [row] maps logical positions [0..n-1] to rows. *)
+let first_rows ?(row = Fun.id) (cols : Column.t array) (idxs : int list)
+    ~(n : int) : int array =
+  let t = keytab ~size:n cols idxs in
+  let rd = Option.get (reader ~null_as_key:true t cols idxs) in
+  let keep = Array.make n 0 and k = ref 0 in
+  for pos = 0 to n - 1 do
+    let r = row pos in
+    let before = t.count in
+    if add t rd r = before then begin
+      keep.(!k) <- r;
+      incr k
+    end
+  done;
+  Array.sub keep 0 !k
 
 (* ------------------------------------------------------------------ *)
 (* Bloom filters                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Compact bloom filter over the build-side keys: two bits per key in a
-   power-of-two bit array (~8 bits per key, <5% false positives), consulted
-   before the hash table on join probes. Probe misses — the common case on
-   selective joins — skip the bucket walk entirely, and the filter is small
-   enough to stay cache-resident when the table is not. *)
+(* Compact bloom filter over the build-side key hashes: two bits per key in
+   a power-of-two bit array (~8 bits per key, <5% false positives),
+   consulted before the table on join probes. Probe misses — the common
+   case on selective joins — skip the slot walk entirely, and the filter is
+   small enough to stay cache-resident when the table is not. *)
 type bloom = { bits : Bytes.t; mask : int }
-
-(* splitmix64 finalizer with multipliers truncated to OCaml's 63-bit ints *)
-let bloom_mix h =
-  let h = h lxor (h lsr 30) in
-  let h = h * 0x3f58476d1ce4e5b9 in
-  let h = h lxor (h lsr 27) in
-  let h = h * 0x14d049bb133111eb in
-  h lxor (h lsr 31)
 
 let bloom_create n_keys =
   let want = max 1024 (8 * n_keys) in
@@ -204,250 +560,75 @@ let bloom_set b i =
 let bloom_get b i =
   Char.code (Bytes.unsafe_get b.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+(* The two bit positions come straight from the (already mixed) key hash:
+   bits 7..30 and bits 31 up. Bits 0..6 are the radix partition, which every
+   key of one partition's filter shares. *)
 let bloom_add b h =
-  let h = bloom_mix h in
-  bloom_set b (h land b.mask);
-  bloom_set b ((h lsr 21) land b.mask)
+  bloom_set b ((h lsr 7) land b.mask);
+  bloom_set b ((h lsr 31) land b.mask)
 
 let bloom_may b h =
-  let h = bloom_mix h in
-  bloom_get b (h land b.mask) && bloom_get b ((h lsr 21) land b.mask)
+  bloom_get b ((h lsr 7) land b.mask) && bloom_get b ((h lsr 31) land b.mask)
 
-(* Int keys hash as themselves so the unboxed [TInt] build path and boxed
-   [KInt] probes agree on bloom bits. *)
-let bloom_hash_key (k : key) =
-  match k with KInt i -> i | KStr _ -> Hashtbl.hash k
+(* ------------------------------------------------------------------ *)
+(* Join build and probe                                               *)
+(* ------------------------------------------------------------------ *)
 
-(* A build-side table. A single int key column (the common join shape:
-   foreign keys) gets an unboxed int-keyed table — no [key] boxing on insert
-   or probe, and OCaml's immediate-int hashing. Everything else uses boxed
-   [key]s. *)
-type impl =
-  | TInt of (int, int list) Hashtbl.t
-  | TBoxed of (key, int list) Hashtbl.t
+(* A join build side: the key table over the build keys, the build rows of
+   each entry (reverse insertion order), and the bloom filter. *)
+type table = { keys : keytab; rows : int list array; bloom : bloom }
 
-type table = { impl : impl; bloom : bloom option }
-
-let table_size (t : table) =
-  match t.impl with TInt h -> Hashtbl.length h | TBoxed h -> Hashtbl.length h
-
-let lookup_key (t : table) (k : key) : int list =
-  match (t.impl, k) with
-  | TBoxed tbl, k -> (
-    match Hashtbl.find_opt tbl k with Some rows -> rows | None -> [])
-  | TInt tbl, KInt i -> (
-    match Hashtbl.find_opt tbl i with Some rows -> rows | None -> [])
-  | TInt _, KStr _ -> []
-
-(* Build a key -> row-index-list table. Without [sel], over all [n] rows;
-   with [sel], over the listed base rows only (the table still stores base
-   row indices, so probe results compose with selection vectors). *)
-let build_table ?sel ~null_as_key (cols : Column.t array) (idxs : int list)
-    ~(n : int) : table =
+(* Build over all [n] rows, or over [sel]'s base rows only (the table still
+   stores base row indices, so probe results compose with selection
+   vectors). Rows with a NULL key component never join and are skipped. *)
+let build_table ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
+    table =
   let n_log = match sel with Some s -> Array.length s | None -> n in
-  let iter_rows f =
-    match sel with
-    | None ->
-      for row = 0 to n_log - 1 do
-        f row
-      done
-    | Some s ->
-      for pos = 0 to n_log - 1 do
-        f s.(pos)
-      done
+  let keys = keytab ~size:n_log cols idxs in
+  let rd = Option.get (reader ~null_as_key:false keys cols idxs) in
+  let rows = Array.make (max 1 n_log) [] in
+  let bloom = bloom_create n_log in
+  let insert row =
+    let h = rd.hash row in
+    if h >= 0 then begin
+      bloom_add bloom h;
+      let e = add_hashed keys rd h row in
+      Array.unsafe_set rows e (row :: Array.unsafe_get rows e)
+    end
   in
-  let int_col =
-    match idxs with
-    | [ i ] when not (null_as_key && Column.has_nulls cols.(i)) -> (
-      match Column.int_reader cols.(i) with
-      | Some get -> Some (get, cols.(i).Column.nulls)
-      | None -> None)
-    | _ -> None
-  in
-  let bl = bloom_create n_log in
-  match int_col with
-  | Some (get, nulls) ->
-    (* unboxed build: null rows can't be int keys, so they are skipped
-       (valid because null_as_key is false whenever nulls are present) *)
-    let tbl = Hashtbl.create (max 16 n_log) in
-    let insert row =
-      let k = get row in
-      bloom_add bl k;
-      match Hashtbl.find_opt tbl k with
-      | Some rows -> Hashtbl.replace tbl k (row :: rows)
-      | None -> Hashtbl.add tbl k [ row ]
-    in
-    (match nulls with
-    | None -> iter_rows insert
-    | Some m -> iter_rows (fun row -> if not (Bitset.get m row) then insert row));
-    { impl = TInt tbl; bloom = Some bl }
+  (match sel with
   | None ->
-    let kf = key_fn ~null_as_key cols idxs in
-    let tbl = Hashtbl.create (max 16 n_log) in
-    iter_rows (fun row ->
-        match kf row with
-        | None -> ()
-        | Some k -> (
-          bloom_add bl (bloom_hash_key k);
-          match Hashtbl.find_opt tbl k with
-          | Some rows -> Hashtbl.replace tbl k (row :: rows)
-          | None -> Hashtbl.add tbl k [ row ]));
-    { impl = TBoxed tbl; bloom = Some bl }
+    for row = 0 to n_log - 1 do
+      insert row
+    done
+  | Some s -> Array.iter insert s);
+  { keys; rows; bloom }
 
-(* Join-probe closure: probe row -> matching build rows. Nulls never match
-   (join semantics). A single dictionary-encoded probe key memoizes the
-   lookup per code; a single int probe key against a [TInt] table runs
-   unboxed. The memo is mutable, so callers running probes on multiple
-   domains should create one probe_fn per chunk (the [table] itself is
-   shared). *)
+(* Join-probe closure: probe row -> matching build rows, NULL keys never
+   matching. The closure holds no mutable state, so one closure may serve
+   any number of domains. *)
 let probe_fn (t : table) (cols : Column.t array) (idxs : int list) :
     int -> int list =
-  let boxed_lookup k =
-    match t.bloom with
-    | Some b when not (bloom_may b (bloom_hash_key k)) -> []
-    | _ -> lookup_key t k
-  in
-  match idxs with
-  | [ i ] -> (
-    let c = cols.(i) in
-    match (Column.int_reader c, Column.codes_reader c, t.impl) with
-    | Some get, _, TInt itbl -> (
-      let lookup =
-        match t.bloom with
-        | Some b ->
-          fun row ->
-            let k = get row in
-            if not (bloom_may b k) then []
-            else (
-              match Hashtbl.find_opt itbl k with
-              | Some rows -> rows
-              | None -> [])
-        | None -> (
-          fun row ->
-            match Hashtbl.find_opt itbl (get row) with
-            | Some rows -> rows
-            | None -> [])
-      in
-      match c.Column.nulls with
-      | None -> lookup
-      | Some m -> fun row -> if Bitset.get m row then [] else lookup row)
-    | _, Some (codes, d), _ -> (
-      let values = d.Column.values in
-      let memo : int list option array = Array.make (Array.length values) None in
-      let lookup code =
-        match memo.(code) with
-        | Some rows -> rows
-        | None ->
-          (* the bloom check runs once per distinct code, then memoizes *)
-          let rows = boxed_lookup (KStr values.(code)) in
-          memo.(code) <- Some rows;
-          rows
-      in
-      match c.Column.nulls with
-      | None -> fun row -> lookup (codes row)
-      | Some m -> fun row -> if Bitset.get m row then [] else lookup (codes row))
-    | _ ->
-      let kf = key_fn ~null_as_key:false cols idxs in
-      fun row -> ( match kf row with None -> [] | Some k -> boxed_lookup k))
-  | idxs ->
-    let kf = key_fn ~null_as_key:false cols idxs in
-    fun row -> ( match kf row with None -> [] | Some k -> boxed_lookup k)
-
-(* ------------------------------------------------------------------ *)
-(* Radix partition hashes                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-row partition hash over the key columns at [idxs], for radix
-   partitioning ({!Radix}). Both join sides must agree on the hash of equal
-   key values even when their physical layouts differ (raw [S] strings on
-   one side, codes over a different dictionary on the other), so ints hash
-   as themselves through [bloom_mix] and strings through [Hashtbl.hash] of
-   the decoded value — dictionary columns precompute one hash per distinct
-   code, so the per-row cost is one array load. Returns [None] for layouts
-   without a stable cross-side hash (floats, bools); a negative hash marks a
-   null key, which never joins and is never partitioned. *)
-let row_hash (cols : Column.t array) (idxs : int list) : (int -> int) option =
-  let component (c : Column.t) : (int -> int) option =
-    let nullable f =
-      match c.Column.nulls with
-      | None -> f
-      | Some m -> fun row -> if Bitset.get m row then -1 else f row
-    in
-    match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      Some (nullable (fun row -> bloom_mix (get row) land max_int))
-    | Column.S a ->
-      Some (nullable (fun row -> bloom_mix (Hashtbl.hash a.(row)) land max_int))
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
-      let hcode =
-        Array.map
-          (fun s -> bloom_mix (Hashtbl.hash s) land max_int)
-          d.Column.values
-      in
-      Some (nullable (fun row -> hcode.(codes row)))
-    | Column.B _ | Column.F _ | Column.BF _ -> None
-  in
-  match idxs with
-  | [] -> None
-  | [ i ] -> component cols.(i)
-  | idxs -> (
-    let rec go acc = function
-      | [] -> Some (Array.of_list (List.rev acc))
-      | i :: rest -> (
-        match component cols.(i) with
-        | None -> None
-        | Some f -> go (f :: acc) rest)
-    in
-    match go [] idxs with
-    | None -> None
-    | Some fs ->
-      let k = Array.length fs in
-      Some
-        (fun row ->
-          let rec combine i acc =
-            if i = k then acc
-            else
-              let h = fs.(i) row in
-              if h < 0 then -1
-              else combine (i + 1) (bloom_mix ((acc * 31) + h) land max_int)
-          in
-          combine 0 0))
+  match reader ~null_as_key:false t.keys cols idxs with
+  | None -> fun _ -> []
+  | Some rd ->
+    let keys = t.keys and rows = t.rows and bloom = t.bloom in
+    fun row ->
+      let h = rd.hash row in
+      if h < 0 || not (bloom_may bloom h) then []
+      else
+        let e = probe keys rd h row in
+        if e < 0 then [] else Array.unsafe_get rows e
 
 (* Row-level membership pre-test over a single probe-key column, for
    pushing the build side's bloom filter into the probe-side scan: a row
    that fails cannot find a join partner, so inner and semi joins may drop
    it before the morsel is ever gathered. Null keys never join, so they
    fail too. Unsound for outer and anti joins — callers gate on kind. *)
-let scan_test (t : table) (c : Column.t) : (int -> bool) option =
-  match t.bloom with
-  | None -> None
-  | Some b ->
-    let not_null test =
-      match c.Column.nulls with
-      | None -> test
-      | Some m -> fun row -> (not (Bitset.get m row)) && test row
-    in
-    (match c.Column.data with
-    | Column.I _ | Column.BI _ ->
-      let get = Option.get (Column.int_reader c) in
-      Some (not_null (fun row -> bloom_may b (get row)))
-    | Column.D _ | Column.BD _ ->
-      (* tri-state per-code memo: -1 unknown, 0 fail, 1 may-match; races
-         between domains rewrite the same immediate value, which is safe *)
-      let codes, d = Option.get (Column.codes_reader c) in
-      let values = d.Column.values in
-      let memo = Array.make (Array.length values) (-1) in
-      Some
-        (not_null (fun row ->
-             let code = codes row in
-             match memo.(code) with
-             | -1 ->
-               let r = bloom_may b (bloom_hash_key (KStr values.(code))) in
-               memo.(code) <- (if r then 1 else 0);
-               r
-             | v -> v = 1))
-    | Column.S a ->
-      Some (not_null (fun row -> bloom_may b (bloom_hash_key (KStr a.(row)))))
-    | Column.B _ | Column.F _ | Column.BF _ -> None)
+let scan_test (t : table) (c : Column.t) : int -> bool =
+  if Array.length t.keys.comps <> 1 then
+    invalid_arg "Hash_util.scan_test: multi-column key";
+  let hash = row_hash ~null_as_key:false [| c |] [ 0 ] and bloom = t.bloom in
+  fun row ->
+    let h = hash row in
+    h >= 0 && bloom_may bloom h

@@ -1016,11 +1016,19 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
               | None -> None
               | Some (pack, card) ->
                 let n_specs = Array.length gspecs in
+                (* first-seen group values go to a key table through the
+                   shared dense index ({!Agg_util.dense_see}) *)
                 let fold_range start len =
-                  let gvals : Value.t array option array =
-                    Array.make card None
+                  let keys =
+                    Hash_util.keytab
+                      ~size:(min card (Agg_util.size_hint p.est n))
+                      cols gidx
                   in
-                  let order = ref [] in
+                  let rd =
+                    Option.get
+                      (Hash_util.reader ~null_as_key:true keys cols gidx)
+                  in
+                  let dix = Agg_util.dense_index card in
                   let states =
                     Array.map (fun g -> dstate_create g ~card) gspecs
                   in
@@ -1043,16 +1051,7 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
                         for t = 0 to kcnt - 1 do
                           let row = Array.unsafe_get idx t in
                           let k = pack row in
-                          (match gvals.(k) with
-                          | Some _ -> ()
-                          | None ->
-                            gvals.(k) <-
-                              Some
-                                (Array.of_list
-                                   (List.map
-                                      (fun g -> Column.get cols.(g) row)
-                                      gidx));
-                            order := k :: !order);
+                          Agg_util.dense_see keys dix rd k row;
                           for i = 0 to n_specs - 1 do
                             upds.(i) k row
                           done
@@ -1060,51 +1059,40 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
                         pos := !pos + slen
                       done)
                     (Stats.alive_ranges ztest start (start + len - 1));
-                  (gvals, states, List.rev !order)
+                  (keys, dix, states)
                 in
-                let partials =
-                  if n = 0 then [ fold_range 0 0 ]
-                  else Parallel.map_chunks ~threads n fold_range
+                let keys, dix, states, rest =
+                  match
+                    if n = 0 then [] else Parallel.map_chunks ~threads n fold_range
+                  with
+                  | [] ->
+                    let keys, dix, states = fold_range 0 0 in
+                    (keys, dix, states, [])
+                  | (keys, dix, states) :: rest -> (keys, dix, states, rest)
                 in
-                let gvals, states, order =
-                  match partials with
-                  | [] -> (Array.make card None, [||], [])
-                  | (gv0, st0, ord0) :: rest ->
-                    let order = ref (List.rev ord0) in
-                    List.iter
-                      (fun (gv, st, ord) ->
-                        Array.iteri
-                          (fun i s -> dstate_merge st0.(i) s)
-                          st;
-                        List.iter
-                          (fun k ->
-                            match gv0.(k) with
-                            | Some _ -> ()
-                            | None ->
-                              gv0.(k) <- gv.(k);
-                              order := k :: !order)
-                          ord)
-                      rest;
-                    (gv0, st0, List.rev !order)
-                in
-                let n_groups = List.length gidx in
-                let n_out = List.length order in
-                let out =
-                  Array.make_matrix (n_groups + n_specs) n_out Value.VNull
-                in
-                let r = ref 0 in
+                (* partials merge in chunk order, appending unseen groups
+                   in their first-seen order *)
                 List.iter
-                  (fun k ->
-                    (match gvals.(k) with
-                    | Some gv -> Array.iteri (fun g v -> out.(g).(!r) <- v) gv
-                    | None -> ());
-                    Array.iteri
-                      (fun i g ->
-                        out.(n_groups + i).(!r) <- dstate_finish g states.(i) k)
-                      gspecs;
-                    incr r)
-                  order;
-                emit out)
+                  (fun (kb, db, sb) ->
+                    Array.iteri (fun i s -> dstate_merge states.(i) s) sb;
+                    Agg_util.dense_merge_keys keys dix kb db)
+                  rest;
+                let n_groups = List.length gidx in
+                let kcols = Hash_util.key_columns keys in
+                let n_out = Hash_util.length keys in
+                Some
+                  { Relation.names = Array.map fst p.schema;
+                    cols =
+                      Array.mapi
+                        (fun i (_, ty) ->
+                          if i < n_groups then Agg_util.key_column ty kcols.(i)
+                          else
+                            let g = gspecs.(i - n_groups)
+                            and st = states.(i - n_groups) in
+                            Column.of_values ty
+                              (Array.init n_out (fun e ->
+                                   dstate_finish g st dix.entry_slot.(e))))
+                        p.schema })
           end
         end))
     | _ -> None

@@ -56,14 +56,20 @@ let enabled_ref =
 let set_enabled b = enabled_ref := b
 let enabled () = !enabled_ref
 
-type group = { gkey : Value.t array; accs : Agg_util.acc array }
+(* [seen.(k)] holds the argument values already folded into [accs.(k)]
+   when spec [k] is a DISTINCT aggregate (empty and unused otherwise). *)
+type group = {
+  gkey : Value.t array;
+  accs : Agg_util.acc array;
+  seen : (Value.t, unit) Hashtbl.t array;
+}
 
 type state = {
   deps : (string * int) list; (* table versions at this refresh *)
   rows_at : (string * int) list; (* row counts, in stream table order *)
   pinned : Catalog.t; (* the snapshot this state reflects *)
-  groups : (string, group) Hashtbl.t; (* packed group key -> group *)
-  order : string list; (* group keys, reverse first-seen order *)
+  groups : (Value.t array, group) Hashtbl.t; (* group key -> group *)
+  order : Value.t array list; (* group keys, reverse first-seen order *)
   spj_rows : Relation.t option; (* filter/project views: stream rows *)
   version : int; (* view state version, ticks per refresh *)
   result : Relation.t; (* finished, user-visible result *)
@@ -116,44 +122,71 @@ let clone_acc (a : Agg_util.acc) : Agg_util.acc =
     sumf = a.Agg_util.sumf;
     sumc = a.Agg_util.sumc;
     minv = a.Agg_util.minv;
-    maxv = a.Agg_util.maxv;
-    seen = Option.map Hashtbl.copy a.Agg_util.seen;
-    seeni = Option.map Hashtbl.copy a.Agg_util.seeni }
+    maxv = a.Agg_util.maxv }
 
-let clone_group g = { gkey = g.gkey; accs = Array.map clone_acc g.accs }
+let clone_group g =
+  { gkey = g.gkey;
+    accs = Array.map clone_acc g.accs;
+    seen = Array.map Hashtbl.copy g.seen }
 
-let clone_groups (tbl : (string, group) Hashtbl.t) =
+let new_group ~(specs : Plan.agg_spec array) gkey =
+  { gkey;
+    accs = Array.map Agg_util.create specs;
+    seen = Array.map (fun _ -> Hashtbl.create 0) specs }
+
+let clone_groups (tbl : (Value.t array, group) Hashtbl.t) =
   let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
   Hashtbl.iter (fun k g -> Hashtbl.add out k (clone_group g)) tbl;
   out
 
 (* Fold one stream chunk into the accumulators, row by row and in row
    order. Chunks are decoded first: the accumulators outlive any one
-   execution, so DISTINCT tracking and group hashing must key on values,
-   never on dictionary codes private to one chunk's dictionaries. *)
+   execution, so group hashing must key on values, never on dictionary
+   codes private to one chunk's dictionaries. The group key is the boxed
+   value array itself; the generic [Hashtbl] compares it with [compare],
+   which — like the executors' key table — takes -0.0 = 0.0 and NaN = NaN,
+   and its hash normalizes both, so a view and its recompute agree on every
+   float key. A DISTINCT aggregate folds a row only when its (decoded,
+   non-NULL) argument value is new to the group, keyed the same way. *)
 let replay ~(groups_idx : int array) ~(specs : Plan.agg_spec array)
-    (tbl : (string, group) Hashtbl.t) (order : string list ref)
+    (tbl : (Value.t array, group) Hashtbl.t) (order : Value.t array list ref)
     (chunk : Relation.t) : unit =
   let chunk = Relation.decode_strings chunk in
   let cols = chunk.Relation.cols in
   let n = Relation.n_rows chunk in
-  let upds = Array.map (fun s -> Agg_util.update_fn s cols) specs in
+  let upds =
+    Array.map
+      (fun (s : Plan.agg_spec) ->
+        let upd = Agg_util.update_fn (Agg_util.plain s) cols in
+        match s.Plan.arg with
+        | Some i when s.Plan.distinct ->
+          let c = cols.(i) in
+          fun g k row ->
+            if not (Column.is_null c row) then begin
+              let v = Column.get c row in
+              if not (Hashtbl.mem g.seen.(k) v) then begin
+                Hashtbl.add g.seen.(k) v ();
+                upd g.accs.(k) row
+              end
+            end
+        | _ -> fun g k row -> upd g.accs.(k) row)
+      specs
+  in
   let nspec = Array.length upds in
   for row = 0 to n - 1 do
     if row land 4095 = 0 then Guard.check ();
     let gkey = Array.map (fun i -> Column.get cols.(i) row) groups_idx in
-    let key = Hash_util.pack_values (Array.to_list gkey) in
     let g =
-      match Hashtbl.find_opt tbl key with
+      match Hashtbl.find_opt tbl gkey with
       | Some g -> g
       | None ->
-        let g = { gkey; accs = Array.map Agg_util.create specs } in
-        Hashtbl.add tbl key g;
-        order := key :: !order;
+        let g = new_group ~specs gkey in
+        Hashtbl.add tbl gkey g;
+        order := gkey :: !order;
         g
     in
     for k = 0 to nspec - 1 do
-      upds.(k) g.accs.(k) row
+      upds.(k) g k row
     done
   done;
   Guard.add_rows n
@@ -161,11 +194,11 @@ let replay ~(groups_idx : int array) ~(specs : Plan.agg_spec array)
 (* A global aggregate emits exactly one row even over empty input, so its
    single group exists from the start — recompute and incremental states
    agree on empty streams by construction. *)
-let seed_global ~(specs : Plan.agg_spec array) tbl (order : string list ref) =
-  let key = Hash_util.pack_values [] in
-  if not (Hashtbl.mem tbl key) then begin
-    Hashtbl.add tbl key { gkey = [||]; accs = Array.map Agg_util.create specs };
-    order := key :: !order
+let seed_global ~(specs : Plan.agg_spec array) tbl
+    (order : Value.t array list ref) =
+  if not (Hashtbl.mem tbl [||]) then begin
+    Hashtbl.add tbl [||] (new_group ~specs [||]);
+    order := [||] :: !order
   end
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +218,8 @@ let run_finish (shape : Planner.ivm_shape) (schema : Plan.schema)
     Exec_vectorized.run_plan ~threads:1 scratch finish
 
 let agg_result (shape : Planner.ivm_shape)
-    (tbl : (string, group) Hashtbl.t) (order : string list) : Relation.t =
+    (tbl : (Value.t array, group) Hashtbl.t) (order : Value.t array list) :
+    Relation.t =
   match shape.Planner.ivm_agg with
   | None -> invalid_arg "Matview.agg_result: not an aggregate view"
   | Some (groups_idx, specs, agg_schema) ->

@@ -9,11 +9,12 @@
     region of a contiguous per-partition buffer, then a second pass scatters
     base row indices into those regions — no locks, no atomics. Equal keys
     land in the same partition on both sides because {!Hash_util.row_hash}
-    hashes by value (decoded strings, raw ints), independent of layout.
+    hashes by value, independent of layout.
 
     Per partition, the regular {!Hash_util.build_table} runs over the
     partition's selection vector, so bloom filters and base-row indexing are
-    preserved per partition; probes route by the same hash. Small builds
+    preserved per partition; probes route by the same hash, which is also
+    the hash the partition's key table and bloom filter use. Small builds
     keep the single-table path: the [should] threshold compares the
     (planner-estimated, then actual) build cardinality against
     [min_rows].
@@ -171,27 +172,22 @@ let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
 (* Partitioned build-side tables                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A join build side: one shared table (small builds, unhashable key
-   layouts, radix disabled) or radix partitions routed by key hash. *)
+(* A join build side: one shared table (small builds, radix disabled) or
+   radix partitions routed by key hash. *)
 type t =
   | Single of Hash_util.table
   | Parts of { mask : int; tables : Hash_util.table array }
 
 (* Build over all [n] rows, or over [sel]'s base rows. Partitions when the
-   gate passes and the key layout admits a cross-side hash; each partition
-   build runs on its own worker and is a fault-injection site with inline
-   chunk-retry. *)
-let build ~threads ?sel ~null_as_key (cols : Column.t array) (idxs : int list)
-    ~(n : int) : t =
+   gate passes; each partition build runs on its own worker and is a
+   fault-injection site with inline chunk-retry. *)
+let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
+    t =
   let n_log = match sel with Some s -> Array.length s | None -> n in
-  let rh =
-    if (not null_as_key) && should ~rows:n_log ~threads then
-      Hash_util.row_hash cols idxs
-    else None
-  in
-  match rh with
-  | None -> Single (Hash_util.build_table ?sel ~null_as_key cols idxs ~n)
-  | Some hash ->
+  if not (should ~rows:n_log ~threads) then
+    Single (Hash_util.build_table ?sel cols idxs ~n)
+  else begin
+    let hash = Hash_util.row_hash ~null_as_key:false cols idxs in
     let nparts = 1 lsl partition_bits ~rows:n_log ~threads () in
     let base = match sel with Some s -> fun pos -> s.(pos) | None -> Fun.id in
     let parts = partition ~threads ~nparts ~hash ~base n_log in
@@ -202,95 +198,66 @@ let build ~threads ?sel ~null_as_key (cols : Column.t array) (idxs : int list)
                 Guard.check ();
                 Faults.crash_point ~site:"radix.build";
                 Faults.slow_point ~site:"radix.build";
-                Hash_util.build_table ~sel:parts.(p) ~null_as_key cols idxs ~n)))
+                Hash_util.build_table ~sel:parts.(p) cols idxs ~n)))
     in
     Parts { mask = nparts - 1; tables }
+  end
 
 (* Probe closure routing each row to its key's partition. Per-partition
-   probe closures (and their per-code memos) are created lazily, so one
-   probe_fn per chunk keeps all mutable state domain-private — same
-   contract as {!Hash_util.probe_fn}. *)
+   probe closures are created lazily, so one probe_fn per chunk keeps the
+   routing array domain-private. *)
 let probe_fn (t : t) (cols : Column.t array) (idxs : int list) :
     int -> int list =
   match t with
   | Single tbl -> Hash_util.probe_fn tbl cols idxs
-  | Parts { mask; tables } -> (
-    match Hash_util.row_hash cols idxs with
-    | Some hash ->
-      let pfs = Array.make (Array.length tables) None in
-      fun row ->
-        let h = hash row in
-        if h < 0 then []
-        else begin
-          let p = h land mask in
-          let pf =
-            match pfs.(p) with
-            | Some f -> f
-            | None ->
-              let f = Hash_util.probe_fn tables.(p) cols idxs in
-              pfs.(p) <- Some f;
-              f
-          in
-          pf row
-        end
-    | None ->
-      (* unroutable probe layout (unreachable from typed equi-joins, the
-         build side would not have partitioned): probing every partition is
-         still correct — a key only ever lives in the partition it hashed
-         to at build time, every other lookup misses *)
-      let pfs =
-        Array.map (fun tbl -> Hash_util.probe_fn tbl cols idxs) tables
-      in
-      fun row ->
-        Array.fold_left
-          (fun acc pf -> match pf row with [] -> acc | l -> acc @ l)
-          [] pfs)
+  | Parts { mask; tables } ->
+    let hash = Hash_util.row_hash ~null_as_key:false cols idxs in
+    let pfs = Array.make (Array.length tables) None in
+    fun row ->
+      let h = hash row in
+      if h < 0 then []
+      else begin
+        let p = h land mask in
+        let pf =
+          match pfs.(p) with
+          | Some f -> f
+          | None ->
+            let f = Hash_util.probe_fn tables.(p) cols idxs in
+            pfs.(p) <- Some f;
+            f
+        in
+        pf row
+      end
 
 (* Bloom pre-test for scan pushdown, routing by the probe key's hash; a
    null key (negative hash) can never join, so it fails outright. *)
-let scan_test (t : t) (c : Column.t) : (int -> bool) option =
+let scan_test (t : t) (c : Column.t) : int -> bool =
   match t with
   | Single tbl -> Hash_util.scan_test tbl c
-  | Parts { mask; tables } -> (
-    match Hash_util.row_hash [| c |] [ 0 ] with
-    | None -> None
-    | Some hash ->
-      let tests = Array.map (fun tbl -> Hash_util.scan_test tbl c) tables in
-      if Array.exists Option.is_none tests then None
-      else
-        let tests = Array.map Option.get tests in
-        Some
-          (fun row ->
-            let h = hash row in
-            h >= 0 && tests.(h land mask) row))
+  | Parts { mask; tables } ->
+    let hash = Hash_util.row_hash ~null_as_key:false [| c |] [ 0 ] in
+    let tests = Array.map (fun tbl -> Hash_util.scan_test tbl c) tables in
+    fun row ->
+      let h = hash row in
+      h >= 0 && tests.(h land mask) row
 
 (* Partition [n] logical rows by group-key hash for radix aggregation:
-   the same 2-pass scheme as the join partitioner, except rows whose key
-   hashes negative (a null component) are routed to partition 0 instead of
-   dropped — null groups are real groups under GROUP BY semantics. Equal
-   keys land in one partition, so per-partition aggregation tables hold
-   disjoint group sets and the combine step is a plain union instead of
-   the serial accumulator merge the chunked scheme needs. Returns [None]
-   when the size gate declines or the key layout has no cross-layout
-   hash. *)
+   the same 2-pass scheme as the join partitioner, with NULL as a key value
+   (null components hash like any other), so every row lands in a
+   partition. Equal keys land in one partition, so per-partition
+   aggregation tables hold disjoint group sets. Returns [None] when the
+   size gate declines. *)
 let group_parts ~threads ?(base = Fun.id) (cols : Column.t array)
     (idxs : int list) ~(n : int) : int array array option =
   if (not !agg_enabled_ref) || not (should ~rows:n ~threads) then None
   else
-    match Hash_util.row_hash cols idxs with
-    | None -> None
-    | Some hash ->
-      let route row =
-        let h = hash row in
-        if h < 0 then 0 else h
-      in
-      let nparts = 1 lsl partition_bits ~rows:n ~threads () in
-      Some (partition ~threads ~nparts ~hash:route ~base n)
+    let hash = Hash_util.row_hash ~null_as_key:true cols idxs in
+    let nparts = 1 lsl partition_bits ~rows:n ~threads () in
+    Some (partition ~threads ~nparts ~hash ~base n)
 
 (* Cheap size-only gate for callers that decide the join strategy before
    key layouts are known (the compiled executor, whose probe side is still
-   a fused pipeline at planning time). Mirrors [join_plan]'s size logic;
-   the full plan re-checks hashability with actual columns. *)
+   a fused pipeline at planning time). Mirrors [join_plan]'s size logic. *)
 let pre_gate ~threads ~build_rows ~probe_rows =
   should ~rows:(max build_rows (probe_rows / 4)) ~threads
 
@@ -316,10 +283,7 @@ let join_plan ~threads ?(est = 0.) ~build_rows ~probe_rows
        && probe_rows / 4 < min_rows ())
   then None
   else
-    match (Hash_util.row_hash bcols bidxs, Hash_util.row_hash pcols pidxs) with
-    | Some bh, Some ph ->
-      Some
-        ( 1 lsl partition_bits ~probe:probe_rows ~rows:build_rows ~threads (),
-          bh,
-          ph )
-    | _ -> None
+    Some
+      ( 1 lsl partition_bits ~probe:probe_rows ~rows:build_rows ~threads (),
+        Hash_util.row_hash ~null_as_key:false bcols bidxs,
+        Hash_util.row_hash ~null_as_key:false pcols pidxs )

@@ -46,7 +46,8 @@ let canon_idents =
    the literal-required positions listed above. A frame is pushed per '('
    and inherits its parent's context so e.g. an expression nested inside
    ORDER BY stays literal, while SELECT/WHERE/... reset the current frame
-   back to Normal (an IN (SELECT ...) subquery is parameterized freely). *)
+   back to Normal (an IN (SELECT ...) subquery is parameterized freely).
+   WHEN/THEN/ELSE reset it too, except inside GROUP BY / ORDER BY. *)
 type clause = Normal | GroupOrder | Limit | Values | InList
 
 (* The fingerprint IS the plan-cache hot path: on a bind hit it is the only
@@ -181,8 +182,12 @@ let fingerprint (sql : string) : t =
          | "GROUP" | "ORDER" -> top () := GroupOrder
          | "LIMIT" -> top () := Limit
          | "VALUES" -> top () := Values
-         | "SELECT" | "FROM" | "WHERE" | "HAVING" | "ON" | "WHEN" | "THEN"
-         | "ELSE" | "UNION" -> top () := Normal
+         | "SELECT" | "FROM" | "WHERE" | "HAVING" | "ON" | "UNION" ->
+           top () := Normal
+         (* a CASE inside GROUP BY / ORDER BY must not reopen extraction:
+            the items after it are still positional references *)
+         | "WHEN" | "THEN" | "ELSE" ->
+           if !(top ()) <> GroupOrder then top () := Normal
          | "IN" -> pending_in := true
          | "LIKE" -> after_like := true
          | _ -> ());

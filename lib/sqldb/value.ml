@@ -141,3 +141,27 @@ let equal_values a b =
   match (a, b) with
   | VNull, _ | _, VNull -> false
   | _ -> compare_values a b = 0
+
+(* Key hashes, shared by every hash structure ({!Hash_util}: the key table,
+   bloom filters, radix routing). Equal keys hash equally whatever their
+   physical layout: ints (and dates) hash as themselves, strings by value,
+   floats by their bits after mapping -0.0 to 0.0 and every NaN to one NaN,
+   so hashing agrees with [Float.equal]. Results are non-negative. *)
+
+(* splitmix64 finalizer with multipliers truncated to OCaml's 63-bit ints *)
+let mix h =
+  let h = h lxor (h lsr 30) in
+  let h = h * 0x3f58476d1ce4e5b9 in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x14d049bb133111eb in
+  h lxor (h lsr 31)
+
+let hash_int i = mix i land max_int
+let hash_string (s : string) = mix (Hashtbl.hash s) land max_int
+
+(* the high word is folded into the low one first: [Int64.to_int] drops
+   bit 63, the sign *)
+let hash_float f =
+  let f = if f = 0. then 0. else if Float.is_nan f then Float.nan else f in
+  let b = Int64.bits_of_float f in
+  hash_int (Int64.to_int (Int64.logxor b (Int64.shift_right_logical b 32)))

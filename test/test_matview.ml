@@ -250,6 +250,73 @@ let test_grouped_filter_view () =
     Alcotest.(check int) "exactly one delta refresh" 1
       (Db.cache_stats db).Db.delta_refreshes
 
+(* DISTINCT aggregates: the view keeps each group's seen argument values
+   across refreshes, so appended duplicates of already-counted values
+   (and NULLs) must not count again. Compared against a recompute on a
+   database holding the same rows and no view. *)
+let distinct_sqls =
+  [ "SELECT grp, count(DISTINCT x) AS dx, count(DISTINCT s) AS ds, \
+     sum(DISTINCT x) AS sx, count(x) AS nx FROM a GROUP BY grp ORDER BY grp";
+    "SELECT count(DISTINCT f) AS df, count(DISTINCT x) AS dx FROM a" ]
+
+let distinct_batch (xs : Value.t array) (ss : string array)
+    (fs : float array) (gs : int array) =
+  Helpers.rel [ "x"; "s"; "f"; "grp" ]
+    [ Column.of_values Value.TInt xs; Helpers.strings ss; Helpers.floats fs;
+      Helpers.ints gs ]
+
+let distinct_batches =
+  let open Value in
+  [ distinct_batch
+      [| VInt 1; VInt 1; VInt 2; VNull; VInt 3 |]
+      [| "a"; "b"; "a"; "c"; "c" |]
+      [| 0.1 +. 0.2; 0.3; 1.0; -0.0; 0.0 |]
+      [| 1; 1; 1; 2; 2 |];
+    (* repeats of counted values, a NULL, a new group, a new value *)
+    distinct_batch
+      [| VInt 2; VNull; VInt 3; VInt 4; VInt 1 |]
+      [| "a"; "d"; "c"; "e"; "b" |]
+      [| 0.3; 2.0; 0.1 +. 0.2; 0.0; Float.nan |]
+      [| 1; 2; 2; 3; 1 |] ]
+
+let test_distinct_aggregate_view () =
+  let db = Db.create () and ref_db = Db.create () in
+  let first = List.hd distinct_batches in
+  Db.load_table db "a" first;
+  Db.load_table ref_db "a" first;
+  List.iteri
+    (fun i sql -> ok_or_fail (Db.register_view db ~name:(Printf.sprintf "d%d" i) sql))
+    distinct_sqls;
+  let check label =
+    List.iter
+      (fun sql ->
+        Alcotest.(check (list string))
+          (label ^ ": " ^ sql)
+          (exact_rows (Db.execute ~backend:Db.Vectorized ref_db sql))
+          (exact_rows (Db.execute db sql));
+        Alcotest.(check (list string))
+          (label ^ " rebuild: " ^ sql)
+          (exact_rows (rebuild_view db sql))
+          (exact_rows (Db.execute db sql)))
+      distinct_sqls
+  in
+  check "initial";
+  Alcotest.(check (list string))
+    "initial counts" [ "1|2|2|3|3"; "2|1|1|3|1" ]
+    (Relation.canonical ~digits:0 (Db.execute db (List.hd distinct_sqls)));
+  List.iter
+    (fun b ->
+      Db.append_table db "a" b;
+      Db.append_table ref_db "a" b)
+    (List.tl distinct_batches);
+  check "after append";
+  Alcotest.(check (list string))
+    "counts after append" [ "1|2|2|3|5"; "2|1|2|3|2"; "3|1|1|4|1" ]
+    (Relation.canonical ~digits:0 (Db.execute db (List.hd distinct_sqls)));
+  if Matview.enabled () then
+    Alcotest.(check int) "delta refreshes" 2
+      (Db.cache_stats db).Db.delta_refreshes
+
 (* ------------------------------------------------------------------ *)
 (* Fallback: non-maintainable plans recompute, with a typed reason      *)
 (* ------------------------------------------------------------------ *)
@@ -434,7 +501,9 @@ let suites =
         tc "q12 driver appends bit-exact" test_oracle_q12_driver_appends ] );
     ( "matview-groups",
       [ tc "grouped filter: new groups, nulls, backends"
-          test_grouped_filter_view ] );
+          test_grouped_filter_view;
+        tc "DISTINCT aggregates across appends" test_distinct_aggregate_view ]
+    );
     ( "matview-fallback",
       [ tc "join without aggregate recomputes with typed reason"
           test_fallback_join_without_agg;

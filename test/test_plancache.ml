@@ -307,9 +307,36 @@ let test_matview_shape_routing =
       Alcotest.(check bool) "served from the view"
         true (s.Db.view_hits >= 2)))
 
+(* ORDER BY items are positional references: an ordinal after a CASE
+   expression stays literal in the shape (WHEN/THEN/ELSE inside ORDER BY
+   must not reopen parameter extraction), so the planner still resolves
+   it to a column instead of sorting by a bound constant. *)
+let test_order_ordinal_after_case =
+  tc "ORDER BY ordinal after CASE stays literal"
+    (with_plancache (fun () ->
+      let sql =
+        "SELECT a, b FROM t ORDER BY CASE WHEN a = 1 THEN 0 ELSE 1 END, 2"
+      in
+      let f = Sql_shape.fingerprint sql in
+      Alcotest.(check string)
+        "shape"
+        "SELECT a , b FROM t ORDER BY CASE WHEN a = 1 THEN 0 ELSE 1 END , 2"
+        f.Sql_shape.shape;
+      Alcotest.(check int) "no slots" 0 (Array.length f.Sql_shape.params);
+      let db = Db.create () in
+      Db.load_table db "t"
+        (rel [ "a"; "b" ] [ ints [| 2; 1; 3; 1 |]; ints [| 5; 9; 1; 2 |] ]);
+      let r = Db.execute db sql in
+      Alcotest.(check (list string))
+        "CASE rank, then column 2"
+        [ "1|2"; "1|9"; "3|1"; "2|5" ]
+        (List.init (Relation.n_rows r) (fun i ->
+             String.concat "|"
+               (Array.to_list (Array.map Value.to_string (Relation.row r i)))))))
+
 let suites =
   [ ( "plancache",
       [ test_roundtrip; test_dollar_rejected; test_bind_identity;
         test_faults_stand_down; test_bind_hit; test_toggle; test_plan_quota;
         test_invalidation; test_guard_trip; test_normalize;
-        test_matview_shape_routing ] ) ]
+        test_matview_shape_routing; test_order_ordinal_after_case ] ) ]
