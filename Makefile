@@ -81,8 +81,8 @@ bench-views: build
 # substitution) for q1/q3/q6, plus the PR-8 mixed-tenant stream reporting
 # the bind hit rate under interleaved ingest. The accept bar is the cached
 # bind staying >=5x under the cold plan; rows carry the plancache config
-# stamp so a PYTOND_PLANCACHE=0 run can never be diffed against a
-# cache-on baseline.
+# stamp so a run with the plan cache switched off can never be diffed
+# against a cache-on baseline.
 bench-plancache: build
 	PYTOND_SF=$(SF01) PYTOND_RUNS=2 PYTOND_WARMUP=1 \
 	  $(DUNE) exec bench/main.exe -- plancache --json-out BENCH_plancache_run.json

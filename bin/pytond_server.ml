@@ -126,7 +126,7 @@ let print_full_stats db server =
   print_string (Sqldb.Server.stats_to_string s);
   let cs = Sqldb.Db.cache_stats db in
   Printf.printf
-    "cache: %d hits, %d plan hits, %d misses, %d entries; views: %d \
+    "cache: %d hits, %d recomputes, %d misses, %d entries; views: %d \
      registered, %d hits, %d delta refreshes, %d recomputes\n%!"
     cs.Sqldb.Db.hits cs.Sqldb.Db.plan_hits cs.Sqldb.Db.misses
     cs.Sqldb.Db.entries cs.Sqldb.Db.views cs.Sqldb.Db.view_hits

@@ -13,16 +13,21 @@
     {!append_table} is the schema-preserving write path. Readers never
     block on writes.
 
-    {b Caching.} Repeated queries hit a bounded LRU cache keyed by
-    normalized SQL text, backend and thread count. Each entry records the
-    per-table versions of exactly the base tables its plan scans: an ingest
-    into table T invalidates only the entries referencing T. Appends keep
-    the bound plan (schema is preserved; only the result is re-executed,
-    counted as a plan hit); replacing a table drops its entries outright
-    (schema may change). Cache state is mutex-protected — executions from
-    concurrent server workers share it safely, and entries can carry an
-    owner so a per-tenant quota bounds any one tenant's share. The cache is
-    disabled under fault injection and via [PYTOND_CACHE=0]. *)
+    {b Reuse.} {!execute} tries three layers in order, all keyed by one
+    {!Sql_shape} fingerprint pass: a registered materialized view, then a
+    bounded LRU result cache keyed by the query's constant identity,
+    backend and thread count, then the parameterized plan cache, which is
+    the only place plans are reused. A result entry stores a result and
+    the versions of the base tables its plan scanned; it is served while
+    those are current. After an append into one of them the entry is
+    stale: the query is planned (a template bind on a plan-cache hit) and
+    executed again, and the entry is updated in place — counted as a
+    [plan_hit], "result recomputed after an append". Replacing a table
+    drops its result entries and templates outright (schema may change).
+    Both caches share one LRU policy with a per-owner quota, so one tenant
+    cannot crowd out the others. Cache state is mutex-protected; both
+    caches stand down under fault injection and can be switched off with
+    {!set_cache_enabled} / {!set_plancache_enabled}. *)
 
 type backend = Vectorized | Compiled | Lingo
 
@@ -40,12 +45,11 @@ let backend_name = function
 let cache_cap = 64
 
 type cache_entry = {
-  bq : Plan.bound_query;
   owner : string option; (* tenant the entry is charged to, if any *)
   mutable deps : (string * int) list;
-      (* base tables the plan scans, with the table version each was read
+      (* base tables the plan scanned, with the table version each was read
          at; the entry's result is valid iff every dep is unchanged *)
-  mutable result : Relation.t option;
+  mutable result : Relation.t;
   mutable tick : int; (* LRU clock *)
 }
 
@@ -98,7 +102,7 @@ type t = {
   lock : Mutex.t; (* guards cache + counters; never held during execution *)
   mutable clock : int;
   mutable hits : int; (* full result served *)
-  mutable plan_hits : int; (* plan reused, execution re-run *)
+  mutable plan_hits : int; (* result recomputed after an append *)
   mutable misses : int;
   mutable evictions : int;
   mutable view_hits : int; (* reads served from a fresh materialized view *)
@@ -126,19 +130,13 @@ type cache_stats = {
   plan_entries : int; (* cached shapes (excluding specializations) *)
 }
 
-let cache_enabled =
-  ref (match Sys.getenv_opt "PYTOND_CACHE" with Some "0" -> false | _ -> true)
-
+let cache_enabled = ref true
 let set_cache_enabled b = cache_enabled := b
 let cache_enabled_now () = !cache_enabled
 
-(* The parameterized plan cache has its own kill switch so the cold path
-   stays exactly measurable (and CI can run the whole suite without it). *)
-let plancache_enabled =
-  ref
-    (match Sys.getenv_opt "PYTOND_PLANCACHE" with
-    | Some "0" -> false
-    | _ -> true)
+(* The parameterized plan cache has its own switch so the cold path stays
+   exactly measurable. *)
+let plancache_enabled = ref true
 
 let set_plancache_enabled b = plancache_enabled := b
 let plancache_enabled_now () = !plancache_enabled
@@ -256,75 +254,38 @@ let deps_current cat deps =
     (fun (n, v) -> Catalog.table_version cat n = Some v)
     deps
 
-let evict_lru_where t pred =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        if not (pred e) then acc
-        else
-          match acc with
-          | Some (_, tick) when tick <= e.tick -> acc
-          | _ -> Some (k, e.tick))
-      t.cache None
-  in
-  match victim with
-  | Some (k, _) ->
-    Hashtbl.remove t.cache k;
-    t.evictions <- t.evictions + 1;
-    true
-  | None -> false
-
-(* Capacity + per-owner quota, applied before an insert (under lock). *)
-let make_room t ~owner ~cache_quota =
-  (match (owner, cache_quota) with
-  | Some o, Some quota ->
-    let owned e = e.owner = Some o in
-    let count () = Hashtbl.fold (fun _ e n -> if owned e then n + 1 else n) t.cache 0 in
-    while count () >= max 1 quota && evict_lru_where t owned do
-      ()
-    done
-  | _ -> ());
-  while Hashtbl.length t.cache >= cache_cap && evict_lru_where t (fun _ -> true) do
-    ()
-  done
-
-(* Same LRU + per-owner quota policy for the plan cache. A tenant's quota
-   bounds how many shapes it may pin ([plan_quota], defaulting via Tenant
-   to its result-cache quota), and the shared table is capped overall. *)
-let plan_evict_lru_where t pred =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        if not (pred e) then acc
-        else
-          match acc with
-          | Some (_, tick) when tick <= e.pe_tick -> acc
-          | _ -> Some (k, e.pe_tick))
-      t.plans None
-  in
-  match victim with
-  | Some (k, _) ->
-    Hashtbl.remove t.plans k;
-    true
-  | None -> false
-
-let plan_make_room t ~owner ~plan_quota =
-  (match (owner, plan_quota) with
-  | Some o, Some quota ->
-    let owned e = e.pe_owner = Some o in
-    let count () =
-      Hashtbl.fold (fun _ e n -> if owned e then n + 1 else n) t.plans 0
+(* The one LRU policy, shared by the result cache and the plan cache:
+   before an insert into [tbl], evict [owner]'s least recently used entries
+   until it holds fewer than its [quota], then the table's until it holds
+   fewer than [cap]. Returns how many entries went. Call under lock. *)
+let make_room tbl ~cap ~owner_of ~tick_of ~owner ~quota =
+  let evict pred =
+    let victim =
+      Hashtbl.fold
+        (fun k e acc ->
+          if not (pred e) then acc
+          else
+            match acc with
+            | Some (_, tick) when tick <= tick_of e -> acc
+            | _ -> Some (k, tick_of e))
+        tbl None
     in
-    while count () >= max 1 quota && plan_evict_lru_where t owned do
-      ()
-    done
+    Option.iter (fun (k, _) -> Hashtbl.remove tbl k) victim;
+    victim <> None
+  in
+  let n = ref 0 in
+  let evict_while over pred = while over () && evict pred do incr n done in
+  (match (owner, quota) with
+  | Some o, Some quota ->
+    let owned e = owner_of e = Some o in
+    evict_while
+      (fun () ->
+        Hashtbl.fold (fun _ e n -> if owned e then n + 1 else n) tbl 0
+        >= max 1 quota)
+      owned
   | _ -> ());
-  while
-    Hashtbl.length t.plans >= plan_cache_cap
-    && plan_evict_lru_where t (fun _ -> true)
-  do
-    ()
-  done
+  evict_while (fun () -> Hashtbl.length tbl >= cap) (fun _ -> true);
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Facade                                                             *)
@@ -356,12 +317,10 @@ let create () =
     guard_trips = 0;
     owners = Hashtbl.create 8 }
 
-(* Ingest invalidation. A replace may change the table's schema, so any
-   plan scanning it is dead: drop those entries. An append preserves the
-   schema and column positions, so the bound plan stays executable: keep
-   the entry, drop only its materialized result (the next lookup re-runs
-   the plan and re-stamps the deps — a plan hit, not a miss). Entries on
-   untouched tables survive both, by construction of [deps]. *)
+(* Replace invalidation: the table's schema may change, so result entries
+   and templates over it are dropped outright. An append needs no hook:
+   it bumps the table's version, so the entries whose [deps] name it go
+   stale and are recomputed at their next read. *)
 let invalidate_replaced t name =
   let dead =
     Hashtbl.fold
@@ -369,20 +328,12 @@ let invalidate_replaced t name =
       t.cache []
   in
   List.iter (Hashtbl.remove t.cache) dead;
-  (* A replace may change the schema, so templates scanning the table are
-     dead too. Appends keep them: templates hold no results, only plans,
-     and the bound plan re-executes against the current snapshot. *)
   let dead_plans =
     Hashtbl.fold
       (fun k e acc -> if List.mem name e.pe_tables then k :: acc else acc)
       t.plans []
   in
   List.iter (Hashtbl.remove t.plans) dead_plans
-
-let invalidate_appended t name =
-  Hashtbl.iter
-    (fun _ e -> if List.mem_assoc name e.deps then e.result <- None)
-    t.cache
 
 let load_table ?cons ?threads t name rel =
   let rel = if !dict_encoding then Relation.encode_strings rel else rel in
@@ -396,11 +347,9 @@ let load_table ?cons ?threads t name rel =
 (** Schema-preserving append: ingest [rel]'s rows into existing table
     [name] as a new catalog snapshot (stats and zone maps rebuilt).
     In-flight queries pinned on the previous snapshot are untouched; cached
-    entries scanning [name] keep their plans but drop their results. *)
+    results over [name] go stale and are recomputed at their next read. *)
 let append_table ?threads t name rel =
-  locked t (fun () ->
-      Catalog.append ?threads t.catalog name rel;
-      invalidate_appended t name)
+  locked t (fun () -> Catalog.append ?threads t.catalog name rel)
 
 let catalog t = t.catalog
 
@@ -424,60 +373,78 @@ let plan_on cat (sql : string) : Plan.bound_query =
 let plan t (sql : string) : Plan.bound_query =
   plan_on (Catalog.pin t.catalog) sql
 
-(* Constant-identity key: the canonical shape plus rendered constants
-   ({!Sql_shape.constant_key}), so any spelling of the same query —
-   comments, whitespace, keyword case, literal spelling — shares one
-   matview/result-cache identity. Falls back to literal normalization for
-   text that cannot be fingerprinted. *)
-let query_key (sql : string) : string =
-  match Sql_shape.constant_key sql with
-  | Some k -> k
-  | None -> normalize_sql sql
+let fingerprint_opt sql =
+  match Sql_shape.fingerprint sql with f -> Some f | exception _ -> None
 
-(* Serve a planned template for fingerprint [f] on this (backend, threads):
-   bind on a guard-clean hit, replan a sibling specialization on a guard
-   trip, plan and remember the template when the shape is cold. Lock is
-   held only for table operations — template planning runs outside it. *)
-let bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota
-    (f : Sql_shape.t) : Plan.bound_query =
-  let shape = f.Sql_shape.shape and params = f.Sql_shape.params in
+(* Constant-identity key: the canonical shape plus rendered constants
+   ({!Sql_shape.key}), so any spelling of the same query — comments,
+   whitespace, keyword case, literal spelling — shares one matview/result
+   cache identity. Falls back to literal normalization for text that
+   cannot be fingerprinted. *)
+let key_of fp sql =
+  match fp with Some f -> Sql_shape.key f | None -> normalize_sql sql
+
+let query_key (sql : string) : string = key_of (fingerprint_opt sql) sql
+
+(* Where the plan cache sends fingerprint [f] on (backend, threads). *)
+type route =
+  | Cold of string (* shape not cached: plan, store under this key *)
+  | Bind of plan_entry * string * Plan.bound_query
+      (* guard signature [sg] matches the template or a cached
+         specialization: bind that plan's parameter slots *)
+  | Specialize of plan_entry * string
+      (* guard trip: constants outside the template's selectivity range;
+         plan afresh and remember the sibling under signature [sg] *)
+
+(* The one plan-cache routing decision, shared by [execute] and [explain].
+   Call under lock. *)
+let route t ~backend ~threads (f : Sql_shape.t) : route =
+  let params = f.Sql_shape.params in
   (* hot path: plain concatenation, not Printf — the shape dominates the
      key and must be copied exactly once *)
   let key =
     String.concat "|"
       [ backend_name backend; string_of_int threads; Sql_shape.ty_sig params;
-        shape ]
+        f.Sql_shape.shape ]
   in
+  match Hashtbl.find_opt t.plans key with
+  | None -> Cold key
+  | Some pe -> (
+    let sg = Planner.guard_signature pe.pe_guards params in
+    if String.equal sg pe.pe_sig then Bind (pe, sg, pe.pe_template)
+    else
+      match Hashtbl.find_opt pe.pe_specials sg with
+      | Some tpl -> Bind (pe, sg, tpl)
+      | None -> Specialize (pe, sg))
+
+(* Serve a planned template for fingerprint [f]: bind on a hit, replan a
+   sibling specialization on a guard trip, plan and remember the template
+   when the shape is cold. Lock is held only for table operations —
+   template planning runs outside it. *)
+let bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota
+    (f : Sql_shape.t) : Plan.bound_query =
+  let shape = f.Sql_shape.shape and params = f.Sql_shape.params in
   let plan_shape () = Planner.plan_template cat ~params (Sql_parse.parse shape) in
   let decision =
     locked t (fun () ->
         t.clock <- t.clock + 1;
-        match Hashtbl.find_opt t.plans key with
-        | Some pe -> (
+        let r = route t ~backend ~threads f in
+        (match r with
+        | Bind (pe, _, _) ->
           pe.pe_tick <- t.clock;
-          let sg = Planner.guard_signature pe.pe_guards params in
-          let hit tpl =
-            t.bind_hits <- t.bind_hits + 1;
-            Option.iter
-              (fun o ->
-                let c = owner_counters_of t o in
-                c.o_bind_hits <- c.o_bind_hits + 1)
-              owner;
-            `Bind tpl
-          in
-          if String.equal sg pe.pe_sig then hit pe.pe_template
-          else
-            match Hashtbl.find_opt pe.pe_specials sg with
-            | Some tpl -> hit tpl
-            | None -> `Specialize (pe, sg))
-        | None -> `Cold)
+          t.bind_hits <- t.bind_hits + 1;
+          Option.iter
+            (fun o ->
+              let c = owner_counters_of t o in
+              c.o_bind_hits <- c.o_bind_hits + 1)
+            owner
+        | Specialize (pe, _) -> pe.pe_tick <- t.clock
+        | Cold _ -> ());
+        r)
   in
   match decision with
-  | `Bind tpl -> Plan.bind_query params tpl
-  | `Specialize (pe, sg) ->
-    (* Constants outside the template's guard range: plan afresh with them
-       and remember the sibling under its signature, leaving the shared
-       template untouched. *)
+  | Bind (_, _, tpl) -> Plan.bind_query params tpl
+  | Specialize (pe, sg) ->
     let tpl, _ = plan_shape () in
     locked t (fun () ->
         t.guard_trips <- t.guard_trips + 1;
@@ -485,12 +452,15 @@ let bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota
           Hashtbl.reset pe.pe_specials;
         Hashtbl.replace pe.pe_specials sg tpl);
     Plan.bind_query params tpl
-  | `Cold ->
+  | Cold key ->
     let tpl, guards = plan_shape () in
     let sg = Planner.guard_signature guards params in
     locked t (fun () ->
         t.bind_misses <- t.bind_misses + 1;
-        plan_make_room t ~owner ~plan_quota;
+        ignore
+          (make_room t.plans ~cap:plan_cache_cap
+             ~owner_of:(fun e -> e.pe_owner) ~tick_of:(fun e -> e.pe_tick)
+             ~owner ~quota:plan_quota);
         Hashtbl.replace t.plans key
           { pe_shape = shape;
             pe_owner = owner;
@@ -506,24 +476,7 @@ let bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota
     the catalog as of now (with its own private cache), unaffected by later
     ingests through [t]. The soak tests use this to differentially check
     concurrent results against serial execution on each snapshot. *)
-let snapshot t : t =
-  { catalog = Catalog.pin t.catalog;
-    cache = Hashtbl.create cache_cap;
-    plans = Hashtbl.create plan_cache_cap;
-    views = Matview.create_registry ();
-    lock = Mutex.create ();
-    clock = 0;
-    hits = 0;
-    plan_hits = 0;
-    misses = 0;
-    evictions = 0;
-    view_hits = 0;
-    delta_refreshes = 0;
-    view_recomputes = 0;
-    bind_hits = 0;
-    bind_misses = 0;
-    guard_trips = 0;
-    owners = Hashtbl.create 8 }
+let snapshot t : t = { (create ()) with catalog = Catalog.pin t.catalog }
 
 (* ------------------------------------------------------------------ *)
 (* Materialized views                                                  *)
@@ -613,9 +566,6 @@ let view_infos (t : t) : view_info list =
         vi_recomputes = recomputes })
     (Matview.list t.views)
 
-(* PYTOND_TIMING=1 prints a parse/plan vs execute split to stderr. *)
-let timing = Sys.getenv_opt "PYTOND_TIMING" <> None
-
 (** Execute [sql] on [backend]. [timeout_ms] / [row_budget] install a
     cooperative {!Guard} for the duration of the call; on expiry the query
     unwinds with {!Guard.Trip}. [owner] / [cache_quota] attribute any new
@@ -627,18 +577,8 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
     ?owner ?cache_quota ?plan_quota (t : t) (sql : string) : Relation.t =
   (* One fingerprint pass (token-level, no parse) drives all three lookups:
      the matview key, the result-cache key, and the plan-cache shape. *)
-  let fp =
-    if !plancache_enabled then
-      match Sql_shape.fingerprint sql with
-      | f -> Some f
-      | exception _ -> None
-    else None
-  in
-  let ckey =
-    match fp with
-    | Some f -> f.Sql_shape.shape ^ "#" ^ Sql_shape.render_params f.Sql_shape.params
-    | None -> query_key sql
-  in
+  let fp = fingerprint_opt sql in
+  let ckey = key_of fp sql in
   match Matview.find_by_key t.views ckey with
   | Some v ->
     (* A registered view answers its own SQL on any backend: the stored
@@ -648,35 +588,29 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
   (* Pin once: planning, cache validation and execution all resolve against
      this snapshot, so a concurrent ingest cannot tear the query. *)
   let cat = Catalog.pin t.catalog in
-  (* Plan acquisition for a result-cache miss: bind a cached template when
-     the plan cache is live (no reparse/replan on a shape hit), else plan
-     from the literal text. The plan cache stands down with faults armed,
-     like the result cache, so fault tests exercise the full cold path. *)
+  (* The one plan-reuse path: bind a cached template when the plan cache is
+     live (no reparse/replan on a shape hit), else plan from the literal
+     text. The plan cache stands down with faults armed, like the result
+     cache, so fault tests exercise the full cold path. *)
   let plan_or_bind () =
     match fp with
-    | Some f when not (Faults.armed ()) ->
+    | Some f when !plancache_enabled && not (Faults.armed ()) ->
       bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota f
     | _ -> plan_on cat sql
   in
   let exec bq () =
-    let t1 = if timing then Unix.gettimeofday () else 0. in
-    let r =
-      match backend with
-      | Vectorized -> Exec_vectorized.run_query ~threads cat bq
-      | Compiled -> Exec_compiled.run_query ~threads cat bq
-      | Lingo ->
-        if
-          plan_has_window bq.Plan.main
-          || List.exists (fun (_, p) -> plan_has_window p) bq.Plan.ctes
-        then
-          raise
-            (Unsupported
-               "lingodb-sim: window functions (row_number) not supported")
-        else Exec_compiled.run_query ~threads cat bq
-    in
-    if timing then
-      Printf.eprintf "[timing] exec %.4fs\n%!" (Unix.gettimeofday () -. t1);
-    r
+    match backend with
+    | Vectorized -> Exec_vectorized.run_query ~threads cat bq
+    | Compiled -> Exec_compiled.run_query ~threads cat bq
+    | Lingo ->
+      if
+        plan_has_window bq.Plan.main
+        || List.exists (fun (_, p) -> plan_has_window p) bq.Plan.ctes
+      then
+        raise
+          (Unsupported
+             "lingodb-sim: window functions (row_number) not supported")
+      else Exec_compiled.run_query ~threads cat bq
   in
   let guarded f =
     Guard.with_guard ?timeout_ms ?row_budget (fun () ->
@@ -687,12 +621,7 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
   (* Under fault injection a cached result would mask the very fault paths
      being exercised, so the cache stands down. *)
   if not (!cache_enabled && not (Faults.armed ())) then
-    guarded (fun () ->
-        let t0 = if timing then Unix.gettimeofday () else 0. in
-        let bq = plan_or_bind () in
-        if timing then
-          Printf.eprintf "[timing] plan %.4fs\n%!" (Unix.gettimeofday () -. t0);
-        exec bq ())
+    guarded (fun () -> exec (plan_or_bind ()) ())
   else begin
     let key = Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey in
     (* Lookup under lock; execution outside it (two racing misses both
@@ -702,32 +631,25 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
           t.clock <- t.clock + 1;
           let oc = Option.map (owner_counters_of t) owner in
           match Hashtbl.find_opt t.cache key with
-          | Some e when deps_current cat e.deps -> (
+          | Some e when deps_current cat e.deps ->
             e.tick <- t.clock;
-            match e.result with
-            | Some r ->
-              t.hits <- t.hits + 1;
-              Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc;
-              `Full r
-            | None ->
-              t.plan_hits <- t.plan_hits + 1;
-              Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc;
-              `Reexec e)
+            t.hits <- t.hits + 1;
+            Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc;
+            `Hit e.result
           | Some e ->
-            (* stale deps with the entry still present: only appends have
-               happened to its tables (replaces drop entries eagerly), so
-               the plan is still bound to the right schema *)
+            (* stale: a table the result was computed from has had rows
+               appended since (a replace drops the entry eagerly) *)
             e.tick <- t.clock;
             t.plan_hits <- t.plan_hits + 1;
             Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc;
-            `Reexec e
+            `Stale e
           | None ->
             t.misses <- t.misses + 1;
             Option.iter (fun c -> c.o_misses <- c.o_misses + 1) oc;
             `Miss)
     in
     match decision with
-    | `Full r ->
+    | `Hit r ->
       (* A guarded query honors its deadline even on a cache hit: a caller
          whose budget is already exhausted must not be served for free, and
          whether it trips must not depend on which concurrent query happened
@@ -736,25 +658,24 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
       Guard.with_guard ?timeout_ms ?row_budget (fun () ->
           Guard.check ();
           r)
-    | `Reexec e ->
-      let r = guarded (exec e.bq) in
-      locked t (fun () ->
-          (* stamp deps and result together, against the snapshot that
-             actually produced the result *)
-          e.deps <- deps_of cat e.bq;
-          e.result <- Some r);
-      r
-    | `Miss ->
+    | (`Stale _ | `Miss) as d ->
       let bq = plan_or_bind () in
       let r = guarded (exec bq) in
+      (* stamp deps and result together, against the snapshot that
+         actually produced the result *)
+      let deps = deps_of cat bq in
       locked t (fun () ->
-          make_room t ~owner ~cache_quota;
-          Hashtbl.replace t.cache key
-            { bq;
-              owner;
-              deps = deps_of cat bq;
-              result = Some r;
-              tick = t.clock });
+          match d with
+          | `Stale e ->
+            e.deps <- deps;
+            e.result <- r
+          | `Miss ->
+            t.evictions <-
+              t.evictions
+              + make_room t.cache ~cap:cache_cap ~owner_of:(fun e -> e.owner)
+                  ~tick_of:(fun e -> e.tick) ~owner ~quota:cache_quota;
+            Hashtbl.replace t.cache key
+              { owner; deps; result = r; tick = t.clock });
       r
   end
 
@@ -796,54 +717,34 @@ let explain ?(threads = 1) t (sql : string) : string =
   (* Plan-cache routing this query would take (vectorized backend at
      [threads], matching what [execute] defaults to): bind hit, specialized
      hit, guard trip forcing a specialized replan, or cold. *)
-  (match
-     (if !plancache_enabled then
-        match Sql_shape.fingerprint sql with
-        | f -> Some f
-        | exception _ -> None
-      else None)
-   with
+  (match if !plancache_enabled then fingerprint_opt sql else None with
   | None -> Buffer.add_string buf "plancache: off\n"
   | Some f ->
-    let params = f.Sql_shape.params in
-    let key =
-      Printf.sprintf "%s|%d|%s|%s" (backend_name Vectorized) threads
-        (Sql_shape.ty_sig params) f.Sql_shape.shape
-    in
-    let state =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.plans key with
-          | None -> `Cold
-          | Some pe ->
-            let sg = Planner.guard_signature pe.pe_guards params in
-            if String.equal sg pe.pe_sig then `Hit pe
-            else if Hashtbl.mem pe.pe_specials sg then `Special (pe, sg)
-            else `Trip (pe, sg))
-    in
+    let state = locked t (fun () -> route t ~backend:Vectorized ~threads f) in
     let add = Buffer.add_string buf in
     (match state with
-    | `Cold ->
+    | Cold _ ->
       add
         (Printf.sprintf "plancache: cold (shape not cached, %d params)\n"
-           (Array.length params))
-    | `Hit pe ->
+           (Array.length f.Sql_shape.params))
+    | Bind (pe, sg, _) when String.equal sg pe.pe_sig ->
       add (Printf.sprintf "plancache: bind hit (sig=[%s])\n" pe.pe_sig)
-    | `Special (pe, sg) ->
+    | Bind (pe, sg, _) ->
       add
         (Printf.sprintf
            "plancache: specialized bind hit (sig=[%s], template sig=[%s])\n"
            sg pe.pe_sig)
-    | `Trip (pe, sg) ->
+    | Specialize (pe, sg) ->
       add
         (Printf.sprintf
            "plancache: guard trip (sig=[%s] outside template sig=[%s]) -> \
             specialized replan\n"
            sg pe.pe_sig));
     (match state with
-    | `Hit pe | `Special (pe, _) | `Trip (pe, _) ->
+    | Bind (pe, _, _) | Specialize (pe, _) ->
       List.iter
         (fun g ->
           add (Printf.sprintf "  guard %s\n" (Planner.guard_to_string g)))
         pe.pe_guards
-    | `Cold -> ()));
+    | Cold _ -> ()));
   Buffer.contents buf

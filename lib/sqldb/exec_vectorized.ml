@@ -306,24 +306,9 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
          Downstream operators are positional, so the partition-major pair
          streams are scattered back into global probe order afterwards —
          output must be byte-identical to the single-table path. *)
-      let dbg_phase =
-        if Sys.getenv_opt "PYTOND_TIMING_RADIX" = None then fun _ -> ()
-        else begin
-          let last = ref (Unix.gettimeofday ()) in
-          let slast = ref (Parallel.saved_time ()) in
-          fun name ->
-            let t = Unix.gettimeofday () and s = Parallel.saved_time () in
-            Printf.eprintf "[radix] %-12s %.4fs wall %.4fs modeled\n%!" name
-              (t -. !last)
-              (t -. !last -. (s -. !slast));
-            last := t;
-            slast := s
-        end
-      in
       let rparts =
         Radix.partition ~threads ~nparts ~hash:rhash ~base:rbase nr
       in
-      dbg_phase "rpart";
       (* probe partitions hold logical positions, not base rows: a sort's
          selection vector need not be monotonic, so only the position gives
          the output order *)
@@ -332,7 +317,6 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
           ~hash:(fun pos -> lhash (lbase pos))
           ~base:Fun.id nl
       in
-      dbg_phase "lpart";
       (* per-position match counts, written during the probe: each position
          lives in exactly one partition and the store is absolute, so the
          writes are disjoint across workers and idempotent under chunk
@@ -390,10 +374,8 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
                  lp;
                (!pb, !rb, !len)))
       in
-      dbg_phase "probe";
       (* prefix sum: cnt.(pos) = first output slot of pos's matches *)
       Parallel.prefix_sum ~threads cnt;
-      dbg_phase "prefix";
       let total = cnt.(nl) in
       let li = Array.make total 0 and ri = Array.make total 0 in
       (* parallel placement: a position's matches are contiguous in its
@@ -421,7 +403,6 @@ let hash_join_pairs ~threads ?est (l : srel) (r : srel)
                   i := !j
                 done)
               parts));
-      dbg_phase "place";
       (li, ri)
     | None ->
       let tbl =
@@ -475,41 +456,11 @@ let apply_residual ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri
 (* Executor                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let dbg_nodes = Sys.getenv_opt "PYTOND_TIMING_NODES" <> None
-
-let node_name (p : plan) =
-  match p.node with
-  | Scan n -> "Scan " ^ n
-  | PValues _ -> "Values"
-  | Filter _ -> "Filter"
-  | Project _ -> "Project"
-  | Join _ -> "Join"
-  | SemiJoin _ -> "SemiJoin"
-  | Aggregate _ -> "Aggregate"
-  | Sort _ -> "Sort"
-  | Distinct _ -> "Distinct"
-  | Window _ -> "Window"
-  | LimitN _ -> "Limit"
-
 (* Every operator boundary is a cooperative guard checkpoint: a tripped
    deadline unwinds from the next node instead of hanging the query. *)
 let rec run_sel (ctx : ctx) (p : plan) : srel =
   Guard.check ();
-  let r =
-    if dbg_nodes then begin
-      let t0 = Unix.gettimeofday () in
-      let s0 = Parallel.saved_time () in
-      let r = run_sel_inner ctx p in
-      let wall = Unix.gettimeofday () -. t0 in
-      let saved = Parallel.saved_time () -. s0 in
-      (* modeled = wall minus the time credited to parallel workers; this is
-         the figure the benchmark harness reports *)
-      Printf.eprintf "[node] %-18s %.4fs wall %.4fs modeled (%d rows)\n%!"
-        (node_name p) wall (wall -. saved) (srel_nrows r);
-      r
-    end
-    else run_sel_inner ctx p
-  in
+  let r = run_sel_inner ctx p in
   (match ctx.on_rows with Some f -> f p (srel_nrows r) | None -> ());
   r
 
@@ -957,15 +908,9 @@ and run (ctx : ctx) (p : plan) : Relation.t = materialize (run_sel ctx p)
 let run_query ?(threads = 1) ?on_rows (catalog : Catalog.t) (bq : bound_query)
     : Relation.t =
   let ctx = { catalog; ctes = Hashtbl.create 8; threads; on_rows } in
-  let dbg = Sys.getenv_opt "PYTOND_TIMING" <> None in
   List.iter
     (fun (name, plan) ->
-      let t0 = if dbg then Unix.gettimeofday () else 0. in
       let r = run ctx plan in
-      if dbg then
-        Printf.eprintf "[timing]   cte %s: %.4fs (%d rows)\n%!" name
-          (Unix.gettimeofday () -. t0)
-          (Relation.n_rows r);
       (* apply CTE column renames from the plan schema *)
       let r = Relation.rename r (Array.map fst plan.schema) in
       Hashtbl.replace ctx.ctes name r)

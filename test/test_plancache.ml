@@ -152,8 +152,7 @@ let test_faults_stand_down =
 (* Plan-cache behavior through Db.execute                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with the plan cache force-enabled, restoring the prior state:
-   the suite must also pass under a PYTOND_PLANCACHE=0 environment. *)
+(* Run [f] with the plan cache force-enabled, restoring the prior state. *)
 let with_plancache f () =
   let prev = Db.plancache_enabled_now () in
   Db.set_plancache_enabled true;
@@ -178,7 +177,7 @@ let test_bind_hit =
       Alcotest.(check int) "bind hit attributed to tenant" 1 bh))
 
 let test_toggle =
-  tc "PYTOND_PLANCACHE toggle disables the cache" (fun () ->
+  tc "set_plancache_enabled toggle" (fun () ->
       let db = mini_db () in
       let prev = Db.plancache_enabled_now () in
       Db.set_plancache_enabled false;

@@ -208,22 +208,61 @@ let test_cache_survives_unrelated_ingest =
       Alcotest.(check int) "one miss (first run)" 1 cs.Db.misses;
       Alcotest.(check int) "entry retained" 1 cs.Db.entries)
 
+let append_a db =
+  Db.append_table db "a" (Helpers.rel [ "x"; "grp" ]
+      [ Helpers.ints [| 10 |]; Helpers.ints [| 0 |] ])
+
+let with_plancache on f =
+  let prev = Db.plancache_enabled_now () in
+  Db.set_plancache_enabled on;
+  Fun.protect ~finally:(fun () -> Db.set_plancache_enabled prev) f
+
 let test_cache_plan_reuse_on_append =
   with_clean_cache (fun () ->
+      with_plancache true (fun () ->
       let db = two_table_db () in
       ignore (Db.execute db q_a);
-      Db.append_table db "a" (Helpers.rel [ "x"; "grp" ]
-          [ Helpers.ints [| 10 |]; Helpers.ints [| 0 |] ]);
+      let before = Db.cache_stats db in
+      append_a db;
       let r = Db.execute db q_a in
       Alcotest.(check (list string))
         "re-executed result sees the appended rows"
         [ "20" ] (Relation.canonical ~digits:0 r);
+      Helpers.check_rel "stale read answers as a fresh snapshot"
+        (Db.execute (Db.snapshot db) q_a) r;
       let cs = Db.cache_stats db in
       Alcotest.(check int) "append reuses the bound plan" 1 cs.Db.plan_hits;
       Alcotest.(check int) "no new miss" 1 cs.Db.misses;
+      (* the stale read binds the cached template, no replan *)
+      Alcotest.(check int) "template bound" (before.Db.bind_hits + 1)
+        cs.Db.bind_hits;
+      Alcotest.(check int) "no cold template" before.Db.bind_misses
+        cs.Db.bind_misses;
+      Alcotest.(check int) "no new template" before.Db.plan_entries
+        cs.Db.plan_entries;
+      Alcotest.(check int) "entry updated in place" before.Db.entries
+        cs.Db.entries;
       (* the re-stamped entry is a full hit again *)
       ignore (Db.execute db q_a);
-      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits)
+      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits))
+
+let test_cache_recompute_without_plancache =
+  with_clean_cache (fun () ->
+      with_plancache false (fun () ->
+      let db = two_table_db () in
+      ignore (Db.execute db q_a);
+      append_a db;
+      let r = Db.execute db q_a in
+      Alcotest.(check (list string))
+        "replanned result sees the appended rows"
+        [ "20" ] (Relation.canonical ~digits:0 r);
+      Helpers.check_rel "stale read answers as a fresh snapshot"
+        (Db.execute (Db.snapshot db) q_a) r;
+      let cs = Db.cache_stats db in
+      Alcotest.(check int) "stale read counted as a recompute" 1
+        cs.Db.plan_hits;
+      Alcotest.(check int) "no template bound" 0 cs.Db.bind_hits;
+      Alcotest.(check int) "no template planned" 0 cs.Db.bind_misses))
 
 let test_cache_dropped_on_replace =
   with_clean_cache (fun () ->
@@ -473,6 +512,8 @@ let suites =
     ( "server-cache",
       [ tc "entries survive unrelated ingest" test_cache_survives_unrelated_ingest;
         tc "append reuses plan, re-executes" test_cache_plan_reuse_on_append;
+        tc "append recomputes without plan cache"
+          test_cache_recompute_without_plancache;
         tc "replace drops entries" test_cache_dropped_on_replace;
         tc "per-tenant cache quota" test_tenant_cache_quota ] );
     ( "server-snapshot",

@@ -12,9 +12,8 @@ open Sqldb
 open Helpers
 
 (* Cache tests must observe cache behaviour regardless of the environment:
-   PYTOND_FAULTS=<seed> in CI would make the cache stand down, and
-   PYTOND_CACHE=0 would disable it outright. Run [f] with faults disarmed
-   and the cache on, then restore both. *)
+   PYTOND_FAULTS=<seed> in CI would make the cache stand down. Run [f] with
+   faults disarmed and the cache on, then restore both. *)
 let with_clean_cache_env f =
   let saved_cache = Db.cache_enabled_now () in
   Faults.disarm ();
@@ -408,5 +407,5 @@ let suites =
       [ tc "hit/miss accounting and repeat identity" test_cache_hit_miss;
         tc "invalidation on ingest" test_cache_invalidation_on_ingest;
         tc "stands down under faults" test_cache_disabled_under_faults;
-        tc "PYTOND_CACHE toggle" test_cache_toggle;
+        tc "set_cache_enabled toggle" test_cache_toggle;
         tc "LRU eviction bound" test_cache_eviction ] ) ]
