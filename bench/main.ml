@@ -954,9 +954,11 @@ let fig_scan () =
    between batches. Per-table cache invalidation is what separates the
    variants — an append into a table the queries never touch leaves every
    cache entry valid (pure hits), while an append into the hot table makes
-   every entry stale, so each read recomputes its result through the plan
-   cache (plan_hits). Append batches are tiny relative to the base table,
-   so table growth across the few timed runs stays in the noise. *)
+   every entry stale, so each read catches up: q1 and q6 are maintainable,
+   so an entry's first stale read builds its view (plan_hits) and later
+   ones refresh it by delta (delta_refreshes). Append batches are tiny
+   relative to the base table, so table growth across the few timed runs
+   stays in the noise. *)
 let fig_mixed () =
   Printf.printf
     "\n== mixed: read-heavy stream with interleaved ingest, SF=%g ==\n" sf;
@@ -1003,31 +1005,39 @@ let fig_mixed () =
           let t = measure f in
           let after = Sqldb.Db.cache_stats db in
           record ~experiment:"mixed" ~variant:name ~threads:1 t;
-          Printf.printf "%-18s %11.5fs  +%d hits, +%d recomputes, +%d misses\n%!"
+          Printf.printf
+            "%-18s %11.5fs  +%d hits, +%d deltas, +%d recomputes, +%d misses\n%!"
             name t
             (after.Sqldb.Db.hits - before.Sqldb.Db.hits)
+            (after.Sqldb.Db.delta_refreshes - before.Sqldb.Db.delta_refreshes)
             (after.Sqldb.Db.plan_hits - before.Sqldb.Db.plan_hits)
             (after.Sqldb.Db.misses - before.Sqldb.Db.misses))
         variants);
   let st = Sqldb.Db.cache_stats db in
-  let looked = st.Sqldb.Db.hits + st.Sqldb.Db.plan_hits + st.Sqldb.Db.misses in
+  let looked =
+    st.Sqldb.Db.hits + st.Sqldb.Db.delta_refreshes + st.Sqldb.Db.plan_hits
+    + st.Sqldb.Db.misses
+  in
+  let pct n = 100. *. float_of_int n /. float_of_int (max 1 looked) in
   Printf.printf
-    "repeat-query hit rate: %.0f%% full, %.0f%% recomputed (%d lookups)\n"
-    (100. *. float_of_int st.Sqldb.Db.hits /. float_of_int (max 1 looked))
-    (100. *. float_of_int st.Sqldb.Db.plan_hits /. float_of_int (max 1 looked))
-    looked
+    "repeat-query hit rate: %.0f%% full, %.0f%% delta, %.0f%% recomputed (%d \
+     lookups)\n"
+    (pct st.Sqldb.Db.hits) (pct st.Sqldb.Db.delta_refreshes)
+    (pct st.Sqldb.Db.plan_hits) looked
 
 (* ------------------------------------------------------------------ *)
 (* Views: incremental maintenance vs re-execution under append traffic *)
 (* ------------------------------------------------------------------ *)
 
 (* Live-dashboard cost model: a registered q1/q6 view absorbs a ~1%
-   lineitem append and serves the refreshed result. Compared against
-   recomputing the same SQL through the plan cache (what the mixed
-   workload does) and against a fully cold plan+execute. The appends land
+   lineitem append and serves the refreshed result. Compared against a
+   fully cold plan+execute, against recomputing the same SQL through the
+   plan cache (the stale result-cache read with IVM off, which is what a
+   non-maintainable entry pays), and against the same stale read with IVM
+   on, where the entry's own view refreshes by delta. The appends land
    between timed reads, so each number is the read latency a dashboard
    observes right after an ingest round: reexec pays a full stream
-   re-execution, ivm pays a delta refresh over ~1% of the rows. *)
+   re-execution, cached and ivm pay a delta refresh over ~1% of the rows. *)
 let fig_views () =
   Printf.printf
     "\n== views: incremental refresh vs re-execution, SF=%g ==\n" sf;
@@ -1058,8 +1068,8 @@ let fig_views () =
         done;
         !best
       in
-      Printf.printf "%-4s %12s %12s %12s %10s  (append batch: %d rows)\n"
-        "view" "cold" "reexec" "ivm" "speedup" batch_n;
+      Printf.printf "%-4s %12s %12s %12s %12s %10s  (append batch: %d rows)\n"
+        "view" "cold" "reexec" "cached" "ivm" "speedup" batch_n;
       List.iter
         (fun (q, sql) ->
           (* cold: plan + execute from scratch on a fresh handle *)
@@ -1068,14 +1078,29 @@ let fig_views () =
                 ignore (Sqldb.Db.execute (Sqldb.Db.snapshot db) sql))
           in
           record ~experiment:"views" ~variant:(q ^ "-cold") ~threads:1 cold;
-          (* reexec: the stale result entry is recomputed after each
-             append, binding the plan-cache template *)
+          (* reexec: with IVM off the stale result entry is recomputed
+             after each append, binding the plan-cache template *)
           ignore (Sqldb.Db.execute db sql);
+          let ivm_was = Sqldb.Matview.enabled () in
+          Sqldb.Matview.set_enabled false;
           let reexec =
-            refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql))
+            Fun.protect
+              ~finally:(fun () -> Sqldb.Matview.set_enabled ivm_was)
+              (fun () ->
+                refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql)))
           in
           record ~experiment:"views" ~variant:(q ^ "-reexec") ~threads:1
             reexec;
+          (* cached: the same entry with IVM on; its first stale read
+             (untimed) builds the entry's view, later ones refresh it by
+             delta *)
+          Sqldb.Db.append_table db "lineitem" batch;
+          ignore (Sqldb.Db.execute db sql);
+          let cached =
+            refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql))
+          in
+          record ~experiment:"views" ~variant:(q ^ "-cached") ~threads:1
+            cached;
           (* ivm: same SQL registered as a view; appends are absorbed by
              delta refreshes *)
           (match Sqldb.Db.register_view db ~name:("view_" ^ q) sql with
@@ -1085,15 +1110,16 @@ let fig_views () =
             refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql))
           in
           record ~experiment:"views" ~variant:(q ^ "-ivm") ~threads:1 ivm;
-          Printf.printf "%-4s %11.5fs %11.5fs %11.5fs %9.1fx\n%!" q cold
-            reexec ivm
+          Printf.printf "%-4s %11.5fs %11.5fs %11.5fs %11.5fs %9.1fx\n%!" q
+            cold reexec cached ivm
             (reexec /. Float.max 1e-9 ivm))
         sqls);
   let st = Sqldb.Db.cache_stats db in
   Printf.printf
-    "view counters: %d delta refreshes, %d recomputes, %d fresh hits\n"
+    "counters: %d delta refreshes (views and cached entries), %d view \
+     recomputes, %d fresh view hits, %d entry recomputes\n"
     st.Sqldb.Db.delta_refreshes st.Sqldb.Db.view_recomputes
-    st.Sqldb.Db.view_hits
+    st.Sqldb.Db.view_hits st.Sqldb.Db.plan_hits
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: cold parse+plan vs cached bind, and the bind hit rate  *)

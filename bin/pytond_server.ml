@@ -120,17 +120,23 @@ let print_error tenant e =
   | None -> Printf.printf "%s: ERROR %s\n%!" tenant (Printexc.to_string e)
 
 (* Server counters plus engine cache/view counters, with the per-tenant
-   cache and view slices the streaming experiments read hit rates from. *)
+   cache and view slices the streaming experiments read hit rates from.
+   A stale cache entry catches up by a delta refresh when its plan is
+   maintainable; "recomputes after an append" counts the entries that are
+   not, plus each maintainable entry's one view build. Delta refreshes are
+   counted once for registered views and cache entries together. *)
 let print_full_stats db server =
   let s = Sqldb.Server.stats server in
   print_string (Sqldb.Server.stats_to_string s);
   let cs = Sqldb.Db.cache_stats db in
   Printf.printf
-    "cache: %d hits, %d recomputes, %d misses, %d entries; views: %d \
-     registered, %d hits, %d delta refreshes, %d recomputes\n%!"
+    "cache: %d hits, %d recomputes after an append, %d misses, %d entries \
+     (%d refreshed by delta); views: %d registered, %d hits, %d \
+     recomputes; delta refreshes (views and entries): %d\n%!"
     cs.Sqldb.Db.hits cs.Sqldb.Db.plan_hits cs.Sqldb.Db.misses
-    cs.Sqldb.Db.entries cs.Sqldb.Db.views cs.Sqldb.Db.view_hits
-    cs.Sqldb.Db.delta_refreshes cs.Sqldb.Db.view_recomputes;
+    cs.Sqldb.Db.entries cs.Sqldb.Db.maintained_entries cs.Sqldb.Db.views
+    cs.Sqldb.Db.view_hits cs.Sqldb.Db.view_recomputes
+    cs.Sqldb.Db.delta_refreshes;
   Printf.printf
     "plancache: %d bind hits, %d cold plans, %d guard trips, %d shapes \
      cached (%s)\n%!"
@@ -141,7 +147,7 @@ let print_full_stats db server =
     (fun (name, _) ->
       let h, ph, m, vh, dr, bh = Sqldb.Db.owner_stats db name in
       Printf.printf
-        "  tenant %-12s cache: hits=%d plan_hits=%d misses=%d view_hits=%d \
+        "  tenant %-12s cache: hits=%d recomputes=%d misses=%d view_hits=%d \
          delta_refreshes=%d bind_hits=%d\n%!"
         name h ph m vh dr bh)
     (List.sort compare s.Sqldb.Server.tenants)

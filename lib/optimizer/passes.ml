@@ -473,16 +473,19 @@ let self_join_elim (ctx : context) (p : program) : program =
 (* O4: rule inlining                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_counter = ref 0
-
-let fresh_var base =
-  incr fresh_counter;
-  Printf.sprintf "%s__i%d" base !fresh_counter
-
 (* Inline non-flow-breaker rules with a single consumer into that consumer.
    The sink (last) rule is never inlined away; relations read inside exists
    bodies or defined more than once are left alone. *)
 let inline_rules (p : program) : program =
+  (* Fresh names are numbered per call, so one program always compiles to
+     the same TondIR, whatever else runs in the process or on other
+     domains. Only this pass makes [__i] names, and it runs once per
+     [optimize]. *)
+  let fresh_counter = ref 0 in
+  let fresh_var base =
+    incr fresh_counter;
+    Printf.sprintf "%s__i%d" base !fresh_counter
+  in
   let rec fixpoint p =
     let n = List.length p.rules in
     let uses = Analysis.use_counts p in

@@ -20,14 +20,25 @@
     the only place plans are reused. A result entry stores a result and
     the versions of the base tables its plan scanned; it is served while
     those are current. After an append into one of them the entry is
-    stale: the query is planned (a template bind on a plan-cache hit) and
-    executed again, and the entry is updated in place — counted as a
-    [plan_hit], "result recomputed after an append". Replacing a table
-    drops its result entries and templates outright (schema may change).
-    Both caches share one LRU policy with a per-owner quota, so one tenant
-    cannot crowd out the others. Cache state is mutex-protected; both
-    caches stand down under fault injection and can be switched off with
-    {!set_cache_enabled} / {!set_plancache_enabled}. *)
+    stale. Its first stale read plans the query (a template bind on a
+    plan-cache hit) and asks {!Planner.analyze_ivm} about that plan, once
+    per entry. A maintainable plan becomes the entry's own anonymous
+    {!Matview.t}, built on that read; every later stale read is served by
+    {!Matview.read}, which applies the appended rows by delta, as for a
+    registered view — counted in [delta_refreshes]. A plan the delta
+    engine rejects is bound and executed in full at every stale read.
+    [plan_hits] means "result recomputed after an append": the stale reads
+    of entries that are not maintainable, plus each maintainable entry's
+    one view build. The entry is updated in place either way. Entry views
+    live and die with their entries (LRU eviction, tenant quota, replace)
+    and never appear in the view registry; [PYTOND_IVM=0]
+    ({!Matview.set_enabled}) sends every stale read down the recompute
+    path. Replacing a table drops its result entries and templates
+    outright (schema may change). Both caches share one LRU policy with a
+    per-owner quota, so one tenant cannot crowd out the others. Cache state
+    is mutex-protected; both caches stand down under fault injection and
+    can be switched off with {!set_cache_enabled} /
+    {!set_plancache_enabled}. *)
 
 type backend = Vectorized | Compiled | Lingo
 
@@ -44,6 +55,16 @@ let backend_name = function
 
 let cache_cap = 64
 
+(* How a stale entry catches up after an append. Decided once, at the
+   entry's first stale read, from {!Planner.analyze_ivm} on the plan that
+   read bound. *)
+type upkeep =
+  | Unchecked (* never stale yet *)
+  | Recompute (* not maintainable: plan or bind, execute in full *)
+  | Maintained of Matview.t
+      (* anonymous view over the entry's plan: {!Matview.read} applies the
+         appended rows by delta *)
+
 type cache_entry = {
   owner : string option; (* tenant the entry is charged to, if any *)
   mutable deps : (string * int) list;
@@ -51,6 +72,7 @@ type cache_entry = {
          at; the entry's result is valid iff every dep is unchanged *)
   mutable result : Relation.t;
   mutable tick : int; (* LRU clock *)
+  mutable upkeep : upkeep;
 }
 
 (* ---- Parameterized plan cache (shape-keyed) ----------------------- *)
@@ -106,7 +128,8 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable view_hits : int; (* reads served from a fresh materialized view *)
-  mutable delta_refreshes : int; (* incremental view refreshes *)
+  mutable delta_refreshes : int;
+      (* incremental refreshes of registered views and cache entries *)
   mutable view_recomputes : int; (* view fallback full re-executions *)
   mutable bind_hits : int; (* plan-cache template bound, no replan *)
   mutable bind_misses : int; (* shape planned cold (new template) *)
@@ -128,6 +151,7 @@ type cache_stats = {
   bind_misses : int; (* cold template plans *)
   guard_trips : int; (* specialized replans forced by guards *)
   plan_entries : int; (* cached shapes (excluding specializations) *)
+  maintained_entries : int; (* result entries refreshed by delta *)
 }
 
 let cache_enabled = ref true
@@ -159,7 +183,12 @@ let cache_stats (t : t) : cache_stats =
         bind_hits = t.bind_hits;
         bind_misses = t.bind_misses;
         guard_trips = t.guard_trips;
-        plan_entries = Hashtbl.length t.plans })
+        plan_entries = Hashtbl.length t.plans;
+        maintained_entries =
+          Hashtbl.fold
+            (fun _ e n ->
+              match e.upkeep with Maintained _ -> n + 1 | _ -> n)
+            t.cache 0 })
 
 let owner_counters_of t o =
   match Hashtbl.find_opt t.owners o with
@@ -241,13 +270,13 @@ let normalize_sql (s : string) : string =
   done;
   Buffer.contents buf
 
-(* Version-stamp the plan's base tables ({!Plan.bound_tables}) against
+(* Version-stamp base tables (a plan's {!Plan.bound_tables}) against
    catalog handle [cat]. These are the entry's invalidation dependencies. *)
-let deps_of cat (bq : Plan.bound_query) : (string * int) list =
+let deps_of cat tables : (string * int) list =
   List.filter_map
     (fun n ->
       Option.map (fun v -> (n, v)) (Catalog.table_version cat n))
-    (Plan.bound_tables bq)
+    tables
 
 let deps_current cat deps =
   List.for_all
@@ -318,9 +347,9 @@ let create () =
     owners = Hashtbl.create 8 }
 
 (* Replace invalidation: the table's schema may change, so result entries
-   and templates over it are dropped outright. An append needs no hook:
-   it bumps the table's version, so the entries whose [deps] name it go
-   stale and are recomputed at their next read. *)
+   (with their views) and templates over it are dropped outright. An
+   append needs no hook: it bumps the table's version, so the entries
+   whose [deps] name it go stale and catch up at their next read. *)
 let invalidate_replaced t name =
   let dead =
     Hashtbl.fold
@@ -347,7 +376,7 @@ let load_table ?cons ?threads t name rel =
 (** Schema-preserving append: ingest [rel]'s rows into existing table
     [name] as a new catalog snapshot (stats and zone maps rebuilt).
     In-flight queries pinned on the previous snapshot are untouched; cached
-    results over [name] go stale and are recomputed at their next read. *)
+    results over [name] go stale and catch up at their next read. *)
 let append_table ?threads t name rel =
   locked t (fun () -> Catalog.append ?threads t.catalog name rel)
 
@@ -626,6 +655,10 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
     let key = Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey in
     (* Lookup under lock; execution outside it (two racing misses both
        execute — wasteful but correct, and the insert is last-wins). *)
+    let count_plan_hit oc =
+      t.plan_hits <- t.plan_hits + 1;
+      Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc
+    in
     let decision =
       locked t (fun () ->
           t.clock <- t.clock + 1;
@@ -636,17 +669,31 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
             t.hits <- t.hits + 1;
             Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc;
             `Hit e.result
-          | Some e ->
+          | Some e -> (
             (* stale: a table the result was computed from has had rows
                appended since (a replace drops the entry eagerly) *)
             e.tick <- t.clock;
-            t.plan_hits <- t.plan_hits + 1;
-            Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc;
-            `Stale e
+            match e.upkeep with
+            | Maintained v when Matview.enabled () -> `Refresh (e, v)
+            | Unchecked when Matview.enabled () ->
+              count_plan_hit oc;
+              `Stale (e, true)
+            | _ ->
+              count_plan_hit oc;
+              `Stale (e, false))
           | None ->
             t.misses <- t.misses + 1;
             Option.iter (fun c -> c.o_misses <- c.o_misses + 1) oc;
             `Miss)
+    in
+    (* stamp deps and result together, against the snapshot that actually
+       produced the result *)
+    let store e tables r =
+      e.deps <- deps_of cat tables;
+      e.result <- r
+    in
+    let read_view v =
+      Guard.with_guard ?timeout_ms ?row_budget (fun () -> Matview.read v ~cat)
     in
     match decision with
     | `Hit r ->
@@ -658,24 +705,57 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
       Guard.with_guard ?timeout_ms ?row_budget (fun () ->
           Guard.check ();
           r)
-    | (`Stale _ | `Miss) as d ->
+    | `Refresh (e, v) ->
+      (* the view's own lock serializes refreshes; its stored state may
+         already be current if a concurrent reader caught it up *)
+      let r, how = read_view v in
+      locked t (fun () ->
+          let oc = Option.map (owner_counters_of t) owner in
+          (match how with
+          | `Delta ->
+            t.delta_refreshes <- t.delta_refreshes + 1;
+            Option.iter
+              (fun c -> c.o_delta_refreshes <- c.o_delta_refreshes + 1)
+              oc
+          | `Hit ->
+            t.hits <- t.hits + 1;
+            Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc
+          | `Recompute | `Init -> count_plan_hit oc);
+          store e (List.map fst e.deps) r);
+      r
+    | `Stale (e, promote) ->
+      let bq = plan_or_bind () in
+      (* first stale read: a maintainable plan becomes the entry's view,
+         built here and refreshed by delta from the next append on *)
+      let upkeep =
+        if not promote then None
+        else
+          let v = Matview.make ~name:key ~sql bq in
+          Some (if Matview.maintainable v then Maintained v else Recompute)
+      in
+      let r =
+        match upkeep with
+        | Some (Maintained v) -> fst (read_view v)
+        | _ -> guarded (exec bq)
+      in
+      locked t (fun () ->
+          Option.iter (fun u -> e.upkeep <- u) upkeep;
+          store e (Plan.bound_tables bq) r);
+      r
+    | `Miss ->
       let bq = plan_or_bind () in
       let r = guarded (exec bq) in
-      (* stamp deps and result together, against the snapshot that
-         actually produced the result *)
-      let deps = deps_of cat bq in
       locked t (fun () ->
-          match d with
-          | `Stale e ->
-            e.deps <- deps;
-            e.result <- r
-          | `Miss ->
-            t.evictions <-
-              t.evictions
-              + make_room t.cache ~cap:cache_cap ~owner_of:(fun e -> e.owner)
-                  ~tick_of:(fun e -> e.tick) ~owner ~quota:cache_quota;
-            Hashtbl.replace t.cache key
-              { owner; deps; result = r; tick = t.clock });
+          t.evictions <-
+            t.evictions
+            + make_room t.cache ~cap:cache_cap ~owner_of:(fun e -> e.owner)
+                ~tick_of:(fun e -> e.tick) ~owner ~quota:cache_quota;
+          Hashtbl.replace t.cache key
+            { owner;
+              deps = deps_of cat (Plan.bound_tables bq);
+              result = r;
+              tick = t.clock;
+              upkeep = Unchecked });
       r
   end
 

@@ -2,8 +2,10 @@
 
     A registered query becomes a {e view}: its result is stored and kept
     fresh from appended rows alone, instead of re-executing the whole plan
-    on every read after an ingest (the PR-8 cache behaviour, which remains
-    the fallback).
+    on every read after an ingest (which remains the fallback). The same
+    engine keeps [Db]'s result cache: a cache entry whose plan is
+    maintainable gets an anonymous view ({!make}) at its first stale read,
+    and later stale reads go through {!read} like a registered view's.
 
     {b Shape.} The planner splits a maintainable plan at its pipeline
     breaker ({!Planner.analyze_ivm}): a select-project-join {e stream}
@@ -139,56 +141,133 @@ let clone_groups (tbl : (Value.t array, group) Hashtbl.t) =
   Hashtbl.iter (fun k g -> Hashtbl.add out k (clone_group g)) tbl;
   out
 
-(* Fold one stream chunk into the accumulators, row by row and in row
-   order. Chunks are decoded first: the accumulators outlive any one
-   execution, so group hashing must key on values, never on dictionary
-   codes private to one chunk's dictionaries. The group key is the boxed
-   value array itself; the generic [Hashtbl] compares it with [compare],
-   which — like the executors' key table — takes -0.0 = 0.0 and NaN = NaN,
-   and its hash normalizes both, so a view and its recompute agree on every
-   float key. A DISTINCT aggregate folds a row only when its (decoded,
-   non-NULL) argument value is new to the group, keyed the same way. *)
+(* Unboxed state of a non-DISTINCT spec, seeded from the accumulators of
+   [gs] and written back by [finish]: [Agg_util.dense] does the same adds
+   in the same order as the boxed [Agg_util.update_fn], so the state comes
+   out bit-identical, but no float is boxed per row. [None] for the shapes
+   without one (MIN/MAX, and AVG of an int column, whose boxed state also
+   keeps the int sum): those fold into the boxed accumulators. *)
+let unboxed (spec : Plan.agg_spec) k (cols : Column.t array) (gs : group array)
+    : (Agg_util.dense * (unit -> unit)) option =
+  let arg_is_int =
+    match spec.Plan.arg with
+    | Some i -> Column.int_reader cols.(i) <> None
+    | None -> false
+  in
+  if spec.Plan.fn = Sql_ast.Avg && arg_is_int then None
+  else
+    let ng = Array.length gs in
+    let acc e = gs.(e).accs.(k) in
+    match Agg_util.dense_create spec cols ~card:ng with
+    | Some (Agg_util.DCount count as d) ->
+      for e = 0 to ng - 1 do
+        count.(e) <- (acc e).count
+      done;
+      Some
+        ( d,
+          fun () ->
+            for e = 0 to ng - 1 do
+              (acc e).count <- count.(e)
+            done )
+    | Some (Agg_util.DSumI { count; sum } as d) ->
+      for e = 0 to ng - 1 do
+        count.(e) <- (acc e).count;
+        sum.(e) <- (acc e).sumi
+      done;
+      Some
+        ( d,
+          fun () ->
+            for e = 0 to ng - 1 do
+              (acc e).count <- count.(e);
+              (acc e).sumi <- sum.(e)
+            done )
+    | Some (Agg_util.DSumF { count; sum; comp } as d) ->
+      for e = 0 to ng - 1 do
+        count.(e) <- (acc e).count;
+        sum.(e) <- (acc e).sumf;
+        comp.(e) <- (acc e).sumc
+      done;
+      Some
+        ( d,
+          fun () ->
+            for e = 0 to ng - 1 do
+              (acc e).count <- count.(e);
+              (acc e).sumf <- sum.(e);
+              (acc e).sumc <- comp.(e)
+            done )
+    | Some (Agg_util.DMinMaxI _ | Agg_util.DMinMaxF _) | None -> None
+
+(* Fold one stream chunk into the accumulators, in row order. Rows find
+   their group through the executors' key table, which compares values
+   whatever their layout (so dictionary codes private to one chunk never
+   key a group); each key new to the chunk is then boxed once and looked
+   up in the view's groups. Those are keyed by the boxed value array in a
+   generic [Hashtbl], which compares with [compare] and — like the key
+   table — takes -0.0 = 0.0 and NaN = NaN (its hash normalizes both), so a
+   view and its recompute agree on every float key. Each spec then folds
+   the chunk on its own ({!unboxed} where it can). A DISTINCT aggregate
+   folds a row only when its non-NULL argument value is new to the group,
+   keyed the same way. *)
 let replay ~(groups_idx : int array) ~(specs : Plan.agg_spec array)
     (tbl : (Value.t array, group) Hashtbl.t) (order : Value.t array list ref)
     (chunk : Relation.t) : unit =
-  let chunk = Relation.decode_strings chunk in
   let cols = chunk.Relation.cols in
   let n = Relation.n_rows chunk in
-  let upds =
-    Array.map
-      (fun (s : Plan.agg_spec) ->
-        let upd = Agg_util.update_fn (Agg_util.plain s) cols in
-        match s.Plan.arg with
-        | Some i when s.Plan.distinct ->
-          let c = cols.(i) in
-          fun g k row ->
-            if not (Column.is_null c row) then begin
-              let v = Column.get c row in
-              if not (Hashtbl.mem g.seen.(k) v) then begin
-                Hashtbl.add g.seen.(k) v ();
-                upd g.accs.(k) row
-              end
-            end
-        | _ -> fun g k row -> upd g.accs.(k) row)
-      specs
-  in
-  let nspec = Array.length upds in
+  let idxs = Array.to_list groups_idx in
+  let keys = Hash_util.keytab cols idxs in
+  let rd = Option.get (Hash_util.reader ~null_as_key:true keys cols idxs) in
+  let gids = Array.make n 0 and local = ref [||] in
   for row = 0 to n - 1 do
     if row land 4095 = 0 then Guard.check ();
-    let gkey = Array.map (fun i -> Column.get cols.(i) row) groups_idx in
-    let g =
-      match Hashtbl.find_opt tbl gkey with
-      | Some g -> g
-      | None ->
-        let g = new_group ~specs gkey in
-        Hashtbl.add tbl gkey g;
-        order := gkey :: !order;
-        g
-    in
-    for k = 0 to nspec - 1 do
-      upds.(k) g k row
-    done
+    let before = Hash_util.length keys in
+    let e = Hash_util.add keys rd row in
+    if e = before then begin
+      let gkey = Array.map (fun i -> Column.get cols.(i) row) groups_idx in
+      let g =
+        match Hashtbl.find_opt tbl gkey with
+        | Some g -> g
+        | None ->
+          let g = new_group ~specs gkey in
+          Hashtbl.add tbl gkey g;
+          order := gkey :: !order;
+          g
+      in
+      if e = Array.length !local then
+        local := Array.append !local (Array.make (max 16 e) g);
+      !local.(e) <- g
+    end;
+    gids.(row) <- e
   done;
+  let gs = Array.sub !local 0 (Hash_util.length keys) in
+  Array.iteri
+    (fun k (s : Plan.agg_spec) ->
+      let plain = Agg_util.plain s in
+      match s.Plan.arg with
+      | Some i when s.Plan.distinct ->
+        let c = cols.(i) and upd = Agg_util.update_fn plain cols in
+        for row = 0 to n - 1 do
+          if not (Column.is_null c row) then begin
+            let g = gs.(gids.(row)) and v = Column.get c row in
+            if not (Hashtbl.mem g.seen.(k) v) then begin
+              Hashtbl.add g.seen.(k) v ();
+              upd g.accs.(k) row
+            end
+          end
+        done
+      | _ -> (
+        match unboxed plain k cols gs with
+        | Some (d, finish) ->
+          let upd = Agg_util.dense_update plain cols d in
+          for row = 0 to n - 1 do
+            upd gids.(row) row
+          done;
+          finish ()
+        | None ->
+          let upd = Agg_util.update_fn plain cols in
+          for row = 0 to n - 1 do
+            upd gs.(gids.(row)).accs.(k) row
+          done))
+    specs;
   Guard.add_rows n
 
 (* A global aggregate emits exactly one row even over empty input, so its
@@ -321,25 +400,14 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
       version = next_version view;
       result = spj_result shape rows }
 
-(* Full recompute, used at registration, for fallback views, after a
-   replace, and when IVM is disabled. Always replans from SQL: a replaced
-   table may have a new schema, and the replan re-decides maintainability. *)
-let recompute (view : t) (cat : Catalog.t) : state =
-  let bq = Planner.plan_query cat (Sql_parse.parse view.v_sql) in
-  view.v_bq <- bq;
-  (match Planner.analyze_ivm bq with
-  | Ok s ->
-    view.v_shape <- Some s;
-    view.v_reason <- None
-  | Error r ->
-    view.v_shape <- None;
-    view.v_reason <- Some r);
-  view.v_dirty_replace <- false;
+(* Initial build from the plan the view was made with: the stream replay
+   when maintainable, the whole plan otherwise. *)
+let build (view : t) (cat : Catalog.t) : state =
   match view.v_shape with
   | Some shape -> build_full view shape cat
   | None ->
-    let tables = Plan.bound_tables bq in
-    let result = Exec_vectorized.run_query ~threads:1 cat bq in
+    let tables = Plan.bound_tables view.v_bq in
+    let result = Exec_vectorized.run_query ~threads:1 cat view.v_bq in
     { deps = stamp_deps cat tables;
       rows_at = stamp_rows cat tables;
       pinned = Catalog.pin cat;
@@ -348,6 +416,24 @@ let recompute (view : t) (cat : Catalog.t) : state =
       spj_rows = None;
       version = next_version view;
       result }
+
+let set_plan (view : t) (bq : Plan.bound_query) =
+  view.v_bq <- bq;
+  match Planner.analyze_ivm bq with
+  | Ok s ->
+    view.v_shape <- Some s;
+    view.v_reason <- None
+  | Error r ->
+    view.v_shape <- None;
+    view.v_reason <- Some r
+
+(* Full recompute, used for fallback views, after a replace, and when IVM
+   is disabled. Always replans from SQL: a replaced table may have a new
+   schema, and the replan re-decides maintainability. *)
+let recompute (view : t) (cat : Catalog.t) : state =
+  set_plan view (Planner.plan_query cat (Sql_parse.parse view.v_sql));
+  view.v_dirty_replace <- false;
+  build view cat
 
 (* Incremental refresh: replay each changed table's delta-rule term into a
    deep clone of the accumulator state, then finish and install. *)
@@ -479,11 +565,35 @@ let read (view : t) ~(cat : Catalog.t) : Relation.t * served =
         let st' =
           with_fault_retry (fun () ->
               Faults.crash_point ~site:"matview.refresh";
-              recompute view cat)
+              if initial then build view cat else recompute view cat)
         in
         view.v_state <- Some st';
         if not initial then view.v_recomputes <- view.v_recomputes + 1;
         (st'.result, if initial then `Init else `Recompute))
+
+(** A view of [sql], already planned as [bq] (by the caller, or bound
+    from a cached template); maintainability is {!Planner.analyze_ivm}'s
+    verdict on [bq] ({!maintainable}). The state is built at the first
+    {!read}, from [bq] without a replan. [register] names and indexes
+    views made here; [Db.execute] keeps anonymous ones on its result-cache
+    entries. *)
+let make ?owner ~name ~sql (bq : Plan.bound_query) : t =
+  let v =
+    { v_name = name;
+      v_sql = sql;
+      v_owner = owner;
+      v_lock = Mutex.create ();
+      v_bq = bq;
+      v_shape = None;
+      v_reason = None;
+      v_state = None;
+      v_dirty_replace = false;
+      v_hits = 0;
+      v_deltas = 0;
+      v_recomputes = 0 }
+  in
+  set_plan v bq;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                           *)
@@ -545,25 +655,8 @@ let register reg ~(cat : Catalog.t) ?owner ?quota ~name ~sql ~key () :
             (Printf.sprintf "view quota exceeded for %s"
                (Option.value ~default:"?" owner))
         else begin
-          let bq = Planner.plan_query cat (Sql_parse.parse sql) in
-          let shape, reason =
-            match Planner.analyze_ivm bq with
-            | Ok s -> (Some s, None)
-            | Error r -> (None, Some r)
-          in
           let v =
-            { v_name = name;
-              v_sql = sql;
-              v_owner = owner;
-              v_lock = Mutex.create ();
-              v_bq = bq;
-              v_shape = shape;
-              v_reason = reason;
-              v_state = None;
-              v_dirty_replace = false;
-              v_hits = 0;
-              v_deltas = 0;
-              v_recomputes = 0 }
+            make ?owner ~name ~sql (Planner.plan_query cat (Sql_parse.parse sql))
           in
           ignore (read v ~cat);
           Hashtbl.replace reg.views name v;

@@ -278,9 +278,36 @@ let gen_tests =
         let r2 = Sqldb.Db.execute (mini_db ()) hyper in
         check_rel "dialects agree" r1 r2) ]
 
+(* Rule inlining names the variables it introduces; the names must depend
+   on the program alone, not on how many programs were compiled before it
+   or beside it (the server compiles on several domains at once). *)
+let fresh_name_tests =
+  [ tc "fresh names repeat across compiles and domains" (fun () ->
+        let db = Tpch.Dbgen.make_db 0.001 in
+        let ir q () =
+          Tondir.Ir.program_to_string
+            (Pytond.optimize ~db ~level:Pytond.O4
+               (Pytond.front ~db ~source:(Tpch.Queries.find q) ~fname:"query"))
+        in
+        let inlined = ref false in
+        List.iter
+          (fun q ->
+            let first = ir q () in
+            if contains_sub "__i" first then inlined := true;
+            Alcotest.(check string) (q ^ ": second compile") first (ir q ());
+            let doms = List.init 2 (fun _ -> Domain.spawn (ir q)) in
+            List.iter
+              (fun d ->
+                Alcotest.(check string) (q ^ ": concurrent compile") first
+                  (Domain.join d))
+              doms)
+          (List.map fst Tpch.Queries.all);
+        Alcotest.(check bool) "some program inlines with fresh names" true
+          !inlined) ]
+
 let suites =
   [ ("tondir-pretty", pretty_tests);
     ("tondir-validate", validate_tests);
     ("tondir-flow", flow_tests);
-    ("optimizer", opt_tests);
+    ("optimizer", opt_tests @ fresh_name_tests);
     ("sqlgen", gen_tests) ]

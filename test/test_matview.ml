@@ -488,6 +488,174 @@ let test_replace_triggers_replan () =
   Alcotest.(check int) "no delta across replace" 0 st.Db.delta_refreshes;
   Alcotest.(check bool) "recompute counted" true (st.Db.view_recomputes >= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Result-cache entries refreshed by the delta engine                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Shift every quoted ISO date literal of a Python source by [days]. *)
+let shift_dates ~days src =
+  let n = String.length src in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if
+      src.[!i] = '\''
+      && !i + 11 < n
+      && src.[!i + 11] = '\''
+      && Value.looks_like_iso_date (String.sub src (!i + 1) 10)
+    then begin
+      let d = Value.date_of_iso (String.sub src (!i + 1) 10) + days in
+      Buffer.add_string b ("'" ^ Value.iso_of_date d ^ "'");
+      i := !i + 12
+    end
+    else begin
+      Buffer.add_char b src.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* The dashboard shapes, each with its dates as written and shifted back
+   60 days (q19 has no dates, so one key): (label, sql, tables,
+   maintainable). *)
+let dashboard_keys db =
+  List.concat_map
+    (fun q ->
+      let src = Tpch.Queries.find q in
+      List.sort_uniq compare
+        (List.map
+           (fun days ->
+             Pytond.compile ~dialect:"hyper" ~db
+               ~source:(shift_dates ~days src) ~fname:"query" ())
+           [ 0; -60 ])
+      |> List.mapi (fun i sql ->
+             let bq = Db.plan db sql in
+             ( Printf.sprintf "%s#%d" q i,
+               sql,
+               Plan.bound_tables bq,
+               Result.is_ok (Planner.analyze_ivm bq) )))
+    [ "q1"; "q3"; "q6"; "q12"; "q14"; "q19" ]
+
+(* [n] existing rows of [name] from offset [131 k] on (cyclically),
+   appended again. *)
+let append_copies db name ~n ~k =
+  let rel = Catalog.relation (Db.catalog db) name in
+  Db.append_table db name
+    (Relation.take rel
+       (Array.init n (fun i -> ((k * 131) + i) mod Relation.n_rows rel)))
+
+(* Every cached read, through whichever path serves it, must answer what
+   a cold run on a snapshot of the same data answers. Counters are checked
+   only where the result cache and the delta engine are both live: with
+   faults armed the cache stands down, and with IVM off every stale read
+   recomputes. *)
+let cache_differential backend () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let keys = dashboard_keys db in
+  List.iter
+    (fun (label, _, _, maint) ->
+      Alcotest.(check bool)
+        (label ^ " maintainability")
+        (not (String.starts_with ~prefix:"q14" label))
+        maint)
+    keys;
+  let counting = Matview.enabled () && not (Faults.armed ()) in
+  let count f = List.length (List.filter f keys) in
+  let round what ~stale =
+    let before = Db.cache_stats db in
+    List.iter
+      (fun (label, sql, _, _) ->
+        let got = Db.execute ~backend db sql in
+        let want = Db.execute ~backend (Db.snapshot db) sql in
+        Helpers.check_rows_close ~digits:4
+          (Printf.sprintf "%s: %s" what label)
+          (Relation.canonical ~digits:4 want)
+          (Relation.canonical ~digits:4 got))
+      keys;
+    let cs = Db.cache_stats db in
+    if counting then begin
+      let moved name f expected =
+        Alcotest.(check int) (what ^ ": " ^ name) expected (f cs - f before)
+      in
+      match stale with
+      | `Miss -> moved "misses" (fun s -> s.Db.misses) (List.length keys)
+      | `Promote tbl ->
+        moved "recomputes" (fun s -> s.Db.plan_hits)
+          (count (fun (_, _, ts, _) -> List.mem tbl ts));
+        moved "delta refreshes" (fun s -> s.Db.delta_refreshes) 0
+      | `Delta tbl ->
+        moved "recomputes" (fun s -> s.Db.plan_hits)
+          (count (fun (_, _, ts, m) -> List.mem tbl ts && not m));
+        moved "delta refreshes" (fun s -> s.Db.delta_refreshes)
+          (count (fun (_, _, ts, m) -> List.mem tbl ts && m));
+        moved "hits" (fun s -> s.Db.hits)
+          (count (fun (_, _, ts, _) -> not (List.mem tbl ts)))
+    end
+  in
+  let maintained what n =
+    if counting then
+      Alcotest.(check int) (what ^ ": entries with a view") n
+        (Db.cache_stats db).Db.maintained_entries
+  in
+  let n_maint = count (fun (_, _, _, m) -> m) in
+  round "cold" ~stale:`Miss;
+  append_copies db "lineitem" ~n:60 ~k:1;
+  round "append 1" ~stale:(`Promote "lineitem");
+  maintained "append 1" n_maint;
+  append_copies db "lineitem" ~n:60 ~k:2;
+  round "append 2" ~stale:(`Delta "lineitem");
+  append_copies db "lineitem" ~n:60 ~k:3;
+  round "append 3" ~stale:(`Delta "lineitem");
+  (* orders is not the driver of every join over it: a delta-rule term *)
+  append_copies db "orders" ~n:15 ~k:4;
+  round "orders append" ~stale:(`Delta "orders");
+  append_copies db "lineitem" ~n:60 ~k:5;
+  round "append 4" ~stale:(`Delta "lineitem");
+  (* a replace drops the entries and their views *)
+  Db.load_table db "lineitem" (Catalog.relation (Db.catalog db) "lineitem");
+  maintained "replace" 0;
+  round "after replace" ~stale:`Miss;
+  append_copies db "lineitem" ~n:60 ~k:6;
+  round "append after replace" ~stale:(`Promote "lineitem");
+  maintained "append after replace" n_maint
+
+(* LRU eviction drops an entry's view with the entry: once evicted and
+   re-read, the key starts over as a miss and promotes again. *)
+let test_cache_eviction_drops_view () =
+  let db = grp_db () in
+  let counting = Matview.enabled () && not (Faults.armed ()) in
+  let append k =
+    Db.append_table db "a"
+      (Helpers.rel [ "x"; "grp" ]
+         [ Helpers.floats [| float_of_int k |]; Helpers.ints [| k mod 3 |] ])
+  in
+  let read what =
+    Helpers.check_rel ~digits:6 what
+      (Db.execute (Db.snapshot db) grp_sql)
+      (Db.execute db grp_sql)
+  in
+  let stat f = f (Db.cache_stats db) in
+  read "cold";
+  append 1;
+  read "promoted";
+  if counting then
+    Alcotest.(check int) "entry holds a view" 1
+      (stat (fun s -> s.Db.maintained_entries));
+  for k = 1 to Db.cache_cap do
+    ignore (Db.execute db (Printf.sprintf "SELECT count(*) AS n FROM a WHERE x > %d" k))
+  done;
+  append 2;
+  let misses = stat (fun s -> s.Db.misses) in
+  read "after eviction";
+  if counting then begin
+    Alcotest.(check bool) "entries were evicted" true
+      (stat (fun s -> s.Db.evictions) > 0);
+    Alcotest.(check int) "evicted entry took its view along" 0
+      (stat (fun s -> s.Db.maintained_entries));
+    Alcotest.(check int) "re-read is a miss" (misses + 1)
+      (stat (fun s -> s.Db.misses))
+  end
+
 let suites =
   let tc = Helpers.tc in
   [ ( "matview-append",
@@ -516,4 +684,11 @@ let suites =
           test_faulty_refresh_differential ] );
     ( "matview-tenancy",
       [ tc "owner counters and view quota" test_owner_counters_and_quota;
-        tc "replace triggers replan" test_replace_triggers_replan ] ) ]
+        tc "replace triggers replan" test_replace_triggers_replan ] );
+    ( "matview-cache",
+      [ tc "dashboard keys vs snapshot, vectorized"
+          (cache_differential Db.Vectorized);
+        tc "dashboard keys vs snapshot, compiled"
+          (cache_differential Db.Compiled);
+        tc "eviction drops the entry's view" test_cache_eviction_drops_view ]
+    ) ]

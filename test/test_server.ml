@@ -217,34 +217,94 @@ let with_plancache on f =
   Db.set_plancache_enabled on;
   Fun.protect ~finally:(fun () -> Db.set_plancache_enabled prev) f
 
+(* A shape {!Planner.analyze_ivm} rejects (DISTINCT below the aggregate):
+   every stale read binds the cached template and re-executes. *)
+let q_distinct =
+  "WITH d AS (SELECT DISTINCT x, grp FROM a) SELECT SUM(x) AS s FROM d"
+
 let test_cache_plan_reuse_on_append =
   with_clean_cache (fun () ->
       with_plancache true (fun () ->
       let db = two_table_db () in
-      ignore (Db.execute db q_a);
+      (match Planner.analyze_ivm (Db.plan db q_distinct) with
+      | Ok _ -> Alcotest.fail "expected a shape the delta engine rejects"
+      | Error _ -> ());
+      ignore (Db.execute db q_distinct);
       let before = Db.cache_stats db in
+      List.iteri
+        (fun i expected ->
+          append_a db;
+          let r = Db.execute db q_distinct in
+          Alcotest.(check (list string))
+            "re-executed result sees the appended rows"
+            [ expected ] (Relation.canonical ~digits:0 r);
+          Helpers.check_rel "stale read answers as a fresh snapshot"
+            (Db.execute (Db.snapshot db) q_distinct) r;
+          let cs = Db.cache_stats db in
+          Alcotest.(check int) "append reuses the bound plan" (i + 1)
+            cs.Db.plan_hits;
+          Alcotest.(check int) "no new miss" 1 cs.Db.misses;
+          Alcotest.(check int) "no delta refresh" 0 cs.Db.delta_refreshes;
+          (* each stale read binds the cached template, no replan *)
+          Alcotest.(check int) "template bound"
+            (before.Db.bind_hits + i + 1)
+            cs.Db.bind_hits;
+          Alcotest.(check int) "no cold template" before.Db.bind_misses
+            cs.Db.bind_misses;
+          Alcotest.(check int) "no new template" before.Db.plan_entries
+            cs.Db.plan_entries;
+          Alcotest.(check int) "entry updated in place" before.Db.entries
+            cs.Db.entries)
+        (* the appended 10 is a duplicate after the first append *)
+        [ "20"; "20" ];
+      (* the re-stamped entry is a full hit again *)
+      ignore (Db.execute db q_distinct);
+      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits))
+
+(* A maintainable shape: its first stale read builds the entry's view
+   (counted as a recompute), later stale reads apply the appended rows by
+   delta — no bind, no miss. With IVM off every stale read recomputes. *)
+let test_cache_delta_on_append =
+  with_clean_cache (fun () ->
+      with_plancache true (fun () ->
+      let db = two_table_db () in
+      ignore (Db.execute db q_a);
       append_a db;
-      let r = Db.execute db q_a in
+      let r1 = Db.execute db q_a in
       Alcotest.(check (list string))
-        "re-executed result sees the appended rows"
-        [ "20" ] (Relation.canonical ~digits:0 r);
+        "first stale read sees the appended rows" [ "20" ]
+        (Relation.canonical ~digits:0 r1);
+      let before = Db.cache_stats db in
+      Alcotest.(check int) "first stale read recomputes" 1
+        before.Db.plan_hits;
+      append_a db;
+      let r2 = Db.execute db q_a in
+      Alcotest.(check (list string))
+        "refreshed result sees the appended rows" [ "30" ]
+        (Relation.canonical ~digits:0 r2);
       Helpers.check_rel "stale read answers as a fresh snapshot"
-        (Db.execute (Db.snapshot db) q_a) r;
+        (Db.execute (Db.snapshot db) q_a) r2;
       let cs = Db.cache_stats db in
-      Alcotest.(check int) "append reuses the bound plan" 1 cs.Db.plan_hits;
       Alcotest.(check int) "no new miss" 1 cs.Db.misses;
-      (* the stale read binds the cached template, no replan *)
-      Alcotest.(check int) "template bound" (before.Db.bind_hits + 1)
-        cs.Db.bind_hits;
-      Alcotest.(check int) "no cold template" before.Db.bind_misses
-        cs.Db.bind_misses;
-      Alcotest.(check int) "no new template" before.Db.plan_entries
-        cs.Db.plan_entries;
       Alcotest.(check int) "entry updated in place" before.Db.entries
         cs.Db.entries;
-      (* the re-stamped entry is a full hit again *)
+      if Matview.enabled () then begin
+        Alcotest.(check int) "one delta refresh"
+          (before.Db.delta_refreshes + 1)
+          cs.Db.delta_refreshes;
+        Alcotest.(check int) "no recompute" before.Db.plan_hits
+          cs.Db.plan_hits;
+        Alcotest.(check int) "no template bound" before.Db.bind_hits
+          cs.Db.bind_hits;
+        Alcotest.(check int) "entry holds its view" 1
+          cs.Db.maintained_entries
+      end
+      else begin
+        Alcotest.(check int) "IVM off: recomputed" 2 cs.Db.plan_hits;
+        Alcotest.(check int) "IVM off: no view" 0 cs.Db.maintained_entries
+      end;
       ignore (Db.execute db q_a);
-      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits))
+      Alcotest.(check int) "hit after refresh" 1 (Db.cache_stats db).Db.hits))
 
 let test_cache_recompute_without_plancache =
   with_clean_cache (fun () ->
@@ -512,6 +572,8 @@ let suites =
     ( "server-cache",
       [ tc "entries survive unrelated ingest" test_cache_survives_unrelated_ingest;
         tc "append reuses plan, re-executes" test_cache_plan_reuse_on_append;
+        tc "append refreshes a maintainable entry by delta"
+          test_cache_delta_on_append;
         tc "append recomputes without plan cache"
           test_cache_recompute_without_plancache;
         tc "replace drops entries" test_cache_dropped_on_replace;
