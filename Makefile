@@ -71,8 +71,9 @@ bench-fused: build
 # stale read a dashboard pays after an ingest round; the accept bar for
 # this experiment is the delta refresh staying an order of magnitude under
 # re-execution, checked by eye or via --compare once a baseline with view
-# rows is committed. Rows carry the ivm config stamp, so a PYTOND_IVM=0
-# run can never be diffed against an IVM-on baseline.
+# rows is committed. Rows carry the ivm config stamp, so a run with IVM
+# switched off (Matview.set_enabled false) can never be diffed against an
+# IVM-on baseline.
 bench-views: build
 	PYTOND_SF=$(SF01) PYTOND_RUNS=2 PYTOND_WARMUP=1 \
 	  $(DUNE) exec bench/main.exe -- views --json-out BENCH_views_run.json

@@ -18,7 +18,7 @@
     lose the point of the exercise. Base tables are converted to the
     bigarray backing at catalog ingest ({!Catalog.add}); small
     intermediates stay on the GC heap where allocation is cheaper.
-    [PYTOND_BIGARRAY=0] disables the conversion and keeps legacy arrays
+    [set_bigarray false] disables the conversion and keeps heap arrays
     everywhere. *)
 
 open Value
@@ -53,13 +53,6 @@ type t = { ty : ty; data : data; nulls : Bitset.t option }
 let use_bigarray = ref true
 let set_bigarray b = use_bigarray := b
 let bigarray_enabled () = !use_bigarray
-
-let configure_from_env () =
-  match Sys.getenv_opt "PYTOND_BIGARRAY" with
-  | Some ("0" | "false" | "off") -> use_bigarray := false
-  | Some _ | None -> use_bigarray := true
-
-let () = configure_from_env ()
 
 let ivec_create n : ivec = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let fvec_create n : fvec = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n

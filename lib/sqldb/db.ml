@@ -31,14 +31,13 @@
     of entries that are not maintainable, plus each maintainable entry's
     one view build. The entry is updated in place either way. Entry views
     live and die with their entries (LRU eviction, tenant quota, replace)
-    and never appear in the view registry; [PYTOND_IVM=0]
-    ({!Matview.set_enabled}) sends every stale read down the recompute
-    path. Replacing a table drops its result entries and templates
-    outright (schema may change). Both caches share one LRU policy with a
-    per-owner quota, so one tenant cannot crowd out the others. Cache state
-    is mutex-protected; both caches stand down under fault injection and
-    can be switched off with {!set_cache_enabled} /
-    {!set_plancache_enabled}. *)
+    and never appear in the view registry; [Matview.set_enabled false]
+    sends every stale read down the recompute path. Replacing a table
+    drops its result entries and templates outright (schema may change).
+    Both caches share one LRU policy with a per-owner quota, so one tenant
+    cannot crowd out the others. Cache state is mutex-protected; both
+    caches stand down under fault injection and can be switched off with
+    {!set_cache_enabled} / {!set_plancache_enabled}. *)
 
 type backend = Vectorized | Compiled | Lingo
 
@@ -321,9 +320,9 @@ let make_room tbl ~cap ~owner_of ~tick_of ~owner ~quota =
 (* ------------------------------------------------------------------ *)
 
 (* Dictionary-encode low-cardinality string columns at ingest. On by default;
-   PYTOND_NO_DICT=1 (or [set_dict_encoding false]) keeps raw strings — the
-   bench harness uses the toggle for before/after comparisons. *)
-let dict_encoding = ref (Sys.getenv_opt "PYTOND_NO_DICT" = None)
+   [set_dict_encoding false] keeps raw strings — the bench harness uses the
+   toggle for before/after comparisons. *)
+let dict_encoding = ref true
 let set_dict_encoding b = dict_encoding := b
 let dict_encoding_enabled () = !dict_encoding
 

@@ -611,7 +611,7 @@ and stream ctx (p : plan) : Relation.t = materialize ctx p
 and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
   (* fused kernel first: branch-free mask filtering with in-loop
      accumulation over the base columns (see {!Kernel}); identical output
-     to the fold below, gated on plan shape and PYTOND_FUSE *)
+     to the fold below, gated on plan shape and [Kernel.fuse_enabled] *)
   match
     Kernel.fused_aggregate ~threads:ctx.threads ~catalog:ctx.catalog
       ~lookup:(fun name -> lookup ctx name)

@@ -47,8 +47,8 @@
     private scratch buffers and must be built on the worker that runs
     them (one [compile] per chunk, like {!Eval.compile_pred}).
 
-    [PYTOND_FUSE=0] disables every fused path (CI matrix leg); the
-    executors then run exactly the pre-fusion code. *)
+    [set_fuse false] disables every fused path; the executors then run
+    exactly the pre-fusion code. *)
 
 open Plan
 
@@ -61,14 +61,6 @@ let stride = 8192
 let use_fuse = ref true
 let fuse_enabled () = !use_fuse
 let set_fuse b = use_fuse := b
-
-let configure_from_env () =
-  use_fuse :=
-    match Sys.getenv_opt "PYTOND_FUSE" with
-    | Some ("0" | "false" | "off") -> false
-    | _ -> true
-
-let () = configure_from_env ()
 
 (* ------------------------------------------------------------------ *)
 (* Mask rendering                                                     *)

@@ -46,14 +46,9 @@
     injected faults are retried once with injection suppressed, mirroring
     [Db.execute]. *)
 
-(* PYTOND_IVM=0 keeps registration and view serving live but forces every
-   stale read through the full-recompute path — the fallback the CI matrix
-   leg proves out. *)
-let enabled_ref =
-  ref
-    (match Sys.getenv_opt "PYTOND_IVM" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
+(* [set_enabled false] keeps registration and view serving live but forces
+   every stale read through the full-recompute path. *)
+let enabled_ref = ref true
 
 let set_enabled b = enabled_ref := b
 let enabled () = !enabled_ref

@@ -19,10 +19,8 @@
     (planner-estimated, then actual) build cardinality against
     [min_rows].
 
-    Environment knobs: [PYTOND_RADIX=0] disables partitioning entirely
-    (legacy single-table path, kept as a CI matrix leg), [PYTOND_RADIX_MIN]
-    overrides the row threshold — tests force the radix path with
-    [set_min_rows 0].
+    [set_enabled false] disables partitioning entirely (the single-table
+    path); tests force the radix path with [set_min_rows 0].
 
     Every scatter chunk and per-partition build is a {!Guard} checkpoint
     and a {!Faults} injection site ("radix.scatter", "radix.build"); chunk
@@ -34,32 +32,11 @@ let default_min_rows = 8192
 
 let enabled_ref = ref true
 let min_rows_ref = ref default_min_rows
-let agg_enabled_ref = ref true
 
 let enabled () = !enabled_ref
 let set_enabled b = enabled_ref := b
 let min_rows () = !min_rows_ref
 let set_min_rows n = min_rows_ref := max 0 n
-let agg_enabled () = !agg_enabled_ref
-let set_agg_enabled b = agg_enabled_ref := b
-
-let configure_from_env () =
-  (enabled_ref :=
-     match Sys.getenv_opt "PYTOND_RADIX" with
-     | Some ("0" | "false" | "off") -> false
-     | _ -> true);
-  (agg_enabled_ref :=
-     match Sys.getenv_opt "PYTOND_RADIX_AGG" with
-     | Some ("0" | "false" | "off") -> false
-     | _ -> true);
-  min_rows_ref :=
-    (match
-       Option.bind (Sys.getenv_opt "PYTOND_RADIX_MIN") int_of_string_opt
-     with
-    | Some v -> max 0 v
-    | None -> default_min_rows)
-
-let () = configure_from_env ()
 
 (* Partition when the build side is big enough to amortize the two extra
    passes. With one worker the cache-residency win alone rarely pays at our
@@ -249,7 +226,7 @@ let scan_test (t : t) (c : Column.t) : int -> bool =
    size gate declines. *)
 let group_parts ~threads ?(base = Fun.id) (cols : Column.t array)
     (idxs : int list) ~(n : int) : int array array option =
-  if (not !agg_enabled_ref) || not (should ~rows:n ~threads) then None
+  if not (should ~rows:n ~threads) then None
   else
     let hash = Hash_util.row_hash ~null_as_key:true cols idxs in
     let nparts = 1 lsl partition_bits ~rows:n ~threads () in

@@ -61,7 +61,7 @@ let to_bigarray ?(threads = 1) t =
         (Parallel.map_list ~threads
            (Array.to_list (Array.map (fun c () -> Column.to_bigarray c) t.cols))) }
 
-(* Back to GC-heap arrays (the PYTOND_BIGARRAY=0 path and tests). *)
+(* Back to GC-heap arrays (the [Column.set_bigarray false] path and tests). *)
 let to_legacy t = { t with cols = Array.map Column.to_legacy t.cols }
 
 (* Decode all dictionary columns back to raw strings (equivalence tests). *)

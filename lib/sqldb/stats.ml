@@ -7,7 +7,7 @@
     are exact when cheap — dictionary columns read the dictionary size,
     low-cardinality data is counted outright — and otherwise estimated from
     a deterministic stride sample with a GEE-style estimator, so the
-    numbers are identical whether or not [PYTOND_NO_DICT] is set.
+    numbers are identical with dictionary encoding on or off.
 
     Zone maps cover numeric columns (ints, dates, floats) in
     [block_size]-row blocks — the same granularity as the compiled

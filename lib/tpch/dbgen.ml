@@ -131,8 +131,8 @@ let date_lo = Value.date_of_iso "1992-01-01"
 let date_hi = Value.date_of_iso "1998-08-02"
 
 (* Categorical column from a known domain: built dictionary-coded (no
-   per-row string allocation) when encoding is enabled, raw strings when the
-   PYTOND_NO_DICT toggle asks for the unencoded baseline. *)
+   per-row string allocation) when encoding is enabled, raw strings when
+   [Db.set_dict_encoding false] asks for the unencoded baseline. *)
 let coded (values : string array) (codes : int array) : Column.t =
   if Db.dict_encoding_enabled () then Column.of_coded values codes
   else Column.of_strings (Array.map (fun c -> values.(c)) codes)

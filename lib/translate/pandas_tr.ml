@@ -468,8 +468,14 @@ let emit_global_agg st ~name (src : rel_info) (t : term) (fn : agg_fn) : sym =
     | Avg -> Value.TFloat
     | Sum | Min | Max -> term_ty src t
   in
+  (* Pandas sums no rows to 0, SQL to NULL. *)
   let agg_term =
-    match fn with CountStar -> Agg (CountStar, Const (CInt 1)) | fn -> Agg (fn, t)
+    match fn with
+    | CountStar -> Agg (CountStar, Const (CInt 1))
+    | Sum ->
+      let zero = if ty = Value.TInt then CInt 0 else CFloat 0. in
+      Ext ("coalesce", [ Agg (Sum, t); Const zero ])
+    | fn -> Agg (fn, t)
   in
   let _ =
     emit_simple st ~name ~src ~extra:[] ~outs:[ ("agg", agg_term, ty) ] ()

@@ -89,3 +89,80 @@ let contains_sub (sub : string) (s : string) : bool =
     i + lsub <= ls && (String.equal (String.sub s i lsub) sub || at (i + 1))
   in
   lsub = 0 || at 0
+
+(* ------------------------------------------------------------------ *)
+(* Engine configuration                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] with the given engine toggles and parallel dispatch mode set
+   through their setters, then restore every one, whatever [f] does.
+   Dictionary encoding and column backing are decided at ingest, so only a
+   database built inside [f] takes them up. *)
+let with_config ?radix ?radix_min_rows ?dict ?bigarray ?fuse ?ivm ?cache
+    ?plancache ?parallel (f : unit -> 'a) : 'a =
+  let toggle get set v =
+    let saved = get () in
+    Option.iter set v;
+    fun () -> set saved
+  in
+  let restore =
+    [ toggle Radix.enabled Radix.set_enabled radix;
+      toggle Radix.min_rows Radix.set_min_rows radix_min_rows;
+      toggle Db.dict_encoding_enabled Db.set_dict_encoding dict;
+      toggle Column.bigarray_enabled Column.set_bigarray bigarray;
+      toggle Kernel.fuse_enabled Kernel.set_fuse fuse;
+      toggle Matview.enabled Matview.set_enabled ivm;
+      toggle Db.cache_enabled_now Db.set_cache_enabled cache;
+      toggle Db.plancache_enabled_now Db.set_plancache_enabled plancache;
+      toggle Parallel.current_mode Parallel.set_mode parallel ]
+  in
+  Fun.protect ~finally:(fun () -> List.iter (fun r -> r ()) restore) f
+
+(* ------------------------------------------------------------------ *)
+(* Differential runner                                                *)
+(* ------------------------------------------------------------------ *)
+
+let backends = [ Db.Vectorized; Db.Compiled ]
+let thread_counts = [ 1; 3 ]
+
+(* Exact ordered row rendering: [Relation.canonical] sorts and rounds,
+   which would mask an order change or a low-bit divergence. *)
+let ordered_rows (r : Relation.t) : string list =
+  List.init (Relation.n_rows r) (fun i ->
+      String.concat "|"
+        (Array.to_list (Array.map Value.to_string (Relation.row r i))))
+
+(* Join, filter and global-aggregate output order is an invariant (probe
+   order, survivor order, one row) and compares exactly. GROUP BY output
+   order is not: radix aggregation emits partition-major, the vectorized
+   dense path slot order, the compiled path first-seen order. Grouped
+   answers compare as sorted multisets, still with exact cells. *)
+let has_group_by sql = contains_sub "GROUP BY" sql
+
+(* Run every query under [base] and under [subject] (each a [with_config]
+   partial application) on both backends at 1 and 3 threads, with the
+   result cache off: a cached result from one configuration would answer
+   the other without executing it. *)
+let diff_queries ~label ~base ~subject (db : Db.t) (queries : string list) =
+  with_config ~cache:false (fun () ->
+      List.iter
+        (fun sql ->
+          List.iter
+            (fun backend ->
+              List.iter
+                (fun threads ->
+                  let run config =
+                    let rows =
+                      ordered_rows
+                        (config (fun () -> Db.execute ~backend ~threads db sql))
+                    in
+                    if has_group_by sql then List.sort String.compare rows
+                    else rows
+                  in
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s %s @%dt | %s" label
+                       (Db.backend_name backend) threads sql)
+                    (run base) (run subject))
+                thread_counts)
+            backends)
+        queries)

@@ -63,15 +63,7 @@ let test_high_cardinality_stays_raw () =
 
 (* Build the same database twice, once per encoding toggle. *)
 let with_encodings (build : unit -> 'a) : 'a * 'a =
-  let saved = Db.dict_encoding_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_dict_encoding saved)
-    (fun () ->
-      Db.set_dict_encoding true;
-      let dict = build () in
-      Db.set_dict_encoding false;
-      let raw = build () in
-      (dict, raw))
+  (with_config ~dict:true build, with_config ~dict:false build)
 
 let string_db () =
   let db = Db.create () in
@@ -141,8 +133,7 @@ let test_roundtrip_pipeline () =
   let dict, raw = with_encodings (fun () -> Db.execute (string_db ()) sql) in
   check_rel "pipeline round-trip" raw (Relation.decode_strings dict);
   (* the dictionary db really stores dict columns *)
-  Db.set_dict_encoding true;
-  let db = string_db () in
+  let db = with_config ~dict:true string_db in
   let items = (Catalog.find (Db.catalog db) "items").Catalog.rel in
   Alcotest.(check bool) "grp is dict" true
     (Column.is_dict (Relation.column items "grp"));

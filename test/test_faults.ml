@@ -19,10 +19,6 @@ let configs =
   [ (Pytond.Vectorized, 1, "vec@1"); (Pytond.Vectorized, 3, "vec@3");
     (Pytond.Compiled, 1, "comp@1"); (Pytond.Compiled, 3, "comp@3") ]
 
-(* SUM over an empty selection is 0.0 in pandas but NULL in SQL (q19 at tiny
-   scale factors selects nothing). *)
-let norm rows = match rows with [ "NULL" ] -> [ "0.000" ] | rows -> rows
-
 (* Run [source] against [db] under seed-armed faults on one configuration.
    Acceptable outcomes: the reference relation, or a typed [Pytond.Error].
    Anything else — an untyped exception, a mismatching relation — fails. *)
@@ -34,8 +30,8 @@ let oracle_one ~label ~db ~source ~reference ~seed (backend, threads, cfg) =
       (match Pytond.run ~backend ~threads ~db ~source ~fname:"query" () with
       | r ->
         check_rows_close ~digits:3 (tag ^ " run")
-          (norm (Sqldb.Relation.canonical ~digits:3 reference))
-          (norm (Sqldb.Relation.canonical ~digits:3 r))
+          (Sqldb.Relation.canonical ~digits:3 reference)
+          (Sqldb.Relation.canonical ~digits:3 r)
       | exception Pytond.Error _ -> ());
       (* run_auto: must always produce the reference (fallback rescues any
          escaped exec fault; translate errors cannot occur here) *)
@@ -44,8 +40,8 @@ let oracle_one ~label ~db ~source ~reference ~seed (backend, threads, cfg) =
         Pytond.run_auto ~backend ~threads ~db ~source ~fname:"query" ()
       in
       check_rows_close ~digits:3 (tag ^ " run_auto")
-        (norm (Sqldb.Relation.canonical ~digits:3 reference))
-        (norm (Sqldb.Relation.canonical ~digits:3 a.Pytond.relation)))
+        (Sqldb.Relation.canonical ~digits:3 reference)
+        (Sqldb.Relation.canonical ~digits:3 a.Pytond.relation))
 
 let oracle ~label ~db ~source ~seed =
   Faults.disarm ();
@@ -75,13 +71,8 @@ let tpch_oracle seed =
    again once disarmed, even when faulty runs happened in between. *)
 let cache_interaction_test =
   tc "query cache stands down under faults, recovers after" (fun () ->
-      let saved_cache = Sqldb.Db.cache_enabled_now () in
-      Fun.protect
-        ~finally:(fun () ->
-          Sqldb.Db.set_cache_enabled saved_cache;
-          Faults.arm_from_env ())
-        (fun () ->
-          Sqldb.Db.set_cache_enabled true;
+      Fun.protect ~finally:Faults.arm_from_env (fun () ->
+          with_config ~cache:true @@ fun () ->
           Faults.disarm ();
           let db = Tpch.Dbgen.make_db 0.005 in
           let source = Tpch.Queries.find "q6" in

@@ -20,71 +20,9 @@
 open Sqldb
 open Helpers
 
-(* Run [f] with the fused kernels forced on or off, restoring the global
-   toggle afterwards. *)
-let with_fuse enabled (f : unit -> 'a) : 'a =
-  let saved = Kernel.fuse_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Kernel.set_fuse saved)
-    (fun () ->
-      Kernel.set_fuse enabled;
-      f ())
-
-(* Exact ordered row rendering — [Relation.canonical] rounds floats, which
-   would mask a low-bit divergence between fused and unfused sums. *)
-let ordered_rows (r : Relation.t) : string list =
-  List.init (Relation.n_rows r) (fun i ->
-      String.concat "|"
-        (Array.to_list (Array.map Value.to_string (Relation.row r i))))
-
-(* Filter and global-aggregate output order is an invariant (survivor
-   order / single row) and compares exactly. GROUP BY output order is
-   first-seen on the compiled path but slot-order on the vectorized dense
-   path, so grouped answers compare as sorted multisets — still with
-   exact cell rendering. *)
-let has_group_by sql =
-  let pat = "GROUP BY" in
-  let n = String.length sql and m = String.length pat in
-  let rec go i = i + m <= n && (String.sub sql i m = pat || go (i + 1)) in
-  go 0
-
-let backends = [ Db.Vectorized; Db.Compiled ]
-let thread_counts = [ 1; 3 ]
-
-let diff_queries ~label (db : Db.t) (queries : string list) =
-  let saved_cache = Db.cache_enabled_now () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_cache_enabled saved_cache)
-    (fun () ->
-      (* a cached result from one configuration would satisfy the other
-         without executing it, defeating the differential *)
-      Db.set_cache_enabled false;
-      List.iter
-        (fun sql ->
-          List.iter
-            (fun backend ->
-              List.iter
-                (fun threads ->
-                  let base =
-                    with_fuse false (fun () ->
-                        Db.execute ~backend ~threads db sql)
-                  in
-                  let fused =
-                    with_fuse true (fun () ->
-                        Db.execute ~backend ~threads db sql)
-                  in
-                  let render r =
-                    let rows = ordered_rows r in
-                    if has_group_by sql then List.sort String.compare rows
-                    else rows
-                  in
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "%s %s @%dt | %s" label
-                       (Db.backend_name backend) threads sql)
-                    (render base) (render fused))
-                thread_counts)
-            backends)
-        queries)
+let fused f = with_config ~fuse:true f
+let unfused f = with_config ~fuse:false f
+let diff_queries = diff_queries ~base:unfused ~subject:fused
 
 (* ------------------------------------------------------------------ *)
 (* Dataset                                                            *)
@@ -172,11 +110,7 @@ let test_filters () = diff_queries ~label:"filter" (fused_db ()) filter_queries
 (* Dict predicates must also agree with encoding disabled: raw string
    columns take the generic cmp-leaf path instead of the code tables. *)
 let test_raw_strings () =
-  let saved = Db.dict_encoding_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_dict_encoding saved)
-    (fun () ->
-      Db.set_dict_encoding false;
+  with_config ~dict:false (fun () ->
       diff_queries ~label:"raw-strings" (fused_db ())
         [ "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE tag = 'alpha'";
           "SELECT SUM(a) AS s FROM t WHERE tag <> 'beta' AND k < 50";
@@ -185,11 +119,7 @@ let test_raw_strings () =
 (* And with the bigarray backing store disabled: the kernels' legacy
    int/float-array loops must produce the same masks and sums. *)
 let test_legacy_arrays () =
-  let saved = Column.bigarray_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Column.set_bigarray saved)
-    (fun () ->
-      Column.set_bigarray false;
+  with_config ~bigarray:false (fun () ->
       diff_queries ~label:"legacy-arrays" (fused_db ())
         [ "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 40";
           "SELECT SUM(v / b) AS s FROM t WHERE k <> 13";
@@ -234,21 +164,17 @@ let test_neumaier_sum () =
     | Value.VFloat f -> f
     | v -> Alcotest.failf "expected VFloat, got %s" (Value.to_string v)
   in
-  let saved_cache = Db.cache_enabled_now () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_cache_enabled saved_cache)
-    (fun () ->
-      Db.set_cache_enabled false;
+  with_config ~cache:false (fun () ->
       List.iter
         (fun backend ->
           List.iter
             (fun threads ->
               let off =
-                with_fuse false (fun () ->
+                unfused (fun () ->
                     sum_of (Db.execute ~backend ~threads db sql))
               in
               let on =
-                with_fuse true (fun () ->
+                fused (fun () ->
                     sum_of (Db.execute ~backend ~threads db sql))
               in
               (* fused == unfused bit-for-bit at the same thread count *)
@@ -267,41 +193,17 @@ let test_neumaier_sum () =
         backends)
 
 (* ------------------------------------------------------------------ *)
-(* Environment configuration                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_env_config () =
-  let saved = Kernel.fuse_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PYTOND_FUSE" "";
-      Kernel.set_fuse saved)
-    (fun () ->
-      Unix.putenv "PYTOND_FUSE" "0";
-      Kernel.configure_from_env ();
-      Alcotest.(check bool) "PYTOND_FUSE=0 disables" false (Kernel.fuse_enabled ());
-      Unix.putenv "PYTOND_FUSE" "1";
-      Kernel.configure_from_env ();
-      Alcotest.(check bool) "PYTOND_FUSE=1 enables" true (Kernel.fuse_enabled ()))
-
-(* ------------------------------------------------------------------ *)
 (* Faults soak: kernel checkpoints recover to the clean answer        *)
 (* ------------------------------------------------------------------ *)
 
 let test_faults_soak () =
-  let saved_cache = Db.cache_enabled_now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Db.set_cache_enabled saved_cache;
-      Faults.arm_from_env ())
-    (fun () ->
-      Db.set_cache_enabled false;
-      let db = fused_db () in
-      let sql =
-        "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 60 \
-         GROUP BY tag"
-      in
-      with_fuse true (fun () ->
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
+      with_config ~cache:false ~fuse:true (fun () ->
+          let db = fused_db () in
+          let sql =
+            "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 60 \
+             GROUP BY tag"
+          in
           Faults.disarm ();
           let reference = Db.execute ~threads:3 db sql in
           List.iter
@@ -327,5 +229,4 @@ let suites =
     ( "fused-sums",
       [ tc "neumaier chunked vs serial" test_neumaier_sum ] );
     ( "fused-config",
-      [ tc "env toggles" test_env_config;
-        tc "fault recovery with kernels on" test_faults_soak ] ) ]
+      [ tc "fault recovery with kernels on" test_faults_soak ] ) ]

@@ -267,18 +267,8 @@ let queries (cs : case) : (string * string list) list =
 (* ------------------------------------------------------------------ *)
 
 let with_radix forced f =
-  let saved_enabled = Radix.enabled () and saved_min = Radix.min_rows () in
-  Fun.protect
-    ~finally:(fun () ->
-      Radix.set_enabled saved_enabled;
-      Radix.set_min_rows saved_min)
-    (fun () ->
-      if forced then begin
-        Radix.set_enabled true;
-        Radix.set_min_rows 0
-      end
-      else Radix.set_enabled false;
-      f ())
+  if forced then with_config ~radix:true ~radix_min_rows:0 f
+  else with_config ~radix:false f
 
 let check_case (cs : case) () =
   List.iter

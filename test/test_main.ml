@@ -7,4 +7,4 @@ let () =
    @ Test_numpy_api.suites @ Test_pipeline.suites @ Test_errors.suites
    @ Test_faults.suites @ Test_stats.suites @ Test_radix.suites
    @ Test_fused.suites @ Test_server.suites @ Test_matview.suites
-   @ Test_plancache.suites @ Test_keytab.suites)
+   @ Test_plancache.suites @ Test_keytab.suites @ Test_config.suites)

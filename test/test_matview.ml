@@ -153,20 +153,15 @@ let oracle ?(rounds = 3) ~q db =
       (Relation.canonical ~digits:3 (Db.execute (Db.snapshot db) sql))
       (Relation.canonical ~digits:3 served)
   done;
-  (* counter expectations only apply on the delta path; with PYTOND_IVM=0
-     every stale read above took the recompute fallback and the
-     differential checks are the whole point of the run *)
-  if Matview.enabled () then begin
-    Alcotest.(check int)
-      (q ^ " appends maintained incrementally")
-      rounds
-      ((Db.cache_stats db).Db.delta_refreshes - before);
-    (* a second read with no intervening write is a pure view hit *)
-    let vh = (Db.cache_stats db).Db.view_hits in
-    ignore (Db.execute db sql);
-    Alcotest.(check int) (q ^ " fresh read hits") (vh + 1)
-      (Db.cache_stats db).Db.view_hits
-  end
+  Alcotest.(check int)
+    (q ^ " appends maintained incrementally")
+    rounds
+    ((Db.cache_stats db).Db.delta_refreshes - before);
+  (* a second read with no intervening write is a pure view hit *)
+  let vh = (Db.cache_stats db).Db.view_hits in
+  ignore (Db.execute db sql);
+  Alcotest.(check int) (q ^ " fresh read hits") (vh + 1)
+    (Db.cache_stats db).Db.view_hits
 
 let test_oracle_q1 () = oracle ~q:"q1" (Tpch.Dbgen.make_db 0.005)
 let test_oracle_q6 () = oracle ~q:"q6" (Tpch.Dbgen.make_db 0.005)
@@ -246,9 +241,8 @@ let test_grouped_filter_view () =
                (Db.execute ~backend ~threads db grp_sql)))
         [ 1; 3 ])
     [ Db.Vectorized; Db.Compiled ];
-  if Matview.enabled () then
-    Alcotest.(check int) "exactly one delta refresh" 1
-      (Db.cache_stats db).Db.delta_refreshes
+  Alcotest.(check int) "exactly one delta refresh" 1
+    (Db.cache_stats db).Db.delta_refreshes
 
 (* DISTINCT aggregates: the view keeps each group's seen argument values
    across refreshes, so appended duplicates of already-counted values
@@ -313,9 +307,8 @@ let test_distinct_aggregate_view () =
   Alcotest.(check (list string))
     "counts after append" [ "1|2|2|3|5"; "2|1|2|3|2"; "3|1|1|4|1" ]
     (Relation.canonical ~digits:0 (Db.execute db (List.hd distinct_sqls)));
-  if Matview.enabled () then
-    Alcotest.(check int) "delta refreshes" 2
-      (Db.cache_stats db).Db.delta_refreshes
+  Alcotest.(check int) "delta refreshes" 2
+    (Db.cache_stats db).Db.delta_refreshes
 
 (* ------------------------------------------------------------------ *)
 (* Fallback: non-maintainable plans recompute, with a typed reason      *)
@@ -356,6 +349,30 @@ let test_explain_maintainable () =
     (Helpers.contains_sub "matview: maintainable" (Db.explain db sql));
   Alcotest.(check bool) "q1 driver reported" true
     (Helpers.contains_sub "driver=lineitem" (Db.explain db sql))
+
+(* The delta engine's verdict on each TPC-H program: maintainable, or the
+   reason it is not. A translation or planner change that moves a program
+   off (or onto) the delta path shows up here first. *)
+let test_tpch_verdicts () =
+  let db = Tpch.Dbgen.make_db 0.002 in
+  let verdict q =
+    match Planner.analyze_ivm (Db.plan db (tpch_sql db q)) with
+    | Ok _ -> "maintainable"
+    | Error r -> Planner.ivm_reason_to_string r
+  in
+  let multi = "multi-use CTE survives inlining"
+  and semi = "semi/anti join in the delta stream"
+  and nested = "nested aggregate below the view aggregate" in
+  Alcotest.(check (list (pair string string)))
+    "analyze_ivm verdicts"
+    [ ("q1", "maintainable"); ("q2", multi); ("q3", "maintainable");
+      ("q4", semi); ("q5", "maintainable"); ("q6", "maintainable");
+      ("q7", multi); ("q8", "same base table scanned more than once");
+      ("q9", "maintainable"); ("q10", "maintainable"); ("q11", multi);
+      ("q12", "maintainable"); ("q13", nested); ("q14", multi);
+      ("q15", multi); ("q16", semi); ("q17", multi); ("q18", nested);
+      ("q19", "maintainable"); ("q20", semi); ("q21", multi); ("q22", multi) ]
+    (List.map (fun (q, _) -> (q, verdict q)) Tpch.Queries.all)
 
 (* ------------------------------------------------------------------ *)
 (* Crash consistency: a failed refresh leaves the previous version      *)
@@ -415,15 +432,11 @@ let test_faulty_refresh_differential () =
       done)
 
 (* ------------------------------------------------------------------ *)
-(* PYTOND_IVM=0: fallback recompute path stays live                     *)
+(* IVM switched off: fallback recompute path stays live                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_ivm_disabled () =
-  let saved = Matview.enabled () in
-  Matview.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Matview.set_enabled saved)
-    (fun () ->
+  Helpers.with_config ~ivm:false (fun () ->
       let db = grp_db () in
       ok_or_fail (Db.register_view db ~name:"g" grp_sql);
       Db.append_table db "a"
@@ -465,12 +478,10 @@ let test_owner_counters_and_quota () =
     (Helpers.rel [ "x"; "grp" ]
        [ Helpers.floats [| 1.0 |]; Helpers.ints [| 1 |] ]);
   ignore (Db.execute ~owner:"t2" db grp_sql);
-  if Matview.enabled () then begin
-    let _, _, _, vh, dr, _ = Db.owner_stats db "t2" in
-    Alcotest.(check (pair int int)) "t2: one hit, one delta" (1, 1) (vh, dr);
-    let _, _, _, vh1, dr1, _ = Db.owner_stats db "t1" in
-    Alcotest.(check (pair int int)) "t1 never read" (0, 0) (vh1, dr1)
-  end
+  let _, _, _, vh, dr, _ = Db.owner_stats db "t2" in
+  Alcotest.(check (pair int int)) "t2: one hit, one delta" (1, 1) (vh, dr);
+  let _, _, _, vh1, dr1, _ = Db.owner_stats db "t1" in
+  Alcotest.(check (pair int int)) "t1 never read" (0, 0) (vh1, dr1)
 
 let test_replace_triggers_replan () =
   let db = grp_db () in
@@ -545,12 +556,10 @@ let append_copies db name ~n ~k =
        (Array.init n (fun i -> ((k * 131) + i) mod Relation.n_rows rel)))
 
 (* Every cached read, through whichever path serves it, must answer what
-   a cold run on a snapshot of the same data answers. Counters are checked
-   only where the result cache and the delta engine are both live: with
-   faults armed the cache stands down, and with IVM off every stale read
-   recomputes. *)
-let cache_differential backend () =
-  let db = Tpch.Dbgen.make_db 0.01 in
+   a cold run on a snapshot of the same data answers. With [counting], the
+   serving path of every read is checked too: which reads miss, recompute,
+   refresh by delta or hit. *)
+let cache_sequence ~counting backend db =
   let keys = dashboard_keys db in
   List.iter
     (fun (label, _, _, maint) ->
@@ -559,7 +568,6 @@ let cache_differential backend () =
         (not (String.starts_with ~prefix:"q14" label))
         maint)
     keys;
-  let counting = Matview.enabled () && not (Faults.armed ()) in
   let count f = List.length (List.filter f keys) in
   let round what ~stale =
     let before = Db.cache_stats db in
@@ -619,11 +627,16 @@ let cache_differential backend () =
   round "append after replace" ~stale:(`Promote "lineitem");
   maintained "append after replace" n_maint
 
+(* With faults armed the cache stands down, so no read counts. *)
+let cache_differential backend () =
+  cache_sequence ~counting:(not (Faults.armed ())) backend
+    (Tpch.Dbgen.make_db 0.01)
+
 (* LRU eviction drops an entry's view with the entry: once evicted and
    re-read, the key starts over as a miss and promotes again. *)
 let test_cache_eviction_drops_view () =
   let db = grp_db () in
-  let counting = Matview.enabled () && not (Faults.armed ()) in
+  let counting = not (Faults.armed ()) in
   let append k =
     Db.append_table db "a"
       (Helpers.rel [ "x"; "grp" ]
@@ -676,7 +689,8 @@ let suites =
       [ tc "join without aggregate recomputes with typed reason"
           test_fallback_join_without_agg;
         tc "explain reports maintainability" test_explain_maintainable;
-        tc "PYTOND_IVM=0 forces recompute" test_ivm_disabled ] );
+        tc "TPC-H analyze_ivm verdicts" test_tpch_verdicts;
+        tc "IVM off forces recompute" test_ivm_disabled ] );
     ( "matview-crash",
       [ tc "tripped refresh keeps previous version"
           test_crashed_refresh_keeps_version;

@@ -183,23 +183,7 @@ let e2e_tpch =
             [ (Pytond.O4, Pytond.Vectorized, "O4/vec");
               (Pytond.O4, Pytond.Compiled, "O4/comp");
               (Pytond.O0, Pytond.Compiled, "O0/comp") ]))
-    (List.filter (fun (n, _) -> not (List.mem n [ "q17"; "q19" ])) Tpch.Queries.all)
-  @ List.map
-      (fun qname ->
-        tc (qname ^ " (empty-sum tolerance)") (fun () ->
-            (* scalar results: SUM over an empty selection is 0.0 in pandas
-               but NULL in SQL; normalize before comparing *)
-            let db = Lazy.force db in
-            let source = Tpch.Queries.find qname in
-            let base = Pytond.run_python ~db ~source ~fname:"query" () in
-            let r = Pytond.run ~db ~source ~fname:"query" () in
-            let norm rel =
-              match Sqldb.Relation.canonical ~digits:3 rel with
-              | [ "NULL" ] -> [ "0.000" ]
-              | rows -> rows
-            in
-            Alcotest.(check (list string)) qname (norm base) (norm r)))
-      [ "q17"; "q19" ]
+    Tpch.Queries.all
 
 let e2e_workloads =
   List.map

@@ -153,10 +153,7 @@ let test_faults_stand_down =
 (* ------------------------------------------------------------------ *)
 
 (* Run [f] with the plan cache force-enabled, restoring the prior state. *)
-let with_plancache f () =
-  let prev = Db.plancache_enabled_now () in
-  Db.set_plancache_enabled true;
-  Fun.protect ~finally:(fun () -> Db.set_plancache_enabled prev) f
+let with_plancache f () = with_config ~plancache:true f
 
 let test_bind_hit =
   tc "same shape, new constant: bound without replanning"
@@ -179,11 +176,7 @@ let test_bind_hit =
 let test_toggle =
   tc "set_plancache_enabled toggle" (fun () ->
       let db = mini_db () in
-      let prev = Db.plancache_enabled_now () in
-      Db.set_plancache_enabled false;
-      Fun.protect
-        ~finally:(fun () -> Db.set_plancache_enabled prev)
-        (fun () ->
+      with_config ~plancache:false (fun () ->
           ignore (Db.execute db "SELECT o_id FROM orders WHERE o_cust = 10");
           ignore (Db.execute db "SELECT o_id FROM orders WHERE o_cust = 20");
           let s = Db.cache_stats db in

@@ -17,77 +17,11 @@
 open Sqldb
 open Helpers
 
-(* Run [f] under a forced radix configuration, restoring the global
-   toggles afterwards. [`Forced] also drops the row threshold to zero so
-   even tiny test tables take the partitioned path at 1 thread. *)
-let with_radix mode (f : unit -> 'a) : 'a =
-  let saved_enabled = Radix.enabled () and saved_min = Radix.min_rows () in
-  Fun.protect
-    ~finally:(fun () ->
-      Radix.set_enabled saved_enabled;
-      Radix.set_min_rows saved_min)
-    (fun () ->
-      (match mode with
-      | `Forced ->
-        Radix.set_enabled true;
-        Radix.set_min_rows 0
-      | `Off -> Radix.set_enabled false);
-      f ())
-
-(* Exact ordered row rendering — [Relation.canonical] sorts, which would
-   mask an order-changing bug in the partition-merge scatter. *)
-let ordered_rows (r : Relation.t) : string list =
-  List.init (Relation.n_rows r) (fun i ->
-      String.concat "|"
-        (Array.to_list (Array.map Value.to_string (Relation.row r i))))
-
-(* Join output order is an implementation invariant (probe order, matches
-   ascending) and is compared exactly. GROUP BY output order is not: radix
-   aggregation emits partition-major while the single-table path emits in
-   first-seen order, so aggregate results compare as multisets. *)
-let has_group_by sql =
-  let pat = "GROUP BY" in
-  let n = String.length sql and m = String.length pat in
-  let rec go i = i + m <= n && (String.sub sql i m = pat || go (i + 1)) in
-  go 0
-
-let backends = [ Db.Vectorized; Db.Compiled ]
-let thread_counts = [ 1; 3 ]
-
-let diff_queries ~label (db : Db.t) (queries : string list) =
-  let saved_cache = Db.cache_enabled_now () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_cache_enabled saved_cache)
-    (fun () ->
-      (* a cached result from one configuration would satisfy the other
-         without executing it, defeating the differential *)
-      Db.set_cache_enabled false;
-      List.iter
-        (fun sql ->
-          List.iter
-            (fun backend ->
-              List.iter
-                (fun threads ->
-                  let base =
-                    with_radix `Off (fun () ->
-                        Db.execute ~backend ~threads db sql)
-                  in
-                  let rad =
-                    with_radix `Forced (fun () ->
-                        Db.execute ~backend ~threads db sql)
-                  in
-                  let render r =
-                    let rows = ordered_rows r in
-                    if has_group_by sql then List.sort String.compare rows
-                    else rows
-                  in
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "%s %s @%dt | %s" label
-                       (Db.backend_name backend) threads sql)
-                    (render base) (render rad))
-                thread_counts)
-            backends)
-        queries)
+(* Radix forced on every join (the row threshold drops to zero, so even
+   tiny tables partition at 1 thread) against radix off. *)
+let forced f = with_config ~radix:true ~radix_min_rows:0 f
+let off f = with_config ~radix:false f
+let diff_queries = diff_queries ~base:off ~subject:forced
 
 (* ------------------------------------------------------------------ *)
 (* Datasets                                                           *)
@@ -211,57 +145,24 @@ let test_sparse () = diff_queries ~label:"sparse" (sparse_db ()) int_key_queries
 (* Dict-key differential must also hold with encoding disabled: raw string
    keys take the decode hash path. *)
 let test_dict_keys_raw () =
-  let saved = Db.dict_encoding_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Db.set_dict_encoding saved)
-    (fun () ->
-      Db.set_dict_encoding false;
+  with_config ~dict:false (fun () ->
       diff_queries ~label:"dictkey-raw" (dictkey_db ())
         [ "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k";
           "SELECT p.id, b.w FROM probe AS p LEFT JOIN build AS b \
            ON p.k = b.k" ])
 
 (* ------------------------------------------------------------------ *)
-(* Environment configuration                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_env_config () =
-  let saved_enabled = Radix.enabled () and saved_min = Radix.min_rows () in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PYTOND_RADIX" "";
-      Unix.putenv "PYTOND_RADIX_MIN" "";
-      Radix.set_enabled saved_enabled;
-      Radix.set_min_rows saved_min)
-    (fun () ->
-      Unix.putenv "PYTOND_RADIX" "0";
-      Unix.putenv "PYTOND_RADIX_MIN" "123";
-      Radix.configure_from_env ();
-      Alcotest.(check bool) "PYTOND_RADIX=0 disables" false (Radix.enabled ());
-      Alcotest.(check int) "PYTOND_RADIX_MIN overrides" 123 (Radix.min_rows ());
-      Unix.putenv "PYTOND_RADIX" "1";
-      Unix.putenv "PYTOND_RADIX_MIN" "";
-      Radix.configure_from_env ();
-      Alcotest.(check bool) "PYTOND_RADIX=1 enables" true (Radix.enabled ()))
-
-(* ------------------------------------------------------------------ *)
 (* Faults soak: scatter/build checkpoints recover to the clean answer  *)
 (* ------------------------------------------------------------------ *)
 
 let test_faults_soak () =
-  let saved_cache = Db.cache_enabled_now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Db.set_cache_enabled saved_cache;
-      Faults.arm_from_env ())
-    (fun () ->
-      Db.set_cache_enabled false;
-      let db = skewed_db () in
-      let sql =
-        "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM probe AS p, \
-         build AS b WHERE p.k = b.k GROUP BY b.tag"
-      in
-      with_radix `Forced (fun () ->
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
+      with_config ~cache:false ~radix:true ~radix_min_rows:0 (fun () ->
+          let db = skewed_db () in
+          let sql =
+            "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM probe AS p, \
+             build AS b WHERE p.k = b.k GROUP BY b.tag"
+          in
           Faults.disarm ();
           let reference = Db.execute ~threads:3 db sql in
           List.iter
@@ -285,5 +186,4 @@ let suites =
         tc "raw string keys" test_dict_keys_raw;
         tc "sparse keys / empty partitions" test_sparse ] );
     ( "radix-config",
-      [ tc "env toggles" test_env_config;
-        tc "fault recovery under forced radix" test_faults_soak ] ) ]
+      [ tc "fault recovery under forced radix" test_faults_soak ] ) ]

@@ -180,16 +180,11 @@ let two_table_db () =
 
 (* the cache stands down while faults are armed, so pin it on for these *)
 let with_clean_cache f () =
-  let saved = Db.cache_enabled_now () in
   let refault = Faults.armed () in
   Faults.disarm ();
   Fun.protect
-    ~finally:(fun () ->
-      Db.set_cache_enabled saved;
-      if refault then Faults.arm_from_env ())
-    (fun () ->
-      Db.set_cache_enabled true;
-      f ())
+    ~finally:(fun () -> if refault then Faults.arm_from_env ())
+    (fun () -> Helpers.with_config ~cache:true f)
 
 let q_a = "SELECT SUM(x) AS s FROM a"
 
@@ -212,10 +207,7 @@ let append_a db =
   Db.append_table db "a" (Helpers.rel [ "x"; "grp" ]
       [ Helpers.ints [| 10 |]; Helpers.ints [| 0 |] ])
 
-let with_plancache on f =
-  let prev = Db.plancache_enabled_now () in
-  Db.set_plancache_enabled on;
-  Fun.protect ~finally:(fun () -> Db.set_plancache_enabled prev) f
+let with_plancache on f = Helpers.with_config ~plancache:on f
 
 (* A shape {!Planner.analyze_ivm} rejects (DISTINCT below the aggregate):
    every stale read binds the cached template and re-executes. *)
@@ -263,7 +255,7 @@ let test_cache_plan_reuse_on_append =
 
 (* A maintainable shape: its first stale read builds the entry's view
    (counted as a recompute), later stale reads apply the appended rows by
-   delta — no bind, no miss. With IVM off every stale read recomputes. *)
+   delta — no bind, no miss. *)
 let test_cache_delta_on_append =
   with_clean_cache (fun () ->
       with_plancache true (fun () ->
@@ -288,21 +280,13 @@ let test_cache_delta_on_append =
       Alcotest.(check int) "no new miss" 1 cs.Db.misses;
       Alcotest.(check int) "entry updated in place" before.Db.entries
         cs.Db.entries;
-      if Matview.enabled () then begin
-        Alcotest.(check int) "one delta refresh"
-          (before.Db.delta_refreshes + 1)
-          cs.Db.delta_refreshes;
-        Alcotest.(check int) "no recompute" before.Db.plan_hits
-          cs.Db.plan_hits;
-        Alcotest.(check int) "no template bound" before.Db.bind_hits
-          cs.Db.bind_hits;
-        Alcotest.(check int) "entry holds its view" 1
-          cs.Db.maintained_entries
-      end
-      else begin
-        Alcotest.(check int) "IVM off: recomputed" 2 cs.Db.plan_hits;
-        Alcotest.(check int) "IVM off: no view" 0 cs.Db.maintained_entries
-      end;
+      Alcotest.(check int) "one delta refresh"
+        (before.Db.delta_refreshes + 1)
+        cs.Db.delta_refreshes;
+      Alcotest.(check int) "no recompute" before.Db.plan_hits cs.Db.plan_hits;
+      Alcotest.(check int) "no template bound" before.Db.bind_hits
+        cs.Db.bind_hits;
+      Alcotest.(check int) "entry holds its view" 1 cs.Db.maintained_entries;
       ignore (Db.execute db q_a);
       Alcotest.(check int) "hit after refresh" 1 (Db.cache_stats db).Db.hits))
 
@@ -468,21 +452,16 @@ let test_soak () =
   let server =
     Server.create ~workers:3 ~queue_cap:16 ~default_policy:policy ~exec ()
   in
-  let saved_mode = Parallel.current_mode () in
   (* Simulated keeps chunk dispatch (and its injection points) inline, so
      the soak's domain population stays bounded at clients + workers *)
-  Parallel.set_mode Parallel.Simulated;
+  Helpers.with_config ~parallel:Parallel.Simulated @@ fun () ->
   Faults.arm ~seed:20260808 ();
   let results = Array.make n_clients [] in
   let typed_errors = Atomic.make 0 in
   let untyped = ref [] in
   let untyped_lock = Mutex.create () in
   let overloads = Atomic.make 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Faults.arm_from_env ();
-      Parallel.set_mode saved_mode)
-    (fun () ->
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
       let client ci () =
         for i = 0 to queries_per_client - 1 do
           let qname, sql = List.nth qs ((ci + i) mod List.length qs) in

@@ -15,14 +15,8 @@ open Helpers
    PYTOND_FAULTS=<seed> in CI would make the cache stand down. Run [f] with
    faults disarmed and the cache on, then restore both. *)
 let with_clean_cache_env f =
-  let saved_cache = Db.cache_enabled_now () in
   Faults.disarm ();
-  Db.set_cache_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Db.set_cache_enabled saved_cache;
-      Faults.arm_from_env ())
-    f
+  Fun.protect ~finally:Faults.arm_from_env (fun () -> with_config ~cache:true f)
 
 (* ------------------------------------------------------------------ *)
 (* Column statistics                                                  *)
@@ -52,16 +46,11 @@ let test_basic_stats () =
     "s min/max" (Some ("x", "z")) s.Stats.str_range
 
 (* Dictionary columns report the exact dictionary size, and the raw layout
-   of the same data estimates the same number — stats are encoding-neutral
-   (the PYTOND_NO_DICT acceptance criterion). *)
+   of the same data estimates the same number — stats are encoding-neutral. *)
 let test_dict_distinct_consistency () =
   let data = Array.init 6000 (fun i -> Printf.sprintf "g%d" (i mod 37)) in
   let stats_with dict =
-    let saved = Db.dict_encoding_enabled () in
-    Db.set_dict_encoding dict;
-    Fun.protect
-      ~finally:(fun () -> Db.set_dict_encoding saved)
-      (fun () ->
+    with_config ~dict (fun () ->
         let db = Db.create () in
         Db.load_table db "t" (rel [ "g" ] [ strings data ]);
         (Option.get (Catalog.stats_opt (Db.catalog db) "t")).Stats.cols.(0))
