@@ -1,4 +1,6 @@
-(** Aggregate accumulators shared by the vectorized and compiled executors. *)
+(** The one aggregate state of the engine: the accumulators and group
+    tables that both executors, the fused kernels ({!Kernel}) and the
+    views ({!Matview}) fold through. *)
 
 open Value
 
@@ -16,11 +18,9 @@ let ksum () = { total = 0.; comp = 0. }
 
 (* The compensation recovered when adding [x] to a running total [s],
    where [t = s +. x]. This is THE Neumaier step: every compensated
-   accumulator in the engine (ksum, boxed acc, dense slot arrays, the
-   fused kernels in {!Kernel}) goes through this one function, so chunked,
-   radix-partitioned and fused sums all round identically. Note adding
-   [x = 0.0] is an exact no-op — [t = s] and the step returns [0.] — which
-   is what lets the branch-free kernels add [value * mask] for every row. *)
+   accumulator in the engine (ksum, boxed acc, dense slot arrays) goes
+   through this one function, so chunked, radix-partitioned, fused and
+   view sums all round identically. *)
 let[@inline] comp_step s x t =
   if Float.abs s >= Float.abs x then (s -. t) +. x else (x -. t) +. s
 
@@ -33,14 +33,75 @@ let kadd (k : ksum) (x : float) =
 let kfinish (k : ksum) = k.total +. k.comp
 
 (* Compensated add into a (sum, comp) float-array slot pair — the unboxed
-   accumulator shape used by dense aggregation and the fused kernels
-   (float stores into float arrays don't box, unlike record fields). *)
+   accumulator shape of the slot states below (float stores into float
+   arrays don't box, unlike record fields). *)
 let[@inline] kadd_slot (sum : float array) (comp : float array) k x =
   let s = Array.unsafe_get sum k in
   let t = s +. x in
   Array.unsafe_set comp k (Array.unsafe_get comp k +. comp_step s x t);
   Array.unsafe_set sum k t
 
+(* ------------------------------------------------------------------ *)
+(* Argument readers                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* An aggregate's argument as a per-row reader. The executors build it from
+   the argument column ({!column_arg}); the fused kernels ({!Kernel}) from
+   a compiled arithmetic expression over base columns. Either way the
+   accumulators below see the same values in the same row order, so every
+   path folds through the same arithmetic. *)
+type getter =
+  | GInt of (int -> int)
+  | GFloat of (int -> float)
+  | GBoxed of (int -> Value.t) (* strings, bools: boxed accumulators *)
+
+type arg = {
+  get : getter;
+  nulls : Bitset.t list; (* their union is the argument's null set *)
+  col : Column.t option; (* the argument column: keys a DISTINCT set *)
+}
+
+let column_arg (c : Column.t) : arg =
+  { get =
+      (match (Column.int_reader c, Column.float_reader c) with
+      | Some g, _ -> GInt g
+      | None, Some g -> GFloat g
+      | None, None -> GBoxed (Column.get c));
+    nulls = Option.to_list c.Column.nulls;
+    col = Some c }
+
+(* One reader per spec over [cols]; [None] for COUNT( * ). *)
+let column_args (specs : Plan.agg_spec array) (cols : Column.t array) :
+    arg option array =
+  Array.map
+    (fun (s : Plan.agg_spec) -> Option.map (fun i -> column_arg cols.(i)) s.arg)
+    specs
+
+(* A NULL argument row contributes neither to the count nor to the body. *)
+let valid_row (a : arg option) : int -> bool =
+  match a with
+  | None | Some { nulls = []; _ } -> fun _ -> true
+  | Some { nulls = [ b ]; _ } -> fun row -> not (Bitset.get b row)
+  | Some { nulls; _ } ->
+    fun row -> not (List.exists (fun b -> Bitset.get b row) nulls)
+
+let int_get (a : arg option) : int -> int =
+  match a with
+  | Some { get = GInt g; _ } -> g
+  | _ -> invalid_arg "Agg_util: argument is not an int reader"
+
+let float_get (a : arg option) : int -> float =
+  match a with
+  | Some { get = GFloat g; _ } -> g
+  | Some { get = GInt g; _ } -> fun row -> float_of_int (g row)
+  | _ -> invalid_arg "Agg_util: argument is not a numeric reader"
+
+(* ------------------------------------------------------------------ *)
+(* Boxed accumulators                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The fallback state of the shapes without an unboxed one below: MIN/MAX
+   over strings, and aggregates over bool columns. *)
 type acc = {
   mutable count : int; (* rows contributing (non-null for arg aggregates) *)
   mutable sumi : int;
@@ -51,9 +112,8 @@ type acc = {
 }
 
 (* Boxed accumulators hold no DISTINCT state: the caller filters the rows
-   of a distinct aggregate first (the executors through a [slot_state]
-   [SDistinct] key set, {!Matview} through per-group value sets) and
-   updates with the [plain] spec. *)
+   of a distinct aggregate first (through a [slot_state] [SDistinct] key
+   set) and updates with the [plain] spec. *)
 let create (_ : Plan.agg_spec) : acc =
   { count = 0; sumi = 0; sumf = 0.; sumc = 0.; minv = VNull; maxv = VNull }
 
@@ -66,71 +126,37 @@ let acc_add_f (acc : acc) (x : float) =
 
 let acc_sum_f (acc : acc) = acc.sumf +. acc.sumc
 
-let update (spec : Plan.agg_spec) (acc : acc) (cols : Column.t array) row =
-  match spec.arg with
-  | None -> acc.count <- acc.count + 1 (* count star *)
-  | Some i ->
-    let c = cols.(i) in
-    if Column.is_null c row then ()
-    else begin
+(* Per-row updater of a boxed accumulator: count before body, NULL rows
+   skip both. *)
+let boxed_update (spec : Plan.agg_spec) (a : arg option) : acc -> int -> unit =
+  let valid = valid_row a in
+  let get =
+    match a with
+    | None -> fun _ -> VNull
+    | Some { get = GInt g; _ } -> fun row -> VInt (g row)
+    | Some { get = GFloat g; _ } -> fun row -> VFloat (g row)
+    | Some { get = GBoxed g; _ } -> g
+  in
+  fun acc row ->
+    if valid row then begin
       acc.count <- acc.count + 1;
       match spec.fn with
       | Sql_ast.Count | Sql_ast.CountStar -> ()
       | Sql_ast.Sum | Sql_ast.Avg -> (
-        match c.Column.data with
-        | Column.I _ | Column.BI _ -> (
-          let x = Column.int_at c row in
+        match get row with
+        | VInt x ->
           acc.sumi <- acc.sumi + x;
-          match spec.fn with
-          | Sql_ast.Avg -> acc_add_f acc (float_of_int x)
-          | _ -> ())
-        | _ -> acc_add_f acc (Column.float_at c row))
+          if spec.fn = Sql_ast.Avg then acc_add_f acc (float_of_int x)
+        | v -> acc_add_f acc (Value.as_float v))
       | Sql_ast.Min ->
-        let v = Column.get c row in
+        let v = get row in
         if Value.is_null acc.minv || Value.compare_values v acc.minv < 0 then
           acc.minv <- v
       | Sql_ast.Max ->
-        let v = Column.get c row in
+        let v = get row in
         if Value.is_null acc.maxv || Value.compare_values v acc.maxv > 0 then
           acc.maxv <- v
     end
-
-(* Pre-resolved per-row updater: the spec/column dispatch runs once at
-   closure creation instead of once per row. Falls back to [update] for the
-   rarer shapes (min/max, non-numeric columns). The closures only read
-   their captured arrays, so they are safe to share across domains. *)
-let update_fn (spec : Plan.agg_spec) (cols : Column.t array) :
-    acc -> int -> unit =
-  let generic acc row = update spec acc cols row in
-  match spec.arg with
-  | None -> fun acc _ -> acc.count <- acc.count + 1
-  | Some i -> (
-    let c = cols.(i) in
-    let counting body =
-      match c.Column.nulls with
-      | None ->
-        fun acc row ->
-          acc.count <- acc.count + 1;
-          body acc row
-      | Some m ->
-        fun acc row ->
-          if not (Bitset.get m row) then begin
-            acc.count <- acc.count + 1;
-            body acc row
-          end
-    in
-    match (spec.fn, Column.int_reader c, Column.float_reader c) with
-    | (Sql_ast.Count | Sql_ast.CountStar), _, _ -> counting (fun _ _ -> ())
-    | Sql_ast.Sum, Some get, _ ->
-      counting (fun acc row -> acc.sumi <- acc.sumi + get row)
-    | Sql_ast.Avg, Some get, _ ->
-      counting (fun acc row ->
-          let x = get row in
-          acc.sumi <- acc.sumi + x;
-          acc_add_f acc (float_of_int x))
-    | (Sql_ast.Sum | Sql_ast.Avg), None, Some get ->
-      counting (fun acc row -> acc_add_f acc (get row))
-    | _ -> generic)
 
 let merge (spec : Plan.agg_spec) (a : acc) (b : acc) =
   a.count <- a.count + b.count;
@@ -168,16 +194,14 @@ let finish (spec : Plan.agg_spec) (acc : acc) : Value.t =
 (* ------------------------------------------------------------------ *)
 
 (* Grouping keeps one accumulator per group slot: a packed key in dense
-   aggregation, a key-table group id in hash aggregation. The boxed [acc]
-   costs a 6-field record per (slot, spec) plus a [Value.t] box per
-   min/max update; for the common shapes the state is instead a pair of
-   unboxed [int array]/[float array] columns indexed by slot — no
-   allocation on the update path at all. The slot arrays are persistent
-   per range while the row accessors are rebuilt per chunk (chunk columns
-   are gathers of the base columns, so the data constructor — and hence
-   the chosen shape — is chunk-stable). Shapes that stay boxed (min/max
-   over strings/dictionaries, sums over exotic columns) fall back to
-   lazily-created [acc]s behind the same updater interface. *)
+   aggregation, a key-table group id in hash aggregation, slot 0 in a
+   global aggregate. The boxed [acc] costs a 6-field record per (slot,
+   spec) plus a [Value.t] box per min/max update; for the numeric shapes
+   the state is instead a pair of unboxed [int array]/[float array]
+   columns indexed by slot — no allocation on the update path at all. The
+   slot arrays persist while the argument readers are rebuilt per chunk;
+   the shape follows the reader's kind (int or float), which every chunk
+   of one input shares. *)
 type dense =
   | DCount of int array
   | DSumI of { count : int array; sum : int array }
@@ -185,84 +209,61 @@ type dense =
   | DMinMaxI of { count : int array; best : int array; is_min : bool }
   | DMinMaxF of { count : int array; best : float array; is_min : bool }
 
-(* [None] when this spec/column shape has no unboxed representation. The
-   decision only looks at the column's data constructor, so it holds for
-   every chunk of the same base columns. *)
-let dense_create (spec : Plan.agg_spec) (cols : Column.t array) ~(card : int)
-    : dense option =
-  match spec.arg with
-  | None -> Some (DCount (Array.make card 0))
-  | Some i -> (
-    match (spec.fn, cols.(i).Column.data) with
-    | (Sql_ast.Count | Sql_ast.CountStar), _ -> Some (DCount (Array.make card 0))
-    | Sql_ast.Sum, (Column.I _ | Column.BI _) when spec.out_ty = TInt ->
-      Some (DSumI { count = Array.make card 0; sum = Array.make card 0 })
-    | Sql_ast.Sum, (Column.F _ | Column.BF _) when spec.out_ty <> TInt ->
-      Some
-        (DSumF
-           { count = Array.make card 0;
-             sum = Array.make card 0.;
-             comp = Array.make card 0. })
-    | Sql_ast.Avg, (Column.I _ | Column.F _ | Column.BI _ | Column.BF _) ->
-      Some
-        (DSumF
-           { count = Array.make card 0;
-             sum = Array.make card 0.;
-             comp = Array.make card 0. })
-    | (Sql_ast.Min | Sql_ast.Max), (Column.I _ | Column.BI _) ->
-      Some
-        (DMinMaxI
-           { count = Array.make card 0;
-             best = Array.make card 0;
-             is_min = spec.fn = Sql_ast.Min })
-    | (Sql_ast.Min | Sql_ast.Max), (Column.F _ | Column.BF _) ->
-      Some
-        (DMinMaxF
-           { count = Array.make card 0;
-             best = Array.make card 0.;
-             is_min = spec.fn = Sql_ast.Min })
-    | _ -> None)
+(* [None] when this spec/argument shape has no unboxed representation. *)
+let dense_create (spec : Plan.agg_spec) (a : arg option) ~(card : int) :
+    dense option =
+  let sum_f () =
+    DSumF
+      { count = Array.make card 0;
+        sum = Array.make card 0.;
+        comp = Array.make card 0. }
+  in
+  match (spec.fn, a) with
+  | _, None | (Sql_ast.Count | Sql_ast.CountStar), _ ->
+    Some (DCount (Array.make card 0))
+  | Sql_ast.Sum, Some { get = GInt _; _ } when spec.out_ty = TInt ->
+    Some (DSumI { count = Array.make card 0; sum = Array.make card 0 })
+  | Sql_ast.Sum, Some { get = GFloat _; _ } when spec.out_ty <> TInt ->
+    Some (sum_f ())
+  | Sql_ast.Avg, Some { get = GInt _ | GFloat _; _ } -> Some (sum_f ())
+  | (Sql_ast.Min | Sql_ast.Max), Some { get = GInt _; _ } ->
+    Some
+      (DMinMaxI
+         { count = Array.make card 0;
+           best = Array.make card 0;
+           is_min = spec.fn = Sql_ast.Min })
+  | (Sql_ast.Min | Sql_ast.Max), Some { get = GFloat _; _ } ->
+    Some
+      (DMinMaxF
+         { count = Array.make card 0;
+           best = Array.make card 0.;
+           is_min = spec.fn = Sql_ast.Min })
+  | _ -> None
 
-(* Per-chunk updater [fun slot row -> ...] over this chunk's columns.
-   Must only be called with a [dense] created for the same spec. *)
-let dense_update (spec : Plan.agg_spec) (cols : Column.t array) (d : dense) :
-    int -> int -> unit =
-  let valid =
-    match spec.arg with
-    | None -> fun _ -> true
-    | Some i -> (
-      match cols.(i).Column.nulls with
-      | None -> fun _ -> true
-      | Some m -> fun row -> not (Bitset.get m row))
-  in
-  let geti =
-    match spec.arg with
-    | Some i -> (
-      match Column.int_reader cols.(i) with Some get -> get | None -> fun _ -> 0)
-    | None -> fun _ -> 0
-  in
-  let getf =
-    match spec.arg with
-    | Some i -> (
-      match Column.num_reader cols.(i) with Some get -> get | None -> fun _ -> 0.)
-    | None -> fun _ -> 0.
-  in
+(* Per-chunk updater [fun slot row -> ...] through this chunk's reader.
+   Must only be called with a [dense] created for the same spec. MIN/MAX
+   keep the first of equal values (strict compares). *)
+let dense_update (a : arg option) (d : dense) : int -> int -> unit =
+  let valid = valid_row a in
   match d with
   | DCount count ->
     fun slot row -> if valid row then count.(slot) <- count.(slot) + 1
   | DSumI { count; sum } ->
+    let geti = int_get a in
     fun slot row ->
       if valid row then begin
         count.(slot) <- count.(slot) + 1;
         sum.(slot) <- sum.(slot) + geti row
       end
   | DSumF { count; sum; comp } ->
+    let getf = float_get a in
     fun slot row ->
       if valid row then begin
         count.(slot) <- count.(slot) + 1;
         kadd_slot sum comp slot (getf row)
       end
   | DMinMaxI { count; best; is_min } ->
+    let geti = int_get a in
     fun slot row ->
       if valid row then begin
         let v = geti row in
@@ -272,6 +273,7 @@ let dense_update (spec : Plan.agg_spec) (cols : Column.t array) (d : dense) :
         count.(slot) <- count.(slot) + 1
       end
   | DMinMaxF { count; best; is_min } ->
+    let getf = float_get a in
     fun slot row ->
       if valid row then begin
         let v = getf row in
@@ -281,8 +283,9 @@ let dense_update (spec : Plan.agg_spec) (cols : Column.t array) (d : dense) :
         count.(slot) <- count.(slot) + 1
       end
 
-(* Extend every slot array of [d] to [card] slots (hash aggregation grows
-   its states as the key table hands out new group ids). *)
+(* A fresh copy of every slot array of [d] extended to [card] slots (hash
+   aggregation grows its states as the key table hands out new group ids;
+   a view copies its state before a refresh). *)
 let extend (a : 'a array) (card : int) (fill : 'a) : 'a array =
   let b = Array.make card fill in
   Array.blit a 0 b 0 (Array.length a);
@@ -372,21 +375,27 @@ type slot_state =
 
 let plain (spec : Plan.agg_spec) = { spec with Plan.distinct = false }
 
-let rec slot_state (spec : Plan.agg_spec) (cols : Column.t array) ~(card : int)
-    : slot_state =
-  match spec.arg with
-  | Some i when spec.distinct ->
-    SDistinct
-      { set = Hash_util.keytab ~size:card ~tagged:true cols [ i ];
-        inner = slot_state (plain spec) cols ~card }
-  | _ -> (
-    match dense_create (plain spec) cols ~card with
-    | Some d -> SDense d
-    | None -> SBoxed (Array.make card None))
+(* The argument column a DISTINCT set keys on. *)
+let distinct_col (a : arg option) : Column.t =
+  match a with
+  | Some { col = Some c; _ } -> c
+  | _ -> invalid_arg "Agg_util: DISTINCT needs its argument column"
 
-let slot_states (specs : Plan.agg_spec array) (cols : Column.t array)
+let rec slot_state (spec : Plan.agg_spec) (a : arg option) ~(card : int) :
+    slot_state =
+  if spec.distinct && Option.is_some a then
+    SDistinct
+      { set =
+          Hash_util.keytab ~size:card ~tagged:true [| distinct_col a |] [ 0 ];
+        inner = slot_state (plain spec) a ~card }
+  else
+    match dense_create spec a ~card with
+    | Some d -> SDense d
+    | None -> SBoxed (Array.make card None)
+
+let slot_states (specs : Plan.agg_spec array) (args : arg option array)
     ~(card : int) : slot_state array =
-  Array.map (fun spec -> slot_state spec cols ~card) specs
+  Array.mapi (fun i spec -> slot_state spec args.(i) ~card) specs
 
 let rec slot_grow (st : slot_state) (card : int) : slot_state =
   match st with
@@ -394,46 +403,53 @@ let rec slot_grow (st : slot_state) (card : int) : slot_state =
   | SBoxed accs -> SBoxed (extend accs card None)
   | SDistinct { set; inner } -> SDistinct { set; inner = slot_grow inner card }
 
-let rec slot_update (spec : Plan.agg_spec) (cols : Column.t array)
-    (st : slot_state) : int -> int -> unit =
+(* A deep copy of [st] over [card] slots (at least its own). *)
+let rec slot_copy (st : slot_state) (card : int) : slot_state =
   match st with
-  | SDense d -> dense_update spec cols d
+  | SDense d -> SDense (dense_grow d card)
   | SBoxed accs ->
-    let upd = update_fn spec cols in
-    fun slot row ->
-      let a =
-        match accs.(slot) with
-        | Some a -> a
-        | None ->
-          let a = create spec in
-          accs.(slot) <- Some a;
-          a
-      in
-      upd a row
+    let copy (a : acc) = { a with count = a.count } in
+    SBoxed (extend (Array.map (Option.map copy) accs) card None)
   | SDistinct { set; inner } ->
-    let i = Option.get spec.arg in
-    let c = cols.(i) in
+    SDistinct { set = Hash_util.copy set; inner = slot_copy inner card }
+
+let rec slot_update (spec : Plan.agg_spec) (a : arg option) (st : slot_state) :
+    int -> int -> unit =
+  match st with
+  | SDense d -> dense_update a d
+  | SBoxed accs ->
+    let upd = boxed_update spec a in
+    fun slot row ->
+      let acc =
+        match accs.(slot) with
+        | Some acc -> acc
+        | None ->
+          let acc = create spec in
+          accs.(slot) <- Some acc;
+          acc
+      in
+      upd acc row
+  | SDistinct { set; inner } ->
     let cur = ref 0 in
     let rd =
       match
-        Hash_util.reader ~tag:(fun _ -> !cur) ~null_as_key:true set cols [ i ]
+        Hash_util.reader ~tag:(fun _ -> !cur) ~null_as_key:true set
+          [| distinct_col a |] [ 0 ]
       with
       | Some rd -> rd
       | None -> invalid_arg "Agg_util: DISTINCT argument changed layout"
     in
-    let upd = slot_update (plain spec) cols inner in
-    let body slot row =
-      cur := slot;
-      let before = Hash_util.length set in
-      if Hash_util.add set rd row = before then upd slot row
-    in
-    (match c.Column.nulls with
-    | None -> body
-    | Some m -> fun slot row -> if not (Bitset.get m row) then body slot row)
+    let upd = slot_update (plain spec) a inner and valid = valid_row a in
+    fun slot row ->
+      if valid row then begin
+        cur := slot;
+        let before = Hash_util.length set in
+        if Hash_util.add set rd row = before then upd slot row
+      end
 
-let slot_updates (specs : Plan.agg_spec array) (cols : Column.t array)
+let slot_updates (specs : Plan.agg_spec array) (args : arg option array)
     (sts : slot_state array) : (int -> int -> unit) array =
-  Array.mapi (fun i spec -> slot_update spec cols sts.(i)) specs
+  Array.mapi (fun i spec -> slot_update spec args.(i) sts.(i)) specs
 
 (* Fold [b] into [a], slot [k] of [b] into slot [remap.(k)] of [a]. A
    DISTINCT state does not merge: the executors aggregate distinct specs
@@ -470,16 +486,18 @@ let rec slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
 (* GROUP BY                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Grouped aggregation state, shared by both executors. The key table
-   holds one entry per group in first-seen order, with the group's key
-   values copied into its unboxed columns — those become the output group
-   columns. The slot states above hold the accumulators. Hashed grouping
-   indexes them by entry id; dense grouping (a small packed key domain,
-   {!Hash_util.dense_domain}) indexes them by packed key, and touches the
-   key table only once per new group. *)
+(* Grouped aggregation state, shared by both executors, the fused kernels
+   and the views ({!Matview}). The key table holds one entry per group in
+   first-seen order, with the group's key values copied into its unboxed
+   columns — those become the output group columns. The slot states above
+   hold the accumulators. Hashed grouping indexes them by entry id; dense
+   grouping (a small packed key domain, {!Hash_util.dense_domain}) indexes
+   them by packed key, and touches the key table only once per new group.
+   Over no key columns, grouping is a global aggregate: one group, which
+   {!groups_relation} emits even over no input. *)
 
 (* Dense grouping's key capture: packed key -> key-table entry holding the
-   group's values, and back. The fused kernels ({!Kernel}) share it. *)
+   group's values, and back. *)
 type dense_index = {
   slot_entry : int array; (* packed key -> entry, -1 while unseen *)
   entry_slot : int array; (* entry -> packed key *)
@@ -526,23 +544,38 @@ let size_hint (est : float) (rows : int) =
   if est >= 1. then int_of_float (Float.min est (float_of_int rows)) else 16
 
 (* Hashed grouping sized for [size] groups (it grows past that), or dense
-   grouping over a packed domain of [card] keys. *)
+   grouping over a packed domain of [card] keys. Key columns [idxs] of
+   [cols] and the argument readers [args] fix the layouts every later
+   chunk must share. *)
 let groups_create ?(size = 16) ?card (specs : Plan.agg_spec array)
-    (cols : Column.t array) (idxs : int list) : groups =
+    (args : arg option array) (cols : Column.t array) (idxs : int list) :
+    groups =
   let size = max 16 size in
   match card with
   | Some card ->
     { keys = Hash_util.keytab ~size:(min card size) cols idxs;
       specs;
-      states = slot_states specs cols ~card;
+      states = slot_states specs args ~card;
       cap = card;
       dense = Some (dense_index card) }
   | None ->
     { keys = Hash_util.keytab ~size cols idxs;
       specs;
-      states = slot_states specs cols ~card:size;
+      states = slot_states specs args ~card:size;
       cap = size;
       dense = None }
+
+(* A deep copy: feeding it leaves [g] as it was. *)
+let groups_copy (g : groups) : groups =
+  { g with
+    keys = Hash_util.copy g.keys;
+    states = Array.map (fun st -> slot_copy st g.cap) g.states;
+    dense =
+      Option.map
+        (fun d ->
+          { slot_entry = Array.copy d.slot_entry;
+            entry_slot = Array.copy d.entry_slot })
+        g.dense }
 
 let groups_count (g : groups) = Hash_util.length g.keys
 
@@ -554,12 +587,13 @@ let groups_reserve (g : groups) (n : int) =
   end
 
 (* Row consumer over [cols]: find or insert the row's group, then update
-   every accumulator. Build one per chunk of columns; the consumers of one
-   [groups] run one after another. Dense grouping takes this chunk's
-   packed-key function [dense] ({!Hash_util.dense_domain}), which must span
-   the same domain as at creation. *)
-let groups_feeder ?dense (g : groups) (cols : Column.t array)
-    (idxs : int list) : int -> unit =
+   every accumulator through this chunk's argument readers [args]. Build
+   one per chunk; the consumers of one [groups] run one after another.
+   Dense grouping takes this chunk's packed-key function [dense]
+   ({!Hash_util.dense_domain}), which must span the same domain as at
+   creation. *)
+let groups_feeder ?dense (g : groups) (args : arg option array)
+    (cols : Column.t array) (idxs : int list) : int -> unit =
   let rd =
     match Hash_util.reader ~null_as_key:true g.keys cols idxs with
     | Some rd -> rd
@@ -568,7 +602,7 @@ let groups_feeder ?dense (g : groups) (cols : Column.t array)
   let n_specs = Array.length g.specs in
   match (g.dense, dense) with
   | Some d, Some (pack, card) when card = Array.length d.slot_entry ->
-    let upds = slot_updates g.specs cols g.states in
+    let upds = slot_updates g.specs args g.states in
     fun row ->
       let k = pack row in
       dense_see g.keys d rd k row;
@@ -578,13 +612,13 @@ let groups_feeder ?dense (g : groups) (cols : Column.t array)
   | Some _, _ -> invalid_arg "Agg_util.groups_feeder: packed domain changed"
   | None, _ ->
     let states = ref g.states in
-    let upds = ref (slot_updates g.specs cols g.states) in
+    let upds = ref (slot_updates g.specs args g.states) in
     fun row ->
       let gid = Hash_util.add g.keys rd row in
       if gid >= g.cap then groups_reserve g (gid + 1);
       if !states != g.states then begin
         states := g.states;
-        upds := slot_updates g.specs cols g.states
+        upds := slot_updates g.specs args g.states
       end;
       let u = !upds in
       for i = 0 to n_specs - 1 do
@@ -622,7 +656,8 @@ let groups_merge (a : groups) (b : groups) : unit =
    first-seen order), then one finished column per spec. *)
 let groups_relation (g : groups) (schema : Plan.schema) : Relation.t =
   let keys = Hash_util.key_columns g.keys in
-  let nk = Array.length keys and n = groups_count g in
+  let nk = Array.length keys in
+  let n = if nk = 0 then 1 else groups_count g in
   let slot = match g.dense with Some d -> Array.get d.entry_slot | None -> Fun.id in
   { Relation.names = Array.map fst schema;
     cols =

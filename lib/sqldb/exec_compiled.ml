@@ -658,15 +658,16 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
     let fold_range start len =
       let states = ref None in
       iter_range start len (fun cols lo hi passes ->
+          let args = Agg_util.column_args specs_arr cols in
           let st =
             match !states with
             | Some st -> st
             | None ->
-              let st = Agg_util.slot_states specs_arr cols ~card:1 in
+              let st = Agg_util.slot_states specs_arr args ~card:1 in
               states := Some st;
               st
           in
-          let upds = Agg_util.slot_updates specs_arr cols st in
+          let upds = Agg_util.slot_updates specs_arr args st in
           for row = lo to hi do
             (* the fused loop has no morsel boundary: check every ~8K rows *)
             if (row - lo) land 8191 = 0 then Guard.check ();
@@ -717,20 +718,21 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
             Hash_util.dense_domain ~cross_chunk:(Option.is_some seg.transform)
               ~limit:(1 lsl 16) cols groups
           in
+          let args = Agg_util.column_args specs_arr cols in
           let g =
             match !part with
             | Some g -> g
             | None ->
               let g =
                 Agg_util.groups_create ~size:(Agg_util.size_hint p.est n)
-                  ?card:(Option.map snd dense) specs_arr cols groups
+                  ?card:(Option.map snd dense) specs_arr args cols groups
               in
               part := Some g;
               g
           in
           (* rebuilt per chunk (chunk columns are distinct gathers); the
              group state it writes persists across chunks *)
-          let feed = Agg_util.groups_feeder ?dense g cols groups in
+          let feed = Agg_util.groups_feeder ?dense g args cols groups in
           for row = lo to hi do
             if (row - lo) land 8191 = 0 then Guard.check ();
             if passes row then feed row
@@ -742,13 +744,14 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
        so the partial merge below only ever appends *)
     let fold_sel (sel : int array) =
       let cols = seg.source.Relation.cols in
+      let args = Agg_util.column_args specs_arr cols in
       let passes = source_test () in
       let g =
         Agg_util.groups_create
           ~size:(Agg_util.size_hint p.est (Array.length sel))
-          specs_arr cols groups
+          specs_arr args cols groups
       in
-      let feed = Agg_util.groups_feeder g cols groups in
+      let feed = Agg_util.groups_feeder g args cols groups in
       Array.iteri
         (fun i row ->
           if i land 8191 = 0 then Guard.check ();

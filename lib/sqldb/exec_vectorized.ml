@@ -816,13 +816,14 @@ and run_aggregate ctx (p : plan) sub groups specs =
   let base = match s.sel with Some sel -> fun pos -> sel.(pos) | None -> Fun.id in
   let has_distinct = List.exists (fun sp -> sp.distinct) specs in
   let specs_arr = Array.of_list specs in
+  let args = Agg_util.column_args specs_arr cols in
   match groups with
   | [] ->
     (* Global aggregation: one output row even for empty input, kept in
        slot 0 of the shared slot accumulators. *)
     let run_range start len =
-      let states = Agg_util.slot_states specs_arr cols ~card:1 in
-      let upds = Agg_util.slot_updates specs_arr cols states in
+      let states = Agg_util.slot_states specs_arr args ~card:1 in
+      let upds = Agg_util.slot_updates specs_arr args states in
       for pos = start to start + len - 1 do
         let row = base pos in
         Array.iter (fun upd -> upd 0 row) upds
@@ -862,9 +863,9 @@ and run_aggregate ctx (p : plan) sub groups specs =
     let fold (get : int -> int) (count : int) =
       let g =
         Agg_util.groups_create ~size:(Agg_util.size_hint p.est count)
-          ?card:(Option.map snd dense) specs_arr cols groups
+          ?card:(Option.map snd dense) specs_arr args cols groups
       in
-      let feed = Agg_util.groups_feeder ?dense g cols groups in
+      let feed = Agg_util.groups_feeder ?dense g args cols groups in
       for i = 0 to count - 1 do
         if i land 8191 = 0 then Guard.check ();
         feed (get i)

@@ -264,6 +264,23 @@ let keytab ?(size = 16) ?(tagged = false) (cols : Column.t array)
 
 let length (t : keytab) = t.count
 
+(* A deep copy: adding to it leaves [t] as it was. *)
+let copy (t : keytab) : keytab =
+  { comps =
+      Array.map
+        (fun c ->
+          { c with
+            store =
+              (match c.store with
+              | Ints v -> Ints { a = Array.copy v.a }
+              | Floats v -> Floats { a = Array.copy v.a }
+              | Strings v -> Strings { a = Array.copy v.a });
+            nul = Bytes.copy c.nul })
+        t.comps;
+    slots = Array.copy t.slots;
+    cap = t.cap;
+    count = t.count }
+
 (* A hash's fingerprint, which is also its home slot (masked). Radix
    partitions and bloom filters use the low bits; the fingerprint takes the
    top 31 of the 62. *)

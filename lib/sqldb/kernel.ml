@@ -1,8 +1,7 @@
 (** Fused branch-free filter→aggregate kernels over base-table scans.
 
     The mid-tier executors evaluate predicates row-at-a-time through
-    closures ({!Eval.compile_pred}) and aggregate through per-spec updater
-    closures ({!Agg_util.update_fn}) — several indirect calls per row. This
+    closures ({!Eval.compile_pred}) over projected chunk columns. This
     module compiles the hot pipeline shape [SELECT aggs FROM t WHERE p
     (GROUP BY cols)] down to tight loops over the physical column storage:
 
@@ -27,14 +26,15 @@
       renders branch-free into a mask and
       compacts survivor indices, each later conjunct refines the survivor
       list with a compiled per-row predicate (touching its columns only
-      at surviving rows), and sum/count/avg/min/max then fold the
-      survivors through compiled argument readers — no projected column
-      or intermediate relation ever materializes, and every float add
-      replays the unfused updater's exact compensated sequence
-      ({!Agg_util.acc_add_f}). Grouped aggregation reuses the dense
-      packed-key domain ({!Hash_util.dense_domain}) with unboxed per-slot
-      accumulators and first-seen emission order, matching the compiled
-      executor's unfused output exactly.
+      at surviving rows). What is fused ends there: the survivors, in
+      ascending row order, fold through compiled argument readers
+      ({!compile_num}) into the executors' own aggregate state — the
+      {!Agg_util} slot states for a global aggregate, an {!Agg_util.groups}
+      over the dense packed-key domain ({!Hash_util.dense_domain}) for a
+      grouped one — which merge and emit as in the unfused compiled path.
+      No projected column or intermediate relation ever materializes, and
+      the results, low float bits and first-seen group order included,
+      are the unfused ones.
 
     - {b Checkpoints.} Fused loops have no morsel boundaries, so
       {!Guard.check} and a {!Faults.slow_point} run at every [stride]
@@ -47,8 +47,9 @@
     private scratch buffers and must be built on the worker that runs
     them (one [compile] per chunk, like {!Eval.compile_pred}).
 
-    [set_fuse false] disables every fused path; the executors then run
-    exactly the pre-fusion code. *)
+    [set_fuse false] disables every fused path: the executors then
+    evaluate predicates through closures and feed the same aggregate state
+    from projected chunk columns. *)
 
 open Plan
 
@@ -469,9 +470,6 @@ let rec compile_num (cols : Column.t array) (e : pexpr) : num option =
     | _ -> None)
   | _ -> None
 
-(* Division can overflow to ±inf on rows the filter rejected; inf × 0
-   is NaN, which would poison a branch-free masked sum. Such arguments
-   take the branch-on-mask accumulate instead. *)
 (* Null masks of the base columns an argument expression reads: its
    evaluated null set is exactly their union (arith propagates null from
    either side; literals are never null here). *)
@@ -518,326 +516,28 @@ let rec conjuncts (e : pexpr) : pexpr list =
 (* Fused aggregation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-spec fused accumulation shape, resolved once per query from the
-   rewritten argument expression. The shapes mirror the accumulator the
-   unfused executors would have used on the projected chunk column —
-   compile_num returning [NInt] corresponds exactly to {!Eval.eval_col}
-   producing an int column — so fused results match field-for-field. *)
-type gkind =
-  | GCount (* Count/CountStar: survivor count *)
-  | GSumI of (int -> int) (* int Sum *)
-  | GAvgI of (int -> int) (* int Avg: int sum + compensated float mirror *)
-  | GSumF of (int -> float) (* float Sum/Avg: compensated *)
-  | GMinI of (int -> int) * bool * Value.ty (* is_min; VInt/VDate boxing *)
-  | GMinF of (int -> float) * bool
-
-type gspec = {
-  spec : Plan.agg_spec;
-  kind : gkind;
-  snulls : Bitset.t list;
-      (* null masks whose union is the argument's null set; rows with a bit
-         set are excluded from the validity mask (the [counting] skip in
-         {!Agg_util.update_fn}) *)
-}
-
-(* Resolve one aggregate spec against the base table. [None] aborts fusion
-   (the unfused pipeline handles every shape). *)
-let resolve_spec (cols : Column.t array) (bschema : (string * Value.ty) array)
-    (rw : pexpr -> pexpr) (spec : Plan.agg_spec) : gspec option =
-  if spec.distinct then None
-  else
-    match spec.arg with
-    | None -> Some { spec; kind = GCount; snulls = [] }
-    | Some i -> (
-      let e = rw (PCol i) in
-      let num = compile_num cols e in
-      let arg_ok =
-        (* validity-by-column-nulls is only sound for shapes whose null set
-           is exactly the union of their columns' nulls *)
-        match e with PCol _ -> true | _ -> num <> None
+(* The reader of one aggregate argument over the base columns, or [None]
+   when it has none (the unfused pipeline handles every shape). A column
+   argument reads like the executors' ({!Agg_util.column_arg}); an
+   arithmetic one through {!compile_num}, whose [NInt] is exactly
+   {!Eval.eval_col} producing an int column, so the slot states take the
+   shapes the unfused fold would. Its null set is the union of its
+   columns' ({!expr_nulls}). *)
+let arg_reader (cols : Column.t array) (rw : pexpr -> pexpr)
+    (spec : Plan.agg_spec) : Agg_util.arg option option =
+  match spec.arg with
+  | None -> Some None
+  | Some i -> (
+    match rw (PCol i) with
+    | PCol b -> Some (Some (Agg_util.column_arg cols.(b)))
+    | e -> (
+      let reader get =
+        Some (Some { Agg_util.get; nulls = expr_nulls cols e; col = None })
       in
-      let snulls = expr_nulls cols e in
-      match spec.fn with
-      | Sql_ast.Count | Sql_ast.CountStar ->
-        if arg_ok then Some { spec; kind = GCount; snulls } else None
-      | Sql_ast.Sum -> (
-        match num with
-        | Some (NInt get) when spec.out_ty = Value.TInt ->
-          Some { spec; kind = GSumI get; snulls }
-        | Some (NFloat get) when spec.out_ty <> Value.TInt ->
-          Some { spec; kind = GSumF get; snulls }
-        | _ -> None)
-      | Sql_ast.Avg -> (
-        match num with
-        | Some (NInt get) -> Some { spec; kind = GAvgI get; snulls }
-        | Some (NFloat get) -> Some { spec; kind = GSumF get; snulls }
-        | _ -> None)
-      | Sql_ast.Min | Sql_ast.Max -> (
-        let is_min = spec.fn = Sql_ast.Min in
-        match num with
-        | Some (NInt get) ->
-          Some
-            { spec;
-              kind = GMinI (get, is_min, Plan.type_of_pexpr bschema e);
-              snulls }
-        | Some (NFloat get) -> Some { spec; kind = GMinF (get, is_min); snulls }
-        | None -> None))
-
-(* Skip test for null aggregate arguments: the fused twin of the
-   [counting] null-skip wrapper in {!Agg_util.update_fn} (a null argument
-   row contributes neither to the count nor to the body). *)
-let valid_of : Bitset.t list -> int -> bool = function
-  | [] -> fun _ -> true
-  | [ b ] -> fun row -> not (Bitset.get b row)
-  | bss -> fun row -> not (List.exists (fun b -> Bitset.get b row) bss)
-
-(* Per-survivor accumulation into a boxed [Agg_util.acc]. [idx.(0..k-1)]
-   are the rows that passed the filter cascade, in ascending order — the
-   same order the unfused executor visits them — and every update replays
-   the exact arithmetic of {!Agg_util.update_fn} (count before body, null
-   argument skips both, compensated float adds via
-   {!Agg_util.acc_add_f}), so fused results match field-for-field
-   including the low bits of compensated float sums. Min/max keep a
-   chunk-local unboxed best and merge it through [Value.compare_values]
-   once per call, like the unfused chunk fold. *)
-let gupdate (g : gspec) : Agg_util.acc -> int array -> int -> unit =
-  let valid = valid_of g.snulls in
-  match g.kind with
-  | GCount -> (
-    match g.snulls with
-    | [] -> fun acc _ k -> acc.Agg_util.count <- acc.Agg_util.count + k
-    | _ ->
-      fun acc idx k ->
-        let c = ref 0 in
-        for t = 0 to k - 1 do
-          if valid (Array.unsafe_get idx t) then incr c
-        done;
-        acc.Agg_util.count <- acc.Agg_util.count + !c)
-  | GSumI get ->
-    fun acc idx k ->
-      let c = ref 0 and s = ref 0 in
-      for t = 0 to k - 1 do
-        let row = Array.unsafe_get idx t in
-        if valid row then begin
-          incr c;
-          s := !s + get row
-        end
-      done;
-      acc.Agg_util.count <- acc.Agg_util.count + !c;
-      acc.Agg_util.sumi <- acc.Agg_util.sumi + !s
-  | GAvgI get ->
-    fun acc idx k ->
-      for t = 0 to k - 1 do
-        let row = Array.unsafe_get idx t in
-        if valid row then begin
-          acc.Agg_util.count <- acc.Agg_util.count + 1;
-          let x = get row in
-          acc.Agg_util.sumi <- acc.Agg_util.sumi + x;
-          Agg_util.acc_add_f acc (float_of_int x)
-        end
-      done
-  | GSumF get ->
-    fun acc idx k ->
-      for t = 0 to k - 1 do
-        let row = Array.unsafe_get idx t in
-        if valid row then begin
-          acc.Agg_util.count <- acc.Agg_util.count + 1;
-          Agg_util.acc_add_f acc (get row)
-        end
-      done
-  | GMinI (get, is_min, ty) ->
-    fun acc idx k ->
-      let c = ref 0 and found = ref false and best = ref 0 in
-      for t = 0 to k - 1 do
-        let row = Array.unsafe_get idx t in
-        if valid row then begin
-          incr c;
-          let x = get row in
-          if not !found then begin
-            found := true;
-            best := x
-          end
-          else if (if is_min then x < !best else x > !best) then best := x
-        end
-      done;
-      acc.Agg_util.count <- acc.Agg_util.count + !c;
-      if !found then begin
-        let v =
-          match ty with
-          | Value.TDate -> Value.VDate !best
-          | _ -> Value.VInt !best
-        in
-        if is_min then begin
-          if
-            Value.is_null acc.Agg_util.minv
-            || Value.compare_values v acc.Agg_util.minv < 0
-          then acc.Agg_util.minv <- v
-        end
-        else if
-          Value.is_null acc.Agg_util.maxv
-          || Value.compare_values v acc.Agg_util.maxv > 0
-        then acc.Agg_util.maxv <- v
-      end
-  | GMinF (get, is_min) ->
-    fun acc idx k ->
-      let c = ref 0 and found = ref false and best = ref 0. in
-      for t = 0 to k - 1 do
-        let row = Array.unsafe_get idx t in
-        if valid row then begin
-          incr c;
-          let x = get row in
-          if not !found then begin
-            found := true;
-            best := x
-          end
-          else if (if is_min then x < !best else x > !best) then best := x
-        end
-      done;
-      acc.Agg_util.count <- acc.Agg_util.count + !c;
-      if !found then begin
-        let v = Value.VFloat !best in
-        if is_min then begin
-          if
-            Value.is_null acc.Agg_util.minv
-            || Value.compare_values v acc.Agg_util.minv < 0
-          then acc.Agg_util.minv <- v
-        end
-        else if
-          Value.is_null acc.Agg_util.maxv
-          || Value.compare_values v acc.Agg_util.maxv > 0
-        then acc.Agg_util.maxv <- v
-      end
-
-(* ---- dense grouped state (slot-indexed, unboxed) ------------------ *)
-
-(* The fused twin of {!Agg_util.dense}, but reading aggregate arguments
-   through compiled expression readers over the base columns instead of a
-   materialized chunk column. Same update, merge and finish arithmetic, so
-   grouped results match the unfused dense path exactly. *)
-type dstate =
-  | KCount of int array
-  | KSumI of int array * int array (* count, sum *)
-  | KSumF of int array * float array * float array (* count, sum, comp *)
-  | KMinI of int array * int array * bool (* count, best, is_min *)
-  | KMinF of int array * float array * bool
-
-let dstate_create (g : gspec) ~(card : int) : dstate =
-  match g.kind with
-  | GCount -> KCount (Array.make card 0)
-  | GSumI _ -> KSumI (Array.make card 0, Array.make card 0)
-  | GAvgI _ | GSumF _ ->
-    KSumF (Array.make card 0, Array.make card 0., Array.make card 0.)
-  | GMinI (_, is_min, _) -> KMinI (Array.make card 0, Array.make card 0, is_min)
-  | GMinF (_, is_min) -> KMinF (Array.make card 0, Array.make card 0., is_min)
-
-(* Per-row slot updater; validity (argument nulls) checked inside, like
-   {!Agg_util.dense_update}. *)
-let dstate_update (g : gspec) (d : dstate) : int -> int -> unit =
-  let valid =
-    match g.snulls with
-    | [] -> fun _ -> true
-    | bss -> fun row -> List.for_all (fun bs -> not (Bitset.get bs row)) bss
-  in
-  let getf =
-    match g.kind with
-    | GAvgI get -> fun row -> float_of_int (get row)
-    | GSumF get | GMinF (get, _) -> get
-    | _ -> fun _ -> 0.
-  in
-  match d with
-  | KCount count ->
-    fun slot row -> if valid row then count.(slot) <- count.(slot) + 1
-  | KSumI (count, sum) ->
-    let get = match g.kind with GSumI get -> get | _ -> fun _ -> 0 in
-    fun slot row ->
-      if valid row then begin
-        count.(slot) <- count.(slot) + 1;
-        sum.(slot) <- sum.(slot) + get row
-      end
-  | KSumF (count, sum, comp) ->
-    fun slot row ->
-      if valid row then begin
-        count.(slot) <- count.(slot) + 1;
-        Agg_util.kadd_slot sum comp slot (getf row)
-      end
-  | KMinI (count, best, is_min) ->
-    let get = match g.kind with GMinI (get, _, _) -> get | _ -> fun _ -> 0 in
-    fun slot row ->
-      if valid row then begin
-        let v = get row in
-        (if count.(slot) = 0 then best.(slot) <- v
-         else if (if is_min then v < best.(slot) else v > best.(slot)) then
-           best.(slot) <- v);
-        count.(slot) <- count.(slot) + 1
-      end
-  | KMinF (count, best, is_min) ->
-    fun slot row ->
-      if valid row then begin
-        let v = getf row in
-        (if count.(slot) = 0 then best.(slot) <- v
-         else if (if is_min then v < best.(slot) else v > best.(slot)) then
-           best.(slot) <- v);
-        count.(slot) <- count.(slot) + 1
-      end
-
-let dstate_merge (a : dstate) (b : dstate) : unit =
-  match (a, b) with
-  | KCount ca, KCount cb -> Array.iteri (fun k c -> ca.(k) <- ca.(k) + c) cb
-  | KSumI (ca, sa), KSumI (cb, sb) ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          ca.(k) <- ca.(k) + c;
-          sa.(k) <- sa.(k) + sb.(k)
-        end)
-      cb
-  | KSumF (ca, sa, xa), KSumF (cb, sb, xb) ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          ca.(k) <- ca.(k) + c;
-          Agg_util.kadd_slot sa xa k sb.(k);
-          Agg_util.kadd_slot sa xa k xb.(k)
-        end)
-      cb
-  | KMinI (ca, ba, is_min), KMinI (cb, bb, _) ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          let v = bb.(k) in
-          (if ca.(k) = 0 then ba.(k) <- v
-           else if (if is_min then v < ba.(k) else v > ba.(k)) then ba.(k) <- v);
-          ca.(k) <- ca.(k) + c
-        end)
-      cb
-  | KMinF (ca, ba, is_min), KMinF (cb, bb, _) ->
-    Array.iteri
-      (fun k c ->
-        if c > 0 then begin
-          let v = bb.(k) in
-          (if ca.(k) = 0 then ba.(k) <- v
-           else if (if is_min then v < ba.(k) else v > ba.(k)) then ba.(k) <- v);
-          ca.(k) <- ca.(k) + c
-        end)
-      cb
-  | _ -> invalid_arg "Kernel.dstate_merge: shape mismatch"
-
-(* Mirrors {!Agg_util.dense_finish} (a date min still boxes as VInt there;
-   {!Column.of_values} re-types it through the output schema). *)
-let dstate_finish (g : gspec) (d : dstate) (slot : int) : Value.t =
-  match d with
-  | KCount count -> Value.VInt count.(slot)
-  | KSumI (count, sum) ->
-    if count.(slot) = 0 then Value.VNull else Value.VInt sum.(slot)
-  | KSumF (count, sum, comp) ->
-    if count.(slot) = 0 then Value.VNull
-    else if g.spec.fn = Sql_ast.Avg then
-      Value.VFloat ((sum.(slot) +. comp.(slot)) /. float_of_int count.(slot))
-    else Value.VFloat (sum.(slot) +. comp.(slot))
-  | KMinI (count, best, _) ->
-    if count.(slot) = 0 then Value.VNull else Value.VInt best.(slot)
-  | KMinF (count, best, _) ->
-    if count.(slot) = 0 then Value.VNull else Value.VFloat best.(slot)
+      match compile_num cols e with
+      | Some (NInt g) -> reader (Agg_util.GInt g)
+      | Some (NFloat g) -> reader (Agg_util.GFloat g)
+      | None -> None))
 
 (* ---- entry point -------------------------------------------------- *)
 
@@ -887,14 +587,12 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
           let rel = lookup name in
           let cols = rel.Relation.cols in
           let n = Relation.n_rows rel in
-          let bschema = Array.of_list (Relation.schema rel) in
           let specs_arr = Array.of_list specs in
-          let gspecs =
-            Array.map (resolve_spec cols bschema rw) specs_arr
-          in
-          if Array.exists Option.is_none gspecs then None
+          let args = Array.map (arg_reader cols rw) specs_arr in
+          if Array.exists Option.is_none args then None
           else begin
-            let gspecs = Array.map Option.get gspecs in
+            let args = Array.map Option.get args in
+            let n_specs = Array.length specs_arr in
             let ztest =
               match filters with
               | [] -> None
@@ -902,14 +600,6 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
                 let zcols = Array.map (Catalog.zones_for catalog) cols in
                 if Array.for_all Option.is_none zcols then None
                 else Stats.zone_tests_with zcols preds
-            in
-            let emit out_cols =
-              Some
-                { Relation.names = Array.map fst p.schema;
-                  cols =
-                    Array.mapi
-                      (fun i (_, ty) -> Column.of_values ty out_cols.(i))
-                      p.schema }
             in
             (* Selection cascade: the first conjunct renders branch-free
                into a mask and compacts survivors; the remaining conjuncts
@@ -950,141 +640,95 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
                 tests;
               !k
             in
+            (* Hand the survivors of [start, start+len) to [consume], one
+               stride at a time, in ascending row order — the order the
+               unfused fold visits them. *)
+            let fold_survivors start len consume =
+              let fill, tests = compile_cascade () in
+              let m = Bytes.create stride in
+              let idx = Array.make stride 0 in
+              List.iter
+                (fun (lo, hi) ->
+                  let pos = ref lo in
+                  while !pos <= hi do
+                    Guard.check ();
+                    Faults.slow_point ~site:"kernel.agg";
+                    let slen = min stride (hi - !pos + 1) in
+                    consume idx
+                      (collect_stride fill tests m idx ~pos:!pos ~slen);
+                    pos := !pos + slen
+                  done)
+                (Stats.alive_ranges ztest start (start + len - 1))
+            in
+            (* one partial per chunk, in chunk order *)
+            let partials fold_range =
+              if n = 0 then [ fold_range 0 0 ]
+              else Parallel.map_chunks ~threads n fold_range
+            in
             match gidx with
-            | [] ->
-              (* global aggregate: boxed accs, merged like the compiled
-                 executor's unfused fold *)
+            | [] -> (
+              (* global aggregate: slot 0 of the slot states, merged like
+                 the compiled executor's unfused fold *)
               let fold_range start len =
-                let accs = Array.map (fun g -> Agg_util.create g.spec) gspecs in
-                let upds = Array.map gupdate gspecs in
-                let fill, tests = compile_cascade () in
-                let m = Bytes.create stride in
-                let idx = Array.make stride 0 in
+                let st = Agg_util.slot_states specs_arr args ~card:1 in
+                let upds = Agg_util.slot_updates specs_arr args st in
+                fold_survivors start len (fun idx k ->
+                    for i = 0 to n_specs - 1 do
+                      let upd = upds.(i) in
+                      for t = 0 to k - 1 do
+                        upd 0 (Array.unsafe_get idx t)
+                      done
+                    done);
+                st
+              in
+              match partials fold_range with
+              | [] -> None
+              | first :: rest ->
                 List.iter
-                  (fun (lo, hi) ->
-                    let pos = ref lo in
-                    while !pos <= hi do
-                      Guard.check ();
-                      Faults.slow_point ~site:"kernel.agg";
-                      let slen = min stride (hi - !pos + 1) in
-                      let k =
-                        collect_stride fill tests m idx ~pos:!pos ~slen
-                      in
-                      for i = 0 to Array.length gspecs - 1 do
-                        upds.(i) accs.(i) idx k
-                      done;
-                      pos := !pos + slen
-                    done)
-                  (Stats.alive_ranges ztest start (start + len - 1));
-                accs
-              in
-              let partials =
-                if n = 0 then [ fold_range 0 0 ]
-                else Parallel.map_chunks ~threads n fold_range
-              in
-              let accs =
-                match partials with
-                | [] -> Array.map (fun g -> Agg_util.create g.spec) gspecs
-                | first :: rest ->
-                  List.iter
-                    (fun part ->
-                      Array.iteri
-                        (fun i spec -> Agg_util.merge spec first.(i) part.(i))
-                        specs_arr)
-                    rest;
-                  first
-              in
-              emit
-                (Array.mapi
-                   (fun i spec -> [| Agg_util.finish spec accs.(i) |])
-                   specs_arr)
-            | gidx -> (
-              (* grouped: dense packed-key slots only (wide domains keep the
-                 unfused hash path) *)
-              match
-                Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16)
-                  cols gidx
-              with
-              | None -> None
-              | Some (pack, card) ->
-                let n_specs = Array.length gspecs in
-                (* first-seen group values go to a key table through the
-                   shared dense index ({!Agg_util.dense_see}) *)
-                let fold_range start len =
-                  let keys =
-                    Hash_util.keytab
-                      ~size:(min card (Agg_util.size_hint p.est n))
-                      cols gidx
-                  in
-                  let rd =
-                    Option.get
-                      (Hash_util.reader ~null_as_key:true keys cols gidx)
-                  in
-                  let dix = Agg_util.dense_index card in
-                  let states =
-                    Array.map (fun g -> dstate_create g ~card) gspecs
-                  in
-                  let upds =
-                    Array.map2 dstate_update gspecs states
-                  in
-                  let fill, tests = compile_cascade () in
-                  let m = Bytes.create stride in
-                  let idx = Array.make stride 0 in
-                  List.iter
-                    (fun (lo, hi) ->
-                      let pos = ref lo in
-                      while !pos <= hi do
-                        Guard.check ();
-                        Faults.slow_point ~site:"kernel.agg";
-                        let slen = min stride (hi - !pos + 1) in
-                        let kcnt =
-                          collect_stride fill tests m idx ~pos:!pos ~slen
-                        in
-                        for t = 0 to kcnt - 1 do
-                          let row = Array.unsafe_get idx t in
-                          let k = pack row in
-                          Agg_util.dense_see keys dix rd k row;
-                          for i = 0 to n_specs - 1 do
-                            upds.(i) k row
-                          done
-                        done;
-                        pos := !pos + slen
-                      done)
-                    (Stats.alive_ranges ztest start (start + len - 1));
-                  (keys, dix, states)
-                in
-                let keys, dix, states, rest =
-                  match
-                    if n = 0 then [] else Parallel.map_chunks ~threads n fold_range
-                  with
-                  | [] ->
-                    let keys, dix, states = fold_range 0 0 in
-                    (keys, dix, states, [])
-                  | (keys, dix, states) :: rest -> (keys, dix, states, rest)
-                in
-                (* partials merge in chunk order, appending unseen groups
-                   in their first-seen order *)
-                List.iter
-                  (fun (kb, db, sb) ->
-                    Array.iteri (fun i s -> dstate_merge states.(i) s) sb;
-                    Agg_util.dense_merge_keys keys dix kb db)
+                  (fun part ->
+                    Array.iteri
+                      (fun i spec ->
+                        Agg_util.slot_merge spec first.(i) part.(i))
+                      specs_arr)
                   rest;
-                let n_groups = List.length gidx in
-                let kcols = Hash_util.key_columns keys in
-                let n_out = Hash_util.length keys in
                 Some
                   { Relation.names = Array.map fst p.schema;
                     cols =
                       Array.mapi
                         (fun i (_, ty) ->
-                          if i < n_groups then Agg_util.key_column ty kcols.(i)
-                          else
-                            let g = gspecs.(i - n_groups)
-                            and st = states.(i - n_groups) in
-                            Column.of_values ty
-                              (Array.init n_out (fun e ->
-                                   dstate_finish g st dix.entry_slot.(e))))
+                          Column.of_values ty
+                            [| Agg_util.slot_finish specs_arr.(i) first.(i)
+                                 0 |])
                         p.schema })
+            | gidx -> (
+              (* grouped: dense packed-key grouping only (wide domains keep
+                 the unfused hash path) *)
+              match
+                Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16)
+                  cols gidx
+              with
+              | None -> None
+              | Some (_, card) as dense -> (
+                let fold_range start len =
+                  let g =
+                    Agg_util.groups_create
+                      ~size:(Agg_util.size_hint p.est n)
+                      ~card specs_arr args cols gidx
+                  in
+                  let feed = Agg_util.groups_feeder ?dense g args cols gidx in
+                  fold_survivors start len (fun idx k ->
+                      for t = 0 to k - 1 do
+                        feed (Array.unsafe_get idx t)
+                      done);
+                  g
+                in
+                (* partials merge in chunk order, appending unseen groups
+                   in their first-seen order *)
+                match partials fold_range with
+                | [] -> None
+                | first :: rest ->
+                  List.iter (Agg_util.groups_merge first) rest;
+                  Some (Agg_util.groups_relation first p.schema)))
           end
         end))
     | _ -> None

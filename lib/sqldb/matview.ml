@@ -10,11 +10,13 @@
     {b Shape.} The planner splits a maintainable plan at its pipeline
     breaker ({!Planner.analyze_ivm}): a select-project-join {e stream}
     below the view's Aggregate, and a {e finish} chain above it (HAVING,
-    projections, sorts, limits). View state is the set of per-group
-    accumulators ({!Agg_util.acc}) produced by folding the stream's output
-    rows in order; the user-visible result is the finish chain run over the
-    finished accumulators — O(result), by the ordinary executor. Pure
-    filter/project views accumulate the stream rows themselves.
+    projections, sorts, limits). View state is one hashed
+    {!Agg_util.groups} — the executors' key table plus slot states —
+    produced by folding the stream's output rows in order; a view without
+    GROUP BY keys every row to its one group, which is emitted even over
+    an empty stream. The user-visible result is the finish chain run over
+    {!Agg_util.groups_relation} — O(result), by the ordinary executor.
+    Pure filter/project views accumulate the stream rows themselves.
 
     {b Delta derivation.} Appends only ever add rows at the end of a base
     table, so the delta of table [T] is the row range [old_n, new_n) — a
@@ -26,25 +28,26 @@
     standard telescoping delta rule applies: term [i] binds tables before
     [Ti] to the {e new} snapshot, [Ti] to its delta, and tables after [Ti]
     to the {e old} pinned snapshot; the terms' outputs are replayed into
-    the accumulators in order.
+    the group state in order.
 
-    {b Exactness.} Accumulator updates replay {!Agg_util.update_fn} row by
-    row — the same count-before-body / null-skip / Neumaier-compensated
-    discipline as a from-scratch fold. When appends hit only the stream's
-    driver (leftmost probe-spine) table, both executors emit the delta rows
-    as a literal suffix of the full stream, so the incremental fold is a
-    prefix-continuation of the recompute fold and the state is
+    {b Exactness.} Every stream chunk feeds the group state through
+    {!Agg_util.groups_feeder}, the executors' own grouped fold — the same
+    count-before-body / null-skip / Neumaier-compensated updates, and a
+    DISTINCT aggregate's (group, value) set. When appends hit only the
+    stream's driver (leftmost probe-spine) table, both executors emit the
+    delta rows as a literal suffix of the full stream, so the incremental
+    fold is a prefix-continuation of the recompute fold and the state is
     {e bit-identical} to recomputing on the final snapshot. When a
     non-driver (build-side) table grows, the delta-rule terms see the same
     multiset of rows in a different interleaving: results are exact up to
     compensated-summation rounding (~1 ulp), which output rounding absorbs.
 
-    {b Crash safety.} A refresh deep-clones the accumulator state, replays
-    into the clone, and installs the new state only after every term (and
-    the finish run) succeeded. A fault or tripped {!Guard} mid-refresh
-    unwinds and leaves the view at its previous consistent version;
-    injected faults are retried once with injection suppressed, mirroring
-    [Db.execute]. *)
+    {b Crash safety.} A refresh deep-copies the group state
+    ({!Agg_util.groups_copy}), replays into the copy, and installs the new
+    state only after every term (and the finish run) succeeded. A fault
+    or tripped {!Guard} mid-refresh unwinds and leaves the view at its
+    previous consistent version; injected faults are retried once with
+    injection suppressed, mirroring [Db.execute]. *)
 
 (* [set_enabled false] keeps registration and view serving live but forces
    every stale read through the full-recompute path. *)
@@ -53,20 +56,11 @@ let enabled_ref = ref true
 let set_enabled b = enabled_ref := b
 let enabled () = !enabled_ref
 
-(* [seen.(k)] holds the argument values already folded into [accs.(k)]
-   when spec [k] is a DISTINCT aggregate (empty and unused otherwise). *)
-type group = {
-  gkey : Value.t array;
-  accs : Agg_util.acc array;
-  seen : (Value.t, unit) Hashtbl.t array;
-}
-
 type state = {
   deps : (string * int) list; (* table versions at this refresh *)
   rows_at : (string * int) list; (* row counts, in stream table order *)
   pinned : Catalog.t; (* the snapshot this state reflects *)
-  groups : (Value.t array, group) Hashtbl.t; (* group key -> group *)
-  order : Value.t array list; (* group keys, reverse first-seen order *)
+  groups : Agg_util.groups option; (* aggregate views: the group state *)
   spj_rows : Relation.t option; (* filter/project views: stream rows *)
   version : int; (* view state version, ticks per refresh *)
   result : Relation.t; (* finished, user-visible result *)
@@ -113,170 +107,29 @@ let peek v : Relation.t option =
 (* Replay: the one fold that defines view state                       *)
 (* ------------------------------------------------------------------ *)
 
-let clone_acc (a : Agg_util.acc) : Agg_util.acc =
-  { Agg_util.count = a.Agg_util.count;
-    sumi = a.Agg_util.sumi;
-    sumf = a.Agg_util.sumf;
-    sumc = a.Agg_util.sumc;
-    minv = a.Agg_util.minv;
-    maxv = a.Agg_util.maxv }
-
-let clone_group g =
-  { gkey = g.gkey;
-    accs = Array.map clone_acc g.accs;
-    seen = Array.map Hashtbl.copy g.seen }
-
-let new_group ~(specs : Plan.agg_spec array) gkey =
-  { gkey;
-    accs = Array.map Agg_util.create specs;
-    seen = Array.map (fun _ -> Hashtbl.create 0) specs }
-
-let clone_groups (tbl : (Value.t array, group) Hashtbl.t) =
-  let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-  Hashtbl.iter (fun k g -> Hashtbl.add out k (clone_group g)) tbl;
-  out
-
-(* Unboxed state of a non-DISTINCT spec, seeded from the accumulators of
-   [gs] and written back by [finish]: [Agg_util.dense] does the same adds
-   in the same order as the boxed [Agg_util.update_fn], so the state comes
-   out bit-identical, but no float is boxed per row. [None] for the shapes
-   without one (MIN/MAX, and AVG of an int column, whose boxed state also
-   keeps the int sum): those fold into the boxed accumulators. *)
-let unboxed (spec : Plan.agg_spec) k (cols : Column.t array) (gs : group array)
-    : (Agg_util.dense * (unit -> unit)) option =
-  let arg_is_int =
-    match spec.Plan.arg with
-    | Some i -> Column.int_reader cols.(i) <> None
-    | None -> false
-  in
-  if spec.Plan.fn = Sql_ast.Avg && arg_is_int then None
-  else
-    let ng = Array.length gs in
-    let acc e = gs.(e).accs.(k) in
-    match Agg_util.dense_create spec cols ~card:ng with
-    | Some (Agg_util.DCount count as d) ->
-      for e = 0 to ng - 1 do
-        count.(e) <- (acc e).count
-      done;
-      Some
-        ( d,
-          fun () ->
-            for e = 0 to ng - 1 do
-              (acc e).count <- count.(e)
-            done )
-    | Some (Agg_util.DSumI { count; sum } as d) ->
-      for e = 0 to ng - 1 do
-        count.(e) <- (acc e).count;
-        sum.(e) <- (acc e).sumi
-      done;
-      Some
-        ( d,
-          fun () ->
-            for e = 0 to ng - 1 do
-              (acc e).count <- count.(e);
-              (acc e).sumi <- sum.(e)
-            done )
-    | Some (Agg_util.DSumF { count; sum; comp } as d) ->
-      for e = 0 to ng - 1 do
-        count.(e) <- (acc e).count;
-        sum.(e) <- (acc e).sumf;
-        comp.(e) <- (acc e).sumc
-      done;
-      Some
-        ( d,
-          fun () ->
-            for e = 0 to ng - 1 do
-              (acc e).count <- count.(e);
-              (acc e).sumf <- sum.(e);
-              (acc e).sumc <- comp.(e)
-            done )
-    | Some (Agg_util.DMinMaxI _ | Agg_util.DMinMaxF _) | None -> None
-
-(* Fold one stream chunk into the accumulators, in row order. Rows find
-   their group through the executors' key table, which compares values
-   whatever their layout (so dictionary codes private to one chunk never
-   key a group); each key new to the chunk is then boxed once and looked
-   up in the view's groups. Those are keyed by the boxed value array in a
-   generic [Hashtbl], which compares with [compare] and — like the key
-   table — takes -0.0 = 0.0 and NaN = NaN (its hash normalizes both), so a
-   view and its recompute agree on every float key. Each spec then folds
-   the chunk on its own ({!unboxed} where it can). A DISTINCT aggregate
-   folds a row only when its non-NULL argument value is new to the group,
-   keyed the same way. *)
-let replay ~(groups_idx : int array) ~(specs : Plan.agg_spec array)
-    (tbl : (Value.t array, group) Hashtbl.t) (order : Value.t array list ref)
-    (chunk : Relation.t) : unit =
+(* Fold one stream chunk into the group state [g], in row order, through
+   the executors' grouping: rows find their group in its key table, which
+   compares values whatever their layout (so dictionary codes private to
+   one chunk never key a group, and -0.0 = 0.0), and each spec folds
+   through its slot state — a DISTINCT one through its (group, value) set.
+   A view with no GROUP BY keys everything to its one group. *)
+let replay ~(groups_idx : int list) (g : Agg_util.groups) (chunk : Relation.t)
+    : unit =
   let cols = chunk.Relation.cols in
   let n = Relation.n_rows chunk in
-  let idxs = Array.to_list groups_idx in
-  let keys = Hash_util.keytab cols idxs in
-  let rd = Option.get (Hash_util.reader ~null_as_key:true keys cols idxs) in
-  let gids = Array.make n 0 and local = ref [||] in
+  let feed =
+    Agg_util.groups_feeder g
+      (Agg_util.column_args g.Agg_util.specs cols)
+      cols groups_idx
+  in
   for row = 0 to n - 1 do
     if row land 4095 = 0 then Guard.check ();
-    let before = Hash_util.length keys in
-    let e = Hash_util.add keys rd row in
-    if e = before then begin
-      let gkey = Array.map (fun i -> Column.get cols.(i) row) groups_idx in
-      let g =
-        match Hashtbl.find_opt tbl gkey with
-        | Some g -> g
-        | None ->
-          let g = new_group ~specs gkey in
-          Hashtbl.add tbl gkey g;
-          order := gkey :: !order;
-          g
-      in
-      if e = Array.length !local then
-        local := Array.append !local (Array.make (max 16 e) g);
-      !local.(e) <- g
-    end;
-    gids.(row) <- e
+    feed row
   done;
-  let gs = Array.sub !local 0 (Hash_util.length keys) in
-  Array.iteri
-    (fun k (s : Plan.agg_spec) ->
-      let plain = Agg_util.plain s in
-      match s.Plan.arg with
-      | Some i when s.Plan.distinct ->
-        let c = cols.(i) and upd = Agg_util.update_fn plain cols in
-        for row = 0 to n - 1 do
-          if not (Column.is_null c row) then begin
-            let g = gs.(gids.(row)) and v = Column.get c row in
-            if not (Hashtbl.mem g.seen.(k) v) then begin
-              Hashtbl.add g.seen.(k) v ();
-              upd g.accs.(k) row
-            end
-          end
-        done
-      | _ -> (
-        match unboxed plain k cols gs with
-        | Some (d, finish) ->
-          let upd = Agg_util.dense_update plain cols d in
-          for row = 0 to n - 1 do
-            upd gids.(row) row
-          done;
-          finish ()
-        | None ->
-          let upd = Agg_util.update_fn plain cols in
-          for row = 0 to n - 1 do
-            upd gs.(gids.(row)).accs.(k) row
-          done))
-    specs;
   Guard.add_rows n
 
-(* A global aggregate emits exactly one row even over empty input, so its
-   single group exists from the start — recompute and incremental states
-   agree on empty streams by construction. *)
-let seed_global ~(specs : Plan.agg_spec array) tbl
-    (order : Value.t array list ref) =
-  if not (Hashtbl.mem tbl [||]) then begin
-    Hashtbl.add tbl [||] (new_group ~specs [||]);
-    order := [||] :: !order
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Finishing accumulator state into the user-visible result           *)
+(* Finishing the group state into the user-visible result           *)
 (* ------------------------------------------------------------------ *)
 
 (* Run the finish chain over a replacement input: register the relation as
@@ -291,31 +144,12 @@ let run_finish (shape : Planner.ivm_shape) (schema : Plan.schema)
     Catalog.add_transient scratch "__mv" rel;
     Exec_vectorized.run_plan ~threads:1 scratch finish
 
-let agg_result (shape : Planner.ivm_shape)
-    (tbl : (Value.t array, group) Hashtbl.t) (order : Value.t array list) :
+let groups_result (shape : Planner.ivm_shape) (g : Agg_util.groups) :
     Relation.t =
   match shape.Planner.ivm_agg with
-  | None -> invalid_arg "Matview.agg_result: not an aggregate view"
-  | Some (groups_idx, specs, agg_schema) ->
-    let n_g = List.length groups_idx in
-    let specs = Array.of_list specs in
-    let keys = List.rev order in
-    let gs = List.map (Hashtbl.find tbl) keys in
-    let ng = List.length gs in
-    let cols =
-      Array.init (Array.length agg_schema) (fun ci ->
-          let _, ty = agg_schema.(ci) in
-          let vs = Array.make ng Value.VNull in
-          List.iteri
-            (fun r g ->
-              vs.(r) <-
-                (if ci < n_g then g.gkey.(ci)
-                 else Agg_util.finish specs.(ci - n_g) g.accs.(ci - n_g)))
-            gs;
-          Column.of_values ty vs)
-    in
-    let rel = Relation.create (Array.map fst agg_schema) cols in
-    run_finish shape agg_schema rel
+  | None -> invalid_arg "Matview.groups_result: not an aggregate view"
+  | Some (_, _, agg_schema) ->
+    run_finish shape agg_schema (Agg_util.groups_relation g agg_schema)
 
 let spj_result (shape : Planner.ivm_shape) (rows : Relation.t) : Relation.t =
   run_finish shape shape.Planner.ivm_stream.Plan.schema rows
@@ -362,6 +196,16 @@ let term_catalog (shape : Planner.ivm_shape) (st : state) (cat : Catalog.t)
 
 let next_version v = 1 + match v.v_state with Some st -> st.version | None -> 0
 
+(* The next state of [view]: [result] as of snapshot [cat] of [tables]. *)
+let next_state (view : t) (cat : Catalog.t) tables ?groups ?spj_rows result =
+  { deps = stamp_deps cat tables;
+    rows_at = stamp_rows cat tables;
+    pinned = Catalog.pin cat;
+    groups;
+    spj_rows;
+    version = next_version view;
+    result }
+
 (* Full build of a maintainable view's state on [cat] by replaying the
    whole stream — the same fold a delta refresh continues, so the two are
    comparable bit for bit. *)
@@ -370,30 +214,18 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
   let stream =
     Exec_vectorized.run_plan ~threads:1 cat shape.Planner.ivm_stream
   in
+  let next = next_state view cat shape.Planner.ivm_tables in
   match shape.Planner.ivm_agg with
   | Some (gidx, specs, _) ->
-    let specs_a = Array.of_list specs in
-    let tbl = Hashtbl.create 64 and order = ref [] in
-    if gidx = [] then seed_global ~specs:specs_a tbl order;
-    replay ~groups_idx:(Array.of_list gidx) ~specs:specs_a tbl order stream;
-    { deps = stamp_deps cat shape.Planner.ivm_tables;
-      rows_at = stamp_rows cat shape.Planner.ivm_tables;
-      pinned = Catalog.pin cat;
-      groups = tbl;
-      order = !order;
-      spj_rows = None;
-      version = next_version view;
-      result = agg_result shape tbl !order }
+    let specs = Array.of_list specs and cols = stream.Relation.cols in
+    let g =
+      Agg_util.groups_create specs (Agg_util.column_args specs cols) cols gidx
+    in
+    replay ~groups_idx:gidx g stream;
+    next ~groups:g (groups_result shape g)
   | None ->
     let rows = Relation.decode_strings stream in
-    { deps = stamp_deps cat shape.Planner.ivm_tables;
-      rows_at = stamp_rows cat shape.Planner.ivm_tables;
-      pinned = Catalog.pin cat;
-      groups = Hashtbl.create 1;
-      order = [];
-      spj_rows = Some rows;
-      version = next_version view;
-      result = spj_result shape rows }
+    next ~spj_rows:rows (spj_result shape rows)
 
 (* Initial build from the plan the view was made with: the stream replay
    when maintainable, the whole plan otherwise. *)
@@ -401,16 +233,8 @@ let build (view : t) (cat : Catalog.t) : state =
   match view.v_shape with
   | Some shape -> build_full view shape cat
   | None ->
-    let tables = Plan.bound_tables view.v_bq in
-    let result = Exec_vectorized.run_query ~threads:1 cat view.v_bq in
-    { deps = stamp_deps cat tables;
-      rows_at = stamp_rows cat tables;
-      pinned = Catalog.pin cat;
-      groups = Hashtbl.create 1;
-      order = [];
-      spj_rows = None;
-      version = next_version view;
-      result }
+    next_state view cat (Plan.bound_tables view.v_bq)
+      (Exec_vectorized.run_query ~threads:1 cat view.v_bq)
 
 let set_plan (view : t) (bq : Plan.bound_query) =
   view.v_bq <- bq;
@@ -431,51 +255,31 @@ let recompute (view : t) (cat : Catalog.t) : state =
   build view cat
 
 (* Incremental refresh: replay each changed table's delta-rule term into a
-   deep clone of the accumulator state, then finish and install. *)
+   deep copy of the group state, then finish and install. *)
 let delta_refresh (view : t) (shape : Planner.ivm_shape) (st : state)
     (cat : Catalog.t) ~(changed : string list) : state =
-  let run_term ti =
-    let ccat = term_catalog shape st cat ~changed ti in
-    Exec_vectorized.run_plan ~threads:1 ccat shape.Planner.ivm_stream
-  in
-  match shape.Planner.ivm_agg with
-  | Some (gidx, specs, _) ->
-    let specs_a = Array.of_list specs in
-    let tbl = clone_groups st.groups in
-    let order = ref st.order in
-    List.iter
+  (* the delta-rule terms' streams, in stream table order *)
+  let terms =
+    List.filter_map
       (fun ti ->
         if List.mem ti changed then
-          replay ~groups_idx:(Array.of_list gidx) ~specs:specs_a tbl order
-            (run_term ti))
-      shape.Planner.ivm_tables;
-    { deps = stamp_deps cat shape.Planner.ivm_tables;
-      rows_at = stamp_rows cat shape.Planner.ivm_tables;
-      pinned = Catalog.pin cat;
-      groups = tbl;
-      order = !order;
-      spj_rows = None;
-      version = next_version view;
-      result = agg_result shape tbl !order }
+          Some
+            (Exec_vectorized.run_plan ~threads:1
+               (term_catalog shape st cat ~changed ti)
+               shape.Planner.ivm_stream)
+        else None)
+      shape.Planner.ivm_tables
+  in
+  let next = next_state view cat shape.Planner.ivm_tables in
+  match shape.Planner.ivm_agg with
+  | Some (gidx, _, _) ->
+    let g = Agg_util.groups_copy (Option.get st.groups) in
+    List.iter (replay ~groups_idx:gidx g) terms;
+    next ~groups:g (groups_result shape g)
   | None ->
-    let old_rows = Option.get st.spj_rows in
-    let fresh =
-      List.filter_map
-        (fun ti ->
-          if List.mem ti changed then
-            Some (Relation.decode_strings (run_term ti))
-          else None)
-        shape.Planner.ivm_tables
-    in
-    let rows = Relation.concat (old_rows :: fresh) in
-    { deps = stamp_deps cat shape.Planner.ivm_tables;
-      rows_at = stamp_rows cat shape.Planner.ivm_tables;
-      pinned = Catalog.pin cat;
-      groups = Hashtbl.create 1;
-      order = [];
-      spj_rows = Some rows;
-      version = next_version view;
-      result = spj_result shape rows }
+    let fresh = List.map Relation.decode_strings terms in
+    let rows = Relation.concat (Option.get st.spj_rows :: fresh) in
+    next ~spj_rows:rows (spj_result shape rows)
 
 (* ------------------------------------------------------------------ *)
 (* Read path                                                          *)

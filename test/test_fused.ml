@@ -2,16 +2,15 @@
 
     Every query runs twice on a cache-disabled database — fused kernels
     forced on and forced off — across both backends and 1/3 threads, and
-    the answers must be byte-identical at rendering: the fused mask-based
-    accumulators replay the exact floating-point update sequence of the
-    unfused per-row updaters, so even the low bits of compensated float
-    sums may not move. Datasets are chosen to hit every kernel path:
+    the answers must be byte-identical at rendering: the fused kernels
+    fold their survivors, in row order, into the same slot states as the
+    unfused executors, so even the low bits of compensated float sums may
+    not move. Datasets are chosen to hit every kernel path:
     all-true and all-false predicates (mask fill with no survivors /
     nothing rejected), heavy selectivity skew, NULLs in both filter and
     aggregate position, dictionary-coded string predicates (eq / ne /
     LIKE / IN), date MIN/MAX, arithmetic aggregate arguments including
-    division (which forces the branchy accumulate to avoid NaN
-    poisoning), and grouped aggregation over int / dict / nullable keys.
+    division, and grouped aggregation over int / dict / nullable keys.
     Tables exceed 4096 rows so the vectorized filter kernel engages. A
     fault soak re-runs a fused aggregate under armed injection: the
     kernel.filter / kernel.agg checkpoints must recover to the clean
@@ -86,14 +85,25 @@ let global_agg_queries =
     "SELECT COUNT(*) AS n FROM t WHERE nv IS NULL";
     "SELECT COUNT(*) AS n, SUM(b) AS s FROM t WHERE NOT (k < 10) OR \
      tag = 'gamma'";
-    "SELECT SUM(v) AS s FROM t WHERE tag IN ('alpha', 'delta') AND k < 60" ]
+    "SELECT SUM(v) AS s FROM t WHERE tag IN ('alpha', 'delta') AND k < 60";
+    (* nullable arguments: no survivors, a NULL-only survivor, mixed *)
+    "SELECT MIN(nv) AS mn, MAX(nv) AS mx, COUNT(nv) AS n FROM t WHERE k < -1";
+    "SELECT MIN(nv) AS mn, SUM(nv) AS s, AVG(nv) AS av, COUNT(nv) AS n FROM t \
+     WHERE id = 0";
+    "SELECT MIN(nv) AS mn, MAX(nv) AS mx, AVG(a) AS ai FROM t WHERE k < 30" ]
 
 let grouped_queries =
   [ "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 60 GROUP BY tag";
     "SELECT k, SUM(a) AS s, MIN(v) AS mn FROM t GROUP BY k";
     "SELECT nk, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY nk";
     "SELECT tag, AVG(v) AS av, MAX(d) AS mx FROM t WHERE id >= 100 \
-     GROUP BY tag" ]
+     GROUP BY tag";
+    (* nullable arguments, a nullable key, an empty input *)
+    "SELECT tag, MIN(nv) AS mn, MAX(nv) AS mx, SUM(nv) AS s, AVG(nv) AS av, \
+     COUNT(nv) AS n FROM t WHERE k < 50 GROUP BY tag";
+    "SELECT nk, MIN(a) AS mn, MAX(d) AS mx, AVG(a) AS ai, SUM(a) AS sa FROM t \
+     GROUP BY nk";
+    "SELECT tag, COUNT(nv) AS n, SUM(v) AS s FROM t WHERE k < -1 GROUP BY tag" ]
 
 let filter_queries =
   [ "SELECT id FROM t WHERE k = 7";
@@ -106,6 +116,27 @@ let filter_queries =
 let test_global () = diff_queries ~label:"global" (fused_db ()) global_agg_queries
 let test_grouped () = diff_queries ~label:"grouped" (fused_db ()) grouped_queries
 let test_filters () = diff_queries ~label:"filter" (fused_db ()) filter_queries
+
+(* [diff_queries] compares grouped answers as sorted multisets; the
+   compiled backend also promises first-seen group order, fused or not,
+   at any thread count. *)
+let test_grouped_order () =
+  let db = fused_db () in
+  with_config ~cache:false (fun () ->
+      List.iter
+        (fun sql ->
+          List.iter
+            (fun threads ->
+              let run config =
+                ordered_rows
+                  (config (fun () ->
+                       Db.execute ~backend:Db.Compiled ~threads db sql))
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "grouped order @%dt | %s" threads sql)
+                (run unfused) (run fused))
+            thread_counts)
+        grouped_queries)
 
 (* Dict predicates must also agree with encoding disabled: raw string
    columns take the generic cmp-leaf path instead of the code tables. *)
@@ -148,7 +179,7 @@ let test_neumaier_sum () =
   let db = Db.create () in
   Db.load_table db "adv" (rel [ "x" ] [ floats xs ]);
   (* serial Neumaier reference, the same update sequence as
-     [Agg_util.acc_add_f] *)
+     [Agg_util.kadd_slot] *)
   let sumf = ref 0. and sumc = ref 0. in
   Array.iter
     (fun x ->
@@ -223,6 +254,7 @@ let suites =
   [ ( "fused-differential",
       [ tc "global aggregates" test_global;
         tc "grouped aggregates" test_grouped;
+        tc "grouped order" test_grouped_order;
         tc "filter kernels" test_filters;
         tc "raw string predicates" test_raw_strings;
         tc "legacy array backing" test_legacy_arrays ] );

@@ -363,8 +363,9 @@ let growth =
         { fn = Sql_ast.Sum; arg = Some 2; distinct = false; out_name = "s";
           out_ty = TInt }
       in
-      let g = Agg_util.groups_create ~size:1 [| spec |] cols [ 0; 1 ] in
-      let feed = Agg_util.groups_feeder g cols [ 0; 1 ] in
+      let args = Agg_util.column_args [| spec |] cols in
+      let g = Agg_util.groups_create ~size:1 [| spec |] args cols [ 0; 1 ] in
+      let feed = Agg_util.groups_feeder g args cols [ 0; 1 ] in
       for i = 0 to n - 1 do
         feed i
       done;

@@ -310,6 +310,74 @@ let test_distinct_aggregate_view () =
   Alcotest.(check int) "delta refreshes" 2
     (Db.cache_stats db).Db.delta_refreshes
 
+(* MIN/MAX views over nullable int and float arguments, keyed by a float
+   column holding both 0.0 and -0.0 (one group), and a global view whose
+   first batch has a NULL minimum candidate. Every read must equal, bit
+   for bit, a database holding the same rows and no view, and a rebuild
+   on the final snapshot. *)
+let minmax_sqls =
+  [ "SELECT f, min(x), max(x), avg(x), min(g), max(g), sum(g), count(x) \
+     FROM a GROUP BY f";
+    "SELECT min(x), max(g), avg(x) FROM a" ]
+
+let minmax_batch (xs : Value.t array) (fs : float array) (gs : Value.t array)
+    =
+  Helpers.rel [ "x"; "f"; "g" ]
+    [ Column.of_values Value.TInt xs; Helpers.floats fs;
+      Column.of_values Value.TFloat gs ]
+
+let minmax_batches =
+  let open Value in
+  [ minmax_batch
+      [| VNull; VInt 3; VInt (-2); VInt 7; VNull |]
+      [| 0.0; -0.0; 1.5; 0.0; 1.5 |]
+      [| VFloat 0.1; VFloat 2.5; VNull; VFloat (-1.25); VFloat (0.1 +. 0.2) |];
+    (* a new group, a new minimum and maximum, NULLs on both arguments *)
+    minmax_batch
+      [| VInt 10; VInt (-5); VNull; VInt 0 |]
+      [| -0.0; 2.0; 2.0; 1.5 |]
+      [| VNull; VFloat 1e16; VFloat 3.0; VFloat (-0.0) |];
+    (* ties with the current extremes, a group that stays all-NULL in x *)
+    minmax_batch
+      [| VInt (-5); VInt 10; VNull |]
+      [| 0.0; 2.0; 4.0 |]
+      [| VFloat 1e16; VFloat (-1.25); VNull |] ]
+
+let test_minmax_view () =
+  let db = Db.create () and ref_db = Db.create () in
+  let first = List.hd minmax_batches in
+  Db.load_table db "a" first;
+  Db.load_table ref_db "a" first;
+  List.iteri
+    (fun i sql ->
+      ok_or_fail (Db.register_view db ~name:(Printf.sprintf "m%d" i) sql))
+    minmax_sqls;
+  let check label =
+    List.iter
+      (fun sql ->
+        Alcotest.(check (list string))
+          (label ^ ": " ^ sql)
+          (exact_rows (Db.execute ~backend:Db.Vectorized ref_db sql))
+          (exact_rows (Db.execute db sql));
+        Alcotest.(check (list string))
+          (label ^ " rebuild: " ^ sql)
+          (exact_rows (rebuild_view db sql))
+          (exact_rows (Db.execute db sql)))
+      minmax_sqls
+  in
+  check "initial";
+  List.iteri
+    (fun i b ->
+      Db.append_table db "a" b;
+      Db.append_table ref_db "a" b;
+      check (Printf.sprintf "append %d" (i + 1)))
+    (List.tl minmax_batches);
+  Alcotest.(check int)
+    "0.0 and -0.0 form one group" 4
+    (Relation.n_rows (Db.execute db (List.hd minmax_sqls)));
+  Alcotest.(check int) "delta refreshes" 4
+    (Db.cache_stats db).Db.delta_refreshes
+
 (* ------------------------------------------------------------------ *)
 (* Fallback: non-maintainable plans recompute, with a typed reason      *)
 (* ------------------------------------------------------------------ *)
@@ -683,7 +751,8 @@ let suites =
     ( "matview-groups",
       [ tc "grouped filter: new groups, nulls, backends"
           test_grouped_filter_view;
-        tc "DISTINCT aggregates across appends" test_distinct_aggregate_view ]
+        tc "DISTINCT aggregates across appends" test_distinct_aggregate_view;
+        tc "MIN/MAX views" test_minmax_view ]
     );
     ( "matview-fallback",
       [ tc "join without aggregate recomputes with typed reason"
