@@ -143,8 +143,10 @@ let boxed_update (spec : Plan.agg_spec) (a : arg option) : acc -> int -> unit =
       match spec.fn with
       | Sql_ast.Count | Sql_ast.CountStar -> ()
       | Sql_ast.Sum | Sql_ast.Avg -> (
+        (* a bool adds its 0/1 like an int: SUM over it is an int *)
         match get row with
-        | VInt x ->
+        | (VInt _ | VBool _) as v ->
+          let x = Value.as_int v in
           acc.sumi <- acc.sumi + x;
           if spec.fn = Sql_ast.Avg then acc_add_f acc (float_of_int x)
         | v -> acc_add_f acc (Value.as_float v))

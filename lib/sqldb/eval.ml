@@ -1,5 +1,9 @@
-(** Expression evaluation: column-at-a-time (vectorized executor) and
-    row-at-a-time (compiled executor pipelines). *)
+(** Expression evaluation: column-at-a-time for projected values
+    ({!eval_col}), row-at-a-time closures for everything else
+    ({!compile_row}, and {!compile_pred} for predicates). Neither selects
+    rows itself: every filter over a row range gets its survivors from
+    {!Kernel.selector}, which drives {!compile_pred} closures next to its
+    byte masks. *)
 
 open Value
 open Plan
@@ -160,23 +164,23 @@ let apply_bin (op : Sql_ast.binop) (a : Value.t) (b : Value.t) : Value.t =
 (* Row-at-a-time evaluation (compiled executor)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile [e] into a closure over row index for fixed input columns.
-   Column accessors are resolved once, ahead of the scan loop. *)
-let rec compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
+(* Compile [e] into a closure over a row ['r], reading column [i] through
+   [col i]. Column accessors are resolved once, ahead of the scan loop. *)
+let rec compile_row_by (col : int -> 'r -> Value.t) (e : pexpr) : 'r -> Value.t
+    =
+  let go = compile_row_by col in
   match e with
-  | PCol i ->
-    let c = cols.(i) in
-    fun row -> Column.get c row
+  | PCol i -> col i
   | PLit v -> fun _ -> v
   | PParam (i, _) ->
     (* templates are bound ({!Plan.bind_query}) before execution; reaching
        a live slot here is a plan-cache routing bug, not bad user SQL *)
     invalid_arg (Printf.sprintf "Eval: unbound query parameter $%d" (i + 1))
   | PBin (op, a, b) ->
-    let fa = compile_row cols a and fb = compile_row cols b in
+    let fa = go a and fb = go b in
     fun row -> apply_bin op (fa row) (fb row)
   | PNeg a ->
-    let fa = compile_row cols a in
+    let fa = go a in
     fun row -> (
       match fa row with
       | VInt i -> VInt (-i)
@@ -184,29 +188,27 @@ let rec compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
       | VNull -> VNull
       | v -> invalid_arg ("Eval: cannot negate " ^ Value.to_string v))
   | PNot a ->
-    let fa = compile_row cols a in
+    let fa = go a in
     fun row -> (
       match fa row with
       | VBool b -> VBool (not b)
       | VNull -> VBool false
       | v -> invalid_arg ("Eval: cannot NOT " ^ Value.to_string v))
   | PCase (whens, els) ->
-    let whens =
-      List.map (fun (c, v) -> (compile_row cols c, compile_row cols v)) whens
-    in
-    let els = Option.map (compile_row cols) els in
+    let whens = List.map (fun (c, v) -> (go c, go v)) whens in
+    let els = Option.map go els in
     fun row ->
-      let rec go = function
+      let rec pick = function
         | [] -> ( match els with Some f -> f row | None -> VNull)
         | (c, v) :: rest -> (
-          match c row with VBool true -> v row | _ -> go rest)
+          match c row with VBool true -> v row | _ -> pick rest)
       in
-      go whens
+      pick whens
   | PFunc (name, args) ->
-    let fargs = List.map (compile_row cols) args in
+    let fargs = List.map go args in
     fun row -> apply_func name (List.map (fun f -> f row) fargs)
   | PLike (a, pattern, negated) ->
-    let fa = compile_row cols a in
+    let fa = go a in
     let matcher = compile_like pattern in
     fun row -> (
       match fa row with
@@ -214,16 +216,16 @@ let rec compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
       | VNull -> VBool false
       | v -> invalid_arg ("Eval: LIKE on " ^ Value.to_string v))
   | PInList (a, items, negated) ->
-    let fa = compile_row cols a in
+    let fa = go a in
     fun row ->
       let v = fa row in
       if Value.is_null v then VBool false
       else VBool (List.exists (Value.equal_values v) items <> negated)
   | PIsNull (a, negated) ->
-    let fa = compile_row cols a in
+    let fa = go a in
     fun row -> VBool (Value.is_null (fa row) <> negated)
   | PCast (a, ty) ->
-    let fa = compile_row cols a in
+    let fa = go a in
     fun row -> (
       match (fa row, ty) with
       | VNull, _ -> VNull
@@ -233,6 +235,33 @@ let rec compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
       | v, TBool -> VBool (Value.as_int v <> 0)
       | VString s, TDate -> VDate (Value.date_of_iso s)
       | v, TDate -> VDate (Value.as_int v))
+
+(* [e] over a row index of fixed input columns. *)
+let compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
+  compile_row_by
+    (fun i ->
+      let c = cols.(i) in
+      fun row -> Column.get c row)
+    e
+
+(* A join residual [e] over the left columns followed by the right ones,
+   as a test on a (left row, right row) pair. NULL and non-bool answers are
+   false, as in filter position. *)
+let pair_pred (lcols : Column.t array) (rcols : Column.t array) (e : pexpr) :
+    int * int -> bool =
+  let nl = Array.length lcols in
+  let f =
+    compile_row_by
+      (fun i ->
+        if i < nl then
+          let c = lcols.(i) in
+          fun (l, _) -> Column.get c l
+        else
+          let c = rcols.(i - nl) in
+          fun (_, r) -> Column.get c r)
+      e
+  in
+  fun lr -> match f lr with VBool b -> b | _ -> false
 
 let cmp_test (op : Sql_ast.binop) : int -> bool =
   match op with
@@ -760,41 +789,3 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
   in
   ignore out_ty;
   eval e
-
-(* Evaluate a predicate over all rows, returning the selected row indices. *)
-let eval_filter (cols : Column.t array) ~(n : int) (e : pexpr) : int array =
-  let c = eval_col cols ~n e in
-  match c.Column.data with
-  | Column.B flags ->
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if flags.(i) && not (Column.is_null c i) then incr count
-    done;
-    let out = Array.make !count 0 in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if flags.(i) && not (Column.is_null c i) then begin
-        out.(!k) <- i;
-        incr k
-      end
-    done;
-    out
-  | _ -> invalid_arg "Eval.eval_filter: predicate is not boolean"
-
-(* Selection-aware filter: evaluate [e] only on the base rows listed in
-   [sel], returning the surviving base indices in selection order. This is
-   what lets stacked filters compose without materializing intermediates. *)
-let eval_filter_sel (cols : Column.t array) ~(sel : int array) (e : pexpr) :
-    int array =
-  let pred = compile_pred cols e in
-  let n = Array.length sel in
-  let buf = Array.make n 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let row = sel.(i) in
-    if pred row then begin
-      buf.(!k) <- row;
-      incr k
-    end
-  done;
-  Array.sub buf 0 !k

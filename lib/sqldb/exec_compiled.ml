@@ -30,7 +30,7 @@ let chunk_filter pred (c : chunk) : chunk option =
   let n = Relation.n_rows c in
   if n = 0 then Some c
   else
-    let idx = Eval.eval_filter c.Relation.cols ~n pred in
+    let idx = Kernel.select ~threads:1 c.Relation.cols [ pred ] [] ~n in
     if Array.length idx = 0 then None
     else if Array.length idx = n then Some c
     else Some (Relation.take c idx)
@@ -85,8 +85,7 @@ let chunk_probe ~left_outer (r : Relation.t)
 
 let chunk_semi ~anti (r : Relation.t)
     (tbl : Radix.t option) (lkeys : int list)
-    (residual_check : (chunk -> int -> int -> bool) option) (c : chunk) :
-    chunk option =
+    (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
   let nr = Relation.n_rows r in
   let probe =
@@ -96,13 +95,18 @@ let chunk_semi ~anti (r : Relation.t)
       let all = List.init nr Fun.id in
       fun _ -> all
   in
+  (* compiled per chunk: chunks run on many domains *)
+  let check =
+    Option.map (fun pred -> Eval.pair_pred c.Relation.cols r.Relation.cols pred)
+      residual
+  in
   let keep = ref [] and count = ref 0 in
   for row = n - 1 downto 0 do
     let candidates = probe row in
     let matched =
-      match residual_check with
+      match check with
       | None -> candidates <> []
-      | Some check -> List.exists (fun rrow -> check c row rrow) candidates
+      | Some check -> List.exists (fun rrow -> check (row, rrow)) candidates
     in
     if matched <> anti then begin
       keep := row :: !keep;
@@ -111,62 +115,6 @@ let chunk_semi ~anti (r : Relation.t)
   done;
   if !count = 0 && n > 0 then None
   else Some (Relation.take c (Array.of_list !keep))
-
-(* ------------------------------------------------------------------ *)
-(* Pair-wise residual evaluation (chunk row vs build row)             *)
-(* ------------------------------------------------------------------ *)
-
-let make_residual_check (r : Relation.t) (pred : pexpr) :
-    chunk -> int -> int -> bool =
- fun c lrow rrow ->
-  let nlc = Array.length c.Relation.cols in
-  let get col =
-    if col < nlc then Column.get c.Relation.cols.(col) lrow
-    else Column.get r.Relation.cols.(col - nlc) rrow
-  in
-  let rec ev (e : pexpr) : Value.t =
-    match e with
-    | PCol i -> get i
-    | PLit v -> v
-    | PParam (i, _) ->
-      invalid_arg (Printf.sprintf "exec: unbound query parameter $%d" (i + 1))
-    | PBin (op, a, b) -> Eval.apply_bin op (ev a) (ev b)
-    | PNeg a -> (
-      match ev a with
-      | Value.VInt i -> Value.VInt (-i)
-      | Value.VFloat f -> Value.VFloat (-.f)
-      | _ -> Value.VNull)
-    | PNot a -> (
-      match ev a with
-      | Value.VBool b -> Value.VBool (not b)
-      | _ -> Value.VBool false)
-    | PCase (whens, els) ->
-      let rec go = function
-        | [] -> ( match els with Some e -> ev e | None -> Value.VNull)
-        | (cond, v) :: rest -> (
-          match ev cond with Value.VBool true -> ev v | _ -> go rest)
-      in
-      go whens
-    | PFunc (name, args) -> Eval.apply_func name (List.map ev args)
-    | PLike (a, pat, neg) -> (
-      match ev a with
-      | Value.VString s -> Value.VBool (Eval.like_match pat s <> neg)
-      | _ -> Value.VBool false)
-    | PInList (a, items, neg) ->
-      let v = ev a in
-      if Value.is_null v then Value.VBool false
-      else Value.VBool (List.exists (Value.equal_values v) items <> neg)
-    | PIsNull (a, neg) -> Value.VBool (Value.is_null (ev a) <> neg)
-    | PCast (a, ty) -> (
-      match (ev a, ty) with
-      | Value.VNull, _ -> Value.VNull
-      | v, Value.TInt -> Value.VInt (Value.as_int v)
-      | v, Value.TFloat -> Value.VFloat (Value.as_float v)
-      | v, Value.TString -> Value.VString (Value.to_string v)
-      | v, Value.TBool -> Value.VBool (Value.as_int v <> 0)
-      | v, Value.TDate -> Value.VDate (Value.as_int v))
-  in
-  match ev pred with Value.VBool b -> b | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                           *)
@@ -186,23 +134,6 @@ type segment = {
 
 let seg_transform seg : chunk -> chunk option =
   match seg.transform with None -> fun c -> Some c | Some f -> f
-
-(* Zone-map test for a segment's fused prefilter: the source columns of a
-   scan (even when narrowed zero-copy by a column-select) are the base-table
-   arrays, so {!Catalog.zones_for} recovers the ingest-time block min/max. *)
-let seg_zone_test catalog (seg : segment) : (int -> bool) option =
-  match seg.prefilter with
-  | [] -> None
-  | preds ->
-    let zcols =
-      Array.map (Catalog.zones_for catalog) seg.source.Relation.cols
-    in
-    if Array.for_all Option.is_none zcols then None
-    else Stats.zone_tests_with zcols preds
-
-(* Split [lo..hi] into maximal sub-ranges whose zone blocks may all match
-   (moved to {!Stats.alive_ranges} so the fused kernels share it). *)
-let alive_ranges = Stats.alive_ranges
 
 (* Compose a further chunk operation onto a segment. *)
 let seg_then seg (f : chunk -> chunk option) : segment =
@@ -324,46 +255,16 @@ let rec compile_segment ctx (p : plan) : segment =
             (* a fused upstream operator reshapes rows: materialize *)
             (run_segment ctx seg, None)
           | None ->
-            let n = Relation.n_rows seg.source in
             let cols = seg.source.Relation.cols in
             let sel =
-              match (seg.prefilter, seg.prescan, seg_zone_test ctx.catalog seg)
-              with
-              | [], [], _ -> None
-              | prefilter, prescan, ztest ->
-                let works =
-                  List.concat_map
-                    (fun (lo, hi) ->
-                      let len = hi - lo + 1 in
-                      List.map
-                        (fun (s, l) -> (lo + s, l))
-                        (Parallel.chunks
-                           ~k:(Parallel.morsel_count ~threads:ctx.threads len)
-                           len))
-                    (alive_ranges ztest 0 (n - 1))
-                in
+              match (seg.prefilter, seg.prescan) with
+              | [], [] -> None
+              | prefilter, prescan ->
                 Some
-                  (Exec_vectorized.collect_parts ~threads:ctx.threads
-                     (Parallel.map_list ~threads:ctx.threads
-                        (List.map
-                           (fun (start, len) () ->
-                             Guard.check ();
-                             let preds =
-                               List.map (Eval.compile_pred cols) prefilter
-                             in
-                             let out = Array.make (max 1 len) 0
-                             and count = ref 0 in
-                             for row = start to start + len - 1 do
-                               if
-                                 List.for_all (fun p -> p row) preds
-                                 && List.for_all (fun t -> t row) prescan
-                               then begin
-                                 out.(!count) <- row;
-                                 incr count
-                               end
-                             done;
-                             (out, !count))
-                           works)))
+                  (Kernel.select ~threads:ctx.threads
+                     ?zones:(Kernel.zone_test ctx.catalog cols prefilter)
+                     cols prefilter prescan
+                     ~n:(Relation.n_rows seg.source))
             in
             (seg.source, sel)
         in
@@ -441,7 +342,6 @@ let rec compile_segment ctx (p : plan) : segment =
              (List.map snd keys) ~n:(Relation.n_rows r))
     in
     let lkeys = List.map fst keys in
-    let residual_check = Option.map (make_residual_check r) residual in
     (* Semi joins keep only matched rows: bloom misses are safe to drop at
        the scan. Anti joins keep exactly the misses — no pushdown. *)
     let seg =
@@ -453,7 +353,7 @@ let rec compile_segment ctx (p : plan) : segment =
         }
       | _ -> seg
     in
-    seg_then seg (chunk_semi ~anti r tbl lkeys residual_check)
+    seg_then seg (chunk_semi ~anti r tbl lkeys residual)
   | Join { kind = JRight | JFull; _ }
   | PValues _ | Aggregate _ | Sort _ | LimitN _ | Distinct _ | Window _ ->
     (* Pipeline breaker: materialize and start a fresh segment. *)
@@ -471,22 +371,18 @@ and lookup ctx name =
     | None -> invalid_arg ("Exec_compiled: unknown relation " ^ name))
 
 (* Iterate the morsels of [seg] over rows [start, start+len), invoking
-   [consume] with each surviving non-empty chunk. The fused prefilter runs on
-   the source columns so only surviving rows are gathered. *)
+   [consume] with each surviving non-empty chunk. One selector over the
+   source columns runs the fused prefilter and prescan (and the deadline
+   checkpoint) per morsel, so only surviving rows are gathered. *)
 and iter_morsels ?ztest (seg : segment) start len (consume : chunk -> unit) :
     unit =
   let transform = seg_transform seg in
-  let preds =
-    List.map (Eval.compile_pred seg.source.Relation.cols) seg.prefilter
+  let select =
+    Kernel.selector seg.source.Relation.cols seg.prefilter seg.prescan
   in
-  let passes row =
-    List.for_all (fun p -> p row) preds
-    && List.for_all (fun t -> t row) seg.prescan
-  in
+  let buf = Array.make (max 1 (min morsel_size len)) 0 in
   let pos = ref start in
   while !pos < start + len do
-    (* morsel boundary: cooperative deadline / cancellation checkpoint *)
-    Guard.check ();
     let step = min morsel_size (start + len - !pos) in
     let skip =
       (* zone-map morsel skipping: a morsel overlaps at most two stats
@@ -497,22 +393,13 @@ and iter_morsels ?ztest (seg : segment) start len (consume : chunk -> unit) :
       | None -> false
     in
     if not skip then begin
-      let idx =
-        match (preds, seg.prescan) with
-        | [], [] -> Array.init step (fun i -> !pos + i)
-        | _ ->
-          let buf = ref [] and count = ref 0 in
-          for row = !pos + step - 1 downto !pos do
-            if passes row then begin
-              buf := row :: !buf;
-              incr count
-            end
-          done;
-          Array.of_list !buf
-      in
-      if Array.length idx > 0 then begin
-        Guard.add_rows (Array.length idx);
-        let chunk = Relation.take seg.source idx in
+      let count = ref 0 in
+      select ~lo:!pos ~hi:(!pos + step - 1) (fun idx k ->
+          Array.blit idx 0 buf !count k;
+          count := !count + k);
+      if !count > 0 then begin
+        Guard.add_rows !count;
+        let chunk = Relation.take seg.source (Array.sub buf 0 !count) in
         match transform chunk with
         | Some c when Relation.n_rows c > 0 -> consume c
         | _ -> ()
@@ -524,7 +411,9 @@ and iter_morsels ?ztest (seg : segment) start len (consume : chunk -> unit) :
 (* Run a segment over its source, morsel-parallel, collecting all chunks. *)
 and run_segment ctx (seg : segment) : Relation.t =
   let n = Relation.n_rows seg.source in
-  let ztest = seg_zone_test ctx.catalog seg in
+  let ztest =
+    Kernel.zone_test ctx.catalog seg.source.Relation.cols seg.prefilter
+  in
   let run_range start len =
     let out = ref [] in
     iter_morsels ?ztest seg start len (fun c -> out := c :: !out);
@@ -626,30 +515,35 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
   let has_distinct = List.exists (fun s -> s.distinct) specs in
   let seg = compile_segment ctx sub in
   let n = Relation.n_rows seg.source in
-  let ztest = seg_zone_test ctx.catalog seg in
-  (* Feed the range's rows to [consume cols lo hi passes]: straight off the
-     source columns for a scan-shaped segment (no morsel materialization;
-     zone-dead blocks drop out of the row ranges entirely), else morsel by
-     morsel. *)
-  let source_test () =
-    let cols = seg.source.Relation.cols in
-    match (List.map (Eval.compile_pred cols) seg.prefilter, seg.prescan) with
-    | [], [] -> fun _ -> true
-    | preds, prescan ->
-      fun row ->
-        List.for_all (fun p -> p row) preds
-        && List.for_all (fun t -> t row) prescan
-  in
-  let iter_range start len consume =
+  let cols = seg.source.Relation.cols in
+  let ztest = Kernel.zone_test ctx.catalog cols seg.prefilter in
+  (* Feed the range's surviving rows to [sink]: [sink cols] sets up the
+     fold over rows of [cols] and returns its per-row update. A
+     scan-shaped segment's rows come straight off the source columns
+     through one selector (no morsel materialization; zone-dead blocks
+     drop out of the row ranges entirely), else morsel by morsel, with
+     [sink] set up again for each chunk. *)
+  let iter_range start len (sink : Column.t array -> int -> unit) =
     match seg.transform with
-    | None ->
-      let passes = source_test () in
-      List.iter
-        (fun (lo, hi) -> consume seg.source.Relation.cols lo hi passes)
-        (alive_ranges ztest start (start + len - 1))
+    | None -> (
+      match Stats.alive_ranges ztest start (start + len - 1) with
+      | [] -> ()
+      | ranges ->
+        let feed = sink cols in
+        let select = Kernel.selector cols seg.prefilter seg.prescan in
+        List.iter
+          (fun (lo, hi) ->
+            select ~lo ~hi (fun idx k ->
+                for t = 0 to k - 1 do
+                  feed (Array.unsafe_get idx t)
+                done))
+          ranges)
     | Some _ ->
       iter_morsels ?ztest seg start len (fun c ->
-          consume c.Relation.cols 0 (Relation.n_rows c - 1) (fun _ -> true))
+          let feed = sink c.Relation.cols in
+          for row = 0 to Relation.n_rows c - 1 do
+            feed row
+          done)
   in
   match groups with
   | [] ->
@@ -657,7 +551,7 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
        first chunk's columns *)
     let fold_range start len =
       let states = ref None in
-      iter_range start len (fun cols lo hi passes ->
+      iter_range start len (fun cols ->
           let args = Agg_util.column_args specs_arr cols in
           let st =
             match !states with
@@ -668,14 +562,10 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
               st
           in
           let upds = Agg_util.slot_updates specs_arr args st in
-          for row = lo to hi do
-            (* the fused loop has no morsel boundary: check every ~8K rows *)
-            if (row - lo) land 8191 = 0 then Guard.check ();
-            if passes row then
-              for i = 0 to n_specs - 1 do
-                upds.(i) 0 row
-              done
-          done);
+          fun row ->
+            for i = 0 to n_specs - 1 do
+              upds.(i) 0 row
+            done);
       !states
     in
     let partials =
@@ -711,7 +601,7 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
        columns, so dictionaries and data constructors agree). *)
     let fold_range start len =
       let part = ref None in
-      iter_range start len (fun cols lo hi passes ->
+      iter_range start len (fun cols ->
           (* [cross_chunk]: a morsel's packed keys must mean the same in
              every other morsel *)
           let dense =
@@ -732,20 +622,14 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
           in
           (* rebuilt per chunk (chunk columns are distinct gathers); the
              group state it writes persists across chunks *)
-          let feed = Agg_util.groups_feeder ?dense g args cols groups in
-          for row = lo to hi do
-            if (row - lo) land 8191 = 0 then Guard.check ();
-            if passes row then feed row
-          done);
+          Agg_util.groups_feeder ?dense g args cols groups);
       !part
     in
     (* radix partition fold: rows arrive as a base-row selection vector over
        the materialized source; group keys are disjoint across partitions,
        so the partial merge below only ever appends *)
     let fold_sel (sel : int array) =
-      let cols = seg.source.Relation.cols in
       let args = Agg_util.column_args specs_arr cols in
-      let passes = source_test () in
       let g =
         Agg_util.groups_create
           ~size:(Agg_util.size_hint p.est (Array.length sel))
@@ -755,24 +639,31 @@ and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
       Array.iteri
         (fun i row ->
           if i land 8191 = 0 then Guard.check ();
-          if passes row then feed row)
+          feed row)
         sel;
       Some g
     in
     (* radix aggregation applies to a materialized source (a pipeline
        breaker's output, e.g. a partition-wise join) whose group domain is
        too wide for dense grouping; fused pipelines keep the chunked
-       partial scheme — their rows never materialize *)
+       partial scheme — their rows never materialize. The source's
+       surviving rows are what partitions. *)
     let radix_parts =
       match (seg.transform, ztest) with
-      | None, None when not has_distinct ->
-        let cols = seg.source.Relation.cols in
-        if
-          Option.is_some
-            (Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16) cols
-               groups)
-        then None
-        else Radix.group_parts ~threads:ctx.threads cols groups ~n
+      | None, None
+        when (not has_distinct)
+             && Radix.should ~rows:n ~threads:ctx.threads
+             && Option.is_none
+                  (Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16)
+                     cols groups) ->
+        let base, rows =
+          match (seg.prefilter, seg.prescan) with
+          | [], [] -> (Fun.id, n)
+          | preds, tests ->
+            let sel = Kernel.select ~threads:ctx.threads cols preds tests ~n in
+            (Array.get sel, Array.length sel)
+        in
+        Radix.group_parts ~threads:ctx.threads ~base cols groups ~n:rows
       | _ -> None
     in
     let partials =

@@ -6,7 +6,6 @@
     output, window functions and projection. Scans, filters, join probes and
     aggregation are morsel-parallel over domains. *)
 
-open Value
 open Plan
 
 type ctx = {
@@ -45,139 +44,27 @@ let materialize (s : srel) : Relation.t =
 (* Filtering                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let collect_parts ?(threads = 1) parts =
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 parts in
-  let idx = Array.make total 0 in
-  (* each part blits into its own disjoint region, so the scatter is one
-     parallel work item per part *)
-  let works, _ =
-    List.fold_left
-      (fun (works, off) (rows, count) ->
-        let work () = Array.blit rows 0 idx off count in
-        (work :: works, off + count))
-      ([], 0) parts
-  in
-  ignore (Parallel.map_list ~threads (List.rev works));
-  idx
-
-let filter_indices ~threads cols ~n pred =
-  (* decide mask-kernel eligibility once; each worker still compiles its
-     own mask (fillers carry private scratch) *)
-  let kernel = n >= 4096 && Kernel.filter_supported cols pred in
-  let chunk_fallback start len =
-    (* evaluate predicate row-at-a-time per chunk; survivors go into
-       a chunk-local array (no per-row cons cells → no minor-GC churn
-       in the hot loop) *)
-    let test = Eval.compile_pred cols pred in
-    let out = Array.make (max 1 len) 0 and count = ref 0 in
-    for row = start to start + len - 1 do
-      if test row then begin
-        out.(!count) <- row;
-        incr count
-      end
-    done;
-    (out, !count)
-  in
-  let chunk start len =
-    if kernel then
-      match Kernel.filter_chunk cols pred ~start ~len with
-      | Some rc -> rc
-      | None -> chunk_fallback start len
-    else chunk_fallback start len
-  in
-  if threads <= 1 || n < 4096 then
-    if kernel then begin
-      let rows, count = chunk 0 n in
-      Array.sub rows 0 count
-    end
-    else Eval.eval_filter cols ~n pred
-  else
-    collect_parts ~threads
-      (Parallel.map_chunks ~k:(Parallel.morsel_count ~threads n) ~threads n
-         chunk)
-
-(* Zone-map scan skipping: when filtering a full base-table scan, consult
-   the per-block min/max computed at ingest and evaluate the predicate only
-   over blocks that may contain a match. Returns [None] when nothing is
-   skippable (no zone maps for the referenced columns, predicate shape not
-   zone-checkable, or every block alive) so the caller keeps the vectorized
-   full-column path. *)
-let zone_filter ~threads catalog cols ~n pred : int array option =
-  if n = 0 then None
-  else
-    let zcols = Array.map (Catalog.zones_for catalog) cols in
-    if Array.for_all Option.is_none zcols then None
-    else
-      match Stats.zone_tests_with zcols [ pred ] with
-      | None -> None
-      | Some test ->
-        let bs = Stats.block_size in
-        let nb = (n + bs - 1) / bs in
-        let alive = Array.init nb test in
-        if Array.for_all Fun.id alive then None
-        else
-          Some
-            (collect_parts ~threads
-               (Parallel.map_chunks
-                  (* chunk count sized by rows, applied to blocks: one
-                     morsel's worth of rows per chunk *)
-                  ~k:(Parallel.morsel_count ~threads n)
-                  ~threads nb
-                  (fun bstart blen ->
-                    (* mask kernel over alive blocks when every predicate
-                       leaf specializes; per-row closure otherwise *)
-                    let kfill = Kernel.mask_fill cols pred in
-                    let test_row =
-                      match kfill with
-                      | Some _ -> fun _ -> false
-                      | None -> Eval.compile_pred cols pred
-                    in
-                    let m =
-                      match kfill with
-                      | Some _ -> Bytes.create Kernel.stride
-                      | None -> Bytes.empty
-                    in
-                    let cap =
-                      max 1 (min (blen * bs) (n - (bstart * bs)))
-                    in
-                    let out = Array.make cap 0 and count = ref 0 in
-                    for b = bstart to bstart + blen - 1 do
-                      if alive.(b) then begin
-                        Guard.check ();
-                        let lo = b * bs and hi = min n ((b + 1) * bs) - 1 in
-                        match kfill with
-                        | Some fill ->
-                          Kernel.fill_collect fill m ~lo ~hi out count
-                        | None ->
-                          for row = lo to hi do
-                            if test_row row then begin
-                              out.(!count) <- row;
-                              incr count
-                            end
-                          done
-                      end
-                    done;
-                    (out, !count))))
-
-(* Filter an already-selected relation: the predicate runs only on the rows
-   in [sel] and the surviving base indices come back in selection order. *)
+(* Rows of an unselected relation survive through {!Kernel.select}. An
+   already-selected relation runs the predicate only on the rows in [sel],
+   and the surviving base indices come back in selection order. *)
 let filter_sel ~threads cols (sel : int array) pred =
   let n = Array.length sel in
-  if threads <= 1 || n < 4096 then Eval.eval_filter_sel cols ~sel pred
-  else
-    collect_parts ~threads
-      (Parallel.map_chunks ~k:(Parallel.morsel_count ~threads n) ~threads n
-         (fun start len ->
-           let test = Eval.compile_pred cols pred in
-           let out = Array.make (max 1 len) 0 and count = ref 0 in
-           for pos = start to start + len - 1 do
-             let row = sel.(pos) in
-             if test row then begin
-               out.(!count) <- row;
-               incr count
-             end
-           done;
-           (out, !count)))
+  let k =
+    if threads <= 1 || n <= Kernel.stride then 1
+    else Parallel.morsel_count ~threads n
+  in
+  Kernel.collect_parts ~threads
+    (Parallel.map_chunks ~k ~threads n (fun start len ->
+         let test = Eval.compile_pred cols pred in
+         let out = Array.make (max 1 len) 0 and count = ref 0 in
+         for pos = start to start + len - 1 do
+           let row = sel.(pos) in
+           if test row then begin
+             out.(!count) <- row;
+             incr count
+           end
+         done;
+         (out, !count)))
 
 (* ------------------------------------------------------------------ *)
 (* Sorting                                                            *)
@@ -449,7 +336,7 @@ let apply_residual ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri
   | Some pred ->
     let cand = concat_relations ~threads l r li ri in
     let n = Relation.n_rows cand in
-    let sel = filter_indices ~threads (relation_cols cand) ~n pred in
+    let sel = Kernel.select ~threads (relation_cols cand) [ pred ] [] ~n in
     (Array.map (fun k -> li.(k)) sel, Array.map (fun k -> ri.(k)) sel)
 
 (* ------------------------------------------------------------------ *)
@@ -499,11 +386,10 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let cols = relation_cols s.rel in
     let sel' =
       match s.sel with
-      | None -> (
-        let n = Relation.n_rows s.rel in
-        match zone_filter ~threads:ctx.threads ctx.catalog cols ~n pred with
-        | Some sel -> sel
-        | None -> filter_indices ~threads:ctx.threads cols ~n pred)
+      | None ->
+        Kernel.select ~threads:ctx.threads
+          ?zones:(Kernel.zone_test ctx.catalog cols [ pred ])
+          cols [ pred ] [] ~n:(Relation.n_rows s.rel)
       | Some sel -> filter_sel ~threads:ctx.threads cols sel pred
     in
     { rel = s.rel; sel = Some sel' }
@@ -702,93 +588,43 @@ and run_semijoin ctx anti left right keys residual =
         Some
           (Radix.build ~threads:ctx.threads (relation_cols r) rkeys ~n:nr)
     in
-    let residual_check =
-      match residual with
-      | None -> fun _ _ -> true
-      | Some pred ->
-        let nlc = Array.length l.Relation.cols in
-        fun lrow rrow ->
-          (* build a 1-row pair context lazily via boxed eval *)
-          let get col =
-            if col < nlc then Column.get l.Relation.cols.(col) lrow
-            else Column.get r.Relation.cols.(col - nlc) rrow
-          in
-          let rec ev (e : pexpr) : Value.t =
-            match e with
-            | PCol i -> get i
-            | PLit v -> v
-            | PParam (i, _) ->
-              invalid_arg
-                (Printf.sprintf "exec: unbound query parameter $%d" (i + 1))
-            | PBin (op, a, b) -> Eval.apply_bin op (ev a) (ev b)
-            | PNeg a -> (
-              match ev a with
-              | VInt i -> VInt (-i)
-              | VFloat f -> VFloat (-.f)
-              | _ -> VNull)
-            | PNot a -> (
-              match ev a with VBool b -> VBool (not b) | _ -> VBool false)
-            | PCase (whens, els) ->
-              let rec go = function
-                | [] -> ( match els with Some e -> ev e | None -> VNull)
-                | (c, v) :: rest -> (
-                  match ev c with VBool true -> ev v | _ -> go rest)
-              in
-              go whens
-            | PFunc (name, args) -> Eval.apply_func name (List.map ev args)
-            | PLike (a, pat, neg) -> (
-              match ev a with
-              | VString s -> VBool (Eval.like_match pat s <> neg)
-              | _ -> VBool false)
-            | PInList (a, items, neg) ->
-              let v = ev a in
-              if Value.is_null v then VBool false
-              else VBool (List.exists (Value.equal_values v) items <> neg)
-            | PIsNull (a, neg) -> VBool (Value.is_null (ev a) <> neg)
-            | PCast (a, ty) -> (
-              match (ev a, ty) with
-              | VNull, _ -> VNull
-              | v, TInt -> VInt (Value.as_int v)
-              | v, TFloat -> VFloat (Value.as_float v)
-              | v, TString -> VString (Value.to_string v)
-              | v, TBool -> VBool (Value.as_int v <> 0)
-              | VString s, TDate -> VDate (Value.date_of_iso s)
-              | v, TDate -> VDate (Value.as_int v))
-          in
-          match ev pred with VBool b -> b | _ -> false
-    in
-    let probe_with pf lrow =
-      let candidates =
-        match pf with
-        | Some pf -> pf lrow
-        | None -> List.init nr Fun.id
+    (* a probe per chunk keeps partition-routing memos and the residual's
+       closures domain-private *)
+    let mk_probe () =
+      let pf =
+        Option.map (fun t -> Radix.probe_fn t (relation_cols l) lkeys) tbl
       in
-      List.exists (fun rrow -> residual_check lrow rrow) candidates
-    in
-    (* probe_fn per chunk keeps partition-routing memos domain-private *)
-    let mk_pf () =
-      Option.map (fun t -> Radix.probe_fn t (relation_cols l) lkeys) tbl
+      let check =
+        match residual with
+        | None -> fun _ -> true
+        | Some pred -> Eval.pair_pred (relation_cols l) (relation_cols r) pred
+      in
+      fun lrow ->
+        let candidates =
+          match pf with Some pf -> pf lrow | None -> List.init nr Fun.id
+        in
+        List.exists (fun rrow -> check (lrow, rrow)) candidates
     in
     let keep =
       if ctx.threads > 1 && nl >= 4096 && Option.is_some tbl then
-        collect_parts
+        Kernel.collect_parts
           (Parallel.map_chunks ~threads:ctx.threads nl (fun start len ->
-               let pf = mk_pf () in
+               let probe = mk_probe () in
                let out = Array.make (max 1 len) 0 and count = ref 0 in
                for pos = start to start + len - 1 do
                  let lrow = base pos in
-                 if probe_with pf lrow <> anti then begin
+                 if probe lrow <> anti then begin
                    out.(!count) <- lrow;
                    incr count
                  end
                done;
                (out, !count)))
       else begin
-        let pf = mk_pf () in
+        let probe = mk_probe () in
         let out = ref [] in
         for pos = nl - 1 downto 0 do
           let lrow = base pos in
-          if probe_with pf lrow <> anti then out := lrow :: !out
+          if probe lrow <> anti then out := lrow :: !out
         done;
         Array.of_list !out
       end
@@ -804,12 +640,11 @@ and groups_dense ~n cols groups =
 
 and run_aggregate ctx (p : plan) sub groups specs =
   (* Aggregate fusion stays compiled-executor-only: this engine's unfused
-     pipeline already runs column-at-a-time (typed eval_col loops plus the
-     mask kernels in filter_indices), so collapsing it into the fused
-     cascade only replaces one vectorized loop with another while
-     forfeiting the selection-vector reuse downstream operators rely on.
-     The filter-side kernels above are the vectorized engine's share of
-     the fused layer. *)
+     pipeline already runs column-at-a-time (typed eval_col loops, and
+     filters that select through Kernel's masks), so collapsing it into
+     the fused aggregate only replaces one vectorized loop with another
+     while forfeiting the selection-vector reuse downstream operators rely
+     on. *)
   let s = run_sel ctx sub in
   let n = srel_nrows s in
   let cols = relation_cols s.rel in

@@ -1,9 +1,7 @@
-(** Fused branch-free filter→aggregate kernels over base-table scans.
+(** Row selection and fused filter→aggregate kernels over base columns.
 
-    The mid-tier executors evaluate predicates row-at-a-time through
-    closures ({!Eval.compile_pred}) over projected chunk columns. This
-    module compiles the hot pipeline shape [SELECT aggs FROM t WHERE p
-    (GROUP BY cols)] down to tight loops over the physical column storage:
+    This module answers one question for both executors and the fused
+    aggregate: which rows of [lo, hi] pass these conjuncts?
 
     - {b Masks.} Predicates render into byte masks (0/1 per row) over a
       fixed [stride] of rows. Comparison leaves over {!Column.ivec} /
@@ -13,50 +11,53 @@
       predicate once per *distinct* value into a per-code byte table
       (mirroring {!Eval}'s dictionary fast paths), then each row is one
       table load. Conjunctions and disjunctions combine masks with byte
-      [land]/[lor] — no short-circuit branches. Leaves the compiler does
-      not specialize fall back to a {!Eval.compile_pred} closure rendered
-      into the same mask, so fused and unfused paths agree on semantics by
-      construction.
+      [land]/[lor] — no short-circuit branches. A predicate with any leaf
+      the compiler does not specialize renders no mask at all.
+
+    - {b Selection} ({!selector}, {!select}). Filter conjuncts are
+      flattened; those that render fully into masks are AND-ed into one
+      mask per stride, whose set bytes compact into a survivor list. The
+      rest refine that list as {!Eval.compile_pred} closures in written
+      order, then the caller's row tests (the bloom prescan). Masks never
+      raise, so running them first only ever evaluates a closure on fewer
+      rows than written order would. Survivors come out per stride in
+      ascending row order. {!select} runs a selector morsel-parallel over
+      the zone-alive ranges ({!Stats.alive_ranges}) and returns every
+      survivor; the compiled executor's morsel loop and aggregate folds
+      call a selector directly.
 
     - {b Fused aggregation.} For a gated plan ({!Planner.fusible_agg}) the
       Filter/Project chain is peeled back onto the base table
-      ({!Plan.subst_cols}) and its conjuncts run as a selection cascade
-      per stride, ordered estimated-most-selective-first from table
-      statistics ({!Planner.pred_selectivity}): the first conjunct
-      renders branch-free into a mask and
-      compacts survivor indices, each later conjunct refines the survivor
-      list with a compiled per-row predicate (touching its columns only
-      at surviving rows). What is fused ends there: the survivors, in
-      ascending row order, fold through compiled argument readers
-      ({!compile_num}) into the executors' own aggregate state — the
-      {!Agg_util} slot states for a global aggregate, an {!Agg_util.groups}
-      over the dense packed-key domain ({!Hash_util.dense_domain}) for a
-      grouped one — which merge and emit as in the unfused compiled path.
-      No projected column or intermediate relation ever materializes, and
-      the results, low float bits and first-seen group order included,
-      are the unfused ones.
+      ({!Plan.subst_cols}) and its conjuncts, ordered
+      estimated-most-selective-first from table statistics
+      ({!Planner.pred_selectivity}), run through a selector. The
+      survivors, in ascending row order, fold through compiled argument
+      readers ({!compile_num}) into the executors' own aggregate state —
+      the {!Agg_util} slot states for a global aggregate, an
+      {!Agg_util.groups} over the dense packed-key domain
+      ({!Hash_util.dense_domain}) for a grouped one — which merge and emit
+      as in the unfused compiled path. No projected column or intermediate
+      relation ever materializes, and the results, low float bits and
+      first-seen group order included, are the unfused ones.
 
-    - {b Checkpoints.} Fused loops have no morsel boundaries, so
+    - {b Checkpoints.} Selector loops have no morsel boundaries, so
       {!Guard.check} and a {!Faults.slow_point} run at every [stride]
-      boundary, and {!Stats.alive_ranges} drops zone-dead blocks before
-      any mask is rendered.
+      boundary, and zone-dead blocks drop out before any mask renders.
 
     Caveats: float comparison leaves classify NaN as "equal" (the
     comparison-sign trick); the engine never stores NaN — null payloads
-    are finite zeros — so this is unobservable. Compiled fillers carry
-    private scratch buffers and must be built on the worker that runs
-    them (one [compile] per chunk, like {!Eval.compile_pred}).
+    are finite zeros — so this is unobservable. Selectors carry private
+    scratch buffers and must be built on the worker that runs them (like
+    {!Eval.compile_pred} closures).
 
-    [set_fuse false] disables every fused path: the executors then
-    evaluate predicates through closures and feed the same aggregate state
-    from projected chunk columns. *)
+    [set_fuse false] disables masks and the fused aggregate: selectors then
+    evaluate every conjunct through closures, and the compiled executor
+    feeds the same aggregate state from projected chunk columns. *)
 
 open Plan
 
-(* Mask/aggregation stride: fused loops process this many rows between
-   Guard/Faults checkpoints. Matches the unfused aggregate loops' cadence
-   ((row - lo) land 8191 = 0) so fused and unfused pipelines hit deadline
-   checks at the same granularity. *)
+(* Selection stride: selector loops process this many rows between
+   Guard/Faults checkpoints, and it bounds their scratch buffers. *)
 let stride = 8192
 
 let use_fuse = ref true
@@ -162,37 +163,36 @@ let fill_const (b : bool) : filler =
   let ch = if b then '\001' else '\000' in
   fun m ~lo:_ ~len -> Bytes.fill m 0 len ch
 
-(* Generic leaf: any predicate shape renders through its compile_pred
-   closure, so fused filters can never disagree with the unfused path. *)
-let fill_generic (cols : Column.t array) (e : pexpr) : filler =
-  let pred = Eval.compile_pred cols e in
-  fun m ~lo ~len ->
-    for j = 0 to len - 1 do
-      Bytes.unsafe_set m j (if pred (lo + j) then '\001' else '\000')
-    done
+(* Scratch for the second operand of a mask combination: it grows to the
+   longest [len] asked for, so short selections allocate short buffers. *)
+let scratch_of (r : Bytes.t ref) len =
+  if Bytes.length !r < len then r := Bytes.create len;
+  !r
 
 let fill_and (fa : filler) (fb : filler) : filler =
-  let scratch = Bytes.create stride in
+  let scratch = ref Bytes.empty in
   fun m ~lo ~len ->
+    let sc = scratch_of scratch len in
     fa m ~lo ~len;
-    fb scratch ~lo ~len;
+    fb sc ~lo ~len;
     for j = 0 to len - 1 do
       Bytes.unsafe_set m j
         (Char.unsafe_chr
            (Char.code (Bytes.unsafe_get m j)
-           land Char.code (Bytes.unsafe_get scratch j)))
+           land Char.code (Bytes.unsafe_get sc j)))
     done
 
 let fill_or (fa : filler) (fb : filler) : filler =
-  let scratch = Bytes.create stride in
+  let scratch = ref Bytes.empty in
   fun m ~lo ~len ->
+    let sc = scratch_of scratch len in
     fa m ~lo ~len;
-    fb scratch ~lo ~len;
+    fb sc ~lo ~len;
     for j = 0 to len - 1 do
       Bytes.unsafe_set m j
         (Char.unsafe_chr
            (Char.code (Bytes.unsafe_get m j)
-           lor Char.code (Bytes.unsafe_get scratch j)))
+           lor Char.code (Bytes.unsafe_get sc j)))
     done
 
 let fill_not (f : filler) : filler =
@@ -232,189 +232,252 @@ let rec flippable (cols : Column.t array) = function
   | PLike (a, _, _) | PInList (a, _, _) -> null_free_operand cols a
   | _ -> false
 
-(* Compile [e] into a mask renderer. The bool is true when every leaf took
-   a specialized branch-free form (no per-row closure anywhere). *)
-let rec compile_mask (cols : Column.t array) (e : pexpr) : filler * bool =
-  let dict_leaf (c : Column.t) (f : string -> bool) : (filler * bool) option =
+(* Compile [e] into a mask renderer, or [None] when some leaf has no
+   specialized branch-free form: a mask over per-row closures would pay
+   mask traffic on top of the closure calls, so such a predicate runs as a
+   closure instead. *)
+let rec compile_mask (cols : Column.t array) (e : pexpr) : filler option =
+  let ( let* ) = Option.bind in
+  (* a per-code byte table over a dictionary column's codes *)
+  let codes_leaf (c : Column.t) (tbl : Bytes.t) : filler option =
     match c.Column.data with
-    | Column.D (codes, d) ->
-      Some (with_nulls c (fill_codes_arr codes (code_table d f)), true)
-    | Column.BD (codes, d) ->
-      Some (with_nulls c (fill_codes_vec codes (code_table d f)), true)
+    | Column.D (codes, _) -> Some (with_nulls c (fill_codes_arr codes tbl))
+    | Column.BD (codes, _) -> Some (with_nulls c (fill_codes_vec codes tbl))
     | _ -> None
   in
-  let cmp_leaf op i (lit : Value.t) : (filler * bool) option =
+  let dict_leaf (c : Column.t) (f : string -> bool) : filler option =
+    let* _, d = Column.codes_reader c in
+    codes_leaf c (code_table d f)
+  in
+  let cmp_leaf op i (lit : Value.t) : filler option =
     let c = cols.(i) in
-    match cmp_table op with
-    | None -> None
-    | Some tbl -> (
-      match (c.Column.data, lit) with
-      | Column.BI v, (Value.VInt k | Value.VDate k) ->
-        Some (with_nulls c (fill_cmp_ivec v k tbl), true)
-      | Column.I a, (Value.VInt k | Value.VDate k) ->
-        Some (with_nulls c (fill_cmp_iarr a k tbl), true)
-      | Column.BF v, Value.VFloat k ->
-        Some (with_nulls c (fill_cmp_fvec v k tbl), true)
-      | Column.BF v, Value.VInt k ->
-        Some (with_nulls c (fill_cmp_fvec v (float_of_int k) tbl), true)
-      | Column.F a, Value.VFloat k ->
-        Some (with_nulls c (fill_cmp_farr a k tbl), true)
-      | Column.F a, Value.VInt k ->
-        Some (with_nulls c (fill_cmp_farr a (float_of_int k) tbl), true)
-      | (Column.D _ | Column.BD _), Value.VString k -> (
-        match Column.codes_reader c with
-        | None -> None
-        | Some (_, d) ->
-          (* mirror Eval.dict_cmp_pred: Eq/Ne resolve the literal through
-             the dictionary index; ordered compares evaluate per distinct *)
-          let tbl =
-            match op with
-            | Sql_ast.Eq | Sql_ast.Ne -> (
-              let negated = op = Sql_ast.Ne in
-              match Column.dict_find d k with
-              | Some code ->
-                code_table d (fun _ -> negated)
-                |> fun t ->
-                Bytes.set t code (if negated then '\000' else '\001');
-                t
-              | None -> code_table d (fun _ -> negated))
-            | _ ->
-              let test = Eval.cmp_test op in
-              code_table d (fun v -> test (String.compare v k))
-          in
-          let fill =
-            match c.Column.data with
-            | Column.D (codes, _) -> fill_codes_arr codes tbl
-            | Column.BD (codes, _) -> fill_codes_vec codes tbl
-            | _ -> assert false
-          in
-          Some (with_nulls c fill, true))
-      | _ -> None)
+    let* tbl = cmp_table op in
+    match (c.Column.data, lit) with
+    | Column.BI v, (Value.VInt k | Value.VDate k) ->
+      Some (with_nulls c (fill_cmp_ivec v k tbl))
+    | Column.I a, (Value.VInt k | Value.VDate k) ->
+      Some (with_nulls c (fill_cmp_iarr a k tbl))
+    | Column.BF v, Value.VFloat k -> Some (with_nulls c (fill_cmp_fvec v k tbl))
+    | Column.BF v, Value.VInt k ->
+      Some (with_nulls c (fill_cmp_fvec v (float_of_int k) tbl))
+    | Column.F a, Value.VFloat k -> Some (with_nulls c (fill_cmp_farr a k tbl))
+    | Column.F a, Value.VInt k ->
+      Some (with_nulls c (fill_cmp_farr a (float_of_int k) tbl))
+    | (Column.D _ | Column.BD _), Value.VString k ->
+      let* _, d = Column.codes_reader c in
+      (* mirror Eval.dict_cmp_pred: Eq/Ne resolve the literal through the
+         dictionary index; ordered compares evaluate per distinct *)
+      let tbl =
+        match op with
+        | Sql_ast.Eq | Sql_ast.Ne ->
+          let negated = op = Sql_ast.Ne in
+          let t = code_table d (fun _ -> negated) in
+          Option.iter
+            (fun code -> Bytes.set t code (if negated then '\000' else '\001'))
+            (Column.dict_find d k);
+          t
+        | _ ->
+          let test = Eval.cmp_test op in
+          code_table d (fun v -> test (String.compare v k))
+      in
+      codes_leaf c tbl
+    | _ -> None
   in
   match e with
   | PBin (Sql_ast.And, a, b) ->
-    let fa, ea = compile_mask cols a and fb, eb = compile_mask cols b in
-    (fill_and fa fb, ea && eb)
+    let* fa = compile_mask cols a in
+    let* fb = compile_mask cols b in
+    Some (fill_and fa fb)
   | PBin (Sql_ast.Or, a, b) ->
-    let fa, ea = compile_mask cols a and fb, eb = compile_mask cols b in
-    (fill_or fa fb, ea && eb)
-  | PNot a when flippable cols a ->
-    let fa, ea = compile_mask cols a in
-    (fill_not fa, ea)
+    let* fa = compile_mask cols a in
+    let* fb = compile_mask cols b in
+    Some (fill_or fa fb)
+  | PNot a when flippable cols a -> Option.map fill_not (compile_mask cols a)
   | PBin
       ( ((Sql_ast.Eq | Sql_ast.Ne | Sql_ast.Lt | Sql_ast.Le | Sql_ast.Gt | Sql_ast.Ge) as op),
         PCol i,
-        PLit lit ) -> (
-    match cmp_leaf op i lit with
-    | Some r -> r
-    | None -> (fill_generic cols e, false))
+        PLit lit ) -> cmp_leaf op i lit
   | PBin
       ( ((Sql_ast.Eq | Sql_ast.Ne | Sql_ast.Lt | Sql_ast.Le | Sql_ast.Gt | Sql_ast.Ge) as op),
         PLit lit,
-        PCol i ) -> (
-    let flip =
-      match op with
-      | Sql_ast.Lt -> Sql_ast.Gt
-      | Sql_ast.Le -> Sql_ast.Ge
-      | Sql_ast.Gt -> Sql_ast.Lt
-      | Sql_ast.Ge -> Sql_ast.Le
-      | op -> op
-    in
-    match cmp_leaf flip i lit with
-    | Some r -> r
-    | None -> (fill_generic cols e, false))
-  | PLike (PCol i, pattern, negated) -> (
+        PCol i ) -> cmp_leaf (Stats.flip_cmp op) i lit
+  | PLike (PCol i, pattern, negated) ->
     let matcher = Eval.compile_like pattern in
-    match dict_leaf cols.(i) (fun v -> matcher v <> negated) with
-    | Some r -> r
-    | None -> (fill_generic cols e, false))
-  | PInList (PCol i, items, negated) -> (
-    match
-      dict_leaf cols.(i) (fun v ->
-          List.exists (Value.equal_values (Value.VString v)) items <> negated)
-    with
-    | Some r -> r
-    | None -> (fill_generic cols e, false))
+    dict_leaf cols.(i) (fun v -> matcher v <> negated)
+  | PInList (PCol i, items, negated) ->
+    dict_leaf cols.(i) (fun v ->
+        List.exists (Value.equal_values (Value.VString v)) items <> negated)
   | PIsNull (PCol i, negated) -> (
     match cols.(i).Column.nulls with
-    | None -> (fill_const negated, true)
+    | None -> Some (fill_const negated)
     | Some bs ->
-      ( (fun m ~lo ~len ->
+      Some
+        (fun m ~lo ~len ->
           for j = 0 to len - 1 do
             Bytes.unsafe_set m j
               (if Bitset.get bs (lo + j) <> negated then '\001' else '\000')
-          done),
-        true ))
-  | PLit (Value.VBool b) -> (fill_const b, true)
-  | _ -> (fill_generic cols e, false)
-
-(* Conjunction of filter predicates as one mask renderer. *)
-let compile_masks (cols : Column.t array) (preds : pexpr list) : filler * bool
-    =
-  match preds with
-  | [] -> (fill_const true, true)
-  | p :: rest ->
-    List.fold_left
-      (fun (f, ex) p ->
-        let g, eg = compile_mask cols p in
-        (fill_and f g, ex && eg))
-      (compile_mask cols p) rest
+          done))
+  | PLit (Value.VBool b) -> Some (fill_const b)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Mask-driven filtering (vectorized scan paths)                      *)
+(* Row selection                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A filter predicate qualifies for the mask kernels only when every leaf
-   specialized: a mask whose leaves are compile_pred closures would pay
-   mask traffic on top of the closure calls the plain path already does. *)
-let filter_supported (cols : Column.t array) (pred : pexpr) : bool =
-  fuse_enabled () && snd (compile_mask cols pred)
+(* Flatten an AND tree into its conjuncts, left to right, so a single
+   Filter node holding [a AND b AND c] selects like three stacked
+   Filters. *)
+let rec conjuncts (e : pexpr) : pexpr list =
+  match e with
+  | PBin (Sql_ast.And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
 
-(* Render [fill] over [lo..hi] (inclusive) and append surviving row indices
-   to [out] at [count]. [m] is caller scratch of length [stride]. Guard and
-   fault checkpoints run per stride — fused scans have no morsel
-   boundaries. *)
-let fill_collect (fill : filler) (m : Bytes.t) ~lo ~hi (out : int array)
-    (count : int ref) : unit =
-  let pos = ref lo in
-  while !pos <= hi do
-    Guard.check ();
-    Faults.slow_point ~site:"kernel.filter";
-    let slen = min stride (hi - !pos + 1) in
-    fill m ~lo:!pos ~len:slen;
-    for j = 0 to slen - 1 do
-      if Bytes.unsafe_get m j <> '\000' then begin
-        Array.unsafe_set out !count (!pos + j);
-        incr count
-      end
-    done;
-    pos := !pos + slen
-  done
+(* A survivor routine: [sel ~lo ~hi consume] hands the survivors of rows
+   [lo, hi] (inclusive) to [consume idx k] — rows [idx.(0 .. k-1)],
+   ascending — one stride at a time. [idx] is the selector's scratch: the
+   next stride overwrites it. *)
+type selector = lo:int -> hi:int -> (int array -> int -> unit) -> unit
 
-(* Survivors of [pred] in [start, start+len) as a (rows, count) pair — the
-   chunk shape the vectorized collectors consume. Compiles its own mask
-   (fillers own scratch), so safe to call from any worker. [None] when the
-   predicate has an unspecialized leaf or fusion is disabled. *)
-let filter_chunk (cols : Column.t array) (pred : pexpr) ~(start : int)
-    ~(len : int) : (int array * int) option =
-  if not (fuse_enabled ()) then None
-  else
-    let fill, exact = compile_mask cols pred in
-    if not exact then None
-    else begin
-      let m = Bytes.create stride in
-      let out = Array.make (max 1 len) 0 and count = ref 0 in
-      fill_collect fill m ~lo:start ~hi:(start + len - 1) out count;
-      Some (out, !count)
+(* Survivor-list stages over one stride. Each writes survivors ascending
+   into [idx] from slot 0 and returns their count; none captures its
+   counter in a closure, so it stays in a register. *)
+
+(* Rows [p0, p0+len) whose mask byte is set. Branch-free: mask bytes are
+   exactly 0 or 1. *)
+let compact_mask (m : Bytes.t) (idx : int array) ~p0 ~len : int =
+  let k = ref 0 in
+  for j = 0 to len - 1 do
+    Array.unsafe_set idx !k (p0 + j);
+    k := !k + Char.code (Bytes.unsafe_get m j)
+  done;
+  !k
+
+(* Rows [p0, p0+len) that pass [t]. *)
+let compact_test (t : int -> bool) (idx : int array) ~p0 ~len : int =
+  let k = ref 0 in
+  for row = p0 to p0 + len - 1 do
+    if t row then begin
+      Array.unsafe_set idx !k row;
+      incr k
     end
+  done;
+  !k
 
-(* Mask renderer for callers that drive their own block loops (the
-   vectorized zone filter). *)
-let mask_fill (cols : Column.t array) (pred : pexpr) : filler option =
-  if not (fuse_enabled ()) then None
-  else
-    let fill, exact = compile_mask cols pred in
-    if exact then Some fill else None
+(* The rows of [idx.(0 .. k-1)] that pass [t], in place. *)
+let refine_test (idx : int array) (k : int) (t : int -> bool) : int =
+  let k' = ref 0 in
+  for i = 0 to k - 1 do
+    let row = Array.unsafe_get idx i in
+    if t row then begin
+      Array.unsafe_set idx !k' row;
+      incr k'
+    end
+  done;
+  !k'
+
+(* The selector of the conjunction of [preds] and the row [tests]. The
+   conjuncts that render fully into masks are AND-ed into one mask per
+   stride whose set bytes compact into the survivor list; the others
+   refine that list as closures, in written order, then [tests]. With no
+   mask, the first closure runs over every row. Compiled per worker: it
+   owns its scratch. *)
+let selector (cols : Column.t array) (preds : pexpr list)
+    (tests : (int -> bool) list) : selector =
+  let preds = List.concat_map conjuncts preds in
+  let masks, rest =
+    if fuse_enabled () then
+      List.partition_map
+        (fun p ->
+          match compile_mask cols p with Some f -> Left f | None -> Right p)
+        preds
+    else ([], preds)
+  in
+  let mask =
+    match masks with [] -> None | f :: fs -> Some (List.fold_left fill_and f fs)
+  in
+  let closures = List.map (Eval.compile_pred cols) rest @ tests in
+  let first, refine =
+    match (mask, closures) with
+    | None, t :: ts -> (Some t, ts)
+    | _ -> (None, closures)
+  in
+  let m = ref Bytes.empty and scratch = ref [||] in
+  fun ~lo ~hi consume ->
+    let pos = ref lo in
+    while !pos <= hi do
+      Guard.check ();
+      Faults.slow_point ~site:"kernel.select";
+      let p0 = !pos in
+      let len = min stride (hi - p0 + 1) in
+      if Array.length !scratch < len then scratch := Array.make len 0;
+      let idx = !scratch in
+      let k =
+        match (mask, first) with
+        | Some fill, _ ->
+          let m = scratch_of m len in
+          fill m ~lo:p0 ~len;
+          compact_mask m idx ~p0 ~len
+        | None, Some t -> compact_test t idx ~p0 ~len
+        | None, None ->
+          for j = 0 to len - 1 do
+            Array.unsafe_set idx j (p0 + j)
+          done;
+          len
+      in
+      consume idx (List.fold_left (refine_test idx) k refine);
+      pos := p0 + len
+    done
+
+(* Concatenate per-morsel [(rows, count)] parts in part order. Each part
+   blits into its own disjoint region, so the scatter is one parallel work
+   item per part. *)
+let collect_parts ?(threads = 1) parts =
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 parts in
+  let idx = Array.make total 0 in
+  let works, _ =
+    List.fold_left
+      (fun (works, off) (rows, count) ->
+        let work () = Array.blit rows 0 idx off count in
+        (work :: works, off + count))
+      ([], 0) parts
+  in
+  ignore (Parallel.map_list ~threads (List.rev works));
+  idx
+
+(* The zone-map block test of [preds] over [cols]. Columns of a base-table
+   scan (even narrowed zero-copy) are the ingest arrays, so
+   {!Catalog.zones_for} recovers their block min/max; gathered columns
+   have none. *)
+let zone_test (catalog : Catalog.t) (cols : Column.t array)
+    (preds : pexpr list) : (int -> bool) option =
+  match preds with
+  | [] -> None
+  | preds ->
+    let zcols = Array.map (Catalog.zones_for catalog) cols in
+    if Array.for_all Option.is_none zcols then None
+    else Stats.zone_tests_with zcols preds
+
+(* Every survivor of rows [0, n) in row order. Zone-dead blocks ([zones])
+   are never read. Above one thread and one stride of rows, morsels run in
+   parallel, each with its own selector. *)
+let select ~threads ?zones (cols : Column.t array) (preds : pexpr list)
+    (tests : (int -> bool) list) ~(n : int) : int array =
+  let run start len =
+    let sel = selector cols preds tests in
+    let out = Array.make (max 1 len) 0 and count = ref 0 in
+    List.iter
+      (fun (lo, hi) ->
+        sel ~lo ~hi (fun idx k ->
+            Array.blit idx 0 out !count k;
+            count := !count + k))
+      (Stats.alive_ranges zones start (start + len - 1));
+    (out, !count)
+  in
+  let k =
+    if threads <= 1 || n <= stride then 1
+    else Parallel.morsel_count ~threads n
+  in
+  collect_parts ~threads (Parallel.map_chunks ~k ~threads n run)
 
 (* ------------------------------------------------------------------ *)
 (* Numeric expression readers (aggregate arguments)                   *)
@@ -504,13 +567,6 @@ let rec peel (p : plan) : (string * (pexpr -> pexpr) * pexpr list) option =
       (peel sub)
   | _ -> None
 
-(* Flatten an AND tree into its conjuncts, left to right — the cascade
-   evaluates them as successive refinement stages, so a single Filter node
-   holding [a AND b AND c] costs the same as three stacked Filters. *)
-let rec conjuncts (e : pexpr) : pexpr list =
-  match e with
-  | PBin (Sql_ast.And, a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
 
 (* ------------------------------------------------------------------ *)
 (* Fused aggregation                                                  *)
@@ -563,10 +619,10 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
         if List.exists (fun b -> b < 0) gidx then None
         else begin
           (* Conjunct order is semantically free (same survivor set, same
-             ascending row order into the accumulators), so run the
-             estimated-most-selective conjunct first: it becomes the
-             branch-free mask stage, and every later test touches only
-             its survivors. *)
+             ascending row order into the accumulators), so order them
+             estimated-most-selective-first: the closure conjuncts refine
+             the survivor list in this order, each touching only the rows
+             the ones before it kept. *)
           let filters = List.concat_map conjuncts filters in
           let filters =
             match Catalog.stats_opt catalog name with
@@ -593,71 +649,14 @@ let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
           else begin
             let args = Array.map Option.get args in
             let n_specs = Array.length specs_arr in
-            let ztest =
-              match filters with
-              | [] -> None
-              | preds ->
-                let zcols = Array.map (Catalog.zones_for catalog) cols in
-                if Array.for_all Option.is_none zcols then None
-                else Stats.zone_tests_with zcols preds
-            in
-            (* Selection cascade: the first conjunct renders branch-free
-               into a mask and compacts survivors; the remaining conjuncts
-               refine the survivor list with compiled per-row predicates,
-               touching their columns only at surviving rows — on selective
-               conjunctions this is the difference between one full-column
-               scan and one per conjunct. Compiled per worker: fillers own
-               their scratch. *)
-            let compile_cascade () =
-              match filters with
-              | [] -> (fill_const true, [])
-              | p0 :: rest ->
-                ( fst (compile_mask cols p0),
-                  List.map (Eval.compile_pred cols) rest )
-            in
-            (* Survivors of one stride, ascending, into [idx]; returns the
-               survivor count. *)
-            let collect_stride fill tests m idx ~pos ~slen =
-              fill m ~lo:pos ~len:slen;
-              let k = ref 0 in
-              for j = 0 to slen - 1 do
-                if Bytes.unsafe_get m j <> '\000' then begin
-                  Array.unsafe_set idx !k (pos + j);
-                  incr k
-                end
-              done;
-              List.iter
-                (fun test ->
-                  let k' = ref 0 in
-                  for t = 0 to !k - 1 do
-                    let row = Array.unsafe_get idx t in
-                    if test row then begin
-                      Array.unsafe_set idx !k' row;
-                      incr k'
-                    end
-                  done;
-                  k := !k')
-                tests;
-              !k
-            in
+            let ztest = zone_test catalog cols filters in
             (* Hand the survivors of [start, start+len) to [consume], one
                stride at a time, in ascending row order — the order the
                unfused fold visits them. *)
             let fold_survivors start len consume =
-              let fill, tests = compile_cascade () in
-              let m = Bytes.create stride in
-              let idx = Array.make stride 0 in
+              let select = selector cols filters [] in
               List.iter
-                (fun (lo, hi) ->
-                  let pos = ref lo in
-                  while !pos <= hi do
-                    Guard.check ();
-                    Faults.slow_point ~site:"kernel.agg";
-                    let slen = min stride (hi - !pos + 1) in
-                    consume idx
-                      (collect_stride fill tests m idx ~pos:!pos ~slen);
-                    pos := !pos + slen
-                  done)
+                (fun (lo, hi) -> select ~lo ~hi consume)
                 (Stats.alive_ranges ztest start (start + len - 1))
             in
             (* one partial per chunk, in chunk order *)

@@ -522,10 +522,10 @@ let range_may_match (test : int -> bool) ~lo ~hi =
   go (lo / block_size)
 
 (* Split [lo..hi] (inclusive) into maximal sub-ranges whose zone blocks may
-   all match; with no test the whole range survives. Shared by the compiled
-   executor's fused aggregate loops and the {!Kernel} fused scans — both
-   walk only the surviving ranges, so zone-dead blocks never render a
-   mask. *)
+   all match; with no test the whole range survives. Every selection over
+   a base-table scan ({!Kernel.select}, the fused aggregate, the compiled
+   executor's source folds) walks only the surviving ranges, so zone-dead
+   blocks never render a mask. *)
 let alive_ranges (ztest : (int -> bool) option) lo hi : (int * int) list =
   if lo > hi then []
   else

@@ -4,7 +4,8 @@
     dictionaries across gathers), SQL-level equivalence of dictionary vs
     raw-string execution (including the full TPC-H suite on both backends),
     null handling in dictionary sort/group-by, and randomized equivalence of
-    the selection-vector filter against the eager filter. *)
+    the row-selection routines ([Kernel.select], [Kernel.selector] and the
+    selection-vector filter) against a plain [compile_pred] loop. *)
 
 open Sqldb
 open Helpers
@@ -283,35 +284,70 @@ let random_pred rand =
   | 1 -> PBin (Sql_ast.And, atom (), atom ())
   | _ -> PBin (Sql_ast.Or, atom (), atom ())
 
-let test_filter_sel_equivalence () =
+(* The reference survivors: a plain compile_pred loop over every row. *)
+let reference_filter cols ~n pred =
+  let test = Eval.compile_pred cols pred in
+  List.filter test (List.init n Fun.id)
+
+(* [Kernel.select] over all rows, [Kernel.selector] over a range that
+   starts past row 0, and the selection-vector filter over a subset must
+   all keep exactly the reference's survivors, with masks (fuse on) and
+   without. Trial lengths cross the selector's 8192-row stride. *)
+let test_selection_equivalence () =
   let rand = Random.State.make [| 0x5e1ec7 |] in
-  for trial = 1 to 50 do
-    let n = 1 + Random.State.int rand 200 in
+  let offsets = Random.State.make [| 0x5e1ec7; 1 |] in
+  let trial label n =
     let r = random_relation rand n in
     let cols = r.Relation.cols in
     let pred = random_pred rand in
-    let eager = Eval.eval_filter cols ~n pred in
-    let via_all =
-      Eval.eval_filter_sel cols ~sel:(Array.init n Fun.id) pred
-    in
-    Alcotest.(check (list int))
-      (Printf.sprintf "trial %d full sel" trial)
-      (Array.to_list eager) (Array.to_list via_all);
     (* a strict subset selection must yield exactly the subset's survivors *)
     let sub =
       Array.of_list
         (List.filter (fun _ -> Random.State.bool rand)
            (List.init n Fun.id))
     in
-    let expected =
-      Array.to_list eager
-      |> List.filter (fun i -> Array.exists (Int.equal i) sub)
-    in
-    let got = Eval.eval_filter_sel cols ~sel:sub pred in
-    Alcotest.(check (list int))
-      (Printf.sprintf "trial %d subset sel" trial)
-      expected (Array.to_list got)
-  done
+    let in_sub = Array.make n false in
+    Array.iter (fun i -> in_sub.(i) <- true) sub;
+    let lo = Random.State.int offsets n in
+    List.iter
+      (fun fuse ->
+        with_config ~fuse (fun () ->
+            let label = Printf.sprintf "%s fuse=%b" label fuse in
+            let eager = reference_filter cols ~n pred in
+            List.iter
+              (fun threads ->
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s full sel @%dt" label threads)
+                  eager
+                  (Array.to_list
+                     (Kernel.select ~threads cols [ pred ] [] ~n)))
+              [ 1; 3 ];
+            let from_lo = ref [] in
+            Kernel.selector cols [ pred ] [] ~lo ~hi:(n - 1) (fun idx k ->
+                for t = 0 to k - 1 do
+                  from_lo := idx.(t) :: !from_lo
+                done);
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s rows from %d" label lo)
+              (List.filter (fun i -> i >= lo) eager)
+              (List.rev !from_lo);
+            let got = Exec_vectorized.filter_sel ~threads:1 cols sub pred in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s subset sel" label)
+              (List.filter (fun i -> in_sub.(i)) eager)
+              (Array.to_list got)))
+      [ true; false ]
+  in
+  for t = 1 to 50 do
+    trial (Printf.sprintf "trial %d" t) (1 + Random.State.int rand 200)
+  done;
+  (* four random predicates per length: one alone may keep no row *)
+  List.iter
+    (fun n ->
+      for t = 1 to 4 do
+        trial (Printf.sprintf "trial n=%d #%d" n t) n
+      done)
+    [ 8191; 8193; 20_000 ]
 
 let suites =
   [ ( "dict-storage",
@@ -326,4 +362,4 @@ let suites =
         tc "code-direct eq/prefix predicates" test_code_direct_preds;
         tc "nulls in dict sort/group-by" test_null_sort_group ] );
     ( "selection-vectors",
-      [ tc "filter_sel matches eval_filter" test_filter_sel_equivalence ] ) ]
+      [ tc "select matches compile_pred" test_selection_equivalence ] ) ]

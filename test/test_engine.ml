@@ -208,6 +208,41 @@ let exec_tests =
              o_cust) SELECT COUNT(*) AS n FROM b"
         in
         check_rel "cte" (rel [ "n" ] [ ints [| 3 |] ]) r);
+    tc "semi-join residual casts a string" (fun () ->
+        (* the pair residual evaluates like any other expression: CAST of
+           an ISO string to DATE, compared against the outer row *)
+        let db = Db.create () in
+        Db.load_table db "a"
+          (rel [ "k"; "d" ]
+             [ ints [| 1; 2; 3 |];
+               dates [| "1995-01-01"; "1996-06-01"; "1997-01-01" |] ]);
+        Db.load_table db "b"
+          (rel [ "k"; "s" ]
+             [ ints [| 1; 2; 3 |];
+               strings [| "1996-01-01"; "1996-01-01"; "1996-01-01" |] ]);
+        let r =
+          q db
+            "SELECT k FROM a WHERE EXISTS (SELECT 1 FROM b WHERE b.k = a.k \
+             AND CAST(b.s AS DATE) < a.d) ORDER BY k"
+        in
+        Alcotest.(check (list string))
+          "rows" [ "2"; "3" ] (Relation.canonical r));
+    tc "sum and avg over a bool" (fun () ->
+        (* a bool adds its 0/1: SUM is an int count of the true rows *)
+        let db = Db.create () in
+        Db.load_table db "a"
+          (rel [ "k"; "f" ]
+             [ ints [| 1; 5; 20; 3 |]; floats [| 1.5; 2.5; 2.5; 1.5 |] ]);
+        let r = q db "SELECT SUM(k < 10) AS s, AVG(k < 10) AS av FROM a" in
+        Alcotest.(check (list string)) "global" [ "3|0.750" ]
+          (Relation.canonical ~digits:3 r);
+        let r =
+          q db
+            "SELECT f, SUM(k < 10) AS s, AVG(k < 10) AS av FROM a GROUP BY f"
+        in
+        Alcotest.(check (list string)) "grouped by a float"
+          [ "1.500|2|1.000"; "2.500|1|0.500" ]
+          (Relation.canonical ~digits:3 r));
     tc "lingo backend rejects windows" (fun () ->
         Alcotest.check_raises "unsupported"
           (Db.Unsupported

@@ -11,10 +11,10 @@
     aggregate position, dictionary-coded string predicates (eq / ne /
     LIKE / IN), date MIN/MAX, arithmetic aggregate arguments including
     division, and grouped aggregation over int / dict / nullable keys.
-    Tables exceed 4096 rows so the vectorized filter kernel engages. A
+    Tables exceed one 8192-row selector stride, so survivors cross stride
+    boundaries and multi-threaded filters split into parallel morsels. A
     fault soak re-runs a fused aggregate under armed injection: the
-    kernel.filter / kernel.agg checkpoints must recover to the clean
-    answer. *)
+    kernel.select stride checkpoints must recover to the clean answer. *)
 
 open Sqldb
 open Helpers
@@ -27,7 +27,7 @@ let diff_queries = diff_queries ~base:unfused ~subject:fused
 (* Dataset                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One wide table past the 4096-row kernel threshold: skewed int keys,
+(* One wide table past one selector stride: skewed int keys,
    mixed-magnitude floats (so compensation actually matters), a small
    dict-coded string alphabet, nullable float and int columns, dates,
    and a nonzero divisor column for SUM(x / y). *)
@@ -111,7 +111,9 @@ let filter_queries =
     "SELECT id FROM t WHERE nv IS NULL AND k > 90";
     "SELECT id FROM t WHERE NOT (tag = 'beta')";
     "SELECT id FROM t WHERE v > 50.0 OR k = 3";
-    "SELECT id FROM t WHERE tag LIKE '%tros%' AND d >= DATE '1995-01-01'" ]
+    "SELECT id FROM t WHERE tag LIKE '%tros%' AND d >= DATE '1995-01-01'";
+    (* a closure conjunct written before a mask conjunct *)
+    "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v * 2 > a AND k < 40" ]
 
 let test_global () = diff_queries ~label:"global" (fused_db ()) global_agg_queries
 let test_grouped () = diff_queries ~label:"grouped" (fused_db ()) grouped_queries
