@@ -4,7 +4,8 @@
       dead-code elimination (unused head attributes);
     - O2: group/aggregate elimination on unique grouping keys;
     - O3: self-join elimination on unique join keys;
-    - O4: rule inlining up to flow breakers (Table VII).
+    - O4: rule inlining up to flow breakers (Table VII), and merging of
+      ungrouped sibling aggregates over one relation.
 
     Levels are cumulative, matching Figure 10's break-down. *)
 
@@ -476,12 +477,11 @@ let self_join_elim (ctx : context) (p : program) : program =
 (* Inline non-flow-breaker rules with a single consumer into that consumer.
    The sink (last) rule is never inlined away; relations read inside exists
    bodies or defined more than once are left alone. *)
-let inline_rules (p : program) : program =
-  (* Fresh names are numbered per call, so one program always compiles to
+let inline_rules ?(fresh_counter = ref 0) (p : program) : program =
+  (* Fresh names are numbered per [optimize] (the counter is threaded
+     through both of its inlining runs), so one program always compiles to
      the same TondIR, whatever else runs in the process or on other
-     domains. Only this pass makes [__i] names, and it runs once per
-     [optimize]. *)
-  let fresh_counter = ref 0 in
+     domains. Only this pass makes [__i] names. *)
   let fresh_var base =
     incr fresh_counter;
     Printf.sprintf "%s__i%d" base !fresh_counter
@@ -595,6 +595,151 @@ let inline_rules (p : program) : program =
   fixpoint p
 
 (* ------------------------------------------------------------------ *)
+(* O4: sibling aggregate merging                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Ungrouped aggregates over one relation [S] that a single consumer reads
+   side by side (q14's [promo] and [total]) become one rule that computes
+   all of them in one pass, [m(a1, ..., ak) :- S(...), assigns], read once
+   by the consumer. Each sibling answers exactly one row, so the product
+   the consumer reads equals the merged row. [S] then has one reader and
+   inlines into the merged aggregate, so no multi-use CTE is left.
+
+   A sibling qualifies when it is defined once; has no group, sort, limit
+   or distinct; its body is one [Access] to [S] binding distinct variables
+   followed by defining [Assign]s, at least one of them an aggregate (a
+   [Cond] would filter every aggregate after the merge); and its only
+   reader is one plain [Access] in the consumer. [S] must be defined at
+   most once, so every sibling reads the same version of it. The merged
+   rule keeps the first sibling's name and place.
+
+   Grouped siblings are left alone: the consumer equi-joins them on the
+   group keys, which drops a NULL-key group that one merged grouping would
+   keep, so the rewrite is not equivalent there. *)
+let merge_sibling_aggs (p : program) : program =
+  let uses = Analysis.use_counts p and defs = Analysis.definition_counts p in
+  let count tbl rel = Option.value (Hashtbl.find_opt tbl rel) ~default:0 in
+  let by_name = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace by_name (rule_defines r) r) p.rules;
+  (* A qualifying sibling: its access to [S], its assignments, its rule. *)
+  let sibling rel =
+    match Hashtbl.find_opt by_name rel with
+    | Some
+        ({ head = { group = None; sort = []; limit = None; distinct = false; _ };
+           body = Access a :: assigns } as r)
+      when count defs rel = 1 && count uses rel = 1 && count defs a.rel <= 1
+           && Analysis.body_has_agg assigns ->
+      let targets =
+        List.filter_map (function Assign (v, _) -> Some v | _ -> None) assigns
+      in
+      let bound = List.filter (fun v -> v <> "_") a.vars @ targets in
+      if
+        List.length targets = List.length assigns
+        && List.length (List.sort_uniq String.compare bound) = List.length bound
+      then Some (a, assigns, r)
+      else None
+    | _ -> None
+  in
+  (* One rule from the siblings, in the consumer's order: the access
+     positions any sibling binds share one variable; other variables keep
+     their names unless an earlier sibling took them. *)
+  let merge_rules sibs : rule =
+    let used = Hashtbl.create 16 in
+    let rec fresh ?(k = 0) v =
+      let c = if k = 0 then v else Printf.sprintf "%s__m%d" v k in
+      if Hashtbl.mem used c then fresh ~k:(k + 1) v
+      else begin
+        Hashtbl.add used c ();
+        c
+      end
+    in
+    let (s : access), _, first = List.hd sibs in
+    let slots = Array.make (List.length s.vars) "_" in
+    let parts =
+      List.map
+        (fun ((a : access), assigns, r) ->
+          let env = Hashtbl.create 8 in
+          List.iteri
+            (fun j v ->
+              if v <> "_" then begin
+                if slots.(j) = "_" then slots.(j) <- fresh v;
+                Hashtbl.replace env v slots.(j)
+              end)
+            a.vars;
+          let name v =
+            if v = "_" then v
+            else
+              match Hashtbl.find_opt env v with
+              | Some v' -> v'
+              | None ->
+                let v' = fresh v in
+                Hashtbl.replace env v v';
+                v'
+          in
+          let rename = function
+            | Assign (v, t) ->
+              let t = map_term (function Var x -> Var (name x) | t -> t) t in
+              Assign (name v, t)
+            | atom -> atom
+          in
+          let assigns = List.map rename assigns in
+          (assigns, List.map name r.head.rel.vars))
+        sibs
+    in
+    { head =
+        { first.head with
+          rel = { rel = rule_defines first; vars = List.concat_map snd parts } };
+      body =
+        Access { s with vars = Array.to_list slots } :: List.concat_map fst parts }
+  in
+  (* sibling name -> its merged rule (first sibling) or nothing (the rest) *)
+  let replaced : (string, rule option) Hashtbl.t = Hashtbl.create 4 in
+  let rewrite_consumer (c : rule) : rule =
+    let sibs =
+      List.filter_map
+        (function
+          | Access ca -> Option.map (fun sib -> (ca, sib)) (sibling ca.rel)
+          | _ -> None)
+        c.body
+    in
+    let source (_, ((a : access), _, _)) = a.rel in
+    let groups =
+      List.sort_uniq String.compare (List.map source sibs)
+      |> List.filter_map (fun s ->
+             match List.filter (fun sib -> source sib = s) sibs with
+             | _ :: _ :: _ as g -> Some g
+             | _ -> None)
+    in
+    List.fold_left
+      (fun (c : rule) group ->
+        let merged = merge_rules (List.map snd group) in
+        let name = rule_defines merged in
+        let names = List.map (fun ((ca : access), _) -> ca.rel) group in
+        List.iter (fun n -> Hashtbl.replace replaced n None) names;
+        Hashtbl.replace replaced name (Some merged);
+        let vars = List.concat_map (fun ((ca : access), _) -> ca.vars) group in
+        let body =
+          List.filter_map
+            (function
+              | Access a when String.equal a.rel name ->
+                Some (Access { rel = name; vars })
+              | Access a when List.mem a.rel names -> None
+              | atom -> Some atom)
+            c.body
+        in
+        { c with body })
+      c groups
+  in
+  let rules = List.map rewrite_consumer p.rules in
+  { rules =
+      List.filter_map
+        (fun r ->
+          match Hashtbl.find_opt replaced (rule_defines r) with
+          | Some merged -> merged
+          | None -> Some r)
+        rules }
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -615,6 +760,16 @@ let optimize ?(level = O4) ?(ctx = no_context) (p : program) : program =
   let p = if li >= 2 then guarded "group-agg-elim" (group_agg_elim ctx) p else p in
   let p = if li >= 3 then guarded "self-join-elim" (self_join_elim ctx) p else p in
   let p = if li >= 2 then guarded "global-dce" global_dce p else p in
-  let p = if li >= 4 then guarded "inline-rules" inline_rules p else p in
+  let fresh_counter = ref 0 in
+  let inline = guarded "inline-rules" (inline_rules ~fresh_counter) in
+  let p = if li >= 4 then inline p else p in
+  let p =
+    if li < 4 then p
+    else
+      let merged = guarded "merge-sibling-aggs" merge_sibling_aggs p in
+      (* a merge leaves the siblings' shared producer with one reader *)
+      if List.length merged.rules < List.length p.rules then inline merged
+      else p
+  in
   let p = if li >= 1 then guarded "global-dce" global_dce p else p in
   p

@@ -15,12 +15,13 @@
       the compiler does not specialize renders no mask at all.
 
     - {b Selection} ({!selector}, {!select}). Filter conjuncts are
-      flattened; those that render fully into masks are AND-ed into one
-      mask per stride, whose set bytes compact into a survivor list. The
-      rest refine that list as {!Eval.compile_pred} closures in written
-      order, then the caller's row tests (the bloom prescan). Masks never
-      raise, so running them first only ever evaluates a closure on fewer
-      rows than written order would. Survivors come out per stride in
+      flattened; the first that renders fully into a mask is rendered per
+      stride, and its set bytes compact into a survivor list. The other
+      conjuncts refine that list as {!Eval.compile_pred} closures (the
+      other maskable ones first, then the rest in written order), then
+      the caller's row tests (the bloom prescan). Maskable conjuncts never
+      raise, so running them first only ever evaluates another closure on
+      fewer rows than written order would. Survivors come out per stride in
       ascending row order. {!select} runs a selector morsel-parallel over
       the zone-alive ranges ({!Stats.alive_ranges}) and returns every
       survivor; the compiled executor's morsel loop and aggregate folds
@@ -376,11 +377,13 @@ let refine_test (idx : int array) (k : int) (t : int -> bool) : int =
   !k'
 
 (* The selector of the conjunction of [preds] and the row [tests]. The
-   conjuncts that render fully into masks are AND-ed into one mask per
-   stride whose set bytes compact into the survivor list; the others
-   refine that list as closures, in written order, then [tests]. With no
-   mask, the first closure runs over every row. Compiled per worker: it
-   owns its scratch. *)
+   first conjunct that renders fully into a mask is rendered per stride
+   and its set bytes compact into the survivor list; the others refine
+   that list as closures: the other maskable conjuncts first, then the
+   rest in written order, then [tests]. Refining the survivors of one mask
+   is cheaper than rendering and AND-ing a full-stride mask per conjunct.
+   With no mask, the first closure runs over every row. Compiled per
+   worker: it owns its scratch. *)
 let selector (cols : Column.t array) (preds : pexpr list)
     (tests : (int -> bool) list) : selector =
   let preds = List.concat_map conjuncts preds in
@@ -388,12 +391,16 @@ let selector (cols : Column.t array) (preds : pexpr list)
     if fuse_enabled () then
       List.partition_map
         (fun p ->
-          match compile_mask cols p with Some f -> Left f | None -> Right p)
+          match compile_mask cols p with
+          | Some f -> Left (f, p)
+          | None -> Right p)
         preds
     else ([], preds)
   in
-  let mask =
-    match masks with [] -> None | f :: fs -> Some (List.fold_left fill_and f fs)
+  let mask, rest =
+    match masks with
+    | [] -> (None, rest)
+    | (f, _) :: others -> (Some f, List.map snd others @ rest)
   in
   let closures = List.map (Eval.compile_pred cols) rest @ tests in
   let first, refine =

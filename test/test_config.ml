@@ -96,8 +96,9 @@ let test_workloads _ () =
     Workloads.all
     (Lazy.force workload_baselines)
 
-(* Registered views over both refresh paths (q1 and q3 driven by lineitem,
-   q12 by orders) and one fallback view (q14), read after each append. *)
+(* Registered views over both refresh paths (q1, q3 and q14 driven by
+   lineitem, q12 by orders) and one fallback view (q17), read after each
+   append. *)
 let test_views tpch () =
   let db = tpch () in
   let sqls =
@@ -106,7 +107,7 @@ let test_views tpch () =
         let sql = Test_matview.tpch_sql db q in
         Test_matview.ok_or_fail (Db.register_view db ~name:q sql);
         (q, sql))
-      [ "q1"; "q3"; "q12"; "q14" ]
+      [ "q1"; "q3"; "q12"; "q14"; "q17" ]
   in
   List.iteri
     (fun k table ->

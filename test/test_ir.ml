@@ -305,9 +305,118 @@ let fresh_name_tests =
         Alcotest.(check bool) "some program inlines with fresh names" true
           !inlined) ]
 
+(* Sibling aggregates: [big] (orders above [floor]) feeds two ungrouped
+   aggregates that [out] reads side by side, the shape of q14's [promo]
+   and [total]. [sibling] builds one aggregate rule over [src]. *)
+let sibling ?(extra = []) name src agg =
+  mk_rule (mk_head name [ "v" ])
+    (access src [ "cu"; "t" ] :: extra
+    @ [ Assign ("v", Ext ("coalesce", [ Agg (agg, Var "t"); Const (CFloat 0.) ])) ])
+
+let siblings_program ?(floor = 60.) ?(s2 = sibling "s2" "big" Max)
+    ?(out = [ access "s1" [ "a" ]; access "s2" [ "b" ] ]) ?(more = []) () =
+  { rules =
+      [ mk_rule (mk_head "big" [ "cu"; "t" ])
+          [ access "orders" [ "_"; "cu"; "t"; "_" ];
+            Cond (Binop (Gt, Var "t", Const (CFloat floor))) ];
+        sibling "s1" "big" Sum; s2 ]
+      @ more
+      @ [ mk_rule (mk_head "out" [ "a"; "b"; "x" ])
+            (out @ [ Assign ("x", Binop (Add, Var "a", Var "b")) ]) ] }
+
+let merges p = Opt.merge_sibling_aggs p <> p
+
+let merge_tests =
+  [ tc "sibling aggregates merge into one rule" (fun () ->
+        let p' = Opt.merge_sibling_aggs (siblings_program ()) in
+        Alcotest.(check (list string)) "rules" [ "big"; "s1"; "out" ]
+          (List.map rule_defines p'.rules);
+        Alcotest.(check (list string)) "merged rule"
+          [ "s1(v, v__m1) :- big(cu, t),\n\
+            \    (v = coalesce(sum(t), 0)),\n\
+            \    (v__m1 = coalesce(max(t), 0))." ]
+          [ rule_to_string (List.nth p'.rules 1) ];
+        Alcotest.(check (list string)) "consumer reads it once" [ "s1" ]
+          (rule_reads (List.nth p'.rules 2));
+        (* the producer now has one reader and inlines into the merge *)
+        let o4 = Opt.optimize (siblings_program ()) in
+        Alcotest.(check (list string)) "O4 rules" [ "s1"; "out" ]
+          (List.map rule_defines o4.rules));
+    tc "grouped sibling does not merge" (fun () ->
+        let s2 =
+          mk_rule
+            (mk_head ~group:(Some [ "cu" ]) "s2" [ "cu"; "v" ])
+            [ access "big" [ "cu"; "t" ]; Assign ("v", Agg (Sum, Var "t")) ]
+        in
+        Alcotest.(check bool) "unchanged" false
+          (merges
+             (siblings_program ~s2
+                ~out:[ access "s1" [ "a" ]; access "s2" [ "_"; "b" ] ]
+                ())));
+    tc "siblings over different relations do not merge" (fun () ->
+        let s2 =
+          mk_rule (mk_head "s2" [ "v" ])
+            [ access "orders" [ "_"; "_"; "t"; "_" ];
+              Assign ("v", Agg (Max, Var "t")) ]
+        in
+        Alcotest.(check bool) "unchanged" false
+          (merges (siblings_program ~s2 ())));
+    tc "sibling with a second reader does not merge" (fun () ->
+        let more =
+          [ mk_rule (mk_head "peek" [ "b" ]) [ access "s2" [ "b" ] ] ]
+        in
+        Alcotest.(check bool) "unchanged" false
+          (merges (siblings_program ~more ())));
+    tc "sibling with a filter does not merge" (fun () ->
+        let s2 =
+          sibling "s2" "big" Max
+            ~extra:[ Cond (Binop (Lt, Var "t", Const (CFloat 150.))) ]
+        in
+        Alcotest.(check bool) "unchanged" false
+          (merges (siblings_program ~s2 ())));
+    tc "sibling read by outer join or exists does not merge" (fun () ->
+        let outer =
+          [ access "s1" [ "a" ];
+            OuterAccess (OLeft, { rel = "s2"; vars = [ "b" ] }, [ ("a", "b") ]) ]
+        and exists =
+          [ access "s1" [ "a" ]; access "s1b" [ "b" ];
+            Exists (false, [ access "s2" [ "a" ] ]) ]
+        in
+        Alcotest.(check bool) "outer: unchanged" false
+          (merges (siblings_program ~out:outer ()));
+        let s1b = sibling "s1b" "big" Min in
+        let p = siblings_program ~out:exists () in
+        let p =
+          { rules =
+              List.concat_map
+                (fun r -> if rule_defines r = "s2" then [ r; s1b ] else [ r ])
+                p.rules }
+        in
+        (* s1 and s1b still merge; s2, read inside the exists, stays *)
+        let p' = Opt.merge_sibling_aggs p in
+        Alcotest.(check (list string)) "exists: s2 kept"
+          [ "big"; "s1"; "s2"; "out" ]
+          (List.map rule_defines p'.rules));
+    tc "merged and unmerged SQL agree, empty input too" (fun () ->
+        let db = mini_db () in
+        List.iter
+          (fun (floor, expected) ->
+            let p = siblings_program ~floor () in
+            let run p = Sqldb.Relation.canonical (Sqldb.Db.execute db (gen p)) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "floor %g unmerged" floor) expected (run p);
+            Alcotest.(check (list string))
+              (Printf.sprintf "floor %g merged" floor) expected
+              (run (Opt.merge_sibling_aggs p));
+            Alcotest.(check (list string))
+              (Printf.sprintf "floor %g O4" floor) expected
+              (run (Opt.optimize p)))
+          [ (60., [ "500.0000|200.0000|700.0000" ]);
+            (1000., [ "0.0000|0.0000|0.0000" ]) ]) ]
+
 let suites =
   [ ("tondir-pretty", pretty_tests);
     ("tondir-validate", validate_tests);
     ("tondir-flow", flow_tests);
-    ("optimizer", opt_tests @ fresh_name_tests);
+    ("optimizer", opt_tests @ merge_tests @ fresh_name_tests);
     ("sqlgen", gen_tests) ]
