@@ -191,20 +191,12 @@ let global_dce (p : program) : program =
               if List.length keep_pos = List.length r.head.rel.vars then r
               else begin
                 changed := true;
-                let keep_js = List.map fst keep_pos in
                 let vars = List.map snd keep_pos in
-                (* update every consumer access of rel *)
-                ignore keep_js;
                 { r with head = { r.head with rel = { r.head.rel with vars } } }
               end)
         p.rules
     in
     (* When a head shrank we must shrink consumer accesses identically. *)
-    let arity : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun r ->
-        Hashtbl.replace arity (rule_defines r) (List.length r.head.rel.vars))
-      rules;
     let keep_map : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
     List.iter2
       (fun old_r new_r ->

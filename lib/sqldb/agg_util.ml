@@ -1,6 +1,9 @@
-(** The one aggregate state of the engine: the accumulators and group
-    tables that both executors, the fused kernels ({!Kernel}) and the
-    views ({!Matview}) fold through. *)
+(** The one aggregate state of the engine and the one way to run it: the
+    accumulators and group tables that both executors, the fused kernels
+    ({!Kernel}) and the views ({!Matview}) fold through, and the fold,
+    merge and emit of per-range partials ({!fold}, {!emit}) that every
+    aggregate operator runs. The executors only say where the rows come
+    from. *)
 
 open Value
 
@@ -495,8 +498,9 @@ let rec slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
    hold the accumulators. Hashed grouping indexes them by entry id; dense
    grouping (a small packed key domain, {!Hash_util.dense_domain}) indexes
    them by packed key, and touches the key table only once per new group.
-   Over no key columns, grouping is a global aggregate: one group, which
-   {!groups_relation} emits even over no input. *)
+   Over no key columns, grouping is a global aggregate: one group in slot
+   0, updated with no key-table probe, which {!groups_relation} emits even
+   over no input. *)
 
 (* Dense grouping's key capture: packed key -> key-table entry holding the
    group's values, and back. *)
@@ -545,22 +549,31 @@ type groups = {
 let size_hint (est : float) (rows : int) =
   if est >= 1. then int_of_float (Float.min est (float_of_int rows)) else 16
 
+(* No key columns: a global aggregate. *)
+let global (g : groups) = Array.length g.keys.Hash_util.comps = 0
+
 (* Hashed grouping sized for [size] groups (it grows past that), or dense
-   grouping over a packed domain of [card] keys. Key columns [idxs] of
-   [cols] and the argument readers [args] fix the layouts every later
-   chunk must share. *)
+   grouping over a packed domain of [card] keys; a global aggregate keeps
+   slot 0 only. Key columns [idxs] of [cols] and the argument readers
+   [args] fix the layouts every later chunk must share. *)
 let groups_create ?(size = 16) ?card (specs : Plan.agg_spec array)
     (args : arg option array) (cols : Column.t array) (idxs : int list) :
     groups =
   let size = max 16 size in
-  match card with
-  | Some card ->
+  match (idxs, card) with
+  | [], _ ->
+    { keys = Hash_util.keytab cols [];
+      specs;
+      states = slot_states specs args ~card:1;
+      cap = 1;
+      dense = None }
+  | _, Some card ->
     { keys = Hash_util.keytab ~size:(min card size) cols idxs;
       specs;
       states = slot_states specs args ~card;
       cap = card;
       dense = Some (dense_index card) }
-  | None ->
+  | _, None ->
     { keys = Hash_util.keytab ~size cols idxs;
       specs;
       states = slot_states specs args ~card:size;
@@ -593,7 +606,7 @@ let groups_reserve (g : groups) (n : int) =
    one per chunk; the consumers of one [groups] run one after another.
    Dense grouping takes this chunk's packed-key function [dense]
    ({!Hash_util.dense_domain}), which must span the same domain as at
-   creation. *)
+   creation; a global aggregate ignores it. *)
 let groups_feeder ?dense (g : groups) (args : arg option array)
     (cols : Column.t array) (idxs : int list) : int -> unit =
   let rd =
@@ -603,6 +616,12 @@ let groups_feeder ?dense (g : groups) (args : arg option array)
   in
   let n_specs = Array.length g.specs in
   match (g.dense, dense) with
+  | _ when global g ->
+    let upds = slot_updates g.specs args g.states in
+    fun row ->
+      for i = 0 to n_specs - 1 do
+        (Array.unsafe_get upds i) 0 row
+      done
   | Some d, Some (pack, card) when card = Array.length d.slot_entry ->
     let upds = slot_updates g.specs args g.states in
     fun row ->
@@ -629,17 +648,21 @@ let groups_feeder ?dense (g : groups) (args : arg option array)
 
 (* Fold [b]'s groups into [a] in [b]'s first-seen order: groups new to [a]
    append after [a]'s own, so merging the partials of consecutive input
-   ranges in order keeps the global first-seen order. Both must come from
-   the same [groups_create] call site. *)
+   ranges in order keeps the global first-seen order; a global aggregate
+   merges slot 0. Both must come from the same [groups_create] call site. *)
 let groups_merge (a : groups) (b : groups) : unit =
+  let merge ?remap () =
+    Array.iteri
+      (fun i spec -> slot_merge ?remap spec a.states.(i) b.states.(i))
+      a.specs
+  in
   let nb = groups_count b in
-  if nb > 0 then begin
+  if global a then merge ()
+  else if nb > 0 then begin
     match (a.dense, b.dense) with
     | Some da, Some db ->
       dense_merge_keys a.keys da b.keys db;
-      Array.iteri
-        (fun i spec -> slot_merge spec a.states.(i) b.states.(i))
-        a.specs
+      merge ()
     | None, None ->
       let cols = Hash_util.key_columns b.keys in
       let idxs = List.init (Array.length cols) Fun.id in
@@ -648,9 +671,7 @@ let groups_merge (a : groups) (b : groups) : unit =
       in
       let remap = Array.init nb (fun e -> Hash_util.add a.keys rd e) in
       groups_reserve a (groups_count a);
-      Array.iteri
-        (fun i spec -> slot_merge ~remap spec a.states.(i) b.states.(i))
-        a.specs
+      merge ~remap ()
     | _ -> invalid_arg "Agg_util.groups_merge: dense and hashed partials"
   end
 
@@ -671,3 +692,57 @@ let groups_relation (g : groups) (schema : Plan.schema) : Relation.t =
             Column.of_values ty
               (Array.init n (fun e -> slot_finish spec st (slot e))))
         schema }
+
+(* ------------------------------------------------------------------ *)
+(* Driving an aggregate                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One batch of an aggregate's input: [batch dense args cols] returns the
+   consumer of rows of [cols], read through the argument readers [args]
+   and, under dense grouping, the packed-key function [dense]. *)
+type batch =
+  ((int -> int) * int) option -> arg option array -> Column.t array -> int -> unit
+
+(* The partial of one input range over key columns [idxs]: [source batch]
+   calls [batch] once per batch of columns (every morsel of a pipeline, or
+   the one set of columns a selection ranges over) and feeds that batch's
+   rows, in input order, to the consumer it returns. The first batch
+   creates the groups, hashed for [size] groups or dense over its packed
+   domain; [None] when no batch came. *)
+let fold ?size (specs : Plan.agg_spec array) (idxs : int list)
+    (source : batch -> unit) : groups option =
+  let part = ref None in
+  source (fun dense args cols ->
+      let g =
+        match !part with
+        | Some g -> g
+        | None ->
+          let g =
+            groups_create ?size ?card:(Option.map snd dense) specs args cols
+              idxs
+          in
+          part := Some g;
+          g
+      in
+      groups_feeder ?dense g args cols idxs);
+  !part
+
+(* The aggregate's output from the partials of consecutive input ranges,
+   merged in input order. With no partial at all the input was empty: a
+   global aggregate still answers one row, a grouped one none. *)
+let emit (specs : Plan.agg_spec array) (schema : Plan.schema)
+    (partials : groups option list) : Relation.t =
+  match List.filter_map Fun.id partials with
+  | first :: rest ->
+    List.iter (groups_merge first) rest;
+    groups_relation first schema
+  | [] ->
+    let global = Array.length schema = Array.length specs in
+    { Relation.names = Array.map fst schema;
+      cols =
+        Array.mapi
+          (fun i (_, ty) ->
+            Column.of_values ty
+              (if global then [| finish specs.(i) (create specs.(i)) |]
+               else [||]))
+          schema }

@@ -444,18 +444,7 @@ and run_segment ctx (seg : segment) : Relation.t =
 (* Materialize any plan to a full relation. *)
 and materialize ctx (p : plan) : Relation.t =
   match p.node with
-  | PValues (schema, rows) ->
-    let cols =
-      Array.mapi
-        (fun i (_, ty) ->
-          Column.of_values ty
-            (Array.of_list (List.map (fun row -> List.nth row i) rows)))
-        schema
-    in
-    if Array.length schema = 0 then
-      { Relation.names = [| "dummy" |];
-        cols = [| Column.of_ints (Array.make (List.length rows) 0) |] }
-    else { Relation.names = Array.map fst schema; cols }
+  | PValues (schema, rows) -> Exec_vectorized.values_relation schema rows
   | Aggregate (sub, groups, specs) -> run_aggregate ctx p sub groups specs
   | Sort (sub, keys) ->
     let r = stream ctx sub in
@@ -470,16 +459,7 @@ and materialize ctx (p : plan) : Relation.t =
     let all_cols = List.init (Array.length r.Relation.cols) Fun.id in
     Relation.take r (Hash_util.first_rows r.Relation.cols all_cols ~n)
   | Window (sub, keys, name) ->
-    let r = stream ctx sub in
-    let n = Relation.n_rows r in
-    let order =
-      if keys = [] then Array.init n Fun.id
-      else Exec_vectorized.sort_indices r keys
-    in
-    let ranks = Array.make n 0 in
-    Array.iteri (fun pos row -> ranks.(row) <- pos + 1) order;
-    { Relation.names = Array.append r.Relation.names [| name |];
-      cols = Array.append r.Relation.cols [| Column.of_ints ranks |] }
+    Exec_vectorized.window_relation (stream ctx sub) keys name
   | Join { kind = JRight | JFull; _ } ->
     (* Rare in generated SQL; reuse the vectorized implementation. *)
     let vctx =
@@ -497,198 +477,122 @@ and stream ctx (p : plan) : Relation.t = materialize ctx p
 (* Aggregation sink                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One partial per input chunk, folded and emitted in chunk order through
+   {!Agg_util.fold} and {!Agg_util.emit}. The rows come from one of two
+   sources: the fused kernel's base table ({!Kernel.fused_source}: its
+   filters straight over the base columns, its arguments through compiled
+   readers), or the aggregate's input segment — the selector ranges of a
+   scan-shaped one, the morsels of a pipeline, or radix partitions of a
+   materialized source's surviving rows. Either way the rows reach the
+   same accumulators in the same order, so fused and unfused answers are
+   identical. *)
 and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
-  (* fused kernel first: branch-free mask filtering with in-loop
-     accumulation over the base columns (see {!Kernel}); identical output
-     to the fold below, gated on plan shape and [Kernel.fuse_enabled] *)
-  match
-    Kernel.fused_aggregate ~threads:ctx.threads ~catalog:ctx.catalog
-      ~lookup:(fun name -> lookup ctx name)
-      p
-  with
-  | Some r -> r
-  | None -> run_aggregate_unfused ctx p sub groups specs
-
-and run_aggregate_unfused ctx (p : plan) sub groups specs : Relation.t =
-  let specs_arr = Array.of_list specs in
-  let n_specs = Array.length specs_arr in
-  let has_distinct = List.exists (fun s -> s.distinct) specs in
-  let seg = compile_segment ctx sub in
-  let n = Relation.n_rows seg.source in
-  let cols = seg.source.Relation.cols in
-  let ztest = Kernel.zone_test ctx.catalog cols seg.prefilter in
-  (* Feed the range's surviving rows to [sink]: [sink cols] sets up the
-     fold over rows of [cols] and returns its per-row update. A
-     scan-shaped segment's rows come straight off the source columns
-     through one selector (no morsel materialization; zone-dead blocks
-     drop out of the row ranges entirely), else morsel by morsel, with
-     [sink] set up again for each chunk. *)
-  let iter_range start len (sink : Column.t array -> int -> unit) =
-    match seg.transform with
-    | None -> (
-      match Stats.alive_ranges ztest start (start + len - 1) with
-      | [] -> ()
-      | ranges ->
-        let feed = sink cols in
-        let select = Kernel.selector cols seg.prefilter seg.prescan in
-        List.iter
-          (fun (lo, hi) ->
-            select ~lo ~hi (fun idx k ->
-                for t = 0 to k - 1 do
-                  feed (Array.unsafe_get idx t)
-                done))
-          ranges)
-    | Some _ ->
-      iter_morsels ?ztest seg start len (fun c ->
-          let feed = sink c.Relation.cols in
-          for row = 0 to Relation.n_rows c - 1 do
-            feed row
-          done)
+  let specs = Array.of_list specs in
+  let has_distinct = Array.exists (fun (s : agg_spec) -> s.distinct) specs in
+  let threads = if has_distinct then 1 else ctx.threads in
+  let fold ~n idxs source =
+    Agg_util.fold ~size:(Agg_util.size_hint p.est n) specs idxs source
   in
-  match groups with
-  | [] ->
-    (* slot 0 of the shared slot accumulators; their shapes come from the
-       first chunk's columns *)
-    let fold_range start len =
-      let states = ref None in
-      iter_range start len (fun cols ->
-          let args = Agg_util.column_args specs_arr cols in
-          let st =
-            match !states with
-            | Some st -> st
-            | None ->
-              let st = Agg_util.slot_states specs_arr args ~card:1 in
-              states := Some st;
-              st
-          in
-          let upds = Agg_util.slot_updates specs_arr args st in
-          fun row ->
-            for i = 0 to n_specs - 1 do
-              upds.(i) 0 row
-            done);
-      !states
-    in
-    let partials =
-      List.filter_map Fun.id
-        (if n = 0 then [ fold_range 0 0 ]
-         else
-           Parallel.map_chunks
-             ~threads:(if has_distinct then 1 else ctx.threads)
-             n fold_range)
-    in
-    let out_vals =
-      match partials with
-      | [] ->
-        Array.map (fun spec -> Agg_util.finish spec (Agg_util.create spec)) specs_arr
-      | first :: rest ->
-        List.iter
-          (fun part ->
-            Array.iteri
-              (fun i spec -> Agg_util.slot_merge spec first.(i) part.(i))
-              specs_arr)
-          rest;
-        Array.mapi (fun i spec -> Agg_util.slot_finish spec first.(i) 0) specs_arr
-    in
-    { Relation.names = Array.map fst p.schema;
-      cols =
-        Array.mapi
-          (fun i (_, ty) -> Column.of_values ty [| out_vals.(i) |])
-          p.schema }
-  | groups ->
-    (* One range's partial: dense grouping for a small packed key domain,
-       else hashed. The choice follows the first chunk's key layout, which
-       every later chunk shares (chunk columns are gathers of the same
-       columns, so dictionaries and data constructors agree). *)
-    let fold_range start len =
-      let part = ref None in
-      iter_range start len (fun cols ->
-          (* [cross_chunk]: a morsel's packed keys must mean the same in
-             every other morsel *)
-          let dense =
-            Hash_util.dense_domain ~cross_chunk:(Option.is_some seg.transform)
-              ~limit:(1 lsl 16) cols groups
-          in
-          let args = Agg_util.column_args specs_arr cols in
-          let g =
-            match !part with
-            | Some g -> g
-            | None ->
-              let g =
-                Agg_util.groups_create ~size:(Agg_util.size_hint p.est n)
-                  ?card:(Option.map snd dense) specs_arr args cols groups
-              in
-              part := Some g;
-              g
-          in
-          (* rebuilt per chunk (chunk columns are distinct gathers); the
-             group state it writes persists across chunks *)
-          Agg_util.groups_feeder ?dense g args cols groups);
-      !part
-    in
-    (* radix partition fold: rows arrive as a base-row selection vector over
-       the materialized source; group keys are disjoint across partitions,
-       so the partial merge below only ever appends *)
-    let fold_sel (sel : int array) =
-      let args = Agg_util.column_args specs_arr cols in
-      let g =
-        Agg_util.groups_create
-          ~size:(Agg_util.size_hint p.est (Array.length sel))
-          specs_arr args cols groups
+  let chunked n fold_range =
+    if n = 0 then [ fold_range 0 0 ]
+    else Parallel.map_chunks ~threads n fold_range
+  in
+  (* The survivor loop: each chunk's rows of [cols] that pass [preds] and
+     [tests], in ascending order, outside zone-dead blocks ([ztest]) — no
+     morsel materializes. *)
+  let scan ?ztest cols preds tests ~args ~idxs ~dense ~n =
+    chunked n (fun start len ->
+        fold ~n idxs (fun batch ->
+            match Stats.alive_ranges ztest start (start + len - 1) with
+            | [] -> ()
+            | ranges ->
+              let feed = batch dense args cols in
+              let select = Kernel.selector cols preds tests in
+              List.iter
+                (fun (lo, hi) ->
+                  select ~lo ~hi (fun idx k ->
+                      for t = 0 to k - 1 do
+                        feed (Array.unsafe_get idx t)
+                      done))
+                ranges))
+  in
+  let partials =
+    match Kernel.fused_source ~catalog:ctx.catalog ~lookup:(lookup ctx) p with
+    | Some f ->
+      let cols = f.rel.Relation.cols in
+      scan
+        ?ztest:(Kernel.zone_test ctx.catalog cols f.filters)
+        cols f.filters [] ~args:f.args ~idxs:f.gidx ~dense:f.dense
+        ~n:(Relation.n_rows f.rel)
+    | None -> (
+      let seg = compile_segment ctx sub in
+      let n = Relation.n_rows seg.source in
+      let cols = seg.source.Relation.cols in
+      let ztest = Kernel.zone_test ctx.catalog cols seg.prefilter in
+      (* [cross_chunk]: a morsel's packed keys must mean the same in every
+         other morsel *)
+      let dense ~cross_chunk cols =
+        Hash_util.dense_domain ~cross_chunk ~limit:(1 lsl 16) cols groups
       in
-      let feed = Agg_util.groups_feeder g args cols groups in
-      Array.iteri
-        (fun i row ->
-          if i land 8191 = 0 then Guard.check ();
-          feed row)
-        sel;
-      Some g
-    in
-    (* radix aggregation applies to a materialized source (a pipeline
-       breaker's output, e.g. a partition-wise join) whose group domain is
-       too wide for dense grouping; fused pipelines keep the chunked
-       partial scheme — their rows never materialize. The source's
-       surviving rows are what partitions. *)
-    let radix_parts =
-      match (seg.transform, ztest) with
-      | None, None
-        when (not has_distinct)
-             && Radix.should ~rows:n ~threads:ctx.threads
-             && Option.is_none
-                  (Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16)
-                     cols groups) ->
-        let base, rows =
-          match (seg.prefilter, seg.prescan) with
-          | [], [] -> (Fun.id, n)
-          | preds, tests ->
-            let sel = Kernel.select ~threads:ctx.threads cols preds tests ~n in
-            (Array.get sel, Array.length sel)
+      match seg.transform with
+      | Some _ ->
+        (* every morsel is a batch: chunk columns are distinct gathers of
+           the same columns, so dictionaries and key layouts agree *)
+        chunked n (fun start len ->
+            fold ~n groups (fun batch ->
+                iter_morsels ?ztest seg start len (fun c ->
+                    let cols = c.Relation.cols in
+                    let feed =
+                      batch
+                        (dense ~cross_chunk:true cols)
+                        (Agg_util.column_args specs cols)
+                        cols
+                    in
+                    for row = 0 to Relation.n_rows c - 1 do
+                      feed row
+                    done)))
+      | None -> (
+        let args = Agg_util.column_args specs cols in
+        let dense = dense ~cross_chunk:false cols in
+        (* radix aggregation applies to a materialized source (a pipeline
+           breaker's output, e.g. a partition-wise join) whose group domain
+           is too wide for dense grouping — a global aggregate's empty key
+           always packs. The source's surviving rows are what partitions;
+           group keys are disjoint across partitions, so the merge only
+           ever appends. *)
+        let radix_parts =
+          if
+            has_distinct || Option.is_some ztest || Option.is_some dense
+            || not (Radix.should ~rows:n ~threads)
+          then None
+          else
+            let base, rows =
+              match (seg.prefilter, seg.prescan) with
+              | [], [] -> (Fun.id, n)
+              | preds, tests ->
+                let sel = Kernel.select ~threads cols preds tests ~n in
+                (Array.get sel, Array.length sel)
+            in
+            Radix.group_parts ~threads ~base cols groups ~n:rows
         in
-        Radix.group_parts ~threads:ctx.threads ~base cols groups ~n:rows
-      | _ -> None
-    in
-    let partials =
-      match radix_parts with
-      | Some parts ->
-        Parallel.map_list ~threads:ctx.threads
-          (List.map (fun sel () -> fold_sel sel) (Array.to_list parts))
-      | None ->
-        if n = 0 then [ fold_range 0 0 ]
-        else
-          Parallel.map_chunks
-            ~threads:(if has_distinct then 1 else ctx.threads)
-            n fold_range
-    in
-    (* merge partials in chunk order: chunks are contiguous in input order,
-       so appending each partial's unseen groups in its first-seen order
-       yields the global first-seen order — independent of chunk
-       boundaries *)
-    match List.filter_map Fun.id partials with
-    | [] ->
-      { Relation.names = Array.map fst p.schema;
-        cols = Array.map (fun (_, ty) -> Column.of_values ty [||]) p.schema }
-    | first :: rest ->
-      List.iter (Agg_util.groups_merge first) rest;
-      Agg_util.groups_relation first p.schema
+        match radix_parts with
+        | Some parts ->
+          Parallel.map_list ~threads
+            (List.map
+               (fun sel () ->
+                 fold ~n:(Array.length sel) groups (fun batch ->
+                     let feed = batch None args cols in
+                     Array.iteri
+                       (fun i row ->
+                         if i land 8191 = 0 then Guard.check ();
+                         feed row)
+                       sel))
+               (Array.to_list parts))
+        | None ->
+          scan ?ztest cols seg.prefilter seg.prescan ~args ~idxs:groups ~dense
+            ~n))
+  in
+  Agg_util.emit specs p.schema partials
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                        *)

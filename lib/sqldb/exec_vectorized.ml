@@ -340,6 +340,35 @@ let apply_residual ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri
     (Array.map (fun k -> li.(k)) sel, Array.map (fun k -> ri.(k)) sel)
 
 (* ------------------------------------------------------------------ *)
+(* Breakers shared with the compiled executor                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A VALUES list as a relation; a zero-column one keeps its row count as
+   one dummy int column. *)
+let values_relation (schema : schema) (rows : Value.t list list) : Relation.t =
+  if Array.length schema = 0 then
+    { Relation.names = [| "dummy" |];
+      cols = [| Column.of_ints (Array.make (List.length rows) 0) |] }
+  else
+    { Relation.names = Array.map fst schema;
+      cols =
+        Array.mapi
+          (fun i (_, ty) ->
+            Column.of_values ty
+              (Array.of_list (List.map (fun row -> List.nth row i) rows)))
+          schema }
+
+(* [r] with the rank column [name] appended: each row's 1-based position
+   in [keys] order (input order without keys). *)
+let window_relation (r : Relation.t) keys name : Relation.t =
+  let n = Relation.n_rows r in
+  let order = if keys = [] then Array.init n Fun.id else sort_indices r keys in
+  let ranks = Array.make n 0 in
+  Array.iteri (fun pos row -> ranks.(row) <- pos + 1) order;
+  { Relation.names = Array.append r.Relation.names [| name |];
+    cols = Array.append r.Relation.cols [| Column.of_ints ranks |] }
+
+(* ------------------------------------------------------------------ *)
 (* Executor                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -363,24 +392,7 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
       match Catalog.find_opt ctx.catalog name with
       | Some t -> srel_all t.Catalog.rel
       | None -> invalid_arg ("Exec: unknown relation " ^ name)))
-  | PValues (schema, rows) ->
-    let n = List.length rows in
-    let cols =
-      Array.mapi
-        (fun i (_, ty) ->
-          Column.of_values ty
-            (Array.of_list (List.map (fun row -> List.nth row i) rows)))
-        schema
-    in
-    let r =
-      if Array.length schema = 0 then
-        (* zero-column relation with [n] rows is modelled as one int col *)
-        { Relation.names = [| "dummy" |];
-          cols = [| Column.of_ints (Array.make n 0) |] }
-      else
-        { Relation.names = Array.map fst schema; cols }
-    in
-    srel_all r
+  | PValues (schema, rows) -> srel_all (values_relation schema rows)
   | Filter (sub, pred) ->
     let s = run_sel ctx sub in
     let cols = relation_cols s.rel in
@@ -463,18 +475,8 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let cols = relation_cols s.rel in
     let all_cols = List.init (Array.length cols) Fun.id in
     { rel = s.rel; sel = Some (Hash_util.first_rows ~row:base cols all_cols ~n) }
-  | Window (sub, keys, _name) ->
-    let r = materialize (run_sel ctx sub) in
-    let n = Relation.n_rows r in
-    let order = if keys = [] then Array.init n Fun.id else sort_indices r keys in
-    let ranks = Array.make n 0 in
-    Array.iteri (fun pos row -> ranks.(row) <- pos + 1) order;
-    srel_all
-      { Relation.names = Array.append r.Relation.names [| snd3 p |];
-        cols = Array.append r.Relation.cols [| Column.of_ints ranks |] }
-
-and snd3 (p : plan) =
-  match p.node with Window (_, _, name) -> name | _ -> "id"
+  | Window (sub, keys, name) ->
+    srel_all (window_relation (materialize (run_sel ctx sub)) keys name)
 
 and run_join ctx kind left right keys residual =
   match kind with
@@ -650,88 +652,47 @@ and run_aggregate ctx (p : plan) sub groups specs =
   let cols = relation_cols s.rel in
   let base = match s.sel with Some sel -> fun pos -> sel.(pos) | None -> Fun.id in
   let has_distinct = List.exists (fun sp -> sp.distinct) specs in
-  let specs_arr = Array.of_list specs in
-  let args = Agg_util.column_args specs_arr cols in
-  match groups with
-  | [] ->
-    (* Global aggregation: one output row even for empty input, kept in
-       slot 0 of the shared slot accumulators. *)
-    let run_range start len =
-      let states = Agg_util.slot_states specs_arr args ~card:1 in
-      let upds = Agg_util.slot_updates specs_arr args states in
-      for pos = start to start + len - 1 do
-        let row = base pos in
-        Array.iter (fun upd -> upd 0 row) upds
-      done;
-      states
-    in
-    let states =
-      match
-        Parallel.map_chunks
-          ~threads:(if has_distinct then 1 else ctx.threads)
-          n run_range
-      with
-      | [] -> run_range 0 0
-      | first :: rest ->
-        List.iter
-          (fun part ->
-            Array.iteri
-              (fun i spec -> Agg_util.slot_merge spec first.(i) part.(i))
-              specs_arr)
-          rest;
-        first
-    in
-    srel_all
-      { Relation.names = Array.map fst p.schema;
-        cols =
-          Array.mapi
-            (fun i (_, ty) ->
-              Column.of_values ty
-                [| Agg_util.slot_finish specs_arr.(i) states.(i) 0 |])
-            p.schema }
-  | groups ->
-    (* Small packed key domains (dictionary / bool / bounded-int group
-       columns) index the accumulators directly by packed key; the rest
-       hash through the key table. Either way groups come out in
-       first-seen order. *)
-    let dense = groups_dense ~n cols groups in
-    let fold (get : int -> int) (count : int) =
-      let g =
-        Agg_util.groups_create ~size:(Agg_util.size_hint p.est count)
-          ?card:(Option.map snd dense) specs_arr args cols groups
-      in
-      let feed = Agg_util.groups_feeder ?dense g args cols groups in
-      for i = 0 to count - 1 do
-        if i land 8191 = 0 then Guard.check ();
-        feed (get i)
-      done;
-      g
-    in
-    let run_range start len = fold (fun i -> base (start + i)) len in
-    let partials =
-      match
-        if has_distinct || Option.is_some dense then None
-        else Radix.group_parts ~threads:ctx.threads ~base cols groups ~n
-      with
-      | Some parts ->
-        (* radix aggregation: every group key lives in exactly one
-           partition, so the merge below only ever appends *)
-        Parallel.map_list ~threads:ctx.threads
-          (List.map
-             (fun sel () -> fold (fun i -> sel.(i)) (Array.length sel))
-             (Array.to_list parts))
-      | None ->
-        if ctx.threads <= 1 || has_distinct || n < 8192 then [ run_range 0 n ]
-        else Parallel.map_chunks ~threads:ctx.threads n run_range
-    in
-    let g =
-      match partials with
-      | [] -> run_range 0 0
-      | first :: rest ->
-        List.iter (Agg_util.groups_merge first) rest;
-        first
-    in
-    srel_all (Agg_util.groups_relation g p.schema)
+  let specs = Array.of_list specs in
+  let args = Agg_util.column_args specs cols in
+  (* Small packed key domains (dictionary / bool / bounded-int group
+     columns) index the accumulators directly by packed key; the rest hash
+     through the key table. Either way groups come out in first-seen
+     order. *)
+  let dense = groups_dense ~n cols groups in
+  (* one partial over the [count] rows [get 0 .. get (count-1)] *)
+  let fold (get : int -> int) (count : int) =
+    Agg_util.fold ~size:(Agg_util.size_hint p.est count) specs groups
+      (fun batch ->
+        let feed = batch dense args cols in
+        for i = 0 to count - 1 do
+          if i land 8191 = 0 then Guard.check ();
+          feed (get i)
+        done)
+  in
+  let run_range start len = fold (fun i -> base (start + i)) len in
+  let partials =
+    match
+      (* a global aggregate's empty key always packs densely *)
+      if has_distinct || Option.is_some dense then None
+      else Radix.group_parts ~threads:ctx.threads ~base cols groups ~n
+    with
+    | Some parts ->
+      (* radix aggregation: every group key lives in exactly one
+         partition, so the merge only ever appends *)
+      Parallel.map_list ~threads:ctx.threads
+        (List.map
+           (fun sel () -> fold (fun i -> sel.(i)) (Array.length sel))
+           (Array.to_list parts))
+    | None when groups = [] ->
+      (* a global aggregate chunks at any input size *)
+      Parallel.map_chunks
+        ~threads:(if has_distinct then 1 else ctx.threads)
+        n run_range
+    | None ->
+      if ctx.threads <= 1 || has_distinct || n < 8192 then [ run_range 0 n ]
+      else Parallel.map_chunks ~threads:ctx.threads n run_range
+  in
+  srel_all (Agg_util.emit specs p.schema partials)
 
 (* Materializing entry point, kept for callers that need a plain relation
    (compiled executor, CTE evaluation). *)

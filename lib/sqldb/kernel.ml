@@ -1,4 +1,4 @@
-(** Row selection and fused filter→aggregate kernels over base columns.
+(** Row selection and the fused filter→aggregate source over base columns.
 
     This module answers one question for both executors and the fused
     aggregate: which rows of [lo, hi] pass these conjuncts?
@@ -24,22 +24,20 @@
       fewer rows than written order would. Survivors come out per stride in
       ascending row order. {!select} runs a selector morsel-parallel over
       the zone-alive ranges ({!Stats.alive_ranges}) and returns every
-      survivor; the compiled executor's morsel loop and aggregate folds
-      call a selector directly.
+      survivor; the compiled executor's morsel loop and aggregate survivor
+      loop call a selector directly.
 
-    - {b Fused aggregation.} For a gated plan ({!Planner.fusible_agg}) the
-      Filter/Project chain is peeled back onto the base table
-      ({!Plan.subst_cols}) and its conjuncts, ordered
+    - {b Fused aggregation.} For a gated plan ({!Planner.fusible_agg})
+      {!fused_source} peels the Filter/Project chain back onto the base
+      table ({!Plan.subst_cols}), orders its conjuncts
       estimated-most-selective-first from table statistics
-      ({!Planner.pred_selectivity}), run through a selector. The
-      survivors, in ascending row order, fold through compiled argument
-      readers ({!compile_num}) into the executors' own aggregate state —
-      the {!Agg_util} slot states for a global aggregate, an
-      {!Agg_util.groups} over the dense packed-key domain
-      ({!Hash_util.dense_domain}) for a grouped one — which merge and emit
-      as in the unfused compiled path. No projected column or intermediate
-      relation ever materializes, and the results, low float bits and
-      first-seen group order included, are the unfused ones.
+      ({!Planner.pred_selectivity}), and compiles one argument reader per
+      aggregate ({!compile_num}); a grouped aggregate also needs a dense
+      packed-key domain ({!Hash_util.dense_domain}). That is only a row
+      source: the compiled executor runs it through the same survivor loop
+      and {!Agg_util} fold as an unfused scan, so no projected column or
+      intermediate relation ever materializes, and the results, low float
+      bits and first-seen group order included, are the unfused ones.
 
     - {b Checkpoints.} Selector loops have no morsel boundaries, so
       {!Guard.check} and a {!Faults.slow_point} run at every [stride]
@@ -51,9 +49,9 @@
     scratch buffers and must be built on the worker that runs them (like
     {!Eval.compile_pred} closures).
 
-    [set_fuse false] disables masks and the fused aggregate: selectors then
+    [set_fuse false] disables masks and the fused source: selectors then
     evaluate every conjunct through closures, and the compiled executor
-    feeds the same aggregate state from projected chunk columns. *)
+    feeds the same {!Agg_util} fold from projected chunk columns. *)
 
 open Plan
 
@@ -602,139 +600,73 @@ let arg_reader (cols : Column.t array) (rw : pexpr -> pexpr)
       | Some (NFloat g) -> reader (Agg_util.GFloat g)
       | None -> None))
 
-(* ---- entry point -------------------------------------------------- *)
+(* A fused aggregate's row source: the base table, its filter conjuncts
+   (base schema, most selective first), one reader per aggregate argument,
+   and the group columns in the base table with their packed-key domain
+   (grouped fusion is dense only). *)
+type fused = {
+  rel : Relation.t;
+  filters : pexpr list;
+  args : Agg_util.arg option array;
+  gidx : int list;
+  dense : ((int -> int) * int) option;
+}
 
-(* Run [p] (an Aggregate) as a fused kernel over its base table, or [None]
-   when any part of the pipeline falls outside the fused subset — the
-   caller then runs its ordinary path. [lookup] resolves the scanned
-   relation (and carries the executor's fault injection points with it).
-   Grouped fusion reproduces the compiled executor's first-seen emission
-   order, which is why only that executor calls in here. *)
-let fused_aggregate ~(threads : int) ~(catalog : Catalog.t)
-    ~(lookup : string -> Relation.t) (p : plan) :
-    Relation.t option =
-  if not (fuse_enabled () && Planner.fusible_agg p) then None
-  else
+(* The fused source of [p] (an Aggregate), or [None] when any part of the
+   pipeline falls outside the fused subset — the caller then aggregates
+   its ordinary input. [lookup] resolves the scanned relation (and carries
+   the executor's fault injection points with it). Grouped fusion keeps
+   the compiled executor's first-seen emission order, which is why only
+   that executor calls in here. *)
+let fused_source ~(catalog : Catalog.t) ~(lookup : string -> Relation.t)
+    (p : plan) : fused option =
+  let ( let* ) = Option.bind in
+  let* sub, groups, specs =
     match p.node with
-    | Aggregate (sub, groups, specs) -> (
-      match peel sub with
-      | None -> None
-      | Some (name, rw, filters) -> (
-        let gidx =
-          List.map (fun g -> match rw (PCol g) with PCol b -> b | _ -> -1) groups
-        in
-        if List.exists (fun b -> b < 0) gidx then None
-        else begin
-          (* Conjunct order is semantically free (same survivor set, same
-             ascending row order into the accumulators), so order them
-             estimated-most-selective-first: the closure conjuncts refine
-             the survivor list in this order, each touching only the rows
-             the ones before it kept. *)
-          let filters = List.concat_map conjuncts filters in
-          let filters =
-            match Catalog.stats_opt catalog name with
-            | Some ts ->
-              let lookup i =
-                if i >= 0 && i < Array.length ts.Stats.cols then
-                  Some ts.Stats.cols.(i)
-                else None
-              in
-              List.stable_sort
-                (fun a b ->
-                  Float.compare
-                    (Planner.pred_selectivity lookup a)
-                    (Planner.pred_selectivity lookup b))
-                filters
-            | None -> filters
-          in
-          let rel = lookup name in
-          let cols = rel.Relation.cols in
-          let n = Relation.n_rows rel in
-          let specs_arr = Array.of_list specs in
-          let args = Array.map (arg_reader cols rw) specs_arr in
-          if Array.exists Option.is_none args then None
-          else begin
-            let args = Array.map Option.get args in
-            let n_specs = Array.length specs_arr in
-            let ztest = zone_test catalog cols filters in
-            (* Hand the survivors of [start, start+len) to [consume], one
-               stride at a time, in ascending row order — the order the
-               unfused fold visits them. *)
-            let fold_survivors start len consume =
-              let select = selector cols filters [] in
-              List.iter
-                (fun (lo, hi) -> select ~lo ~hi consume)
-                (Stats.alive_ranges ztest start (start + len - 1))
-            in
-            (* one partial per chunk, in chunk order *)
-            let partials fold_range =
-              if n = 0 then [ fold_range 0 0 ]
-              else Parallel.map_chunks ~threads n fold_range
-            in
-            match gidx with
-            | [] -> (
-              (* global aggregate: slot 0 of the slot states, merged like
-                 the compiled executor's unfused fold *)
-              let fold_range start len =
-                let st = Agg_util.slot_states specs_arr args ~card:1 in
-                let upds = Agg_util.slot_updates specs_arr args st in
-                fold_survivors start len (fun idx k ->
-                    for i = 0 to n_specs - 1 do
-                      let upd = upds.(i) in
-                      for t = 0 to k - 1 do
-                        upd 0 (Array.unsafe_get idx t)
-                      done
-                    done);
-                st
-              in
-              match partials fold_range with
-              | [] -> None
-              | first :: rest ->
-                List.iter
-                  (fun part ->
-                    Array.iteri
-                      (fun i spec ->
-                        Agg_util.slot_merge spec first.(i) part.(i))
-                      specs_arr)
-                  rest;
-                Some
-                  { Relation.names = Array.map fst p.schema;
-                    cols =
-                      Array.mapi
-                        (fun i (_, ty) ->
-                          Column.of_values ty
-                            [| Agg_util.slot_finish specs_arr.(i) first.(i)
-                                 0 |])
-                        p.schema })
-            | gidx -> (
-              (* grouped: dense packed-key grouping only (wide domains keep
-                 the unfused hash path) *)
-              match
-                Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16)
-                  cols gidx
-              with
-              | None -> None
-              | Some (_, card) as dense -> (
-                let fold_range start len =
-                  let g =
-                    Agg_util.groups_create
-                      ~size:(Agg_util.size_hint p.est n)
-                      ~card specs_arr args cols gidx
-                  in
-                  let feed = Agg_util.groups_feeder ?dense g args cols gidx in
-                  fold_survivors start len (fun idx k ->
-                      for t = 0 to k - 1 do
-                        feed (Array.unsafe_get idx t)
-                      done);
-                  g
-                in
-                (* partials merge in chunk order, appending unseen groups
-                   in their first-seen order *)
-                match partials fold_range with
-                | [] -> None
-                | first :: rest ->
-                  List.iter (Agg_util.groups_merge first) rest;
-                  Some (Agg_util.groups_relation first p.schema)))
-          end
-        end))
+    | Aggregate (sub, groups, specs)
+      when fuse_enabled () && Planner.fusible_agg p ->
+      Some (sub, groups, specs)
     | _ -> None
+  in
+  let* name, rw, filters = peel sub in
+  let gidx =
+    List.map (fun g -> match rw (PCol g) with PCol b -> b | _ -> -1) groups
+  in
+  if List.exists (fun b -> b < 0) gidx then None
+  else begin
+    (* Conjunct order is semantically free (same survivor set, same
+       ascending row order into the accumulators), so order them
+       estimated-most-selective-first: the closure conjuncts refine the
+       survivor list in this order, each touching only the rows the ones
+       before it kept. *)
+    let filters = List.concat_map conjuncts filters in
+    let filters =
+      match Catalog.stats_opt catalog name with
+      | Some ts ->
+        let lookup i =
+          if i >= 0 && i < Array.length ts.Stats.cols then
+            Some ts.Stats.cols.(i)
+          else None
+        in
+        List.stable_sort
+          (fun a b ->
+            Float.compare
+              (Planner.pred_selectivity lookup a)
+              (Planner.pred_selectivity lookup b))
+          filters
+      | None -> filters
+    in
+    let rel = lookup name in
+    let cols = rel.Relation.cols in
+    let args = Array.map (arg_reader cols rw) (Array.of_list specs) in
+    if Array.exists Option.is_none args then None
+    else
+      (* grouped: dense packed-key grouping only (wide domains keep the
+         unfused hash path) *)
+      match
+        Hash_util.dense_domain ~cross_chunk:false ~limit:(1 lsl 16) cols gidx
+      with
+      | None when gidx <> [] -> None
+      | dense ->
+        Some { rel; filters; args = Array.map Option.get args; gidx; dense }
+  end

@@ -6,6 +6,25 @@ open Helpers
 
 let q db sql = execute_everywhere db sql
 
+(* A 20000-row table [w] — an id, a 300-value int key [g], a float [x], a
+   3-letter string [s] and a wide hashed key [h] — and a 10000-row table
+   [v] joining [w] on every other id. *)
+let agg_db () =
+  let n = 20_000 in
+  let db = Db.create () in
+  Db.load_table db "w"
+    (rel [ "id"; "g"; "x"; "s"; "h" ]
+       [ ints (Array.init n Fun.id);
+         ints (Array.init n (fun i -> i * 7 mod 300));
+         floats (Array.init n (fun i -> float_of_int (i mod 97) /. 4.));
+         strings (Array.init n (fun i -> [| "a"; "b"; "c" |].(i mod 3)));
+         ints (Array.init n (fun i -> i mod 1013 * 100_003)) ]);
+  Db.load_table db "v"
+    (rel [ "vid"; "y" ]
+       [ ints (Array.init (n / 2) (fun i -> 2 * i));
+         ints (Array.init (n / 2) (fun i -> i)) ]);
+  db
+
 let parse_tests =
   [ tc "select star" (fun () ->
         let ast = Sql_parse.parse "SELECT * FROM t" in
@@ -250,7 +269,85 @@ let exec_tests =
           (fun () ->
             ignore
               (Db.execute ~backend:Db.Lingo (mini_db ())
-                 "SELECT row_number() OVER (ORDER BY o_id) AS r FROM orders")))
+                 "SELECT row_number() OVER (ORDER BY o_id) AS r FROM orders")));
+    (* Edges of the shared aggregate fold: a 20000-row table spans several
+       8192-row strides and, at 3 threads, several chunk partials. *)
+    tc "global aggregate whose filter keeps no rows" (fun () ->
+        let r =
+          q (agg_db ())
+            "SELECT COUNT(*) AS n, SUM(x) AS sx, MIN(id) AS mn, AVG(x) AS ax \
+             FROM w WHERE id < 0"
+        in
+        Alcotest.(check (list string)) "empty" [ "0|NULL|NULL|NULL" ]
+          (Relation.canonical r);
+        let r = q (agg_db ()) "SELECT COUNT(*) AS n FROM w WHERE x > 1000.0" in
+        check_rel "no survivor" (rel [ "n" ] [ ints [| 0 |] ]) r);
+    tc "survivors only in the last stride" (fun () ->
+        let r =
+          q (agg_db ())
+            "SELECT COUNT(*) AS n, SUM(id) AS si, MIN(s) AS ms, MAX(x) AS mx \
+             FROM w WHERE id >= 19995"
+        in
+        Alcotest.(check (list string)) "last five" [ "5|99985|a|4.2500" ]
+          (Relation.canonical r);
+        let r =
+          q (agg_db ())
+            "SELECT s, COUNT(*) AS n, SUM(id) AS si FROM w WHERE id >= 19995 \
+             GROUP BY s"
+        in
+        Alcotest.(check (list string)) "grouped"
+          [ "a|2|39993"; "b|2|39995"; "c|1|19997" ]
+          (Relation.canonical r));
+    tc "global distinct aggregates" (fun () ->
+        let r =
+          q (agg_db ())
+            "SELECT COUNT(DISTINCT g) AS dg, SUM(DISTINCT g) AS sg, \
+             COUNT(DISTINCT s) AS ds, COUNT(*) AS n FROM w"
+        in
+        Alcotest.(check (list string)) "distinct" [ "300|44850|3|20000" ]
+          (Relation.canonical r));
+    tc "grouped aggregate over no rows keeps its types" (fun () ->
+        let db = agg_db () in
+        let sql =
+          "SELECT s, g, COUNT(*) AS n, SUM(x) AS sx, AVG(g) AS ag FROM w \
+           WHERE id < 0 GROUP BY s, g"
+        in
+        let types r =
+          Array.to_list
+            (Array.map (fun c -> Value.ty_name c.Column.ty) r.Relation.cols)
+        in
+        let expected = [ "VARCHAR"; "INTEGER"; "INTEGER"; "DOUBLE"; "DOUBLE" ] in
+        let vec = q db sql in
+        Alcotest.(check (list string)) "vectorized types" expected (types vec);
+        List.iter
+          (fun fuse ->
+            List.iter
+              (fun threads ->
+                let r =
+                  with_config ~fuse ~cache:false (fun () ->
+                      Db.execute ~backend:Db.Compiled ~threads db sql)
+                in
+                let label = Printf.sprintf "fuse=%b @%dt" fuse threads in
+                Alcotest.(check int) (label ^ " rows") 0 (Relation.n_rows r);
+                Alcotest.(check (list string))
+                  (label ^ " types") expected (types r))
+              thread_counts)
+          [ true; false ]);
+    tc "global aggregate partials with radix forced" (fun () ->
+        let queries =
+          [ "SELECT COUNT(*) AS n, SUM(x) AS sx, MIN(x) AS mn, MAX(id) AS mx \
+             FROM w WHERE g < 150";
+            "SELECT COUNT(*) AS n, SUM(w.x) AS sx, MAX(v.y) AS my FROM w, v \
+             WHERE w.id = v.vid AND v.y < 7000";
+            "SELECT h, COUNT(*) AS n, SUM(x) AS sx FROM w WHERE id < 9000 \
+             GROUP BY h" ]
+        in
+        let default = List.map (fun sql -> q (agg_db ()) sql) queries in
+        with_config ~radix:true ~radix_min_rows:0 (fun () ->
+            List.iter2
+              (fun sql expected ->
+                check_rel ("radix forced | " ^ sql) expected (q (agg_db ()) sql))
+              queries default))
   ]
 
 (* Property: engine filter agrees with a row-by-row oracle. *)

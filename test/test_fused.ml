@@ -115,8 +115,26 @@ let filter_queries =
     (* a closure conjunct written before a mask conjunct *)
     "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v * 2 > a AND k < 40" ]
 
+(* Edges of the shared aggregate fold: every chunk's partial empty (all
+   blocks zone-dead, or every row rejected), survivors only in the last
+   stride and morsel ([id >= n - 5]), and DISTINCT, which folds as one
+   input range at any thread count. *)
+let edge_queries =
+  [ "SELECT COUNT(*) AS n, SUM(v) AS s, MIN(a) AS mn, AVG(nv) AS av FROM t \
+     WHERE id < 0";
+    "SELECT COUNT(nv) AS n, SUM(a) AS s, MAX(d) AS mx FROM t WHERE \
+     tag = 'omega'";
+    "SELECT COUNT(*) AS n, SUM(v) AS s, MIN(nv) AS mn, MAX(a) AS mx FROM t \
+     WHERE id >= 11995";
+    "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE id >= 11995 \
+     GROUP BY tag";
+    "SELECT COUNT(DISTINCT k) AS dk, SUM(DISTINCT a) AS sa, COUNT(*) AS n \
+     FROM t WHERE k < 50";
+    "SELECT COUNT(DISTINCT tag) AS dt, SUM(DISTINCT nk) AS sn FROM t" ]
+
 let test_global () = diff_queries ~label:"global" (fused_db ()) global_agg_queries
 let test_grouped () = diff_queries ~label:"grouped" (fused_db ()) grouped_queries
+let test_edges () = diff_queries ~label:"edge" (fused_db ()) edge_queries
 let test_filters () = diff_queries ~label:"filter" (fused_db ()) filter_queries
 
 (* [diff_queries] compares grouped answers as sorted multisets; the
@@ -259,7 +277,8 @@ let suites =
         tc "grouped order" test_grouped_order;
         tc "filter kernels" test_filters;
         tc "raw string predicates" test_raw_strings;
-        tc "legacy array backing" test_legacy_arrays ] );
+        tc "legacy array backing" test_legacy_arrays;
+        tc "aggregate fold edges" test_edges ] );
     ( "fused-sums",
       [ tc "neumaier chunked vs serial" test_neumaier_sum ] );
     ( "fused-config",
