@@ -246,22 +246,26 @@ let compile_row (cols : Column.t array) (e : pexpr) : int -> Value.t =
 
 (* A join residual [e] over the left columns followed by the right ones,
    as a test on a (left row, right row) pair. NULL and non-bool answers are
-   false, as in filter position. *)
+   false, as in filter position. The right row passes through a cell the
+   test owns, so each domain compiles its own. *)
 let pair_pred (lcols : Column.t array) (rcols : Column.t array) (e : pexpr) :
-    int * int -> bool =
+    int -> int -> bool =
   let nl = Array.length lcols in
+  let right = ref 0 in
   let f =
     compile_row_by
       (fun i ->
         if i < nl then
           let c = lcols.(i) in
-          fun (l, _) -> Column.get c l
+          fun l -> Column.get c l
         else
           let c = rcols.(i - nl) in
-          fun (_, r) -> Column.get c r)
+          fun _ -> Column.get c !right)
       e
   in
-  fun lr -> match f lr with VBool b -> b | _ -> false
+  fun l r ->
+    right := r;
+    match f l with VBool b -> b | _ -> false
 
 let cmp_test (op : Sql_ast.binop) : int -> bool =
   match op with

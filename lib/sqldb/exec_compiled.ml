@@ -43,78 +43,49 @@ let chunk_project items (c : chunk) : chunk =
   { Relation.names = Array.of_list (List.map snd items);
     cols = Array.of_list cols }
 
-(* Inner/left probe of a pre-built (possibly radix-partitioned) hash table
-   on the right relation. *)
-let chunk_probe ~left_outer (r : Relation.t)
-    (tbl : Radix.t) (lkeys : int list)
-    (residual : pexpr option) (c : chunk) : chunk option =
+(* The columns of [c] at [li] beside those of [r] at [ri]. *)
+let chunk_join (c : chunk) (r : Relation.t) li ri : chunk =
+  { Relation.names = Array.append c.Relation.names r.Relation.names;
+    cols =
+      Array.append
+        (Array.map (fun col -> Column.take col li) c.Relation.cols)
+        (Array.map (fun col -> Column.take col ri) r.Relation.cols) }
+
+(* Inner or left probe of a pre-built (possibly radix-partitioned) build
+   side on the right relation. A left probe pads each unmatched row in
+   place and its residual decides which pairs match; an inner join's
+   residual filters the joined morsel. *)
+let chunk_probe ~left_outer (r : Relation.t) (tbl : Radix.t)
+    (lkeys : int list) (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
-  (* probe_fn is created per chunk, so its partition routing state never
-     crosses domains *)
-  let probe = Radix.probe_fn tbl c.Relation.cols lkeys in
-  let li = ref [] and ri = ref [] and count = ref 0 in
-  for row = n - 1 downto 0 do
-    match probe row with
-    | [] ->
-      if left_outer then begin
-        li := row :: !li;
-        ri := -1 :: !ri;
-        incr count
-      end
-    | rows ->
-      List.iter
-        (fun rrow ->
-          li := row :: !li;
-          ri := rrow :: !ri;
-          incr count)
-        rows
-  done;
-  if !count = 0 && n > 0 then None
-  else begin
-    let li = Array.of_list !li and ri = Array.of_list !ri in
-    let lc = Array.map (fun col -> Column.take col li) c.Relation.cols in
-    let rc = Array.map (fun col -> Column.take col ri) r.Relation.cols in
+  let cols = c.Relation.cols in
+  let out = Join.pairs n in
+  (if left_outer then
+     (* compiled per chunk: chunks run on many domains *)
+     let residual = Option.map (Eval.pair_pred cols r.Relation.cols) residual in
+     Join.probe ?residual Join.Left tbl cols lkeys ~lo:0 ~hi:n out
+   else Join.probe Join.Inner tbl cols lkeys ~lo:0 ~hi:n out);
+  if out.len = 0 && n > 0 then None
+  else
     let joined =
-      { Relation.names = Array.append c.Relation.names r.Relation.names;
-        cols = Array.append lc rc }
+      chunk_join c r (Array.sub out.l 0 out.len) (Array.sub out.r 0 out.len)
     in
     match residual with
-    | None -> Some joined
-    | Some pred -> chunk_filter pred joined
-  end
+    | Some pred when not left_outer -> chunk_filter pred joined
+    | _ -> Some joined
 
-let chunk_semi ~anti (r : Relation.t)
-    (tbl : Radix.t option) (lkeys : int list)
+let chunk_semi ~anti (r : Relation.t) (tbl : Radix.t) (lkeys : int list)
     (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
-  let nr = Relation.n_rows r in
-  let probe =
-    match tbl with
-    | Some tbl -> Radix.probe_fn tbl c.Relation.cols lkeys
-    | None ->
-      let all = List.init nr Fun.id in
-      fun _ -> all
+  let residual =
+    Option.map (Eval.pair_pred c.Relation.cols r.Relation.cols) residual
   in
-  (* compiled per chunk: chunks run on many domains *)
-  let check =
-    Option.map (fun pred -> Eval.pair_pred c.Relation.cols r.Relation.cols pred)
-      residual
-  in
-  let keep = ref [] and count = ref 0 in
-  for row = n - 1 downto 0 do
-    let candidates = probe row in
-    let matched =
-      match check with
-      | None -> candidates <> []
-      | Some check -> List.exists (fun rrow -> check (row, rrow)) candidates
-    in
-    if matched <> anti then begin
-      keep := row :: !keep;
-      incr count
-    end
-  done;
-  if !count = 0 && n > 0 then None
-  else Some (Relation.take c (Array.of_list !keep))
+  let out = Join.pairs n in
+  Join.probe ?residual
+    (if anti then Join.Anti else Join.Semi)
+    tbl c.Relation.cols lkeys ~lo:0 ~hi:n out;
+  if out.len = 0 && n > 0 then None
+  else Some (Relation.take c (Array.sub out.l 0 out.len))
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                           *)
@@ -181,110 +152,76 @@ let rec compile_segment ctx (p : plan) : segment =
     (* The build side is a pipeline breaker: materialize it fully. *)
     let r = stream ctx right in
     let seg = compile_segment ctx left in
+    let probe_rows = Relation.n_rows seg.source in
     (* large builds are radix-partitioned across workers; small ones keep
-       the single shared table (threshold in Radix.should) *)
+       one table (threshold in Radix.should); no keys make a cross join *)
     let tbl =
-      Radix.build ~threads:ctx.threads r.Relation.cols
+      Radix.build ~threads:ctx.threads ~probe_rows r.Relation.cols
         (List.map snd keys) ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
-    let left_outer = kind = JLeft in
-    if keys = [] then begin
-      (* Cross join: pair every chunk row with every build row. *)
-      let nr = Relation.n_rows r in
-      seg_then seg
-          (fun c ->
-              let n = Relation.n_rows c in
-              if n * nr = 0 then None
-              else begin
-                let li = Array.make (n * nr) 0 and ri = Array.make (n * nr) 0 in
-                let k = ref 0 in
-                for i = 0 to n - 1 do
-                  for j = 0 to nr - 1 do
-                    li.(!k) <- i;
-                    ri.(!k) <- j;
-                    incr k
-                  done
-                done;
-                let lc =
-                  Array.map (fun col -> Column.take col li) c.Relation.cols
-                in
-                let rc =
-                  Array.map (fun col -> Column.take col ri) r.Relation.cols
-                in
-                let joined =
-                  { Relation.names =
-                      Array.append c.Relation.names r.Relation.names;
-                    cols = Array.append lc rc }
-                in
-                match residual with
-                | None -> Some joined
-                | Some pred -> chunk_filter pred joined
-              end)
-    end
-    else begin
-      (* Inner joins drop probe rows without a partner, so the build side's
-         bloom filter can run directly on the scan: misses never reach the
-         morsel gather. Left joins must keep unmatched rows. *)
-      let seg =
-        match (kind, lkeys, seg.transform) with
-        | JInner, [ lk ], None ->
-          { seg with
-            prescan =
-              seg.prescan @ [ Radix.scan_test tbl seg.source.Relation.cols.(lk) ]
-          }
-        | _ -> seg
+    (* Inner joins drop probe rows without a partner, so the build side's
+       bloom filter can run directly on the scan: misses never reach the
+       morsel gather. Left joins must keep unmatched rows. *)
+    let seg =
+      match (kind, lkeys, seg.transform) with
+      | JInner, [ lk ], None ->
+        { seg with
+          prescan =
+            seg.prescan @ [ Radix.scan_test tbl seg.source.Relation.cols.(lk) ]
+        }
+      | _ -> seg
+    in
+    if
+      kind = JInner
+      && Radix.pre_gate ~threads:ctx.threads ~build_rows:(Relation.n_rows r)
+           ~probe_rows
+    then begin
+      (* Whole-side probe: the probe side runs in parallel morsels against
+         the (partitioned) build, and only the join output is gathered —
+         byte-identical to the fused morsel probe. A scan-shaped probe (no
+         fused transform upstream) is never materialized: its filters,
+         bloom prescan, and zone skipping reduce to a selection vector over
+         the base columns and the join gathers straight from them. Left
+         joins keep the fused path (their unmatched-row padding is
+         interleaved per morsel). *)
+      let lrel, lsel =
+        match seg.transform with
+        | Some _ ->
+          (* a fused upstream operator reshapes rows: materialize *)
+          (run_segment ctx seg, None)
+        | None ->
+          let cols = seg.source.Relation.cols in
+          let sel =
+            match (seg.prefilter, seg.prescan) with
+            | [], [] -> None
+            | prefilter, prescan ->
+              Some
+                (Kernel.select ~threads:ctx.threads
+                   ?zones:(Kernel.zone_test ctx.catalog cols prefilter)
+                   cols prefilter prescan ~n:probe_rows)
+          in
+          (seg.source, sel)
       in
-      if
-        kind = JInner
-        && Radix.pre_gate ~threads:ctx.threads ~build_rows:(Relation.n_rows r)
-             ~probe_rows:(Relation.n_rows seg.source)
-      then begin
-        (* Partition-wise probe: join partition by partition via the shared
-           radix machinery — both sides split by key hash so every worker
-           probes its own cache-resident table. The pair stream is scattered
-           back to probe-row order, so output is byte-identical to the fused
-           morsel probe; left joins keep the fused path (their unmatched-row
-           padding is interleaved per morsel). A scan-shaped probe (no
-           fused transform upstream) is never materialized: its filters,
-           bloom prescan, and zone skipping reduce to a selection vector
-           over the base columns and the join gathers straight from them. *)
-        let lrel, lsel =
-          match seg.transform with
-          | Some _ ->
-            (* a fused upstream operator reshapes rows: materialize *)
-            (run_segment ctx seg, None)
-          | None ->
-            let cols = seg.source.Relation.cols in
-            let sel =
-              match (seg.prefilter, seg.prescan) with
-              | [], [] -> None
-              | prefilter, prescan ->
-                Some
-                  (Kernel.select ~threads:ctx.threads
-                     ?zones:(Kernel.zone_test ctx.catalog cols prefilter)
-                     cols prefilter prescan
-                     ~n:(Relation.n_rows seg.source))
-            in
-            (seg.source, sel)
-        in
-        let li, ri =
-          Exec_vectorized.hash_join_pairs ~threads:ctx.threads ~est:right.est
-            { Exec_vectorized.rel = lrel; sel = lsel }
-            (Exec_vectorized.srel_all r)
-            keys
-        in
-        let li, ri =
-          Exec_vectorized.apply_residual ~threads:ctx.threads lrel r li ri
-            residual
-        in
-        let source =
-          Exec_vectorized.concat_relations ~threads:ctx.threads lrel r li ri
-        in
-        { source; prefilter = []; prescan = []; transform = None }
-      end
-      else seg_then seg (chunk_probe ~left_outer r tbl lkeys residual)
+      let n =
+        match lsel with
+        | Some s -> Array.length s
+        | None -> Relation.n_rows lrel
+      in
+      let li, ri =
+        Join.collect ~threads:ctx.threads ?sel:lsel Join.Inner tbl
+          lrel.Relation.cols lkeys ~n
+      in
+      let li, ri =
+        Exec_vectorized.apply_residual ~threads:ctx.threads lrel r li ri
+          residual
+      in
+      let source =
+        Exec_vectorized.concat_relations ~threads:ctx.threads lrel r li ri
+      in
+      { source; prefilter = []; prescan = []; transform = None }
     end
+    else seg_then seg (chunk_probe ~left_outer:(kind = JLeft) r tbl lkeys residual)
   | SemiJoin { anti; left; right; keys = _ :: _ as keys; residual = None }
     when right.est > 2. *. Float.max 1. left.est ->
     (* Inverted probe direction (mirrors Exec_vectorized.run_semijoin): the
@@ -297,56 +234,42 @@ let rec compile_segment ctx (p : plan) : segment =
     let lrel = materialize ctx left in
     let r = stream ctx right in
     let nl = Relation.n_rows lrel and nr = Relation.n_rows r in
+    let lcols = lrel.Relation.cols and rcols = r.Relation.cols in
     let lkeys = List.map fst keys and rkeys = List.map snd keys in
+    let threads = ctx.threads in
     let keep =
-      let out = ref [] in
       if nr > 2 * nl then begin
-        let ltbl =
-          Radix.build ~threads:ctx.threads lrel.Relation.cols lkeys ~n:nl
-        in
+        let ltbl = Radix.build ~threads lcols lkeys ~n:nl in
         let matched = Bitset.create nl in
-        let pf = Radix.probe_fn ltbl r.Relation.cols rkeys in
-        for row = 0 to nr - 1 do
-          List.iter (fun lrow -> Bitset.set matched lrow) (pf row)
-        done;
-        for row = nl - 1 downto 0 do
-          if Bitset.get matched row <> anti then out := row :: !out
-        done
+        Join.probe (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
+          (Join.pairs 0);
+        Join.marked ~anti matched ~n:nl
       end
-      else begin
-        let tbl =
-          Radix.build ~threads:ctx.threads r.Relation.cols
-            rkeys ~n:nr
-        in
-        let pf = Radix.probe_fn tbl lrel.Relation.cols lkeys in
-        for row = nl - 1 downto 0 do
-          if (pf row <> []) <> anti then out := row :: !out
-        done
-      end;
-      Array.of_list !out
+      else
+        fst
+          (Join.collect ~threads
+             (if anti then Join.Anti else Join.Semi)
+             (Radix.build ~threads rcols rkeys ~n:nr)
+             lcols lkeys ~n:nl)
     in
     let source =
       { Relation.names = lrel.Relation.names;
-        cols = Array.map (fun c -> Column.take c keep) lrel.Relation.cols }
+        cols = Array.map (fun c -> Column.take c keep) lcols }
     in
     { source; prefilter = []; prescan = []; transform = None }
   | SemiJoin { anti; left; right; keys; residual } ->
     let r = stream ctx right in
     let seg = compile_segment ctx left in
     let tbl =
-      match keys with
-      | [] -> None
-      | keys ->
-        Some
-          (Radix.build ~threads:ctx.threads r.Relation.cols
-             (List.map snd keys) ~n:(Relation.n_rows r))
+      Radix.build ~threads:ctx.threads r.Relation.cols (List.map snd keys)
+        ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
     (* Semi joins keep only matched rows: bloom misses are safe to drop at
        the scan. Anti joins keep exactly the misses — no pushdown. *)
     let seg =
-      match (anti, tbl, lkeys, seg.transform) with
-      | false, Some tbl, [ lk ], None ->
+      match (anti, lkeys, seg.transform) with
+      | false, [ lk ], None ->
         { seg with
           prescan =
             seg.prescan @ [ Radix.scan_test tbl seg.source.Relation.cols.(lk) ]

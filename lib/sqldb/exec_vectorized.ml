@@ -140,178 +140,20 @@ let sort_indices (r : Relation.t) (keys : (int * bool) list) : int array =
 (* Joins                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let collect_pairs parts =
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 parts in
-  let li = Array.make total 0 and ri = Array.make total 0 in
-  let k = ref 0 in
-  List.iter
-    (fun (ls, rs, _) ->
-      List.iter2
-        (fun a b ->
-          li.(!k) <- a;
-          ri.(!k) <- b;
-          incr k)
-        ls rs)
-    parts;
-  (li, ri)
-
-(* Gather matching (left_row, right_row) pairs for an equi-join; indices are
-   base rows of [l.rel] / [r.rel]. Residual is applied afterwards over the
-   concatenated relation. [est] is the planner's build-side estimate,
-   pre-gating the radix path (see {!Radix.join_plan}). *)
+(* Matching (left row, right row) pairs of an equi-join, in probe order;
+   indices are base rows of [l.rel] / [r.rel], and no keys make a cross
+   join. The residual is applied afterwards over the concatenated relation.
+   [est] is the planner's build-side estimate, pre-gating radix
+   partitioning (see {!Radix.build}). *)
 let hash_join_pairs ~threads ?est (l : srel) (r : srel)
     (keys : (int * int) list) : int array * int array =
-  let nl = srel_nrows l and nr = srel_nrows r in
-  let lbase = match l.sel with Some s -> fun pos -> s.(pos) | None -> Fun.id in
-  let rbase = match r.sel with Some s -> fun pos -> s.(pos) | None -> Fun.id in
-  match keys with
-  | [] ->
-    (* cross join *)
-    let li = Array.make (nl * nr) 0 and ri = Array.make (nl * nr) 0 in
-    let k = ref 0 in
-    for i = 0 to nl - 1 do
-      for j = 0 to nr - 1 do
-        li.(!k) <- lbase i;
-        ri.(!k) <- rbase j;
-        incr k
-      done
-    done;
-    (li, ri)
-  | keys -> (
-    let rkeys = List.map snd keys and lkeys = List.map fst keys in
-    let lcols = relation_cols l.rel and rcols = relation_cols r.rel in
-    match
-      Radix.join_plan ~threads ?est ~build_rows:nr ~probe_rows:nl rcols rkeys
-        lcols lkeys
-    with
-    | Some (nparts, rhash, lhash) ->
-      (* Radix-partitioned join: build AND probe sides are split by key
-         hash, so every worker builds and probes its own cache-resident
-         partition table — no shared build table, no cross-domain state.
-         Partition p of the probe side can only match partition p of the
-         build side, so partitions are fully independent work items.
-         Downstream operators are positional, so the partition-major pair
-         streams are scattered back into global probe order afterwards —
-         output must be byte-identical to the single-table path. *)
-      let rparts =
-        Radix.partition ~threads ~nparts ~hash:rhash ~base:rbase nr
-      in
-      (* probe partitions hold logical positions, not base rows: a sort's
-         selection vector need not be monotonic, so only the position gives
-         the output order *)
-      let lparts =
-        Radix.partition ~threads ~nparts
-          ~hash:(fun pos -> lhash (lbase pos))
-          ~base:Fun.id nl
-      in
-      (* per-position match counts, written during the probe: each position
-         lives in exactly one partition and the store is absolute, so the
-         writes are disjoint across workers and idempotent under chunk
-         retry *)
-      let cnt = Array.make (nl + 1) 0 in
-      let parts =
-        Parallel.map_list ~threads
-          (List.init nparts (fun p () ->
-               Guard.check ();
-               Faults.crash_point ~site:"radix.build";
-               Faults.slow_point ~site:"radix.build";
-               let tbl =
-                 Hash_util.build_table ~sel:rparts.(p) rcols rkeys
-                   ~n:(Relation.n_rows r.rel)
-               in
-               let pf = Hash_util.probe_fn tbl lcols lkeys in
-               let lp = lparts.(p) in
-               (* unboxed growable pair buffer (probe position, build row) *)
-               let cap = ref (max 16 (Array.length lp)) in
-               let pb = ref (Array.make !cap 0)
-               and rb = ref (Array.make !cap 0) in
-               let len = ref 0 in
-               Array.iter
-                 (fun pos ->
-                   let first = !len in
-                   List.iter
-                     (fun rrow ->
-                       if !len = !cap then begin
-                         let ncap = !cap * 2 in
-                         let npb = Array.make ncap 0
-                         and nrb = Array.make ncap 0 in
-                         Array.blit !pb 0 npb 0 !len;
-                         Array.blit !rb 0 nrb 0 !len;
-                         pb := npb;
-                         rb := nrb;
-                         cap := ncap
-                       end;
-                       !pb.(!len) <- pos;
-                       !rb.(!len) <- rrow;
-                       incr len)
-                     (pf (lbase pos));
-                   (* table match lists are in reverse insertion order and
-                      the single-table path re-reverses them by prepending;
-                      flip this position's run to match it exactly *)
-                   let a = !rb in
-                   let i = ref first and j = ref (!len - 1) in
-                   while !i < !j do
-                     let t = a.(!i) in
-                     a.(!i) <- a.(!j);
-                     a.(!j) <- t;
-                     incr i;
-                     decr j
-                   done;
-                   cnt.(pos + 1) <- !len - first)
-                 lp;
-               (!pb, !rb, !len)))
-      in
-      (* prefix sum: cnt.(pos) = first output slot of pos's matches *)
-      Parallel.prefix_sum ~threads cnt;
-      let total = cnt.(nl) in
-      let li = Array.make total 0 and ri = Array.make total 0 in
-      (* parallel placement: a position's matches are contiguous in its
-         partition buffer and the prefix array is read-only here, so slots
-         never collide across workers and a retried chunk rewrites the same
-         values *)
-      ignore
-        (Parallel.map_list ~threads
-           (List.map
-              (fun (pb, rb, len) () ->
-                Guard.check ();
-                Faults.crash_point ~site:"radix.scatter";
-                Faults.slow_point ~site:"radix.scatter";
-                let i = ref 0 in
-                while !i < len do
-                  let pos = pb.(!i) in
-                  let row = lbase pos in
-                  let k0 = cnt.(pos) in
-                  let j = ref !i in
-                  while !j < len && pb.(!j) = pos do
-                    li.(k0 + (!j - !i)) <- row;
-                    ri.(k0 + (!j - !i)) <- rb.(!j);
-                    incr j
-                  done;
-                  i := !j
-                done)
-              parts));
-      (li, ri)
-    | None ->
-      let tbl =
-        Radix.build ~threads ?sel:r.sel rcols rkeys ~n:(Relation.n_rows r.rel)
-      in
-      let probe start len =
-        (* one probe_fn per chunk: its partition-routing array is
-           chunk-private, so domains never share mutable state *)
-        let pf = Radix.probe_fn tbl lcols lkeys in
-        let lbuf = ref [] and rbuf = ref [] and count = ref 0 in
-        for pos = start + len - 1 downto start do
-          let row = lbase pos in
-          List.iter
-            (fun rrow ->
-              lbuf := row :: !lbuf;
-              rbuf := rrow :: !rbuf;
-              incr count)
-            (pf row)
-        done;
-        (!lbuf, !rbuf, !count)
-      in
-      collect_pairs (Parallel.map_chunks ~threads nl probe))
+  let nl = srel_nrows l in
+  let tbl =
+    Radix.build ~threads ?est ~probe_rows:nl ?sel:r.sel (relation_cols r.rel)
+      (List.map snd keys) ~n:(Relation.n_rows r.rel)
+  in
+  Join.collect ~threads ?sel:l.sel Join.Inner tbl (relation_cols l.rel)
+    (List.map fst keys) ~n:nl
 
 let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
     Relation.t =
@@ -479,159 +321,58 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     srel_all (window_relation (materialize (run_sel ctx sub)) keys name)
 
 and run_join ctx kind left right keys residual =
-  match kind with
-  | JInner ->
-    (* Inner join probes straight through both selections; only the join
-       output is materialized. *)
-    let ls = run_sel ctx left and rs = run_sel ctx right in
-    let li, ri = hash_join_pairs ~threads:ctx.threads ~est:right.est ls rs keys in
-    let li, ri =
-      apply_residual ~threads:ctx.threads ls.rel rs.rel li ri residual
-    in
-    srel_all (concat_relations ~threads:ctx.threads ls.rel rs.rel li ri)
-  | JLeft | JRight | JFull ->
-    (* Outer joins need matched-row bookkeeping over whole sides;
-       materialize first and keep the eager logic. *)
-    let l = materialize (run_sel ctx left)
-    and r = materialize (run_sel ctx right) in
-    let li, ri =
-      hash_join_pairs ~threads:ctx.threads ~est:right.est (srel_all l)
-        (srel_all r) keys
-    in
-    let li, ri = apply_residual ~threads:ctx.threads l r li ri residual in
-    let nl = Relation.n_rows l and nr = Relation.n_rows r in
-    let out =
-      match kind with
-      | JInner -> assert false
-      | JLeft ->
-        let matched = Array.make nl false in
-        Array.iter (fun i -> matched.(i) <- true) li;
-        let extra = ref [] in
-        for i = nl - 1 downto 0 do
-          if not matched.(i) then extra := i :: !extra
-        done;
-        let extra = Array.of_list !extra in
-        let li = Array.append li extra in
-        let ri = Array.append ri (Array.map (fun _ -> -1) extra) in
-        concat_relations ~threads:ctx.threads l r li ri
-      | JRight ->
-        let matched = Array.make nr false in
-        Array.iter (fun i -> matched.(i) <- true) ri;
-        let extra = ref [] in
-        for i = nr - 1 downto 0 do
-          if not matched.(i) then extra := i :: !extra
-        done;
-        let extra = Array.of_list !extra in
-        let li = Array.append li (Array.map (fun _ -> -1) extra) in
-        let ri = Array.append ri extra in
-        concat_relations ~threads:ctx.threads l r li ri
-      | JFull ->
-        let lmatched = Array.make nl false and rmatched = Array.make nr false in
-        Array.iter (fun i -> lmatched.(i) <- true) li;
-        Array.iter (fun i -> rmatched.(i) <- true) ri;
-        let lextra = ref [] and rextra = ref [] in
-        for i = nl - 1 downto 0 do
-          if not lmatched.(i) then lextra := i :: !lextra
-        done;
-        for i = nr - 1 downto 0 do
-          if not rmatched.(i) then rextra := i :: !rextra
-        done;
-        let lextra = Array.of_list !lextra and rextra = Array.of_list !rextra in
-        let li = Array.concat [ li; lextra; Array.map (fun _ -> -1) rextra ] in
-        let ri = Array.concat [ ri; Array.map (fun _ -> -1) lextra; rextra ] in
-        concat_relations ~threads:ctx.threads l r li ri
-    in
-    srel_all out
+  (* Both sides probe and gather straight through their selections; only
+     the join output is materialized. *)
+  let threads = ctx.threads in
+  let ls = run_sel ctx left and rs = run_sel ctx right in
+  let li, ri = hash_join_pairs ~threads ~est:right.est ls rs keys in
+  let li, ri = apply_residual ~threads ls.rel rs.rel li ri residual in
+  let side s = (s.sel, srel_nrows s, Relation.n_rows s.rel) in
+  let li, ri = Join.complete kind ~left:(side ls) ~right:(side rs) (li, ri) in
+  srel_all (concat_relations ~threads ls.rel rs.rel li ri)
 
 and run_semijoin ctx anti left right keys residual =
   let ls = run_sel ctx left in
   let rs = run_sel ctx right in
-  let l = ls.rel in
+  let l = ls.rel and threads = ctx.threads in
+  let lcols = relation_cols l and rcols = relation_cols rs.rel in
+  let lkeys = List.map fst keys and rkeys = List.map snd keys in
   let nl = srel_nrows ls and nr = srel_nrows rs in
-  let base = match ls.sel with Some s -> fun pos -> s.(pos) | None -> Fun.id in
-  match (keys, residual) with
-  | [], None ->
-    (* EXISTS over an uncorrelated subquery: all-or-nothing *)
-    let nonempty = nr > 0 in
-    if nonempty <> anti then ls else { rel = l; sel = Some [||] }
-  | _ :: _, None when nr > 2 * nl ->
-    (* Inverted probe direction: when the subquery side is much larger than
-       the outer side, building its hash table costs more than the whole
-       semijoin should. Build over the (small) outer side's keys instead and
-       stream the subquery side through it, marking which outer rows found a
-       witness. Only valid without a residual — marking loses the pairing. *)
-    let lkeys = List.map fst keys and rkeys = List.map snd keys in
-    let ltbl =
-      Radix.build ~threads:ctx.threads ?sel:ls.sel (relation_cols l) lkeys
-        ~n:(Relation.n_rows l)
-    in
-    let matched = Bitset.create (Relation.n_rows l) in
-    let pf = Radix.probe_fn ltbl (relation_cols rs.rel) rkeys in
-    let rbase =
-      match rs.sel with Some s -> fun pos -> s.(pos) | None -> Fun.id
-    in
-    for pos = 0 to nr - 1 do
-      List.iter (fun lrow -> Bitset.set matched lrow) (pf (rbase pos))
-    done;
-    let keep = ref [] in
-    for pos = nl - 1 downto 0 do
-      let lrow = base pos in
-      if Bitset.get matched lrow <> anti then keep := lrow :: !keep
-    done;
-    { rel = l; sel = Some (Array.of_list !keep) }
-  | _ ->
-    let r = materialize rs in
-    let nr = Relation.n_rows r in
-    let rkeys = List.map snd keys and lkeys = List.map fst keys in
-    let tbl =
-      match keys with
-      | [] -> None
-      | _ ->
-        Some
-          (Radix.build ~threads:ctx.threads (relation_cols r) rkeys ~n:nr)
-    in
-    (* a probe per chunk keeps partition-routing memos and the residual's
-       closures domain-private *)
-    let mk_probe () =
-      let pf =
-        Option.map (fun t -> Radix.probe_fn t (relation_cols l) lkeys) tbl
+  let keep =
+    match (keys, residual) with
+    | [], None ->
+      (* EXISTS over an uncorrelated subquery: all-or-nothing *)
+      if (nr > 0) <> anti then None else Some [||]
+    | _ :: _, None when nr > 2 * nl ->
+      (* Inverted probe direction: when the subquery side is much larger
+         than the outer side, building its hash table costs more than the
+         whole semijoin should. Build over the (small) outer side's keys
+         instead and stream the subquery side through it, marking which
+         outer rows found a witness. Only valid without a residual —
+         marking loses the pairing. *)
+      let ltbl =
+        Radix.build ~threads ?sel:ls.sel lcols lkeys ~n:(Relation.n_rows l)
       in
-      let check =
-        match residual with
-        | None -> fun _ -> true
-        | Some pred -> Eval.pair_pred (relation_cols l) (relation_cols r) pred
+      let matched = Bitset.create (Relation.n_rows l) in
+      Join.probe ?sel:rs.sel (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
+        (Join.pairs 0);
+      Some (Join.marked ~anti ?sel:ls.sel matched ~n:nl)
+    | _ ->
+      let tbl =
+        Radix.build ~threads ?sel:rs.sel rcols rkeys
+          ~n:(Relation.n_rows rs.rel)
       in
-      fun lrow ->
-        let candidates =
-          match pf with Some pf -> pf lrow | None -> List.init nr Fun.id
-        in
-        List.exists (fun rrow -> check (lrow, rrow)) candidates
-    in
-    let keep =
-      if ctx.threads > 1 && nl >= 4096 && Option.is_some tbl then
-        Kernel.collect_parts
-          (Parallel.map_chunks ~threads:ctx.threads nl (fun start len ->
-               let probe = mk_probe () in
-               let out = Array.make (max 1 len) 0 and count = ref 0 in
-               for pos = start to start + len - 1 do
-                 let lrow = base pos in
-                 if probe lrow <> anti then begin
-                   out.(!count) <- lrow;
-                   incr count
-                 end
-               done;
-               (out, !count)))
-      else begin
-        let probe = mk_probe () in
-        let out = ref [] in
-        for pos = nl - 1 downto 0 do
-          let lrow = base pos in
-          if probe lrow <> anti then out := lrow :: !out
-        done;
-        Array.of_list !out
-      end
-    in
-    { rel = l; sel = Some keep }
+      (* a residual per morsel keeps its closures domain-private *)
+      let residual =
+        Option.map (fun pred () -> Eval.pair_pred lcols rcols pred) residual
+      in
+      Some
+        (fst
+           (Join.collect ~threads ?residual ?sel:ls.sel
+              (if anti then Join.Anti else Join.Semi)
+              tbl lcols lkeys ~n:nl))
+  in
+  match keep with None -> ls | Some keep -> { rel = l; sel = Some keep }
 
 (* Direct-indexed aggregation costs O(card) in allocation and output scan,
    so a large packed domain only pays off when the input amortizes it. *)

@@ -3,7 +3,10 @@
     One open-addressing key table ({!keytab}) serves the join build and
     probe, hash GROUP BY, [SELECT DISTINCT] and [COUNT(DISTINCT)] in both
     executors; small grouping domains skip hashing altogether through the
-    dense packed-key domain ({!dense_domain}).
+    dense packed-key domain ({!dense_domain}). A join build side is the
+    key table plus two flat int arrays ({!build_region}): each entry's
+    build rows sit contiguous in one row array, found through one offset
+    per entry, so no build or probe ever conses a row list.
 
     Key semantics are the same on every path. Ints and dates compare by
     value whatever their backing; strings by value whatever their layout
@@ -588,64 +591,55 @@ let bloom_may b h =
   bloom_get b ((h lsr 7) land b.mask) && bloom_get b ((h lsr 31) land b.mask)
 
 (* ------------------------------------------------------------------ *)
-(* Join build and probe                                               *)
+(* Join build regions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A join build side: the key table over the build keys, the build rows of
-   each entry (reverse insertion order), and the bloom filter. *)
-type table = { keys : keytab; rows : int list array; bloom : bloom }
+(* A join build side keeps its rows flat: [offs] holds one prefix-summed
+   start per entry and [rows] the build rows of each entry, contiguous and
+   in insertion order, so entry [e] owns [rows.(offs.(e)) ..
+   rows.(offs.(e + 1) - 1)]. Radix partitions ({!Radix}) share one pair of
+   arrays, each partition building its own key table and bloom filter over
+   a disjoint region of them.
 
-(* Build over all [n] rows, or over [sel]'s base rows only (the table still
-   stores base row indices, so probe results compose with selection
-   vectors). Rows with a NULL key component never join and are skipped. *)
-let build_table ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
-    table =
-  let n_log = match sel with Some s -> Array.length s | None -> n in
-  let keys = keytab ~size:n_log cols idxs in
+   [build_region] builds over [n] logical rows (base row [row pos]) into
+   slots [base, base + n) of [offs] and [rows], numbering the table's
+   entries from [base]. Rows with a NULL key component never join and are
+   skipped. The region's spare [offs] slots (fewer entries than rows) hold
+   the end of its used rows, so the slot after the last entry always reads
+   as that entry's end; [offs] needs one slot past the last region. *)
+let build_region (cols : Column.t array) (idxs : int list) ~(row : int -> int)
+    ~(n : int) ~(base : int) ~(offs : int array) ~(rows : int array) :
+    keytab * bloom =
+  let keys = keytab ~size:n cols idxs in
   let rd = Option.get (reader ~null_as_key:false keys cols idxs) in
-  let rows = Array.make (max 1 n_log) [] in
-  let bloom = bloom_create n_log in
-  let insert row =
-    let h = rd.hash row in
+  let bloom = bloom_create n in
+  (* pass 1: each row's entry, and each entry's row count *)
+  let ent = Array.make n (-1) in
+  for pos = 0 to n - 1 do
+    let r = row pos in
+    let h = rd.hash r in
     if h >= 0 then begin
       bloom_add bloom h;
-      let e = add_hashed keys rd h row in
-      Array.unsafe_set rows e (row :: Array.unsafe_get rows e)
+      let e = add_hashed keys rd h r in
+      Array.unsafe_set ent pos e;
+      offs.(base + e) <- offs.(base + e) + 1
     end
-  in
-  (match sel with
-  | None ->
-    for row = 0 to n_log - 1 do
-      insert row
-    done
-  | Some s -> Array.iter insert s);
-  { keys; rows; bloom }
-
-(* Join-probe closure: probe row -> matching build rows, NULL keys never
-   matching. The closure holds no mutable state, so one closure may serve
-   any number of domains. *)
-let probe_fn (t : table) (cols : Column.t array) (idxs : int list) :
-    int -> int list =
-  match reader ~null_as_key:false t.keys cols idxs with
-  | None -> fun _ -> []
-  | Some rd ->
-    let keys = t.keys and rows = t.rows and bloom = t.bloom in
-    fun row ->
-      let h = rd.hash row in
-      if h < 0 || not (bloom_may bloom h) then []
-      else
-        let e = probe keys rd h row in
-        if e < 0 then [] else Array.unsafe_get rows e
-
-(* Row-level membership pre-test over a single probe-key column, for
-   pushing the build side's bloom filter into the probe-side scan: a row
-   that fails cannot find a join partner, so inner and semi joins may drop
-   it before the morsel is ever gathered. Null keys never join, so they
-   fail too. Unsound for outer and anti joins — callers gate on kind. *)
-let scan_test (t : table) (c : Column.t) : int -> bool =
-  if Array.length t.keys.comps <> 1 then
-    invalid_arg "Hash_util.scan_test: multi-column key";
-  let hash = row_hash ~null_as_key:false [| c |] [ 0 ] and bloom = t.bloom in
-  fun row ->
-    let h = hash row in
-    h >= 0 && bloom_may bloom h
+  done;
+  (* inclusive prefix sums: offs.(base + e) is the end of e's rows *)
+  let stop = ref base in
+  for s = base to base + keys.count - 1 do
+    stop := !stop + offs.(s);
+    offs.(s) <- !stop
+  done;
+  Array.fill offs (base + keys.count) (n - keys.count) !stop;
+  (* pass 2, backwards: each entry's cursor walks down from its end to its
+     start, leaving the rows in insertion order *)
+  for pos = n - 1 downto 0 do
+    let e = Array.unsafe_get ent pos in
+    if e >= 0 then begin
+      let k = offs.(base + e) - 1 in
+      offs.(base + e) <- k;
+      rows.(k) <- row pos
+    end
+  done;
+  (keys, bloom)

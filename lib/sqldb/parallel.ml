@@ -161,56 +161,3 @@ let morsel_count ~threads n =
   match !mode with
   | Domains -> threads
   | Sequential_only | Simulated -> max threads (min 64 (n / 8192))
-
-(* In-place inclusive prefix sum: a.(i) <- a.(0) + ... + a.(i). Two-pass
-   parallel scan for large arrays: per-chunk totals, a serial sweep over the
-   few chunk totals, then per-chunk local prefixes seeded by the chunk's
-   offset. *)
-let prefix_sum ~threads (a : int array) : unit =
-  let n = Array.length a in
-  if threads <= 1 || n < 65536 then
-    for i = 1 to n - 1 do
-      a.(i) <- a.(i) + a.(i - 1)
-    done
-  else begin
-    let cs = chunks ~k:(morsel_count ~threads n) n in
-    let sums =
-      map_list ~threads
-        (List.map
-           (fun (s, l) () ->
-             Guard.check ();
-             let t = ref 0 in
-             for i = s to s + l - 1 do
-               t := !t + a.(i)
-             done;
-             !t)
-           cs)
-    in
-    let offs =
-      let acc = ref 0 in
-      List.map
-        (fun s ->
-          let o = !acc in
-          acc := !acc + s;
-          o)
-        sums
-    in
-    ignore
-      (map_list ~threads
-         (List.map2
-            (fun (s, l) off () ->
-              Guard.check ();
-              let acc = ref off in
-              for i = s to s + l - 1 do
-                acc := !acc + a.(i);
-                a.(i) <- !acc
-              done)
-            cs offs))
-  end
-
-(* Parallel fold: map chunks then combine partial results sequentially. *)
-let fold_chunks ~threads n ~map ~combine ~init =
-  List.fold_left combine init (map_chunks ~threads n map)
-
-let for_chunks ~threads n f =
-  ignore (map_chunks ~threads n (fun s l -> f s l; ()))

@@ -1,32 +1,34 @@
-(** Radix-partitioned hash joins and aggregation.
+(** Radix-partitioned join builds and aggregation.
 
     Large build sides are split by key-hash radix into 2^bits partitions so
-    each {!Parallel} worker builds — and probes — its own cache-resident
-    hash table with no cross-domain sharing, replacing the serial build +
-    shared-table probe. Partitioning is the classic 2-pass scheme: each
-    chunk first histograms its rows per partition, a prefix sum over the
-    per-chunk histograms assigns every (chunk, partition) pair a disjoint
-    region of a contiguous per-partition buffer, then a second pass scatters
-    base row indices into those regions — no locks, no atomics. Equal keys
-    land in the same partition on both sides because {!Hash_util.row_hash}
-    hashes by value, independent of layout.
+    each {!Parallel} worker builds its own cache-resident key table with no
+    cross-domain sharing, replacing the serial build. Partitioning is the
+    classic 2-pass scheme: each chunk first histograms its rows per
+    partition, a prefix sum over the per-chunk histograms assigns every
+    (chunk, partition) pair a disjoint region of a contiguous per-partition
+    buffer, then a second pass scatters base row indices into those
+    regions — no locks, no atomics. Equal keys land in the same partition
+    on both sides because {!Hash_util.row_hash} hashes by value,
+    independent of layout.
 
-    Per partition, the regular {!Hash_util.build_table} runs over the
-    partition's selection vector, so bloom filters and base-row indexing are
-    preserved per partition; probes route by the same hash, which is also
-    the hash the partition's key table and bloom filter use. Small builds
-    keep the single-table path: the [should] threshold compares the
-    (planner-estimated, then actual) build cardinality against
-    [min_rows].
+    Partition layout: every partition builds its key table and bloom
+    filter with {!Hash_util.build_region} into its own region of one
+    shared [offs]/[rows] pair, numbering its entries from the region's
+    base. The build side is therefore a single probe target: {!Join.probe}
+    routes a probe row by the same hash to its partition's table and reads
+    its matches as one range of the shared row array, in insertion order.
+    An unpartitioned build is the one-partition case of the same layout.
+    Small builds stay unpartitioned: the [should] threshold compares the
+    (planner-estimated, then actual) cardinalities against [min_rows].
 
-    [set_enabled false] disables partitioning entirely (the single-table
-    path); tests force the radix path with [set_min_rows 0].
+    [set_enabled false] disables partitioning entirely; tests force the
+    radix path with [set_min_rows 0].
 
     Every scatter chunk and per-partition build is a {!Guard} checkpoint
     and a {!Faults} injection site ("radix.scatter", "radix.build"); chunk
-    bodies are idempotent (cursors are chunk-local copies), so the existing
-    chunk-retry recovery in {!Parallel.run_protected} re-runs a crashed
-    piece inline. *)
+    bodies are idempotent (cursors are chunk-local copies, builds write
+    only their own region), so the existing chunk-retry recovery in
+    {!Parallel.run_protected} re-runs a crashed piece inline. *)
 
 let default_min_rows = 8192
 
@@ -146,77 +148,94 @@ let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
   out
 
 (* ------------------------------------------------------------------ *)
-(* Partitioned build-side tables                                      *)
+(* Join build sides                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A join build side: one shared table (small builds, radix disabled) or
-   radix partitions routed by key hash. *)
-type t =
-  | Single of Hash_util.table
-  | Parts of { mask : int; tables : Hash_util.table array }
+(* A join build side: [mask + 1] partitions routed by key hash (one when
+   unpartitioned), each with its own key table and bloom filter, all laid
+   out flat in one shared [offs]/[rows] pair ({!Hash_util.build_region}).
+   Partition [p]'s entry [e] is global entry [bases.(p) + e], so every
+   probe resolves to one range of [rows]. *)
+type t = {
+  mask : int;
+  keys : Hash_util.keytab array;
+  blooms : Hash_util.bloom array;
+  bases : int array;
+  offs : int array;
+  rows : int array;
+}
 
 (* Build over all [n] rows, or over [sel]'s base rows. Partitions when the
-   gate passes; each partition build runs on its own worker and is a
-   fault-injection site with inline chunk-retry. *)
-let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
-    t =
+   gate passes on the larger of the build side and a quarter of the probe
+   side ([probe_rows]): partitioning pays either when the build is large
+   (cache-resident partition tables, parallel build) or when the probe
+   dwarfs the threshold. [est] is the planner's build-side estimate, a
+   stats pre-gate that vetoes partitioning when the optimizer is confident
+   the whole join is tiny (0 means no estimate); the actual counts have
+   the final say. Each partition build runs on its own worker and is a
+   fault-injection site with inline chunk retry: it writes only its own
+   region, so a re-run rewrites the same values. *)
+let build ~threads ?(est = 0.) ?(probe_rows = 0) ?sel (cols : Column.t array)
+    (idxs : int list) ~(n : int) : t =
   let n_log = match sel with Some s -> Array.length s | None -> n in
-  if not (should ~rows:n_log ~threads) then
-    Single (Hash_util.build_table ?sel cols idxs ~n)
-  else begin
-    let hash = Hash_util.row_hash ~null_as_key:false cols idxs in
-    let nparts = 1 lsl partition_bits ~rows:n_log ~threads () in
-    let base = match sel with Some s -> fun pos -> s.(pos) | None -> Fun.id in
-    let parts = partition ~threads ~nparts ~hash ~base n_log in
-    let tables =
-      Array.of_list
-        (Parallel.map_list ~threads
-           (List.init nparts (fun p () ->
-                Guard.check ();
-                Faults.crash_point ~site:"radix.build";
-                Faults.slow_point ~site:"radix.build";
-                Hash_util.build_table ~sel:parts.(p) cols idxs ~n)))
-    in
-    Parts { mask = nparts - 1; tables }
-  end
-
-(* Probe closure routing each row to its key's partition. Per-partition
-   probe closures are created lazily, so one probe_fn per chunk keeps the
-   routing array domain-private. *)
-let probe_fn (t : t) (cols : Column.t array) (idxs : int list) :
-    int -> int list =
-  match t with
-  | Single tbl -> Hash_util.probe_fn tbl cols idxs
-  | Parts { mask; tables } ->
-    let hash = Hash_util.row_hash ~null_as_key:false cols idxs in
-    let pfs = Array.make (Array.length tables) None in
-    fun row ->
-      let h = hash row in
-      if h < 0 then []
-      else begin
-        let p = h land mask in
-        let pf =
-          match pfs.(p) with
-          | Some f -> f
-          | None ->
-            let f = Hash_util.probe_fn tables.(p) cols idxs in
-            pfs.(p) <- Some f;
-            f
-        in
-        pf row
-      end
+  let base = match sel with Some s -> Array.get s | None -> Fun.id in
+  let partitioned =
+    should ~rows:(max n_log (probe_rows / 4)) ~threads
+    && not
+         (est > 0.
+         && est *. 4. < float_of_int (min_rows ())
+         && probe_rows / 4 < min_rows ())
+  in
+  (* regions: (base row of a logical row, row count), one per partition *)
+  let regions =
+    if not partitioned then [| (base, n_log) |]
+    else
+      Array.map
+        (fun part -> (Array.get part, Array.length part))
+        (partition ~threads
+           ~nparts:
+             (1 lsl partition_bits ~probe:probe_rows ~rows:n_log ~threads ())
+           ~hash:(Hash_util.row_hash ~null_as_key:false cols idxs)
+           ~base n_log)
+  in
+  let np = Array.length regions in
+  let bases = Array.make np 0 in
+  for p = 1 to np - 1 do
+    bases.(p) <- bases.(p - 1) + snd regions.(p - 1)
+  done;
+  let total = bases.(np - 1) + snd regions.(np - 1) in
+  let offs = Array.make (total + 1) 0 and rows = Array.make total 0 in
+  offs.(total) <- total;
+  let built =
+    Parallel.map_list ~threads
+      (List.init np (fun p () ->
+           (* the fault sites come before the region's first write, so a
+              retried build starts from a clean region *)
+           Guard.check ();
+           Faults.crash_point ~site:"radix.build";
+           Faults.slow_point ~site:"radix.build";
+           let row, n = regions.(p) in
+           Hash_util.build_region cols idxs ~row ~n ~base:bases.(p) ~offs
+             ~rows))
+  in
+  { mask = np - 1;
+    keys = Array.of_list (List.map fst built);
+    blooms = Array.of_list (List.map snd built);
+    bases;
+    offs;
+    rows }
 
 (* Bloom pre-test for scan pushdown, routing by the probe key's hash; a
-   null key (negative hash) can never join, so it fails outright. *)
+   null key (negative hash) can never join, so it fails outright. Sound
+   for inner and semi joins only: a row that fails has no partner. *)
 let scan_test (t : t) (c : Column.t) : int -> bool =
-  match t with
-  | Single tbl -> Hash_util.scan_test tbl c
-  | Parts { mask; tables } ->
-    let hash = Hash_util.row_hash ~null_as_key:false [| c |] [ 0 ] in
-    let tests = Array.map (fun tbl -> Hash_util.scan_test tbl c) tables in
-    fun row ->
-      let h = hash row in
-      h >= 0 && tests.(h land mask) row
+  if Array.length t.keys.(0).Hash_util.comps <> 1 then
+    invalid_arg "Radix.scan_test: multi-column key";
+  let hash = Hash_util.row_hash ~null_as_key:false [| c |] [ 0 ] in
+  let blooms = t.blooms and mask = t.mask in
+  fun row ->
+    let h = hash row in
+    h >= 0 && Hash_util.bloom_may (Array.unsafe_get blooms (h land mask)) h
 
 (* Partition [n] logical rows by group-key hash for radix aggregation:
    the same 2-pass scheme as the join partitioner, with NULL as a key value
@@ -234,33 +253,6 @@ let group_parts ~threads ?(base = Fun.id) (cols : Column.t array)
 
 (* Cheap size-only gate for callers that decide the join strategy before
    key layouts are known (the compiled executor, whose probe side is still
-   a fused pipeline at planning time). Mirrors [join_plan]'s size logic. *)
+   a fused pipeline at planning time). Mirrors [build]'s size gate. *)
 let pre_gate ~threads ~build_rows ~probe_rows =
   should ~rows:(max build_rows (probe_rows / 4)) ~threads
-
-(* Two-sided plan for the vectorized join: partition count plus both sides'
-   row hashes, or [None] when the single-table path should run. The gate
-   considers both sides: partitioning pays either when the build is large
-   (cache-resident partition tables, parallel build) or when the probe side
-   dwarfs the threshold (per-partition probe morsels parallelize the probe
-   far finer than range chunking) — a big probe amortizes the extra
-   partition passes even over a small build. [est] is the planner's
-   build-side cardinality estimate — a stats pre-gate that vetoes
-   partitioning when the optimizer is confident the whole join is tiny
-   (well under the threshold; 0 means no estimate); the actual counts have
-   the final say. *)
-let join_plan ~threads ?(est = 0.) ~build_rows ~probe_rows
-    (bcols : Column.t array) (bidxs : int list) (pcols : Column.t array)
-    (pidxs : int list) : (int * (int -> int) * (int -> int)) option =
-  let eff_rows = max build_rows (probe_rows / 4) in
-  if
-    (not (should ~rows:eff_rows ~threads))
-    || (est > 0.
-       && est *. 4. < float_of_int (min_rows ())
-       && probe_rows / 4 < min_rows ())
-  then None
-  else
-    Some
-      ( 1 lsl partition_bits ~probe:probe_rows ~rows:build_rows ~threads (),
-        Hash_util.row_hash ~null_as_key:false bcols bidxs,
-        Hash_util.row_hash ~null_as_key:false pcols pidxs )

@@ -65,8 +65,10 @@ let mini_db () =
 
 let run_all ?threads ?backend db sql = Db.execute ?threads ?backend db sql
 
-(* execute on every backend and insist the results agree *)
-let execute_everywhere ?(threads_list = [ 1; 3 ]) db sql : Relation.t =
+(* execute on every backend and insist the results agree; [each] also sees
+   every run's result *)
+let execute_everywhere ?(threads_list = [ 1; 3 ]) ?(each = fun _ _ _ -> ())
+    db sql : Relation.t =
   let reference = Db.execute ~backend:Db.Vectorized db sql in
   List.iter
     (fun backend ->
@@ -75,7 +77,8 @@ let execute_everywhere ?(threads_list = [ 1; 3 ]) db sql : Relation.t =
           let r = Db.execute ~backend ~threads db sql in
           check_rel
             (Printf.sprintf "%s @%dt" (Db.backend_name backend) threads)
-            reference r)
+            reference r;
+          each backend threads r)
         threads_list)
     [ Db.Vectorized; Db.Compiled ];
   reference

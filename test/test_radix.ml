@@ -178,6 +178,204 @@ let test_faults_soak () =
                 [ 11; 23; 47 ])
             backends))
 
+(* ------------------------------------------------------------------ *)
+(* Join edge cases against a nested-loop reference                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Probe rows (id, k, v) and build rows (k, w); NULL keys on both sides.
+   Build key 1 has 5142 rows, so one key's matches run past a 4096-row
+   morsel; probe key 1 sits on either side of the first probe morsel
+   boundary. The probe side is the larger, so inner joins probe it. *)
+let edge_probe =
+  Array.init 12000 (fun i ->
+      let k =
+        if i mod 11 = 0 then None
+        else if i = 100 || i = 4500 then Some 1
+        else Some ((i mod 15000) + 2)
+      in
+      (i, k, (i * 7919) mod 613))
+
+let edge_build =
+  Array.init 9000 (fun i ->
+      let k =
+        if i mod 7 = 0 then None
+        else if i mod 3 <> 2 then Some 1
+        else Some ((i mod 1000) + 2)
+      in
+      (k, (i * 104729) mod 997))
+
+let edge_db () =
+  let db = Db.create () in
+  let key k = match k with Some k -> Value.VInt k | None -> Value.VNull in
+  load db "probe" [ "id"; "k"; "v" ]
+    [ ints (Array.map (fun (i, _, _) -> i) edge_probe);
+      Column.of_values Value.TInt (Array.map (fun (_, k, _) -> key k) edge_probe);
+      ints (Array.map (fun (_, _, v) -> v) edge_probe) ];
+  load db "build" [ "k"; "w" ]
+    [ Column.of_values Value.TInt (Array.map (fun (k, _) -> key k) edge_build);
+      ints (Array.map snd edge_build) ];
+  db
+
+(* The nested-loop reference, once: for each probe row, the build rows
+   (indices) whose key equals its non-NULL key, in build order. *)
+let edge_matches =
+  lazy
+    (Array.map
+       (fun (_, pk, _) ->
+         let acc = ref [] in
+         for j = Array.length edge_build - 1 downto 0 do
+           match (pk, fst edge_build.(j)) with
+           | Some pk, Some bk when pk = bk -> acc := j :: !acc
+           | _ -> ()
+         done;
+         !acc)
+       edge_probe)
+
+(* probe row [i]'s matches that pass the residual [on] *)
+let matches ?(on = fun _ _ -> true) i =
+  List.filter
+    (fun j -> on edge_probe.(i) edge_build.(j))
+    (Lazy.force edge_matches).(i)
+
+(* Rows render as {!ordered_rows} does: probe id (= index), build w. *)
+let row cells = String.concat "|" cells
+let pair_row i j = row [ string_of_int i; string_of_int (snd edge_build.(j)) ]
+let probe_only i = row [ string_of_int i; "NULL" ]
+
+(* probe sides: scan order, and sorted by v descending then id (a
+   non-monotone selection vector) *)
+let scan = List.init (Array.length edge_probe) Fun.id
+
+let sorted =
+  let v i = let _, _, v = edge_probe.(i) in v in
+  List.sort (fun i j -> compare (v j, i) (v i, j)) scan
+
+let inner ?on probe =
+  List.concat_map (fun i -> List.map (pair_row i) (matches ?on i)) probe
+
+(* Outer completion: unmatched probe rows, then build rows, in scan order
+   after all pairs, as the vectorized executor emits them. *)
+let left ?on probe =
+  inner ?on probe
+  @ List.filter_map
+      (fun i -> if matches ?on i = [] then Some (probe_only i) else None)
+      probe
+
+let unmatched_build () =
+  let hit = Array.make (Array.length edge_build) false in
+  List.iter (fun i -> List.iter (fun j -> hit.(j) <- true) (matches i)) scan;
+  List.filter_map
+    (fun j ->
+      if hit.(j) then None
+      else Some (row [ "NULL"; string_of_int (snd edge_build.(j)) ]))
+    (List.init (Array.length edge_build) Fun.id)
+
+(* The fused compiled LEFT probe pads each unmatched row in place. *)
+let left_interleaved ?on probe =
+  List.concat_map
+    (fun i ->
+      match matches ?on i with
+      | [] -> [ probe_only i ]
+      | js -> List.map (pair_row i) js)
+    probe
+
+let semi ~anti ?on probe =
+  List.filter_map
+    (fun i ->
+      if (matches ?on i <> []) <> anti then Some (string_of_int i) else None)
+    probe
+
+let w_gt_v (_, _, v) (_, w) = w > v
+let w_gt_5 _ (_, w) = w > 5
+
+(* (sql, reference on the vectorized engine, reference on the compiled
+   one when it differs) *)
+let edge_cases () =
+  let right = inner scan @ unmatched_build () in
+  let full = left scan @ unmatched_build () in
+  let same sql r = (sql, r, r) in
+  let first_1000 = List.filter (fun i -> i < 1000) scan in
+  [ same "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k"
+      (inner scan);
+    same
+      "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k \
+       AND b.w > p.v"
+      (inner ~on:w_gt_v scan);
+    same
+      "SELECT p.id, b.w FROM (SELECT id, k, v FROM probe ORDER BY v DESC, \
+       id) AS p, build AS b WHERE p.k = b.k"
+      (inner sorted);
+    (* an empty build side, then an empty probe side *)
+    same
+      "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k \
+       AND b.w < 0"
+      [];
+    same
+      "SELECT p.id, b.w FROM probe AS p LEFT JOIN (SELECT k, w FROM build \
+       WHERE w < 0) AS b ON p.k = b.k"
+      (List.map probe_only scan);
+    same
+      "SELECT p.id, b.w FROM (SELECT id, k FROM probe WHERE id < 0) AS p \
+       RIGHT JOIN build AS b ON p.k = b.k"
+      (List.map
+         (fun (_, w) -> row [ "NULL"; string_of_int w ])
+         (Array.to_list edge_build));
+    same
+      "SELECT p.id FROM probe AS p WHERE EXISTS (SELECT * FROM build AS b \
+       WHERE b.k = p.k AND b.w > p.v)"
+      (semi ~anti:false ~on:w_gt_v scan);
+    same
+      "SELECT p.id FROM probe AS p WHERE NOT EXISTS (SELECT * FROM build \
+       AS b WHERE b.k = p.k AND b.w > p.v)"
+      (semi ~anti:true ~on:w_gt_v scan);
+    same
+      "SELECT p.id FROM (SELECT id, k, v FROM probe ORDER BY v DESC, id) \
+       AS p WHERE EXISTS (SELECT * FROM build AS b WHERE b.k = p.k)"
+      (semi ~anti:false sorted);
+    (* a subquery side over twice the outer side inverts the probe *)
+    same
+      "SELECT p.id FROM probe AS p WHERE p.id < 1000 AND EXISTS \
+       (SELECT * FROM build AS b WHERE b.k = p.k)"
+      (semi ~anti:false first_1000);
+    same
+      "SELECT p.id FROM probe AS p WHERE p.id < 1000 AND NOT EXISTS \
+       (SELECT * FROM build AS b WHERE b.k = p.k)"
+      (semi ~anti:true first_1000);
+    ( "SELECT p.id, b.w FROM probe AS p LEFT JOIN build AS b ON p.k = b.k",
+      left scan,
+      left_interleaved scan );
+    ( "SELECT p.id, b.w FROM probe AS p LEFT JOIN build AS b \
+       ON p.k = b.k AND b.w > 5",
+      left ~on:w_gt_5 scan,
+      left_interleaved ~on:w_gt_5 scan );
+    same "SELECT p.id, b.w FROM probe AS p RIGHT JOIN build AS b ON p.k = b.k"
+      right;
+    same "SELECT p.id, b.w FROM probe AS p FULL JOIN build AS b ON p.k = b.k"
+      full ]
+
+(* Each case under forced radix and at the default, through
+   [execute_everywhere], whose every run must also equal the reference row
+   for row, in order. *)
+let test_join_edges () =
+  let db = edge_db () in
+  let cases = edge_cases () in
+  List.iter
+    (fun (label, config) ->
+      config (fun () ->
+          with_config ~cache:false (fun () ->
+              List.iter
+                (fun (sql, vec, comp) ->
+                  let each backend threads r =
+                    Alcotest.(check (list string))
+                      (Printf.sprintf "%s %s @%dt | %s" label
+                         (Db.backend_name backend) threads sql)
+                      (if backend = Db.Compiled then comp else vec)
+                      (ordered_rows r)
+                  in
+                  ignore (execute_everywhere ~each db sql))
+                cases)))
+    [ ("radix forced", forced); ("default", fun f -> with_config f) ]
+
 let suites =
   [ ( "radix-differential",
       [ tc "skewed keys" test_skewed;
@@ -185,5 +383,6 @@ let suites =
         tc "dict-coded string keys" test_dict_keys;
         tc "raw string keys" test_dict_keys_raw;
         tc "sparse keys / empty partitions" test_sparse ] );
+    ("join-edges", [ tc "nested-loop reference, in order" test_join_edges ]);
     ( "radix-config",
       [ tc "fault recovery under forced radix" test_faults_soak ] ) ]
