@@ -33,23 +33,44 @@ let like_match (pattern : string) (s : string) : bool =
 let compile_like (pattern : string) : string -> bool =
   let n = String.length pattern in
   let plain = not (String.contains pattern '_') in
-  (* allocation-free matchers: these run once per row in filter loops *)
+  (* allocation-free matchers: these run once per row in filter loops, so
+     they are plain loops (a local recursive function would be a closure
+     allocated on every call) *)
   let eq_at p s i =
     let lp = String.length p in
-    let rec go j = j = lp || (s.[i + j] = p.[j] && go (j + 1)) in
-    go 0
+    let j = ref 0 in
+    while !j < lp && String.unsafe_get s (i + !j) = String.unsafe_get p !j do
+      incr j
+    done;
+    !j = lp
   in
   let starts_with p s = String.length s >= String.length p && eq_at p s 0 in
   let ends_with p s =
     let lp = String.length p and ls = String.length s in
     ls >= lp && eq_at p s (ls - lp)
   in
+  (* the first char is tested inline, so most positions cost one compare *)
   let contains_sub p s =
-    let lp = String.length p and ls = String.length s in
-    if lp = 0 then true
-    else
-      let rec at i = i + lp <= ls && (eq_at p s i || at (i + 1)) in
-      at 0
+    let lp = String.length p in
+    let last = String.length s - lp in
+    if lp = 0 then last >= 0
+    else begin
+      let c0 = String.unsafe_get p 0 in
+      let i = ref 0 and found = ref false in
+      while (not !found) && !i <= last do
+        if String.unsafe_get s !i = c0 then begin
+          let j = ref 1 in
+          while
+            !j < lp && String.unsafe_get s (!i + !j) = String.unsafe_get p !j
+          do
+            incr j
+          done;
+          if !j = lp then found := true else incr i
+        end
+        else incr i
+      done;
+      !found
+    end
   in
   if plain && n >= 2 && pattern.[n - 1] = '%'
      && not (String.contains (String.sub pattern 0 (n - 1)) '%')
@@ -420,11 +441,17 @@ let dict_cmp_pred (c : Column.t) (op : Sql_ast.binop) (k : string)
 
 let dict_like_pred (c : Column.t) (pattern : string) ~(negated : bool) :
     (int -> bool) option =
-  match like_prefix pattern with
-  | Some p -> dict_prefix_pred c p ~negated
-  | None ->
+  match Option.bind (like_prefix pattern) (dict_prefix_pred c ~negated) with
+  | Some _ as pred -> pred
+  | None -> (
     let matcher = compile_like pattern in
-    dict_row_pred c (fun v -> matcher v <> negated)
+    let test v = matcher v <> negated in
+    match (dict_row_pred c test, c.Column.data) with
+    | (Some _ as pred), _ -> pred
+    | None, Column.S a ->
+      (* raw strings: the matcher straight on the array, nothing boxed *)
+      Some (with_null_check c (fun row -> test (Array.unsafe_get a row)))
+    | None, _ -> None)
 
 (* Compile a predicate into a fast boolean closure. *)
 let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
@@ -560,19 +587,9 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
         Column.of_bools out
       | _ -> fallback e)
     | PLike (a, pattern, negated) -> (
-      let ca = eval a in
-      let matcher = compile_like pattern in
-      match dict_like_pred ca pattern ~negated with
+      match dict_like_pred (eval a) pattern ~negated with
       | Some pred -> pred_to_col pred ~n
-      | None -> (
-        match ca.Column.data with
-        | Column.S x ->
-          let out = Array.make n false in
-          for i = 0 to n - 1 do
-            out.(i) <- matcher x.(i) <> negated && not (Column.is_null ca i)
-          done;
-          Column.of_bools out
-        | _ -> fallback e))
+      | None -> fallback e)
     | PInList (a, items, negated) -> (
       let ca = eval a in
       match

@@ -190,7 +190,28 @@ let like_props =
            pair
              (string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_bound 8))
              (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 10)))
-         (fun (pat, s) -> Sqldb.Eval.compile_like pat s = naive_like pat s)) ]
+         (fun (pat, s) -> Sqldb.Eval.compile_like pat s = naive_like pat s));
+    (* The fast paths run once per row in filter loops: 10k matches of the
+       'x%', '%x' and '%x%' shapes must leave the minor heap exactly as an
+       empty loop does (each counter read boxes its own result). *)
+    tc "LIKE fast paths allocate nothing per match" (fun () ->
+        let words f =
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            ignore (Sys.opaque_identity (f ()))
+          done;
+          Gc.minor_words () -. w0
+        in
+        let idle = words (fun () -> true) in
+        List.iter
+          (fun (pat, s) ->
+            let m = Sqldb.Eval.compile_like pat in
+            Alcotest.(check bool) (pat ^ " matches") true (m s);
+            Alcotest.(check (float 0.)) (pat ^ " words") idle
+              (words (fun () -> m s)))
+          [ ("spec%", "special requests");
+            ("%requests", "special requests");
+            ("%requests%", "carefully special requests sleep") ]) ]
 
 let suites =
   [ ("dates", date_tests @ date_props);
