@@ -43,14 +43,6 @@ let chunk_project items (c : chunk) : chunk =
   { Relation.names = Array.of_list (List.map snd items);
     cols = Array.of_list cols }
 
-(* The columns of [c] at [li] beside those of [r] at [ri]. *)
-let chunk_join (c : chunk) (r : Relation.t) li ri : chunk =
-  { Relation.names = Array.append c.Relation.names r.Relation.names;
-    cols =
-      Array.append
-        (Array.map (fun col -> Column.take col li) c.Relation.cols)
-        (Array.map (fun col -> Column.take col ri) r.Relation.cols) }
-
 (* Inner or left probe of a pre-built (possibly radix-partitioned) build
    side on the right relation. A left probe pads each unmatched row in
    place and its residual decides which pairs match; an inner join's
@@ -59,16 +51,21 @@ let chunk_probe ~left_outer (r : Relation.t) (tbl : Radix.t)
     (lkeys : int list) (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
   let cols = c.Relation.cols in
-  let out = Join.pairs n in
+  let out = Join.pairs () in
   (if left_outer then
      (* compiled per chunk: chunks run on many domains *)
      let residual = Option.map (Eval.pair_pred cols r.Relation.cols) residual in
      Join.probe ?residual Join.Left tbl cols lkeys ~lo:0 ~hi:n out
    else Join.probe Join.Inner tbl cols lkeys ~lo:0 ~hi:n out);
-  if out.len = 0 && n > 0 then None
+  if out.total = 0 && n > 0 then None
   else
+    let li, ri = Join.contents [ out ] in
     let joined =
-      chunk_join c r (Array.sub out.l 0 out.len) (Array.sub out.r 0 out.len)
+      { Relation.names = Array.append c.Relation.names r.Relation.names;
+        cols =
+          Array.append
+            (Array.map (fun col -> Column.take col li) cols)
+            (Array.map (fun col -> Column.take col ri) r.Relation.cols) }
     in
     match residual with
     | Some pred when not left_outer -> chunk_filter pred joined
@@ -80,12 +77,12 @@ let chunk_semi ~anti (r : Relation.t) (tbl : Radix.t) (lkeys : int list)
   let residual =
     Option.map (Eval.pair_pred c.Relation.cols r.Relation.cols) residual
   in
-  let out = Join.pairs n in
+  let out = Join.pairs () in
   Join.probe ?residual
     (if anti then Join.Anti else Join.Semi)
     tbl c.Relation.cols lkeys ~lo:0 ~hi:n out;
-  if out.len = 0 && n > 0 then None
-  else Some (Relation.take c (Array.sub out.l 0 out.len))
+  if out.total = 0 && n > 0 then None
+  else Some (Relation.take c (fst (Join.contents [ out ])))
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                           *)
@@ -242,7 +239,7 @@ let rec compile_segment ctx (p : plan) : segment =
         let ltbl = Radix.build ~threads lcols lkeys ~n:nl in
         let matched = Bitset.create nl in
         Join.probe (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
-          (Join.pairs 0);
+          (Join.pairs ());
         Join.marked ~anti matched ~n:nl
       end
       else

@@ -355,7 +355,7 @@ and run_semijoin ctx anti left right keys residual =
       in
       let matched = Bitset.create (Relation.n_rows l) in
       Join.probe ?sel:rs.sel (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
-        (Join.pairs 0);
+        (Join.pairs ());
       Some (Join.marked ~anti ?sel:ls.sel matched ~n:nl)
     | _ ->
       let tbl =

@@ -23,24 +23,58 @@ type mode =
   | Anti  (** each row without a match (build row -1) *)
   | Mark of Bitset.t  (** sets the bit of every matched build row *)
 
-(* Growable (probe row, build row) pairs; [l] and [r] hold [len] each. *)
-type pairs = { mutable l : int array; mutable r : int array; mutable len : int }
+(* Growable (probe row, build row) pairs, kept in blocks small enough for
+   the minor heap: a probe allocates in proportion to its output, never to
+   its input, and only {!contents} copies the pairs out, into arrays of
+   their exact length. Blocks double from 16 pairs up to [block], so a
+   probe with few matches allocates little. *)
+let block = 256
 
-let pairs n = { l = Array.make (max 16 n) 0; r = Array.make (max 16 n) 0; len = 0 }
+type pairs = {
+  mutable l : int array;
+  mutable r : int array; (* the current block *)
+  mutable len : int; (* pairs in the current block *)
+  mutable full : (int array * int array) list; (* full blocks, newest first *)
+  mutable total : int;
+}
+
+let pairs () =
+  { l = Array.make 16 0; r = Array.make 16 0; len = 0; full = []; total = 0 }
 
 let push p a b =
   if p.len = Array.length p.l then begin
-    let grow x =
-      let y = Array.make (2 * p.len) 0 in
-      Array.blit x 0 y 0 p.len;
-      y
-    in
-    p.l <- grow p.l;
-    p.r <- grow p.r
+    p.full <- (p.l, p.r) :: p.full;
+    let size = min block (2 * p.len) in
+    p.l <- Array.make size 0;
+    p.r <- Array.make size 0;
+    p.len <- 0
   end;
   Array.unsafe_set p.l p.len a;
   Array.unsafe_set p.r p.len b;
-  p.len <- p.len + 1
+  p.len <- p.len + 1;
+  p.total <- p.total + 1
+
+(** The pairs of [ps], in order: their probe rows and build rows. *)
+let contents (ps : pairs list) : int array * int array =
+  let total = List.fold_left (fun acc p -> acc + p.total) 0 ps in
+  let li = Array.make total 0 and ri = Array.make total 0 in
+  let off = ref 0 in
+  (* plain int stores: [Array.blit] would pay a write barrier per element
+     into the (major-heap) result *)
+  let copy (l : int array) (r : int array) len =
+    let o = !off in
+    for i = 0 to len - 1 do
+      Array.unsafe_set li (o + i) (Array.unsafe_get l i);
+      Array.unsafe_set ri (o + i) (Array.unsafe_get r i)
+    done;
+    off := o + len
+  in
+  List.iter
+    (fun p ->
+      List.iter (fun (l, r) -> copy l r (Array.length l)) (List.rev p.full);
+      copy p.l p.r p.len)
+    ps;
+  (li, ri)
 
 (* Global entry of the build that row [row] of [cols] keys (at [idxs]) into,
    or -1: NULL keys, bloom misses and absent keys all miss. Partition
@@ -103,12 +137,12 @@ let probe ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
     let k1 = if g < 0 then 0 else Array.unsafe_get offs (g + 1) in
     match mode with
     | Inner | Left ->
-      let before = out.len in
+      let before = out.total in
       for k = k0 to k1 - 1 do
         let b = Array.unsafe_get rows k in
         if any || keep row b then push out row b
       done;
-      if left && out.len = before then push out row (-1)
+      if left && out.total = before then push out row (-1)
     | Semi -> if exists row k0 k1 then push out row (-1)
     | Anti -> if not (exists row k0 k1) then push out row (-1)
     | Mark m ->
@@ -127,23 +161,12 @@ let collect ~threads ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
     if threads <= 1 || n <= Kernel.stride then 1
     else Parallel.morsel_count ~threads n
   in
-  let parts =
-    Parallel.map_chunks ~k ~threads n (fun lo len ->
-        let out = pairs len in
-        let residual = Option.map (fun mk -> mk ()) residual in
-        probe ?residual ?sel mode t cols idxs ~lo ~hi:(lo + len) out;
-        out)
-  in
-  let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
-  let li = Array.make total 0 and ri = Array.make total 0 in
-  ignore
-    (List.fold_left
-       (fun off p ->
-         Array.blit p.l 0 li off p.len;
-         Array.blit p.r 0 ri off p.len;
-         off + p.len)
-       0 parts);
-  (li, ri)
+  contents
+    (Parallel.map_chunks ~k ~threads n (fun lo len ->
+         let out = pairs () in
+         let residual = Option.map (fun mk -> mk ()) residual in
+         probe ?residual ?sel mode t cols idxs ~lo ~hi:(lo + len) out;
+         out))
 
 (** Rows of positions [0, n) (through [sel]) whose bit in [m] is set, or
     clear when [anti]: the survivors of an inverted semi- or anti-join, in
