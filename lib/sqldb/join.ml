@@ -188,17 +188,18 @@ let marked ~anti ?sel (m : Bitset.t) ~(n : int) : int array =
     [n] positions over [rows] base rows, through [sel]. *)
 let complete (kind : Plan.join_kind) ~left:(lsel, ln, lrows)
     ~right:(rsel, rn, rrows) (li, ri) : int array * int array =
-  if kind = Plan.JInner then (li, ri)
-  else
-  let unmatched pad sel n nrows hits =
-    if not pad then [||]
-    else begin
-      let m = Bitset.create nrows in
-      Array.iter (Bitset.set m) hits;
-      marked ~anti:true ?sel m ~n
-    end
-  in
-  let lx = unmatched (kind = Plan.JLeft || kind = JFull) lsel ln lrows li in
-  let rx = unmatched (kind = Plan.JRight || kind = JFull) rsel rn rrows ri in
-  let pad a = Array.make (Array.length a) (-1) in
-  (Array.concat [ li; lx; pad rx ], Array.concat [ ri; pad lx; rx ])
+  match kind with
+  | Plan.JInner -> (li, ri)
+  | JLeft | JRight | JFull ->
+    let unmatched pad sel n nrows hits =
+      if not pad then [||]
+      else begin
+        let m = Bitset.create nrows in
+        Array.iter (Bitset.set m) hits;
+        marked ~anti:true ?sel m ~n
+      end
+    in
+    let lx = unmatched (kind <> JRight) lsel ln lrows li in
+    let rx = unmatched (kind <> JLeft) rsel rn rrows ri in
+    let pad a = Array.make (Array.length a) (-1) in
+    (Array.concat [ li; lx; pad rx ], Array.concat [ ri; pad lx; rx ])
