@@ -149,12 +149,11 @@ let rec compile_segment ctx (p : plan) : segment =
     (* The build side is a pipeline breaker: materialize it fully. *)
     let r = stream ctx right in
     let seg = compile_segment ctx left in
-    let probe_rows = Relation.n_rows seg.source in
     (* large builds are radix-partitioned across workers; small ones keep
        one table (threshold in Radix.should); no keys make a cross join *)
     let tbl =
-      Radix.build ~threads:ctx.threads ~probe_rows r.Relation.cols
-        (List.map snd keys) ~n:(Relation.n_rows r)
+      Radix.build ~threads:ctx.threads r.Relation.cols (List.map snd keys)
+        ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
     (* Inner joins drop probe rows without a partner, so the build side's
@@ -169,56 +168,7 @@ let rec compile_segment ctx (p : plan) : segment =
         }
       | _ -> seg
     in
-    if
-      kind = JInner
-      && Radix.pre_gate ~threads:ctx.threads ~build_rows:(Relation.n_rows r)
-           ~probe_rows
-    then begin
-      (* Whole-side probe: the probe side runs in parallel morsels against
-         the (partitioned) build, and only the join output is gathered —
-         byte-identical to the fused morsel probe. A scan-shaped probe (no
-         fused transform upstream) is never materialized: its filters,
-         bloom prescan, and zone skipping reduce to a selection vector over
-         the base columns and the join gathers straight from them. Left
-         joins keep the fused path (their unmatched-row padding is
-         interleaved per morsel). *)
-      let lrel, lsel =
-        match seg.transform with
-        | Some _ ->
-          (* a fused upstream operator reshapes rows: materialize *)
-          (run_segment ctx seg, None)
-        | None ->
-          let cols = seg.source.Relation.cols in
-          let sel =
-            match (seg.prefilter, seg.prescan) with
-            | [], [] -> None
-            | prefilter, prescan ->
-              Some
-                (Kernel.select ~threads:ctx.threads
-                   ?zones:(Kernel.zone_test ctx.catalog cols prefilter)
-                   cols prefilter prescan ~n:probe_rows)
-          in
-          (seg.source, sel)
-      in
-      let n =
-        match lsel with
-        | Some s -> Array.length s
-        | None -> Relation.n_rows lrel
-      in
-      let li, ri =
-        Join.collect ~threads:ctx.threads ?sel:lsel Join.Inner tbl
-          lrel.Relation.cols lkeys ~n
-      in
-      let li, ri =
-        Exec_vectorized.apply_residual ~threads:ctx.threads lrel r li ri
-          residual
-      in
-      let source =
-        Exec_vectorized.concat_relations ~threads:ctx.threads lrel r li ri
-      in
-      { source; prefilter = []; prescan = []; transform = None }
-    end
-    else seg_then seg (chunk_probe ~left_outer:(kind = JLeft) r tbl lkeys residual)
+    seg_then seg (chunk_probe ~left_outer:(kind = JLeft) r tbl lkeys residual)
   | SemiJoin { anti; left; right; keys = _ :: _ as keys; residual = None }
     when right.est > 2. *. Float.max 1. left.est ->
     (* Inverted probe direction (mirrors Exec_vectorized.run_semijoin): the

@@ -142,18 +142,15 @@ let sort_indices (r : Relation.t) (keys : (int * bool) list) : int array =
 
 (* Matching (left row, right row) pairs of an equi-join, in probe order;
    indices are base rows of [l.rel] / [r.rel], and no keys make a cross
-   join. The residual is applied afterwards over the concatenated relation.
-   [est] is the planner's build-side estimate, pre-gating radix
-   partitioning (see {!Radix.build}). *)
-let hash_join_pairs ~threads ?est (l : srel) (r : srel)
-    (keys : (int * int) list) : int array * int array =
-  let nl = srel_nrows l in
+   join. The residual is applied afterwards over the concatenated relation. *)
+let hash_join_pairs ~threads (l : srel) (r : srel) (keys : (int * int) list) :
+    int array * int array =
   let tbl =
-    Radix.build ~threads ?est ~probe_rows:nl ?sel:r.sel (relation_cols r.rel)
-      (List.map snd keys) ~n:(Relation.n_rows r.rel)
+    Radix.build ~threads ?sel:r.sel (relation_cols r.rel) (List.map snd keys)
+      ~n:(Relation.n_rows r.rel)
   in
   Join.collect ~threads ?sel:l.sel Join.Inner tbl (relation_cols l.rel)
-    (List.map fst keys) ~n:nl
+    (List.map fst keys) ~n:(srel_nrows l)
 
 let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
     Relation.t =
@@ -325,7 +322,7 @@ and run_join ctx kind left right keys residual =
      the join output is materialized. *)
   let threads = ctx.threads in
   let ls = run_sel ctx left and rs = run_sel ctx right in
-  let li, ri = hash_join_pairs ~threads ~est:right.est ls rs keys in
+  let li, ri = hash_join_pairs ~threads ls rs keys in
   let li, ri = apply_residual ~threads ls.rel rs.rel li ri residual in
   let side s = (s.sel, srel_nrows s, Relation.n_rows s.rel) in
   let li, ri = Join.complete kind ~left:(side ls) ~right:(side rs) (li, ri) in

@@ -606,13 +606,16 @@ let bloom_may b h =
    entries from [base]. Rows with a NULL key component never join and are
    skipped. The region's spare [offs] slots (fewer entries than rows) hold
    the end of its used rows, so the slot after the last entry always reads
-   as that entry's end; [offs] needs one slot past the last region. *)
+   as that entry's end; [offs] needs one slot past the last region. The
+   region's counts start from zero on every call, so a build re-run after
+   a failure part way writes the same values. *)
 let build_region (cols : Column.t array) (idxs : int list) ~(row : int -> int)
     ~(n : int) ~(base : int) ~(offs : int array) ~(rows : int array) :
     keytab * bloom =
   let keys = keytab ~size:n cols idxs in
   let rd = Option.get (reader ~null_as_key:false keys cols idxs) in
   let bloom = bloom_create n in
+  Array.fill offs base n 0;
   (* pass 1: each row's entry, and each entry's row count *)
   let ent = Array.make n (-1) in
   for pos = 0 to n - 1 do

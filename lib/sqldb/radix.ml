@@ -18,17 +18,20 @@
     routes a probe row by the same hash to its partition's table and reads
     its matches as one range of the shared row array, in insertion order.
     An unpartitioned build is the one-partition case of the same layout.
-    Small builds stay unpartitioned: the [should] threshold compares the
-    (planner-estimated, then actual) cardinalities against [min_rows].
+    Only the build side decides: [should] compares its row count against
+    [min_rows], and small builds stay unpartitioned. The probe side is
+    never partitioned; it runs in morsels against the whole build.
 
     [set_enabled false] disables partitioning entirely; tests force the
     radix path with [set_min_rows 0].
 
     Every scatter chunk and per-partition build is a {!Guard} checkpoint
     and a {!Faults} injection site ("radix.scatter", "radix.build"); chunk
-    bodies are idempotent (cursors are chunk-local copies, builds write
-    only their own region), so the existing chunk-retry recovery in
-    {!Parallel.run_protected} re-runs a crashed piece inline. *)
+    bodies are idempotent (cursors are chunk-local copies, builds rewrite
+    only their own region), so with more than one thread the chunk-retry
+    recovery in {!Parallel.run_protected} re-runs a crashed piece inline.
+    At one thread (radix forced) the pieces run inline and a fault reaches
+    [Db.execute]'s suppressed retry. *)
 
 let default_min_rows = 8192
 
@@ -51,29 +54,15 @@ let should ~rows ~threads =
 (* Power-of-two partition count: enough partitions that each build fits in
    cache (~8K rows targets L2 for a few key+payload columns) and that every
    worker gets at least one, capped at 64 so tiny partitions don't drown in
-   per-partition setup. [probe] (when known) also drives the count up: a
-   partition is the scheduling quantum of the probe phase, so a huge probe
-   over a small build still wants many partitions — each worker then streams
-   a sequence of small cache-resident probe morsels instead of one third of
-   the probe side. *)
-let partition_bits ?(probe = 0) ~rows ~threads () =
-  let fit cap target rows =
-    let rec go b =
-      if b >= cap || rows lsr b <= target then b else go (b + 1)
-    in
-    go 1
+   per-partition setup. *)
+let partition_bits ~rows ~threads =
+  let rec by_build b =
+    if b >= 6 || rows lsr b <= 8192 then b else by_build (b + 1)
   in
-  (* build partitions target L2 (~8K rows); probe partitions are the probe
-     phase's scheduling quantum, so aim smaller (~4K rows) and allow more of
-     them — per-partition setup is just a table build over a few hundred
-     rows *)
-  let by_build = fit 6 8192 rows in
-  let by_probe = if probe = 0 then 0 else fit 7 4096 probe in
-  let by_threads =
-    let rec go b = if b >= 3 || 1 lsl b >= threads then b else go (b + 1) in
-    go 0
+  let rec by_threads b =
+    if b >= 3 || 1 lsl b >= threads then b else by_threads (b + 1)
   in
-  min 7 (max by_build (max by_probe by_threads))
+  max (by_build 1) (by_threads 0)
 
 (* 2-pass parallel partition of the [n] logical rows (base row [base pos])
    into [nparts] buffers of base row indices. Rows hashing negative (null
@@ -165,27 +154,18 @@ type t = {
   rows : int array;
 }
 
-(* Build over all [n] rows, or over [sel]'s base rows. Partitions when the
-   gate passes on the larger of the build side and a quarter of the probe
-   side ([probe_rows]): partitioning pays either when the build is large
-   (cache-resident partition tables, parallel build) or when the probe
-   dwarfs the threshold. [est] is the planner's build-side estimate, a
-   stats pre-gate that vetoes partitioning when the optimizer is confident
-   the whole join is tiny (0 means no estimate); the actual counts have
-   the final say. Each partition build runs on its own worker and is a
-   fault-injection site with inline chunk retry: it writes only its own
-   region, so a re-run rewrites the same values. *)
-let build ~threads ?(est = 0.) ?(probe_rows = 0) ?sel (cols : Column.t array)
-    (idxs : int list) ~(n : int) : t =
+(* Build over all [n] rows, or over [sel]'s base rows, partitioned when
+   the build side passes the size gate. Each partition build runs on its
+   own worker and is a fault-injection site; with more than one thread
+   {!Parallel.map_list} runs it under chunk retry, and a retried build
+   rewrites its own region ({!Hash_util.build_region}). An unpartitioned
+   build is no injection site: it is not a parallel piece with a retry
+   of its own. *)
+let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
+    t =
   let n_log = match sel with Some s -> Array.length s | None -> n in
   let base = match sel with Some s -> Array.get s | None -> Fun.id in
-  let partitioned =
-    should ~rows:(max n_log (probe_rows / 4)) ~threads
-    && not
-         (est > 0.
-         && est *. 4. < float_of_int (min_rows ())
-         && probe_rows / 4 < min_rows ())
-  in
+  let partitioned = should ~rows:n_log ~threads in
   (* regions: (base row of a logical row, row count), one per partition *)
   let regions =
     if not partitioned then [| (base, n_log) |]
@@ -193,8 +173,7 @@ let build ~threads ?(est = 0.) ?(probe_rows = 0) ?sel (cols : Column.t array)
       Array.map
         (fun part -> (Array.get part, Array.length part))
         (partition ~threads
-           ~nparts:
-             (1 lsl partition_bits ~probe:probe_rows ~rows:n_log ~threads ())
+           ~nparts:(1 lsl partition_bits ~rows:n_log ~threads)
            ~hash:(Hash_util.row_hash ~null_as_key:false cols idxs)
            ~base n_log)
   in
@@ -209,11 +188,11 @@ let build ~threads ?(est = 0.) ?(probe_rows = 0) ?sel (cols : Column.t array)
   let built =
     Parallel.map_list ~threads
       (List.init np (fun p () ->
-           (* the fault sites come before the region's first write, so a
-              retried build starts from a clean region *)
-           Guard.check ();
-           Faults.crash_point ~site:"radix.build";
-           Faults.slow_point ~site:"radix.build";
+           if partitioned then begin
+             Guard.check ();
+             Faults.crash_point ~site:"radix.build";
+             Faults.slow_point ~site:"radix.build"
+           end;
            let row, n = regions.(p) in
            Hash_util.build_region cols idxs ~row ~n ~base:bases.(p) ~offs
              ~rows))
@@ -248,11 +227,5 @@ let group_parts ~threads ?(base = Fun.id) (cols : Column.t array)
   if not (should ~rows:n ~threads) then None
   else
     let hash = Hash_util.row_hash ~null_as_key:true cols idxs in
-    let nparts = 1 lsl partition_bits ~rows:n ~threads () in
+    let nparts = 1 lsl partition_bits ~rows:n ~threads in
     Some (partition ~threads ~nparts ~hash ~base n)
-
-(* Cheap size-only gate for callers that decide the join strategy before
-   key layouts are known (the compiled executor, whose probe side is still
-   a fused pipeline at planning time). Mirrors [build]'s size gate. *)
-let pre_gate ~threads ~build_rows ~probe_rows =
-  should ~rows:(max build_rows (probe_rows / 4)) ~threads

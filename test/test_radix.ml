@@ -178,6 +178,27 @@ let test_faults_soak () =
                 [ 11; 23; 47 ])
             backends))
 
+(* A build under the size gate is one region with no chunk retry of its
+   own, so it must be no fault site: otherwise, under injection, an
+   ordinary small join would escape to [Db.execute]'s whole-query retry.
+   Forty builds per seed would draw several crashes if it were one. *)
+let test_small_build_no_fault_site () =
+  let cols = [| ints (Array.init 500 (fun i -> i mod 50)) |] in
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
+      with_config ~radix:true ~radix_min_rows:Radix.default_min_rows
+        (fun () ->
+          List.iter
+            (fun seed ->
+              Faults.arm ~seed ();
+              List.iter
+                (fun threads ->
+                  for _ = 1 to 40 do
+                    let t = Radix.build ~threads cols [ 0 ] ~n:500 in
+                    Alcotest.(check int) "one partition" 0 t.Radix.mask
+                  done)
+                thread_counts)
+            [ 11; 23; 47 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Join edge cases against a nested-loop reference                    *)
 (* ------------------------------------------------------------------ *)
@@ -385,4 +406,6 @@ let suites =
         tc "sparse keys / empty partitions" test_sparse ] );
     ("join-edges", [ tc "nested-loop reference, in order" test_join_edges ]);
     ( "radix-config",
-      [ tc "fault recovery under forced radix" test_faults_soak ] ) ]
+      [ tc "fault recovery under forced radix" test_faults_soak;
+        tc "a small build is no fault site" test_small_build_no_fault_site ]
+    ) ]
