@@ -289,18 +289,9 @@ and run_segment ctx (seg : segment) : Relation.t =
     iter_morsels ?ztest seg start len (fun c -> out := c :: !out);
     List.rev !out
   in
-  let chunk_lists =
-    if n = 0 then []
-    else
-      (* morsel-granular scheduling: the critical path is one morsel range,
-         not a 1/threads slice of the whole scan *)
-      let k = Parallel.morsel_count ~threads:ctx.threads n in
-      Parallel.map_list ~threads:ctx.threads
-        (List.map
-           (fun (start, len) () -> run_range start len)
-           (Parallel.chunks ~k n))
+  let chunks =
+    List.concat (Parallel.map_chunks ~threads:ctx.threads n run_range)
   in
-  let chunks = List.concat chunk_lists in
   match chunks with
   | [] -> (
     (* Empty result: derive the output schema by pushing an empty chunk
@@ -363,15 +354,11 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
   let fold ~n idxs source =
     Agg_util.fold ~size:(Agg_util.size_hint p.est n) specs idxs source
   in
-  let chunked n fold_range =
-    if n = 0 then [ fold_range 0 0 ]
-    else Parallel.map_chunks ~threads n fold_range
-  in
   (* The survivor loop: each chunk's rows of [cols] that pass [preds] and
      [tests], in ascending order, outside zone-dead blocks ([ztest]) — no
      morsel materializes. *)
   let scan ?ztest cols preds tests ~args ~idxs ~dense ~n =
-    chunked n (fun start len ->
+    Parallel.map_chunks ~merged:true ~threads n (fun start len ->
         fold ~n idxs (fun batch ->
             match Stats.alive_ranges ztest start (start + len - 1) with
             | [] -> ()
@@ -408,7 +395,7 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
       | Some _ ->
         (* every morsel is a batch: chunk columns are distinct gathers of
            the same columns, so dictionaries and key layouts agree *)
-        chunked n (fun start len ->
+        Parallel.map_chunks ~merged:true ~threads n (fun start len ->
             fold ~n groups (fun batch ->
                 iter_morsels ?ztest seg start len (fun c ->
                     let cols = c.Relation.cols in
@@ -447,17 +434,16 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
         in
         match radix_parts with
         | Some parts ->
-          Parallel.map_list ~threads
-            (List.map
-               (fun sel () ->
-                 fold ~n:(Array.length sel) groups (fun batch ->
-                     let feed = batch None args cols in
-                     Array.iteri
-                       (fun i row ->
-                         if i land 8191 = 0 then Guard.check ();
-                         feed row)
-                       sel))
-               (Array.to_list parts))
+          Parallel.map_list ~threads ~rows:n
+            (fun sel ->
+              fold ~n:(Array.length sel) groups (fun batch ->
+                  let feed = batch None args cols in
+                  Array.iteri
+                    (fun i row ->
+                      if i land 8191 = 0 then Guard.check ();
+                      feed row)
+                    sel))
+            (Array.to_list parts)
         | None ->
           scan ?ztest cols seg.prefilter seg.prescan ~args ~idxs:groups ~dense
             ~n))

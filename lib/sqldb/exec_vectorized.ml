@@ -48,13 +48,8 @@ let materialize (s : srel) : Relation.t =
    already-selected relation runs the predicate only on the rows in [sel],
    and the surviving base indices come back in selection order. *)
 let filter_sel ~threads cols (sel : int array) pred =
-  let n = Array.length sel in
-  let k =
-    if threads <= 1 || n <= Kernel.stride then 1
-    else Parallel.morsel_count ~threads n
-  in
   Kernel.collect_parts ~threads
-    (Parallel.map_chunks ~k ~threads n (fun start len ->
+    (Parallel.map_chunks ~threads (Array.length sel) (fun start len ->
          let test = Eval.compile_pred cols pred in
          let out = Array.make (max 1 len) 0 and count = ref 0 in
          for pos = start to start + len - 1 do
@@ -159,12 +154,11 @@ let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
   (* column gathers are independent — one work item per output column *)
   let cols =
     Array.of_list
-      (Parallel.map_list ~threads
-         (List.init
-            (nlc + Array.length r.Relation.cols)
-            (fun i () ->
-              if i < nlc then Column.take l.Relation.cols.(i) li
-              else Column.take r.Relation.cols.(i - nlc) ri)))
+      (Parallel.map_list ~threads ~rows:(Array.length li)
+         (fun i ->
+           if i < nlc then Column.take l.Relation.cols.(i) li
+           else Column.take r.Relation.cols.(i - nlc) ri)
+         (List.init (nlc + Array.length r.Relation.cols) Fun.id))
   in
   { Relation.names = Array.append l.Relation.names r.Relation.names; cols }
 
@@ -250,10 +244,7 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let project_over cols ~n =
       let eval_item (e, _) = Eval.eval_col cols ~n e in
       let out_cols =
-        if ctx.threads > 1 && List.length items > 1 && n > 4096 then
-          Parallel.map_list ~threads:ctx.threads
-            (List.map (fun item () -> eval_item item) items)
-        else List.map eval_item items
+        Parallel.map_list ~threads:ctx.threads ~rows:n eval_item items
       in
       { Relation.names = Array.of_list (List.map snd items);
         cols = Array.of_list out_cols }
@@ -417,18 +408,13 @@ and run_aggregate ctx (p : plan) sub groups specs =
     | Some parts ->
       (* radix aggregation: every group key lives in exactly one
          partition, so the merge only ever appends *)
-      Parallel.map_list ~threads:ctx.threads
-        (List.map
-           (fun sel () -> fold (fun i -> sel.(i)) (Array.length sel))
-           (Array.to_list parts))
-    | None when groups = [] ->
-      (* a global aggregate chunks at any input size *)
-      Parallel.map_chunks
+      Parallel.map_list ~threads:ctx.threads ~rows:n
+        (fun sel -> fold (fun i -> sel.(i)) (Array.length sel))
+        (Array.to_list parts)
+    | None ->
+      Parallel.map_chunks ~merged:true
         ~threads:(if has_distinct then 1 else ctx.threads)
         n run_range
-    | None ->
-      if ctx.threads <= 1 || has_distinct || n < 8192 then [ run_range 0 n ]
-      else Parallel.map_chunks ~threads:ctx.threads n run_range
   in
   srel_all (Agg_util.emit specs p.schema partials)
 

@@ -152,17 +152,13 @@ let probe ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
       done
   done
 
-(** {!probe} over all [n] positions, in morsels across [threads] above one
-    stride of rows; returns the probe rows and build rows of the pairs, in
-    order. [residual] makes each morsel's pair test. *)
+(** {!probe} over all [n] positions, in the morsels of
+    {!Parallel.map_chunks}; returns the probe rows and build rows of the
+    pairs, in order. [residual] makes each morsel's pair test. *)
 let collect ~threads ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
     (idxs : int list) ~(n : int) : int array * int array =
-  let k =
-    if threads <= 1 || n <= Kernel.stride then 1
-    else Parallel.morsel_count ~threads n
-  in
   contents
-    (Parallel.map_chunks ~k ~threads n (fun lo len ->
+    (Parallel.map_chunks ~threads n (fun lo len ->
          let out = pairs () in
          let residual = Option.map (fun mk -> mk ()) residual in
          probe ?residual ?sel mode t cols idxs ~lo ~hi:(lo + len) out;

@@ -439,14 +439,16 @@ let selector (cols : Column.t array) (preds : pexpr list)
 let collect_parts ?(threads = 1) parts =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 parts in
   let idx = Array.make total 0 in
-  let works, _ =
+  let placed, _ =
     List.fold_left
-      (fun (works, off) (rows, count) ->
-        let work () = Array.blit rows 0 idx off count in
-        (work :: works, off + count))
+      (fun (placed, off) (rows, count) ->
+        ((rows, count, off) :: placed, off + count))
       ([], 0) parts
   in
-  ignore (Parallel.map_list ~threads (List.rev works));
+  ignore
+    (Parallel.map_list ~threads ~rows:total
+       (fun (rows, count, off) -> Array.blit rows 0 idx off count)
+       (List.rev placed));
   idx
 
 (* The zone-map block test of [preds] over [cols]. Columns of a base-table
@@ -463,8 +465,8 @@ let zone_test (catalog : Catalog.t) (cols : Column.t array)
     else Stats.zone_tests_with zcols preds
 
 (* Every survivor of rows [0, n) in row order. Zone-dead blocks ([zones])
-   are never read. Above one thread and one stride of rows, morsels run in
-   parallel, each with its own selector. *)
+   are never read. Each morsel of {!Parallel.map_chunks} runs its own
+   selector. *)
 let select ~threads ?zones (cols : Column.t array) (preds : pexpr list)
     (tests : (int -> bool) list) ~(n : int) : int array =
   let run start len =
@@ -478,11 +480,7 @@ let select ~threads ?zones (cols : Column.t array) (preds : pexpr list)
       (Stats.alive_ranges zones start (start + len - 1));
     (out, !count)
   in
-  let k =
-    if threads <= 1 || n <= stride then 1
-    else Parallel.morsel_count ~threads n
-  in
-  collect_parts ~threads (Parallel.map_chunks ~k ~threads n run)
+  collect_parts ~threads (Parallel.map_chunks ~threads n run)
 
 (* ------------------------------------------------------------------ *)
 (* Numeric expression readers (aggregate arguments)                   *)

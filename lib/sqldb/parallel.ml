@@ -1,22 +1,23 @@
-(** Morsel-style parallelism over OCaml 5 domains.
+(** Morsel-style parallelism: the one place that decides whether a region
+    of work splits, into how many chunks, and where they run.
 
-    [threads = 1] runs everything inline so single-threaded measurements are
-    free of domain overhead.
+    A region runs inline at one thread or up to the grain ({!set_grain});
+    above it, {!chunk_count} picks the chunks. [Domains] runs them on a
+    lazily started pool of at most [recommended_domain_count - 1]
+    persistent workers plus the caller, which claims chunks from the same
+    counter, so a caller never waits on a chunk nobody took (a server
+    worker or a nested region cannot deadlock). [Simulated], for hosts
+    with fewer cores than threads, runs chunks one after another, timed,
+    and adds each region's overlap saving (total minus slowest chunk) to
+    {!saved_time}: wall time minus the saving models a multicore run whose
+    regions cost their critical path, without cache effects (DESIGN.md
+    §1). [Sequential_only] runs chunks inline in order.
 
-    On hosts with fewer cores than requested threads (notably the single-CPU
-    evaluation container), real domains cannot exhibit speedup. [Simulated]
-    mode therefore runs each partition sequentially, times it, and records
-    the *overlap saving* — total partition time minus the critical path
-    (slowest partition). A benchmark measures wall time and subtracts
-    {!saved_time} to obtain the modeled multicore time: serial sections count
-    fully, parallel regions count as their critical path. This substitution
-    is documented in DESIGN.md.
-
-    Resilience: every chunk dispatch is a {!Guard} checkpoint and a
-    {!Faults} injection point. A chunk whose domain dies — whether from an
-    injected worker crash, a failed [Domain.spawn], or a poisoned domain —
-    is retried sequentially in the calling domain instead of crashing the
-    query; only guard trips and unrecovered injected faults propagate. *)
+    Every dispatched chunk is a {!Guard} checkpoint and a {!Faults} site
+    and runs under the dispatching query's guard and fault suppression.
+    Guard trips and injected faults propagate; any other failure re-runs
+    its chunk inline. A region returns or raises only after every chunk it
+    handed out has finished. *)
 
 type mode = Sequential_only | Domains | Simulated
 
@@ -54,16 +55,27 @@ let rec add_saved dt =
   let cur = Atomic.get saved in
   if not (Atomic.compare_and_set saved cur (cur +. dt)) then add_saved dt
 
-(* Split [n] items into [k] contiguous chunks as (start, len) pairs. *)
-let chunks ~k n =
-  if n = 0 then []
-  else
-    let k = max 1 (min k n) in
-    let base = n / k and rem = n mod k in
-    List.init k (fun i ->
-        let start = (i * base) + min i rem in
-        let len = base + if i < rem then 1 else 0 in
-        (start, len))
+(* The grain: a region of at most this many rows runs inline, as one call
+   in the calling domain, and {!Radix.should} partitions from this size.
+   Grain 0 splits every region of two or more rows and forces radix. *)
+let default_grain = 8192
+
+let grain_ref = ref default_grain
+let grain () = !grain_ref
+let set_grain g = grain_ref := max 0 g
+
+let inline ~threads n = threads <= 1 || n <= !grain_ref
+
+(* The one chunk-count rule. Scans, filters and probes write disjoint
+   outputs that are only concatenated, so they take morsels: more chunks
+   than threads balance uneven work at no merge cost. An aggregate's
+   chunks ([merged]) each fold a partial table that must then be merged,
+   so every extra chunk costs a table and a merge pass: aggregates take
+   one chunk per thread. *)
+let chunk_count ~merged ~threads n =
+  if inline ~threads n then 1
+  else if merged then threads
+  else max threads (min 64 (n / max 1 !grain_ref))
 
 (* Run one unit of chunk work: deadline checkpoint, fault injection, and
    inline retry when an injected worker crash kills the first attempt. *)
@@ -77,41 +89,99 @@ let run_protected (work : unit -> 'a) : 'a =
     (* the worker died mid-chunk: redo the chunk sequentially *)
     work ()
 
-(* Join a spawned chunk; a poisoned domain retries its chunk inline. Guard
-   trips and injected faults are real outcomes and propagate. *)
-let join_or_retry (work : unit -> 'a) (d : 'a Domain.t) : 'a =
-  match Domain.join d with
-  | r -> r
-  | exception (Guard.Trip _ as e) -> raise e
-  | exception (Faults.Injected _ as e) -> raise e
-  | exception _ -> run_protected work
+(* A dispatched region: [run i] runs item [i] and records its outcome;
+   items are claimed by index from [next]. *)
+type region = {
+  run : int -> unit;
+  size : int;
+  next : int Atomic.t;
+  finished : int Atomic.t;
+}
 
-let spawn_all (works : (unit -> 'a) list) : 'a list =
-  (* Guard and fault-suppression state are domain-local (concurrent queries
-     each carry their own); child domains must explicitly inherit the
-     dispatching query's context or its deadline/row budget would stop
-     applying exactly where most of the work runs. *)
-  let guard = Guard.current () in
-  let sup = Faults.suppressed () in
-  let in_context work () =
-    Guard.with_installed guard (fun () ->
-        Faults.with_inherited sup (fun () -> run_protected work))
+let lock = Mutex.create ()
+let posted = Condition.create () (* a region was queued *)
+let region_done = Condition.create () (* a region finished its last item *)
+
+(* One entry per worker a region wants. An entry whose region the caller
+   already finished finds no item left. *)
+let wanted : region Queue.t = Queue.create ()
+let workers = ref (-1) (* -1: not started *)
+
+(* Claim and run items until none are left. *)
+let help r =
+  let rec loop () =
+    let i = Atomic.fetch_and_add r.next 1 in
+    if i < r.size then begin
+      r.run i;
+      if Atomic.fetch_and_add r.finished 1 = r.size - 1 then begin
+        Mutex.lock lock;
+        Condition.broadcast region_done;
+        Mutex.unlock lock
+      end;
+      loop ()
+    end
   in
-  let doms =
-    List.map
-      (fun work ->
-        match Domain.spawn (in_context work) with
-        | d -> Either.Left (work, d)
-        | exception _ ->
-          (* spawn failed (domain limit): degrade to inline execution *)
-          Either.Right work)
-      works
+  loop ()
+
+let rec worker () =
+  Mutex.lock lock;
+  while Queue.is_empty wanted do
+    Condition.wait posted lock
+  done;
+  let r = Queue.pop wanted in
+  Mutex.unlock lock;
+  help r;
+  worker ()
+
+(* With the lock held: start the workers once. A failed spawn leaves a
+   smaller pool; with none, callers run every item. *)
+let start () =
+  if !workers < 0 then begin
+    workers := 0;
+    try
+      while !workers < available_cores () - 1 do
+        ignore (Domain.spawn worker);
+        incr workers
+      done
+    with _ -> ()
+  end
+
+let run_pooled ~threads (works : (unit -> 'a) list) : 'a list =
+  let works = Array.of_list works in
+  let n = Array.length works in
+  let guard = Guard.current () and sup = Faults.suppressed () in
+  let results = Array.make n None in
+  let run i =
+    results.(i) <-
+      Some
+        (match
+           Guard.with_installed guard (fun () ->
+               Faults.with_inherited sup (fun () -> run_protected works.(i)))
+         with
+        | v -> Ok v
+        | exception e -> Error e)
   in
-  List.map
-    (function
-      | Either.Left (work, d) -> join_or_retry work d
-      | Either.Right work -> run_protected work)
-    doms
+  let r = { run; size = n; next = Atomic.make 0; finished = Atomic.make 0 } in
+  Mutex.lock lock;
+  start ();
+  for _ = 2 to min threads (min (!workers + 1) n) do
+    Queue.push r wanted
+  done;
+  Condition.broadcast posted;
+  Mutex.unlock lock;
+  help r;
+  Mutex.lock lock;
+  while Atomic.get r.finished < n do
+    Condition.wait region_done lock
+  done;
+  Mutex.unlock lock;
+  (* guard trips and injected faults are real outcomes and propagate; any
+     other failure re-runs its item inline *)
+  List.init n (fun i ->
+      match results.(i) with
+      | Some (Ok v) -> v
+      | Some (Error ((Guard.Trip _ | Faults.Injected _) as e)) -> raise e
+      | _ -> run_protected works.(i))
 
 let run_timed (works : (unit -> 'a) list) : 'a list =
   let timed =
@@ -127,37 +197,31 @@ let run_timed (works : (unit -> 'a) list) : 'a list =
   add_saved (total -. critical);
   List.map fst timed
 
-(* Map each chunk of [0, n) with [f start len] and collect results in chunk
-   order. [k] overrides the chunk count (default one per thread) — morsel
-   schedulers pass a finer grain so the critical path is one morsel. *)
-let map_chunks ?k ~threads n f =
-  let cs = chunks ~k:(match k with Some k -> k | None -> threads) n in
-  match cs with
-  | [] -> []
-  | [ (s, l) ] -> [ f s l ]
-  | _ when threads <= 1 -> List.map (fun (s, l) -> f s l) cs
-  | _ -> (
-    let works = List.map (fun (s, l) () -> f s l) cs in
-    match !mode with
-    | Sequential_only -> List.map run_protected works
-    | Domains -> spawn_all works
-    | Simulated -> run_timed works)
-
-(* Run independent thunks "in parallel" under the same policy. *)
-let map_list ~threads (fs : (unit -> 'a) list) : 'a list =
-  if threads <= 1 || List.length fs <= 1 then List.map (fun f -> f ()) fs
-  else
-    match !mode with
-    | Sequential_only -> List.map run_protected fs
-    | Domains -> spawn_all fs
-    | Simulated -> run_timed fs
-
-(* Morsel count for embarrassingly parallel loops over [n] rows: enough
-   chunks that work-stealing can balance them (the critical path is one
-   morsel, not a 1/threads range), bounded so per-chunk dispatch stays
-   negligible. Real domains get exactly one chunk each — spawning dozens of
-   domains on a multicore host costs more than it balances. *)
-let morsel_count ~threads n =
+(* Run two or more independent work items under the current mode. *)
+let dispatch ~threads (works : (unit -> 'a) list) : 'a list =
   match !mode with
-  | Domains -> threads
-  | Sequential_only | Simulated -> max threads (min 64 (n / 8192))
+  | Sequential_only -> List.map run_protected works
+  | Domains -> run_pooled ~threads works
+  | Simulated -> run_timed works
+
+(** Map each chunk of rows [0, n) with [f start len] and collect the
+    results in chunk order; [merged] marks an aggregate's partials
+    ({!chunk_count}). An inline region is the one call [f 0 n]; an empty
+    one calls nothing. *)
+let map_chunks ?(merged = false) ~threads n f =
+  let k = min n (chunk_count ~merged ~threads n) in
+  if k <= 1 then if n = 0 then [] else [ f 0 n ]
+  else
+    let base = n / k and rem = n mod k in
+    dispatch ~threads
+      (List.init k (fun i ->
+           let start = (i * base) + min i rem in
+           fun () -> f start (base + if i < rem then 1 else 0)))
+
+(** [List.map f xs] over independent items that together touch [rows]
+    rows, under the same inline rule as {!map_chunks}. *)
+let map_list ~threads ~rows f xs =
+  match xs with
+  | _ :: _ :: _ when not (inline ~threads rows) ->
+    dispatch ~threads (List.map (fun x () -> f x) xs)
+  | _ -> List.map f xs

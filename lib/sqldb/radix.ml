@@ -19,11 +19,11 @@
     its matches as one range of the shared row array, in insertion order.
     An unpartitioned build is the one-partition case of the same layout.
     Only the build side decides: [should] compares its row count against
-    [min_rows], and small builds stay unpartitioned. The probe side is
-    never partitioned; it runs in morsels against the whole build.
+    {!Parallel.grain}, and small builds stay unpartitioned. The probe side
+    is never partitioned; it runs in morsels against the whole build.
 
     [set_enabled false] disables partitioning entirely; tests force the
-    radix path with [set_min_rows 0].
+    radix path with [Parallel.set_grain 0].
 
     Every scatter chunk and per-partition build is a {!Guard} checkpoint
     and a {!Faults} injection site ("radix.scatter", "radix.build"); chunk
@@ -33,23 +33,19 @@
     At one thread (radix forced) the pieces run inline and a fault reaches
     [Db.execute]'s suppressed retry. *)
 
-let default_min_rows = 8192
-
 let enabled_ref = ref true
-let min_rows_ref = ref default_min_rows
 
 let enabled () = !enabled_ref
 let set_enabled b = enabled_ref := b
-let min_rows () = !min_rows_ref
-let set_min_rows n = min_rows_ref := max 0 n
 
-(* Partition when the build side is big enough to amortize the two extra
-   passes. With one worker the cache-residency win alone rarely pays at our
-   scales, so single-threaded execution keeps the single-table path — unless
-   the threshold was explicitly forced to 0 (differential tests exercise
+(* Partition when the input reaches the grain, the size at which a region
+   splits at all. With one worker the cache-residency win alone rarely
+   pays at our scales, so single-threaded execution keeps the single-table
+   path — unless the grain was forced to 0 (differential tests exercise
    radix at 1 thread through exactly this override). *)
 let should ~rows ~threads =
-  !enabled_ref && rows >= !min_rows_ref && (threads > 1 || !min_rows_ref = 0)
+  let grain = Parallel.grain () in
+  !enabled_ref && rows >= grain && (threads > 1 || grain = 0)
 
 (* Power-of-two partition count: enough partitions that each build fits in
    cache (~8K rows targets L2 for a few key+payload columns) and that every
@@ -72,50 +68,45 @@ let partition_bits ~rows ~threads =
 let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
     (n : int) : int array array =
   let mask = nparts - 1 in
-  (* morsel-granular chunks: both passes are embarrassingly parallel, so the
-     critical path should be one morsel, not a 1/threads range *)
-  let cs = Parallel.chunks ~k:(Parallel.morsel_count ~threads n) n in
   (* the histogram pass caches each row's partition id (nparts <= 64 fits a
      byte; 255 marks a null key) so the scatter pass re-routes with one byte
-     load instead of re-hashing the key columns *)
+     load instead of re-hashing the key columns; the scatter pass reuses
+     its morsels *)
   let pid = Bytes.create n in
   let hists =
-    Parallel.map_list ~threads
-      (List.map
-         (fun (start, len) () ->
-           Guard.check ();
-           Faults.slow_point ~site:"radix.scatter";
-           let hist = Array.make nparts 0 in
-           for pos = start to start + len - 1 do
-             (* single-thread chunks can span the whole input: keep the
-                deadline checkpoint at stride granularity regardless *)
-             if (pos - start) land 8191 = 0 then Guard.check ();
-             let h = hash (base pos) in
-             if h >= 0 then begin
-               let p = h land mask in
-               Bytes.unsafe_set pid pos (Char.unsafe_chr p);
-               hist.(p) <- hist.(p) + 1
-             end
-             else Bytes.unsafe_set pid pos '\255'
-           done;
-           hist)
-         cs)
+    Parallel.map_chunks ~threads n (fun start len ->
+        Guard.check ();
+        Faults.slow_point ~site:"radix.scatter";
+        let hist = Array.make nparts 0 in
+        for pos = start to start + len - 1 do
+          (* single-thread chunks can span the whole input: keep the
+             deadline checkpoint at stride granularity regardless *)
+          if (pos - start) land 8191 = 0 then Guard.check ();
+          let h = hash (base pos) in
+          if h >= 0 then begin
+            let p = h land mask in
+            Bytes.unsafe_set pid pos (Char.unsafe_chr p);
+            hist.(p) <- hist.(p) + 1
+          end
+          else Bytes.unsafe_set pid pos '\255'
+        done;
+        (start, len, hist))
   in
   (* prefix sums: offsets.(chunk).(p) = rows of partition p written by
      earlier chunks; totals.(p) = partition size *)
   let totals = Array.make nparts 0 in
   let offsets =
     List.map
-      (fun hist ->
+      (fun (start, len, hist) ->
         let off = Array.copy totals in
         Array.iteri (fun p c -> totals.(p) <- totals.(p) + c) hist;
-        off)
+        (start, len, off))
       hists
   in
   let out = Array.init nparts (fun p -> Array.make totals.(p) 0) in
-  let works =
-    List.map2
-      (fun (start, len) off () ->
+  ignore
+    (Parallel.map_list ~threads ~rows:n
+      (fun (start, len, off) ->
         Guard.check ();
         Faults.crash_point ~site:"radix.scatter";
         Faults.slow_point ~site:"radix.scatter";
@@ -131,9 +122,7 @@ let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
             cur.(p) <- cur.(p) + 1
           end
         done)
-      cs offsets
-  in
-  ignore (Parallel.map_list ~threads works);
+      offsets);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -186,16 +175,16 @@ let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
   let offs = Array.make (total + 1) 0 and rows = Array.make total 0 in
   offs.(total) <- total;
   let built =
-    Parallel.map_list ~threads
-      (List.init np (fun p () ->
-           if partitioned then begin
-             Guard.check ();
-             Faults.crash_point ~site:"radix.build";
-             Faults.slow_point ~site:"radix.build"
-           end;
-           let row, n = regions.(p) in
-           Hash_util.build_region cols idxs ~row ~n ~base:bases.(p) ~offs
-             ~rows))
+    Parallel.map_list ~threads ~rows:n_log
+      (fun p ->
+        if partitioned then begin
+          Guard.check ();
+          Faults.crash_point ~site:"radix.build";
+          Faults.slow_point ~site:"radix.build"
+        end;
+        let row, n = regions.(p) in
+        Hash_util.build_region cols idxs ~row ~n ~base:bases.(p) ~offs ~rows)
+      (List.init np Fun.id)
   in
   { mask = np - 1;
     keys = Array.of_list (List.map fst built);

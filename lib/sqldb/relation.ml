@@ -58,11 +58,8 @@ let to_bigarray ?(threads = 1) t =
   { t with
     cols =
       Array.of_list
-        (Parallel.map_list ~threads
-           (Array.to_list (Array.map (fun c () -> Column.to_bigarray c) t.cols))) }
-
-(* Back to GC-heap arrays (the [Column.set_bigarray false] path and tests). *)
-let to_legacy t = { t with cols = Array.map Column.to_legacy t.cols }
+        (Parallel.map_list ~threads ~rows:(n_rows t) Column.to_bigarray
+           (Array.to_list t.cols)) }
 
 (* Decode all dictionary columns back to raw strings (equivalence tests). *)
 let decode_strings t = { t with cols = Array.map Column.decode t.cols }
@@ -83,8 +80,9 @@ let concat ?(threads = 1) = function
       cols =
         Array.of_list
           (Parallel.map_list ~threads
-             (List.init (Array.length first.cols) (fun i () ->
-                  Column.concat (List.map (fun r -> r.cols.(i)) rs)))) }
+             ~rows:(List.fold_left (fun acc r -> acc + n_rows r) 0 rs)
+             (fun i -> Column.concat (List.map (fun r -> r.cols.(i)) rs))
+             (List.init (Array.length first.cols) Fun.id)) }
 
 let to_rows t =
   List.init (n_rows t) (fun i -> Array.to_list (row t i))

@@ -252,11 +252,9 @@ let compute ?unique ?(threads = 1) (rel : Relation.t) : table_stats =
     match unique with Some u when i < Array.length u -> u.(i) | _ -> false
   in
   let per_col =
-    Parallel.map_list ~threads
-      (Array.to_list
-         (Array.mapi
-            (fun i c () -> (stats_of_col ~unique:(uniq i) c, zones_of_col c))
-            rel.Relation.cols))
+    Parallel.map_list ~threads ~rows:(Relation.n_rows rel)
+      (fun (i, c) -> (stats_of_col ~unique:(uniq i) c, zones_of_col c))
+      (List.mapi (fun i c -> (i, c)) (Array.to_list rel.Relation.cols))
   in
   let per_col = Array.of_list per_col in
   { row_count = Relation.n_rows rel;
@@ -397,13 +395,11 @@ let append_table (old : table_stats) ?unique ?(threads = 1)
     match unique with Some u when i < Array.length u -> u.(i) | _ -> false
   in
   let per_col =
-    Parallel.map_list ~threads
-      (Array.to_list
-         (Array.mapi
-            (fun i c () ->
-              ( append_col_stats ~unique:(uniq i) old.cols.(i) c ~from,
-                extend_zones old.zones.(i) c ~from ))
-            rel.Relation.cols))
+    Parallel.map_list ~threads ~rows:(Relation.n_rows rel - from)
+      (fun (i, c) ->
+        ( append_col_stats ~unique:(uniq i) old.cols.(i) c ~from,
+          extend_zones old.zones.(i) c ~from ))
+      (List.mapi (fun i c -> (i, c)) (Array.to_list rel.Relation.cols))
   in
   let per_col = Array.of_list per_col in
   { row_count = Relation.n_rows rel;

@@ -57,15 +57,11 @@ let chunk_rows = 65_536
    [lo, lo+len) from a chunk-private stream. Chunks run across domains;
    results come back in chunk order. *)
 let gen_chunks ~threads ~seed ~tid n f =
-  let rec mk lo acc =
-    if lo >= n then List.rev acc
-    else
-      let len = min chunk_rows (n - lo) in
-      let chunk = lo / chunk_rows in
-      mk (lo + len)
-        ((fun () -> f (Rng.create (derive_seed seed tid chunk)) lo len) :: acc)
-  in
-  Parallel.map_list ~threads (mk 0 [])
+  Parallel.map_list ~threads ~rows:n
+    (fun c ->
+      let lo = c * chunk_rows in
+      f (Rng.create (derive_seed seed tid c)) lo (min chunk_rows (n - lo)))
+    (List.init ((n + chunk_rows - 1) / chunk_rows) Fun.id)
 
 let regions = [| "AFRICA"; "AMERICA"; "ASIA"; "EUROPE"; "MIDDLE EAST" |]
 

@@ -101,7 +101,7 @@ let contains_sub (sub : string) (s : string) : bool =
    through their setters, then restore every one, whatever [f] does.
    Dictionary encoding and column backing are decided at ingest, so only a
    database built inside [f] takes them up. *)
-let with_config ?radix ?radix_min_rows ?dict ?bigarray ?fuse ?ivm ?cache
+let with_config ?radix ?grain ?dict ?bigarray ?fuse ?ivm ?cache
     ?plancache ?parallel (f : unit -> 'a) : 'a =
   let toggle get set v =
     let saved = get () in
@@ -110,7 +110,7 @@ let with_config ?radix ?radix_min_rows ?dict ?bigarray ?fuse ?ivm ?cache
   in
   let restore =
     [ toggle Radix.enabled Radix.set_enabled radix;
-      toggle Radix.min_rows Radix.set_min_rows radix_min_rows;
+      toggle Parallel.grain Parallel.set_grain grain;
       toggle Db.dict_encoding_enabled Db.set_dict_encoding dict;
       toggle Column.bigarray_enabled Column.set_bigarray bigarray;
       toggle Kernel.fuse_enabled Kernel.set_fuse fuse;

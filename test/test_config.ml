@@ -28,7 +28,7 @@ let sf = 0.002
 
 let configs : (string * ((unit -> unit) -> unit)) list =
   [ ("default", fun f -> with_config f);
-    ("radix forced", fun f -> with_config ~radix:true ~radix_min_rows:0 f);
+    ("radix forced", fun f -> with_config ~radix:true ~grain:0 f);
     ("radix off", fun f -> with_config ~radix:false f);
     ("raw strings", fun f -> with_config ~dict:false f);
     ("heap arrays", fun f -> with_config ~bigarray:false f);

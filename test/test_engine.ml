@@ -343,7 +343,7 @@ let exec_tests =
              GROUP BY h" ]
         in
         let default = List.map (fun sql -> q (agg_db ()) sql) queries in
-        with_config ~radix:true ~radix_min_rows:0 (fun () ->
+        with_config ~radix:true ~grain:0 (fun () ->
             List.iter2
               (fun sql expected ->
                 check_rel ("radix forced | " ^ sql) expected (q (agg_db ()) sql))

@@ -105,7 +105,8 @@ let cache_interaction_test =
 
 (* Chunk-level recovery in isolation: an injected worker crash re-runs the
    chunk inline, so a fault-heavy parallel map still returns exactly the
-   sequential answer in every dispatch mode. *)
+   sequential answer in every dispatch mode. 1000 rows sit under the
+   default grain, so the map runs under grain 0 to split at all. *)
 let sum_chunks () =
   Sqldb.Parallel.map_chunks ~threads:4 1000 (fun s l ->
       let acc = ref 0 in
@@ -116,25 +117,127 @@ let sum_chunks () =
 
 let parallel_retry_test =
   tc "map_chunks recovers injected worker crashes in every mode" (fun () ->
+      with_config ~grain:0 @@ fun () ->
       let expected = sum_chunks () in
-      let saved_mode = Sqldb.Parallel.current_mode () in
-      Fun.protect
-        ~finally:(fun () ->
-          Sqldb.Parallel.set_mode saved_mode;
-          Faults.arm_from_env ())
-        (fun () ->
+      Fun.protect ~finally:Faults.arm_from_env (fun () ->
           List.iter
             (fun mode ->
-              Sqldb.Parallel.set_mode mode;
+              with_config ~parallel:mode @@ fun () ->
               List.iter
                 (fun seed ->
                   Faults.arm ~seed ();
+                  let got = sum_chunks () in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "seed %d splits" seed)
+                    true
+                    (List.length got > 1);
                   Alcotest.(check (list int))
                     (Printf.sprintf "seed %d" seed)
-                    expected (sum_chunks ()))
+                    expected got)
                 seeds)
             [ Sqldb.Parallel.Sequential_only; Sqldb.Parallel.Domains;
               Sqldb.Parallel.Simulated ]))
+
+(* ------------------------------------------------------------------ *)
+(* The domain pool                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Parallel = Sqldb.Parallel
+
+(* Real domains, faults off, every region above the grain. *)
+let pooled f =
+  Faults.disarm ();
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
+      with_config ~parallel:Parallel.Domains ~grain:0 f)
+
+(* The chunks of [0, n) must come back in order and cover it exactly. *)
+let check_cover what n chunks =
+  Alcotest.(check bool) (what ^ " splits") true (List.length chunks > 1);
+  Alcotest.(check int)
+    (what ^ " covers in order")
+    n
+    (List.fold_left
+       (fun next (s, l) ->
+         Alcotest.(check int) (what ^ " chunk start") next s;
+         s + l)
+       0 chunks)
+
+(* Wait up to two seconds for [cond]. *)
+let await cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < 2. do
+    Domain.cpu_relax ()
+  done
+
+(* The first item a worker runs raises [e] (item 1 when the host has one
+   core and the pool no workers); the caller holds its first item until
+   then, so a worker does take one. When the exception reaches the
+   caller, every other item must have finished; the next region must
+   succeed. *)
+let raise_in_worker e =
+  let caller = Domain.self () in
+  let workers = Parallel.available_cores () > 1 in
+  let raised = Atomic.make false and finished = Atomic.make 0 in
+  (match
+     Parallel.map_list ~threads:3 ~rows:4
+       (fun i ->
+         let on_caller = Domain.self () = caller in
+         if
+           (if workers then not on_caller else i = 1)
+           && Atomic.compare_and_set raised false true
+         then raise e;
+         if workers && on_caller then await (fun () -> Atomic.get raised);
+         (* a worker's items finish last *)
+         Unix.sleepf (if on_caller then 0.005 else 0.05);
+         Atomic.incr finished)
+       [ 0; 1; 2; 3 ]
+   with
+  | _ -> Alcotest.fail "the region returned"
+  | exception e' ->
+    Alcotest.(check bool) "the item's exception" true (e' == e);
+    Alcotest.(check int) "the other items finished first" 3
+      (Atomic.get finished));
+  check_cover "next region" 9
+    (Parallel.map_chunks ~threads:3 9 (fun s l -> (s, l)))
+
+let pool_tests =
+  [ tc "a chunk that opens a nested region completes" (fun () ->
+        pooled @@ fun () ->
+        check_cover "outer region" 6
+          (Parallel.map_chunks ~threads:3 6 (fun s l ->
+               check_cover "inner region" 5
+                 (Parallel.map_chunks ~threads:3 5 (fun s l -> (s, l)));
+               (s, l))));
+    tc "a guard trip in a worker's item waits for the region" (fun () ->
+        pooled @@ fun () ->
+        raise_in_worker
+          (Sqldb.Guard.Trip { reason = Sqldb.Guard.Cancelled; detail = "test" }));
+    tc "an injected fault in a worker's item waits for the region" (fun () ->
+        pooled @@ fun () ->
+        raise_in_worker
+          (Faults.Injected { kind = Faults.Dict_corrupt; site = "test" }));
+    tc "two dispatching domains get their own ordered results" (fun () ->
+        pooled @@ fun () ->
+        let run k () =
+          List.for_all
+            (fun _ ->
+              Parallel.map_list ~threads:3 ~rows:20 (fun i -> k * i)
+                (List.init 20 Fun.id)
+              = List.init 20 (fun i -> k * i))
+            (List.init 50 Fun.id)
+        in
+        let d = Domain.spawn (run 3) in
+        let here = run 7 () in
+        Alcotest.(check (pair bool bool))
+          "both ordered" (true, true) (Domain.join d, here));
+    tc "an inline region is one call" (fun () ->
+        Faults.disarm ();
+        Fun.protect ~finally:Faults.arm_from_env @@ fun () ->
+        with_config ~parallel:Parallel.Domains @@ fun () ->
+        let calls = ref [] in
+        ignore
+          (Parallel.map_chunks ~threads:3 5 (fun s l -> calls := (s, l) :: !calls));
+        Alcotest.(check (list (pair int int))) "one call" [ (0, 5) ] !calls) ]
 
 (* The registry itself: deterministic draws per seed, suppression masks
    firing, env round-trip. *)
@@ -175,6 +278,7 @@ let registry_tests =
 let suites =
   [ ("faults-registry", registry_tests);
     ("faults-parallel", [ parallel_retry_test ]);
+    ("parallel", pool_tests);
     ("faults-cache", [ cache_interaction_test ]);
     ( "faults-oracle",
       List.map workload_oracle seeds @ List.map tpch_oracle seeds ) ]

@@ -267,7 +267,7 @@ let queries (cs : case) : (string * string list) list =
 (* ------------------------------------------------------------------ *)
 
 let with_radix forced f =
-  if forced then with_config ~radix:true ~radix_min_rows:0 f
+  if forced then with_config ~radix:true ~grain:0 f
   else with_config ~radix:false f
 
 let check_case (cs : case) () =

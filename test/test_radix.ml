@@ -1,7 +1,7 @@
 (** Differential tests for radix-partitioned join/aggregation execution.
 
     Every query runs twice on a cache-disabled database: once with radix
-    partitioning forced on every join ([Radix.set_min_rows 0]) and once
+    partitioning forced on every join ([Parallel.set_grain 0]) and once
     with it disabled outright. Join answers must be identical — not just
     as sets but row-for-row in output order, because downstream operators
     (window functions, positional tensor lowering) key on join output
@@ -17,9 +17,9 @@
 open Sqldb
 open Helpers
 
-(* Radix forced on every join (the row threshold drops to zero, so even
-   tiny tables partition at 1 thread) against radix off. *)
-let forced f = with_config ~radix:true ~radix_min_rows:0 f
+(* Radix forced on every join (the grain drops to zero, so even tiny
+   tables partition at 1 thread) against radix off. *)
+let forced f = with_config ~radix:true ~grain:0 f
 let off f = with_config ~radix:false f
 let diff_queries = diff_queries ~base:off ~subject:forced
 
@@ -157,7 +157,7 @@ let test_dict_keys_raw () =
 
 let test_faults_soak () =
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~cache:false ~radix:true ~radix_min_rows:0 (fun () ->
+      with_config ~cache:false ~radix:true ~grain:0 (fun () ->
           let db = skewed_db () in
           let sql =
             "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM probe AS p, \
@@ -185,7 +185,7 @@ let test_faults_soak () =
 let test_small_build_no_fault_site () =
   let cols = [| ints (Array.init 500 (fun i -> i mod 50)) |] in
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~radix:true ~radix_min_rows:Radix.default_min_rows
+      with_config ~radix:true ~grain:Parallel.default_grain
         (fun () ->
           List.iter
             (fun seed ->
