@@ -4,8 +4,8 @@
     programmatically, the registry makes deterministic pseudo-random draws at
     named injection points compiled into the engine:
 
-    - {b worker crash} ([Parallel] chunk dispatch) — the chunk's domain dies
-      with {!Injected}; the caller recovers by re-running the chunk inline;
+    - {b worker crash} ([Parallel] chunk dispatch) — the chunk fails with
+      {!Injected} before it starts and {!Parallel.run_protected} re-runs it;
     - {b slow partition} ([Parallel] chunk dispatch) — the chunk stalls for a
       few milliseconds, exercising deadline guards and the simulated-speedup
       accounting under skew;
@@ -34,8 +34,8 @@ let registry : state option Atomic.t = Atomic.make None
 (* Recovery paths re-execute work with injection suppressed so a retry
    cannot be re-faulted into a livelock. Suppression is domain-local:
    concurrent queries on a server worker pool must not mask each other's
-   injection points when one of them happens to be inside a retry. Worker
-   domains spawned mid-query inherit the parent's suppression explicitly
+   injection points when one of them happens to be inside a retry. Pool
+   workers running a query's chunk inherit its suppression explicitly
    ({!Parallel} passes [suppressed ()] through {!with_inherited}). *)
 let suppress_depth : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
@@ -49,9 +49,9 @@ let with_suppressed f =
     f
 
 (** Run [f] with suppression forced on ([true]) or left as-is ([false]):
-    child domains re-running a suppressed parent's work call this with the
-    parent's [suppressed ()] so a recovery retry stays unfaulted across the
-    spawn boundary. *)
+    a pool worker running a suppressed query's chunk calls this with the
+    query's [suppressed ()] so a recovery retry stays unfaulted across
+    domains. *)
 let with_inherited inherited f = if inherited then with_suppressed f else f ()
 
 let arm ~seed () = Atomic.set registry (Some { seed; draws = Atomic.make 0 })

@@ -10,8 +10,8 @@
 
     The active guard is {b domain-local}: concurrent queries running on
     different domains (the {!Server} worker pool) each install and observe
-    their own guard without interfering. Worker domains spawned {e inside} a
-    query ({!Parallel}) inherit the dispatching query's guard explicitly via
+    their own guard without interfering. Pool workers running a chunk of a
+    query ({!Parallel}) install the dispatching query's guard explicitly via
     {!current} / {!with_installed}; the guard record itself is shared and
     its counters are atomics, so row accounting and cancellation are visible
     across every domain working on the same query. When no guard is
@@ -40,8 +40,8 @@ let active : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let current () : t option = Domain.DLS.get active
 
 (** Run [f] with [g] as this domain's active guard, restoring the previous
-    guard afterwards. {!Parallel} uses this to propagate the dispatching
-    query's guard into freshly spawned worker domains. *)
+    guard afterwards. {!Parallel} uses this to run each chunk under the
+    dispatching query's guard, on whichever domain runs it. *)
 let with_installed (g : t option) (f : unit -> 'a) : 'a =
   let prev = Domain.DLS.get active in
   Domain.DLS.set active g;
