@@ -3,7 +3,10 @@
     ({!Kernel}) and the views ({!Matview}) fold through, and the fold,
     merge and emit of per-range partials ({!fold}, {!emit}) that every
     aggregate operator runs. The executors only say where the rows come
-    from. *)
+    from, and whether they bring each group as one run ({!in_runs}): a
+    DISTINCT aggregate over an int argument then folds run by run through
+    a small per-run set, and every other DISTINCT aggregate probes a key
+    table of (group, value) pairs. *)
 
 open Value
 
@@ -115,8 +118,8 @@ type acc = {
 }
 
 (* Boxed accumulators hold no DISTINCT state: the caller filters the rows
-   of a distinct aggregate first (through a [slot_state] [SDistinct] key
-   set) and updates with the [plain] spec. *)
+   of a distinct aggregate first (through a [slot_state] [SDistinct] or
+   [SRun] set) and updates with the [plain] spec. *)
 let create (_ : Plan.agg_spec) : acc =
   { count = 0; sumi = 0; sumf = 0.; sumc = 0.; minv = VNull; maxv = VNull }
 
@@ -368,15 +371,110 @@ let dense_finish (spec : Plan.agg_spec) (d : dense) (slot : int) : Value.t =
   | DMinMaxF { count; best; _ } ->
     if count.(slot) = 0 then VNull else VFloat best.(slot)
 
+(* ------------------------------------------------------------------ *)
+(* Per-run distinct sets                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The distinct int argument values of the current run of one group slot,
+   for a fold whose groups each arrive as one contiguous run of rows
+   ({!fold}'s [~clustered]): a slot change clears the set, so it never
+   holds more than one group's values. The first [run_linear] values are
+   searched linearly; past that an open-addressing table of positions in
+   [vals] indexes them. Clearing costs O(values held), never O(table), so
+   neither a long run nor many short ones make the fold quadratic. *)
+type runset = {
+  mutable slot : int; (* the run's group slot; -1 before the first row *)
+  mutable len : int; (* values in [vals] *)
+  mutable vals : int array;
+  mutable cells : int array;
+      (* 1 + a position in [vals], 0 when empty; indexes [vals] only while
+         [len > run_linear], in a power-of-two length above [2 len] *)
+}
+
+let run_linear = 16
+
+let runset () =
+  { slot = -1; len = 0; vals = Array.make (2 * run_linear) 0; cells = [||] }
+
+(* The empty cell for [v], or the cell holding it. *)
+let[@inline] run_cell (r : runset) v =
+  let mask = Array.length r.cells - 1 in
+  let j = ref (Value.hash_int v land mask) in
+  while
+    let c = Array.unsafe_get r.cells !j in
+    c <> 0 && Array.unsafe_get r.vals (c - 1) <> v
+  do
+    j := (!j + 1) land mask
+  done;
+  !j
+
+(* Index [vals.(0 .. len-1)] into [cells], which must be empty. *)
+let run_index (r : runset) cells =
+  r.cells <- cells;
+  for i = 0 to r.len - 1 do
+    cells.(run_cell r r.vals.(i)) <- i + 1
+  done
+
+(* Start the run of [slot]: empty the cells [vals] occupies. *)
+let runset_reset (r : runset) slot =
+  if r.len > run_linear then begin
+    let mask = Array.length r.cells - 1 in
+    for i = 0 to r.len - 1 do
+      (* the walk passes emptied cells: [i]'s cell is on it all the same *)
+      let j = ref (Value.hash_int r.vals.(i) land mask) in
+      while r.cells.(!j) <> i + 1 do
+        j := (!j + 1) land mask
+      done;
+      r.cells.(!j) <- 0
+    done
+  end;
+  r.len <- 0;
+  r.slot <- slot
+
+(* Add [v] to the run; [true] when it was not there. *)
+let runset_add (r : runset) v =
+  let len = r.len in
+  let fresh =
+    if len <= run_linear then begin
+      let i = ref 0 in
+      while !i < len && Array.unsafe_get r.vals !i <> v do
+        incr i
+      done;
+      !i = len
+    end
+    else Array.unsafe_get r.cells (run_cell r v) = 0
+  in
+  if fresh then begin
+    if len = Array.length r.vals then r.vals <- extend r.vals (2 * len) 0;
+    Array.unsafe_set r.vals len v;
+    r.len <- len + 1;
+    if len = run_linear then
+      (* a reset left the cells of earlier runs empty *)
+      run_index r
+        (if Array.length r.cells >= 64 then r.cells else Array.make 64 0)
+    else if len > run_linear then begin
+      if 2 * (len + 1) >= Array.length r.cells then
+        run_index r (Array.make (2 * Array.length r.cells) 0)
+      else r.cells.(run_cell r v) <- len + 1
+    end
+  end;
+  fresh
+
 (* Mixed per-spec slot state: unboxed where the shape allows, lazily
    created boxed accumulators elsewhere — both behind the same
    [fun slot row -> unit] updater built per chunk. A DISTINCT aggregate
-   keeps one key-table set over (slot, argument value) and feeds a row to
-   its plain twin's state only when that pair is new. *)
+   feeds a row to its plain twin's state only when its argument value is
+   new to its group. When each group's rows arrive as one run and the
+   argument is an int, a per-run set ([SRun]) decides that; otherwise one
+   key-table set over (slot, argument value) does ([SDistinct]): it serves
+   every other shape (unclustered, nullable or multi-column keys, float,
+   string and bool arguments) and the views, which feed groups in any
+   order. *)
 type slot_state =
   | SDense of dense
   | SBoxed of acc option array
   | SDistinct of { set : Hash_util.keytab; inner : slot_state }
+  | SRun of { run : runset; inner : slot_state }
 
 let plain (spec : Plan.agg_spec) = { spec with Plan.distinct = false }
 
@@ -386,29 +484,34 @@ let distinct_col (a : arg option) : Column.t =
   | Some { col = Some c; _ } -> c
   | _ -> invalid_arg "Agg_util: DISTINCT needs its argument column"
 
-let rec slot_state (spec : Plan.agg_spec) (a : arg option) ~(card : int) :
-    slot_state =
-  if spec.distinct && Option.is_some a then
+let rec slot_state ~clustered (spec : Plan.agg_spec) (a : arg option)
+    ~(card : int) : slot_state =
+  match a with
+  | Some { get = GInt _; _ } when spec.distinct && clustered ->
+    SRun { run = runset (); inner = slot_state ~clustered (plain spec) a ~card }
+  | Some _ when spec.distinct ->
     SDistinct
       { set =
           Hash_util.keytab ~size:card ~tagged:true [| distinct_col a |] [ 0 ];
-        inner = slot_state (plain spec) a ~card }
-  else
+        inner = slot_state ~clustered (plain spec) a ~card }
+  | _ -> (
     match dense_create spec a ~card with
     | Some d -> SDense d
-    | None -> SBoxed (Array.make card None)
+    | None -> SBoxed (Array.make card None))
 
-let slot_states (specs : Plan.agg_spec array) (args : arg option array)
-    ~(card : int) : slot_state array =
-  Array.mapi (fun i spec -> slot_state spec args.(i) ~card) specs
+let slot_states ~clustered (specs : Plan.agg_spec array)
+    (args : arg option array) ~(card : int) : slot_state array =
+  Array.mapi (fun i spec -> slot_state ~clustered spec args.(i) ~card) specs
 
 let rec slot_grow (st : slot_state) (card : int) : slot_state =
   match st with
   | SDense d -> SDense (dense_grow d card)
   | SBoxed accs -> SBoxed (extend accs card None)
   | SDistinct { set; inner } -> SDistinct { set; inner = slot_grow inner card }
+  | SRun { run; inner } -> SRun { run; inner = slot_grow inner card }
 
-(* A deep copy of [st] over [card] slots (at least its own). *)
+(* A deep copy of [st] over [card] slots (at least its own). Only the
+   views copy their state, and they never fold in runs. *)
 let rec slot_copy (st : slot_state) (card : int) : slot_state =
   match st with
   | SDense d -> SDense (dense_grow d card)
@@ -417,6 +520,7 @@ let rec slot_copy (st : slot_state) (card : int) : slot_state =
     SBoxed (extend (Array.map (Option.map copy) accs) card None)
   | SDistinct { set; inner } ->
     SDistinct { set = Hash_util.copy set; inner = slot_copy inner card }
+  | SRun _ -> invalid_arg "Agg_util.slot_copy: per-run state"
 
 let rec slot_update (spec : Plan.agg_spec) (a : arg option) (st : slot_state) :
     int -> int -> unit =
@@ -451,6 +555,14 @@ let rec slot_update (spec : Plan.agg_spec) (a : arg option) (st : slot_state) :
         let before = Hash_util.length set in
         if Hash_util.add set rd row = before then upd slot row
       end
+  | SRun { run; inner } ->
+    let geti = int_get a and valid = valid_row a in
+    let upd = slot_update (plain spec) a inner in
+    fun slot row ->
+      if valid row then begin
+        if slot <> run.slot then runset_reset run slot;
+        if runset_add run (geti row) then upd slot row
+      end
 
 let slot_updates (specs : Plan.agg_spec array) (args : arg option array)
     (sts : slot_state array) : (int -> int -> unit) array =
@@ -474,7 +586,8 @@ let slot_merge ?remap (spec : Plan.agg_spec) (a : slot_state) (b : slot_state)
         | None -> aa.(t) <- Some acc_b
         | Some acc_a -> merge spec acc_a acc_b)
     done
-  | SDistinct _, _ -> invalid_arg "Agg_util.slot_merge: DISTINCT state"
+  | (SDistinct _ | SRun _), _ ->
+    invalid_arg "Agg_util.slot_merge: DISTINCT state"
   | _ -> invalid_arg "Agg_util.slot_merge: shape mismatch"
 
 let rec slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
@@ -485,7 +598,10 @@ let rec slot_finish (spec : Plan.agg_spec) (st : slot_state) (slot : int) :
     match accs.(slot) with
     | Some a -> finish spec a
     | None -> finish spec (create spec))
-  | SDistinct { inner; _ } -> slot_finish (plain spec) inner slot
+  | SDistinct { inner; _ } | SRun { inner; _ } ->
+    (* the inner state's finish never reads [distinct]: no [plain] copy
+       of the spec per group *)
+    slot_finish spec inner slot
 
 (* ------------------------------------------------------------------ *)
 (* GROUP BY                                                           *)
@@ -555,8 +671,11 @@ let global (g : groups) = Array.length g.keys.Hash_util.comps = 0
 (* Hashed grouping sized for [size] groups (it grows past that), or dense
    grouping over a packed domain of [card] keys; a global aggregate keeps
    slot 0 only. Key columns [idxs] of [cols] and the argument readers
-   [args] fix the layouts every later chunk must share. *)
-let groups_create ?(size = 16) ?card (specs : Plan.agg_spec array)
+   [args] fix the layouts every later chunk must share. [clustered] says
+   each group's rows will arrive as one run ({!in_runs}): DISTINCT specs
+   over int arguments then keep a per-run set instead of the key-table
+   set. Only {!fold} passes it; the views feed groups in any order. *)
+let groups_make ~size ?card ~clustered (specs : Plan.agg_spec array)
     (args : arg option array) (cols : Column.t array) (idxs : int list) :
     groups =
   let size = max 16 size in
@@ -564,21 +683,24 @@ let groups_create ?(size = 16) ?card (specs : Plan.agg_spec array)
   | [], _ ->
     { keys = Hash_util.keytab cols [];
       specs;
-      states = slot_states specs args ~card:1;
+      states = slot_states ~clustered specs args ~card:1;
       cap = 1;
       dense = None }
   | _, Some card ->
     { keys = Hash_util.keytab ~size:(min card size) cols idxs;
       specs;
-      states = slot_states specs args ~card;
+      states = slot_states ~clustered specs args ~card;
       cap = card;
       dense = Some (dense_index card) }
   | _, None ->
     { keys = Hash_util.keytab ~size cols idxs;
       specs;
-      states = slot_states specs args ~card:size;
+      states = slot_states ~clustered specs args ~card:size;
       cap = size;
       dense = None }
+
+let groups_create ?(size = 16) ?card specs args cols idxs =
+  groups_make ~size ?card ~clustered:false specs args cols idxs
 
 (* A deep copy: feeding it leaves [g] as it was. *)
 let groups_copy (g : groups) : groups =
@@ -703,13 +825,41 @@ let groups_relation (g : groups) (schema : Plan.schema) : Relation.t =
 type batch =
   ((int -> int) * int) option -> arg option array -> Column.t array -> int -> unit
 
+(* Whether the rows [at 0 .. at (n-1)] of [cols], in that order, bring
+   each group over key columns [idxs] as one contiguous run: always for a
+   global aggregate (one run by definition); for one non-null int or date
+   key column when its values never descend, found by one pass that stops
+   at the first descent; never otherwise. *)
+let in_runs (cols : Column.t array) (idxs : int list) ~(n : int)
+    (at : int -> int) : bool =
+  match idxs with
+  | [] -> true
+  | [ g ] -> (
+    let c = cols.(g) in
+    match (c.Column.ty, c.Column.nulls, Column.int_reader c) with
+    | (TInt | TDate), None, Some get ->
+      let rec from i prev =
+        i >= n
+        ||
+        let v = get (at i) in
+        v >= prev
+        && begin
+             if i land 8191 = 0 then Guard.check ();
+             from (i + 1) v
+           end
+      in
+      from 0 min_int
+    | _ -> false)
+  | _ -> false
+
 (* The partial of one input range over key columns [idxs]: [source batch]
    calls [batch] once per batch of columns (every morsel of a pipeline, or
    the one set of columns a selection ranges over) and feeds that batch's
    rows, in input order, to the consumer it returns. The first batch
    creates the groups, hashed for [size] groups or dense over its packed
-   domain; [None] when no batch came. *)
-let fold ?size (specs : Plan.agg_spec array) (idxs : int list)
+   domain; [None] when no batch came. [clustered] is the executor's
+   verdict that the range brings each group as one run ({!in_runs}). *)
+let fold ~size ~clustered (specs : Plan.agg_spec array) (idxs : int list)
     (source : batch -> unit) : groups option =
   let part = ref None in
   source (fun dense args cols ->
@@ -718,8 +868,8 @@ let fold ?size (specs : Plan.agg_spec array) (idxs : int list)
         | Some g -> g
         | None ->
           let g =
-            groups_create ?size ?card:(Option.map snd dense) specs args cols
-              idxs
+            groups_make ~size ?card:(Option.map snd dense) ~clustered specs
+              args cols idxs
           in
           part := Some g;
           g

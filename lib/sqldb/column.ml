@@ -625,4 +625,18 @@ let append_chunk (a : t) (b : t) : t =
   in
   { ty = a.ty; data; nulls }
 
-let const ty v n = of_values ty (Array.make n v)
+(* [n] copies of [v] in [ty]'s typed array, converted as {!of_values}
+   would; a NULL [v] gives an all-NULL column. *)
+let const ty (v : Value.t) n =
+  match (v, ty) with
+  | VNull, _ -> of_values ty (Array.make n v)
+  | _, (TInt | TDate) ->
+    { ty; data = I (Array.make n (Value.as_int v)); nulls = None }
+  | _, TFloat ->
+    { ty; data = F (Array.make n (Value.as_float v)); nulls = None }
+  | VString s, TString -> { ty; data = S (Array.make n s); nulls = None }
+  | _, TString ->
+    { ty; data = S (Array.make n (Value.to_string v)); nulls = None }
+  | VBool b, TBool -> { ty; data = B (Array.make n b); nulls = None }
+  | _, TBool ->
+    { ty; data = B (Array.make n (Value.as_int v <> 0)); nulls = None }

@@ -351,15 +351,19 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
   let specs = Array.of_list specs in
   let has_distinct = Array.exists (fun (s : agg_spec) -> s.distinct) specs in
   let threads = if has_distinct then 1 else ctx.threads in
-  let fold ~n idxs source =
-    Agg_util.fold ~size:(Agg_util.size_hint p.est n) specs idxs source
+  let fold ~clustered ~n idxs source =
+    Agg_util.fold ~size:(Agg_util.size_hint p.est n) ~clustered specs idxs
+      source
   in
   (* The survivor loop: each chunk's rows of [cols] that pass [preds] and
      [tests], in ascending order, outside zone-dead blocks ([ztest]) — no
-     morsel materializes. *)
+     morsel materializes. A DISTINCT aggregate runs as one chunk, so its
+     rows arrive in base-row order: when the base key column brings each
+     group as one run, so do the survivors. *)
   let scan ?ztest cols preds tests ~args ~idxs ~dense ~n =
+    let clustered = has_distinct && Agg_util.in_runs cols idxs ~n Fun.id in
     Parallel.map_chunks ~merged:true ~threads n (fun start len ->
-        fold ~n idxs (fun batch ->
+        fold ~clustered ~n idxs (fun batch ->
             match Stats.alive_ranges ztest start (start + len - 1) with
             | [] -> ()
             | ranges ->
@@ -394,9 +398,11 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
       match seg.transform with
       | Some _ ->
         (* every morsel is a batch: chunk columns are distinct gathers of
-           the same columns, so dictionaries and key layouts agree *)
+           the same columns, so dictionaries and key layouts agree; what
+           the transform does to the order of keys goes unchecked, so a
+           DISTINCT spec keeps its key-table set *)
         Parallel.map_chunks ~merged:true ~threads n (fun start len ->
-            fold ~n groups (fun batch ->
+            fold ~clustered:false ~n groups (fun batch ->
                 iter_morsels ?ztest seg start len (fun c ->
                     let cols = c.Relation.cols in
                     let feed =
@@ -436,7 +442,7 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
         | Some parts ->
           Parallel.map_list ~threads ~rows:n
             (fun sel ->
-              fold ~n:(Array.length sel) groups (fun batch ->
+              fold ~clustered:false ~n:(Array.length sel) groups (fun batch ->
                   let feed = batch None args cols in
                   Array.iteri
                     (fun i row ->

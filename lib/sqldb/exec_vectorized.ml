@@ -388,9 +388,14 @@ and run_aggregate ctx (p : plan) sub groups specs =
      through the key table. Either way groups come out in first-seen
      order. *)
   let dense = groups_dense ~n cols groups in
+  (* A DISTINCT aggregate folds its whole input as one range, in selection
+     order: a selection that reorders the rows (a sort) usually breaks the
+     key runs the base order had. *)
+  let clustered = has_distinct && Agg_util.in_runs cols groups ~n base in
   (* one partial over the [count] rows [get 0 .. get (count-1)] *)
   let fold (get : int -> int) (count : int) =
-    Agg_util.fold ~size:(Agg_util.size_hint p.est count) specs groups
+    Agg_util.fold ~size:(Agg_util.size_hint p.est count) ~clustered specs
+      groups
       (fun batch ->
         let feed = batch dense args cols in
         for i = 0 to count - 1 do

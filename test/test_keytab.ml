@@ -13,7 +13,9 @@
     against a nested-loop / association-list reference written here with
     the documented key semantics: floats compare with [Float.equal]
     (-0.0 = 0.0, NaN = NaN), joins never match a NULL key component, and
-    grouping treats NULL as a value. *)
+    grouping treats NULL as a value. A clustered table checks the per-run
+    DISTINCT fold that stands in for the key table when each group arrives
+    as one run, and the inputs that must keep the key table. *)
 
 open Sqldb
 open Value
@@ -270,19 +272,21 @@ let with_radix forced f =
   if forced then with_config ~radix:true ~grain:0 f
   else with_config ~radix:false f
 
-let check_case (cs : case) () =
+(* Every query on both executors at 1 and 3 threads, radix forced and off,
+   against its expected multiset of rendered rows. *)
+let check_queries name cat queries =
   List.iter
     (fun (sql, expected) ->
-      let bq = Planner.plan_query cs.cat (Sql_parse.parse sql) in
+      let bq = Planner.plan_query cat (Sql_parse.parse sql) in
       List.iter
         (fun (bname, run) ->
           List.iter
             (fun threads ->
               List.iter
                 (fun forced ->
-                  let r = with_radix forced (fun () -> run ~threads cs.cat bq) in
+                  let r = with_radix forced (fun () -> run ~threads cat bq) in
                   Alcotest.(check (list string))
-                    (Printf.sprintf "%s %s @%dt radix=%b | %s" cs.name bname
+                    (Printf.sprintf "%s %s @%dt radix=%b | %s" name bname
                        threads forced sql)
                     expected (rows_of r))
                 [ false; true ])
@@ -291,7 +295,9 @@ let check_case (cs : case) () =
             fun ~threads cat bq -> Exec_vectorized.run_query ~threads cat bq );
           ( "compiled",
             fun ~threads cat bq -> Exec_compiled.run_query ~threads cat bq ) ])
-    (queries cs)
+    queries
+
+let check_case (cs : case) () = check_queries cs.name cs.cat (queries cs)
 
 let cases =
   [ ("int vs bigarray int", 1, [ c Ints BigInts ]);
@@ -323,6 +329,160 @@ let skewed =
     (check_case
        (make_case ~name:"skew" ~seed:12 ~nl:10_000 ~nr:150 ~skew:10_000
           [ c Ints BigInts; c Dict Raw ]))
+
+(* ------------------------------------------------------------------ *)
+(* DISTINCT aggregates over clustered keys                            *)
+(* ------------------------------------------------------------------ *)
+
+(* C(ck, kdate, kdesc, kinter, knull, cv, cvb, cw): [ck] is non-decreasing
+   in runs of 1 to 12 rows, with one run of 200 rows and one of 60 (past
+   the per-run set's linear bound and its first table size); [kdate] is
+   the same keys as dates. The other keys decline the per-run fold:
+   [kdesc] is [ck] reversed, [kinter] interleaves seven groups, [knull] is
+   [ck] with NULLs. [cv] (and its bigarray copy [cvb]) repeats small values
+   across runs, with NULLs inside runs; [cw] is a permutation of the rows.
+   D holds every other key of [ck]. *)
+type clustered = {
+  ccat : Catalog.t;
+  key : string -> Value.t array;
+  cv : Value.t array;
+  cw : int array;
+  dkeys : int list;
+}
+
+let make_clustered () : clustered =
+  let rand = Random.State.make [| 23 |] in
+  let runs =
+    List.init 12 (fun i -> i + 1) @ [ 200 ]
+    @ List.init 20 (fun _ -> 1 + Random.State.int rand 8)
+    @ [ 60 ]
+    @ List.init 10 (fun _ -> 1 + Random.State.int rand 4)
+  in
+  (* a run's (key, value) rows; long runs draw from a wider range *)
+  let run k len =
+    List.init len (fun _ ->
+        ( k,
+          if Random.State.int rand 7 = 0 then VNull
+          else VInt (Random.State.int rand (if len > 50 then 150 else 7)) ))
+  in
+  let _, rows =
+    List.fold_left
+      (fun (k, acc) len -> (k + 1 + Random.State.int rand 3, acc @ run k len))
+      (-5, []) runs
+  in
+  let ck = Array.of_list (List.map fst rows)
+  and cv = Array.of_list (List.map snd rows) in
+  let n = Array.length ck in
+  let cw = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let t = cw.(i) in
+    cw.(i) <- cw.(j);
+    cw.(j) <- t
+  done;
+  let keys = Hashtbl.create 8 in
+  let vints a = Array.map (fun k -> VInt k) a in
+  Hashtbl.replace keys "ck" (vints ck);
+  Hashtbl.replace keys "kdate" (Array.map (fun k -> VDate k) ck);
+  Hashtbl.replace keys "kdesc" (vints (Array.init n (fun i -> ck.(n - 1 - i))));
+  Hashtbl.replace keys "kinter" (vints (Array.init n (fun i -> i mod 7)));
+  Hashtbl.replace keys "knull"
+    (Array.mapi (fun i k -> if i mod 13 = 5 then VNull else VInt k) ck);
+  let key name = Hashtbl.find keys name in
+  let dkeys =
+    List.filteri
+      (fun i _ -> i mod 2 = 0)
+      (List.sort_uniq compare (Array.to_list ck))
+  in
+  let cat = Catalog.create () in
+  Catalog.add_transient cat "C"
+    (rel
+       [ "ck"; "kdate"; "kdesc"; "kinter"; "knull"; "cv"; "cvb"; "cw" ]
+       [ ints ck;
+         Column.of_values TDate (key "kdate");
+         Column.of_values TInt (key "kdesc");
+         Column.of_values TInt (key "kinter");
+         Column.of_values TInt (key "knull");
+         Column.of_values TInt cv;
+         Column.to_bigarray (Column.of_values TInt cv);
+         ints cw ]);
+  Catalog.add_transient cat "D" (rel [ "dk" ] [ ints (Array.of_list dkeys) ]);
+  { ccat = cat; key; cv; cw; dkeys }
+
+(* COUNT, SUM, AVG and MIN of the distinct non-null ints in [vs]. *)
+let distinct_aggs (vs : Value.t list) : Value.t list =
+  let ds =
+    List.sort_uniq compare
+      (List.filter_map (function VInt x -> Some x | _ -> None) vs)
+  in
+  let sum = List.fold_left ( + ) 0 ds in
+  match ds with
+  | [] -> [ vint 0; VNull; VNull; VNull ]
+  | d :: _ ->
+    [ vint (List.length ds);
+      vint sum;
+      VFloat (float_of_int sum /. float_of_int (List.length ds));
+      vint d ]
+
+let clustered_queries (c : clustered) : (string * string list) list =
+  let n = Array.length c.cv in
+  let rows = List.init n Fun.id in
+  (* grouped by the values of [key] among [rows], NULL a group of its own *)
+  let grouped key rows =
+    let rows = Array.of_list rows in
+    List.sort String.compare
+      (List.map
+         (fun (g, pos) ->
+           let vs = List.map (fun p -> c.cv.(rows.(p))) pos in
+           let count = List.length (List.filter (fun v -> v <> VNull) vs) in
+           render_row (g @ distinct_aggs vs @ [ vint count ]))
+         (group_rows (Array.map (fun i -> [ key.(i) ]) rows)))
+  in
+  let aggs =
+    "COUNT(DISTINCT cv), SUM(DISTINCT cv), AVG(DISTINCT cvb), \
+     MIN(DISTINCT cv), COUNT(cv)"
+  in
+  let by k =
+    ( Printf.sprintf "SELECT %s, %s FROM C GROUP BY %s" k aggs k,
+      grouped (c.key k) rows )
+  in
+  let ck = c.key "ck" in
+  let pick keep = List.filter keep rows in
+  [ by "ck";
+    by "kdate";
+    by "kdesc";
+    by "kinter";
+    by "knull";
+    ( Printf.sprintf "SELECT ck, %s FROM C WHERE cw %% 3 <> 0 GROUP BY ck" aggs,
+      grouped ck (pick (fun i -> c.cw.(i) mod 3 <> 0)) );
+    ( Printf.sprintf
+        "SELECT ck, %s FROM (SELECT ck, cv, cvb FROM C ORDER BY cw) s \
+         GROUP BY ck"
+        aggs,
+      grouped ck rows );
+    ( Printf.sprintf "SELECT ck, %s FROM C JOIN D ON ck = dk GROUP BY ck" aggs,
+      grouped ck
+        (pick (fun i ->
+             match ck.(i) with VInt k -> List.mem k c.dkeys | _ -> false)) );
+    ( "SELECT COUNT(DISTINCT cv), SUM(DISTINCT cvb), AVG(DISTINCT cv), \
+       MIN(DISTINCT cv) FROM C",
+      [ render_row (distinct_aggs (Array.to_list c.cv)) ] ) ]
+
+let clustered_distinct =
+  tc "DISTINCT aggregates over clustered and unclustered keys" (fun () ->
+      let c = make_clustered () in
+      let cols name =
+        let r = (Catalog.find c.ccat "C").Catalog.rel in
+        [| r.Relation.cols.(Option.get (Relation.col_index r name)) |]
+      in
+      List.iter
+        (fun (k, runs) ->
+          Alcotest.(check bool)
+            ("in_runs " ^ k) runs
+            (Agg_util.in_runs (cols k) [ 0 ] ~n:(Array.length c.cv) Fun.id))
+        [ ("ck", true); ("kdate", true); ("kdesc", false); ("kinter", false);
+          ("knull", false); ("cv", false) ];
+      check_queries "clustered" c.ccat (clustered_queries c))
 
 (* ------------------------------------------------------------------ *)
 (* Growth and float keys                                              *)
@@ -410,4 +570,5 @@ let float_keys =
         [ Db.Vectorized; Db.Compiled ])
 
 let suites =
-  [ ("keytab", differential @ [ skewed; growth; float_keys ]) ]
+  [ ( "keytab",
+      differential @ [ skewed; clustered_distinct; growth; float_keys ] ) ]
