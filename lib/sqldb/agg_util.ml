@@ -415,19 +415,14 @@ let run_index (r : runset) cells =
     cells.(run_cell r r.vals.(i)) <- i + 1
   done
 
-(* Start the run of [slot]: empty the cells [vals] occupies. *)
+(* Start the run of [slot]: empty the cells [vals] occupies, latest value
+   first, so the cells on each value's probe path (all taken by earlier
+   values) are still full when it is looked up. *)
 let runset_reset (r : runset) slot =
-  if r.len > run_linear then begin
-    let mask = Array.length r.cells - 1 in
-    for i = 0 to r.len - 1 do
-      (* the walk passes emptied cells: [i]'s cell is on it all the same *)
-      let j = ref (Value.hash_int r.vals.(i) land mask) in
-      while r.cells.(!j) <> i + 1 do
-        j := (!j + 1) land mask
-      done;
-      r.cells.(!j) <- 0
-    done
-  end;
+  if r.len > run_linear then
+    for i = r.len - 1 downto 0 do
+      r.cells.(run_cell r r.vals.(i)) <- 0
+    done;
   r.len <- 0;
   r.slot <- slot
 
