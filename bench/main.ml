@@ -60,9 +60,10 @@ let geomean xs =
 
 (* One measurement, in measurement order. Every row carries the full
    configuration it was measured under — scale factor, thread count, the
-   radix toggle, and (since the kernel PR) the bigarray-storage and
-   fused-kernel toggles — so --compare can refuse to diff incompatible
-   runs instead of silently reporting a config change as a perf change.
+   radix toggle and the fused-kernel toggle — so --compare can refuse to
+   diff incompatible runs instead of silently reporting a config change as
+   a perf change. The bigarray stamp is always true: heap-array columns,
+   once a toggle, no longer exist.
    The config fields are options only because baselines written before
    they existed parse without them; fresh rows always have all of them. *)
 type row = {
@@ -80,15 +81,9 @@ type row = {
 
 let results : row list ref = ref []
 
-let record ?radix ?bigarray ?fused ?ivm ?plancache ~experiment ~variant
-    ~threads mean =
+let record ?radix ?fused ?ivm ?plancache ~experiment ~variant ~threads mean =
   let radix =
     match radix with Some b -> b | None -> Sqldb.Radix.enabled ()
-  in
-  let bigarray =
-    match bigarray with
-    | Some b -> b
-    | None -> Sqldb.Column.bigarray_enabled ()
   in
   let fused =
     match fused with Some b -> b | None -> Sqldb.Kernel.fuse_enabled ()
@@ -105,7 +100,9 @@ let record ?radix ?bigarray ?fused ?ivm ?plancache ~experiment ~variant
       threads;
       rsf = Some sf;
       radix = Some radix;
-      bigarray = Some bigarray;
+      (* every numeric column is a bigarray; the stamp keeps --compare
+         matching baselines written while heap arrays were an option *)
+      bigarray = Some true;
       fused = Some fused;
       ivm = Some ivm;
       plancache = Some plancache;

@@ -184,13 +184,13 @@ module Series = struct
     let a = coerce a b.Column.ty and b = coerce b a.Column.ty in
     let stringish (c : Column.t) =
       match c.Column.data with
-      | Column.S _ | Column.D _ | Column.BD _ -> true
+      | Column.S _ | Column.D _ -> true
       | _ -> false
     in
-    match (Column.codes_reader a, Column.codes_reader b) with
-    | Some (ca, da), Some (cb, db) when da == db ->
+    match (a.Column.data, b.Column.data) with
+    | Column.D (ca, da), Column.D (cb, db) when da == db ->
       let rank = da.Column.rank in
-      Array.init n (fun i -> test (compare rank.(ca i) rank.(cb i)))
+      Array.init n (fun i -> test (compare rank.(ca.{i}) rank.(cb.{i})))
     | _ -> (
       if stringish a && stringish b then
         Array.init n (fun i ->

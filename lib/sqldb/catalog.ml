@@ -57,14 +57,6 @@ let create () : t =
 let pin (t : t) : t = { snap = Atomic.make (Atomic.get t.snap) }
 
 let build_table ?(cons = no_constraints) ?threads ~tver rel =
-  (* Base tables move to bigarray backing at ingest (unless disabled), so
-     every downstream scan runs over contiguous unboxed memory. Stats and
-     zone maps are computed after the move: they attach to the physical
-     data array ({!zones_for}), which must be the one the executors see. *)
-  let rel =
-    if Column.bigarray_enabled () then Relation.to_bigarray ?threads rel
-    else rel
-  in
   let unique =
     Array.map
       (fun nm -> cons.primary_key = [ nm ] || List.mem [ nm ] cons.unique)
@@ -91,8 +83,7 @@ let add ?cons ?threads t name rel =
   swap_in t (fun s version ->
       M.add name (build_table ?cons ?threads ~tver:version rel) s.tables)
 
-(* Register a short-lived relation without ingest costs: no bigarray
-   conversion, no statistics beyond row/null counts, no zone maps. The
+(* Register a short-lived relation without ingest costs: no statistics beyond row/null counts, no zone maps. The
    view engine uses this for delta slices that are scanned exactly once —
    full ingest would cost more than the replay it feeds. *)
 let add_transient ?(cons = no_constraints) t name rel =

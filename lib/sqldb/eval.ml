@@ -312,12 +312,6 @@ let dict_row_pred (c : Column.t) (f : string -> bool) : (int -> bool) option =
     let tbl = Array.map f d.Column.values in
     Some
       (match c.Column.nulls with
-      | None -> fun row -> tbl.(codes.(row))
-      | Some m -> fun row -> (not (Bitset.get m row)) && tbl.(codes.(row)))
-  | Column.BD (codes, d) ->
-    let tbl = Array.map f d.Column.values in
-    Some
-      (match c.Column.nulls with
       | None -> fun row -> tbl.(Bigarray.Array1.get codes row)
       | Some m ->
         fun row ->
@@ -357,15 +351,6 @@ let dict_eq_pred (c : Column.t) (k : string) ~(negated : bool) :
     (int -> bool) option =
   match c.Column.data with
   | Column.D (codes, d) ->
-    let body =
-      match Column.dict_find d k with
-      | Some code ->
-        if negated then fun row -> codes.(row) <> code
-        else fun row -> codes.(row) = code
-      | None -> fun _ -> negated
-    in
-    Some (with_null_check c body)
-  | Column.BD (codes, d) ->
     let body =
       match Column.dict_find d k with
       | Some code ->
@@ -410,22 +395,19 @@ let prefix_rank_range (d : Column.dict) (prefix : string) : int * int =
 
 let dict_prefix_pred (c : Column.t) (prefix : string) ~(negated : bool) :
     (int -> bool) option =
-  let make codes_at (d : Column.dict) =
+  match c.Column.data with
+  | Column.D (codes, d) ->
     let rank = d.Column.rank in
     let lo, hi = prefix_rank_range d prefix in
     let body =
       if negated then fun row ->
-        let r = rank.(codes_at row) in
+        let r = rank.(Bigarray.Array1.get codes row) in
         r < lo || r >= hi
       else fun row ->
-        let r = rank.(codes_at row) in
+        let r = rank.(Bigarray.Array1.get codes row) in
         r >= lo && r < hi
     in
     Some (with_null_check c body)
-  in
-  match c.Column.data with
-  | Column.D (codes, d) -> make (fun row -> codes.(row)) d
-  | Column.BD (codes, d) -> make (Bigarray.Array1.get codes) d
   | _ -> None
 
 (* Code-direct string predicate dispatch shared by both executors:
@@ -470,21 +452,16 @@ let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
     let c = cols.(i) in
     let test = cmp_test op in
     match (c.Column.data, lit) with
-    | (Column.D _ | Column.BD _), VString k -> (
+    | Column.D _, VString k -> (
       match dict_cmp_pred c op k test with
       | Some f -> f
       | None -> fallback e)
     | _ when Column.has_nulls c -> fallback e
-    | Column.I a, (VInt k | VDate k) -> fun row -> test (compare a.(row) k)
-    | Column.F a, VFloat k -> fun row -> test (compare a.(row) k)
-    | Column.F a, VInt k ->
-      let k = float_of_int k in
-      fun row -> test (compare a.(row) k)
-    | Column.BI v, (VInt k | VDate k) ->
+    | Column.I v, (VInt k | VDate k) ->
       fun row -> test (compare (Bigarray.Array1.get v row) k)
-    | Column.BF v, VFloat k ->
+    | Column.F v, VFloat k ->
       fun row -> test (compare (Bigarray.Array1.get v row) k)
-    | Column.BF v, VInt k ->
+    | Column.F v, VInt k ->
       let k = float_of_int k in
       fun row -> test (compare (Bigarray.Array1.get v row) k)
     | Column.S a, VString k -> fun row -> test (String.compare a.(row) k)
@@ -494,41 +471,32 @@ let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
     let test = cmp_test op in
     match (ca.Column.data, cb.Column.data) with
     | _ when Column.has_nulls ca || Column.has_nulls cb -> fallback e
-    | Column.I x, Column.I y -> fun row -> test (Int.compare x.(row) y.(row))
+    | Column.I x, Column.I y ->
+      fun row ->
+        test (Int.compare (Bigarray.Array1.get x row) (Bigarray.Array1.get y row))
     | Column.F x, Column.F y ->
-      fun row -> test (Float.compare x.(row) y.(row))
+      fun row ->
+        test
+          (Float.compare (Bigarray.Array1.get x row) (Bigarray.Array1.get y row))
     | Column.S x, Column.S y ->
       fun row -> test (String.compare x.(row) y.(row))
-    | Column.D (x, dx), Column.D (y, dy) when dx == dy ->
-      let rank = dx.Column.rank in
-      fun row -> test (Int.compare rank.(x.(row)) rank.(y.(row)))
     | Column.D (x, dx), Column.D (y, dy) ->
-      let rx, ry = Column.cross_ranks dx dy in
-      fun row -> test (Int.compare rx.(x.(row)) ry.(y.(row)))
+      let rx, ry =
+        if dx == dy then (dx.Column.rank, dx.Column.rank)
+        else Column.cross_ranks dx dy
+      in
+      fun row ->
+        test
+          (Int.compare
+             rx.(Bigarray.Array1.get x row)
+             ry.(Bigarray.Array1.get y row))
     | Column.D (x, dx), Column.S y ->
       let vx = dx.Column.values in
-      fun row -> test (String.compare vx.(x.(row)) y.(row))
+      fun row -> test (String.compare vx.(Bigarray.Array1.get x row) y.(row))
     | Column.S x, Column.D (y, dy) ->
       let vy = dy.Column.values in
-      fun row -> test (String.compare x.(row) vy.(y.(row)))
-    | _ -> (
-      (* bigarray backings (and mixed bigarray/legacy pairs of one type)
-         dispatch through readers: same comparisons, one indirection *)
-      match (Column.int_reader ca, Column.int_reader cb) with
-      | Some gx, Some gy -> fun row -> test (Int.compare (gx row) (gy row))
-      | _ -> (
-        match (Column.float_reader ca, Column.float_reader cb) with
-        | Some gx, Some gy ->
-          fun row -> test (Float.compare (gx row) (gy row))
-        | _ -> (
-          match (Column.codes_reader ca, Column.codes_reader cb) with
-          | Some (gx, dx), Some (gy, dy) when dx == dy ->
-            let rank = dx.Column.rank in
-            fun row -> test (Int.compare rank.(gx row) rank.(gy row))
-          | Some (gx, dx), Some (gy, dy) ->
-            let rx, ry = Column.cross_ranks dx dy in
-            fun row -> test (Int.compare rx.(gx row) ry.(gy row))
-          | _ -> fallback e))))
+      fun row -> test (String.compare x.(row) vy.(Bigarray.Array1.get y row))
+    | _ -> fallback e)
   | PLike (PCol i, pattern, negated) -> (
     match dict_like_pred cols.(i) pattern ~negated with
     | Some f -> f
@@ -545,6 +513,17 @@ let rec compile_pred (cols : Column.t array) (e : pexpr) : int -> bool =
 (* ------------------------------------------------------------------ *)
 (* Column-at-a-time evaluation (vectorized executor)                  *)
 (* ------------------------------------------------------------------ *)
+
+(* Row arithmetic, inlined into the typed loops of {!eval_col}. *)
+let[@inline] int_arith (op : Sql_ast.binop) x y =
+  match op with Sql_ast.Add -> x + y | Sql_ast.Sub -> x - y | _ -> x * y
+
+let[@inline] float_arith (op : Sql_ast.binop) x y =
+  match op with
+  | Sql_ast.Add -> x +. y
+  | Sql_ast.Sub -> x -. y
+  | Sql_ast.Mul -> x *. y
+  | _ -> x /. y
 
 let merged_nulls (a : Column.t) (b : Column.t) =
   match (a.Column.nulls, b.Column.nulls) with
@@ -602,146 +581,87 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
   and arith op a b =
     let ca = eval a and cb = eval b in
     let nulls = merged_nulls ca cb in
-    match (ca.Column.data, cb.Column.data, op) with
-    | Column.F x, Column.F y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
-      for i = 0 to n - 1 do
-        out.(i) <- f x.(i) y.(i)
-      done;
+    let get = Bigarray.Array1.unsafe_get and set = Bigarray.Array1.unsafe_set in
+    (* one direct loop per operand pair; the operator is matched per row,
+       since a closure call would box every float. Null rows are zeroed
+       afterwards: their operands' payloads may combine to anything. *)
+    let float_out fill =
+      let out = Column.fvec_create n in
+      fill out;
+      Option.iter (Bitset.iter_set (fun i -> set out i 0.)) nulls;
       { Column.ty = TFloat; data = Column.F out; nulls }
+    in
+    match (ca.Column.data, cb.Column.data, op) with
     | Column.I x, Column.I y, (Sql_ast.Add | Sub | Mul) ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( + )
-        | Sql_ast.Sub -> ( - )
-        | _ -> ( * )
-      in
-      let out = Array.make n 0 in
+      let out = Column.ivec_create n in
       for i = 0 to n - 1 do
-        out.(i) <- f x.(i) y.(i)
+        set out i (int_arith op (get x i) (get y i))
       done;
+      Option.iter (Bitset.iter_set (fun i -> set out i 0)) nulls;
       let ty =
         match (ca.Column.ty, cb.Column.ty, op) with
         | TDate, TInt, _ | TInt, TDate, Sql_ast.Add -> TDate
         | _ -> TInt
       in
       { Column.ty; data = Column.I out; nulls }
-    | Column.I x, Column.I y, Sql_ast.Div ->
-      let out = Array.make n 0. in
-      for i = 0 to n - 1 do
-        out.(i) <- float_of_int x.(i) /. float_of_int y.(i)
-      done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
-    | Column.I x, Column.F y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
-      for i = 0 to n - 1 do
-        out.(i) <- f (float_of_int x.(i)) y.(i)
-      done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
-    | Column.F x, Column.I y, _ ->
-      let f =
-        match op with
-        | Sql_ast.Add -> ( +. )
-        | Sql_ast.Sub -> ( -. )
-        | Sql_ast.Mul -> ( *. )
-        | _ -> ( /. )
-      in
-      let out = Array.make n 0. in
-      for i = 0 to n - 1 do
-        out.(i) <- f x.(i) (float_of_int y.(i))
-      done;
-      { Column.ty = TFloat; data = Column.F out; nulls }
-    | _ -> (
-      (* bigarray operands (and bigarray/legacy mixes) run the same typed
-         loops through readers; outputs are intermediates and stay on the
-         GC heap *)
-      match (Column.int_reader ca, Column.int_reader cb, op) with
-      | Some gx, Some gy, (Sql_ast.Add | Sub | Mul) ->
-        let f =
-          match op with
-          | Sql_ast.Add -> ( + )
-          | Sql_ast.Sub -> ( - )
-          | _ -> ( * )
-        in
-        let out = Array.make n 0 in
-        for i = 0 to n - 1 do
-          out.(i) <- f (gx i) (gy i)
-        done;
-        let ty =
-          match (ca.Column.ty, cb.Column.ty, op) with
-          | TDate, TInt, _ | TInt, TDate, Sql_ast.Add -> TDate
-          | _ -> TInt
-        in
-        { Column.ty; data = Column.I out; nulls }
-      | _ -> (
-        match (Column.num_reader ca, Column.num_reader cb) with
-        | Some gx, Some gy ->
-          let f =
-            match op with
-            | Sql_ast.Add -> ( +. )
-            | Sql_ast.Sub -> ( -. )
-            | Sql_ast.Mul -> ( *. )
-            | _ -> ( /. )
-          in
-          let out = Array.make n 0. in
+    | Column.I x, Column.I y, _ ->
+      float_out (fun out ->
           for i = 0 to n - 1 do
-            out.(i) <- f (gx i) (gy i)
-          done;
-          { Column.ty = TFloat; data = Column.F out; nulls }
-        | _ -> fallback (PBin (op, a, b))))
+            set out i (float_of_int (get x i) /. float_of_int (get y i))
+          done)
+    | Column.F x, Column.F y, _ ->
+      float_out (fun out ->
+          for i = 0 to n - 1 do
+            set out i (float_arith op (get x i) (get y i))
+          done)
+    | Column.I x, Column.F y, _ ->
+      float_out (fun out ->
+          for i = 0 to n - 1 do
+            set out i (float_arith op (float_of_int (get x i)) (get y i))
+          done)
+    | Column.F x, Column.I y, _ ->
+      float_out (fun out ->
+          for i = 0 to n - 1 do
+            set out i (float_arith op (get x i) (float_of_int (get y i)))
+          done)
+    | _ -> fallback (PBin (op, a, b))
   and cmp_cols op ca cb =
     let nulls = merged_nulls ca cb in
     let test = cmp_test op in
+    let get = Bigarray.Array1.unsafe_get in
     let out = Array.make n false in
     (match (ca.Column.data, cb.Column.data) with
     | Column.I x, Column.I y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) y.(i))
+        out.(i) <- test (compare (get x i) (get y i))
       done
     | Column.F x, Column.F y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) y.(i))
+        out.(i) <- test (compare (get x i) (get y i))
       done
     | Column.S x, Column.S y ->
       for i = 0 to n - 1 do
         out.(i) <- test (String.compare x.(i) y.(i))
       done
-    | Column.D (x, dx), Column.D (y, dy) when dx == dy ->
-      (* Shared dictionary: the precomputed rank order substitutes for
-         string comparison entirely. *)
-      let rank = dx.Column.rank in
-      for i = 0 to n - 1 do
-        out.(i) <- test (compare rank.(x.(i)) rank.(y.(i)))
-      done
     | Column.D (x, dx), Column.D (y, dy) ->
-      (* Distinct dictionaries: merge-rank once, then compare ints. *)
-      let rx, ry = Column.cross_ranks dx dy in
+      (* A shared dictionary's rank order substitutes for string
+         comparison entirely; distinct dictionaries merge-rank once. *)
+      let rx, ry =
+        if dx == dy then (dx.Column.rank, dx.Column.rank)
+        else Column.cross_ranks dx dy
+      in
       for i = 0 to n - 1 do
-        out.(i) <- test (Int.compare rx.(x.(i)) ry.(y.(i)))
+        out.(i) <- test (Int.compare rx.(get x i) ry.(get y i))
       done
     | Column.D (x, dx), Column.S y ->
       let vx = dx.Column.values in
       for i = 0 to n - 1 do
-        out.(i) <- test (String.compare vx.(x.(i)) y.(i))
+        out.(i) <- test (String.compare vx.(get x i) y.(i))
       done
     | Column.S x, Column.D (y, dy) ->
       let vy = dy.Column.values in
       for i = 0 to n - 1 do
-        out.(i) <- test (String.compare x.(i) vy.(y.(i)))
+        out.(i) <- test (String.compare x.(i) vy.(get y i))
       done
     | Column.B x, Column.B y ->
       for i = 0 to n - 1 do
@@ -749,43 +669,19 @@ let eval_col (cols : Column.t array) ~(n : int) (e : pexpr) : Column.t =
       done
     | Column.I x, Column.F y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare (float_of_int x.(i)) y.(i))
+        out.(i) <- test (compare (float_of_int (get x i)) (get y i))
       done
     | Column.F x, Column.I y ->
       for i = 0 to n - 1 do
-        out.(i) <- test (compare x.(i) (float_of_int y.(i)))
+        out.(i) <- test (compare (get x i) (float_of_int (get y i)))
       done
-    | _ -> (
-      match (Column.int_reader ca, Column.int_reader cb) with
-      | Some gx, Some gy ->
-        for i = 0 to n - 1 do
-          out.(i) <- test (Int.compare (gx i) (gy i))
-        done
-      | _ -> (
-        match (Column.num_reader ca, Column.num_reader cb) with
-        | Some gx, Some gy ->
-          for i = 0 to n - 1 do
-            out.(i) <- test (Float.compare (gx i) (gy i))
-          done
-        | _ -> (
-          match (Column.codes_reader ca, Column.codes_reader cb) with
-          | Some (gx, dx), Some (gy, dy) when dx == dy ->
-            let rank = dx.Column.rank in
-            for i = 0 to n - 1 do
-              out.(i) <- test (Int.compare rank.(gx i) rank.(gy i))
-            done
-          | Some (gx, dx), Some (gy, dy) ->
-            let rx, ry = Column.cross_ranks dx dy in
-            for i = 0 to n - 1 do
-              out.(i) <- test (Int.compare rx.(gx i) ry.(gy i))
-            done
-          | _ ->
-            for i = 0 to n - 1 do
-              out.(i) <-
-                (match apply_bin op (Column.get ca i) (Column.get cb i) with
-                | VBool b -> b
-                | _ -> false)
-            done))));
+    | _ ->
+      for i = 0 to n - 1 do
+        out.(i) <-
+          (match apply_bin op (Column.get ca i) (Column.get cb i) with
+          | VBool b -> b
+          | _ -> false)
+      done);
     (* Null in either operand makes the comparison false. *)
     (match nulls with
     | None -> ()

@@ -72,24 +72,24 @@ let row_comparators (r : Relation.t) (keys : (int * bool) list) :
       let c = r.Relation.cols.(i) in
       let cmp =
         match c.Column.data with
-        | Column.I a -> fun x y -> compare a.(x) a.(y)
-        | Column.BI v ->
+        | Column.I v ->
           fun x y ->
             compare (Bigarray.Array1.unsafe_get v x) (Bigarray.Array1.unsafe_get v y)
-        | Column.F a -> fun x y -> Float.compare a.(x) a.(y)
-        | Column.BF v ->
+        | Column.F v ->
           fun x y ->
             Float.compare
               (Bigarray.Array1.unsafe_get v x)
               (Bigarray.Array1.unsafe_get v y)
         | Column.S a -> fun x y -> String.compare a.(x) a.(y)
         | Column.B a -> fun x y -> compare a.(x) a.(y)
-        | Column.D _ | Column.BD _ ->
+        | Column.D (codes, d) ->
           (* Dictionary column: precomputed lexicographic rank replaces
              string comparison in the sort loop. *)
-          let codes, d = Option.get (Column.codes_reader c) in
           let rank = d.Column.rank in
-          fun x y -> compare rank.(codes x) rank.(codes y)
+          fun x y ->
+            compare
+              rank.(Bigarray.Array1.unsafe_get codes x)
+              rank.(Bigarray.Array1.unsafe_get codes y)
       in
       let cmp =
         if Column.has_nulls c then fun x y ->

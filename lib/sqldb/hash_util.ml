@@ -9,14 +9,13 @@
     per entry, so no build or probe ever conses a row list.
 
     Key semantics are the same on every path. Ints and dates compare by
-    value whatever their backing; strings by value whatever their layout
-    (raw, or codes over any dictionary); floats with [Float.equal], so
-    -0.0 = 0.0 and NaN = NaN; bools by value. Keys of different families
-    (an int against a float, say) never compare equal. A join key with a
-    NULL component never matches; grouping and distinct treat NULL as one
-    more value of each component. Every layout hashes through {!row_hash},
-    so the table, the bloom filters and radix partitioning share one
-    hash. *)
+    value; strings by value whatever their layout (raw, or codes over any
+    dictionary); floats with [Float.equal], so -0.0 = 0.0 and NaN = NaN;
+    bools by value. Keys of different families (an int against a float,
+    say) never compare equal. A join key with a NULL component never
+    matches; grouping and distinct treat NULL as one more value of each
+    component. Every layout hashes through {!row_hash}, so the table, the
+    bloom filters and radix partitioning share one hash. *)
 
 open Value
 
@@ -37,13 +36,14 @@ let mixed_radix ~cross_chunk (cs : Column.t list) :
       | Some m -> fun row -> if Bitset.get m row then 0 else f row
     in
     match c.Column.data with
-    | Column.D _ | Column.BD _ ->
-      let codes, d = Option.get (Column.codes_reader c) in
-      Some (nullable (fun row -> codes row + 1), Column.dict_size d + 1)
+    | Column.D (codes, d) ->
+      Some
+        ( nullable (fun row -> Bigarray.Array1.unsafe_get codes row + 1),
+          Column.dict_size d + 1 )
     | Column.B a ->
       Some (nullable (fun row -> if a.(row) then 2 else 1), 3)
-    | (Column.I _ | Column.BI _) when not cross_chunk ->
-      let get = Option.get (Column.int_reader c) in
+    | Column.I v when not cross_chunk ->
+      let get = Bigarray.Array1.unsafe_get v in
       let n = Column.length c in
       if n = 0 then Some ((fun _ -> 0), 2)
       else begin
@@ -113,15 +113,10 @@ let value_hash (s : source) : int -> int =
   | Tag f -> fun r -> hash_int (f r)
   | Col c -> (
     match c.Column.data with
-    | Column.I a -> fun r -> hash_int (Array.unsafe_get a r)
-    | Column.BI v -> fun r -> hash_int (Bigarray.Array1.unsafe_get v r)
-    | Column.F a -> fun r -> hash_float (Array.unsafe_get a r)
-    | Column.BF v -> fun r -> hash_float (Bigarray.Array1.unsafe_get v r)
+    | Column.I v -> fun r -> hash_int (Bigarray.Array1.unsafe_get v r)
+    | Column.F v -> fun r -> hash_float (Bigarray.Array1.unsafe_get v r)
     | Column.S a -> fun r -> hash_string (Array.unsafe_get a r)
     | Column.D (codes, d) ->
-      let h = d.Column.hashes in
-      fun r -> Array.unsafe_get h (Array.unsafe_get codes r)
-    | Column.BD (codes, d) ->
       let h = d.Column.hashes in
       fun r -> Array.unsafe_get h (Bigarray.Array1.unsafe_get codes r)
     | Column.B a -> fun r -> hash_int (Bool.to_int (Array.unsafe_get a r)))
@@ -195,9 +190,9 @@ let family = function
   | Tag _ -> FInt
   | Col c -> (
     match c.Column.data with
-    | Column.I _ | Column.BI _ -> FInt
-    | Column.F _ | Column.BF _ -> FFloat
-    | Column.S _ | Column.D _ | Column.BD _ -> FString
+    | Column.I _ -> FInt
+    | Column.F _ -> FFloat
+    | Column.S _ | Column.D _ -> FString
     | Column.B _ -> FBool)
 
 type 'a vec = { mutable a : 'a array }
@@ -337,18 +332,14 @@ let value_eq (s : source) (c : comp) : (int -> int -> bool) option =
       | Tag f, Ints v -> fun r e -> Array.unsafe_get v.a e = f r
       | Col col, Ints v -> (
         match col.Column.data with
-        | Column.I a ->
-          fun r e -> Array.unsafe_get v.a e = Array.unsafe_get a r
-        | Column.BI b ->
+        | Column.I b ->
           fun r e -> Array.unsafe_get v.a e = Bigarray.Array1.unsafe_get b r
         | Column.B a ->
           fun r e -> Array.unsafe_get v.a e = Bool.to_int (Array.unsafe_get a r)
         | _ -> assert false)
       | Col col, Floats v -> (
         match col.Column.data with
-        | Column.F a ->
-          fun r e -> Float.equal (Array.unsafe_get v.a e) (Array.unsafe_get a r)
-        | Column.BF b ->
+        | Column.F b ->
           fun r e ->
             Float.equal (Array.unsafe_get v.a e) (Bigarray.Array1.unsafe_get b r)
         | _ -> assert false)
@@ -357,11 +348,6 @@ let value_eq (s : source) (c : comp) : (int -> int -> bool) option =
         | Column.S a ->
           fun r e -> String.equal (Array.unsafe_get v.a e) (Array.unsafe_get a r)
         | Column.D (codes, d) ->
-          let vals = d.Column.values in
-          fun r e ->
-            String.equal (Array.unsafe_get v.a e)
-              (Array.unsafe_get vals (Array.unsafe_get codes r))
-        | Column.BD (codes, d) ->
           let vals = d.Column.values in
           fun r e ->
             String.equal (Array.unsafe_get v.a e)
@@ -374,14 +360,12 @@ let value_put (s : source) (c : comp) : int -> int -> unit =
   | Tag f, Ints v -> fun r e -> v.a.(e) <- f r
   | Col col, Ints v -> (
     match col.Column.data with
-    | Column.I a -> fun r e -> v.a.(e) <- a.(r)
-    | Column.BI b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
+    | Column.I b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
     | Column.B a -> fun r e -> v.a.(e) <- Bool.to_int a.(r)
     | _ -> assert false)
   | Col col, Floats v -> (
     match col.Column.data with
-    | Column.F a -> fun r e -> v.a.(e) <- a.(r)
-    | Column.BF b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
+    | Column.F b -> fun r e -> v.a.(e) <- Bigarray.Array1.get b r
     | _ -> assert false)
   | Col col, Strings v -> fun r e -> v.a.(e) <- Column.string_at col r
   | Tag _, (Floats _ | Strings _) -> assert false
@@ -520,8 +504,8 @@ let key_columns (t : keytab) : Column.t array =
         match c.store with
         | Ints v when c.fam = FBool ->
           Column.B (Array.init n (fun e -> v.a.(e) <> 0))
-        | Ints v -> Column.I (Array.sub v.a 0 n)
-        | Floats v -> Column.F (Array.sub v.a 0 n)
+        | Ints v -> Column.I (Column.ivec_of_array ~len:n v.a)
+        | Floats v -> Column.F (Column.fvec_of_array ~len:n v.a)
         | Strings v -> Column.S (Array.sub v.a 0 n)
       in
       let nulls =

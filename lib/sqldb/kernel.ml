@@ -105,22 +105,6 @@ let fill_cmp_fvec (v : Column.fvec) (k : float) (tbl : string) : filler =
     Bytes.unsafe_set m j (String.unsafe_get tbl s)
   done
 
-let fill_cmp_iarr (a : int array) (k : int) (tbl : string) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    let x = Array.unsafe_get a (lo + j) in
-    let s = 1 + Bool.to_int (x > k) - Bool.to_int (x < k) in
-    Bytes.unsafe_set m j (String.unsafe_get tbl s)
-  done
-
-let fill_cmp_farr (a : float array) (k : float) (tbl : string) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    let x = Array.unsafe_get a (lo + j) in
-    let s = 1 + Bool.to_int (x > k) - Bool.to_int (x < k) in
-    Bytes.unsafe_set m j (String.unsafe_get tbl s)
-  done
-
 (* Per-code byte table for a dictionary leaf: [f] evaluated once per
    distinct value — the byte-rendered twin of {!Eval.dict_row_pred}. *)
 let code_table (d : Column.dict) (f : string -> bool) : Bytes.t =
@@ -137,12 +121,6 @@ let fill_codes_vec (codes : Column.ivec) (tbl : Bytes.t) : filler =
   for j = 0 to len - 1 do
     Bytes.unsafe_set m j
       (Bytes.unsafe_get tbl (Bigarray.Array1.unsafe_get codes (lo + j)))
-  done
-
-let fill_codes_arr (codes : int array) (tbl : Bytes.t) : filler =
- fun m ~lo ~len ->
-  for j = 0 to len - 1 do
-    Bytes.unsafe_set m j (Bytes.unsafe_get tbl (Array.unsafe_get codes (lo + j)))
   done
 
 (* Null rows of a filter leaf are always false (SQL three-valued logic in
@@ -238,32 +216,22 @@ let rec flippable (cols : Column.t array) = function
 let rec compile_mask (cols : Column.t array) (e : pexpr) : filler option =
   let ( let* ) = Option.bind in
   (* a per-code byte table over a dictionary column's codes *)
-  let codes_leaf (c : Column.t) (tbl : Bytes.t) : filler option =
-    match c.Column.data with
-    | Column.D (codes, _) -> Some (with_nulls c (fill_codes_arr codes tbl))
-    | Column.BD (codes, _) -> Some (with_nulls c (fill_codes_vec codes tbl))
-    | _ -> None
-  in
   let dict_leaf (c : Column.t) (f : string -> bool) : filler option =
-    let* _, d = Column.codes_reader c in
-    codes_leaf c (code_table d f)
+    match c.Column.data with
+    | Column.D (codes, d) ->
+      Some (with_nulls c (fill_codes_vec codes (code_table d f)))
+    | _ -> None
   in
   let cmp_leaf op i (lit : Value.t) : filler option =
     let c = cols.(i) in
     let* tbl = cmp_table op in
     match (c.Column.data, lit) with
-    | Column.BI v, (Value.VInt k | Value.VDate k) ->
+    | Column.I v, (Value.VInt k | Value.VDate k) ->
       Some (with_nulls c (fill_cmp_ivec v k tbl))
-    | Column.I a, (Value.VInt k | Value.VDate k) ->
-      Some (with_nulls c (fill_cmp_iarr a k tbl))
-    | Column.BF v, Value.VFloat k -> Some (with_nulls c (fill_cmp_fvec v k tbl))
-    | Column.BF v, Value.VInt k ->
+    | Column.F v, Value.VFloat k -> Some (with_nulls c (fill_cmp_fvec v k tbl))
+    | Column.F v, Value.VInt k ->
       Some (with_nulls c (fill_cmp_fvec v (float_of_int k) tbl))
-    | Column.F a, Value.VFloat k -> Some (with_nulls c (fill_cmp_farr a k tbl))
-    | Column.F a, Value.VInt k ->
-      Some (with_nulls c (fill_cmp_farr a (float_of_int k) tbl))
-    | (Column.D _ | Column.BD _), Value.VString k ->
-      let* _, d = Column.codes_reader c in
+    | Column.D (codes, d), Value.VString k ->
       (* mirror Eval.dict_cmp_pred: Eq/Ne resolve the literal through the
          dictionary index; ordered compares evaluate per distinct *)
       let tbl =
@@ -279,7 +247,7 @@ let rec compile_mask (cols : Column.t array) (e : pexpr) : filler option =
           let test = Eval.cmp_test op in
           code_table d (fun v -> test (String.compare v k))
       in
-      codes_leaf c tbl
+      Some (with_nulls c (fill_codes_vec codes tbl))
     | _ -> None
   in
   match e with
@@ -501,10 +469,8 @@ let rec compile_num (cols : Column.t array) (e : pexpr) : num option =
   match e with
   | PCol i -> (
     match cols.(i).Column.data with
-    | Column.BI v -> Some (NInt (fun r -> Bigarray.Array1.unsafe_get v r))
-    | Column.I a -> Some (NInt (fun r -> Array.unsafe_get a r))
-    | Column.BF v -> Some (NFloat (fun r -> Bigarray.Array1.unsafe_get v r))
-    | Column.F a -> Some (NFloat (fun r -> Array.unsafe_get a r))
+    | Column.I v -> Some (NInt (fun r -> Bigarray.Array1.unsafe_get v r))
+    | Column.F v -> Some (NFloat (fun r -> Bigarray.Array1.unsafe_get v r))
     | _ -> None)
   | PLit (Value.VInt k) | PLit (Value.VDate k) -> Some (NInt (fun _ -> k))
   | PLit (Value.VFloat x) -> Some (NFloat (fun _ -> x))

@@ -51,16 +51,6 @@ let take t idx =
 let encode_strings ?max_distinct t =
   { t with cols = Array.map (Column.encode ?max_distinct) t.cols }
 
-(* Move numeric payloads (and dict codes) into bigarray backing; used at
-   catalog ingest so base tables scan unboxed. Column conversions are
-   independent, so with [threads] each is its own work item. *)
-let to_bigarray ?(threads = 1) t =
-  { t with
-    cols =
-      Array.of_list
-        (Parallel.map_list ~threads ~rows:(n_rows t) Column.to_bigarray
-           (Array.to_list t.cols)) }
-
 (* Decode all dictionary columns back to raw strings (equivalence tests). *)
 let decode_strings t = { t with cols = Array.map Column.decode t.cols }
 

@@ -128,23 +128,18 @@ let stats_of_col ~unique (c : Column.t) : col_stats =
     if unique then float_of_int (max 1 live)
     else
       match c.Column.data with
-      | Column.D (_, d) | Column.BD (_, d) ->
-        float_of_int (max 1 (Column.dict_size d))
+      | Column.D (_, d) -> float_of_int (max 1 (Column.dict_size d))
       | Column.B _ -> 2.
-      | Column.I a ->
-        distinct_estimate (fun i -> if is_null i then None else Some a.(i)) n
-      | Column.F a ->
-        distinct_estimate (fun i -> if is_null i then None else Some a.(i)) n
+      | Column.I v ->
+        distinct_estimate
+          (fun i -> if is_null i then None else Some (Bigarray.Array1.get v i))
+          n
+      | Column.F v ->
+        distinct_estimate
+          (fun i -> if is_null i then None else Some (Bigarray.Array1.get v i))
+          n
       | Column.S a ->
         distinct_estimate (fun i -> if is_null i then None else Some a.(i)) n
-      | Column.BI v ->
-        distinct_estimate
-          (fun i -> if is_null i then None else Some (Bigarray.Array1.get v i))
-          n
-      | Column.BF v ->
-        distinct_estimate
-          (fun i -> if is_null i then None else Some (Bigarray.Array1.get v i))
-          n
   in
   let range =
     match Column.num_reader c with
@@ -169,7 +164,7 @@ let stats_of_col ~unique (c : Column.t) : col_stats =
     in
     match c.Column.data with
     | Column.S a -> fold_str (fun i -> a.(i))
-    | Column.D (_, d) | Column.BD (_, d) ->
+    | Column.D (_, d) ->
       (* every dictionary entry occurs in the column, so the value-array
          extremes are the column extremes *)
       let vs = d.Column.values in
@@ -302,7 +297,7 @@ let append_col_stats ~unique (old : col_stats) (c : Column.t) ~from :
   in
   let str_range =
     match c.Column.data with
-    | Column.S _ | Column.D _ | Column.BD _ ->
+    | Column.S _ | Column.D _ ->
       note_scanned d;
       let merged = ref old.str_range in
       for i = from to n - 1 do
@@ -324,7 +319,7 @@ let append_col_stats ~unique (old : col_stats) (c : Column.t) ~from :
     if unique then float_of_int (max 1 live)
     else
       match c.Column.data with
-      | Column.D (_, dd) | Column.BD (_, dd) ->
+      | Column.D (_, dd) ->
         float_of_int (max 1 (Column.dict_size dd))
       | Column.B _ -> 2.
       | _ ->
@@ -338,12 +333,10 @@ let append_col_stats ~unique (old : col_stats) (c : Column.t) ~from :
         in
         let delta_d =
           match c.Column.data with
-          | Column.I a -> at (fun i -> a.(i))
-          | Column.F a -> at (fun i -> a.(i))
+          | Column.I v -> at (Bigarray.Array1.get v)
+          | Column.F v -> at (Bigarray.Array1.get v)
           | Column.S a -> at (fun i -> a.(i))
-          | Column.BI v -> at (Bigarray.Array1.get v)
-          | Column.BF v -> at (Bigarray.Array1.get v)
-          | Column.B _ | Column.D _ | Column.BD _ -> 1.
+          | Column.B _ | Column.D _ -> 1.
         in
         Float.max 1. (Float.min (float_of_int (max 1 live)) (old.distinct +. delta_d))
   in
@@ -406,15 +399,12 @@ let append_table (old : table_stats) ?unique ?(threads = 1)
     cols = Array.map fst per_col;
     zones = Array.map snd per_col }
 
-(* Physical identity of a column's backing array: zone maps attach to the
-   array, not the Column.t wrapper, so they survive re-wrapping. Bigarray
-   payloads are custom blocks and compare by the same physical identity. *)
+(* Physical identity of a column's payload vector: zone maps attach to the
+   vector, not the Column.t wrapper, so they survive re-wrapping. *)
 let data_key (c : Column.t) : Obj.t option =
   match c.Column.data with
-  | Column.I a -> Some (Obj.repr a)
-  | Column.F a -> Some (Obj.repr a)
-  | Column.BI v -> Some (Obj.repr v)
-  | Column.BF v -> Some (Obj.repr v)
+  | Column.I v -> Some (Obj.repr v)
+  | Column.F v -> Some (Obj.repr v)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

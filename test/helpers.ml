@@ -99,9 +99,9 @@ let contains_sub (sub : string) (s : string) : bool =
 
 (* Run [f] with the given engine toggles and parallel dispatch mode set
    through their setters, then restore every one, whatever [f] does.
-   Dictionary encoding and column backing are decided at ingest, so only a
-   database built inside [f] takes them up. *)
-let with_config ?radix ?grain ?dict ?bigarray ?fuse ?ivm ?cache
+   Dictionary encoding is decided at ingest, so only a database built
+   inside [f] takes it up. *)
+let with_config ?radix ?grain ?dict ?fuse ?ivm ?cache
     ?plancache ?parallel (f : unit -> 'a) : 'a =
   let toggle get set v =
     let saved = get () in
@@ -112,7 +112,6 @@ let with_config ?radix ?grain ?dict ?bigarray ?fuse ?ivm ?cache
     [ toggle Radix.enabled Radix.set_enabled radix;
       toggle Parallel.grain Parallel.set_grain grain;
       toggle Db.dict_encoding_enabled Db.set_dict_encoding dict;
-      toggle Column.bigarray_enabled Column.set_bigarray bigarray;
       toggle Kernel.fuse_enabled Kernel.set_fuse fuse;
       toggle Matview.enabled Matview.set_enabled ivm;
       toggle Db.cache_enabled_now Db.set_cache_enabled cache;

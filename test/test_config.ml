@@ -3,8 +3,8 @@
 
     Each configuration sets engine toggles through their setters
     ({!Helpers.with_config}) and builds its databases inside that
-    configuration, because dictionary encoding and column backing are
-    decided at ingest. Under each one runs the same fixed corpus:
+    configuration, because dictionary encoding is decided at ingest.
+    Under each one runs the same fixed corpus:
 
     - the 22 TPC-H programs at SF 0.002 through {!Pytond.run}, on both
       backends at 1 and 3 threads, against the interpreter baseline
@@ -18,8 +18,8 @@
 
     The configurations other than the default are the fallback paths:
     radix partitioning forced down to the smallest build, the single-table
-    join and chunked group merge, raw string columns, heap-array columns,
-    the unfused executors, and recompute in place of delta refresh. *)
+    join and chunked group merge, raw string columns, the unfused
+    executors, and recompute in place of delta refresh. *)
 
 open Sqldb
 open Helpers
@@ -31,7 +31,6 @@ let configs : (string * ((unit -> unit) -> unit)) list =
     ("radix forced", fun f -> with_config ~radix:true ~grain:0 f);
     ("radix off", fun f -> with_config ~radix:false f);
     ("raw strings", fun f -> with_config ~dict:false f);
-    ("heap arrays", fun f -> with_config ~bigarray:false f);
     ("fuse off", fun f -> with_config ~fuse:false f);
     ("IVM off", fun f -> with_config ~ivm:false f) ]
 

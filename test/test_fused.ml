@@ -167,15 +167,6 @@ let test_raw_strings () =
           "SELECT SUM(a) AS s FROM t WHERE tag <> 'beta' AND k < 50";
           "SELECT id FROM t WHERE tag LIKE 'al%' AND k = 3" ])
 
-(* And with the bigarray backing store disabled: the kernels' legacy
-   int/float-array loops must produce the same masks and sums. *)
-let test_legacy_arrays () =
-  with_config ~bigarray:false (fun () ->
-      diff_queries ~label:"legacy-arrays" (fused_db ())
-        [ "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 40";
-          "SELECT SUM(v / b) AS s FROM t WHERE k <> 13";
-          "SELECT tag, SUM(v) AS s FROM t WHERE k < 60 GROUP BY tag" ])
-
 (* ------------------------------------------------------------------ *)
 (* Compensated summation pins (Neumaier)                              *)
 (* ------------------------------------------------------------------ *)
@@ -277,7 +268,6 @@ let suites =
         tc "grouped order" test_grouped_order;
         tc "filter kernels" test_filters;
         tc "raw string predicates" test_raw_strings;
-        tc "legacy array backing" test_legacy_arrays;
         tc "aggregate fold edges" test_edges ] );
     ( "fused-sums",
       [ tc "neumaier chunked vs serial" test_neumaier_sum ] );

@@ -3,11 +3,11 @@
     COUNT(DISTINCT) in both executors.
 
     Key columns are generated from fixed seeds in every pair of physical
-    layouts the executors must equate: heap and bigarray ints, dictionary
-    codes over one shared and over two different dictionaries, dictionary
-    vs raw strings, floats with -0.0 and NaN, bools, and NULLs, over one to
-    three key columns, plus a key duplicated 10k times. The tables go into
-    a catalog as generated (no ingest encoding or bigarray conversion), and
+    layouts the executors must equate: ints, dictionary codes over one
+    shared and over two different dictionaries, dictionary vs raw strings,
+    floats with -0.0 and NaN, bools, and NULLs, over one to three key
+    columns, plus a key duplicated 10k times. The tables go into a catalog
+    as generated (no ingest encoding), and
     every query runs on both executors at 1 and 3 threads with radix
     partitioning forced on and off. Each answer is checked, as a multiset,
     against a nested-loop / association-list reference written here with
@@ -81,9 +81,7 @@ let count_distinct (vs : Value.t list) =
 
 type layout =
   | Ints
-  | BigInts
   | Floats
-  | BigFloats
   | Bools
   | Raw (* raw string array *)
   | Dict (* dictionary of its own side *)
@@ -91,8 +89,8 @@ type layout =
 
 let gen_value rand (l : layout) : Value.t =
   match l with
-  | Ints | BigInts -> VInt (Random.State.int rand 6)
-  | Floats | BigFloats ->
+  | Ints -> VInt (Random.State.int rand 6)
+  | Floats ->
     VFloat
       [| 0.0; -0.0; Float.nan; 0.1 +. 0.2; 0.3; 1.0 |].(Random.State.int rand 6)
   | Bools -> VBool (Random.State.bool rand)
@@ -100,15 +98,14 @@ let gen_value rand (l : layout) : Value.t =
     VString [| "a"; "bb"; ""; "c"; "dd"; "e" |].(Random.State.int rand 6)
 
 let ty_of = function
-  | Ints | BigInts -> Value.TInt
-  | Floats | BigFloats -> Value.TFloat
+  | Ints -> Value.TInt
+  | Floats -> Value.TFloat
   | Bools -> Value.TBool
   | Raw | Dict | Shared -> Value.TString
 
 let column (l : layout) (vs : Value.t array) : Column.t =
   let c = Column.of_values (ty_of l) vs in
   match l with
-  | BigInts | BigFloats -> Column.to_bigarray c
   | Dict -> Column.encode c
   | Ints | Floats | Bools | Raw | Shared -> c
 
@@ -300,21 +297,21 @@ let check_queries name cat queries =
 let check_case (cs : case) () = check_queries cs.name cs.cat (queries cs)
 
 let cases =
-  [ ("int vs bigarray int", 1, [ c Ints BigInts ]);
-    ("bigarray int vs int, nulls", 2, [ c ~nullable:true BigInts Ints ]);
+  [ ("int vs int", 1, [ c Ints Ints ]);
+    ("int vs int, nulls", 2, [ c ~nullable:true Ints Ints ]);
     ("dict, one shared dictionary", 3, [ c Shared Shared ]);
     ("dict, two dictionaries, nulls", 4, [ c ~nullable:true Dict Dict ]);
     ("dict vs raw string", 5, [ c Dict Raw ]);
     ("raw string vs dict, nulls", 6, [ c ~nullable:true Raw Dict ]);
-    ("float -0.0 and NaN, nulls", 7, [ c ~nullable:true Floats BigFloats ]);
+    ("float -0.0 and NaN, nulls", 7, [ c ~nullable:true Floats Floats ]);
     ("bool, nulls", 8, [ c ~nullable:true Bools Bools ]);
-    ("int + dict/raw", 9, [ c Ints BigInts; c ~nullable:true Dict Raw ]);
-    ( "bigint + float + shared dict",
+    ("int + dict/raw", 9, [ c Ints Ints; c ~nullable:true Dict Raw ]);
+    ( "int + float + shared dict",
       10,
-      [ c ~nullable:true BigInts Ints; c Floats Floats; c Shared Shared ] );
+      [ c ~nullable:true Ints Ints; c Floats Floats; c Shared Shared ] );
     ( "bool + raw/dict + float",
       11,
-      [ c Bools Bools; c Raw Dict; c ~nullable:true BigFloats Floats ] ) ]
+      [ c Bools Bools; c Raw Dict; c ~nullable:true Floats Floats ] ) ]
 
 let differential =
   List.map
@@ -328,7 +325,7 @@ let skewed =
   tc "10k-duplicate skewed key"
     (check_case
        (make_case ~name:"skew" ~seed:12 ~nl:10_000 ~nr:150 ~skew:10_000
-          [ c Ints BigInts; c Dict Raw ]))
+          [ c Ints Ints; c Dict Raw ]))
 
 (* ------------------------------------------------------------------ *)
 (* DISTINCT aggregates over clustered keys                            *)
@@ -339,7 +336,7 @@ let skewed =
    the per-run set's linear bound and its first table size); [kdate] is
    the same keys as dates. The other keys decline the per-run fold:
    [kdesc] is [ck] reversed, [kinter] interleaves seven groups, [knull] is
-   [ck] with NULLs. [cv] (and its bigarray copy [cvb]) repeats small values
+   [ck] with NULLs. [cv] (and its copy [cvb]) repeats small values
    across runs, with NULLs inside runs; [cw] is a permutation of the rows.
    D holds every other key of [ck]. *)
 type clustered = {
@@ -404,7 +401,7 @@ let make_clustered () : clustered =
          Column.of_values TInt (key "kinter");
          Column.of_values TInt (key "knull");
          Column.of_values TInt cv;
-         Column.to_bigarray (Column.of_values TInt cv);
+         Column.of_values TInt cv;
          ints cw ]);
   Catalog.add_transient cat "D" (rel [ "dk" ] [ ints (Array.of_list dkeys) ]);
   { ccat = cat; key; cv; cw; dkeys }

@@ -105,64 +105,120 @@ let column_props =
              (fun i -> Column.int_at t i = arr.(n - 1 - i))
              (Array.init n Fun.id))) ]
 
-(* Bigarray-backed columns must be indistinguishable from the legacy
-   boxed-array layout: same values, same nulls, through ingest, gather
-   (take) and concat, for every promotable type. *)
+(* Every int, date and float payload and every dictionary code vector is a
+   bigarray. The column operations are checked against a reference over
+   boxed [Value.t] arrays, and every null slot's payload must read zero
+   ({!Kernel}'s comparison masks rely on it). Before each operation the
+   allocator is handed back freed vectors full of non-zero cells of the
+   output's size, so a producer that skipped writing a null slot would
+   most likely read them. *)
 let bigarray_tests =
   let values_of c = Array.init (Column.length c) (Column.get c) in
-  let mixed_floats n =
-    Array.init n (fun i ->
-        if i mod 7 = 0 then Value.VNull
-        else Value.VFloat (float_of_int (i - (n / 2)) /. 3.))
+  let dirty n =
+    for _ = 1 to 4 do
+      ignore (Sys.opaque_identity (Column.ivec_make n 0x5a5a5a));
+      ignore (Sys.opaque_identity (Column.fvec_make n 1e300))
+    done;
+    Gc.full_major ()
   in
-  [ tc "round trip vs legacy" (fun () ->
-        let n = 300 in
+  let fresh n f =
+    dirty n;
+    f ()
+  in
+  let check name (expect : Value.t array) (c : Column.t) =
+    Alcotest.(check int) (name ^ " length") (Array.length expect) (Column.length c);
+    Alcotest.(check (list string))
+      (name ^ " values")
+      (Array.to_list (Array.map Value.to_string expect))
+      (Array.to_list (Array.map Value.to_string (values_of c)));
+    Array.iteri
+      (fun i v ->
+        if Value.is_null v then
+          match c.Column.data with
+          | Column.I _ ->
+            Alcotest.(check int) (Printf.sprintf "%s null %d int_at" name i) 0
+              (Column.int_at c i)
+          | Column.F _ ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s null %d float_at" name i)
+              true
+              (Column.float_at c i = 0.)
+          | Column.D (codes, _) ->
+            Alcotest.(check int) (Printf.sprintf "%s null %d code" name i) 0
+              codes.{i}
+          | Column.S _ | Column.B _ -> ())
+      expect
+  in
+  let n = 300 in
+  let idx = Array.init n (fun i -> if i mod 11 = 3 then -1 else n - 1 - i) in
+  let gather vs = Array.map (fun i -> if i < 0 then Value.VNull else vs.(i)) idx in
+  let nullable every f =
+    Array.init n (fun i -> if i mod every = 0 then Value.VNull else f i)
+  in
+  let cases =
+    [ ("int", Value.TInt, nullable 5 (fun i -> Value.VInt ((i * 37 mod 211) - 100)));
+      ( "float",
+        Value.TFloat,
+        nullable 7 (fun i -> Value.VFloat (float_of_int (i - (n / 2)) /. 3.)) );
+      ("date", Value.TDate, nullable 9 (fun i -> Value.VDate (i * 3)));
+      ( "dict",
+        Value.TString,
+        nullable 6 (fun i -> Value.VString (Printf.sprintf "s%d" (i mod 13))) ) ]
+  in
+  (* a dictionary case's columns are encoded, the others built as given *)
+  let build ty vs =
+    let c = Column.of_values ty vs in
+    if ty = Value.TString then Column.encode c else c
+  in
+  [ tc "round trip vs boxed values" (fun () ->
         List.iter
           (fun (name, ty, vals) ->
-            let legacy = Column.of_values ty vals in
-            let big = Column.to_bigarray legacy in
-            Alcotest.(check bool) (name ^ " promoted") true
-              (Column.is_bigarray big);
-            Alcotest.(check bool)
-              (name ^ " values survive") true
-              (values_of big = vals && values_of legacy = vals);
-            (* gather through a reversing permutation with injected nulls *)
-            let idx =
-              Array.init n (fun i -> if i mod 11 = 3 then -1 else n - 1 - i)
+            let c = fresh n (fun () -> build ty vals) in
+            check (name ^ " of_values") vals c;
+            let t = fresh n (fun () -> Column.take c idx) in
+            check (name ^ " take") (gather vals) t;
+            let cat =
+              fresh (2 * n) (fun () -> Column.concat [ t; c; Column.take c [| -1 |] ])
             in
-            let gb = Column.take big idx and gl = Column.take legacy idx in
-            Alcotest.(check bool)
-              (name ^ " take keeps the unboxed backing") true
-              (Column.is_bigarray gb);
-            Alcotest.(check bool)
-              (name ^ " take agrees") true
-              (values_of gb = values_of gl);
-            (* scatter the gathered halves back together via concat *)
-            let cb = Column.concat [ gb; big ]
-            and cl = Column.concat [ gl; legacy ] in
-            Alcotest.(check bool)
-              (name ^ " concat agrees") true
-              (values_of cb = values_of cl))
-          [ ( "int",
-              Value.TInt,
-              Array.init n (fun i ->
-                  if i mod 5 = 0 then Value.VNull
-                  else Value.VInt ((i * 37 mod 211) - 100)) );
-            ("float", Value.TFloat, mixed_floats n);
-            ( "date",
-              Value.TDate,
-              Array.init n (fun i ->
-                  if i mod 9 = 0 then Value.VNull else Value.VDate (i * 3)) ) ]);
-    tc "to_bigarray/to_legacy preserve" (fun () ->
-        let vals = mixed_floats 64 in
-        let c = Column.of_values Value.TFloat vals in
-        let b = Column.to_bigarray c in
-        let l = Column.to_legacy b in
-        Alcotest.(check bool) "bigarray form" true (Column.is_bigarray b);
-        Alcotest.(check bool) "legacy form" false (Column.is_bigarray l);
-        Alcotest.(check bool)
-          "values stable" true
-          (values_of b = vals && values_of l = vals)) ]
+            check (name ^ " concat")
+              (Array.concat [ gather vals; vals; [| Value.VNull |] ])
+              cat;
+            if ty = Value.TString then
+              Alcotest.(check bool) "one dictionary stays coded" true
+                (Column.is_dict cat))
+          cases);
+    tc "concat over two dictionaries" (fun () ->
+        let a = nullable 4 (fun i -> Value.VString (Printf.sprintf "a%d" (i mod 5)))
+        and b = nullable 3 (fun i -> Value.VString (Printf.sprintf "b%d" (i mod 7))) in
+        let c = Column.concat [ build Value.TString a; build Value.TString b ] in
+        check "two dictionaries" (Array.append a b) c);
+    tc "append_chunk vs boxed values" (fun () ->
+        List.iter
+          (fun (name, ty, vals) ->
+            let batch = gather vals in
+            let batch =
+              if ty = Value.TString then
+                (* values the resident dictionary has not seen *)
+                Array.map
+                  (function
+                    | Value.VString s -> Value.VString ("new-" ^ s) | v -> v)
+                  batch
+              else batch
+            in
+            let a =
+              fresh (2 * n) (fun () ->
+                  Column.append_chunk (build ty vals) (Column.of_values ty batch))
+            in
+            check (name ^ " append_chunk") (Array.append vals batch) a)
+          cases);
+    tc "const NULL" (fun () ->
+        List.iter
+          (fun ty ->
+            let c = fresh n (fun () -> Column.const ty Value.VNull n) in
+            check
+              (Value.ty_name ty ^ " const NULL")
+              (Array.make n Value.VNull) c)
+          [ Value.TInt; Value.TFloat; Value.TDate; Value.TString; Value.TBool ]) ]
 
 let relation_tests =
   [ tc "schema & canonical" (fun () ->
