@@ -17,22 +17,23 @@
     {!Sql_shape} fingerprint pass: a registered materialized view, then a
     bounded LRU result cache keyed by the query's constant identity,
     backend and thread count, then the parameterized plan cache, which is
-    the only place plans are reused. A result entry stores a result and
-    the versions of the base tables its plan scanned; it is served while
-    those are current. After an append into one of them the entry is
-    stale. Its first stale read plans the query (a template bind on a
-    plan-cache hit) and asks {!Planner.analyze_ivm} about that plan, once
-    per entry. A maintainable plan becomes the entry's own anonymous
-    {!Matview.t}, built on that read; every later stale read is served by
-    {!Matview.read}, which applies the appended rows by delta, as for a
-    registered view — counted in [delta_refreshes]. A plan the delta
-    engine rejects is bound and executed in full at every stale read.
-    [plan_hits] means "result recomputed after an append": the stale reads
-    of entries that are not maintainable, plus each maintainable entry's
-    one view build. The entry is updated in place either way. Entry views
-    live and die with their entries (LRU eviction, tenant quota, replace)
-    and never appear in the view registry; [Matview.set_enabled false]
-    sends every stale read down the recompute path. Replacing a table
+    the only place plans are reused. Text the fingerprint rejects runs
+    uncached. Every stored result, a registered view's or a cache entry's,
+    is a {!Matview.t}, and {!Matview.read} alone decides whether it is
+    stale and how it catches up. A cache miss plans (or binds a template)
+    and executes as if uncached, then seeds an anonymous view with the
+    result. A later read returns the stored result while the tables it
+    was computed from are unchanged. After an append into one of them the
+    first stale read rebuilds in full: it plans through the plan cache,
+    executes on the entry's backend and thread count, and, when
+    {!Planner.analyze_ivm} accepts the plan and IVM is on, replays the
+    stream into a state the delta engine continues. Every later stale read
+    of such an entry applies the appended rows by delta, counted in
+    [delta_refreshes]; the others rebuild in full again. [plan_hits] means
+    "result recomputed after an append": the full rebuilds of stale
+    entries, so a maintainable entry's one view build counts there. Entry
+    views live and die with their entries (LRU eviction, tenant quota,
+    replace) and never appear in the view registry. Replacing a table
     drops its result entries and templates outright (schema may change).
     Both caches share one LRU policy with a per-owner quota, so one tenant
     cannot crowd out the others. Cache state is mutex-protected; both
@@ -54,24 +55,10 @@ let backend_name = function
 
 let cache_cap = 64
 
-(* How a stale entry catches up after an append. Decided once, at the
-   entry's first stale read, from {!Planner.analyze_ivm} on the plan that
-   read bound. *)
-type upkeep =
-  | Unchecked (* never stale yet *)
-  | Recompute (* not maintainable: plan or bind, execute in full *)
-  | Maintained of Matview.t
-      (* anonymous view over the entry's plan: {!Matview.read} applies the
-         appended rows by delta *)
-
 type cache_entry = {
   owner : string option; (* tenant the entry is charged to, if any *)
-  mutable deps : (string * int) list;
-      (* base tables the plan scanned, with the table version each was read
-         at; the entry's result is valid iff every dep is unchanged *)
-  mutable result : Relation.t;
+  view : Matview.t; (* the stored result; knows its staleness *)
   mutable tick : int; (* LRU clock *)
-  mutable upkeep : upkeep;
 }
 
 (* ---- Parameterized plan cache (shape-keyed) ----------------------- *)
@@ -185,8 +172,7 @@ let cache_stats (t : t) : cache_stats =
         plan_entries = Hashtbl.length t.plans;
         maintained_entries =
           Hashtbl.fold
-            (fun _ e n ->
-              match e.upkeep with Maintained _ -> n + 1 | _ -> n)
+            (fun _ e n -> if Matview.maintained e.view then n + 1 else n)
             t.cache 0 })
 
 let owner_counters_of t o =
@@ -216,71 +202,6 @@ let owner_stats (t : t) o : int * int * int * int * int * int =
 
 let clear_cache t = locked t (fun () -> Hashtbl.reset t.cache)
 let clear_plan_cache t = locked t (fun () -> Hashtbl.reset t.plans)
-
-(* Literal-text cache key: strip SQL comments ([-- ...] to end of line,
-   [/* ... */] blocks), collapse whitespace runs to a single space, and drop
-   whitespace adjacent to '(', ')' or ',' — all outside single-quoted string
-   literals — so trivially different spellings of one query share a key.
-   Identifier case is left alone: a conservative key can only cost a
-   duplicate entry, never a wrong answer. *)
-let normalize_sql (s : string) : string =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let in_str = ref false and pending = ref false in
-  let tight c = c = '(' || c = ')' || c = ',' in
-  let last_tight () =
-    Buffer.length buf > 0 && tight (Buffer.nth buf (Buffer.length buf - 1))
-  in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    if !in_str then begin
-      Buffer.add_char buf c;
-      if c = '\'' then in_str := false;
-      incr i
-    end
-    else if c = '-' && !i + 1 < n && s.[!i + 1] = '-' then begin
-      (* line comment: acts as whitespace *)
-      while !i < n && s.[!i] <> '\n' do incr i done;
-      pending := true
-    end
-    else if c = '/' && !i + 1 < n && s.[!i + 1] = '*' then begin
-      (* block comment: acts as whitespace; unterminated eats to the end *)
-      i := !i + 2;
-      while
-        !i + 1 < n && not (s.[!i] = '*' && s.[!i + 1] = '/')
-      do incr i done;
-      i := if !i + 1 < n then !i + 2 else n;
-      pending := true
-    end
-    else begin
-      (match c with
-      | ' ' | '\t' | '\n' | '\r' -> pending := true
-      | c ->
-        if
-          !pending && Buffer.length buf > 0 && not (tight c)
-          && not (last_tight ())
-        then Buffer.add_char buf ' ';
-        pending := false;
-        Buffer.add_char buf c;
-        if c = '\'' then in_str := true);
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-(* Version-stamp base tables (a plan's {!Plan.bound_tables}) against
-   catalog handle [cat]. These are the entry's invalidation dependencies. *)
-let deps_of cat tables : (string * int) list =
-  List.filter_map
-    (fun n ->
-      Option.map (fun v -> (n, v)) (Catalog.table_version cat n))
-    tables
-
-let deps_current cat deps =
-  List.for_all
-    (fun (n, v) -> Catalog.table_version cat n = Some v)
-    deps
 
 (* The one LRU policy, shared by the result cache and the plan cache:
    before an insert into [tbl], evict [owner]'s least recently used entries
@@ -348,11 +269,12 @@ let create () =
 (* Replace invalidation: the table's schema may change, so result entries
    (with their views) and templates over it are dropped outright. An
    append needs no hook: it bumps the table's version, so the entries
-   whose [deps] name it go stale and catch up at their next read. *)
+   whose views read it go stale and catch up at their next read. *)
 let invalidate_replaced t name =
   let dead =
     Hashtbl.fold
-      (fun k e acc -> if List.mem_assoc name e.deps then k :: acc else acc)
+      (fun k e acc ->
+        if List.mem name (Matview.tables e.view) then k :: acc else acc)
       t.cache []
   in
   List.iter (Hashtbl.remove t.cache) dead;
@@ -403,16 +325,6 @@ let plan t (sql : string) : Plan.bound_query =
 
 let fingerprint_opt sql =
   match Sql_shape.fingerprint sql with f -> Some f | exception _ -> None
-
-(* Constant-identity key: the canonical shape plus rendered constants
-   ({!Sql_shape.key}), so any spelling of the same query — comments,
-   whitespace, keyword case, literal spelling — shares one matview/result
-   cache identity. Falls back to literal normalization for text that
-   cannot be fingerprinted. *)
-let key_of fp sql =
-  match fp with Some f -> Sql_shape.key f | None -> normalize_sql sql
-
-let query_key (sql : string) : string = key_of (fingerprint_opt sql) sql
 
 (* Where the plan cache sends fingerprint [f] on (backend, threads). *)
 type route =
@@ -510,28 +422,49 @@ let snapshot t : t = { (create ()) with catalog = Catalog.pin t.catalog }
 (* Materialized views                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Serve a registered view: refresh-if-stale then return the stored
-   result. Counters attribute the read to [owner] (the reading tenant).
-   Unlike the query cache, views do NOT stand down under fault injection —
-   crash consistency of the refresh path is part of their contract. *)
-let serve_view ?timeout_ms ?row_budget ?owner t (v : Matview.t) : Relation.t =
-  let cat = Catalog.pin t.catalog in
-  let r, how =
-    Guard.with_guard ?timeout_ms ?row_budget (fun () -> Matview.read v ~cat)
-  in
+(* The one mapping from how a stored result was served to the counters,
+   attributed to [owner] (the reading tenant). A registered view's reads
+   count as view hits, delta refreshes and view recomputes; a cache
+   entry's as hits, delta refreshes and plan hits (a full rebuild after an
+   append). A registered view's initial build counts nothing. *)
+let count_served t ~owner ~entry (how : Matview.served) =
   locked t (fun () ->
       let oc = Option.map (owner_counters_of t) owner in
-      match how with
-      | `Hit ->
+      match (how, entry) with
+      | `Hit, true ->
+        t.hits <- t.hits + 1;
+        Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc
+      | `Hit, false ->
         t.view_hits <- t.view_hits + 1;
         Option.iter (fun c -> c.o_view_hits <- c.o_view_hits + 1) oc
-      | `Delta ->
+      | `Delta, _ ->
         t.delta_refreshes <- t.delta_refreshes + 1;
         Option.iter
           (fun c -> c.o_delta_refreshes <- c.o_delta_refreshes + 1)
           oc
-      | `Recompute -> t.view_recomputes <- t.view_recomputes + 1
-      | `Init -> ());
+      | (`Recompute | `Init), true ->
+        t.plan_hits <- t.plan_hits + 1;
+        Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc
+      | `Recompute, false -> t.view_recomputes <- t.view_recomputes + 1
+      | `Init, false -> ())
+
+(* Serve a stored result, a registered view ([entry = false]) or a cache
+   entry's view, against snapshot [cat]: {!Matview.read} returns it,
+   catching up first if an append made it stale. The deadline is checked
+   before the read, whatever the read then does: a caller whose budget is
+   already spent is not served for free, and whether it trips must not
+   depend on which query stored the result. Rows are accounted only by a
+   refresh that runs. Unlike the result cache, registered views do NOT
+   stand down under fault injection — crash consistency of the refresh
+   path is part of their contract. *)
+let serve ?timeout_ms ?row_budget ?owner t ~entry cat (v : Matview.t) :
+    Relation.t =
+  let r, how =
+    Guard.with_guard ?timeout_ms ?row_budget (fun () ->
+        Guard.check ();
+        Matview.read v ~cat)
+  in
+  count_served t ~owner ~entry how;
   r
 
 (** Register [sql] as materialized view [name]: the initial result is built
@@ -543,21 +476,27 @@ let serve_view ?timeout_ms ?row_budget ?owner t (v : Matview.t) : Relation.t =
 let register_view ?owner ?quota ?timeout_ms ?row_budget (t : t) ~name sql :
     (unit, string) result =
   let cat = Catalog.pin t.catalog in
-  (* Shape-based key: the view serves any constant-identical spelling of
-     its query, not just the registered text. *)
-  let key = query_key sql in
-  Guard.with_guard ?timeout_ms ?row_budget (fun () ->
-      match
-        Matview.register t.views ~cat ?owner ?quota ~name ~sql ~key ()
-      with
-      | Ok _ -> Ok ()
-      | Error e -> Error e)
+  (* Constant-identity key: the view serves any spelling of its query with
+     the same constants, not just the registered text. *)
+  match Sql_shape.fingerprint sql with
+  | exception Sql_shape.Unparameterizable e ->
+    Error (Printf.sprintf "view %s: no cache key (%s)" name e)
+  | f ->
+    Guard.with_guard ?timeout_ms ?row_budget (fun () ->
+        match
+          Matview.register t.views ~cat ?owner ?quota ~name ~sql
+            ~key:(Sql_shape.key f) ()
+        with
+        | Ok _ -> Ok ()
+        | Error e -> Error e)
 
 (** Refresh view [name] if stale and return its contents. *)
 let refresh ?timeout_ms ?row_budget ?owner (t : t) name : Relation.t =
   match Matview.find t.views name with
   | None -> invalid_arg ("Db.refresh: no view " ^ name)
-  | Some v -> serve_view ?timeout_ms ?row_budget ?owner t v
+  | Some v ->
+    serve ?timeout_ms ?row_budget ?owner t ~entry:false
+      (Catalog.pin t.catalog) v
 
 (** The stored contents of view [name] as of its last completed refresh,
     without refreshing — what a reader observes after a crashed refresh. *)
@@ -603,30 +542,7 @@ let view_infos (t : t) : view_info list =
     re-reading, never by returning a partial or corrupt relation. *)
 let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
     ?owner ?cache_quota ?plan_quota (t : t) (sql : string) : Relation.t =
-  (* One fingerprint pass (token-level, no parse) drives all three lookups:
-     the matview key, the result-cache key, and the plan-cache shape. *)
-  let fp = fingerprint_opt sql in
-  let ckey = key_of fp sql in
-  match Matview.find_by_key t.views ckey with
-  | Some v ->
-    (* A registered view answers its own SQL on any backend: the stored
-       result IS the view, O(result) when fresh. *)
-    serve_view ?timeout_ms ?row_budget ?owner t v
-  | None ->
-  (* Pin once: planning, cache validation and execution all resolve against
-     this snapshot, so a concurrent ingest cannot tear the query. *)
-  let cat = Catalog.pin t.catalog in
-  (* The one plan-reuse path: bind a cached template when the plan cache is
-     live (no reparse/replan on a shape hit), else plan from the literal
-     text. The plan cache stands down with faults armed, like the result
-     cache, so fault tests exercise the full cold path. *)
-  let plan_or_bind () =
-    match fp with
-    | Some f when !plancache_enabled && not (Faults.armed ()) ->
-      bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota f
-    | _ -> plan_on cat sql
-  in
-  let exec bq () =
+  let exec cat bq =
     match backend with
     | Vectorized -> Exec_vectorized.run_query ~threads cat bq
     | Compiled -> Exec_compiled.run_query ~threads cat bq
@@ -641,122 +557,83 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
       else Exec_compiled.run_query ~threads cat bq
   in
   let guarded f =
-    Guard.with_guard ?timeout_ms ?row_budget (fun () ->
-        try f ()
-        with Faults.Injected _ when not (Faults.suppressed ()) ->
-          Faults.with_suppressed f)
+    Guard.with_guard ?timeout_ms ?row_budget (fun () -> Faults.retry_once f)
   in
-  (* Under fault injection a cached result would mask the very fault paths
-     being exercised, so the cache stands down. *)
-  if not (!cache_enabled && not (Faults.armed ())) then
-    guarded (fun () -> exec (plan_or_bind ()) ())
-  else begin
-    let key = Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey in
-    (* Lookup under lock; execution outside it (two racing misses both
-       execute — wasteful but correct, and the insert is last-wins). *)
-    let count_plan_hit oc =
-      t.plan_hits <- t.plan_hits + 1;
-      Option.iter (fun c -> c.o_plan_hits <- c.o_plan_hits + 1) oc
-    in
-    let decision =
-      locked t (fun () ->
-          t.clock <- t.clock + 1;
-          let oc = Option.map (owner_counters_of t) owner in
-          match Hashtbl.find_opt t.cache key with
-          | Some e when deps_current cat e.deps ->
-            e.tick <- t.clock;
-            t.hits <- t.hits + 1;
-            Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc;
-            `Hit e.result
-          | Some e -> (
-            (* stale: a table the result was computed from has had rows
-               appended since (a replace drops the entry eagerly) *)
-            e.tick <- t.clock;
-            match e.upkeep with
-            | Maintained v when Matview.enabled () -> `Refresh (e, v)
-            | Unchecked when Matview.enabled () ->
-              count_plan_hit oc;
-              `Stale (e, true)
-            | _ ->
-              count_plan_hit oc;
-              `Stale (e, false))
-          | None ->
-            t.misses <- t.misses + 1;
-            Option.iter (fun c -> c.o_misses <- c.o_misses + 1) oc;
-            `Miss)
-    in
-    (* stamp deps and result together, against the snapshot that actually
-       produced the result *)
-    let store e tables r =
-      e.deps <- deps_of cat tables;
-      e.result <- r
-    in
-    let read_view v =
-      Guard.with_guard ?timeout_ms ?row_budget (fun () -> Matview.read v ~cat)
-    in
-    match decision with
-    | `Hit r ->
-      (* A guarded query honors its deadline even on a cache hit: a caller
-         whose budget is already exhausted must not be served for free, and
-         whether it trips must not depend on which concurrent query happened
-         to populate the entry first. Rows are not re-accounted — nothing is
-         materialized when serving a stored result. *)
-      Guard.with_guard ?timeout_ms ?row_budget (fun () ->
-          Guard.check ();
-          r)
-    | `Refresh (e, v) ->
-      (* the view's own lock serializes refreshes; its stored state may
-         already be current if a concurrent reader caught it up *)
-      let r, how = read_view v in
-      locked t (fun () ->
-          let oc = Option.map (owner_counters_of t) owner in
-          (match how with
-          | `Delta ->
-            t.delta_refreshes <- t.delta_refreshes + 1;
-            Option.iter
-              (fun c -> c.o_delta_refreshes <- c.o_delta_refreshes + 1)
-              oc
-          | `Hit ->
-            t.hits <- t.hits + 1;
-            Option.iter (fun c -> c.o_hits <- c.o_hits + 1) oc
-          | `Recompute | `Init -> count_plan_hit oc);
-          store e (List.map fst e.deps) r);
-      r
-    | `Stale (e, promote) ->
-      let bq = plan_or_bind () in
-      (* first stale read: a maintainable plan becomes the entry's view,
-         built here and refreshed by delta from the next append on *)
-      let upkeep =
-        if not promote then None
-        else
-          let v = Matview.make ~name:key ~sql bq in
-          Some (if Matview.maintainable v then Maintained v else Recompute)
+  (* One fingerprint pass (token-level, no parse) drives all three lookups:
+     the matview key, the result-cache key, and the plan-cache shape. Text
+     it rejects (a bare [$k], an unterminated literal) has no key and runs
+     uncached; the planner then reports what is wrong with it. *)
+  match fingerprint_opt sql with
+  | None ->
+    let cat = Catalog.pin t.catalog in
+    guarded (fun () -> exec cat (plan_on cat sql))
+  | Some f -> (
+    let ckey = Sql_shape.key f in
+    match Matview.find_by_key t.views ckey with
+    | Some v ->
+      (* A registered view answers its own SQL on any backend: the stored
+         result IS the view, O(result) when fresh. *)
+      serve ?timeout_ms ?row_budget ?owner t ~entry:false
+        (Catalog.pin t.catalog) v
+    | None ->
+      (* Pin once: planning, the entry's staleness check and execution all
+         resolve against this snapshot, so a concurrent ingest cannot tear
+         the query. *)
+      let cat = Catalog.pin t.catalog in
+      (* The one plan-reuse path: bind a cached template when the plan
+         cache is live (no reparse/replan on a shape hit), else plan from
+         the literal text. The plan cache stands down with faults armed,
+         like the result cache, so fault tests exercise the full cold
+         path. An entry's view plans its rebuilds through it too. *)
+      let plan_or_bind cat =
+        if !plancache_enabled && not (Faults.armed ()) then
+          bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota f
+        else plan_on cat sql
       in
-      let r =
-        match upkeep with
-        | Some (Maintained v) -> fst (read_view v)
-        | _ -> guarded (exec bq)
-      in
-      locked t (fun () ->
-          Option.iter (fun u -> e.upkeep <- u) upkeep;
-          store e (Plan.bound_tables bq) r);
-      r
-    | `Miss ->
-      let bq = plan_or_bind () in
-      let r = guarded (exec bq) in
-      locked t (fun () ->
-          t.evictions <-
-            t.evictions
-            + make_room t.cache ~cap:cache_cap ~owner_of:(fun e -> e.owner)
-                ~tick_of:(fun e -> e.tick) ~owner ~quota:cache_quota;
-          Hashtbl.replace t.cache key
-            { owner;
-              deps = deps_of cat (Plan.bound_tables bq);
-              result = r;
-              tick = t.clock;
-              upkeep = Unchecked });
-      r
-  end
+      (* Under fault injection a cached result would mask the very fault
+         paths being exercised, so the cache stands down. *)
+      if not (!cache_enabled && not (Faults.armed ())) then
+        guarded (fun () -> exec cat (plan_or_bind cat))
+      else begin
+        let key =
+          Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey
+        in
+        (* Lookup under lock; execution outside it (two racing misses both
+           execute — wasteful but correct, and the insert is last-wins). *)
+        let found =
+          locked t (fun () ->
+              t.clock <- t.clock + 1;
+              match Hashtbl.find_opt t.cache key with
+              | Some e ->
+                e.tick <- t.clock;
+                Some e.view
+              | None ->
+                t.misses <- t.misses + 1;
+                Option.iter
+                  (fun o ->
+                    let c = owner_counters_of t o in
+                    c.o_misses <- c.o_misses + 1)
+                  owner;
+                None)
+        in
+        match found with
+        | Some v -> serve ?timeout_ms ?row_budget ?owner t ~entry:true cat v
+        | None ->
+          let bq = plan_or_bind cat in
+          let r = guarded (fun () -> exec cat bq) in
+          let view =
+            Matview.make ~name:key ~seed:(cat, bq, r) ~plan:plan_or_bind
+              ~run:exec ()
+          in
+          locked t (fun () ->
+              t.evictions <-
+                t.evictions
+                + make_room t.cache ~cap:cache_cap
+                    ~owner_of:(fun e -> e.owner)
+                    ~tick_of:(fun e -> e.tick) ~owner ~quota:cache_quota;
+              Hashtbl.replace t.cache key { owner; view; tick = t.clock });
+          r
+      end)
 
 (** EXPLAIN: the plan tree with the optimizer's cardinality estimate and the
     actual row count per operator (from an instrumented vectorized run). *)

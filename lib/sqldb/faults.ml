@@ -48,6 +48,12 @@ let with_suppressed f =
       Domain.DLS.set suppress_depth (Domain.DLS.get suppress_depth - 1))
     f
 
+(** Run [f]; if an injected fault escapes it, run it once more with
+    injection suppressed. A detected fault is recovered by re-reading,
+    never by returning a partial result; Guard trips are not retried. *)
+let retry_once f =
+  try f () with Injected _ when not (suppressed ()) -> with_suppressed f
+
 (** Run [f] with suppression forced on ([true]) or left as-is ([false]):
     a pool worker running a suppressed query's chunk calls this with the
     query's [suppressed ()] so a recovery retry stays unfaulted across

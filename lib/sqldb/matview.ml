@@ -2,10 +2,24 @@
 
     A registered query becomes a {e view}: its result is stored and kept
     fresh from appended rows alone, instead of re-executing the whole plan
-    on every read after an ingest (which remains the fallback). The same
-    engine keeps [Db]'s result cache: a cache entry whose plan is
-    maintainable gets an anonymous view ({!make}) at its first stale read,
-    and later stale reads go through {!read} like a registered view's.
+    on every read after an ingest (which remains the fallback).
+
+    {b One store of reused results.} A view is either registered by name
+    ({!register}) or anonymous, holding one entry of [Db]'s result cache.
+    Either way this module alone decides whether the stored result is
+    stale and how it catches up; {!read} serves both. An entry's view is
+    seeded with the result of the cache miss that made it ({!make}
+    [~seed]): table versions, no stream state and no maintainability
+    analysis, so a miss costs no more than the query. A read of fresh
+    state returns it as stored. A stale state with stream state catches up
+    by delta. A stale state without stream state (a seed, a plan the delta
+    engine rejects, IVM switched off) is rebuilt in full with the plan and
+    run functions its creator gave: a registered view parses and plans its
+    SQL and runs on the vectorized engine at one thread; an entry plans
+    through [Db]'s plan cache and runs on its own backend and thread
+    count. A rebuild re-decides maintainability on its plan, and one that
+    is maintainable with IVM on replays the stream and keeps its state, so
+    an entry's first stale read promotes it and later ones are deltas.
 
     {b Shape.} The planner splits a maintainable plan at its pipeline
     breaker ({!Planner.analyze_ivm}): a select-project-join {e stream}
@@ -47,53 +61,78 @@
     state only after every term (and the finish run) succeeded. A fault
     or tripped {!Guard} mid-refresh unwinds and leaves the view at its
     previous consistent version; injected faults are retried once with
-    injection suppressed, mirroring [Db.execute]. *)
+    injection suppressed ({!Faults.retry_once}), as in [Db.execute]. *)
 
-(* [set_enabled false] keeps registration and view serving live but forces
-   every stale read through the full-recompute path. *)
+(* [set_enabled false] keeps registration and view serving live but sends
+   every stale read down the full-rebuild path, which then runs the plan. *)
 let enabled_ref = ref true
 
 let set_enabled b = enabled_ref := b
 let enabled () = !enabled_ref
 
-type state = {
-  deps : (string * int) list; (* table versions at this refresh *)
+(* The fold a delta refresh continues. *)
+type acc =
+  | Groups of int list * Agg_util.groups
+      (* aggregate views: the GROUP BY key columns and the group state *)
+  | Rows of Relation.t (* filter/project views: the stream rows *)
+
+type stream = {
+  shape : Planner.ivm_shape; (* the split [acc] was folded under *)
+  acc : acc;
   rows_at : (string * int) list; (* row counts, in stream table order *)
-  pinned : Catalog.t; (* the snapshot this state reflects *)
-  groups : Agg_util.groups option; (* aggregate views: the group state *)
-  spj_rows : Relation.t option; (* filter/project views: stream rows *)
+  pinned : Catalog.t; (* the snapshot [acc] reflects *)
+}
+
+type state = {
+  deps : (string * int) list; (* table versions [result] was computed at *)
+  stream : stream option; (* None: a stale state is rebuilt in full *)
   version : int; (* view state version, ticks per refresh *)
   result : Relation.t; (* finished, user-visible result *)
 }
 
 type t = {
   v_name : string;
-  v_sql : string;
   v_owner : string option;
+  v_plan : Catalog.t -> Plan.bound_query; (* full rebuild: plan *)
+  v_run : Catalog.t -> Plan.bound_query -> Relation.t; (* full rebuild: run *)
   v_lock : Mutex.t; (* guards all mutable fields below *)
-  mutable v_bq : Plan.bound_query;
-  mutable v_shape : Planner.ivm_shape option; (* None = fallback view *)
-  mutable v_reason : Planner.ivm_reason option;
+  mutable v_ivm : (Planner.ivm_shape, Planner.ivm_reason) result option;
+      (* {!Planner.analyze_ivm} on the last rebuild's plan; None before one *)
   mutable v_state : state option;
   mutable v_dirty_replace : bool; (* a dep was replaced: plans are stale *)
   mutable v_hits : int; (* reads served from fresh state *)
   mutable v_deltas : int; (* incremental (suffix / delta-rule) refreshes *)
-  mutable v_recomputes : int; (* full re-executions (fallback path) *)
+  mutable v_recomputes : int; (* full rebuilds after the first *)
 }
 
 type served = [ `Hit | `Delta | `Recompute | `Init ]
 
 let name v = v.v_name
 let owner v = v.v_owner
-let maintainable v = v.v_shape <> None
+let maintainable v = match v.v_ivm with Some (Ok _) -> true | _ -> false
 
 let reason_string v =
-  Option.map Planner.ivm_reason_to_string v.v_reason
+  match v.v_ivm with
+  | Some (Error r) -> Some (Planner.ivm_reason_to_string r)
+  | _ -> None
 
 let counters v = (v.v_hits, v.v_deltas, v.v_recomputes)
 
 let current_version v =
   match v.v_state with Some st -> st.version | None -> 0
+
+(* The two readers below take no lock: [Db] calls them under its own lock,
+   which a view's reader may take while holding the view's (planning binds
+   through the plan cache), so taking the view's here could deadlock. A
+   racy read sees the state before or after a concurrent install. *)
+
+(** Whether the stored state can catch up by delta: it holds stream state. *)
+let maintained v =
+  match v.v_state with Some { stream = Some _; _ } -> true | _ -> false
+
+(** The base tables the stored result was computed from. *)
+let tables v =
+  match v.v_state with Some st -> List.map fst st.deps | None -> []
 
 (** The stored result as of the last completed refresh, without refreshing:
     what a reader observes after a crashed delta refresh. *)
@@ -177,32 +216,35 @@ let delta_slice cat name ~from : Relation.t =
    to the new snapshot, [ti] to its delta slice, tables after [ti] to the
    old pinned snapshot. Unchanged tables are identical in both snapshots,
    so only the changed tables' positions matter. *)
-let term_catalog (shape : Planner.ivm_shape) (st : state) (cat : Catalog.t)
-    ~(changed : string list) (ti : string) : Catalog.t =
+let term_catalog (s : stream) (cat : Catalog.t) ~(changed : string list)
+    (ti : string) : Catalog.t =
   let c = Catalog.create () in
   let before = ref true in
   List.iter
     (fun n ->
       if n = ti then begin
         Catalog.add_transient c n
-          (delta_slice cat n ~from:(List.assoc n st.rows_at));
+          (delta_slice cat n ~from:(List.assoc n s.rows_at));
         before := false
       end
       else if List.mem n changed then
-        Catalog.import c ~src:(if !before then cat else st.pinned) n
+        Catalog.import c ~src:(if !before then cat else s.pinned) n
       else Catalog.import c ~src:cat n)
-    shape.Planner.ivm_tables;
+    s.shape.Planner.ivm_tables;
   c
 
 let next_version v = 1 + match v.v_state with Some st -> st.version | None -> 0
 
-(* The next state of [view]: [result] as of snapshot [cat] of [tables]. *)
-let next_state (view : t) (cat : Catalog.t) tables ?groups ?spj_rows result =
+(* The next state of [view]: [result] as of snapshot [cat] of [tables],
+   with [acc] folded under [shape] when the view is maintained. *)
+let next_state (view : t) (cat : Catalog.t) tables ?stream result =
   { deps = stamp_deps cat tables;
-    rows_at = stamp_rows cat tables;
-    pinned = Catalog.pin cat;
-    groups;
-    spj_rows;
+    stream =
+      Option.map
+        (fun (shape, acc) ->
+          { shape; acc; rows_at = stamp_rows cat tables;
+            pinned = Catalog.pin cat })
+        stream;
     version = next_version view;
     result }
 
@@ -214,7 +256,9 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
   let stream =
     Exec_vectorized.run_plan ~threads:1 cat shape.Planner.ivm_stream
   in
-  let next = next_state view cat shape.Planner.ivm_tables in
+  let next acc =
+    next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc)
+  in
   match shape.Planner.ivm_agg with
   | Some (gidx, specs, _) ->
     let specs = Array.of_list specs and cols = stream.Relation.cols in
@@ -222,42 +266,40 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
       Agg_util.groups_create specs (Agg_util.column_args specs cols) cols gidx
     in
     replay ~groups_idx:gidx g stream;
-    next ~groups:g (groups_result shape g)
+    next (Groups (gidx, g)) (groups_result shape g)
   | None ->
     let rows = Relation.decode_strings stream in
-    next ~spj_rows:rows (spj_result shape rows)
+    next (Rows rows) (spj_result shape rows)
 
-(* Initial build from the plan the view was made with: the stream replay
-   when maintainable, the whole plan otherwise. *)
-let build (view : t) (cat : Catalog.t) : state =
-  match view.v_shape with
-  | Some shape -> build_full view shape cat
-  | None ->
-    next_state view cat (Plan.bound_tables view.v_bq)
-      (Exec_vectorized.run_query ~threads:1 cat view.v_bq)
-
-let set_plan (view : t) (bq : Plan.bound_query) =
-  view.v_bq <- bq;
-  match Planner.analyze_ivm bq with
-  | Ok s ->
-    view.v_shape <- Some s;
-    view.v_reason <- None
-  | Error r ->
-    view.v_shape <- None;
-    view.v_reason <- Some r
-
-(* Full recompute, used for fallback views, after a replace, and when IVM
-   is disabled. Always replans from SQL: a replaced table may have a new
-   schema, and the replan re-decides maintainability. *)
-let recompute (view : t) (cat : Catalog.t) : state =
-  set_plan view (Planner.plan_query cat (Sql_parse.parse view.v_sql));
+(* Full rebuild on [cat]: the first build, and a stale read of a state
+   without stream state, over a replaced dep, or with IVM switched off. It
+   plans afresh with the creator's function, since a replaced table may
+   have a new schema, and re-decides maintainability on that plan. A
+   maintainable plan with IVM on replays the stream and keeps the state
+   for later deltas; any other plan runs with the creator's function. *)
+let rebuild (view : t) (cat : Catalog.t) : state =
+  (* Cleared before planning, so a replace during the rebuild flags the
+     view again; restored on failure, so the next read cannot apply a
+     delta over a replaced table to the state kept from before it. *)
+  let replaced = view.v_dirty_replace in
   view.v_dirty_replace <- false;
-  build view cat
+  try
+    let bq = view.v_plan cat in
+    let ivm = Planner.analyze_ivm bq in
+    view.v_ivm <- Some ivm;
+    match ivm with
+    | Ok shape when enabled () -> build_full view shape cat
+    | _ -> next_state view cat (Plan.bound_tables bq) (view.v_run cat bq)
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    if replaced then view.v_dirty_replace <- true;
+    Printexc.raise_with_backtrace e bt
 
 (* Incremental refresh: replay each changed table's delta-rule term into a
-   deep copy of the group state, then finish and install. *)
-let delta_refresh (view : t) (shape : Planner.ivm_shape) (st : state)
-    (cat : Catalog.t) ~(changed : string list) : state =
+   deep copy of the stream state, then finish and install. *)
+let delta_refresh (view : t) (s : stream) (cat : Catalog.t)
+    ~(changed : string list) : state =
+  let shape = s.shape in
   (* the delta-rule terms' streams, in stream table order *)
   let terms =
     List.filter_map
@@ -265,21 +307,23 @@ let delta_refresh (view : t) (shape : Planner.ivm_shape) (st : state)
         if List.mem ti changed then
           Some
             (Exec_vectorized.run_plan ~threads:1
-               (term_catalog shape st cat ~changed ti)
+               (term_catalog s cat ~changed ti)
                shape.Planner.ivm_stream)
         else None)
       shape.Planner.ivm_tables
   in
-  let next = next_state view cat shape.Planner.ivm_tables in
-  match shape.Planner.ivm_agg with
-  | Some (gidx, _, _) ->
-    let g = Agg_util.groups_copy (Option.get st.groups) in
+  let next acc =
+    next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc)
+  in
+  match s.acc with
+  | Groups (gidx, g) ->
+    let g = Agg_util.groups_copy g in
     List.iter (replay ~groups_idx:gidx g) terms;
-    next ~groups:g (groups_result shape g)
-  | None ->
+    next (Groups (gidx, g)) (groups_result shape g)
+  | Rows rows ->
     let fresh = List.map Relation.decode_strings terms in
-    let rows = Relation.concat (Option.get st.spj_rows :: fresh) in
-    next ~spj_rows:rows (spj_result shape rows)
+    let rows = Relation.concat (rows :: fresh) in
+    next (Rows rows) (spj_result shape rows)
 
 (* ------------------------------------------------------------------ *)
 (* Read path                                                          *)
@@ -287,27 +331,26 @@ let delta_refresh (view : t) (shape : Planner.ivm_shape) (st : state)
 
 type plan_of_action =
   | Fresh of state
-  | Append of state * Planner.ivm_shape * string list
+  | Append of stream * string list
   | Full of bool (* true = initial build *)
 
-(* Decide how to serve a read against [cat]. Appends are recognised by
-   grown row counts on unchanged-schema tables; anything else — replaced
-   deps (flagged by [note_replaced]), dropped tables, shrunk row counts,
-   IVM disabled — recomputes. *)
+(* Decide how to serve a read against [cat]: the one staleness check for
+   every stored result. Appends are recognised by grown row counts on
+   unchanged-schema tables; anything else — replaced deps (flagged by
+   [note_replaced]), dropped tables, shrunk row counts, IVM disabled, or a
+   state without stream state — rebuilds in full. *)
 let classify (view : t) (cat : Catalog.t) : plan_of_action =
   match view.v_state with
   | None -> Full true
-  | Some st ->
+  | Some st -> (
     if
       List.for_all
         (fun (n, ver) -> Catalog.table_version cat n = Some ver)
         st.deps
     then Fresh st
-    else if view.v_dirty_replace || not (enabled ()) then Full false
-    else (
-      match view.v_shape with
-      | None -> Full false
-      | Some shape ->
+    else
+      match st.stream with
+      | Some s when enabled () && not view.v_dirty_replace ->
         let ok = ref true in
         let changed =
           List.filter_map
@@ -326,22 +369,27 @@ let classify (view : t) (cat : Catalog.t) : plan_of_action =
                   ok := false;
                   None
                 end)
-            st.rows_at
+            s.rows_at
         in
-        if !ok && changed <> [] then Append (st, shape, changed)
-        else Full false)
-
-(* Injected-fault recovery mirrors [Db.execute]: one retry with injection
-   suppressed. Guard trips are not retried — they unwind to the caller
-   with the view still at its previous version. *)
-let with_fault_retry f =
-  try f ()
-  with Faults.Injected _ when not (Faults.suppressed ()) ->
-    Faults.with_suppressed f
+        if !ok && changed <> [] then Append (s, changed) else Full false
+      | _ -> Full false)
 
 (** Serve the view against snapshot [cat], refreshing first if stale.
     Returns the result and how it was produced (for counters). Must be
-    called with the catalog already pinned. *)
+    called with the catalog already pinned. An injected fault is retried
+    once with injection suppressed ({!Faults.retry_once}); a Guard trip
+    unwinds to the caller with the view still at its previous version. *)
+(* Run refresh [f] and install the state it returns; nothing is installed
+   if it fails. Call with the view's lock held. *)
+let refresh (view : t) f : Relation.t =
+  let st =
+    Faults.retry_once (fun () ->
+        Faults.crash_point ~site:"matview.refresh";
+        f ())
+  in
+  view.v_state <- Some st;
+  st.result
+
 let read (view : t) ~(cat : Catalog.t) : Relation.t * served =
   Mutex.lock view.v_lock;
   Fun.protect
@@ -351,47 +399,44 @@ let read (view : t) ~(cat : Catalog.t) : Relation.t * served =
       | Fresh st ->
         view.v_hits <- view.v_hits + 1;
         (st.result, `Hit)
-      | Append (st, shape, changed) ->
-        let st' =
-          with_fault_retry (fun () ->
-              Faults.crash_point ~site:"matview.refresh";
-              delta_refresh view shape st cat ~changed)
-        in
-        view.v_state <- Some st';
+      | Append (s, changed) ->
+        let r = refresh view (fun () -> delta_refresh view s cat ~changed) in
         view.v_deltas <- view.v_deltas + 1;
-        (st'.result, `Delta)
+        (r, `Delta)
       | Full initial ->
-        let st' =
-          with_fault_retry (fun () ->
-              Faults.crash_point ~site:"matview.refresh";
-              if initial then build view cat else recompute view cat)
-        in
-        view.v_state <- Some st';
-        if not initial then view.v_recomputes <- view.v_recomputes + 1;
-        (st'.result, if initial then `Init else `Recompute))
+        let r = refresh view (fun () -> rebuild view cat) in
+        if initial then (r, `Init)
+        else begin
+          view.v_recomputes <- view.v_recomputes + 1;
+          (r, `Recompute)
+        end)
 
-(** A view of [sql], already planned as [bq] (by the caller, or bound
-    from a cached template); maintainability is {!Planner.analyze_ivm}'s
-    verdict on [bq] ({!maintainable}). The state is built at the first
-    {!read}, from [bq] without a replan. [register] names and indexes
-    views made here; [Db.execute] keeps anonymous ones on its result-cache
+(** A view whose full rebuilds plan with [plan] and run with [run] any
+    plan they do not replay as a stream. Without [seed] the state is built
+    at the first {!read}. [seed] = [(cat, bq, result)] stores [result],
+    computed by the caller from [bq] on snapshot [cat]: it stamps the
+    versions of the tables [bq] scans and holds no stream state, so the
+    first stale read rebuilds in full. [register] names and indexes views
+    made here; [Db.execute] keeps seeded ones on its result-cache
     entries. *)
-let make ?owner ~name ~sql (bq : Plan.bound_query) : t =
+let make ?owner ?seed ~name ~plan ~run () : t =
   let v =
     { v_name = name;
-      v_sql = sql;
       v_owner = owner;
+      v_plan = plan;
+      v_run = run;
       v_lock = Mutex.create ();
-      v_bq = bq;
-      v_shape = None;
-      v_reason = None;
+      v_ivm = None;
       v_state = None;
       v_dirty_replace = false;
       v_hits = 0;
       v_deltas = 0;
       v_recomputes = 0 }
   in
-  set_plan v bq;
+  Option.iter
+    (fun (cat, bq, result) ->
+      v.v_state <- Some (next_state v cat (Plan.bound_tables bq) result))
+    seed;
   v
 
 (* ------------------------------------------------------------------ *)
@@ -400,7 +445,7 @@ let make ?owner ~name ~sql (bq : Plan.bound_query) : t =
 
 type registry = {
   views : (string, t) Hashtbl.t; (* by view name *)
-  by_key : (string, string) Hashtbl.t; (* normalized SQL -> view name *)
+  by_key : (string, string) Hashtbl.t; (* constant-identity key -> name *)
   rlock : Mutex.t;
 }
 
@@ -428,8 +473,9 @@ let list reg =
         (Hashtbl.fold (fun _ v acc -> v :: acc) reg.views []))
 
 (** Register [sql] as view [name] and build its initial state eagerly (so
-    the first read is a hit). [key] is the caller's normalized-SQL cache
-    key: [Db.execute] routes matching queries to the view through it.
+    the first read is a hit). [key] is the caller's constant-identity key
+    ({!Sql_shape.key}): [Db.execute] routes matching queries to the view
+    through it.
     [quota] bounds the number of views [owner] may hold — views are
     charged against the tenant's cache quota. *)
 let register reg ~(cat : Catalog.t) ?owner ?quota ~name ~sql ~key () :
@@ -455,7 +501,10 @@ let register reg ~(cat : Catalog.t) ?owner ?quota ~name ~sql ~key () :
                (Option.value ~default:"?" owner))
         else begin
           let v =
-            make ?owner ~name ~sql (Planner.plan_query cat (Sql_parse.parse sql))
+            make ?owner ~name
+              ~plan:(fun cat -> Planner.plan_query cat (Sql_parse.parse sql))
+              ~run:(fun cat bq -> Exec_vectorized.run_query ~threads:1 cat bq)
+              ()
           in
           ignore (read v ~cat);
           Hashtbl.replace reg.views name v;
@@ -471,6 +520,6 @@ let note_replaced reg tname =
   rlocked reg (fun () ->
       Hashtbl.iter
         (fun _ v ->
-          if List.mem tname (Plan.bound_tables v.v_bq) then
+          if List.mem tname (tables v) then
             v.v_dirty_replace <- true)
         reg.views)

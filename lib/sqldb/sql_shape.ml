@@ -22,8 +22,8 @@
     - [TRUE]/[FALSE]/[NULL] (keywords, and type-ambiguous as parameters).
 
     [DATE 'iso'] collapses into a single date-typed slot. Text that already
-    contains [$k] placeholders is rejected ({!Unparameterizable}) — the
-    caller falls back to the literal path. *)
+    contains [$k] placeholders, or a string literal left open, is rejected
+    ({!Unparameterizable}): [Db.execute] runs such text uncached. *)
 
 exception Unparameterizable of string
 
@@ -307,12 +307,8 @@ let render_params (params : Value.t array) : string =
       (Array.to_list (Array.map Sql_ast.lit_to_sql params))
   ^ "]"
 
-let key (f : t) : string = f.shape ^ "#" ^ render_params f.params
-
 (** Constant-identity key: shape plus canonically rendered constants. Two
     texts get the same key iff they denote the same query with the same
-    constants — regardless of comments, whitespace, keyword case or literal
-    spelling. [None] when the text cannot be fingerprinted (pre-existing
-    placeholders, lex errors); callers fall back to literal normalization. *)
-let constant_key (sql : string) : string option =
-  match fingerprint sql with f -> Some (key f) | exception _ -> None
+    constants, whatever their comments, whitespace, keyword case or
+    literal spelling. *)
+let key (f : t) : string = f.shape ^ "#" ^ render_params f.params

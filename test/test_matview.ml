@@ -513,6 +513,25 @@ let test_crashed_refresh_keeps_version () =
   Alcotest.(check bool) "version advanced" true
     ((find_info db "g").Db.vi_version > v0)
 
+(* A rebuild that trips after a same-schema replace must leave the view
+   flagged: the next read rebuilds again instead of applying the grown
+   row count of the replaced table as a delta to the old state. *)
+let test_tripped_rebuild_after_replace () =
+  let db = grp_db () in
+  ok_or_fail (Db.register_view db ~name:"g" grp_sql);
+  Db.load_table db "a"
+    (Helpers.rel [ "x"; "grp" ]
+       [ Helpers.floats [| 10.; 20.; 30.; 40.; 50.; 60. |];
+         Helpers.ints [| 1; 1; 2; 2; 2; 3 |] ]);
+  (match Db.refresh ~row_budget:1 db "g" with
+  | exception Guard.Trip _ -> ()
+  | _ -> Alcotest.fail "expected Guard.Trip");
+  Helpers.check_rel ~digits:6 "read after the tripped rebuild"
+    (Db.execute (Db.snapshot db) grp_sql)
+    (Db.refresh db "g");
+  Alcotest.(check int) "no delta across the replace" 0
+    (Db.cache_stats db).Db.delta_refreshes
+
 let test_faulty_refresh_differential () =
   (* under armed fault injection every read must still equal a rebuild:
      injected faults either recover (suppressed retry) or unwind whole *)
@@ -758,6 +777,63 @@ let cache_differential backend () =
   cache_sequence ~counting:(not (Faults.armed ())) backend
     (Tpch.Dbgen.make_db 0.01)
 
+(* IVM switched off, on, and off again, on cache entries. While it is
+   off, every stale read rebuilds in full by running the plan, and no
+   entry keeps stream state. The first stale read after re-enabling
+   promotes each maintainable entry; the next one is a delta refresh. *)
+let test_cache_ivm_toggle () =
+  let db = Tpch.Dbgen.make_db 0.005 in
+  let counting = not (Faults.armed ()) in
+  let keys = dashboard_keys db in
+  let n_keys = List.length keys in
+  let n_maint = List.length (List.filter (fun (_, _, _, m) -> m) keys) in
+  let round what ~misses ~plan_hits ~deltas ~maintained =
+    let before = Db.cache_stats db in
+    List.iter
+      (fun (label, sql, _, _) ->
+        let got = Db.execute db sql in
+        let want = Db.execute (Db.snapshot db) sql in
+        Helpers.check_rows_close ~digits:4
+          (Printf.sprintf "%s: %s" what label)
+          (Relation.canonical ~digits:4 want)
+          (Relation.canonical ~digits:4 got))
+      keys;
+    let cs = Db.cache_stats db in
+    if counting then begin
+      let moved name f expected =
+        Alcotest.(check int) (what ^ ": " ^ name) expected (f cs - f before)
+      in
+      moved "misses" (fun s -> s.Db.misses) misses;
+      moved "recomputes" (fun s -> s.Db.plan_hits) plan_hits;
+      moved "delta refreshes" (fun s -> s.Db.delta_refreshes) deltas;
+      Alcotest.(check int) (what ^ ": entries with a view") maintained
+        cs.Db.maintained_entries
+    end
+  in
+  let append k = append_copies db "lineitem" ~n:60 ~k in
+  Helpers.with_config ~ivm:false (fun () ->
+      round "IVM off, cold" ~misses:n_keys ~plan_hits:0 ~deltas:0
+        ~maintained:0;
+      append 1;
+      round "IVM off, append 1" ~misses:0 ~plan_hits:n_keys ~deltas:0
+        ~maintained:0;
+      append 2;
+      round "IVM off, append 2" ~misses:0 ~plan_hits:n_keys ~deltas:0
+        ~maintained:0);
+  Helpers.with_config ~ivm:true (fun () ->
+      append 3;
+      round "IVM on, first stale read" ~misses:0 ~plan_hits:n_keys ~deltas:0
+        ~maintained:n_maint;
+      append 4;
+      round "IVM on, next stale read" ~misses:0
+        ~plan_hits:(n_keys - n_maint) ~deltas:n_maint ~maintained:n_maint);
+  (* switched off again: entries holding stream state rebuild in full
+     rather than refresh by delta, and drop that state *)
+  Helpers.with_config ~ivm:false (fun () ->
+      append 5;
+      round "IVM off again" ~misses:0 ~plan_hits:n_keys ~deltas:0
+        ~maintained:0)
+
 (* LRU eviction drops an entry's view with the entry: once evicted and
    re-read, the key starts over as a miss and promotes again. *)
 let test_cache_eviction_drops_view () =
@@ -823,7 +899,9 @@ let suites =
       [ tc "tripped refresh keeps previous version"
           test_crashed_refresh_keeps_version;
         tc "differential under fault injection"
-          test_faulty_refresh_differential ] );
+          test_faulty_refresh_differential;
+        tc "tripped rebuild after a replace stays flagged"
+          test_tripped_rebuild_after_replace ] );
     ( "matview-tenancy",
       [ tc "owner counters and view quota" test_owner_counters_and_quota;
         tc "replace triggers replan" test_replace_triggers_replan ] );
@@ -833,6 +911,8 @@ let suites =
         tc "dashboard keys vs snapshot, compiled"
           (cache_differential Db.Compiled);
         tc "eviction drops the entry's view" test_cache_eviction_drops_view;
+        tc "IVM toggled on entries: recompute, promote, delta"
+          test_cache_ivm_toggle;
         tc "q14 maintainable under dashboard date shifts"
           test_q14_shifts_maintainable ]
     ) ]

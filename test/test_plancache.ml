@@ -94,10 +94,10 @@ let test_roundtrip =
 
 let test_dollar_rejected =
   tc "pre-existing $k placeholders are rejected" (fun () ->
-      Alcotest.(check bool)
-        "constant_key is None" true
-        (Sql_shape.constant_key "SELECT o_id FROM orders WHERE o_cust = $1"
-        = None))
+      let sql = "SELECT o_id FROM orders WHERE o_cust = $1" in
+      match Sql_shape.fingerprint sql with
+      | exception Sql_shape.Unparameterizable _ -> ()
+      | _ -> Alcotest.fail "fingerprint accepted a $k placeholder")
 
 (* ------------------------------------------------------------------ *)
 (* Bind-vs-direct identity: planning the shape as a template and       *)
@@ -252,26 +252,30 @@ let test_guard_trip =
       Alcotest.(check int) "template still binds" 2 s3.Db.bind_hits;
       Alcotest.(check int) "no second trip" 1 s3.Db.guard_trips))
 
-(* ------------------------------------------------------------------ *)
-(* normalize_sql: comments and redundant whitespace                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_normalize =
-  tc "normalize_sql strips comments and collapses whitespace" (fun () ->
-      let n = Db.normalize_sql in
-      Alcotest.(check string) "line comment"
-        (n "SELECT a FROM t")
-        (n "SELECT a -- trailing comment\nFROM t");
-      Alcotest.(check string) "block comment"
-        (n "SELECT a FROM t")
-        (n "SELECT /* inline\n block */ a FROM t");
-      Alcotest.(check string) "whitespace inside parens"
-        (n "SELECT sum(a, b) FROM t")
-        (n "SELECT sum(  a ,\n\t b ) FROM t");
-      Alcotest.(check bool) "comment syntax inside strings survives" true
-        (contains_sub "'--x'" (n "SELECT '--x' FROM t"));
-      Alcotest.(check bool) "unterminated block comment eats to end" true
-        (n "SELECT a FROM t /* oops" = n "SELECT a FROM t"))
+(* Text the fingerprint rejects has no cache key: it runs uncached, so
+   nothing is stored, and the planner reports the same typed error as
+   with the cache off. *)
+let test_unkeyed_runs_uncached =
+  tc "unfingerprintable text runs uncached" (fun () ->
+      with_config ~cache:true ~plancache:true @@ fun () ->
+      let db = mini_db () in
+      let raises what sql check =
+        match Db.execute db sql with
+        | exception e when check e -> ()
+        | exception e ->
+          Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+        | _ -> Alcotest.failf "%s: executed" what
+      in
+      let bind = function Planner.Bind_error _ -> true | _ -> false in
+      let parse = function Sql_parse.Parse_error _ -> true | _ -> false in
+      raises "bare $1" "SELECT o_id FROM orders WHERE o_cust = $1" bind;
+      raises "bare $1 in the select list" "SELECT $1 FROM orders" bind;
+      raises "unterminated literal" "SELECT o_id FROM orders WHERE o_cust = 'x"
+        parse;
+      let s = Db.cache_stats db in
+      Alcotest.(check int) "no entry stored" 0 s.Db.entries;
+      Alcotest.(check int) "no miss counted" 0 s.Db.misses;
+      Alcotest.(check int) "no template planned" 0 s.Db.bind_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Matview routing through the shape key                               *)
@@ -330,5 +334,5 @@ let suites =
   [ ( "plancache",
       [ test_roundtrip; test_dollar_rejected; test_bind_identity;
         test_faults_stand_down; test_bind_hit; test_toggle; test_plan_quota;
-        test_invalidation; test_guard_trip; test_normalize;
+        test_invalidation; test_guard_trip; test_unkeyed_runs_uncached;
         test_matview_shape_routing; test_order_ordinal_after_case ] ) ]

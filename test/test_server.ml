@@ -337,6 +337,32 @@ let test_tenant_cache_quota =
         cs.Db.evictions;
       Alcotest.(check int) "tenant holds at most its quota" 2 cs.Db.entries)
 
+(* One deadline rule for stored results: a spent budget trips before a
+   fresh result is served, whether a cache entry or a registered view
+   holds it. *)
+let test_deadline_on_stored_results =
+  with_clean_cache (fun () ->
+      let db = two_table_db () in
+      let q_view = "SELECT SUM(y) AS s FROM b" in
+      (match Db.register_view db ~name:"vb" q_view with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "register_view: %s" e);
+      ignore (Db.execute db q_a);
+      List.iter
+        (fun (what, sql) ->
+          ignore (Db.execute db sql);
+          (match Db.execute ~timeout_ms:0 db sql with
+          | exception Guard.Trip { reason = Guard.Timeout; _ } -> ()
+          | _ -> Alcotest.failf "%s: served past a 0 ms deadline" what);
+          Alcotest.(check (list string))
+            (what ^ ": unguarded read still served")
+            (Relation.canonical ~digits:0 (Db.execute (Db.snapshot db) sql))
+            (Relation.canonical ~digits:0 (Db.execute db sql)))
+        [ ("fresh entry", q_a); ("registered view", q_view) ];
+      let cs = Db.cache_stats db in
+      Alcotest.(check int) "entry stayed fresh" 0 cs.Db.plan_hits;
+      Alcotest.(check int) "view stayed fresh" 0 cs.Db.view_recomputes)
+
 let test_snapshot_pin =
   with_clean_cache (fun () ->
       let db = two_table_db () in
@@ -556,7 +582,9 @@ let suites =
         tc "append recomputes without plan cache"
           test_cache_recompute_without_plancache;
         tc "replace drops entries" test_cache_dropped_on_replace;
-        tc "per-tenant cache quota" test_tenant_cache_quota ] );
+        tc "per-tenant cache quota" test_tenant_cache_quota;
+        tc "0 ms deadline trips on stored results"
+          test_deadline_on_stored_results ] );
     ( "server-snapshot",
       [ tc "pinned snapshot isolated from ingest" test_snapshot_pin;
         tc "guards are domain-local" test_guard_isolation ] );
