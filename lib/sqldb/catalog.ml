@@ -19,9 +19,10 @@
 
     Versioning: the snapshot-wide [version] ticks on every ingest, and each
     table records the catalog version at which it was last written
-    ({!table_version}). The {!Db} query cache keys entries on the versions
-    of the tables a plan actually references, so an ingest into one table
-    no longer invalidates cached work on unrelated tables. *)
+    ({!table_version}). A stored result ({!Matview}: a registered view or
+    one of {!Db}'s result-cache entries) records the versions of the
+    tables its plan references, so an ingest into one table leaves stored
+    results over the other tables fresh. *)
 
 module M = Map.Make (String)
 
