@@ -29,7 +29,24 @@ let popcount t =
   done;
   !n
 
-let is_empty t = popcount t = 0
+(* Bits past [len] in the last byte are never set, so a byte scan with an
+   early exit answers emptiness. *)
+let is_empty t =
+  let j = ref 0 and n = Bytes.length t.bits in
+  while !j < n && Bytes.unsafe_get t.bits !j = '\000' do
+    incr j
+  done;
+  !j = n
+
+(* Copy [src]'s bits into [dst] from bit [at] on, where [dst] has no bit
+   set yet; a byte-aligned [at] copies whole bytes. *)
+let blit src dst at =
+  if at land 7 = 0 then
+    Bytes.blit src.bits 0 dst.bits (at lsr 3) (Bytes.length src.bits)
+  else
+    for i = 0 to src.len - 1 do
+      if get src i then set dst (at + i)
+    done
 
 (* Bitwise union of two same-length bitsets. *)
 let union a b =

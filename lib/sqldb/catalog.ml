@@ -36,6 +36,7 @@ let no_constraints = { primary_key = []; unique = []; foreign_keys = [] }
 
 type table = {
   rel : Relation.t;
+  rooms : Column.room array; (* per column, shared by every version *)
   cons : constraints;
   stats : Stats.table_stats;
   tver : int; (* catalog version at which this table was last written *)
@@ -64,7 +65,7 @@ let build_table ?(cons = no_constraints) ?threads ~tver rel =
       rel.Relation.names
   in
   let stats = Stats.compute ~unique ?threads rel in
-  { rel; cons; stats; tver }
+  { rel; rooms = Array.map Column.room rel.Relation.cols; cons; stats; tver }
 
 (* Functional snapshot update + CAS swap. Writers are serialized by the Db
    facade, but the CAS loop keeps the catalog itself safe under concurrent
@@ -90,7 +91,11 @@ let add ?cons ?threads t name rel =
 let add_transient ?(cons = no_constraints) t name rel =
   swap_in t (fun s version ->
       M.add name
-        { rel; cons; stats = Stats.trivial rel; tver = version }
+        { rel;
+          rooms = Array.map Column.room rel.Relation.cols;
+          cons;
+          stats = Stats.trivial rel;
+          tver = version }
         s.tables)
 
 let snapshot_of t = Atomic.get t.snap
@@ -103,12 +108,15 @@ let find t name =
   | None -> invalid_arg ("Catalog.find: no table " ^ name)
 
 (** Schema-preserving append: replace [name] with the concatenation of its
-    current rows and [rel] (same schema, raw values). Cost is O(delta):
-    resident column payloads are blitted, dictionaries grow code-stably
-    ({!Column.append_chunk}), and statistics / zone maps are folded forward
-    over only the appended suffix ({!Stats.append_table}) instead of being
-    rebuilt. Constraints carry over. Readers pinned on the previous
-    snapshot keep seeing the pre-append table. *)
+    current rows and [rel] (same schema, raw values). The whole batch is
+    checked (arity, every column's type) before any column claims room.
+    Each int, date, float and code vector then takes the batch into its
+    spare capacity in place, or grows a fresh backing with headroom once
+    it runs short ({!Column.append_chunk}); raw strings, bools and null
+    bitmaps are copied whole. Dictionaries grow code-stably, and statistics
+    / zone maps are folded forward over only the appended suffix
+    ({!Stats.append_table}). Constraints carry over. Readers pinned on the
+    previous snapshot keep seeing the pre-append table. *)
 let append ?threads t name rel =
   let cur = find t name in
   let old_rows = Relation.n_rows cur.rel in
@@ -123,12 +131,14 @@ let append ?threads t name rel =
           (build_table ~cons:cur.cons ?threads ~tver:version merged)
           s.tables)
   else begin
-    if Array.length rel.Relation.cols <> Array.length cur.rel.Relation.cols
-    then invalid_arg ("Catalog.append: arity mismatch for " ^ name);
-    let cols =
-      Array.map2 Column.append_chunk cur.rel.Relation.cols rel.Relation.cols
+    let resident = cur.rel.Relation.cols and batch = rel.Relation.cols in
+    if Array.length batch <> Array.length resident
+       || Array.exists2 (fun (a : Column.t) b -> a.ty <> b.Column.ty) resident batch
+    then invalid_arg ("Catalog.append: batch does not fit the schema of " ^ name);
+    let grown =
+      Array.mapi (fun i a -> Column.append_chunk cur.rooms.(i) a batch.(i)) resident
     in
-    let merged = { cur.rel with Relation.cols } in
+    let merged = { cur.rel with Relation.cols = Array.map fst grown } in
     let unique =
       Array.map
         (fun nm ->
@@ -140,7 +150,11 @@ let append ?threads t name rel =
     in
     swap_in t (fun s version ->
         M.add name
-          { rel = merged; cons = cur.cons; stats; tver = version }
+          { rel = merged;
+            rooms = Array.map snd grown;
+            cons = cur.cons;
+            stats;
+            tver = version }
           s.tables)
   end
 

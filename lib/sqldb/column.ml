@@ -384,15 +384,18 @@ let take c idx =
 let concat_nulls total (cs : t list) : Bitset.t option =
   if List.for_all (fun c -> c.nulls = None) cs then None
   else begin
-    let m = Bitset.create total in
-    let at = ref 0 in
-    List.iter
-      (fun c ->
-        let base = !at in
-        Option.iter (Bitset.iter_set (fun i -> Bitset.set m (base + i))) c.nulls;
-        at := base + length c)
-      cs;
-    if Bitset.is_empty m then None else Some m
+    let m = Bitset.create total and any = ref false in
+    ignore
+      (List.fold_left
+         (fun at c ->
+           (match c.nulls with
+           | Some n when not (Bitset.is_empty n) ->
+             any := true;
+             Bitset.blit n m at
+           | _ -> ());
+           at + length c)
+         0 cs);
+    if !any then Some m else None
   end
 
 (* Concatenate same-typed columns. Payloads are blitted and null bits
@@ -440,18 +443,51 @@ let concat cs =
     in
     { ty = first.ty; data; nulls = concat_nulls total cs }
 
-(* Append batch [b]'s rows after resident column [a] without decoding or
-   rebuilding [a]'s payload: one blit of [a]'s cells into the merged backing
-   plus an O(|b|) pass over the batch. The merged column keeps [a]'s
-   physical family (raw/dict), and a dictionary grows code-stably —
-   resident codes keep their meaning, unseen batch values get fresh codes
-   at the end — so per-code state computed against the old dictionary
-   (zone maps, cached ranks) stays valid for the resident prefix. This is
-   what keeps {!Catalog.append} at O(delta) instead of O(table). *)
-let append_chunk (a : t) (b : t) : t =
+(* Spare capacity behind a base-table column. The column's payload vector
+   ([I], [F], or [D]'s codes) is the prefix view [sub back 0 n] of [back]'s
+   vector, and [owner] is the length of the newest version: only the
+   version of that length may write past its own end. Versions of one
+   table share the room by reference ({!Catalog}); a reader holds a view
+   of its own length, so it never sees cells written after it. Raw strings
+   and bools leave their room unused and copy. *)
+type room = { back : data; owner : int Atomic.t }
+
+(* Exact-size room: the first append grows it. *)
+let room c = { back = c.data; owner = Atomic.make (length c) }
+
+(* Observability: vector cells written by {!append_chunk} since the last
+   reset (resident cells copied into grown room, plus batch cells), so a
+   test can pin an append's copying to O(delta). *)
+let copied : int Atomic.t = Atomic.make 0
+let reset_cells_copied () = Atomic.set copied 0
+let cells_copied () = Atomic.get copied
+
+(* Append batch [b]'s rows after resident column [a], whose room is [r];
+   returns the merged column and its room. The batch goes into [r]'s
+   spare capacity when [a]'s version owns it ([owner] moves from |a| to
+   |a|+|b|); otherwise (too little room, or a newer version took it) a
+   fresh backing with half the rows again spare takes [a]'s cells once.
+   The merged column keeps [a]'s physical family (raw/dict), and a
+   dictionary grows code-stably — resident codes keep their meaning,
+   unseen batch values get fresh codes at the end — so per-code state
+   computed against the old dictionary (zone maps, cached ranks) stays
+   valid for the resident prefix. *)
+let append_chunk (r : room) (a : t) (b : t) : t * room =
   if a.ty <> b.ty then invalid_arg "Column.append_chunk: type mismatch";
   let na = length a and nb = length b in
-  let nulls = concat_nulls (na + nb) [ a; b ] in
+  let n = na + nb in
+  let nulls = concat_nulls n [ a; b ] in
+  let claim create v back =
+    ignore (Atomic.fetch_and_add copied nb);
+    if n <= Bigarray.Array1.dim back && Atomic.compare_and_set r.owner na n
+    then (back, r.owner)
+    else begin
+      let back = create (n + (n / 2)) in
+      blit_at v back 0;
+      ignore (Atomic.fetch_and_add copied na);
+      (back, Atomic.make n)
+    end
+  in
   (* Extend [d] with the batch's unseen values, writing the batch's codes
      against the (possibly grown) dictionary at [out.{na} ..]. Null rows
      get code 0 and keep their null bit. The dictionary can grow past the
@@ -459,44 +495,53 @@ let append_chunk (a : t) (b : t) : t =
      back to raw here would force an O(table) decode of the resident
      rows. *)
   let extend_dict (d : dict) (out : ivec) : dict =
-    let index = Hashtbl.copy d.index in
-    let fresh = ref [] and n_fresh = ref 0 in
+    let fresh = Hashtbl.create 8 and values = ref [] in
     let base = dict_size d in
     for i = 0 to nb - 1 do
       let code =
         if is_null b i then 0
         else
           let s = string_at b i in
-          match Hashtbl.find_opt index s with
+          match Hashtbl.find_opt d.index s with
           | Some c -> c
-          | None ->
-            let c = base + !n_fresh in
-            Hashtbl.add index s c;
-            fresh := s :: !fresh;
-            incr n_fresh;
-            c
+          | None -> (
+            match Hashtbl.find_opt fresh s with
+            | Some c -> c
+            | None ->
+              let c = base + Hashtbl.length fresh in
+              Hashtbl.add fresh s c;
+              values := s :: !values;
+              c)
       in
       Bigarray.Array1.unsafe_set out (na + i) code
     done;
-    if !n_fresh = 0 then d
-    else make_dict (Array.append d.values (Array.of_list (List.rev !fresh)))
+    if !values = [] then d
+    else make_dict (Array.append d.values (Array.of_list (List.rev !values)))
   in
-  let data =
-    match (a.data, b.data) with
-    | I v, I w -> I (vec_concat ivec_create [ v; w ])
-    | F v, F w -> F (vec_concat fvec_create [ v; w ])
-    | B x, B y -> B (Array.append x y)
-    | S x, _ ->
-      S (Array.append x
-           (Array.init nb (fun i -> if is_null b i then "" else string_at b i)))
-    | D (codes, d), _ ->
-      let out = ivec_create (na + nb) in
-      blit_at codes out 0;
-      let d' = extend_dict d out in
-      D (out, d')
-    | (I _ | F _ | B _), _ -> invalid_arg "Column.append_chunk: type mismatch"
+  let sub v = Bigarray.Array1.sub v 0 n in
+  let data, room' =
+    match (a.data, b.data, r.back) with
+    | I v, I w, I back ->
+      let back, owner = claim ivec_create v back in
+      blit_at w back na;
+      (I (sub back), { back = I back; owner })
+    | F v, F w, F back ->
+      let back, owner = claim fvec_create v back in
+      blit_at w back na;
+      (F (sub back), { back = F back; owner })
+    | D (v, d), _, D (back, _) ->
+      let back, owner = claim ivec_create v back in
+      let d = extend_dict d back in
+      (D (sub back, d), { back = D (back, d); owner })
+    | B x, B y, _ -> (B (Array.append x y), r)
+    | S x, _, _ ->
+      ( S (Array.append x
+             (Array.init nb (fun i -> if is_null b i then "" else string_at b i))),
+        r )
+    | (I _ | F _ | B _ | D _), _, _ ->
+      invalid_arg "Column.append_chunk: type mismatch"
   in
-  { ty = a.ty; data; nulls }
+  ({ ty = a.ty; data; nulls }, room')
 
 (* [n] copies of [v] in [ty]'s typed payload, converted as {!of_values}
    would; a NULL [v] gives zero payloads under a full null bitmap. *)

@@ -65,10 +65,20 @@ let test_append_scan_bound () =
     (Printf.sprintf "append scan is O(delta): %d << %d" delta_scan full_scan)
     true
     (delta_scan * 5 < full_scan);
+  (* the first append grew every vector's room; the next one writes its
+     batch in place instead of copying the resident cells *)
+  Column.reset_cells_copied ();
+  Db.append_table db "lineitem" batch;
+  let copied = Column.cells_copied () in
+  Alcotest.(check bool)
+    (Printf.sprintf "append copies O(delta) vector cells: %d <= 64 x %d columns"
+       copied (Relation.n_cols li))
+    true
+    (copied <= 64 * Relation.n_cols li);
   let r =
     Db.execute db "SELECT count(*) AS c FROM lineitem" |> Relation.canonical
   in
-  Alcotest.(check (list string)) "row count" [ string_of_int (n + 64) ] r
+  Alcotest.(check (list string)) "row count" [ string_of_int (n + 128) ] r
 
 let test_append_stats_consistency () =
   (* appended-path stats must agree with recomputed stats on the facts the
@@ -871,11 +881,169 @@ let test_cache_eviction_drops_view () =
       (stat (fun s -> s.Db.misses))
   end
 
+(* ------------------------------------------------------------------ *)
+(* In-place appends: versions sharing one backing vector              *)
+(* ------------------------------------------------------------------ *)
+
+(* Reads of lineitem's int, date, float and dictionary columns, with a
+   zone-map filter. *)
+let li_queries db =
+  [ tpch_sql db "q1";
+    tpch_sql db "q6";
+    "SELECT l_shipmode, count(*) AS c, sum(l_quantity) AS q, \
+     min(l_shipdate) AS d FROM lineitem GROUP BY l_shipmode" ]
+
+(* Cold answers (a fresh snapshot has an empty result cache). *)
+let li_answers ?(backend = Db.Vectorized) queries db =
+  List.map
+    (fun sql ->
+      Relation.canonical ~digits:4 (Db.execute ~backend (Db.snapshot db) sql))
+    queries
+
+let check_answers what expected actual =
+  List.iter2 (Helpers.check_rows_close ~digits:4 what) expected actual
+
+(* [n] lineitem rows of [db] from offset [at] on, with [l_shipmode] set to
+   [mode] on every third row: a value the dictionary has not seen grows
+   it. *)
+let li_batch db ~n ~at ~mode =
+  let li = Catalog.relation (Db.catalog db) "lineitem" in
+  let b =
+    Relation.take li (Array.init n (fun i -> (at + i) mod Relation.n_rows li))
+  in
+  let i = Option.get (Relation.col_index b "l_shipmode") in
+  let cols = Array.copy b.Relation.cols in
+  cols.(i) <-
+    Column.of_strings
+      (Array.init n (fun r ->
+           if r mod 3 = 0 then mode else Column.string_at cols.(i) r));
+  { b with Relation.cols }
+
+(* A freshly loaded database holding [rels] end to end as lineitem. *)
+let li_reference rels =
+  let db = Db.create () in
+  Db.load_table db "lineitem" (Relation.concat rels);
+  db
+
+(* A pin taken when its version owns the spare room: the appends after it
+   write past its end, which it must never see. *)
+let test_pin_isolated_from_in_place () =
+  let db = Tpch.Dbgen.make_db 0.005 in
+  let queries = li_queries db in
+  Db.append_table db "lineitem" (li_batch db ~n:40 ~at:0 ~mode:"AIR");
+  let pin = Db.snapshot db in
+  let rows () = Relation.n_rows (Catalog.relation (Db.catalog pin) "lineitem") in
+  let n = rows () and before = li_answers queries pin in
+  for k = 1 to 3 do
+    Db.append_table db "lineitem"
+      (li_batch db ~n:40 ~at:(k * 97) ~mode:(Printf.sprintf "M%d" k))
+  done;
+  Alcotest.(check int) "pin row count" n (rows ());
+  check_answers "pin after three appends" before (li_answers queries pin)
+
+(* A [Db.snapshot] fork and its parent share the spare room at the fork.
+   Appending to both, alternately, must leave each its own rows: the first
+   to append claims the room, and the other copies into a backing of its
+   own. *)
+let test_fork_appends_diverge () =
+  let db = Tpch.Dbgen.make_db 0.005 in
+  let queries = li_queries db in
+  Db.append_table db "lineitem" (li_batch db ~n:40 ~at:0 ~mode:"AIR");
+  let fork = Db.snapshot db in
+  let base = Catalog.relation (Db.catalog db) "lineitem" in
+  let appended = [ (db, ref []); (fork, ref []) ] in
+  for k = 1 to 3 do
+    List.iteri
+      (fun j (d, batches) ->
+        let b =
+          li_batch d ~n:(30 + j) ~at:((k * 101) + (j * 53))
+            ~mode:(Printf.sprintf "T%d-%d" j k)
+        in
+        Db.append_table d "lineitem" b;
+        batches := !batches @ [ b ])
+      appended;
+    List.iteri
+      (fun j (d, batches) ->
+        let reference = li_reference (base :: !batches) in
+        List.iter
+          (fun backend ->
+            check_answers
+              (Printf.sprintf "%s after round %d, %s"
+                 (if j = 0 then "parent" else "fork") k (Db.backend_name backend))
+              (li_answers ~backend queries reference)
+              (li_answers ~backend queries d))
+          Helpers.backends)
+      appended
+  done
+
+(* A registered view and a cached entry catch up by delta across appends
+   that write in place, and each equals a recompute. *)
+let test_in_place_delta_refresh () =
+  let db = Tpch.Dbgen.make_db 0.005 in
+  let q1 = tpch_sql db "q1" and q6 = tpch_sql db "q6" in
+  ok_or_fail (Db.register_view db ~name:"q1" q1);
+  ignore (Db.execute db q6);
+  let before = (Db.cache_stats db).Db.delta_refreshes in
+  for k = 1 to 4 do
+    Db.append_table db "lineitem" (li_batch db ~n:48 ~at:(k * 89) ~mode:"RAIL");
+    List.iter
+      (fun sql ->
+        Helpers.check_rows_close ~digits:4
+          (Printf.sprintf "append %d" k)
+          (Relation.canonical ~digits:4 (Db.execute (Db.snapshot db) sql))
+          (Relation.canonical ~digits:4 (Db.execute db sql)))
+      [ q1; q6 ]
+  done;
+  (* the view refreshes by delta on every append; the entry's first stale
+     read promotes it, the next three are deltas *)
+  if not (Faults.armed ()) then
+    Alcotest.(check int) "delta refreshes" 7
+      ((Db.cache_stats db).Db.delta_refreshes - before)
+
+(* A batch that fails the schema check claims no room: the table and its
+   answers stay as they were, and the next valid append still writes in
+   place. *)
+let test_failed_append_claims_nothing () =
+  let db = Tpch.Dbgen.make_db 0.002 in
+  let queries = li_queries db in
+  Db.append_table db "lineitem" (li_batch db ~n:32 ~at:0 ~mode:"AIR");
+  let base = Catalog.relation (Db.catalog db) "lineitem" in
+  let before = li_answers queries db in
+  let good = li_batch db ~n:32 ~at:500 ~mode:"BOAT" in
+  let last = Relation.n_cols good - 1 in
+  let bad =
+    { good with
+      Relation.cols =
+        Array.mapi
+          (fun i c -> if i = last then Column.of_ints (Array.make 32 0) else c)
+          good.Relation.cols }
+  in
+  (match Db.append_table db "lineitem" bad with
+  | () -> Alcotest.fail "a mistyped last column was appended"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "row count unchanged" (Relation.n_rows base)
+    (Relation.n_rows (Catalog.relation (Db.catalog db) "lineitem"));
+  check_answers "answers unchanged" before (li_answers queries db);
+  Column.reset_cells_copied ();
+  Db.append_table db "lineitem" good;
+  Alcotest.(check bool)
+    (Printf.sprintf "valid append writes in place: %d cells copied"
+       (Column.cells_copied ()))
+    true
+    (Column.cells_copied () <= 32 * Relation.n_cols good);
+  check_answers "after the valid append"
+    (li_answers queries (li_reference [ base; good ]))
+    (li_answers queries db)
+
 let suites =
   let tc = Helpers.tc in
   [ ( "matview-append",
       [ tc "append scans O(delta), not O(table)" test_append_scan_bound;
-        tc "appended stats match recompute" test_append_stats_consistency ] );
+        tc "appended stats match recompute" test_append_stats_consistency;
+        tc "pin unchanged by in-place appends" test_pin_isolated_from_in_place;
+        tc "parent and fork appends diverge" test_fork_appends_diverge;
+        tc "delta refresh across in-place appends" test_in_place_delta_refresh;
+        tc "failed append claims no room" test_failed_append_claims_nothing ] );
     ( "matview-oracle",
       [ tc "q1 suffix refresh bit-exact" test_oracle_q1;
         tc "q6 suffix refresh bit-exact" test_oracle_q6;

@@ -207,7 +207,10 @@ let bigarray_tests =
             in
             let a =
               fresh (2 * n) (fun () ->
-                  Column.append_chunk (build ty vals) (Column.of_values ty batch))
+                  let c = build ty vals in
+                  fst
+                    (Column.append_chunk (Column.room c) c
+                       (Column.of_values ty batch)))
             in
             check (name ^ " append_chunk") (Array.append vals batch) a)
           cases);
