@@ -67,7 +67,7 @@ bench-fused: build
 # Materialized-view refresh leg at SF 0.1: cold plan+execute vs cached-plan
 # re-execution (a stale cached read with IVM off) vs the stale cached read
 # of an entry kept by its own view vs a registered view's delta refresh,
-# for q1/q6/q14 under ~1% lineitem append rounds. The timed region is the
+# for q1/q3/q6/q12/q14 under ~1% lineitem append rounds. The timed region is the
 # stale read a dashboard pays after an ingest round; the accept bar for
 # this experiment is the delta refresh staying an order of magnitude under
 # re-execution, checked by eye or via --compare once a baseline with view

@@ -325,7 +325,7 @@ and materialize ctx (p : plan) : Relation.t =
     (* Rare in generated SQL; reuse the vectorized implementation. *)
     let vctx =
       { Exec_vectorized.catalog = ctx.catalog; ctes = ctx.ctes;
-        threads = ctx.threads; on_rows = None }
+        threads = ctx.threads; hooks = None }
     in
     Exec_vectorized.run vctx p
   | Scan name -> lookup ctx name

@@ -8,14 +8,6 @@
 
 open Plan
 
-type ctx = {
-  catalog : Catalog.t;
-  ctes : (string, Relation.t) Hashtbl.t;
-  threads : int;
-  on_rows : (Plan.plan -> int -> unit) option;
-      (* EXPLAIN instrumentation: actual output rows per operator *)
-}
-
 let relation_cols (r : Relation.t) = r.Relation.cols
 
 (* ------------------------------------------------------------------ *)
@@ -28,6 +20,29 @@ let relation_cols (r : Relation.t) = r.Relation.cols
 type srel = { rel : Relation.t; sel : int array option }
 
 let srel_all (r : Relation.t) : srel = { rel = r; sel = None }
+
+(* An inner join's build side: the right input's rows and their hash
+   table over the join keys. *)
+type build = { side : srel; table : Radix.t }
+
+(* Optional hooks into a run. [on_rows] is EXPLAIN instrumentation: actual
+   output rows per operator. [builds] supplies the build side of every
+   inner join: given the join's right input and a thunk that runs it and
+   builds over it, it returns that build or one it kept from an earlier
+   run. Only the Matview delta engine passes it. Both sit in one optional
+   record so that a run without hooks allocates exactly what it did
+   before them (test/golden/alloc.txt). *)
+type hooks = {
+  on_rows : (Plan.plan -> int -> unit) option;
+  builds : (Plan.plan -> (unit -> build) -> build) option;
+}
+
+type ctx = {
+  catalog : Catalog.t;
+  ctes : (string, Relation.t) Hashtbl.t;
+  threads : int;
+  hooks : hooks option;
+}
 
 let srel_nrows (s : srel) =
   match s.sel with Some idx -> Array.length idx | None -> Relation.n_rows s.rel
@@ -135,17 +150,11 @@ let sort_indices (r : Relation.t) (keys : (int * bool) list) : int array =
 (* Joins                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Matching (left row, right row) pairs of an equi-join, in probe order;
-   indices are base rows of [l.rel] / [r.rel], and no keys make a cross
-   join. The residual is applied afterwards over the concatenated relation. *)
-let hash_join_pairs ~threads (l : srel) (r : srel) (keys : (int * int) list) :
-    int array * int array =
-  let tbl =
-    Radix.build ~threads ?sel:r.sel (relation_cols r.rel) (List.map snd keys)
-      ~n:(Relation.n_rows r.rel)
-  in
-  Join.collect ~threads ?sel:l.sel Join.Inner tbl (relation_cols l.rel)
-    (List.map fst keys) ~n:(srel_nrows l)
+(* The hash table over an equi-join's right side [r], on its keys; no
+   keys make a cross join's one-entry build. *)
+let build_table ~threads (r : srel) (keys : (int * int) list) : Radix.t =
+  Radix.build ~threads ?sel:r.sel (relation_cols r.rel) (List.map snd keys)
+    ~n:(Relation.n_rows r.rel)
 
 let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
     Relation.t =
@@ -210,7 +219,9 @@ let window_relation (r : Relation.t) keys name : Relation.t =
 let rec run_sel (ctx : ctx) (p : plan) : srel =
   Guard.check ();
   let r = run_sel_inner ctx p in
-  (match ctx.on_rows with Some f -> f p (srel_nrows r) | None -> ());
+  (match ctx.hooks with
+  | Some { on_rows = Some f; _ } -> f p (srel_nrows r)
+  | _ -> ());
   r
 
 and run_sel_inner (ctx : ctx) (p : plan) : srel =
@@ -308,12 +319,34 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
   | Window (sub, keys, name) ->
     srel_all (window_relation (materialize (run_sel ctx sub)) keys name)
 
+(* The left side runs first, then the build: the [builds] hook's for an
+   inner join, else one over the right side. *)
 and run_join ctx kind left right keys residual =
-  (* Both sides probe and gather straight through their selections; only
-     the join output is materialized. *)
   let threads = ctx.threads in
-  let ls = run_sel ctx left and rs = run_sel ctx right in
-  let li, ri = hash_join_pairs ~threads ls rs keys in
+  let ls = run_sel ctx left in
+  match (ctx.hooks, kind) with
+  | Some { builds = Some build; _ }, JInner ->
+    let b =
+      build right (fun () ->
+          let rs = run_sel ctx right in
+          { side = rs; table = build_table ~threads rs keys })
+    in
+    join_output ctx kind ls b.side b.table keys residual
+  | _ ->
+    let rs = run_sel ctx right in
+    join_output ctx kind ls rs (build_table ~threads rs keys) keys residual
+
+(* Both sides probe and gather straight through their selections; only
+   the join output is materialized. The matching (left row, right row)
+   pairs come in probe order, as base rows of [ls.rel] and of [rs.rel],
+   which [tbl] was built over; the residual is applied afterwards over the
+   concatenated relation. *)
+and join_output ctx kind ls rs tbl keys residual =
+  let threads = ctx.threads in
+  let li, ri =
+    Join.collect ~threads ?sel:ls.sel Join.Inner tbl (relation_cols ls.rel)
+      (List.map fst keys) ~n:(srel_nrows ls)
+  in
   let li, ri = apply_residual ~threads ls.rel rs.rel li ri residual in
   let side s = (s.sel, srel_nrows s, Relation.n_rows s.rel) in
   let li, ri = Join.complete kind ~left:(side ls) ~right:(side rs) (li, ri) in
@@ -431,9 +464,14 @@ and run (ctx : ctx) (p : plan) : Relation.t = materialize (run_sel ctx p)
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_query ?(threads = 1) ?on_rows (catalog : Catalog.t) (bq : bound_query)
-    : Relation.t =
-  let ctx = { catalog; ctes = Hashtbl.create 8; threads; on_rows } in
+let run_query ?(threads = 1) ?on_rows ?builds (catalog : Catalog.t)
+    (bq : bound_query) : Relation.t =
+  let hooks =
+    match (on_rows, builds) with
+    | None, None -> None
+    | _ -> Some { on_rows; builds }
+  in
+  let ctx = { catalog; ctes = Hashtbl.create 8; threads; hooks } in
   List.iter
     (fun (name, plan) ->
       let r = run ctx plan in
@@ -446,7 +484,8 @@ let run_query ?(threads = 1) ?on_rows (catalog : Catalog.t) (bq : bound_query)
 (** Run a bare plan subtree (no CTEs). The Matview delta engine streams
     plan fragments — the select-project-join stream below a view's
     aggregate, or its finish chain over accumulator output — through this
-    entry point against hybrid catalogs. *)
-let run_plan ?threads ?on_rows (catalog : Catalog.t) (p : Plan.plan) :
+    entry point against hybrid catalogs, with [builds] supplying the join
+    build sides it keeps across refreshes. *)
+let run_plan ?threads ?on_rows ?builds (catalog : Catalog.t) (p : Plan.plan) :
     Relation.t =
-  run_query ?threads ?on_rows catalog { Plan.ctes = []; main = p }
+  run_query ?threads ?on_rows ?builds catalog { Plan.ctes = []; main = p }

@@ -34,15 +34,27 @@
 
     {b Delta derivation.} Appends only ever add rows at the end of a base
     table, so the delta of table [T] is the row range [old_n, new_n) — a
-    zero-copy slice. A refresh never rewrites the plan: it re-runs the same
-    bound stream against a {e hybrid catalog} ({!Catalog.import}) that
-    binds one table to its delta slice and every other table to either the
-    current snapshot or the snapshot pinned at the last refresh. For
+    slice whose numeric and code vectors are views of the table's. A
+    refresh never rewrites the plan: it re-runs the same bound stream
+    against a {e hybrid catalog} ({!Catalog.import}) that binds one table
+    to its delta slice and every other table to either the current
+    snapshot or the snapshot pinned at the last refresh. For
     changed tables [T1..Tn] (in the stream's left-to-right probe order) the
     standard telescoping delta rule applies: term [i] binds tables before
     [Ti] to the {e new} snapshot, [Ti] to its delta, and tables after [Ti]
     to the {e old} pinned snapshot; the terms' outputs are replayed into
     the group state in order.
+
+    {b Retained builds.} A join whose right (build) side reads no changed
+    table binds that side to the current snapshot in every term, so the
+    refresh hands the executor its build through the [builds] hook of
+    {!Exec_vectorized.run_plan}: made on first need, shared by the terms,
+    and kept in the stream state stamped with the version of every base
+    table under the side. A later refresh reuses it while those versions
+    are current, skipping the subtree and its hash build, so a driver
+    append refreshes in O(delta). A side over a changed table is built
+    per term and not kept; when the appended table is itself a build side
+    (q12), its term probes the whole other side.
 
     {b Exactness.} Every stream chunk feeds the group state through
     {!Agg_util.groups_feeder}, the executors' own grouped fold — the same
@@ -58,10 +70,11 @@
 
     {b Crash safety.} A refresh deep-copies the group state
     ({!Agg_util.groups_copy}), replays into the copy, and installs the new
-    state only after every term (and the finish run) succeeded. A fault
-    or tripped {!Guard} mid-refresh unwinds and leaves the view at its
-    previous consistent version; injected faults are retried once with
-    injection suppressed ({!Faults.retry_once}), as in [Db.execute]. *)
+    state, with the builds it made, only after every term (and the finish
+    run) succeeded. A fault or tripped {!Guard} mid-refresh unwinds and
+    leaves the view at its previous consistent version and builds;
+    injected faults are retried once with injection suppressed
+    ({!Faults.retry_once}), as in [Db.execute]. *)
 
 (* [set_enabled false] keeps registration and view serving live but sends
    every stale read down the full-rebuild path, which then runs the plan. *)
@@ -76,11 +89,21 @@ type acc =
       (* aggregate views: the GROUP BY key columns and the group state *)
   | Rows of Relation.t (* filter/project views: the stream rows *)
 
+(* A join build side kept across refreshes: the build a delta term made
+   over [input], and the version of every base table under [input] when
+   it was made. *)
+type retained = {
+  input : Plan.plan; (* physically the right input of a stream join *)
+  build : Exec_vectorized.build;
+  stamps : (string * int) list;
+}
+
 type stream = {
   shape : Planner.ivm_shape; (* the split [acc] was folded under *)
   acc : acc;
   rows_at : (string * int) list; (* row counts, in stream table order *)
   pinned : Catalog.t; (* the snapshot [acc] reflects *)
+  builds : retained list; (* at most one per join *)
 }
 
 type state = {
@@ -205,12 +228,37 @@ let stamp_deps cat tables =
 let stamp_rows cat tables =
   List.map (fun n -> (n, Relation.n_rows (Catalog.relation cat n))) tables
 
-(* Zero-copy-ish suffix slice [from..n) of a base table: gathers share
-   dictionaries with the source, so delta slices stay cheap. *)
+(* Rows [from, length c) of column [c]. Int, float and code vectors are
+   zero-copy views of [c]'s ([Bigarray.Array1.sub]); raw strings, bools
+   and null bits copy only the suffix. A view is safe under in-place
+   appends: the cells a version holds are never rewritten
+   ({!Column.room}). *)
+let column_suffix (c : Column.t) ~from : Column.t =
+  let k = Column.length c - from in
+  let nulls =
+    match c.Column.nulls with
+    | None -> None
+    | Some sm ->
+      let m = Bitset.create k in
+      for i = 0 to k - 1 do
+        if Bitset.get sm (from + i) then Bitset.set m i
+      done;
+      if Bitset.is_empty m then None else Some m
+  in
+  let data =
+    match c.Column.data with
+    | Column.I v -> Column.I (Bigarray.Array1.sub v from k)
+    | Column.F v -> Column.F (Bigarray.Array1.sub v from k)
+    | Column.D (v, d) -> Column.D (Bigarray.Array1.sub v from k, d)
+    | Column.S a -> Column.S (Array.sub a from k)
+    | Column.B a -> Column.B (Array.sub a from k)
+  in
+  { c with Column.data; nulls }
+
+(* The suffix [from..n) of a base table, the delta of an append. *)
 let delta_slice cat name ~from : Relation.t =
   let rel = Catalog.relation cat name in
-  let n = Relation.n_rows rel in
-  Relation.take rel (Array.init (n - from) (fun i -> from + i))
+  { rel with Relation.cols = Array.map (column_suffix ~from) rel.Relation.cols }
 
 (* Hybrid catalog for delta-rule term [ti]: stream tables before [ti] bind
    to the new snapshot, [ti] to its delta slice, tables after [ti] to the
@@ -236,14 +284,15 @@ let term_catalog (s : stream) (cat : Catalog.t) ~(changed : string list)
 let next_version v = 1 + match v.v_state with Some st -> st.version | None -> 0
 
 (* The next state of [view]: [result] as of snapshot [cat] of [tables],
-   with [acc] folded under [shape] when the view is maintained. *)
+   with [acc] folded under [shape] and [builds] kept when the view is
+   maintained. *)
 let next_state (view : t) (cat : Catalog.t) tables ?stream result =
   { deps = stamp_deps cat tables;
     stream =
       Option.map
-        (fun (shape, acc) ->
+        (fun (shape, acc, builds) ->
           { shape; acc; rows_at = stamp_rows cat tables;
-            pinned = Catalog.pin cat })
+            pinned = Catalog.pin cat; builds })
         stream;
     version = next_version view;
     result }
@@ -257,7 +306,7 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
     Exec_vectorized.run_plan ~threads:1 cat shape.Planner.ivm_stream
   in
   let next acc =
-    next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc)
+    next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc, [])
   in
   match shape.Planner.ivm_agg with
   | Some (gidx, specs, _) ->
@@ -295,25 +344,62 @@ let rebuild (view : t) (cat : Catalog.t) : state =
     if replaced then view.v_dirty_replace <- true;
     Printexc.raise_with_backtrace e bt
 
+(* Observability: rows of the join build sides that delta refreshes made
+   since the last reset, so a test can pin a refresh to building nothing
+   over the tables an append left unchanged. *)
+let built = Atomic.make 0
+let reset_build_rows () = Atomic.set built 0
+let build_rows () = Atomic.get built
+
 (* Incremental refresh: replay each changed table's delta-rule term into a
-   deep copy of the stream state, then finish and install. *)
+   deep copy of the stream state, then finish and install. A join whose
+   right side reads no changed table binds that side to [cat] in every
+   term, so its build is shared by the terms and kept for later refreshes
+   while the versions it was made at are current. *)
 let delta_refresh (view : t) (s : stream) (cat : Catalog.t)
     ~(changed : string list) : state =
   let shape = s.shape in
+  let made = ref [] (* kept only if this refresh installs its state *) in
+  let builds input make =
+    let make () =
+      let b = make () in
+      let rows = Exec_vectorized.srel_nrows b.Exec_vectorized.side in
+      ignore (Atomic.fetch_and_add built rows);
+      b
+    in
+    let tables = Planner.ivm_scans input in
+    if List.exists (fun t -> List.mem t changed) tables then make ()
+    else begin
+      let stamps = stamp_deps cat tables in
+      let current r = r.input == input && r.stamps = stamps in
+      match List.find_opt current (!made @ s.builds) with
+      | Some r -> r.build
+      | None ->
+        let build = make () in
+        made := { input; build; stamps } :: !made;
+        build
+    end
+  in
   (* the delta-rule terms' streams, in stream table order *)
   let terms =
     List.filter_map
       (fun ti ->
         if List.mem ti changed then
           Some
-            (Exec_vectorized.run_plan ~threads:1
+            (Exec_vectorized.run_plan ~threads:1 ~builds
                (term_catalog s cat ~changed ti)
                shape.Planner.ivm_stream)
         else None)
       shape.Planner.ivm_tables
   in
   let next acc =
-    next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc)
+    let kept =
+      List.filter
+        (fun r -> not (List.exists (fun m -> m.input == r.input) !made))
+        s.builds
+    in
+    next_state view cat shape.Planner.ivm_tables
+      ~stream:(shape, acc, !made @ kept)
   in
   match s.acc with
   | Groups (gidx, g) ->

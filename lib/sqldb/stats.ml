@@ -345,8 +345,10 @@ let append_col_stats ~unique (old : col_stats) (c : Column.t) ~from :
     distinct; range; str_range }
 
 (* Zone maps after an append: blocks entirely inside the resident prefix
-   are carried over as-is; only the block the append landed in and the
-   fresh tail blocks are (re)computed — O(delta + block_size) rows. *)
+   are carried over as-is, the block the append landed in folds only the
+   appended rows into its resident min/max, and fresh tail blocks are
+   computed — O(delta) rows. The fold continues from the resident state
+   row by row, so every zone equals a full recompute's. *)
 let extend_zones (old : zone array option) (c : Column.t) ~from :
     zone array option =
   match Column.num_reader c with
@@ -354,18 +356,26 @@ let extend_zones (old : zone array option) (c : Column.t) ~from :
     let n = Column.length c in
     let nb = max 1 ((n + block_size - 1) / block_size) in
     let zs = Array.make nb empty_zone in
-    let start =
+    (* the first row to fold: [from] when the resident zones cover every
+       row below it, else the start of the first block they miss *)
+    let first =
       match old with
       | Some ozs ->
-        let keep = min (Array.length ozs) (from / block_size) in
+        let full = from / block_size in
+        let keep = min (Array.length ozs) full in
         Array.blit ozs 0 zs 0 keep;
-        keep
+        if keep = full && keep < Array.length ozs && keep < nb then begin
+          zs.(keep) <- ozs.(keep);
+          from
+        end
+        else keep * block_size
       | None -> 0
     in
-    note_scanned (n - (start * block_size));
-    for b = start to nb - 1 do
-      let lo = b * block_size and hi = min n ((b + 1) * block_size) - 1 in
-      let zmin = ref infinity and zmax = ref neg_infinity in
+    note_scanned (n - first);
+    for b = first / block_size to nb - 1 do
+      let lo = max first (b * block_size)
+      and hi = min n ((b + 1) * block_size) - 1 in
+      let zmin = ref zs.(b).zmin and zmax = ref zs.(b).zmax in
       for i = lo to hi do
         if not (Column.is_null c i) then begin
           let v = get i in
@@ -379,9 +389,9 @@ let extend_zones (old : zone array option) (c : Column.t) ~from :
   | _ -> None
 
 (** Statistics for [rel] after appending rows [from..n): every per-column
-    pass walks only the appended suffix (plus at most one straddled zone
-    block), so ingest cost is O(delta), not O(table). [rel] must be the
-    merged relation whose first [from] rows carried [old]. *)
+    pass walks only the appended suffix, so ingest cost is O(delta), not
+    O(table). [rel] must be the merged relation whose first [from] rows
+    carried [old]. *)
 let append_table (old : table_stats) ?unique ?(threads = 1)
     (rel : Relation.t) ~from : table_stats =
   let uniq i =

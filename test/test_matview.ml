@@ -80,6 +80,53 @@ let test_append_scan_bound () =
   in
   Alcotest.(check (list string)) "row count" [ string_of_int (n + 128) ] r
 
+(* The zone block an append lands in folds only the appended rows into
+   its resident min/max: the zone pass reads each appended row once per
+   numeric column, and every zone equals a full recompute's. *)
+let test_append_zones_exact () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let cat = Db.catalog db in
+  let li = Catalog.relation cat "lineitem" in
+  let from = Relation.n_rows li in
+  let old = Option.get (Catalog.stats_opt cat "lineitem") in
+  Alcotest.(check bool) "the append lands inside a zone block" true
+    (from mod Stats.block_size <> 0);
+  Db.append_table db "lineitem"
+    (Relation.take li (Array.init 299 (fun i -> (i * 37) mod from)));
+  let merged = Catalog.relation cat "lineitem" in
+  let numeric =
+    Array.fold_left
+      (fun n z -> if Option.is_some z then n + 1 else n)
+      0 old.Stats.zones
+  in
+  Stats.reset_rows_scanned ();
+  let extended =
+    Array.mapi
+      (fun i c -> Stats.extend_zones old.Stats.zones.(i) c ~from)
+      merged.Relation.cols
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "zone pass reads %d <= 299 x %d numeric columns"
+       (Stats.rows_scanned ()) numeric)
+    true
+    (Stats.rows_scanned () <= 299 * numeric);
+  let show zs =
+    Option.map
+      (Array.map (fun z -> Printf.sprintf "%h..%h" z.Stats.zmin z.Stats.zmax))
+      zs
+    |> Option.map Array.to_list
+  in
+  let fresh = (Stats.compute merged).Stats.zones in
+  let stored = (Option.get (Catalog.stats_opt cat "lineitem")).Stats.zones in
+  Array.iteri
+    (fun i z ->
+      let name = merged.Relation.names.(i) in
+      Alcotest.(check (option (list string)))
+        (name ^ " zones after the append") (show z) (show stored.(i));
+      Alcotest.(check (option (list string)))
+        (name ^ " zones extended directly") (show z) (show extended.(i)))
+    fresh
+
 let test_append_stats_consistency () =
   (* appended-path stats must agree with recomputed stats on the facts the
      planner consumes (ranges, null counts), and zone maps must still
@@ -687,6 +734,157 @@ let append_copies db name ~n ~k =
     (Relation.take rel
        (Array.init n (fun i -> ((k * 131) + i) mod Relation.n_rows rel)))
 
+(* ------------------------------------------------------------------ *)
+(* Retained join builds                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* q3's stream probes lineitem against the build over orders ⋈ customer. A
+   lineitem append changes neither: once a refresh has built over them,
+   the next refreshes build no rows at all, and each still answers what a
+   cold run answers, bit for bit. A cache entry's first stale read
+   promotes it, so its first delta, which builds, comes one append later
+   than a registered view's. *)
+let test_q3_builds_retained ~entry () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let sql = tpch_sql db "q3" in
+  if entry then ignore (Db.execute db sql)
+  else ok_or_fail (Db.register_view db ~name:"q3" sql);
+  let first = if entry then 2 else 1 in
+  for k = 1 to first + 2 do
+    append_copies db "lineitem" ~n:299 ~k;
+    Matview.reset_build_rows ();
+    let got = Db.execute db sql in
+    let built = Matview.build_rows () in
+    Alcotest.(check (list string))
+      (Printf.sprintf "append %d bit-exact" k)
+      (exact_rows (Db.execute (Db.snapshot db) sql))
+      (exact_rows got);
+    if not (Faults.armed ()) then
+      if k = first then
+        Alcotest.(check bool)
+          (Printf.sprintf "append %d builds the join sides" k)
+          true (built > 0)
+      else if k > first then
+        Alcotest.(check int)
+          (Printf.sprintf "append %d builds no rows" k)
+          0 built
+  done
+
+(* The rows of table [name] whose column [col] holds one of [keys],
+   appended again; returns them. *)
+let append_matching db name col keys =
+  let rel = Catalog.relation (Db.catalog db) name in
+  let c = Relation.column rel col in
+  let rows =
+    List.filter
+      (fun i -> List.mem (Column.get c i) keys)
+      (List.init (Relation.n_rows rel) Fun.id)
+  in
+  let copies = Relation.take rel (Array.of_list rows) in
+  Db.append_table db name copies;
+  copies
+
+let column_values (r : Relation.t) col =
+  let c = Relation.column r col in
+  List.sort_uniq compare (List.init (Relation.n_rows r) (Column.get c))
+
+(* Appends to orders and then customer change the build sides that the
+   lineitem refreshes before them kept. The orders copies duplicate the
+   orders of the current answer, the customer copies their customers, and
+   the last lineitem batch copies those orders' lines, so a refresh that
+   reused a build from before either append would miss matches that the
+   recompute finds. *)
+let test_q3_dimension_appends ~entry () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let sql = tpch_sql db "q3" in
+  if entry then ignore (Db.execute db sql)
+  else ok_or_fail (Db.register_view db ~name:"q3" sql);
+  let check what =
+    Helpers.check_rel ~digits:6 what
+      (Db.execute (Db.snapshot db) sql)
+      (Db.execute db sql)
+  in
+  append_copies db "lineitem" ~n:299 ~k:1;
+  check "lineitem append 1";
+  append_copies db "lineitem" ~n:299 ~k:2;
+  check "lineitem append 2";
+  let top = column_values (Db.execute db sql) "l_orderkey" in
+  let orders = append_matching db "orders" "o_orderkey" top in
+  check "orders append";
+  ignore
+    (append_matching db "customer" "c_custkey"
+       (column_values orders "o_custkey"));
+  check "customer append";
+  ignore (append_matching db "lineitem" "l_orderkey" top);
+  check "lineitem append 3"
+
+(* [f ()] run under a guard that trips never; returns its result and the
+   rows it materialized. *)
+let rows_used f =
+  Guard.with_guard ~row_budget:max_int (fun () ->
+      let r = f () in
+      (r, Atomic.get (Option.get (Guard.current ())).Guard.rows))
+
+(* A refresh that trips after making its builds installs neither its state
+   nor its builds: the stored result stays the previous one, the next
+   read builds again and answers what a cold run answers, and the read
+   after it reuses what that one built. [a] and [b] hold the same query at
+   the same state; [a]'s refresh measures the rows a refresh materializes,
+   and [b]'s trips at its last row. Faults are disarmed so that the two
+   refreshes do the same work. *)
+let crashed_build_refresh ~prepare ~read_a ~read_b ~peek_b db sql =
+  Faults.disarm ();
+  Fun.protect ~finally:Faults.arm_from_env (fun () ->
+      prepare ();
+      Matview.reset_build_rows ();
+      let _, rows = rows_used read_a in
+      let built = Matview.build_rows () in
+      Alcotest.(check bool) "the refresh builds" true (built > 0);
+      let before = peek_b () in
+      (match Guard.with_guard ~row_budget:(rows - 1) read_b with
+      | exception Guard.Trip _ -> ()
+      | _ -> Alcotest.fail "expected Guard.Trip");
+      Alcotest.(check bool) "stored result unchanged" true (peek_b () = before);
+      Matview.reset_build_rows ();
+      let want = exact_rows (Db.execute (Db.snapshot db) sql) in
+      Alcotest.(check (list string)) "read after the trip" want
+        (exact_rows (read_b ()));
+      Alcotest.(check int) "the tripped refresh's builds were dropped" built
+        (Matview.build_rows ());
+      append_copies db "lineitem" ~n:299 ~k:9;
+      Matview.reset_build_rows ();
+      Alcotest.(check (list string)) "next read"
+        (exact_rows (Db.execute (Db.snapshot db) sql))
+        (exact_rows (read_b ()));
+      Alcotest.(check int) "the next read reuses the builds" 0
+        (Matview.build_rows ()))
+
+let test_q3_crashed_build_view () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let sql = tpch_sql db "q3" in
+  ok_or_fail (Db.register_view db ~name:"a" sql);
+  ok_or_fail (Db.register_view db ~name:"b" sql);
+  crashed_build_refresh db sql
+    ~prepare:(fun () -> append_copies db "lineitem" ~n:299 ~k:1)
+    ~read_a:(fun () -> Db.refresh db "a")
+    ~read_b:(fun () -> Db.refresh db "b")
+    ~peek_b:(fun () -> Option.map exact_rows (Db.view_peek db "b"))
+
+(* The same on two cache entries of one query, one per backend: both
+   promote on the first stale read and build on the second. *)
+let test_q3_crashed_build_entry () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let sql = tpch_sql db "q3" in
+  let read backend () = Db.execute ~backend db sql in
+  crashed_build_refresh db sql
+    ~prepare:(fun () ->
+      List.iter (fun b -> ignore (read b ())) Helpers.backends;
+      append_copies db "lineitem" ~n:299 ~k:1;
+      List.iter (fun b -> ignore (read b ())) Helpers.backends;
+      append_copies db "lineitem" ~n:299 ~k:2)
+    ~read_a:(read Db.Vectorized) ~read_b:(read Db.Compiled)
+    ~peek_b:(fun () -> None)
+
 (* Every cached read, through whichever path serves it, must answer what
    a cold run on a snapshot of the same data answers. With [counting], the
    serving path of every read is checked too: which reads miss, recompute,
@@ -1043,7 +1241,8 @@ let suites =
         tc "pin unchanged by in-place appends" test_pin_isolated_from_in_place;
         tc "parent and fork appends diverge" test_fork_appends_diverge;
         tc "delta refresh across in-place appends" test_in_place_delta_refresh;
-        tc "failed append claims no room" test_failed_append_claims_nothing ] );
+        tc "failed append claims no room" test_failed_append_claims_nothing;
+        tc "appended zones fold only the batch" test_append_zones_exact ] );
     ( "matview-oracle",
       [ tc "q1 suffix refresh bit-exact" test_oracle_q1;
         tc "q6 suffix refresh bit-exact" test_oracle_q6;
@@ -1083,4 +1282,17 @@ let suites =
           test_cache_ivm_toggle;
         tc "q14 maintainable under dashboard date shifts"
           test_q14_shifts_maintainable ]
-    ) ]
+    );
+    ( "matview-builds",
+      [ tc "q3 view keeps its build sides"
+          (test_q3_builds_retained ~entry:false);
+        tc "q3 entry keeps its build sides"
+          (test_q3_builds_retained ~entry:true);
+        tc "q3 view across orders and customer appends"
+          (test_q3_dimension_appends ~entry:false);
+        tc "q3 entry across orders and customer appends"
+          (test_q3_dimension_appends ~entry:true);
+        tc "q3 view: tripped refresh keeps no builds"
+          test_q3_crashed_build_view;
+        tc "q3 entry: tripped refresh keeps no builds"
+          test_q3_crashed_build_entry ] ) ]
