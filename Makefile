@@ -72,7 +72,7 @@ bench-fused: build
 # this experiment is the delta refresh staying an order of magnitude under
 # re-execution, checked by eye or via --compare once a baseline with view
 # rows is committed. Rows carry the ivm config stamp, so a run with IVM
-# switched off (Matview.set_enabled false) can never be diffed against an
+# switched off (settings ivm = false) can never be diffed against an
 # IVM-on baseline.
 bench-views: build
 	PYTOND_SF=$(SF01) PYTOND_RUNS=2 PYTOND_WARMUP=1 \

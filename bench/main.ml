@@ -19,9 +19,14 @@ let runs = try int_of_string (Sys.getenv "PYTOND_RUNS") with Not_found -> 3
 let warmups = try int_of_string (Sys.getenv "PYTOND_WARMUP") with Not_found -> 1
 
 (* Timing honesty: with the query cache on, the warmup run would populate it
-   and every timed run would be a cache hit. All experiments measure with
-   the cache off; the dedicated [cache] experiment re-enables it locally. *)
-let () = Sqldb.Db.set_cache_enabled false
+   and every timed run would be a cache hit. Every database here is built
+   with the cache off; the experiments that measure the cache read under
+   settings that turn it on. *)
+let bench_settings = { Sqldb.Settings.default with cache = false }
+
+let cached = { bench_settings with cache = true }
+let make_db ?(settings = bench_settings) sf = Tpch.Dbgen.make_db ~settings sf
+let create_db () = Sqldb.Db.create ~settings:bench_settings ()
 
 (* Median wall time over [runs], after [warmups]; parallel regions are
    credited with their critical path (cf. Sqldb.Parallel.Simulated). The
@@ -81,31 +86,20 @@ type row = {
 
 let results : row list ref = ref []
 
-let record ?radix ?fused ?ivm ?plancache ~experiment ~variant ~threads mean =
-  let radix =
-    match radix with Some b -> b | None -> Sqldb.Radix.enabled ()
-  in
-  let fused =
-    match fused with Some b -> b | None -> Sqldb.Kernel.fuse_enabled ()
-  in
-  let ivm = match ivm with Some b -> b | None -> Sqldb.Matview.enabled () in
-  let plancache =
-    match plancache with
-    | Some b -> b
-    | None -> Sqldb.Db.plancache_enabled_now ()
-  in
+(* A row's stamps are read from the settings it ran under. *)
+let record ?(settings = bench_settings) ~experiment ~variant ~threads mean =
   results :=
     { exp_ = experiment;
       variant;
       threads;
       rsf = Some sf;
-      radix = Some radix;
+      radix = Some settings.Sqldb.Settings.radix;
       (* every numeric column is a bigarray; the stamp keeps --compare
          matching baselines written while heap arrays were an option *)
       bigarray = Some true;
-      fused = Some fused;
-      ivm = Some ivm;
-      plancache = Some plancache;
+      fused = Some settings.fuse;
+      ivm = Some settings.ivm;
+      plancache = Some settings.plancache;
       mean }
     :: !results
 
@@ -433,7 +427,7 @@ let run_row ?(experiment = "") ~name ~db ~source ~threads alts =
 
 let fig_tpch ~threads ~figname () =
   Printf.printf "\n== %s: TPC-H SF=%g, %d thread(s) ==\n" figname sf threads;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db sf in
   header standard_alternatives;
   let speedups_duck = ref [] and speedups_hyper = ref [] in
   List.iter
@@ -461,7 +455,7 @@ let fig_ds ~threads ~figname () =
   header standard_alternatives;
   List.iter
     (fun (name, load, source) ->
-      let db = Sqldb.Db.create () in
+      let db = create_db () in
       load db;
       ignore
         (run_row ~experiment:figname ~name ~db ~source ~threads
@@ -487,7 +481,7 @@ let scalability ~figname ~(cases : (string * Sqldb.Db.t * string) list) () =
     cases
 
 let fig7 () =
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db sf in
   scalability ~figname:"fig7 (TPC-H Q4/Q6/Q13)"
     ~cases:(List.map (fun q -> (q, db, Tpch.Queries.find q)) [ "q4"; "q6"; "q13" ])
     ()
@@ -497,7 +491,7 @@ let fig8 () =
     List.filter_map
       (fun (name, load, source) ->
         if List.mem name [ "crime_index"; "birth_analysis"; "n3"; "n9" ] then begin
-          let db = Sqldb.Db.create () in
+          let db = create_db () in
           load db;
           Some (name, db, source)
         end
@@ -540,7 +534,7 @@ let fig9 () =
   (* The paper fixes 1M rows and 32 columns; scaled by SF here. *)
   let base_rows = max 2000 (int_of_float (1_000_000. *. sf)) in
   let point ~rows ~cols ~sparsity =
-    let db = Sqldb.Db.create () in
+    let db = create_db () in
     Workloads.load_covar db ~rows ~cols ~sparsity;
     let times =
       List.map
@@ -575,13 +569,13 @@ let fig10 () =
       (Pytond.O3, "O3"); (Pytond.O4, "O4") ]
   in
   let backends = [ (Pytond.Vectorized, "duck"); (Pytond.Compiled, "hyper") ] in
-  let tpch_db = Tpch.Dbgen.make_db sf in
+  let tpch_db = make_db sf in
   let cases =
     ("q9", tpch_db, Tpch.Queries.find "q9")
     :: List.filter_map
          (fun (name, load, source) ->
            if List.mem name [ "crime_index"; "hybrid_covar"; "n3" ] then begin
-             let db = Sqldb.Db.create () in
+             let db = create_db () in
              load db;
              Some (name, db, source)
            end
@@ -623,19 +617,12 @@ let dict_queries = [ "q1"; "q3"; "q4"; "q12"; "q16"; "q19" ]
 let fig_dict () =
   Printf.printf
     "\n== dict: dictionary-encoded strings vs raw, TPC-H SF=%g ==\n" sf;
-  let build enabled =
-    let prev = Sqldb.Db.dict_encoding_enabled () in
-    Sqldb.Db.set_dict_encoding enabled;
-    let db = Tpch.Dbgen.make_db sf in
-    Sqldb.Db.set_dict_encoding prev;
-    db
-  in
   let backends = [ (Pytond.Vectorized, "duck"); (Pytond.Compiled, "hyper") ] in
   (* One variant's database live at a time: with both resident, every major
      GC marks twice the heap and the allocation-heavy raw-string queries
      slow down 3-5x purely from collector pressure, polluting the pairing. *)
   let run_variant enabled =
-    let db = build enabled in
+    let db = make_db ~settings:{ bench_settings with dict = enabled } sf in
     List.concat_map
       (fun q ->
         let source = Tpch.Queries.find q in
@@ -705,147 +692,85 @@ let fig_dict () =
   Printf.printf "geomean speedup (dict vs raw): %.2fx\n" (geomean !speedups)
 
 (* ------------------------------------------------------------------ *)
-(* Radix-partitioned joins/aggregation: on vs off                     *)
+(* On/off ablations: radix partitioning and fused kernels             *)
 (* ------------------------------------------------------------------ *)
 
-(* Join- and aggregation-heavy TPC-H queries at 3 threads; the same binary
-   runs each query with radix partitioning disabled (serial build, shared
-   probe table) and enabled (per-partition cache-resident tables). Rounds
-   alternate the variant order and keep each side's best time, like the
-   dict experiment, so scheduler noise cannot systematically favor one. *)
-let radix_queries = [ "q1"; "q3"; "q9"; "q12"; "q19" ]
-let radix_threads = 3
-
-let fig_radix () =
-  Printf.printf
-    "\n== radix: partitioned join/agg on vs off, TPC-H SF=%g, %d threads ==\n"
-    sf radix_threads;
-  let db = Tpch.Dbgen.make_db sf in
+(* One setting off and on: the same binary and database run each query on
+   both backends at [threads] under [settings false] and [settings true].
+   Rounds alternate the variant order and keep each side's best time, like
+   the dict experiment, so scheduler noise cannot systematically favor
+   one. Each row is stamped with the settings it ran under. *)
+let on_off ~experiment ~title ~queries ~threads ~settings () =
+  Printf.printf "\n== %s: %s on vs off, TPC-H SF=%g, %d threads ==\n"
+    experiment title sf threads;
+  let db = make_db sf in
   let backends = [ (Pytond.Vectorized, "duck"); (Pytond.Compiled, "hyper") ] in
-  let saved = Sqldb.Radix.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Sqldb.Radix.set_enabled saved)
-    (fun () ->
-      let time_one enabled q backend =
-        Sqldb.Radix.set_enabled enabled;
-        Gc.compact ();
-        measure (fun () ->
-            ignore
-              (Pytond.run ~level:Pytond.O4 ~backend ~threads:radix_threads
-                 ~db ~source:(Tpch.Queries.find q) ~fname:"query" ()))
-      in
-      let acc = Hashtbl.create 64 in
-      for round = 1 to 4 do
+  let time_one enabled q backend =
+    Gc.compact ();
+    measure (fun () ->
+        ignore
+          (Pytond.run ~level:Pytond.O4 ~backend ~threads
+             ~settings:(settings enabled) ~db ~source:(Tpch.Queries.find q)
+             ~fname:"query" ()))
+  in
+  let acc = Hashtbl.create 64 in
+  for round = 1 to 4 do
+    List.iter
+      (fun enabled ->
         List.iter
-          (fun enabled ->
+          (fun q ->
             List.iter
-              (fun q ->
-                List.iter
-                  (fun (backend, blabel) ->
-                    let t = time_one enabled q backend in
-                    let key = (enabled, q, blabel) in
-                    match Hashtbl.find_opt acc key with
-                    | Some t0 when t0 <= t -> ()
-                    | _ -> Hashtbl.replace acc key t)
-                  backends)
-              radix_queries)
-          (if round land 1 = 1 then [ false; true ] else [ true; false ])
-      done;
-      Printf.printf "%-10s %-8s %12s %12s %10s\n" "query" "engine" "off" "on"
-        "speedup";
-      let speedups = ref [] in
+              (fun (backend, blabel) ->
+                let t = time_one enabled q backend in
+                let key = (enabled, q, blabel) in
+                match Hashtbl.find_opt acc key with
+                | Some t0 when t0 <= t -> ()
+                | _ -> Hashtbl.replace acc key t)
+              backends)
+          queries)
+      (if round land 1 = 1 then [ false; true ] else [ true; false ])
+  done;
+  Printf.printf "%-10s %-8s %12s %12s %10s\n" "query" "engine" "off" "on"
+    "speedup";
+  let speedups = ref [] in
+  List.iter
+    (fun q ->
       List.iter
-        (fun q ->
-          List.iter
-            (fun (_, blabel) ->
-              let toff = Hashtbl.find acc (false, q, blabel) in
-              let ton = Hashtbl.find acc (true, q, blabel) in
-              record ~experiment:"radix"
-                ~variant:(Printf.sprintf "off/%s/%s" blabel q)
-                ~threads:radix_threads ~radix:false toff;
-              record ~experiment:"radix"
-                ~variant:(Printf.sprintf "on/%s/%s" blabel q)
-                ~threads:radix_threads ~radix:true ton;
-              speedups := (toff /. ton) :: !speedups;
-              Printf.printf "%-10s %-8s %11.4fs %11.4fs %9.2fx\n%!" q blabel
-                toff ton (toff /. ton))
-            backends)
-        radix_queries;
-      Printf.printf "geomean speedup (radix on vs off): %.2fx\n"
-        (geomean !speedups))
+        (fun (_, blabel) ->
+          let toff = Hashtbl.find acc (false, q, blabel) in
+          let ton = Hashtbl.find acc (true, q, blabel) in
+          record ~experiment
+            ~variant:(Printf.sprintf "off/%s/%s" blabel q)
+            ~threads ~settings:(settings false) toff;
+          record ~experiment
+            ~variant:(Printf.sprintf "on/%s/%s" blabel q)
+            ~threads ~settings:(settings true) ton;
+          speedups := (toff /. ton) :: !speedups;
+          Printf.printf "%-10s %-8s %11.4fs %11.4fs %9.2fx\n%!" q blabel
+            toff ton (toff /. ton))
+        backends)
+    queries;
+  Printf.printf "geomean speedup (%s on vs off): %.2fx\n" experiment
+    (geomean !speedups)
 
-(* ------------------------------------------------------------------ *)
-(* Fused branch-free kernels: on vs off                               *)
-(* ------------------------------------------------------------------ *)
+(* Join- and aggregation-heavy TPC-H queries at 3 threads with radix
+   partitioning disabled (serial build, shared probe table) and enabled
+   (per-partition cache-resident tables). *)
+let fig_radix =
+  on_off ~experiment:"radix" ~title:"partitioned join/agg"
+    ~queries:[ "q1"; "q3"; "q9"; "q12"; "q19" ] ~threads:3
+    ~settings:(fun radix -> { bench_settings with radix })
 
-(* Scan-heavy TPC-H queries at 3 threads; the same binary runs each query
-   with the fused filter→aggregate kernels disabled (per-row closure
-   pipeline over selection vectors) and enabled (mask kernels with in-loop
-   accumulation, see Sqldb.Kernel). q1/q6 are fusible aggregate pipelines;
-   q12/q19 are join queries that only benefit from the mask filter kernels
-   on their scans — they double as a no-harm control. Rounds alternate the
-   variant order and keep each side's best time, like the dict/radix
-   experiments. *)
-let fused_queries = [ "q1"; "q6"; "q12"; "q19" ]
-let fused_threads = 3
-
-let fig_fused () =
-  Printf.printf
-    "\n== fused: branch-free kernels on vs off, TPC-H SF=%g, %d threads ==\n"
-    sf fused_threads;
-  let db = Tpch.Dbgen.make_db sf in
-  let backends = [ (Pytond.Vectorized, "duck"); (Pytond.Compiled, "hyper") ] in
-  let saved = Sqldb.Kernel.fuse_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Sqldb.Kernel.set_fuse saved)
-    (fun () ->
-      let time_one enabled q backend =
-        Sqldb.Kernel.set_fuse enabled;
-        Gc.compact ();
-        measure (fun () ->
-            ignore
-              (Pytond.run ~level:Pytond.O4 ~backend ~threads:fused_threads
-                 ~db ~source:(Tpch.Queries.find q) ~fname:"query" ()))
-      in
-      let acc = Hashtbl.create 64 in
-      for round = 1 to 4 do
-        List.iter
-          (fun enabled ->
-            List.iter
-              (fun q ->
-                List.iter
-                  (fun (backend, blabel) ->
-                    let t = time_one enabled q backend in
-                    let key = (enabled, q, blabel) in
-                    match Hashtbl.find_opt acc key with
-                    | Some t0 when t0 <= t -> ()
-                    | _ -> Hashtbl.replace acc key t)
-                  backends)
-              fused_queries)
-          (if round land 1 = 1 then [ false; true ] else [ true; false ])
-      done;
-      Printf.printf "%-10s %-8s %12s %12s %10s\n" "query" "engine" "off" "on"
-        "speedup";
-      let speedups = ref [] in
-      List.iter
-        (fun q ->
-          List.iter
-            (fun (_, blabel) ->
-              let toff = Hashtbl.find acc (false, q, blabel) in
-              let ton = Hashtbl.find acc (true, q, blabel) in
-              record ~experiment:"fused"
-                ~variant:(Printf.sprintf "off/%s/%s" blabel q)
-                ~threads:fused_threads ~fused:false toff;
-              record ~experiment:"fused"
-                ~variant:(Printf.sprintf "on/%s/%s" blabel q)
-                ~threads:fused_threads ~fused:true ton;
-              speedups := (toff /. ton) :: !speedups;
-              Printf.printf "%-10s %-8s %11.4fs %11.4fs %9.2fx\n%!" q blabel
-                toff ton (toff /. ton))
-            backends)
-        fused_queries;
-      Printf.printf "geomean speedup (fused on vs off): %.2fx\n"
-        (geomean !speedups))
+(* Scan-heavy TPC-H queries at 3 threads with the fused filter→aggregate
+   kernels disabled (per-row closure pipeline over selection vectors) and
+   enabled (mask kernels with in-loop accumulation, see Sqldb.Kernel).
+   q1/q6 are fusible aggregate pipelines; q12/q19 are join queries that
+   only benefit from the mask filter kernels on their scans — they double
+   as a no-harm control. *)
+let fig_fused =
+  on_off ~experiment:"fused" ~title:"branch-free kernels"
+    ~queries:[ "q1"; "q6"; "q12"; "q19" ] ~threads:3
+    ~settings:(fun fuse -> { bench_settings with fuse })
 
 (* ------------------------------------------------------------------ *)
 (* Query cache: first run vs cached repeat                            *)
@@ -856,40 +781,38 @@ let cache_queries = [ "q1"; "q3"; "q6"; "q12" ]
 let fig_cache () =
   Printf.printf
     "\n== cache: first execution vs cached repeat, TPC-H SF=%g ==\n" sf;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db ~settings:cached sf in
   Printf.printf "%-10s %8s %12s %12s %10s\n" "query" "threads" "first"
     "cached" "speedup";
-  Sqldb.Db.set_cache_enabled true;
-  Fun.protect ~finally:(fun () -> Sqldb.Db.set_cache_enabled false) (fun () ->
+  List.iter
+    (fun threads ->
       List.iter
-        (fun threads ->
-          List.iter
-            (fun q ->
-              let source = Tpch.Queries.find q in
-              let sql =
-                Pytond.compile ~dialect:"duckdb" ~db ~source ~fname:"query" ()
-              in
-              let exec () =
-                ignore (Sqldb.Db.execute ~threads ~backend:Sqldb.Db.Vectorized db sql)
-              in
-              (* cold: clear before every run so each measurement pays
-                 plan + execute; warm: populate once, then every run hits *)
-              let tfirst =
-                measure (fun () -> Sqldb.Db.clear_cache db; exec ())
-              in
-              exec ();
-              let tcached = measure exec in
-              record ~experiment:"cache"
-                ~variant:(Printf.sprintf "first/duck/%s" q)
-                ~threads tfirst;
-              record ~experiment:"cache"
-                ~variant:(Printf.sprintf "cached/duck/%s" q)
-                ~threads tcached;
-              Printf.printf "%-10s %8d %11.5fs %11.5fs %9.0fx\n%!" q threads
-                tfirst tcached
-                (tfirst /. Float.max 1e-9 tcached))
-            cache_queries)
-        [ 1; 3 ]);
+        (fun q ->
+          let source = Tpch.Queries.find q in
+          let sql =
+            Pytond.compile ~dialect:"duckdb" ~db ~source ~fname:"query" ()
+          in
+          let exec () =
+            ignore (Sqldb.Db.execute ~threads ~backend:Sqldb.Db.Vectorized db sql)
+          in
+          (* cold: clear before every run so each measurement pays
+             plan + execute; warm: populate once, then every run hits *)
+          let tfirst =
+            measure (fun () -> Sqldb.Db.clear_cache db; exec ())
+          in
+          exec ();
+          let tcached = measure exec in
+          record ~experiment:"cache"
+            ~variant:(Printf.sprintf "first/duck/%s" q)
+            ~threads tfirst;
+          record ~experiment:"cache"
+            ~variant:(Printf.sprintf "cached/duck/%s" q)
+            ~threads tcached;
+          Printf.printf "%-10s %8d %11.5fs %11.5fs %9.0fx\n%!" q threads
+            tfirst tcached
+            (tfirst /. Float.max 1e-9 tcached))
+        cache_queries)
+    [ 1; 3 ];
   let st = Sqldb.Db.cache_stats db in
   Printf.printf "cache counters: %d hits, %d recomputes, %d misses, %d evictions\n"
     st.Sqldb.Db.hits st.Sqldb.Db.plan_hits st.Sqldb.Db.misses
@@ -905,7 +828,7 @@ let fig_cache () =
    skips, and the cost is one block test per morsel. *)
 let fig_scan () =
   Printf.printf "\n== scan: zone-map skipping on range scans, SF=%g ==\n" sf;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db sf in
   let key_hi =
     (* ~1% prefix of the orderkey domain *)
     let r = Sqldb.Catalog.relation (Sqldb.Db.catalog db) "orders" in
@@ -959,7 +882,7 @@ let fig_scan () =
 let fig_mixed () =
   Printf.printf
     "\n== mixed: read-heavy stream with interleaved ingest, SF=%g ==\n" sf;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db ~settings:cached sf in
   let sqls =
     List.map
       (fun q ->
@@ -989,27 +912,23 @@ let fig_mixed () =
           Sqldb.Db.append_table db "lineitem" li;
           read_batch () ) ]
   in
-  Sqldb.Db.set_cache_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Sqldb.Db.set_cache_enabled false)
-    (fun () ->
-      Printf.printf "%-18s %12s  %s\n" "variant" "batch" "cache counters";
-      List.iter
-        (fun (name, f) ->
-          Sqldb.Db.clear_cache db;
-          read_batch () (* populate *);
-          let before = Sqldb.Db.cache_stats db in
-          let t = measure f in
-          let after = Sqldb.Db.cache_stats db in
-          record ~experiment:"mixed" ~variant:name ~threads:1 t;
-          Printf.printf
-            "%-18s %11.5fs  +%d hits, +%d deltas, +%d recomputes, +%d misses\n%!"
-            name t
-            (after.Sqldb.Db.hits - before.Sqldb.Db.hits)
-            (after.Sqldb.Db.delta_refreshes - before.Sqldb.Db.delta_refreshes)
-            (after.Sqldb.Db.plan_hits - before.Sqldb.Db.plan_hits)
-            (after.Sqldb.Db.misses - before.Sqldb.Db.misses))
-        variants);
+  Printf.printf "%-18s %12s  %s\n" "variant" "batch" "cache counters";
+  List.iter
+    (fun (name, f) ->
+      Sqldb.Db.clear_cache db;
+      read_batch () (* populate *);
+      let before = Sqldb.Db.cache_stats db in
+      let t = measure f in
+      let after = Sqldb.Db.cache_stats db in
+      record ~experiment:"mixed" ~variant:name ~threads:1 t;
+      Printf.printf
+        "%-18s %11.5fs  +%d hits, +%d deltas, +%d recomputes, +%d misses\n%!"
+        name t
+        (after.Sqldb.Db.hits - before.Sqldb.Db.hits)
+        (after.Sqldb.Db.delta_refreshes - before.Sqldb.Db.delta_refreshes)
+        (after.Sqldb.Db.plan_hits - before.Sqldb.Db.plan_hits)
+        (after.Sqldb.Db.misses - before.Sqldb.Db.misses))
+    variants;
   let st = Sqldb.Db.cache_stats db in
   let looked =
     st.Sqldb.Db.hits + st.Sqldb.Db.delta_refreshes + st.Sqldb.Db.plan_hits
@@ -1041,7 +960,7 @@ let fig_mixed () =
 let fig_views () =
   Printf.printf
     "\n== views: incremental refresh vs re-execution, SF=%g ==\n" sf;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db sf in
   let sqls =
     List.map
       (fun q ->
@@ -1051,69 +970,57 @@ let fig_views () =
   let li = Sqldb.Catalog.relation (Sqldb.Db.catalog db) "lineitem" in
   let batch_n = max 1 (Sqldb.Relation.n_rows li / 100) in
   let batch = Sqldb.Relation.take li (Array.init batch_n Fun.id) in
-  Sqldb.Db.set_cache_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Sqldb.Db.set_cache_enabled false)
-    (fun () ->
-      (* min stale-read latency over [runs] append+read rounds; the
-         append is outside the timed region *)
-      let refresh_cost read =
-        let best = ref infinity in
-        for i = 1 to warmups + max 1 runs do
-          Sqldb.Db.append_table db "lineitem" batch;
-          let t0 = Unix.gettimeofday () in
-          read ();
-          let t = Unix.gettimeofday () -. t0 in
-          if i > warmups then best := Float.min !best t
-        done;
-        !best
+  (* min stale-read latency over [runs] append+read rounds; the
+     append is outside the timed region *)
+  let refresh_cost read =
+    let best = ref infinity in
+    for i = 1 to warmups + max 1 runs do
+      Sqldb.Db.append_table db "lineitem" batch;
+      let t0 = Unix.gettimeofday () in
+      read ();
+      let t = Unix.gettimeofday () -. t0 in
+      if i > warmups then best := Float.min !best t
+    done;
+    !best
+  in
+  Printf.printf "%-4s %12s %12s %12s %12s %10s  (append batch: %d rows)\n"
+    "view" "cold" "reexec" "cached" "ivm" "speedup" batch_n;
+  List.iter
+    (fun (q, sql) ->
+      (* cold: plan + execute from scratch on a fresh handle *)
+      let cold =
+        measure (fun () ->
+            ignore (Sqldb.Db.execute (Sqldb.Db.snapshot db) sql))
       in
-      Printf.printf "%-4s %12s %12s %12s %12s %10s  (append batch: %d rows)\n"
-        "view" "cold" "reexec" "cached" "ivm" "speedup" batch_n;
-      List.iter
-        (fun (q, sql) ->
-          (* cold: plan + execute from scratch on a fresh handle *)
-          let cold =
-            measure (fun () ->
-                ignore (Sqldb.Db.execute (Sqldb.Db.snapshot db) sql))
-          in
-          record ~experiment:"views" ~variant:(q ^ "-cold") ~threads:1 cold;
-          (* reexec: with IVM off the stale result entry is recomputed
-             after each append, binding the plan-cache template *)
-          ignore (Sqldb.Db.execute db sql);
-          let ivm_was = Sqldb.Matview.enabled () in
-          Sqldb.Matview.set_enabled false;
-          let reexec =
-            Fun.protect
-              ~finally:(fun () -> Sqldb.Matview.set_enabled ivm_was)
-              (fun () ->
-                refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql)))
-          in
-          record ~experiment:"views" ~variant:(q ^ "-reexec") ~threads:1
-            reexec;
-          (* cached: the same entry with IVM on; its first stale read
-             (untimed) builds the entry's view, later ones refresh it by
-             delta *)
-          Sqldb.Db.append_table db "lineitem" batch;
-          ignore (Sqldb.Db.execute db sql);
-          let cached =
-            refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql))
-          in
-          record ~experiment:"views" ~variant:(q ^ "-cached") ~threads:1
-            cached;
-          (* ivm: same SQL registered as a view; appends are absorbed by
-             delta refreshes *)
-          (match Sqldb.Db.register_view db ~name:("view_" ^ q) sql with
-          | Ok () -> ()
-          | Error e -> failwith e);
-          let ivm =
-            refresh_cost (fun () -> ignore (Sqldb.Db.execute db sql))
-          in
-          record ~experiment:"views" ~variant:(q ^ "-ivm") ~threads:1 ivm;
-          Printf.printf "%-4s %11.5fs %11.5fs %11.5fs %11.5fs %9.1fx\n%!" q
-            cold reexec cached ivm
-            (reexec /. Float.max 1e-9 ivm))
-        sqls);
+      record ~experiment:"views" ~variant:(q ^ "-cold") ~threads:1 cold;
+      (* reexec: with IVM off the stale result entry is recomputed
+         after each append, binding the plan-cache template *)
+      let read settings () = ignore (Sqldb.Db.execute ~settings db sql) in
+      let no_ivm = { cached with ivm = false } in
+      read no_ivm ();
+      let reexec = refresh_cost (read no_ivm) in
+      record ~experiment:"views" ~variant:(q ^ "-reexec") ~threads:1
+        ~settings:no_ivm reexec;
+      (* cached: the same entry with IVM on; its first stale read
+         (untimed) builds the entry's view, later ones refresh it by
+         delta *)
+      Sqldb.Db.append_table db "lineitem" batch;
+      read cached ();
+      let hit = refresh_cost (read cached) in
+      record ~experiment:"views" ~variant:(q ^ "-cached") ~threads:1
+        ~settings:cached hit;
+      (* ivm: same SQL registered as a view; appends are absorbed by
+         delta refreshes *)
+      (match Sqldb.Db.register_view db ~name:("view_" ^ q) sql with
+      | Ok () -> ()
+      | Error e -> failwith e);
+      let ivm = refresh_cost (read cached) in
+      record ~experiment:"views" ~variant:(q ^ "-ivm") ~threads:1
+        ~settings:cached ivm;
+      Printf.printf "%-4s %11.5fs %11.5fs %11.5fs %11.5fs %9.1fx\n%!" q
+        cold reexec hit ivm
+        (reexec /. Float.max 1e-9 ivm))
+    sqls;
   let st = Sqldb.Db.cache_stats db in
   Printf.printf
     "counters: %d delta refreshes (views and cached entries), %d view \
@@ -1138,7 +1045,7 @@ let fig_views () =
    constant-varying dashboard workload actually gets from the cache. *)
 let fig_plancache () =
   Printf.printf "\n== plancache: cold plan vs cached bind, SF=%g ==\n" sf;
-  let db = Tpch.Dbgen.make_db sf in
+  let db = make_db sf in
   let cat = Sqldb.Catalog.pin (Sqldb.Db.catalog db) in
   let sqls =
     List.map
@@ -1146,81 +1053,76 @@ let fig_plancache () =
         (q, Pytond.compile ~db ~source:(Tpch.Queries.find q) ~fname:"query" ()))
       [ "q1"; "q3"; "q6" ]
   in
-  let prev = Sqldb.Db.plancache_enabled_now () in
-  Sqldb.Db.set_plancache_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Sqldb.Db.set_plancache_enabled prev)
-    (fun () ->
-      (* per-call cost via an inner loop: a single plan is microseconds,
-         below the timer's useful resolution *)
-      let n = 100 in
-      let per f = measure (fun () -> for _ = 1 to n do f () done)
-                  /. float_of_int n in
-      Printf.printf "%-4s %13s %13s %9s\n" "q" "cold-plan" "cached-bind"
-        "speedup";
-      List.iter
-        (fun (q, sql) ->
-          (* plan acquisition through the public cache entry: on a miss it
-             pays fingerprint + parse + template plan + guard bookkeeping;
-             on a hit, fingerprint + lookup + constant substitution *)
-          let acquire () =
-            let f = Sqldb.Sql_shape.fingerprint sql in
-            ignore
-              (Sqldb.Db.bind_from_plan_cache db cat
-                 ~backend:Sqldb.Db.Vectorized ~threads:1 ~owner:None
-                 ~plan_quota:None f)
-          in
-          let cold =
-            per (fun () ->
-                Sqldb.Db.clear_plan_cache db;
-                acquire ())
-          in
-          acquire () (* warm the template *);
-          let bind = per acquire in
-          record ~experiment:"plancache" ~variant:(q ^ "-coldplan") ~threads:1
-            cold;
-          record ~experiment:"plancache" ~variant:(q ^ "-bind") ~threads:1
-            bind;
-          Printf.printf "%-4s %12.6fs %12.6fs %8.1fx\n%!" q cold bind
-            (cold /. Float.max 1e-9 bind))
-        sqls;
-      (* mixed-tenant stream: fresh constants every round, ingest between
-         batches; templates survive appends so every round after the first
-         binds instead of replanning *)
-      let li_rel = Sqldb.Catalog.relation (Sqldb.Db.catalog db) "lineitem" in
-      let li =
-        Sqldb.Relation.take li_rel
-          (Array.init (min 64 (Sqldb.Relation.n_rows li_rel)) Fun.id)
+  (* per-call cost via an inner loop: a single plan is microseconds,
+     below the timer's useful resolution *)
+  let n = 100 in
+  let per f = measure (fun () -> for _ = 1 to n do f () done)
+              /. float_of_int n in
+  Printf.printf "%-4s %13s %13s %9s\n" "q" "cold-plan" "cached-bind"
+    "speedup";
+  List.iter
+    (fun (q, sql) ->
+      (* plan acquisition through the public cache entry: on a miss it
+         pays fingerprint + parse + template plan + guard bookkeeping;
+         on a hit, fingerprint + lookup + constant substitution *)
+      let acquire () =
+        let f = Sqldb.Sql_shape.fingerprint sql in
+        ignore
+          (Sqldb.Db.bind_from_plan_cache db cat
+             ~backend:Sqldb.Db.Vectorized ~threads:1 ~owner:None
+             ~plan_quota:None f)
       in
-      let q_scan i =
-        Printf.sprintf
-          "SELECT l_returnflag, SUM(l_extendedprice) AS s FROM lineitem \
-           WHERE l_quantity < %d.0 GROUP BY l_returnflag"
-          (20 + (i mod 5))
+      let cold =
+        per (fun () ->
+            Sqldb.Db.clear_plan_cache db;
+            acquire ())
       in
-      let q_ord i =
-        Printf.sprintf
-          "SELECT COUNT(*) AS c FROM orders WHERE o_totalprice > %d.0"
-          (1000 + (137 * i))
-      in
-      Sqldb.Db.clear_plan_cache db;
-      let s0 = Sqldb.Db.cache_stats db in
-      let rounds = 20 in
-      for i = 1 to rounds do
-        if i mod 5 = 0 then Sqldb.Db.append_table db "lineitem" li;
-        ignore (Sqldb.Db.execute ~owner:"t1" db (q_scan i));
-        ignore (Sqldb.Db.execute ~owner:"t2" db (q_ord i))
-      done;
-      let s1 = Sqldb.Db.cache_stats db in
-      let binds = s1.Sqldb.Db.bind_hits - s0.Sqldb.Db.bind_hits in
-      let colds = s1.Sqldb.Db.bind_misses - s0.Sqldb.Db.bind_misses in
-      let trips = s1.Sqldb.Db.guard_trips - s0.Sqldb.Db.guard_trips in
-      let lookups = binds + colds + trips in
-      Printf.printf
-        "mixed-tenant (%d rounds, 2 tenants, ingest every 5): %d binds, %d \
-         cold plans, %d guard trips -> %.0f%% bind hit rate\n"
-        rounds binds colds trips
-        (100. *. float_of_int binds /. float_of_int (max 1 lookups)))
+      acquire () (* warm the template *);
+      let bind = per acquire in
+      record ~experiment:"plancache" ~variant:(q ^ "-coldplan") ~threads:1
+        cold;
+      record ~experiment:"plancache" ~variant:(q ^ "-bind") ~threads:1
+        bind;
+      Printf.printf "%-4s %12.6fs %12.6fs %8.1fx\n%!" q cold bind
+        (cold /. Float.max 1e-9 bind))
+    sqls;
+  (* mixed-tenant stream: fresh constants every round, ingest between
+     batches; templates survive appends so every round after the first
+     binds instead of replanning *)
+  let li_rel = Sqldb.Catalog.relation (Sqldb.Db.catalog db) "lineitem" in
+  let li =
+    Sqldb.Relation.take li_rel
+      (Array.init (min 64 (Sqldb.Relation.n_rows li_rel)) Fun.id)
+  in
+  let q_scan i =
+    Printf.sprintf
+      "SELECT l_returnflag, SUM(l_extendedprice) AS s FROM lineitem \
+       WHERE l_quantity < %d.0 GROUP BY l_returnflag"
+      (20 + (i mod 5))
+  in
+  let q_ord i =
+    Printf.sprintf
+      "SELECT COUNT(*) AS c FROM orders WHERE o_totalprice > %d.0"
+      (1000 + (137 * i))
+  in
+  Sqldb.Db.clear_plan_cache db;
+  let s0 = Sqldb.Db.cache_stats db in
+  let rounds = 20 in
+  for i = 1 to rounds do
+    if i mod 5 = 0 then Sqldb.Db.append_table db "lineitem" li;
+    ignore (Sqldb.Db.execute ~owner:"t1" db (q_scan i));
+    ignore (Sqldb.Db.execute ~owner:"t2" db (q_ord i))
+  done;
+  let s1 = Sqldb.Db.cache_stats db in
+  let binds = s1.Sqldb.Db.bind_hits - s0.Sqldb.Db.bind_hits in
+  let colds = s1.Sqldb.Db.bind_misses - s0.Sqldb.Db.bind_misses in
+  let trips = s1.Sqldb.Db.guard_trips - s0.Sqldb.Db.guard_trips in
+  let lookups = binds + colds + trips in
+  Printf.printf
+    "mixed-tenant (%d rounds, 2 tenants, ingest every 5): %d binds, %d \
+     cold plans, %d guard trips -> %.0f%% bind hit rate\n"
+    rounds binds colds trips
+    (100. *. float_of_int binds /. float_of_int (max 1 lookups))
 
 (* ------------------------------------------------------------------ *)
 (* Table I: capability matrix                                         *)
@@ -1246,7 +1148,7 @@ let table1 () =
 let micro () =
   Printf.printf "\n== micro: bechamel engine-operator suite ==\n%!";
   let open Bechamel in
-  let db = Tpch.Dbgen.make_db (Float.min sf 0.01) in
+  let db = make_db (Float.min sf 0.01) in
   let sql_scan = "SELECT l_orderkey FROM lineitem WHERE l_quantity < 10.0" in
   let sql_agg =
     "SELECT l_returnflag, SUM(l_extendedprice) AS s FROM lineitem GROUP BY \

@@ -142,7 +142,7 @@ let print_full_stats db server =
      cached (%s)\n%!"
     cs.Sqldb.Db.bind_hits cs.Sqldb.Db.bind_misses cs.Sqldb.Db.guard_trips
     cs.Sqldb.Db.plan_entries
-    (if Sqldb.Db.plancache_enabled_now () then "enabled" else "disabled");
+    (if db.Sqldb.Db.settings.plancache then "enabled" else "disabled");
   List.iter
     (fun (name, _) ->
       let h, ph, m, vh, dr, bh = Sqldb.Db.owner_stats db name in

@@ -141,17 +141,17 @@ let explain ?(level = O4) ?(dialect = "duckdb") ~db ~source ~fname () : string =
     (match level with O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3" | O4 -> "O4")
     (Ir.program_to_string opt) sql plan_txt
 
-(** Full in-database execution: compile then run on a backend.
-    [timeout_ms] / [row_budget] install a cooperative execution guard;
-    expiry surfaces as [Error] with stage [Exec] and code ["timeout"] /
-    ["row-budget"]. *)
-let run ?(level = O4) ?(backend = Vectorized) ?(threads = 1) ?timeout_ms
-    ?row_budget ~(db : Db.t) ~(source : string) ~(fname : string) () :
-    Relation.t =
+(** Full in-database execution: compile then run on a backend, under
+    [settings] (default: the database's). [timeout_ms] / [row_budget]
+    install a cooperative execution guard; expiry surfaces as [Error] with
+    stage [Exec] and code ["timeout"] / ["row-budget"]. *)
+let run ?(level = O4) ?(backend = Vectorized) ?(threads = 1) ?settings
+    ?timeout_ms ?row_budget ~(db : Db.t) ~(source : string) ~(fname : string)
+    () : Relation.t =
   let dialect = match backend with Compiled -> "hyper" | _ -> "duckdb" in
   let sql = compile ~level ~dialect ~db ~source ~fname () in
   Errors.guard ~stage:Errors.Exec (fun () ->
-      Db.execute ~threads ~backend ?timeout_ms ?row_budget db sql)
+      Db.execute ~threads ~backend ?settings ?timeout_ms ?row_budget db sql)
 
 (** {!compile} returning the typed error instead of raising. *)
 let compile_result ?level ?dialect ~db ~source ~fname () :

@@ -58,13 +58,13 @@ let create () : t =
     ingests through the original handle. O(1) — no copying. *)
 let pin (t : t) : t = { snap = Atomic.make (Atomic.get t.snap) }
 
-let build_table ?(cons = no_constraints) ?threads ~tver rel =
+let build_table ?(cons = no_constraints) ?grain ?threads ~tver rel =
   let unique =
     Array.map
       (fun nm -> cons.primary_key = [ nm ] || List.mem [ nm ] cons.unique)
       rel.Relation.names
   in
-  let stats = Stats.compute ~unique ?threads rel in
+  let stats = Stats.compute ~unique ?grain ?threads rel in
   { rel; rooms = Array.map Column.room rel.Relation.cols; cons; stats; tver }
 
 (* Functional snapshot update + CAS swap. Writers are serialized by the Db
@@ -81,9 +81,11 @@ let swap_in (t : t) (f : snapshot -> int -> table M.t) : unit =
   in
   go ()
 
-let add ?cons ?threads t name rel =
+let add ?cons ?grain ?threads t name rel =
   swap_in t (fun s version ->
-      M.add name (build_table ?cons ?threads ~tver:version rel) s.tables)
+      M.add name
+        (build_table ?cons ?grain ?threads ~tver:version rel)
+        s.tables)
 
 (* Register a short-lived relation without ingest costs: no statistics beyond row/null counts, no zone maps. The
    view engine uses this for delta slices that are scanned exactly once —
@@ -116,19 +118,22 @@ let find t name =
     bitmaps are copied whole. Dictionaries grow code-stably, and statistics
     / zone maps are folded forward over only the appended suffix
     ({!Stats.append_table}). Constraints carry over. Readers pinned on the
-    previous snapshot keep seeing the pre-append table. *)
-let append ?threads t name rel =
+    previous snapshot keep seeing the pre-append table. [dict = false]
+    keeps an empty table's first batch as raw strings. *)
+let append ?(dict = true) ?grain ?threads t name rel =
   let cur = find t name in
   let old_rows = Relation.n_rows cur.rel in
   if old_rows = 0 then
     (* Nothing resident to preserve: run the full ingest path so the batch
        is encoded and promoted exactly like a fresh load. *)
     let merged =
-      if Relation.n_cols rel > 0 then Relation.encode_strings rel else rel
+      if dict && Relation.n_cols rel > 0 then Relation.encode_strings rel
+      else rel
     in
     swap_in t (fun s version ->
         M.add name
-          (build_table ~cons:cur.cons ?threads ~tver:version merged)
+          (build_table ~cons:cur.cons ?grain ?threads ~tver:version
+             merged)
           s.tables)
   else begin
     let resident = cur.rel.Relation.cols and batch = rel.Relation.cols in
@@ -146,7 +151,8 @@ let append ?threads t name rel =
         merged.Relation.names
     in
     let stats =
-      Stats.append_table cur.stats ~unique ?threads merged ~from:old_rows
+      Stats.append_table cur.stats ~unique ?grain ?threads merged
+        ~from:old_rows
     in
     swap_in t (fun s version ->
         M.add name

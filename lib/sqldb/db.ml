@@ -38,7 +38,12 @@
     Both caches share one LRU policy with a per-owner quota, so one tenant
     cannot crowd out the others. Cache state is mutex-protected; both
     caches stand down under fault injection and can be switched off with
-    {!set_cache_enabled} / {!set_plancache_enabled}. *)
+    the [cache] / [plancache] fields of the database's or the query's
+    {!Settings.t}.
+
+    {b Settings.} A database holds one {!Settings.t}, kept by its
+    snapshots; {!execute} may override it for one query, whose settings
+    then decide every layer above. Ingest reads the database's. *)
 
 type backend = Vectorized | Compiled | Lingo
 
@@ -104,6 +109,7 @@ type owner_counters = {
 
 type t = {
   catalog : Catalog.t;
+  settings : Settings.t;
   cache : (string, cache_entry) Hashtbl.t;
   plans : (string, plan_entry) Hashtbl.t; (* parameterized plan cache *)
   views : Matview.registry; (* incrementally maintained views *)
@@ -140,16 +146,11 @@ type cache_stats = {
   maintained_entries : int; (* result entries refreshed by delta *)
 }
 
-let cache_enabled = ref true
-let set_cache_enabled b = cache_enabled := b
-let cache_enabled_now () = !cache_enabled
-
-(* The parameterized plan cache has its own switch so the cold path stays
-   exactly measurable. *)
-let plancache_enabled = ref true
-
-let set_plancache_enabled b = plancache_enabled := b
-let plancache_enabled_now () = !plancache_enabled
+(* Under fault injection a cached result or plan would mask the very fault
+   paths being exercised, so both caches stand down. The plan cache has
+   its own switch so the cold path stays exactly measurable. *)
+let cache_live (s : Settings.t) = s.cache && not (Faults.armed ())
+let plancache_live (s : Settings.t) = s.plancache && not (Faults.armed ())
 
 let locked t f =
   Mutex.lock t.lock;
@@ -240,15 +241,9 @@ let make_room tbl ~cap ~owner_of ~tick_of ~owner ~quota =
 (* Facade                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Dictionary-encode low-cardinality string columns at ingest. On by default;
-   [set_dict_encoding false] keeps raw strings — the bench harness uses the
-   toggle for before/after comparisons. *)
-let dict_encoding = ref true
-let set_dict_encoding b = dict_encoding := b
-let dict_encoding_enabled () = !dict_encoding
-
-let create () =
+let create ?(settings = Settings.default) () =
   { catalog = Catalog.create ();
+    settings;
     cache = Hashtbl.create cache_cap;
     plans = Hashtbl.create plan_cache_cap;
     views = Matview.create_registry ();
@@ -285,10 +280,12 @@ let invalidate_replaced t name =
   in
   List.iter (Hashtbl.remove t.plans) dead_plans
 
+(* Low-cardinality string columns are dictionary-encoded at ingest unless
+   the database's settings keep raw strings ([dict = false]). *)
 let load_table ?cons ?threads t name rel =
-  let rel = if !dict_encoding then Relation.encode_strings rel else rel in
+  let rel = if t.settings.dict then Relation.encode_strings rel else rel in
   locked t (fun () ->
-      Catalog.add ?cons ?threads t.catalog name rel;
+      Catalog.add ?cons ~grain:t.settings.grain ?threads t.catalog name rel;
       invalidate_replaced t name);
   (* A replace may change the table's schema: any view over it must replan
      and rebuild at its next read rather than attempt a delta. *)
@@ -299,7 +296,9 @@ let load_table ?cons ?threads t name rel =
     In-flight queries pinned on the previous snapshot are untouched; cached
     results over [name] go stale and catch up at their next read. *)
 let append_table ?threads t name rel =
-  locked t (fun () -> Catalog.append ?threads t.catalog name rel)
+  locked t (fun () ->
+      Catalog.append ~dict:t.settings.dict ~grain:t.settings.grain ?threads
+        t.catalog name rel)
 
 let catalog t = t.catalog
 
@@ -413,10 +412,12 @@ let bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota
     Plan.bind_query params tpl
 
 (** A frozen view of this database: the returned handle executes against
-    the catalog as of now (with its own private cache), unaffected by later
-    ingests through [t]. The soak tests use this to differentially check
-    concurrent results against serial execution on each snapshot. *)
-let snapshot t : t = { (create ()) with catalog = Catalog.pin t.catalog }
+    the catalog as of now (with its own private cache, under [t]'s
+    settings), unaffected by later ingests through [t]. The soak tests use
+    this to differentially check concurrent results against serial
+    execution on each snapshot. *)
+let snapshot t : t =
+  { (create ~settings:t.settings ()) with catalog = Catalog.pin t.catalog }
 
 (* ------------------------------------------------------------------ *)
 (* Materialized views                                                  *)
@@ -456,13 +457,13 @@ let count_served t ~owner ~entry (how : Matview.served) =
    depend on which query stored the result. Rows are accounted only by a
    refresh that runs. Unlike the result cache, registered views do NOT
    stand down under fault injection — crash consistency of the refresh
-   path is part of their contract. *)
-let serve ?timeout_ms ?row_budget ?owner t ~entry cat (v : Matview.t) :
-    Relation.t =
+   path is part of their contract. [settings] are the reading query's. *)
+let serve ?timeout_ms ?row_budget ?owner t ~settings ~entry cat
+    (v : Matview.t) : Relation.t =
   let r, how =
     Guard.with_guard ?timeout_ms ?row_budget (fun () ->
         Guard.check ();
-        Matview.read v ~cat)
+        Matview.read v ~settings ~cat)
   in
   count_served t ~owner ~entry how;
   r
@@ -484,7 +485,8 @@ let register_view ?owner ?quota ?timeout_ms ?row_budget (t : t) ~name sql :
   | f ->
     Guard.with_guard ?timeout_ms ?row_budget (fun () ->
         match
-          Matview.register t.views ~cat ?owner ?quota ~name ~sql
+          Matview.register t.views ~settings:t.settings ~cat ?owner ?quota
+            ~name ~sql
             ~key:(Sql_shape.key f) ()
         with
         | Ok _ -> Ok ()
@@ -495,7 +497,7 @@ let refresh ?timeout_ms ?row_budget ?owner (t : t) name : Relation.t =
   match Matview.find t.views name with
   | None -> invalid_arg ("Db.refresh: no view " ^ name)
   | Some v ->
-    serve ?timeout_ms ?row_budget ?owner t ~entry:false
+    serve ?timeout_ms ?row_budget ?owner t ~settings:t.settings ~entry:false
       (Catalog.pin t.catalog) v
 
 (** The stored contents of view [name] as of its last completed refresh,
@@ -533,19 +535,22 @@ let view_infos (t : t) : view_info list =
         vi_recomputes = recomputes })
     (Matview.list t.views)
 
-(** Execute [sql] on [backend]. [timeout_ms] / [row_budget] install a
-    cooperative {!Guard} for the duration of the call; on expiry the query
-    unwinds with {!Guard.Trip}. [owner] / [cache_quota] attribute any new
-    cache entry to a tenant and bound that tenant's cache share. Injected
-    faults ({!Faults}) that escape in-engine recovery are retried once with
-    injection suppressed — a detected storage fault is recovered by
-    re-reading, never by returning a partial or corrupt relation. *)
-let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
-    ?owner ?cache_quota ?plan_quota (t : t) (sql : string) : Relation.t =
-  let exec cat bq =
+(** Execute [sql] on [backend], under [settings] (default: the database's).
+    [timeout_ms] / [row_budget] install a cooperative {!Guard} for the
+    duration of the call; on expiry the query unwinds with {!Guard.Trip}.
+    [owner] / [cache_quota] attribute any new cache entry to a tenant and
+    bound that tenant's cache share. Injected faults ({!Faults}) that
+    escape in-engine recovery are retried once with injection suppressed —
+    a detected storage fault is recovered by re-reading, never by
+    returning a partial or corrupt relation. *)
+let execute ?(threads = 1) ?(backend = Vectorized) ?settings ?timeout_ms
+    ?row_budget ?owner ?cache_quota ?plan_quota (t : t) (sql : string) :
+    Relation.t =
+  let settings = Option.value settings ~default:t.settings in
+  let exec settings cat bq =
     match backend with
-    | Vectorized -> Exec_vectorized.run_query ~threads cat bq
-    | Compiled -> Exec_compiled.run_query ~threads cat bq
+    | Vectorized -> Exec_vectorized.run_query ~threads ~settings cat bq
+    | Compiled -> Exec_compiled.run_query ~threads ~settings cat bq
     | Lingo ->
       if
         plan_has_window bq.Plan.main
@@ -554,7 +559,7 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
         raise
           (Unsupported
              "lingodb-sim: window functions (row_number) not supported")
-      else Exec_compiled.run_query ~threads cat bq
+      else Exec_compiled.run_query ~threads ~settings cat bq
   in
   let guarded f =
     Guard.with_guard ?timeout_ms ?row_budget (fun () -> Faults.retry_once f)
@@ -566,14 +571,14 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
   match fingerprint_opt sql with
   | None ->
     let cat = Catalog.pin t.catalog in
-    guarded (fun () -> exec cat (plan_on cat sql))
+    guarded (fun () -> exec settings cat (plan_on cat sql))
   | Some f -> (
     let ckey = Sql_shape.key f in
     match Matview.find_by_key t.views ckey with
     | Some v ->
       (* A registered view answers its own SQL on any backend: the stored
          result IS the view, O(result) when fresh. *)
-      serve ?timeout_ms ?row_budget ?owner t ~entry:false
+      serve ?timeout_ms ?row_budget ?owner t ~settings ~entry:false
         (Catalog.pin t.catalog) v
     | None ->
       (* Pin once: planning, the entry's staleness check and execution all
@@ -582,18 +587,15 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
       let cat = Catalog.pin t.catalog in
       (* The one plan-reuse path: bind a cached template when the plan
          cache is live (no reparse/replan on a shape hit), else plan from
-         the literal text. The plan cache stands down with faults armed,
-         like the result cache, so fault tests exercise the full cold
-         path. An entry's view plans its rebuilds through it too. *)
-      let plan_or_bind cat =
-        if !plancache_enabled && not (Faults.armed ()) then
+         the literal text. An entry's view plans its rebuilds through it
+         too, under the settings of the read that rebuilds. *)
+      let plan_or_bind settings cat =
+        if plancache_live settings then
           bind_from_plan_cache t cat ~backend ~threads ~owner ~plan_quota f
         else plan_on cat sql
       in
-      (* Under fault injection a cached result would mask the very fault
-         paths being exercised, so the cache stands down. *)
-      if not (!cache_enabled && not (Faults.armed ())) then
-        guarded (fun () -> exec cat (plan_or_bind cat))
+      if not (cache_live settings) then
+        guarded (fun () -> exec settings cat (plan_or_bind settings cat))
       else begin
         let key =
           Printf.sprintf "%s|%d|%s" (backend_name backend) threads ckey
@@ -617,10 +619,11 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
                 None)
         in
         match found with
-        | Some v -> serve ?timeout_ms ?row_budget ?owner t ~entry:true cat v
+        | Some v ->
+          serve ?timeout_ms ?row_budget ?owner t ~settings ~entry:true cat v
         | None ->
-          let bq = plan_or_bind cat in
-          let r = guarded (fun () -> exec cat bq) in
+          let bq = plan_or_bind settings cat in
+          let r = guarded (fun () -> exec settings cat bq) in
           let view =
             Matview.make ~name:key ~seed:(cat, bq, r) ~plan:plan_or_bind
               ~run:exec ()
@@ -636,7 +639,8 @@ let execute ?(threads = 1) ?(backend = Vectorized) ?timeout_ms ?row_budget
       end)
 
 (** EXPLAIN: the plan tree with the optimizer's cardinality estimate and the
-    actual row count per operator (from an instrumented vectorized run). *)
+    actual row count per operator (from an instrumented vectorized run
+    under the database's settings). *)
 let explain ?(threads = 1) t (sql : string) : string =
   let cat = Catalog.pin t.catalog in
   let bq = plan_on cat sql in
@@ -644,7 +648,8 @@ let explain ?(threads = 1) t (sql : string) : string =
   let on_rows p n = actuals := (p, n) :: !actuals in
   ignore
     (Faults.with_suppressed (fun () ->
-         Exec_vectorized.run_query ~threads ~on_rows cat bq));
+         Exec_vectorized.run_query ~threads ~settings:t.settings ~on_rows cat
+           bq));
   let annot p =
     match List.find_opt (fun (q, _) -> q == p) !actuals with
     | Some (_, n) ->
@@ -672,8 +677,9 @@ let explain ?(threads = 1) t (sql : string) : string =
          (Planner.ivm_reason_to_string r)));
   (* Plan-cache routing this query would take (vectorized backend at
      [threads], matching what [execute] defaults to): bind hit, specialized
-     hit, guard trip forcing a specialized replan, or cold. *)
-  (match if !plancache_enabled then fingerprint_opt sql else None with
+     hit, guard trip forcing a specialized replan, or cold; off whenever
+     [execute] would bypass the plan cache. *)
+  (match if plancache_live t.settings then fingerprint_opt sql else None with
   | None -> Buffer.add_string buf "plancache: off\n"
   | Some f ->
     let state = locked t (fun () -> route t ~backend:Vectorized ~threads f) in

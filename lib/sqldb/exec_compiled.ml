@@ -16,6 +16,7 @@ type ctx = {
   catalog : Catalog.t;
   ctes : (string, Relation.t) Hashtbl.t;
   threads : int;
+  settings : Settings.t;
 }
 
 type chunk = Relation.t
@@ -26,11 +27,13 @@ type chunk = Relation.t
 
 (* Chunk operators return [Some empty] for empty inputs so segment schemas
    stay derivable; non-empty inputs filtered to nothing return [None]. *)
-let chunk_filter pred (c : chunk) : chunk option =
+let chunk_filter settings pred (c : chunk) : chunk option =
   let n = Relation.n_rows c in
   if n = 0 then Some c
   else
-    let idx = Kernel.select ~threads:1 c.Relation.cols [ pred ] [] ~n in
+    let idx =
+      Kernel.select ~settings ~threads:1 c.Relation.cols [ pred ] [] ~n
+    in
     if Array.length idx = 0 then None
     else if Array.length idx = n then Some c
     else Some (Relation.take c idx)
@@ -47,7 +50,7 @@ let chunk_project items (c : chunk) : chunk =
    side on the right relation. A left probe pads each unmatched row in
    place and its residual decides which pairs match; an inner join's
    residual filters the joined morsel. *)
-let chunk_probe ~left_outer (r : Relation.t) (tbl : Radix.t)
+let chunk_probe settings ~left_outer (r : Relation.t) (tbl : Radix.t)
     (lkeys : int list) (residual : pexpr option) (c : chunk) : chunk option =
   let n = Relation.n_rows c in
   let cols = c.Relation.cols in
@@ -68,7 +71,7 @@ let chunk_probe ~left_outer (r : Relation.t) (tbl : Radix.t)
             (Array.map (fun col -> Column.take col ri) r.Relation.cols) }
     in
     match residual with
-    | Some pred when not left_outer -> chunk_filter pred joined
+    | Some pred when not left_outer -> chunk_filter settings pred joined
     | _ -> Some joined
 
 let chunk_semi ~anti (r : Relation.t) (tbl : Radix.t) (lkeys : int list)
@@ -120,7 +123,7 @@ let rec compile_segment ctx (p : plan) : segment =
     if seg.transform = None then
       (* still at the scan: fuse into the source predicate *)
       { seg with prefilter = seg.prefilter @ [ pred ] }
-    else seg_then seg (chunk_filter pred)
+    else seg_then seg (chunk_filter ctx.settings pred)
   | Project (sub, items)
     when (match sub.node with Scan _ -> true | _ -> false)
          && List.for_all
@@ -152,8 +155,8 @@ let rec compile_segment ctx (p : plan) : segment =
     (* large builds are radix-partitioned across workers; small ones keep
        one table (threshold in Radix.should); no keys make a cross join *)
     let tbl =
-      Radix.build ~threads:ctx.threads r.Relation.cols (List.map snd keys)
-        ~n:(Relation.n_rows r)
+      Radix.build ~settings:ctx.settings ~threads:ctx.threads r.Relation.cols
+        (List.map snd keys) ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
     (* Inner joins drop probe rows without a partner, so the build side's
@@ -168,7 +171,9 @@ let rec compile_segment ctx (p : plan) : segment =
         }
       | _ -> seg
     in
-    seg_then seg (chunk_probe ~left_outer:(kind = JLeft) r tbl lkeys residual)
+    seg_then seg
+      (chunk_probe ctx.settings ~left_outer:(kind = JLeft) r tbl lkeys
+         residual)
   | SemiJoin { anti; left; right; keys = _ :: _ as keys; residual = None }
     when right.est > 2. *. Float.max 1. left.est ->
     (* Inverted probe direction (mirrors Exec_vectorized.run_semijoin): the
@@ -183,10 +188,10 @@ let rec compile_segment ctx (p : plan) : segment =
     let nl = Relation.n_rows lrel and nr = Relation.n_rows r in
     let lcols = lrel.Relation.cols and rcols = r.Relation.cols in
     let lkeys = List.map fst keys and rkeys = List.map snd keys in
-    let threads = ctx.threads in
+    let threads = ctx.threads and settings = ctx.settings in
     let keep =
       if nr > 2 * nl then begin
-        let ltbl = Radix.build ~threads lcols lkeys ~n:nl in
+        let ltbl = Radix.build ~settings ~threads lcols lkeys ~n:nl in
         let matched = Bitset.create nl in
         Join.probe (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
           (Join.pairs ());
@@ -194,9 +199,9 @@ let rec compile_segment ctx (p : plan) : segment =
       end
       else
         fst
-          (Join.collect ~threads
+          (Join.collect ~grain:settings.grain ~threads
              (if anti then Join.Anti else Join.Semi)
-             (Radix.build ~threads rcols rkeys ~n:nr)
+             (Radix.build ~settings ~threads rcols rkeys ~n:nr)
              lcols lkeys ~n:nl)
     in
     let source =
@@ -208,8 +213,8 @@ let rec compile_segment ctx (p : plan) : segment =
     let r = stream ctx right in
     let seg = compile_segment ctx left in
     let tbl =
-      Radix.build ~threads:ctx.threads r.Relation.cols (List.map snd keys)
-        ~n:(Relation.n_rows r)
+      Radix.build ~settings:ctx.settings ~threads:ctx.threads r.Relation.cols
+        (List.map snd keys) ~n:(Relation.n_rows r)
     in
     let lkeys = List.map fst keys in
     (* Semi joins keep only matched rows: bloom misses are safe to drop at
@@ -244,11 +249,11 @@ and lookup ctx name =
    [consume] with each surviving non-empty chunk. One selector over the
    source columns runs the fused prefilter and prescan (and the deadline
    checkpoint) per morsel, so only surviving rows are gathered. *)
-and iter_morsels ?ztest (seg : segment) start len (consume : chunk -> unit) :
-    unit =
+and iter_morsels ~fuse ?ztest (seg : segment) start len
+    (consume : chunk -> unit) : unit =
   let transform = seg_transform seg in
   let select =
-    Kernel.selector seg.source.Relation.cols seg.prefilter seg.prescan
+    Kernel.selector ~fuse seg.source.Relation.cols seg.prefilter seg.prescan
   in
   let buf = Array.make (max 1 (min morsel_size len)) 0 in
   let pos = ref start in
@@ -286,11 +291,13 @@ and run_segment ctx (seg : segment) : Relation.t =
   in
   let run_range start len =
     let out = ref [] in
-    iter_morsels ?ztest seg start len (fun c -> out := c :: !out);
+    iter_morsels ~fuse:ctx.settings.fuse ?ztest seg start len (fun c ->
+        out := c :: !out);
     List.rev !out
   in
+  let grain = ctx.settings.grain in
   let chunks =
-    List.concat (Parallel.map_chunks ~threads:ctx.threads n run_range)
+    List.concat (Parallel.map_chunks ~grain ~threads:ctx.threads n run_range)
   in
   match chunks with
   | [] -> (
@@ -300,7 +307,7 @@ and run_segment ctx (seg : segment) : Relation.t =
     match (seg_transform seg) empty with
     | Some c -> c
     | None -> empty)
-  | chunks -> Relation.concat ~threads:ctx.threads chunks
+  | chunks -> Relation.concat ~grain ~threads:ctx.threads chunks
 
 (* Materialize any plan to a full relation. *)
 and materialize ctx (p : plan) : Relation.t =
@@ -325,7 +332,7 @@ and materialize ctx (p : plan) : Relation.t =
     (* Rare in generated SQL; reuse the vectorized implementation. *)
     let vctx =
       { Exec_vectorized.catalog = ctx.catalog; ctes = ctx.ctes;
-        threads = ctx.threads; hooks = None }
+        threads = ctx.threads; settings = ctx.settings; hooks = None }
     in
     Exec_vectorized.run vctx p
   | Scan name -> lookup ctx name
@@ -351,6 +358,8 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
   let specs = Array.of_list specs in
   let has_distinct = Array.exists (fun (s : agg_spec) -> s.distinct) specs in
   let threads = if has_distinct then 1 else ctx.threads in
+  let settings = ctx.settings in
+  let grain = settings.grain in
   let fold ~clustered ~n idxs source =
     Agg_util.fold ~size:(Agg_util.size_hint p.est n) ~clustered specs idxs
       source
@@ -362,13 +371,16 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
      group as one run, so do the survivors. *)
   let scan ?ztest cols preds tests ~args ~idxs ~dense ~n =
     let clustered = has_distinct && Agg_util.in_runs cols idxs ~n Fun.id in
-    Parallel.map_chunks ~merged:true ~threads n (fun start len ->
+    Parallel.map_chunks ~merged:true ~grain:settings.grain ~threads n
+      (fun start len ->
         fold ~clustered ~n idxs (fun batch ->
             match Stats.alive_ranges ztest start (start + len - 1) with
             | [] -> ()
             | ranges ->
               let feed = batch dense args cols in
-              let select = Kernel.selector cols preds tests in
+              let select =
+                Kernel.selector ~fuse:settings.fuse cols preds tests
+              in
               List.iter
                 (fun (lo, hi) ->
                   select ~lo ~hi (fun idx k ->
@@ -378,7 +390,10 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
                 ranges))
   in
   let partials =
-    match Kernel.fused_source ~catalog:ctx.catalog ~lookup:(lookup ctx) p with
+    match
+      Kernel.fused_source ~fuse:settings.fuse ~catalog:ctx.catalog
+        ~lookup:(lookup ctx) p
+    with
     | Some f ->
       let cols = f.rel.Relation.cols in
       scan
@@ -401,9 +416,9 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
            the same columns, so dictionaries and key layouts agree; what
            the transform does to the order of keys goes unchecked, so a
            DISTINCT spec keeps its key-table set *)
-        Parallel.map_chunks ~merged:true ~threads n (fun start len ->
+        Parallel.map_chunks ~merged:true ~grain ~threads n (fun start len ->
             fold ~clustered:false ~n groups (fun batch ->
-                iter_morsels ?ztest seg start len (fun c ->
+                iter_morsels ~fuse:settings.fuse ?ztest seg start len (fun c ->
                     let cols = c.Relation.cols in
                     let feed =
                       batch
@@ -426,21 +441,23 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
         let radix_parts =
           if
             has_distinct || Option.is_some ztest || Option.is_some dense
-            || not (Radix.should ~rows:n ~threads)
+            || not (Radix.should settings ~rows:n ~threads)
           then None
           else
             let base, rows =
               match (seg.prefilter, seg.prescan) with
               | [], [] -> (Fun.id, n)
               | preds, tests ->
-                let sel = Kernel.select ~threads cols preds tests ~n in
+                let sel =
+                  Kernel.select ~settings ~threads cols preds tests ~n
+                in
                 (Array.get sel, Array.length sel)
             in
-            Radix.group_parts ~threads ~base cols groups ~n:rows
+            Radix.group_parts ~settings ~threads ~base cols groups ~n:rows
         in
         match radix_parts with
         | Some parts ->
-          Parallel.map_list ~threads ~rows:n
+          Parallel.map_list ~grain ~threads ~rows:n
             (fun sel ->
               fold ~clustered:false ~n:(Array.length sel) groups (fun batch ->
                   let feed = batch None args cols in
@@ -460,9 +477,9 @@ and run_aggregate ctx (p : plan) sub groups specs : Relation.t =
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_query ?(threads = 1) (catalog : Catalog.t) (bq : bound_query) :
-    Relation.t =
-  let ctx = { catalog; ctes = Hashtbl.create 8; threads } in
+let run_query ?(threads = 1) ?(settings = Settings.default)
+    (catalog : Catalog.t) (bq : bound_query) : Relation.t =
+  let ctx = { catalog; ctes = Hashtbl.create 8; threads; settings } in
   List.iter
     (fun (name, plan) ->
       let r = stream ctx plan in
@@ -471,9 +488,3 @@ let run_query ?(threads = 1) (catalog : Catalog.t) (bq : bound_query) :
     bq.ctes;
   let r = stream ctx bq.main in
   Relation.rename r (Array.map fst bq.main.Plan.schema)
-
-(** Run a bare plan subtree (no CTEs) — the compiled-engine counterpart of
-    [Exec_vectorized.run_plan]; the Matview differential tests cross-check
-    delta streams through both executors. *)
-let run_plan ?threads (catalog : Catalog.t) (p : Plan.plan) : Relation.t =
-  run_query ?threads catalog { Plan.ctes = []; main = p }

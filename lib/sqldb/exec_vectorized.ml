@@ -41,6 +41,7 @@ type ctx = {
   catalog : Catalog.t;
   ctes : (string, Relation.t) Hashtbl.t;
   threads : int;
+  settings : Settings.t;
   hooks : hooks option;
 }
 
@@ -62,9 +63,9 @@ let materialize (s : srel) : Relation.t =
 (* Rows of an unselected relation survive through {!Kernel.select}. An
    already-selected relation runs the predicate only on the rows in [sel],
    and the surviving base indices come back in selection order. *)
-let filter_sel ~threads cols (sel : int array) pred =
-  Kernel.collect_parts ~threads
-    (Parallel.map_chunks ~threads (Array.length sel) (fun start len ->
+let filter_sel ~grain ~threads cols (sel : int array) pred =
+  Kernel.collect_parts ~threads ~grain
+    (Parallel.map_chunks ~grain ~threads (Array.length sel) (fun start len ->
          let test = Eval.compile_pred cols pred in
          let out = Array.make (max 1 len) 0 and count = ref 0 in
          for pos = start to start + len - 1 do
@@ -152,18 +153,18 @@ let sort_indices (r : Relation.t) (keys : (int * bool) list) : int array =
 
 (* The hash table over an equi-join's right side [r], on its keys; no
    keys make a cross join's one-entry build. *)
-let build_table ~threads (r : srel) (keys : (int * int) list) : Radix.t =
-  Radix.build ~threads ?sel:r.sel (relation_cols r.rel) (List.map snd keys)
-    ~n:(Relation.n_rows r.rel)
+let build_table ctx (r : srel) (keys : (int * int) list) : Radix.t =
+  Radix.build ~settings:ctx.settings ~threads:ctx.threads ?sel:r.sel
+    (relation_cols r.rel) (List.map snd keys) ~n:(Relation.n_rows r.rel)
 
-let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
-    Relation.t =
+let concat_relations ?(threads = 1) ~grain (l : Relation.t) (r : Relation.t) li
+    ri : Relation.t =
   Guard.add_rows (Array.length li);
   let nlc = Array.length l.Relation.cols in
   (* column gathers are independent — one work item per output column *)
   let cols =
     Array.of_list
-      (Parallel.map_list ~threads ~rows:(Array.length li)
+      (Parallel.map_list ~grain ~threads ~rows:(Array.length li)
          (fun i ->
            if i < nlc then Column.take l.Relation.cols.(i) li
            else Column.take r.Relation.cols.(i - nlc) ri)
@@ -171,14 +172,16 @@ let concat_relations ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri :
   in
   { Relation.names = Array.append l.Relation.names r.Relation.names; cols }
 
-let apply_residual ?(threads = 1) (l : Relation.t) (r : Relation.t) li ri
-    residual =
+let apply_residual ?(threads = 1) ~(settings : Settings.t) (l : Relation.t)
+    (r : Relation.t) li ri residual =
   match residual with
   | None -> (li, ri)
   | Some pred ->
-    let cand = concat_relations ~threads l r li ri in
+    let cand = concat_relations ~threads ~grain:settings.grain l r li ri in
     let n = Relation.n_rows cand in
-    let sel = Kernel.select ~threads (relation_cols cand) [ pred ] [] ~n in
+    let sel =
+      Kernel.select ~settings ~threads (relation_cols cand) [ pred ] [] ~n
+    in
     (Array.map (fun k -> li.(k)) sel, Array.map (fun k -> ri.(k)) sel)
 
 (* ------------------------------------------------------------------ *)
@@ -243,10 +246,12 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let sel' =
       match s.sel with
       | None ->
-        Kernel.select ~threads:ctx.threads
+        Kernel.select ~settings:ctx.settings ~threads:ctx.threads
           ?zones:(Kernel.zone_test ctx.catalog cols [ pred ])
           cols [ pred ] [] ~n:(Relation.n_rows s.rel)
-      | Some sel -> filter_sel ~threads:ctx.threads cols sel pred
+      | Some sel ->
+        filter_sel ~grain:ctx.settings.grain ~threads:ctx.threads cols sel
+          pred
     in
     { rel = s.rel; sel = Some sel' }
   | Project (sub, items) -> (
@@ -255,7 +260,8 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
     let project_over cols ~n =
       let eval_item (e, _) = Eval.eval_col cols ~n e in
       let out_cols =
-        Parallel.map_list ~threads:ctx.threads ~rows:n eval_item items
+        Parallel.map_list ~grain:ctx.settings.grain ~threads:ctx.threads
+          ~rows:n eval_item items
       in
       { Relation.names = Array.of_list (List.map snd items);
         cols = Array.of_list out_cols }
@@ -322,19 +328,18 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
 (* The left side runs first, then the build: the [builds] hook's for an
    inner join, else one over the right side. *)
 and run_join ctx kind left right keys residual =
-  let threads = ctx.threads in
   let ls = run_sel ctx left in
   match (ctx.hooks, kind) with
   | Some { builds = Some build; _ }, JInner ->
     let b =
       build right (fun () ->
           let rs = run_sel ctx right in
-          { side = rs; table = build_table ~threads rs keys })
+          { side = rs; table = build_table ctx rs keys })
     in
     join_output ctx kind ls b.side b.table keys residual
   | _ ->
     let rs = run_sel ctx right in
-    join_output ctx kind ls rs (build_table ~threads rs keys) keys residual
+    join_output ctx kind ls rs (build_table ctx rs keys) keys residual
 
 (* Both sides probe and gather straight through their selections; only
    the join output is materialized. The matching (left row, right row)
@@ -342,20 +347,22 @@ and run_join ctx kind left right keys residual =
    which [tbl] was built over; the residual is applied afterwards over the
    concatenated relation. *)
 and join_output ctx kind ls rs tbl keys residual =
-  let threads = ctx.threads in
+  let threads = ctx.threads and grain = ctx.settings.grain in
   let li, ri =
-    Join.collect ~threads ?sel:ls.sel Join.Inner tbl (relation_cols ls.rel)
-      (List.map fst keys) ~n:(srel_nrows ls)
+    Join.collect ~grain ~threads ?sel:ls.sel Join.Inner tbl
+      (relation_cols ls.rel) (List.map fst keys) ~n:(srel_nrows ls)
   in
-  let li, ri = apply_residual ~threads ls.rel rs.rel li ri residual in
+  let li, ri =
+    apply_residual ~threads ~settings:ctx.settings ls.rel rs.rel li ri residual
+  in
   let side s = (s.sel, srel_nrows s, Relation.n_rows s.rel) in
   let li, ri = Join.complete kind ~left:(side ls) ~right:(side rs) (li, ri) in
-  srel_all (concat_relations ~threads ls.rel rs.rel li ri)
+  srel_all (concat_relations ~grain ~threads ls.rel rs.rel li ri)
 
 and run_semijoin ctx anti left right keys residual =
   let ls = run_sel ctx left in
   let rs = run_sel ctx right in
-  let l = ls.rel and threads = ctx.threads in
+  let l = ls.rel and threads = ctx.threads and settings = ctx.settings in
   let lcols = relation_cols l and rcols = relation_cols rs.rel in
   let lkeys = List.map fst keys and rkeys = List.map snd keys in
   let nl = srel_nrows ls and nr = srel_nrows rs in
@@ -372,7 +379,8 @@ and run_semijoin ctx anti left right keys residual =
          outer rows found a witness. Only valid without a residual —
          marking loses the pairing. *)
       let ltbl =
-        Radix.build ~threads ?sel:ls.sel lcols lkeys ~n:(Relation.n_rows l)
+        Radix.build ~settings ~threads ?sel:ls.sel lcols lkeys
+          ~n:(Relation.n_rows l)
       in
       let matched = Bitset.create (Relation.n_rows l) in
       Join.probe ?sel:rs.sel (Join.Mark matched) ltbl rcols rkeys ~lo:0 ~hi:nr
@@ -380,7 +388,7 @@ and run_semijoin ctx anti left right keys residual =
       Some (Join.marked ~anti ?sel:ls.sel matched ~n:nl)
     | _ ->
       let tbl =
-        Radix.build ~threads ?sel:rs.sel rcols rkeys
+        Radix.build ~settings ~threads ?sel:rs.sel rcols rkeys
           ~n:(Relation.n_rows rs.rel)
       in
       (* a residual per morsel keeps its closures domain-private *)
@@ -389,7 +397,7 @@ and run_semijoin ctx anti left right keys residual =
       in
       Some
         (fst
-           (Join.collect ~threads ?residual ?sel:ls.sel
+           (Join.collect ~grain:settings.grain ~threads ?residual ?sel:ls.sel
               (if anti then Join.Anti else Join.Semi)
               tbl lcols lkeys ~n:nl))
   in
@@ -441,16 +449,18 @@ and run_aggregate ctx (p : plan) sub groups specs =
     match
       (* a global aggregate's empty key always packs densely *)
       if has_distinct || Option.is_some dense then None
-      else Radix.group_parts ~threads:ctx.threads ~base cols groups ~n
+      else
+        Radix.group_parts ~settings:ctx.settings ~threads:ctx.threads ~base
+          cols groups ~n
     with
     | Some parts ->
       (* radix aggregation: every group key lives in exactly one
          partition, so the merge only ever appends *)
-      Parallel.map_list ~threads:ctx.threads ~rows:n
+      Parallel.map_list ~grain:ctx.settings.grain ~threads:ctx.threads ~rows:n
         (fun sel -> fold (fun i -> sel.(i)) (Array.length sel))
         (Array.to_list parts)
     | None ->
-      Parallel.map_chunks ~merged:true
+      Parallel.map_chunks ~merged:true ~grain:ctx.settings.grain
         ~threads:(if has_distinct then 1 else ctx.threads)
         n run_range
   in
@@ -464,14 +474,14 @@ and run (ctx : ctx) (p : plan) : Relation.t = materialize (run_sel ctx p)
 (* Entry point                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_query ?(threads = 1) ?on_rows ?builds (catalog : Catalog.t)
-    (bq : bound_query) : Relation.t =
+let run_query ?(threads = 1) ?(settings = Settings.default) ?on_rows ?builds
+    (catalog : Catalog.t) (bq : bound_query) : Relation.t =
   let hooks =
     match (on_rows, builds) with
     | None, None -> None
     | _ -> Some { on_rows; builds }
   in
-  let ctx = { catalog; ctes = Hashtbl.create 8; threads; hooks } in
+  let ctx = { catalog; ctes = Hashtbl.create 8; threads; settings; hooks } in
   List.iter
     (fun (name, plan) ->
       let r = run ctx plan in
@@ -486,6 +496,7 @@ let run_query ?(threads = 1) ?on_rows ?builds (catalog : Catalog.t)
     aggregate, or its finish chain over accumulator output — through this
     entry point against hybrid catalogs, with [builds] supplying the join
     build sides it keeps across refreshes. *)
-let run_plan ?threads ?on_rows ?builds (catalog : Catalog.t) (p : Plan.plan) :
-    Relation.t =
-  run_query ?threads ?on_rows ?builds catalog { Plan.ctes = []; main = p }
+let run_plan ?threads ?settings ?on_rows ?builds (catalog : Catalog.t)
+    (p : Plan.plan) : Relation.t =
+  run_query ?threads ?settings ?on_rows ?builds catalog
+    { Plan.ctes = []; main = p }

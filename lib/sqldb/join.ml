@@ -155,10 +155,11 @@ let probe ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
 (** {!probe} over all [n] positions, in the morsels of
     {!Parallel.map_chunks}; returns the probe rows and build rows of the
     pairs, in order. [residual] makes each morsel's pair test. *)
-let collect ~threads ?residual ?sel mode (t : Radix.t) (cols : Column.t array)
-    (idxs : int list) ~(n : int) : int array * int array =
+let collect ~grain ~threads ?residual ?sel mode (t : Radix.t)
+    (cols : Column.t array) (idxs : int list) ~(n : int) :
+    int array * int array =
   contents
-    (Parallel.map_chunks ~threads n (fun lo len ->
+    (Parallel.map_chunks ~grain ~threads n (fun lo len ->
          let out = pairs () in
          let residual = Option.map (fun mk -> mk ()) residual in
          probe ?residual ?sel mode t cols idxs ~lo ~hi:(lo + len) out;

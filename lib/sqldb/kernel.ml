@@ -49,19 +49,15 @@
     scratch buffers and must be built on the worker that runs them (like
     {!Eval.compile_pred} closures).
 
-    [set_fuse false] disables masks and the fused source: selectors then
-    evaluate every conjunct through closures, and the compiled executor
-    feeds the same {!Agg_util} fold from projected chunk columns. *)
+    Settings [fuse = false] disable masks and the fused source: selectors
+    then evaluate every conjunct through closures, and the compiled
+    executor feeds the same {!Agg_util} fold from projected chunk columns. *)
 
 open Plan
 
 (* Selection stride: selector loops process this many rows between
    Guard/Faults checkpoints, and it bounds their scratch buffers. *)
 let stride = 8192
-
-let use_fuse = ref true
-let fuse_enabled () = !use_fuse
-let set_fuse b = use_fuse := b
 
 (* ------------------------------------------------------------------ *)
 (* Mask rendering                                                     *)
@@ -350,11 +346,11 @@ let refine_test (idx : int array) (k : int) (t : int -> bool) : int =
    is cheaper than rendering and AND-ing a full-stride mask per conjunct.
    With no mask, the first closure runs over every row. Compiled per
    worker: it owns its scratch. *)
-let selector (cols : Column.t array) (preds : pexpr list)
+let selector ~fuse (cols : Column.t array) (preds : pexpr list)
     (tests : (int -> bool) list) : selector =
   let preds = List.concat_map conjuncts preds in
   let masks, rest =
-    if fuse_enabled () then
+    if fuse then
       List.partition_map
         (fun p ->
           match compile_mask cols p with
@@ -404,7 +400,7 @@ let selector (cols : Column.t array) (preds : pexpr list)
 (* Concatenate per-morsel [(rows, count)] parts in part order. Each part
    blits into its own disjoint region, so the scatter is one parallel work
    item per part. *)
-let collect_parts ?(threads = 1) parts =
+let collect_parts ?(threads = 1) ~grain parts =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 parts in
   let idx = Array.make total 0 in
   let placed, _ =
@@ -414,7 +410,7 @@ let collect_parts ?(threads = 1) parts =
       ([], 0) parts
   in
   ignore
-    (Parallel.map_list ~threads ~rows:total
+    (Parallel.map_list ~grain ~threads ~rows:total
        (fun (rows, count, off) -> Array.blit rows 0 idx off count)
        (List.rev placed));
   idx
@@ -435,10 +431,12 @@ let zone_test (catalog : Catalog.t) (cols : Column.t array)
 (* Every survivor of rows [0, n) in row order. Zone-dead blocks ([zones])
    are never read. Each morsel of {!Parallel.map_chunks} runs its own
    selector. *)
-let select ~threads ?zones (cols : Column.t array) (preds : pexpr list)
-    (tests : (int -> bool) list) ~(n : int) : int array =
+let select ~(settings : Settings.t) ~threads ?zones (cols : Column.t array)
+    (preds : pexpr list) (tests : (int -> bool) list) ~(n : int) :
+    int array =
+  let grain = settings.grain in
   let run start len =
-    let sel = selector cols preds tests in
+    let sel = selector ~fuse:settings.fuse cols preds tests in
     let out = Array.make (max 1 len) 0 and count = ref 0 in
     List.iter
       (fun (lo, hi) ->
@@ -448,7 +446,7 @@ let select ~threads ?zones (cols : Column.t array) (preds : pexpr list)
       (Stats.alive_ranges zones start (start + len - 1));
     (out, !count)
   in
-  collect_parts ~threads (Parallel.map_chunks ~threads n run)
+  collect_parts ~grain ~threads (Parallel.map_chunks ~grain ~threads n run)
 
 (* ------------------------------------------------------------------ *)
 (* Numeric expression readers (aggregate arguments)                   *)
@@ -582,13 +580,12 @@ type fused = {
    the executor's fault injection points with it). Grouped fusion keeps
    the compiled executor's first-seen emission order, which is why only
    that executor calls in here. *)
-let fused_source ~(catalog : Catalog.t) ~(lookup : string -> Relation.t)
-    (p : plan) : fused option =
+let fused_source ~fuse ~(catalog : Catalog.t)
+    ~(lookup : string -> Relation.t) (p : plan) : fused option =
   let ( let* ) = Option.bind in
   let* sub, groups, specs =
     match p.node with
-    | Aggregate (sub, groups, specs)
-      when fuse_enabled () && Planner.fusible_agg p ->
+    | Aggregate (sub, groups, specs) when fuse && Planner.fusible_agg p ->
       Some (sub, groups, specs)
     | _ -> None
   in

@@ -13,13 +13,15 @@
     analysis, so a miss costs no more than the query. A read of fresh
     state returns it as stored. A stale state with stream state catches up
     by delta. A stale state without stream state (a seed, a plan the delta
-    engine rejects, IVM switched off) is rebuilt in full with the plan and
-    run functions its creator gave: a registered view parses and plans its
-    SQL and runs on the vectorized engine at one thread; an entry plans
-    through [Db]'s plan cache and runs on its own backend and thread
-    count. A rebuild re-decides maintainability on its plan, and one that
-    is maintainable with IVM on replays the stream and keeps its state, so
-    an entry's first stale read promotes it and later ones are deltas.
+    engine rejects), or read under settings with [ivm] off, is rebuilt in
+    full with the plan and run functions its creator gave: a registered
+    view parses and plans its SQL and runs on the vectorized engine at one
+    thread; an entry plans through [Db]'s plan cache and runs on its own
+    backend and thread count. A refresh runs under the reading query's
+    settings. A rebuild re-decides maintainability on its plan, and one
+    that is maintainable with [ivm] on replays the stream and keeps its
+    state, so an entry's first stale read promotes it and later ones are
+    deltas.
 
     {b Shape.} The planner splits a maintainable plan at its pipeline
     breaker ({!Planner.analyze_ivm}): a select-project-join {e stream}
@@ -76,13 +78,6 @@
     injected faults are retried once with injection suppressed
     ({!Faults.retry_once}), as in [Db.execute]. *)
 
-(* [set_enabled false] keeps registration and view serving live but sends
-   every stale read down the full-rebuild path, which then runs the plan. *)
-let enabled_ref = ref true
-
-let set_enabled b = enabled_ref := b
-let enabled () = !enabled_ref
-
 (* The fold a delta refresh continues. *)
 type acc =
   | Groups of int list * Agg_util.groups
@@ -116,8 +111,9 @@ type state = {
 type t = {
   v_name : string;
   v_owner : string option;
-  v_plan : Catalog.t -> Plan.bound_query; (* full rebuild: plan *)
-  v_run : Catalog.t -> Plan.bound_query -> Relation.t; (* full rebuild: run *)
+  v_plan : Settings.t -> Catalog.t -> Plan.bound_query; (* full rebuild: plan *)
+  v_run : Settings.t -> Catalog.t -> Plan.bound_query -> Relation.t;
+      (* full rebuild: run *)
   v_lock : Mutex.t; (* guards all mutable fields below *)
   mutable v_ivm : (Planner.ivm_shape, Planner.ivm_reason) result option;
       (* {!Planner.analyze_ivm} on the last rebuild's plan; None before one *)
@@ -196,7 +192,7 @@ let replay ~(groups_idx : int list) (g : Agg_util.groups) (chunk : Relation.t)
 
 (* Run the finish chain over a replacement input: register the relation as
    the one table of a scratch catalog and execute rebuild(Scan __mv). *)
-let run_finish (shape : Planner.ivm_shape) (schema : Plan.schema)
+let run_finish settings (shape : Planner.ivm_shape) (schema : Plan.schema)
     (rel : Relation.t) : Relation.t =
   let finish = shape.Planner.ivm_rebuild (Plan.mk (Plan.Scan "__mv") schema) in
   match finish.Plan.node with
@@ -204,17 +200,18 @@ let run_finish (shape : Planner.ivm_shape) (schema : Plan.schema)
   | _ ->
     let scratch = Catalog.create () in
     Catalog.add_transient scratch "__mv" rel;
-    Exec_vectorized.run_plan ~threads:1 scratch finish
+    Exec_vectorized.run_plan ~threads:1 ~settings scratch finish
 
-let groups_result (shape : Planner.ivm_shape) (g : Agg_util.groups) :
+let groups_result settings (shape : Planner.ivm_shape) (g : Agg_util.groups) :
     Relation.t =
   match shape.Planner.ivm_agg with
   | None -> invalid_arg "Matview.groups_result: not an aggregate view"
   | Some (_, _, agg_schema) ->
-    run_finish shape agg_schema (Agg_util.groups_relation g agg_schema)
+    run_finish settings shape agg_schema (Agg_util.groups_relation g agg_schema)
 
-let spj_result (shape : Planner.ivm_shape) (rows : Relation.t) : Relation.t =
-  run_finish shape shape.Planner.ivm_stream.Plan.schema rows
+let spj_result settings (shape : Planner.ivm_shape) (rows : Relation.t) :
+    Relation.t =
+  run_finish settings shape shape.Planner.ivm_stream.Plan.schema rows
 
 (* ------------------------------------------------------------------ *)
 (* Refresh strategies                                                 *)
@@ -300,10 +297,10 @@ let next_state (view : t) (cat : Catalog.t) tables ?stream result =
 (* Full build of a maintainable view's state on [cat] by replaying the
    whole stream — the same fold a delta refresh continues, so the two are
    comparable bit for bit. *)
-let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
-    state =
+let build_full settings (view : t) (shape : Planner.ivm_shape)
+    (cat : Catalog.t) : state =
   let stream =
-    Exec_vectorized.run_plan ~threads:1 cat shape.Planner.ivm_stream
+    Exec_vectorized.run_plan ~threads:1 ~settings cat shape.Planner.ivm_stream
   in
   let next acc =
     next_state view cat shape.Planner.ivm_tables ~stream:(shape, acc, [])
@@ -315,30 +312,31 @@ let build_full (view : t) (shape : Planner.ivm_shape) (cat : Catalog.t) :
       Agg_util.groups_create specs (Agg_util.column_args specs cols) cols gidx
     in
     replay ~groups_idx:gidx g stream;
-    next (Groups (gidx, g)) (groups_result shape g)
+    next (Groups (gidx, g)) (groups_result settings shape g)
   | None ->
     let rows = Relation.decode_strings stream in
-    next (Rows rows) (spj_result shape rows)
+    next (Rows rows) (spj_result settings shape rows)
 
 (* Full rebuild on [cat]: the first build, and a stale read of a state
-   without stream state, over a replaced dep, or with IVM switched off. It
+   without stream state, over a replaced dep, or with [ivm] off. It
    plans afresh with the creator's function, since a replaced table may
    have a new schema, and re-decides maintainability on that plan. A
-   maintainable plan with IVM on replays the stream and keeps the state
+   maintainable plan with [ivm] on replays the stream and keeps the state
    for later deltas; any other plan runs with the creator's function. *)
-let rebuild (view : t) (cat : Catalog.t) : state =
+let rebuild (settings : Settings.t) (view : t) (cat : Catalog.t) : state =
   (* Cleared before planning, so a replace during the rebuild flags the
      view again; restored on failure, so the next read cannot apply a
      delta over a replaced table to the state kept from before it. *)
   let replaced = view.v_dirty_replace in
   view.v_dirty_replace <- false;
   try
-    let bq = view.v_plan cat in
+    let bq = view.v_plan settings cat in
     let ivm = Planner.analyze_ivm bq in
     view.v_ivm <- Some ivm;
     match ivm with
-    | Ok shape when enabled () -> build_full view shape cat
-    | _ -> next_state view cat (Plan.bound_tables bq) (view.v_run cat bq)
+    | Ok shape when settings.ivm -> build_full settings view shape cat
+    | _ ->
+      next_state view cat (Plan.bound_tables bq) (view.v_run settings cat bq)
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     if replaced then view.v_dirty_replace <- true;
@@ -356,7 +354,7 @@ let build_rows () = Atomic.get built
    right side reads no changed table binds that side to [cat] in every
    term, so its build is shared by the terms and kept for later refreshes
    while the versions it was made at are current. *)
-let delta_refresh (view : t) (s : stream) (cat : Catalog.t)
+let delta_refresh settings (view : t) (s : stream) (cat : Catalog.t)
     ~(changed : string list) : state =
   let shape = s.shape in
   let made = ref [] (* kept only if this refresh installs its state *) in
@@ -386,7 +384,7 @@ let delta_refresh (view : t) (s : stream) (cat : Catalog.t)
       (fun ti ->
         if List.mem ti changed then
           Some
-            (Exec_vectorized.run_plan ~threads:1 ~builds
+            (Exec_vectorized.run_plan ~threads:1 ~settings ~builds
                (term_catalog s cat ~changed ti)
                shape.Planner.ivm_stream)
         else None)
@@ -405,11 +403,11 @@ let delta_refresh (view : t) (s : stream) (cat : Catalog.t)
   | Groups (gidx, g) ->
     let g = Agg_util.groups_copy g in
     List.iter (replay ~groups_idx:gidx g) terms;
-    next (Groups (gidx, g)) (groups_result shape g)
+    next (Groups (gidx, g)) (groups_result settings shape g)
   | Rows rows ->
     let fresh = List.map Relation.decode_strings terms in
-    let rows = Relation.concat (rows :: fresh) in
-    next (Rows rows) (spj_result shape rows)
+    let rows = Relation.concat ~grain:settings.Settings.grain (rows :: fresh) in
+    next (Rows rows) (spj_result settings shape rows)
 
 (* ------------------------------------------------------------------ *)
 (* Read path                                                          *)
@@ -423,9 +421,9 @@ type plan_of_action =
 (* Decide how to serve a read against [cat]: the one staleness check for
    every stored result. Appends are recognised by grown row counts on
    unchanged-schema tables; anything else — replaced deps (flagged by
-   [note_replaced]), dropped tables, shrunk row counts, IVM disabled, or a
+   [note_replaced]), dropped tables, shrunk row counts, [ivm] off, or a
    state without stream state — rebuilds in full. *)
-let classify (view : t) (cat : Catalog.t) : plan_of_action =
+let classify ~ivm (view : t) (cat : Catalog.t) : plan_of_action =
   match view.v_state with
   | None -> Full true
   | Some st -> (
@@ -436,7 +434,7 @@ let classify (view : t) (cat : Catalog.t) : plan_of_action =
     then Fresh st
     else
       match st.stream with
-      | Some s when enabled () && not view.v_dirty_replace ->
+      | Some s when ivm && not view.v_dirty_replace ->
         let ok = ref true in
         let changed =
           List.filter_map
@@ -460,11 +458,6 @@ let classify (view : t) (cat : Catalog.t) : plan_of_action =
         if !ok && changed <> [] then Append (s, changed) else Full false
       | _ -> Full false)
 
-(** Serve the view against snapshot [cat], refreshing first if stale.
-    Returns the result and how it was produced (for counters). Must be
-    called with the catalog already pinned. An injected fault is retried
-    once with injection suppressed ({!Faults.retry_once}); a Guard trip
-    unwinds to the caller with the view still at its previous version. *)
 (* Run refresh [f] and install the state it returns; nothing is installed
    if it fails. Call with the view's lock held. *)
 let refresh (view : t) f : Relation.t =
@@ -476,21 +469,30 @@ let refresh (view : t) f : Relation.t =
   view.v_state <- Some st;
   st.result
 
-let read (view : t) ~(cat : Catalog.t) : Relation.t * served =
+(** Serve the view against snapshot [cat], refreshing first if stale,
+    under the reading query's [settings]. Returns the result and how it
+    was produced (for counters). Must be called with the catalog already
+    pinned. An injected fault is retried once with injection suppressed
+    ({!Faults.retry_once}); a Guard trip unwinds to the caller with the
+    view still at its previous version. *)
+let read (view : t) ~(settings : Settings.t) ~(cat : Catalog.t) :
+    Relation.t * served =
   Mutex.lock view.v_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock view.v_lock)
     (fun () ->
-      match classify view cat with
+      match classify ~ivm:settings.ivm view cat with
       | Fresh st ->
         view.v_hits <- view.v_hits + 1;
         (st.result, `Hit)
       | Append (s, changed) ->
-        let r = refresh view (fun () -> delta_refresh view s cat ~changed) in
+        let r =
+          refresh view (fun () -> delta_refresh settings view s cat ~changed)
+        in
         view.v_deltas <- view.v_deltas + 1;
         (r, `Delta)
       | Full initial ->
-        let r = refresh view (fun () -> rebuild view cat) in
+        let r = refresh view (fun () -> rebuild settings view cat) in
         if initial then (r, `Init)
         else begin
           view.v_recomputes <- view.v_recomputes + 1;
@@ -564,8 +566,8 @@ let list reg =
     through it.
     [quota] bounds the number of views [owner] may hold — views are
     charged against the tenant's cache quota. *)
-let register reg ~(cat : Catalog.t) ?owner ?quota ~name ~sql ~key () :
-    (t, string) result =
+let register reg ~(settings : Settings.t) ~(cat : Catalog.t) ?owner ?quota
+    ~name ~sql ~key () : (t, string) result =
   rlocked reg (fun () ->
       if Hashtbl.mem reg.views name then
         Error (Printf.sprintf "view %s already registered" name)
@@ -588,11 +590,12 @@ let register reg ~(cat : Catalog.t) ?owner ?quota ~name ~sql ~key () :
         else begin
           let v =
             make ?owner ~name
-              ~plan:(fun cat -> Planner.plan_query cat (Sql_parse.parse sql))
-              ~run:(fun cat bq -> Exec_vectorized.run_query ~threads:1 cat bq)
+              ~plan:(fun _ cat -> Planner.plan_query cat (Sql_parse.parse sql))
+              ~run:(fun settings cat bq ->
+                Exec_vectorized.run_query ~threads:1 ~settings cat bq)
               ()
           in
-          ignore (read v ~cat);
+          ignore (read v ~settings ~cat);
           Hashtbl.replace reg.views name v;
           Hashtbl.replace reg.by_key key name;
           Ok v

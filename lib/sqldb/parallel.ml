@@ -1,17 +1,18 @@
 (** Morsel-style parallelism: the one place that decides whether a region
     of work splits, into how many chunks, and where they run.
 
-    A region runs inline at one thread or up to the grain ({!set_grain});
-    above it, {!chunk_count} picks the chunks. [Domains] runs them on a
-    lazily started pool of at most [recommended_domain_count - 1]
-    persistent workers plus the caller, which claims chunks from the same
-    counter, so a caller never waits on a chunk nobody took (a server
-    worker or a nested region cannot deadlock). [Simulated], for hosts
-    with fewer cores than threads, runs chunks one after another, timed,
-    and adds each region's overlap saving (total minus slowest chunk) to
-    {!saved_time}: wall time minus the saving models a multicore run whose
-    regions cost their critical path, without cache effects (DESIGN.md
-    §1). [Sequential_only] runs chunks inline in order.
+    A region runs inline at one thread or up to the grain (the caller's
+    [Settings.grain], passed as [~grain]); above it, {!chunk_count} picks
+    the chunks. [Domains] runs them on a lazily started pool of at most
+    [recommended_domain_count - 1] persistent workers plus the caller,
+    which claims chunks from the same counter, so a caller never waits on
+    a chunk nobody took (a server worker or a nested region cannot
+    deadlock). [Simulated], for hosts with fewer cores than threads, runs
+    chunks one after another, timed, and adds each region's overlap saving
+    (total minus slowest chunk) to {!saved_time}: wall time minus the
+    saving models a multicore run whose regions cost their critical path,
+    without cache effects (DESIGN.md §1). [Sequential_only] runs chunks
+    inline in order.
 
     Every dispatched chunk is a {!Guard} checkpoint and a {!Faults} site
     and runs under the dispatching query's guard and fault suppression.
@@ -58,13 +59,7 @@ let rec add_saved dt =
 (* The grain: a region of at most this many rows runs inline, as one call
    in the calling domain, and {!Radix.should} partitions from this size.
    Grain 0 splits every region of two or more rows and forces radix. *)
-let default_grain = 8192
-
-let grain_ref = ref default_grain
-let grain () = !grain_ref
-let set_grain g = grain_ref := max 0 g
-
-let inline ~threads n = threads <= 1 || n <= !grain_ref
+let inline ~grain ~threads n = threads <= 1 || n <= grain
 
 (* The one chunk-count rule. Scans, filters and probes write disjoint
    outputs that are only concatenated, so they take morsels: more chunks
@@ -72,10 +67,10 @@ let inline ~threads n = threads <= 1 || n <= !grain_ref
    chunks ([merged]) each fold a partial table that must then be merged,
    so every extra chunk costs a table and a merge pass: aggregates take
    one chunk per thread. *)
-let chunk_count ~merged ~threads n =
-  if inline ~threads n then 1
+let chunk_count ~grain ~merged ~threads n =
+  if inline ~grain ~threads n then 1
   else if merged then threads
-  else max threads (min 64 (n / max 1 !grain_ref))
+  else max threads (min 64 (n / max 1 grain))
 
 (* Run one unit of chunk work: deadline checkpoint, fault injection, and
    inline retry when an injected worker crash kills the first attempt. *)
@@ -208,8 +203,8 @@ let dispatch ~threads (works : (unit -> 'a) list) : 'a list =
     results in chunk order; [merged] marks an aggregate's partials
     ({!chunk_count}). An inline region is the one call [f 0 n]; an empty
     one calls nothing. *)
-let map_chunks ?(merged = false) ~threads n f =
-  let k = min n (chunk_count ~merged ~threads n) in
+let map_chunks ?(merged = false) ~grain ~threads n f =
+  let k = min n (chunk_count ~grain ~merged ~threads n) in
   if k <= 1 then if n = 0 then [] else [ f 0 n ]
   else
     let base = n / k and rem = n mod k in
@@ -220,8 +215,8 @@ let map_chunks ?(merged = false) ~threads n f =
 
 (** [List.map f xs] over independent items that together touch [rows]
     rows, under the same inline rule as {!map_chunks}. *)
-let map_list ~threads ~rows f xs =
+let map_list ~grain ~threads ~rows f xs =
   match xs with
-  | _ :: _ :: _ when not (inline ~threads rows) ->
+  | _ :: _ :: _ when not (inline ~grain ~threads rows) ->
     dispatch ~threads (List.map (fun x () -> f x) xs)
   | _ -> List.map f xs

@@ -19,11 +19,11 @@
     its matches as one range of the shared row array, in insertion order.
     An unpartitioned build is the one-partition case of the same layout.
     Only the build side decides: [should] compares its row count against
-    {!Parallel.grain}, and small builds stay unpartitioned. The probe side
-    is never partitioned; it runs in morsels against the whole build.
+    the settings' [grain], and small builds stay unpartitioned. The probe
+    side is never partitioned; it runs in morsels against the whole build.
 
-    [set_enabled false] disables partitioning entirely; tests force the
-    radix path with [Parallel.set_grain 0].
+    Settings [radix = false] disables partitioning entirely; tests force
+    the radix path with [grain = 0].
 
     Every scatter chunk and per-partition build is a {!Guard} checkpoint
     and a {!Faults} injection site ("radix.scatter", "radix.build"); chunk
@@ -33,19 +33,13 @@
     At one thread (radix forced) the pieces run inline and a fault reaches
     [Db.execute]'s suppressed retry. *)
 
-let enabled_ref = ref true
-
-let enabled () = !enabled_ref
-let set_enabled b = enabled_ref := b
-
 (* Partition when the input reaches the grain, the size at which a region
    splits at all. With one worker the cache-residency win alone rarely
    pays at our scales, so single-threaded execution keeps the single-table
    path — unless the grain was forced to 0 (differential tests exercise
    radix at 1 thread through exactly this override). *)
-let should ~rows ~threads =
-  let grain = Parallel.grain () in
-  !enabled_ref && rows >= grain && (threads > 1 || grain = 0)
+let should (s : Settings.t) ~rows ~threads =
+  s.radix && rows >= s.grain && (threads > 1 || s.grain = 0)
 
 (* Power-of-two partition count: enough partitions that each build fits in
    cache (~8K rows targets L2 for a few key+payload columns) and that every
@@ -65,7 +59,7 @@ let partition_bits ~rows ~threads =
    keys) are dropped — they can never join. Within a partition, rows keep
    global logical order regardless of chunking, so downstream output is
    deterministic across thread counts. *)
-let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
+let partition ~grain ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
     (n : int) : int array array =
   let mask = nparts - 1 in
   (* the histogram pass caches each row's partition id (nparts <= 64 fits a
@@ -74,7 +68,7 @@ let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
      its morsels *)
   let pid = Bytes.create n in
   let hists =
-    Parallel.map_chunks ~threads n (fun start len ->
+    Parallel.map_chunks ~grain ~threads n (fun start len ->
         Guard.check ();
         Faults.slow_point ~site:"radix.scatter";
         let hist = Array.make nparts 0 in
@@ -105,7 +99,7 @@ let partition ~threads ~nparts ~(hash : int -> int) ~(base : int -> int)
   in
   let out = Array.init nparts (fun p -> Array.make totals.(p) 0) in
   ignore
-    (Parallel.map_list ~threads ~rows:n
+    (Parallel.map_list ~grain ~threads ~rows:n
       (fun (start, len, off) ->
         Guard.check ();
         Faults.crash_point ~site:"radix.scatter";
@@ -150,18 +144,19 @@ type t = {
    rewrites its own region ({!Hash_util.build_region}). An unpartitioned
    build is no injection site: it is not a parallel piece with a retry
    of its own. *)
-let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
-    t =
+let build ~(settings : Settings.t) ~threads ?sel (cols : Column.t array)
+    (idxs : int list) ~(n : int) : t =
   let n_log = match sel with Some s -> Array.length s | None -> n in
   let base = match sel with Some s -> Array.get s | None -> Fun.id in
-  let partitioned = should ~rows:n_log ~threads in
+  let grain = settings.grain in
+  let partitioned = should settings ~rows:n_log ~threads in
   (* regions: (base row of a logical row, row count), one per partition *)
   let regions =
     if not partitioned then [| (base, n_log) |]
     else
       Array.map
         (fun part -> (Array.get part, Array.length part))
-        (partition ~threads
+        (partition ~grain ~threads
            ~nparts:(1 lsl partition_bits ~rows:n_log ~threads)
            ~hash:(Hash_util.row_hash ~null_as_key:false cols idxs)
            ~base n_log)
@@ -175,7 +170,7 @@ let build ~threads ?sel (cols : Column.t array) (idxs : int list) ~(n : int) :
   let offs = Array.make (total + 1) 0 and rows = Array.make total 0 in
   offs.(total) <- total;
   let built =
-    Parallel.map_list ~threads ~rows:n_log
+    Parallel.map_list ~grain ~threads ~rows:n_log
       (fun p ->
         if partitioned then begin
           Guard.check ();
@@ -211,10 +206,11 @@ let scan_test (t : t) (c : Column.t) : int -> bool =
    partition. Equal keys land in one partition, so per-partition
    aggregation tables hold disjoint group sets. Returns [None] when the
    size gate declines. *)
-let group_parts ~threads ?(base = Fun.id) (cols : Column.t array)
-    (idxs : int list) ~(n : int) : int array array option =
-  if not (should ~rows:n ~threads) then None
+let group_parts ~(settings : Settings.t) ~threads ?(base = Fun.id)
+    (cols : Column.t array) (idxs : int list) ~(n : int) :
+    int array array option =
+  if not (should settings ~rows:n ~threads) then None
   else
     let hash = Hash_util.row_hash ~null_as_key:true cols idxs in
     let nparts = 1 lsl partition_bits ~rows:n ~threads in
-    Some (partition ~threads ~nparts ~hash ~base n)
+    Some (partition ~grain:settings.grain ~threads ~nparts ~hash ~base n)

@@ -61,15 +61,15 @@ let rename t names =
 
 (* Concatenate same-schema relations (used by the morsel executor to collect
    chunks). Column concatenations are independent, so with [threads] each is
-   its own work item. *)
-let concat ?(threads = 1) = function
+   its own work item above [grain] rows. *)
+let concat ?(threads = 1) ~grain = function
   | [] -> invalid_arg "Relation.concat: empty"
   | [ r ] -> r
   | first :: _ as rs ->
     { first with
       cols =
         Array.of_list
-          (Parallel.map_list ~threads
+          (Parallel.map_list ~grain ~threads
              ~rows:(List.fold_left (fun acc r -> acc + n_rows r) 0 rs)
              (fun i -> Column.concat (List.map (fun r -> r.cols.(i)) rs))
              (List.init (Array.length first.cols) Fun.id)) }

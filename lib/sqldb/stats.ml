@@ -242,12 +242,13 @@ let trivial (rel : Relation.t) : table_stats =
         rel.Relation.cols;
     zones = Array.map (fun _ -> None) rel.Relation.cols }
 
-let compute ?unique ?(threads = 1) (rel : Relation.t) : table_stats =
+let compute ?unique ?(grain = Settings.default.grain) ?(threads = 1)
+    (rel : Relation.t) : table_stats =
   let uniq i =
     match unique with Some u when i < Array.length u -> u.(i) | _ -> false
   in
   let per_col =
-    Parallel.map_list ~threads ~rows:(Relation.n_rows rel)
+    Parallel.map_list ~grain ~threads ~rows:(Relation.n_rows rel)
       (fun (i, c) -> (stats_of_col ~unique:(uniq i) c, zones_of_col c))
       (List.mapi (fun i c -> (i, c)) (Array.to_list rel.Relation.cols))
   in
@@ -392,13 +393,14 @@ let extend_zones (old : zone array option) (c : Column.t) ~from :
     pass walks only the appended suffix, so ingest cost is O(delta), not
     O(table). [rel] must be the merged relation whose first [from] rows
     carried [old]. *)
-let append_table (old : table_stats) ?unique ?(threads = 1)
-    (rel : Relation.t) ~from : table_stats =
+let append_table (old : table_stats) ?unique
+    ?(grain = Settings.default.grain) ?(threads = 1) (rel : Relation.t) ~from :
+    table_stats =
   let uniq i =
     match unique with Some u when i < Array.length u -> u.(i) | _ -> false
   in
   let per_col =
-    Parallel.map_list ~threads ~rows:(Relation.n_rows rel - from)
+    Parallel.map_list ~grain ~threads ~rows:(Relation.n_rows rel - from)
       (fun (i, c) ->
         ( append_col_stats ~unique:(uniq i) old.cols.(i) c ~from,
           extend_zones old.zones.(i) c ~from ))

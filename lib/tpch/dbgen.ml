@@ -57,7 +57,7 @@ let chunk_rows = 65_536
    [lo, lo+len) from a chunk-private stream. Chunks run across domains;
    results come back in chunk order. *)
 let gen_chunks ~threads ~seed ~tid n f =
-  Parallel.map_list ~threads ~rows:n
+  Parallel.map_list ~grain:Settings.default.grain ~threads ~rows:n
     (fun c ->
       let lo = c * chunk_rows in
       f (Rng.create (derive_seed seed tid c)) lo (min chunk_rows (n - lo)))
@@ -127,10 +127,10 @@ let date_lo = Value.date_of_iso "1992-01-01"
 let date_hi = Value.date_of_iso "1998-08-02"
 
 (* Categorical column from a known domain: built dictionary-coded (no
-   per-row string allocation) when encoding is enabled, raw strings when
-   [Db.set_dict_encoding false] asks for the unencoded baseline. *)
-let coded (values : string array) (codes : int array) : Column.t =
-  if Db.dict_encoding_enabled () then Column.of_coded values codes
+   per-row string allocation) when [dict], raw strings when [~dict:false]
+   asks for the unencoded baseline. *)
+let coded ~dict (values : string array) (codes : int array) : Column.t =
+  if dict then Column.of_coded values codes
   else Column.of_strings (Array.map (fun c -> values.(c)) codes)
 
 type tables = {
@@ -173,7 +173,8 @@ type order_chunk = {
 }
 
 let generate ?(seed = 20240114) ?(threads = Parallel.available_cores ())
-    (sf : float) : tables =
+    ?(dict = true) (sf : float) : tables =
+  let coded = coded ~dict in
   let scale base = max 1 (int_of_float (float_of_int base *. sf)) in
   let n_supp = scale 10_000 in
   let n_cust = scale 150_000 in
@@ -526,7 +527,9 @@ let load ?(threads = Parallel.available_cores ()) (db : Db.t) (t : tables) :
     ~cons:(pk [ "l_orderkey"; "l_linenumber" ])
     t.lineitem
 
-let make_db ?seed ?threads (sf : float) : Db.t =
-  let db = Db.create () in
-  load ?threads db (generate ?seed ?threads sf);
+(* A database with [settings], loaded with tables generated to its [dict]. *)
+let make_db ?seed ?threads ?(settings = Settings.default) (sf : float) :
+    Db.t =
+  let db = Db.create ~settings () in
+  load ?threads db (generate ?seed ?threads ~dict:settings.dict sf);
   db

@@ -63,18 +63,16 @@ let mini_db () =
        [ ints [| 10; 20; 40 |]; strings [| "alice"; "bob"; "carol" |] ]);
   db
 
-let run_all ?threads ?backend db sql = Db.execute ?threads ?backend db sql
-
 (* execute on every backend and insist the results agree; [each] also sees
    every run's result *)
 let execute_everywhere ?(threads_list = [ 1; 3 ]) ?(each = fun _ _ _ -> ())
-    db sql : Relation.t =
-  let reference = Db.execute ~backend:Db.Vectorized db sql in
+    ?settings db sql : Relation.t =
+  let reference = Db.execute ~backend:Db.Vectorized ?settings db sql in
   List.iter
     (fun backend ->
       List.iter
         (fun threads ->
-          let r = Db.execute ~backend ~threads db sql in
+          let r = Db.execute ~backend ~threads ?settings db sql in
           check_rel
             (Printf.sprintf "%s @%dt" (Db.backend_name backend) threads)
             reference r;
@@ -97,28 +95,17 @@ let contains_sub (sub : string) (s : string) : bool =
 (* Engine configuration                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with the given engine toggles and parallel dispatch mode set
-   through their setters, then restore every one, whatever [f] does.
-   Dictionary encoding is decided at ingest, so only a database built
-   inside [f] takes it up. *)
-let with_config ?radix ?grain ?dict ?fuse ?ivm ?cache
-    ?plancache ?parallel (f : unit -> 'a) : 'a =
-  let toggle get set v =
-    let saved = get () in
-    Option.iter set v;
-    fun () -> set saved
-  in
-  let restore =
-    [ toggle Radix.enabled Radix.set_enabled radix;
-      toggle Parallel.grain Parallel.set_grain grain;
-      toggle Db.dict_encoding_enabled Db.set_dict_encoding dict;
-      toggle Kernel.fuse_enabled Kernel.set_fuse fuse;
-      toggle Matview.enabled Matview.set_enabled ivm;
-      toggle Db.cache_enabled_now Db.set_cache_enabled cache;
-      toggle Db.plancache_enabled_now Db.set_plancache_enabled plancache;
-      toggle Parallel.current_mode Parallel.set_mode parallel ]
-  in
-  Fun.protect ~finally:(fun () -> List.iter (fun r -> r ()) restore) f
+(* Engine settings are values ({!Settings.t}) a database or a query
+   carries; only the parallel dispatch mode is process-level. Run [f]
+   under [mode] and restore the previous mode, whatever [f] does. *)
+let with_parallel mode (f : unit -> 'a) : 'a =
+  let saved = Parallel.current_mode () in
+  Parallel.set_mode mode;
+  Fun.protect ~finally:(fun () -> Parallel.set_mode saved) f
+
+(* Radix partitioning on every join build and aggregation, and every
+   parallel region split, even at one thread. *)
+let radix_forced = { Settings.default with radix = true; grain = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Differential runner                                                *)
@@ -141,30 +128,29 @@ let ordered_rows (r : Relation.t) : string list =
    answers compare as sorted multisets, still with exact cells. *)
 let has_group_by sql = contains_sub "GROUP BY" sql
 
-(* Run every query under [base] and under [subject] (each a [with_config]
-   partial application) on both backends at 1 and 3 threads, with the
-   result cache off: a cached result from one configuration would answer
-   the other without executing it. *)
-let diff_queries ~label ~base ~subject (db : Db.t) (queries : string list) =
-  with_config ~cache:false (fun () ->
+(* Run every query under settings [base] and [subject] on both backends at
+   1 and 3 threads, with the result cache off: a cached result from one
+   configuration would answer the other without executing it. *)
+let diff_queries ~label ~(base : Settings.t) ~(subject : Settings.t)
+    (db : Db.t) (queries : string list) =
+  List.iter
+    (fun sql ->
       List.iter
-        (fun sql ->
+        (fun backend ->
           List.iter
-            (fun backend ->
-              List.iter
-                (fun threads ->
-                  let run config =
-                    let rows =
-                      ordered_rows
-                        (config (fun () -> Db.execute ~backend ~threads db sql))
-                    in
-                    if has_group_by sql then List.sort String.compare rows
-                    else rows
-                  in
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "%s %s @%dt | %s" label
-                       (Db.backend_name backend) threads sql)
-                    (run base) (run subject))
-                thread_counts)
-            backends)
-        queries)
+            (fun threads ->
+              let run (s : Settings.t) =
+                let settings = { s with cache = false } in
+                let rows =
+                  ordered_rows (Db.execute ~backend ~threads ~settings db sql)
+                in
+                if has_group_by sql then List.sort String.compare rows
+                else rows
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s @%dt | %s" label
+                   (Db.backend_name backend) threads sql)
+                (run base) (run subject))
+            thread_counts)
+        backends)
+    queries

@@ -1,10 +1,10 @@
 (** Configuration oracle: every engine configuration answers what the
     Pandas program answers.
 
-    Each configuration sets engine toggles through their setters
-    ({!Helpers.with_config}) and builds its databases inside that
-    configuration, because dictionary encoding is decided at ingest.
-    Under each one runs the same fixed corpus:
+    Each configuration is one {!Settings.t}. Its databases are built
+    with it, because dictionary encoding is decided at ingest, and every
+    query on them runs under it. Under each one runs the same fixed
+    corpus:
 
     - the 22 TPC-H programs at SF 0.002 through {!Pytond.run}, on both
       backends at 1 and 3 threads, against the interpreter baseline
@@ -26,13 +26,14 @@ open Helpers
 
 let sf = 0.002
 
-let configs : (string * ((unit -> unit) -> unit)) list =
-  [ ("default", fun f -> with_config f);
-    ("radix forced", fun f -> with_config ~radix:true ~grain:0 f);
-    ("radix off", fun f -> with_config ~radix:false f);
-    ("raw strings", fun f -> with_config ~dict:false f);
-    ("fuse off", fun f -> with_config ~fuse:false f);
-    ("IVM off", fun f -> with_config ~ivm:false f) ]
+let configs : (string * Settings.t) list =
+  let d = Settings.default in
+  [ ("default", d);
+    ("radix forced", radix_forced);
+    ("radix off", { d with radix = false });
+    ("raw strings", { d with dict = false });
+    ("fuse off", { d with fuse = false });
+    ("IVM off", { d with ivm = false }) ]
 
 (* Every program on each backend at each thread count against its
    baseline rows. At 3 threads float sums merge per chunk, so their last
@@ -78,17 +79,17 @@ let workload_baselines =
        Workloads.all)
 
 (* [tpch ()] is a private snapshot of the configuration's TPC-H database. *)
-let test_tpch tpch () =
+let test_tpch _ tpch () =
   check_programs ~backends ~threads_list:thread_counts (tpch ())
     (Lazy.force tpch_baselines)
 
 (* The workloads run on the vectorized backend at 1 thread only, to keep
    the suite inside its time budget; the TPC-H corpus covers the compiled
    backend and the 3-thread paths. *)
-let test_workloads _ () =
+let test_workloads settings _ () =
   List.iter2
     (fun (_, load, _) program ->
-      let db = Db.create () in
+      let db = Db.create ~settings () in
       load db;
       check_programs ~backends:[ Db.Vectorized ] ~threads_list:[ 1 ] db
         [ program ])
@@ -98,7 +99,7 @@ let test_workloads _ () =
 (* Registered views over both refresh paths (q1, q3 and q14 driven by
    lineitem, q12 by orders) and one fallback view (q17), read after each
    append. *)
-let test_views tpch () =
+let test_views _ tpch () =
   let db = tpch () in
   let sqls =
     List.map
@@ -122,16 +123,71 @@ let test_views tpch () =
 
 (* The result-cache sequence on the compiled backend: stale reads that
    recompute run on it, and delta refreshes on the vectorized engine. *)
-let test_cache tpch () =
+let test_cache _ tpch () =
   Test_matview.cache_sequence ~counting:false Db.Compiled (tpch ())
 
+(* Two databases over one generated dataset, one at [Settings.default]
+   and one with the fused paths off and radix forced, each built and
+   queried by its own domain at the same time on both backends. Every
+   answer must be the interpreter's. Settings change cost, never answers,
+   so each query's materialized rows ({!Guard} counts them per domain)
+   must also match a serial run under its own settings, and the default
+   database, whose compiled aggregates fuse over their base table and
+   gather no morsels, must gather fewer rows in all. *)
+let test_concurrent_settings () =
+  Faults.disarm ();
+  Fun.protect ~finally:Faults.arm_from_env @@ fun () ->
+  let tables = Tpch.Dbgen.generate ~threads:1 sf in
+  let baselines = Lazy.force tpch_baselines in
+  let run db =
+    List.concat_map
+      (fun (name, source, base) ->
+        List.map
+          (fun (backend, dialect) ->
+            let sql = Pytond.compile ~dialect ~db ~source ~fname:"query" () in
+            let g = Option.get (Guard.install ~row_budget:max_int ()) in
+            Fun.protect ~finally:Guard.clear (fun () ->
+                let r = Db.execute ~backend db sql in
+                ( Printf.sprintf "%s %s" name (Db.backend_name backend),
+                  (base, Relation.canonical ~digits:3 r),
+                  (backend, Atomic.get g.Guard.rows) )))
+          [ (Db.Vectorized, "duckdb"); (Db.Compiled, "hyper") ])
+      baselines
+  in
+  let in_domain settings () =
+    let db = Db.create ~settings () in
+    Tpch.Dbgen.load ~threads:1 db tables;
+    (db, run db)
+  in
+  let gathered =
+    List.map
+      (fun (db, runs) ->
+        List.iter2
+          (fun (what, (base, r), (_, n)) (_, _, (_, n_alone)) ->
+            Alcotest.(check (list string)) what base r;
+            Alcotest.(check int) (what ^ " rows as alone") n_alone n)
+          runs
+          (run (Db.snapshot db));
+        List.fold_left
+          (fun acc (_, _, (b, n)) -> if b = Db.Compiled then acc + n else acc)
+          0 runs)
+      (List.map Domain.join
+         (List.map
+            (fun s -> Domain.spawn (in_domain s))
+            [ Settings.default; { radix_forced with fuse = false } ]))
+  in
+  Alcotest.(check bool) "fused aggregates gather fewer rows" true
+    (match gathered with [ f; u ] -> f < u | _ -> false)
+
 let suites =
-  [ ( "config-oracle",
+  [ ( "config-concurrent",
+      [ tc "two settings in two domains at once" test_concurrent_settings ] );
+    ( "config-oracle",
       List.concat_map
-        (fun (label, config) ->
-          (* One TPC-H database per configuration, generated inside it at
-             first use. *)
-          let db = lazy (Tpch.Dbgen.make_db sf) in
+        (fun (label, settings) ->
+          (* One TPC-H database per configuration, generated with its
+             settings at first use. *)
+          let db = lazy (Tpch.Dbgen.make_db ~settings sf) in
           let tpch () = Db.snapshot (Lazy.force db) in
           (* Runs at 3 threads dispatch in [Simulated] mode: the same
              chunks, radix partitions and merges as on real domains, run
@@ -139,8 +195,7 @@ let suites =
           List.map
             (fun (what, test) ->
               tc (label ^ ": " ^ what) (fun () ->
-                  with_config ~parallel:Parallel.Simulated (fun () ->
-                      config (test tpch))))
+                  with_parallel Parallel.Simulated (test settings tpch)))
             [ ("TPC-H", test_tpch);
               ("workloads", test_workloads);
               ("registered views", test_views);

@@ -62,12 +62,12 @@ let test_high_cardinality_stays_raw () =
 (* SQL-level equivalence: dictionary vs raw strings                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the same database twice, once per encoding toggle. *)
-let with_encodings (build : unit -> 'a) : 'a * 'a =
-  (with_config ~dict:true build, with_config ~dict:false build)
+(* Build the same database twice, dictionary-encoded and with raw strings. *)
+let with_encodings (build : Settings.t -> 'a) : 'a * 'a =
+  (build Settings.default, build { Settings.default with dict = false })
 
-let string_db () =
-  let db = Db.create () in
+let string_db settings =
+  let db = Db.create ~settings () in
   Db.load_table db "items"
     (rel
        [ "id"; "grp"; "tag"; "price" ]
@@ -114,8 +114,7 @@ let test_sql_equivalence () =
       List.iter
         (fun backend ->
           let dict, raw =
-            with_encodings (fun () ->
-                Db.execute ~backend (string_db ()) sql)
+            with_encodings (fun s -> Db.execute ~backend (string_db s) sql)
           in
           check_rel
             (Printf.sprintf "%s | %s" (Db.backend_name backend) sql)
@@ -131,20 +130,28 @@ let test_roundtrip_pipeline () =
      WHERE i.grp = c.name AND i.grp IN ('red', 'blue') \
      GROUP BY i.grp, c.rank ORDER BY i.grp"
   in
-  let dict, raw = with_encodings (fun () -> Db.execute (string_db ()) sql) in
+  let dict, raw = with_encodings (fun s -> Db.execute (string_db s) sql) in
   check_rel "pipeline round-trip" raw (Relation.decode_strings dict);
   (* the dictionary db really stores dict columns *)
-  let db = with_config ~dict:true string_db in
+  let db = string_db Settings.default in
   let items = (Catalog.find (Db.catalog db) "items").Catalog.rel in
   Alcotest.(check bool) "grp is dict" true
     (Column.is_dict (Relation.column items "grp"));
   Alcotest.(check bool) "tag is dict (nullable)" true
-    (Column.is_dict (Relation.column items "tag"))
+    (Column.is_dict (Relation.column items "tag"));
+  (* a raw-string database keeps an empty table's first append raw *)
+  let raw = string_db { Settings.default with dict = false } in
+  let raw_items = Catalog.relation (Db.catalog raw) "items" in
+  Db.load_table raw "late" (Relation.take raw_items [||]);
+  Db.append_table raw "late" raw_items;
+  let late = Catalog.relation (Db.catalog raw) "late" in
+  Alcotest.(check bool) "appended grp stays raw" false
+    (Column.is_dict (Relation.column late "grp"))
 
 (* Full TPC-H suite: dictionary and raw-string execution must produce
    identical results on every query and backend (acceptance criterion). *)
 let test_tpch_equivalence () =
-  let dbs = with_encodings (fun () -> Tpch.Dbgen.make_db 0.01) in
+  let dbs = with_encodings (fun s -> Tpch.Dbgen.make_db ~settings:s 0.01) in
   let db_dict, db_raw = dbs in
   List.iter
     (fun (name, source) ->
@@ -228,8 +235,8 @@ let test_code_direct_preds () =
 (* ------------------------------------------------------------------ *)
 
 let test_null_sort_group () =
-  let build () =
-    let db = Db.create () in
+  let build settings =
+    let db = Db.create ~settings () in
     Db.load_table db "t"
       (rel [ "k"; "v" ]
          [ Column.of_values Value.TString
@@ -243,7 +250,7 @@ let test_null_sort_group () =
       List.iter
         (fun backend ->
           let dict, raw =
-            with_encodings (fun () -> Db.execute ~backend (build ()) sql)
+            with_encodings (fun s -> Db.execute ~backend (build s) sql)
           in
           check_rel
             (Printf.sprintf "%s | %s" (Db.backend_name backend) sql)
@@ -311,31 +318,34 @@ let test_selection_equivalence () =
     let lo = Random.State.int offsets n in
     List.iter
       (fun fuse ->
-        with_config ~fuse (fun () ->
-            let label = Printf.sprintf "%s fuse=%b" label fuse in
-            let eager = reference_filter cols ~n pred in
-            List.iter
-              (fun threads ->
-                Alcotest.(check (list int))
-                  (Printf.sprintf "%s full sel @%dt" label threads)
-                  eager
-                  (Array.to_list
-                     (Kernel.select ~threads cols [ pred ] [] ~n)))
-              [ 1; 3 ];
-            let from_lo = ref [] in
-            Kernel.selector cols [ pred ] [] ~lo ~hi:(n - 1) (fun idx k ->
-                for t = 0 to k - 1 do
-                  from_lo := idx.(t) :: !from_lo
-                done);
+        let settings = { Settings.default with fuse } in
+        let label = Printf.sprintf "%s fuse=%b" label fuse in
+        let eager = reference_filter cols ~n pred in
+        List.iter
+          (fun threads ->
             Alcotest.(check (list int))
-              (Printf.sprintf "%s rows from %d" label lo)
-              (List.filter (fun i -> i >= lo) eager)
-              (List.rev !from_lo);
-            let got = Exec_vectorized.filter_sel ~threads:1 cols sub pred in
-            Alcotest.(check (list int))
-              (Printf.sprintf "%s subset sel" label)
-              (List.filter (fun i -> in_sub.(i)) eager)
-              (Array.to_list got)))
+              (Printf.sprintf "%s full sel @%dt" label threads)
+              eager
+              (Array.to_list
+                 (Kernel.select ~settings ~threads cols [ pred ] [] ~n)))
+          [ 1; 3 ];
+        let from_lo = ref [] in
+        Kernel.selector ~fuse cols [ pred ] [] ~lo ~hi:(n - 1) (fun idx k ->
+            for t = 0 to k - 1 do
+              from_lo := idx.(t) :: !from_lo
+            done);
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s rows from %d" label lo)
+          (List.filter (fun i -> i >= lo) eager)
+          (List.rev !from_lo);
+        let got =
+          Exec_vectorized.filter_sel ~grain:settings.grain ~threads:1 cols sub
+            pred
+        in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s subset sel" label)
+          (List.filter (fun i -> in_sub.(i)) eager)
+          (Array.to_list got))
       [ true; false ]
   in
   for t = 1 to 50 do

@@ -324,8 +324,9 @@ let exec_tests =
             List.iter
               (fun threads ->
                 let r =
-                  with_config ~fuse ~cache:false (fun () ->
-                      Db.execute ~backend:Db.Compiled ~threads db sql)
+                  Db.execute ~backend:Db.Compiled ~threads
+                    ~settings:{ Settings.default with fuse; cache = false }
+                    db sql
                 in
                 let label = Printf.sprintf "fuse=%b @%dt" fuse threads in
                 Alcotest.(check int) (label ^ " rows") 0 (Relation.n_rows r);
@@ -343,11 +344,11 @@ let exec_tests =
              GROUP BY h" ]
         in
         let default = List.map (fun sql -> q (agg_db ()) sql) queries in
-        with_config ~radix:true ~grain:0 (fun () ->
-            List.iter2
-              (fun sql expected ->
-                check_rel ("radix forced | " ^ sql) expected (q (agg_db ()) sql))
-              queries default))
+        List.iter2
+          (fun sql expected ->
+            check_rel ("radix forced | " ^ sql) expected
+              (execute_everywhere ~settings:radix_forced (agg_db ()) sql))
+          queries default)
   ]
 
 (* Property: engine filter agrees with a row-by-row oracle. *)

@@ -72,7 +72,6 @@ let tpch_oracle seed =
 let cache_interaction_test =
   tc "query cache stands down under faults, recovers after" (fun () ->
       Fun.protect ~finally:Faults.arm_from_env (fun () ->
-          with_config ~cache:true @@ fun () ->
           Faults.disarm ();
           let db = Tpch.Dbgen.make_db 0.005 in
           let source = Tpch.Queries.find "q6" in
@@ -108,7 +107,7 @@ let cache_interaction_test =
    sequential answer in every dispatch mode. 1000 rows sit under the
    default grain, so the map runs under grain 0 to split at all. *)
 let sum_chunks () =
-  Sqldb.Parallel.map_chunks ~threads:4 1000 (fun s l ->
+  Sqldb.Parallel.map_chunks ~grain:0 ~threads:4 1000 (fun s l ->
       let acc = ref 0 in
       for i = s to s + l - 1 do
         acc := !acc + i
@@ -117,12 +116,11 @@ let sum_chunks () =
 
 let parallel_retry_test =
   tc "map_chunks recovers injected worker crashes in every mode" (fun () ->
-      with_config ~grain:0 @@ fun () ->
       let expected = sum_chunks () in
       Fun.protect ~finally:Faults.arm_from_env (fun () ->
           List.iter
             (fun mode ->
-              with_config ~parallel:mode @@ fun () ->
+              with_parallel mode @@ fun () ->
               List.iter
                 (fun seed ->
                   Faults.arm ~seed ();
@@ -144,11 +142,12 @@ let parallel_retry_test =
 
 module Parallel = Sqldb.Parallel
 
-(* Real domains, faults off, every region above the grain. *)
+(* Real domains, faults off; the regions below run at grain 0, so every
+   one splits. *)
 let pooled f =
   Faults.disarm ();
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~parallel:Parallel.Domains ~grain:0 f)
+      with_parallel Parallel.Domains f)
 
 (* The chunks of [0, n) must come back in order and cover it exactly. *)
 let check_cover what n chunks =
@@ -179,7 +178,7 @@ let raise_in_worker e =
   let workers = Parallel.available_cores () > 1 in
   let raised = Atomic.make false and finished = Atomic.make 0 in
   (match
-     Parallel.map_list ~threads:3 ~rows:4
+     Parallel.map_list ~grain:0 ~threads:3 ~rows:4
        (fun i ->
          let on_caller = Domain.self () = caller in
          if
@@ -198,15 +197,16 @@ let raise_in_worker e =
     Alcotest.(check int) "the other items finished first" 3
       (Atomic.get finished));
   check_cover "next region" 9
-    (Parallel.map_chunks ~threads:3 9 (fun s l -> (s, l)))
+    (Parallel.map_chunks ~grain:0 ~threads:3 9 (fun s l -> (s, l)))
 
 let pool_tests =
   [ tc "a chunk that opens a nested region completes" (fun () ->
         pooled @@ fun () ->
         check_cover "outer region" 6
-          (Parallel.map_chunks ~threads:3 6 (fun s l ->
+          (Parallel.map_chunks ~grain:0 ~threads:3 6 (fun s l ->
                check_cover "inner region" 5
-                 (Parallel.map_chunks ~threads:3 5 (fun s l -> (s, l)));
+                 (Parallel.map_chunks ~grain:0 ~threads:3 5 (fun s l ->
+                      (s, l)));
                (s, l))));
     tc "a guard trip in a worker's item waits for the region" (fun () ->
         pooled @@ fun () ->
@@ -221,7 +221,7 @@ let pool_tests =
         let run k () =
           List.for_all
             (fun _ ->
-              Parallel.map_list ~threads:3 ~rows:20 (fun i -> k * i)
+              Parallel.map_list ~grain:0 ~threads:3 ~rows:20 (fun i -> k * i)
                 (List.init 20 Fun.id)
               = List.init 20 (fun i -> k * i))
             (List.init 50 Fun.id)
@@ -233,10 +233,11 @@ let pool_tests =
     tc "an inline region is one call" (fun () ->
         Faults.disarm ();
         Fun.protect ~finally:Faults.arm_from_env @@ fun () ->
-        with_config ~parallel:Parallel.Domains @@ fun () ->
+        with_parallel Parallel.Domains @@ fun () ->
         let calls = ref [] in
         ignore
-          (Parallel.map_chunks ~threads:3 5 (fun s l -> calls := (s, l) :: !calls));
+          (Parallel.map_chunks ~grain:Sqldb.Settings.default.grain ~threads:3 5
+             (fun s l -> calls := (s, l) :: !calls));
         Alcotest.(check (list (pair int int))) "one call" [ (0, 5) ] !calls) ]
 
 (* The registry itself: deterministic draws per seed, suppression masks

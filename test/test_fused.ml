@@ -19,8 +19,8 @@
 open Sqldb
 open Helpers
 
-let fused f = with_config ~fuse:true f
-let unfused f = with_config ~fuse:false f
+let fused = { Settings.default with fuse = true; cache = false }
+let unfused = { fused with fuse = false }
 let diff_queries = diff_queries ~base:unfused ~subject:fused
 
 (* ------------------------------------------------------------------ *)
@@ -31,11 +31,11 @@ let diff_queries = diff_queries ~base:unfused ~subject:fused
    mixed-magnitude floats (so compensation actually matters), a small
    dict-coded string alphabet, nullable float and int columns, dates,
    and a nonzero divisor column for SUM(x / y). *)
-let fused_db () =
+let fused_db ?settings () =
   let rand = Random.State.make [| 0xf05ed |] in
   let n = 12_000 in
   let tags = [| "alpha"; "beta"; "gamma"; "delta"; "albatross" |] in
-  let db = Db.create () in
+  let db = Db.create ?settings () in
   Db.load_table db "t"
     (rel [ "id"; "k"; "v"; "a"; "b"; "tag"; "nv"; "nk"; "d" ]
        [ ints (Array.init n Fun.id);
@@ -142,30 +142,28 @@ let test_filters () = diff_queries ~label:"filter" (fused_db ()) filter_queries
    at any thread count. *)
 let test_grouped_order () =
   let db = fused_db () in
-  with_config ~cache:false (fun () ->
+  List.iter
+    (fun sql ->
       List.iter
-        (fun sql ->
-          List.iter
-            (fun threads ->
-              let run config =
-                ordered_rows
-                  (config (fun () ->
-                       Db.execute ~backend:Db.Compiled ~threads db sql))
-              in
-              Alcotest.(check (list string))
-                (Printf.sprintf "grouped order @%dt | %s" threads sql)
-                (run unfused) (run fused))
-            thread_counts)
-        grouped_queries)
+        (fun threads ->
+          let run settings =
+            ordered_rows
+              (Db.execute ~backend:Db.Compiled ~threads ~settings db sql)
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "grouped order @%dt | %s" threads sql)
+            (run unfused) (run fused))
+        thread_counts)
+    grouped_queries
 
 (* Dict predicates must also agree with encoding disabled: raw string
    columns take the generic cmp-leaf path instead of the code tables. *)
 let test_raw_strings () =
-  with_config ~dict:false (fun () ->
-      diff_queries ~label:"raw-strings" (fused_db ())
-        [ "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE tag = 'alpha'";
-          "SELECT SUM(a) AS s FROM t WHERE tag <> 'beta' AND k < 50";
-          "SELECT id FROM t WHERE tag LIKE 'al%' AND k = 3" ])
+  diff_queries ~label:"raw-strings"
+    (fused_db ~settings:{ Settings.default with dict = false } ())
+    [ "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE tag = 'alpha'";
+      "SELECT SUM(a) AS s FROM t WHERE tag <> 'beta' AND k < 50";
+      "SELECT id FROM t WHERE tag LIKE 'al%' AND k = 3" ]
 
 (* ------------------------------------------------------------------ *)
 (* Compensated summation pins (Neumaier)                              *)
@@ -206,33 +204,28 @@ let test_neumaier_sum () =
     | Value.VFloat f -> f
     | v -> Alcotest.failf "expected VFloat, got %s" (Value.to_string v)
   in
-  with_config ~cache:false (fun () ->
+  List.iter
+    (fun backend ->
       List.iter
-        (fun backend ->
-          List.iter
-            (fun threads ->
-              let off =
-                unfused (fun () ->
-                    sum_of (Db.execute ~backend ~threads db sql))
-              in
-              let on =
-                fused (fun () ->
-                    sum_of (Db.execute ~backend ~threads db sql))
-              in
-              (* fused == unfused bit-for-bit at the same thread count *)
-              Alcotest.(check int64)
-                (Printf.sprintf "fused bits %s @%dt" (Db.backend_name backend)
-                   threads)
-                (Int64.bits_of_float off) (Int64.bits_of_float on);
-              (* chunked vs serial: compensation keeps the merge within
-                 noise of the exact serial result, while a naive chunked
-                 sum here would be off by whole units *)
-              Alcotest.(check (float 1e-6))
-                (Printf.sprintf "serial agreement %s @%dt"
-                   (Db.backend_name backend) threads)
-                expect on)
-            thread_counts)
-        backends)
+        (fun threads ->
+          let sum settings =
+            sum_of (Db.execute ~backend ~threads ~settings db sql)
+          in
+          let off = sum unfused and on = sum fused in
+          (* fused == unfused bit-for-bit at the same thread count *)
+          Alcotest.(check int64)
+            (Printf.sprintf "fused bits %s @%dt" (Db.backend_name backend)
+               threads)
+            (Int64.bits_of_float off) (Int64.bits_of_float on);
+          (* chunked vs serial: compensation keeps the merge within
+             noise of the exact serial result, while a naive chunked
+             sum here would be off by whole units *)
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "serial agreement %s @%dt"
+               (Db.backend_name backend) threads)
+            expect on)
+        thread_counts)
+    backends
 
 (* ------------------------------------------------------------------ *)
 (* Faults soak: kernel checkpoints recover to the clean answer        *)
@@ -240,26 +233,24 @@ let test_neumaier_sum () =
 
 let test_faults_soak () =
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~cache:false ~fuse:true (fun () ->
-          let db = fused_db () in
-          let sql =
-            "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 60 \
-             GROUP BY tag"
-          in
-          Faults.disarm ();
-          let reference = Db.execute ~threads:3 db sql in
+      let db = fused_db ~settings:fused () in
+      let sql =
+        "SELECT tag, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k < 60 GROUP BY \
+         tag"
+      in
+      Faults.disarm ();
+      let reference = Db.execute ~threads:3 db sql in
+      List.iter
+        (fun backend ->
           List.iter
-            (fun backend ->
-              List.iter
-                (fun seed ->
-                  Faults.arm ~seed ();
-                  let r = Db.execute ~backend ~threads:3 db sql in
-                  check_rel
-                    (Printf.sprintf "%s seed=%d" (Db.backend_name backend)
-                       seed)
-                    reference r)
-                [ 7; 19; 31 ])
-            backends))
+            (fun seed ->
+              Faults.arm ~seed ();
+              let r = Db.execute ~backend ~threads:3 db sql in
+              check_rel
+                (Printf.sprintf "%s seed=%d" (Db.backend_name backend) seed)
+                reference r)
+            [ 7; 19; 31 ])
+        backends)
 
 let suites =
   [ ( "fused-differential",

@@ -265,10 +265,6 @@ let queries (cs : case) : (string * string list) list =
 (* Runner                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let with_radix forced f =
-  if forced then with_config ~radix:true ~grain:0 f
-  else with_config ~radix:false f
-
 (* Every query on both executors at 1 and 3 threads, radix forced and off,
    against its expected multiset of rendered rows. *)
 let check_queries name cat queries =
@@ -280,18 +276,21 @@ let check_queries name cat queries =
           List.iter
             (fun threads ->
               List.iter
-                (fun forced ->
-                  let r = with_radix forced (fun () -> run ~threads cat bq) in
+                (fun (radix, settings) ->
+                  let r = run ~threads ~settings cat bq in
                   Alcotest.(check (list string))
-                    (Printf.sprintf "%s %s @%dt radix=%b | %s" name bname
-                       threads forced sql)
+                    (Printf.sprintf "%s %s @%dt radix %s | %s" name bname
+                       threads radix sql)
                     expected (rows_of r))
-                [ false; true ])
+                [ ("off", { Settings.default with radix = false });
+                  ("forced", radix_forced) ])
             [ 1; 3 ])
         [ ( "vectorized",
-            fun ~threads cat bq -> Exec_vectorized.run_query ~threads cat bq );
+            fun ~threads ~settings cat bq ->
+              Exec_vectorized.run_query ~threads ~settings cat bq );
           ( "compiled",
-            fun ~threads cat bq -> Exec_compiled.run_query ~threads cat bq ) ])
+            fun ~threads ~settings cat bq ->
+              Exec_compiled.run_query ~threads ~settings cat bq ) ])
     queries
 
 let check_case (cs : case) () = check_queries cs.name cs.cat (queries cs)

@@ -296,8 +296,8 @@ let grp_sql =
   "SELECT grp, count(*) AS n, sum(x) AS s, avg(x) AS a FROM a WHERE x > 0 \
    GROUP BY grp ORDER BY grp"
 
-let grp_db () =
-  let db = Db.create () in
+let grp_db ?settings () =
+  let db = Db.create ?settings () in
   Db.load_table db "a"
     (Helpers.rel [ "x"; "grp" ]
        [ Helpers.floats [| 1.5; 2.5; -1.0; 4.0 |];
@@ -614,19 +614,17 @@ let test_faulty_refresh_differential () =
 (* ------------------------------------------------------------------ *)
 
 let test_ivm_disabled () =
-  Helpers.with_config ~ivm:false (fun () ->
-      let db = grp_db () in
-      ok_or_fail (Db.register_view db ~name:"g" grp_sql);
-      Db.append_table db "a"
-        (Helpers.rel [ "x"; "grp" ]
-           [ Helpers.floats [| 7.0 |]; Helpers.ints [| 3 |] ]);
-      Helpers.check_rel ~digits:6 "disabled IVM still correct"
-        (rebuild_view db grp_sql)
-        (Db.execute db grp_sql);
-      let st = Db.cache_stats db in
-      Alcotest.(check int) "no delta refreshes" 0 st.Db.delta_refreshes;
-      Alcotest.(check bool) "recompute path used" true
-        (st.Db.view_recomputes >= 1))
+  let db = grp_db ~settings:{ Settings.default with ivm = false } () in
+  ok_or_fail (Db.register_view db ~name:"g" grp_sql);
+  Db.append_table db "a"
+    (Helpers.rel [ "x"; "grp" ]
+       [ Helpers.floats [| 7.0 |]; Helpers.ints [| 3 |] ]);
+  Helpers.check_rel ~digits:6 "disabled IVM still correct"
+    (rebuild_view db grp_sql)
+    (Db.execute db grp_sql);
+  let st = Db.cache_stats db in
+  Alcotest.(check int) "no delta refreshes" 0 st.Db.delta_refreshes;
+  Alcotest.(check bool) "recompute path used" true (st.Db.view_recomputes >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Tenancy: per-owner counters and view quotas                          *)
@@ -995,11 +993,13 @@ let test_cache_ivm_toggle () =
   let keys = dashboard_keys db in
   let n_keys = List.length keys in
   let n_maint = List.length (List.filter (fun (_, _, _, m) -> m) keys) in
-  let round what ~misses ~plan_hits ~deltas ~maintained =
+  let round ivm what ~misses ~plan_hits ~deltas ~maintained =
     let before = Db.cache_stats db in
     List.iter
       (fun (label, sql, _, _) ->
-        let got = Db.execute db sql in
+        let got =
+          Db.execute ~settings:{ Settings.default with ivm } db sql
+        in
         let want = Db.execute (Db.snapshot db) sql in
         Helpers.check_rows_close ~digits:4
           (Printf.sprintf "%s: %s" what label)
@@ -1019,28 +1019,25 @@ let test_cache_ivm_toggle () =
     end
   in
   let append k = append_copies db "lineitem" ~n:60 ~k in
-  Helpers.with_config ~ivm:false (fun () ->
-      round "IVM off, cold" ~misses:n_keys ~plan_hits:0 ~deltas:0
-        ~maintained:0;
-      append 1;
-      round "IVM off, append 1" ~misses:0 ~plan_hits:n_keys ~deltas:0
-        ~maintained:0;
-      append 2;
-      round "IVM off, append 2" ~misses:0 ~plan_hits:n_keys ~deltas:0
-        ~maintained:0);
-  Helpers.with_config ~ivm:true (fun () ->
-      append 3;
-      round "IVM on, first stale read" ~misses:0 ~plan_hits:n_keys ~deltas:0
-        ~maintained:n_maint;
-      append 4;
-      round "IVM on, next stale read" ~misses:0
-        ~plan_hits:(n_keys - n_maint) ~deltas:n_maint ~maintained:n_maint);
-  (* switched off again: entries holding stream state rebuild in full
-     rather than refresh by delta, and drop that state *)
-  Helpers.with_config ~ivm:false (fun () ->
-      append 5;
-      round "IVM off again" ~misses:0 ~plan_hits:n_keys ~deltas:0
-        ~maintained:0)
+  round false "IVM off, cold" ~misses:n_keys ~plan_hits:0 ~deltas:0
+    ~maintained:0;
+  append 1;
+  round false "IVM off, append 1" ~misses:0 ~plan_hits:n_keys ~deltas:0
+    ~maintained:0;
+  append 2;
+  round false "IVM off, append 2" ~misses:0 ~plan_hits:n_keys ~deltas:0
+    ~maintained:0;
+  append 3;
+  round true "IVM on, first stale read" ~misses:0 ~plan_hits:n_keys ~deltas:0
+    ~maintained:n_maint;
+  append 4;
+  round true "IVM on, next stale read" ~misses:0 ~plan_hits:(n_keys - n_maint)
+    ~deltas:n_maint ~maintained:n_maint;
+  (* off again: entries holding stream state rebuild in full rather than
+     refresh by delta, and drop that state *)
+  append 5;
+  round false "IVM off again" ~misses:0 ~plan_hits:n_keys ~deltas:0
+    ~maintained:0
 
 (* LRU eviction drops an entry's view with the entry: once evicted and
    re-read, the key starts over as a miss and promotes again. *)
@@ -1120,7 +1117,7 @@ let li_batch db ~n ~at ~mode =
 (* A freshly loaded database holding [rels] end to end as lineitem. *)
 let li_reference rels =
   let db = Db.create () in
-  Db.load_table db "lineitem" (Relation.concat rels);
+  Db.load_table db "lineitem" (Relation.concat ~grain:0 rels);
   db
 
 (* A pin taken when its version owns the spare room: the appends after it

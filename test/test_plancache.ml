@@ -130,8 +130,8 @@ let test_bind_identity =
             [ 1; 3 ])
         (corpus ()))
 
-(* With faults armed the plan cache stands down: results stay correct and
-   no template is planned or bound. *)
+(* With faults armed the plan cache stands down: results stay correct, no
+   template is planned or bound, and EXPLAIN says so. *)
 let test_faults_stand_down =
   tc "plan cache stands down under fault injection" (fun () ->
       let db = mini_db () in
@@ -146,18 +146,16 @@ let test_faults_stand_down =
           Alcotest.(check int) "no cold template planned"
             before.Db.bind_misses s.Db.bind_misses;
           Alcotest.(check int) "no template bound" before.Db.bind_hits
-            s.Db.bind_hits))
+            s.Db.bind_hits;
+          Alcotest.(check bool) "explain reports the plan cache off" true
+            (contains_sub "plancache: off" (Db.explain db sql))))
 
 (* ------------------------------------------------------------------ *)
 (* Plan-cache behavior through Db.execute                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with the plan cache force-enabled, restoring the prior state. *)
-let with_plancache f () = with_config ~plancache:true f
-
 let test_bind_hit =
-  tc "same shape, new constant: bound without replanning"
-    (with_plancache (fun () ->
+  tc "same shape, new constant: bound without replanning" (fun () ->
       let db = mini_db () in
       let q c = Printf.sprintf "SELECT o_id FROM orders WHERE o_cust = %d" c in
       let r10 = Db.execute db (q 10) in
@@ -171,32 +169,34 @@ let test_bind_hit =
       Alcotest.(check int) "template bound, no replan" 1 s2.Db.bind_hits;
       Alcotest.(check int) "still one shape" 1 s2.Db.plan_entries;
       let _, _, _, _, _, bh = Db.owner_stats db "t1" in
-      Alcotest.(check int) "bind hit attributed to tenant" 1 bh))
+      Alcotest.(check int) "bind hit attributed to tenant" 1 bh)
 
 let test_toggle =
-  tc "set_plancache_enabled toggle" (fun () ->
+  tc "plancache = false settings" (fun () ->
       let db = mini_db () in
-      with_config ~plancache:false (fun () ->
-          ignore (Db.execute db "SELECT o_id FROM orders WHERE o_cust = 10");
-          ignore (Db.execute db "SELECT o_id FROM orders WHERE o_cust = 20");
-          let s = Db.cache_stats db in
-          Alcotest.(check int) "no templates planned" 0 s.Db.bind_misses;
-          Alcotest.(check int) "no templates bound" 0 s.Db.bind_hits;
-          Alcotest.(check int) "no shapes cached" 0 s.Db.plan_entries))
+      let settings = { Settings.default with plancache = false } in
+      List.iter
+        (fun c ->
+          ignore
+            (Db.execute ~settings db
+               (Printf.sprintf "SELECT o_id FROM orders WHERE o_cust = %d" c)))
+        [ 10; 20 ];
+      let s = Db.cache_stats db in
+      Alcotest.(check int) "no templates planned" 0 s.Db.bind_misses;
+      Alcotest.(check int) "no templates bound" 0 s.Db.bind_hits;
+      Alcotest.(check int) "no shapes cached" 0 s.Db.plan_entries)
 
 let test_plan_quota =
-  tc "per-tenant plan quota evicts oldest template"
-    (with_plancache (fun () ->
+  tc "per-tenant plan quota evicts oldest template" (fun () ->
       let db = mini_db () in
       let exec sql = ignore (Db.execute ~owner:"a" ~plan_quota:1 db sql) in
       exec "SELECT o_id FROM orders WHERE o_cust = 10";
       exec "SELECT o_total FROM orders WHERE o_cust = 10";
       let s = Db.cache_stats db in
-      Alcotest.(check int) "quota holds one template" 1 s.Db.plan_entries))
+      Alcotest.(check int) "quota holds one template" 1 s.Db.plan_entries)
 
 let test_invalidation =
-  tc "replacing a table drops its cached templates"
-    (with_plancache (fun () ->
+  tc "replacing a table drops its cached templates" (fun () ->
       let db = mini_db () in
       ignore (Db.execute db "SELECT o_id FROM orders WHERE o_cust = 10");
       ignore (Db.execute db "SELECT c_name FROM cust WHERE c_id = 10");
@@ -207,7 +207,7 @@ let test_invalidation =
            [ ints [| 1 |]; ints [| 10 |]; floats [| 9. |];
              dates [| "1999-01-01" |] ]);
       Alcotest.(check int) "orders template dropped, cust kept" 1
-        (Db.cache_stats db).Db.plan_entries))
+        (Db.cache_stats db).Db.plan_entries)
 
 (* ------------------------------------------------------------------ *)
 (* Guards: a constant whose selectivity falls outside the template's   *)
@@ -215,8 +215,7 @@ let test_invalidation =
 (* ------------------------------------------------------------------ *)
 
 let test_guard_trip =
-  tc "out-of-range constant replans into a specialization"
-    (with_plancache (fun () ->
+  tc "out-of-range constant replans into a specialization" (fun () ->
       let db = mini_db () in
       (* o_total spans [50, 200]: 100 and 110 estimate into the same
          selectivity bucket; 51 is far more selective. *)
@@ -250,14 +249,13 @@ let test_guard_trip =
       Alcotest.(check (list string)) "lt 105" [ "1"; "3"; "4" ] (ids r4);
       let s3 = Db.cache_stats db in
       Alcotest.(check int) "template still binds" 2 s3.Db.bind_hits;
-      Alcotest.(check int) "no second trip" 1 s3.Db.guard_trips))
+      Alcotest.(check int) "no second trip" 1 s3.Db.guard_trips)
 
 (* Text the fingerprint rejects has no cache key: it runs uncached, so
    nothing is stored, and the planner reports the same typed error as
    with the cache off. *)
 let test_unkeyed_runs_uncached =
   tc "unfingerprintable text runs uncached" (fun () ->
-      with_config ~cache:true ~plancache:true @@ fun () ->
       let db = mini_db () in
       let raises what sql check =
         match Db.execute db sql with
@@ -282,8 +280,7 @@ let test_unkeyed_runs_uncached =
 (* ------------------------------------------------------------------ *)
 
 let test_matview_shape_routing =
-  tc "view serves comment/whitespace variants of its SQL"
-    (with_plancache (fun () ->
+  tc "view serves comment/whitespace variants of its SQL" (fun () ->
       let db = mini_db () in
       let sql =
         "SELECT o_cust, SUM(o_total) AS s FROM orders WHERE o_total > 60.0 \
@@ -301,15 +298,14 @@ let test_matview_shape_routing =
       check_rel "variant answered" expected r;
       let s = Db.cache_stats db in
       Alcotest.(check bool) "served from the view"
-        true (s.Db.view_hits >= 2)))
+        true (s.Db.view_hits >= 2))
 
 (* ORDER BY items are positional references: an ordinal after a CASE
    expression stays literal in the shape (WHEN/THEN/ELSE inside ORDER BY
    must not reopen parameter extraction), so the planner still resolves
    it to a column instead of sorting by a bound constant. *)
 let test_order_ordinal_after_case =
-  tc "ORDER BY ordinal after CASE stays literal"
-    (with_plancache (fun () ->
+  tc "ORDER BY ordinal after CASE stays literal" (fun () ->
       let sql =
         "SELECT a, b FROM t ORDER BY CASE WHEN a = 1 THEN 0 ELSE 1 END, 2"
       in
@@ -328,7 +324,7 @@ let test_order_ordinal_after_case =
         [ "1|2"; "1|9"; "3|1"; "2|5" ]
         (List.init (Relation.n_rows r) (fun i ->
              String.concat "|"
-               (Array.to_list (Array.map Value.to_string (Relation.row r i)))))))
+               (Array.to_list (Array.map Value.to_string (Relation.row r i))))))
 
 let suites =
   [ ( "plancache",

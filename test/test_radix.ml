@@ -1,14 +1,15 @@
 (** Differential tests for radix-partitioned join/aggregation execution.
 
-    Every query runs twice on a cache-disabled database: once with radix
-    partitioning forced on every join ([Parallel.set_grain 0]) and once
-    with it disabled outright. Join answers must be identical — not just
-    as sets but row-for-row in output order, because downstream operators
-    (window functions, positional tensor lowering) key on join output
-    order; GROUP BY answers compare as multisets since aggregate output
-    order is not an invariant across partitioning schemes. Datasets are chosen adversarially: heavy key skew,
-    all-null keys, dictionary-coded string keys, and key ranges that leave
-    most radix partitions empty. Join shapes cover inner, left/right/full
+    Every query runs twice with the result cache off: once with radix
+    partitioning forced on every join (settings [grain = 0]) and once with
+    it disabled outright ([radix = false]). Join answers must be identical
+    — not just as sets but row-for-row in output order, because downstream
+    operators (window functions, positional tensor lowering) key on join
+    output order; GROUP BY answers compare as multisets since aggregate
+    output order is not an invariant across partitioning schemes. Datasets
+    are chosen adversarially: heavy key skew, all-null keys,
+    dictionary-coded string keys, and key ranges that leave most radix
+    partitions empty. Join shapes cover inner, left/right/full
     outer, and semi/anti (EXISTS / NOT EXISTS). A final soak re-runs a
     radix-heavy query under armed fault injection: the scatter and
     per-partition build checkpoints must recover to the exact clean
@@ -19,8 +20,8 @@ open Helpers
 
 (* Radix forced on every join (the grain drops to zero, so even tiny
    tables partition at 1 thread) against radix off. *)
-let forced f = with_config ~radix:true ~grain:0 f
-let off f = with_config ~radix:false f
+let forced = { radix_forced with cache = false }
+let off = { Settings.default with radix = false; cache = false }
 let diff_queries = diff_queries ~base:off ~subject:forced
 
 (* ------------------------------------------------------------------ *)
@@ -72,11 +73,11 @@ let nullkey_db () =
 
 (* String keys from a small alphabet dict-encode at ingest; the radix hash
    must route codes by decoded value so both physical layouts agree. *)
-let dictkey_db () =
+let dictkey_db ?settings () =
   let rand = Random.State.make [| 0xd1c7 |] in
   let tags = [| "alpha"; "beta"; "gamma"; "delta"; "epsilon"; "zeta" |] in
   let n = 4000 in
-  let db = Db.create () in
+  let db = Db.create ?settings () in
   load db "probe" [ "id"; "k" ]
     [ ints (Array.init n Fun.id);
       strings (Array.init n (fun _ -> tags.(Random.State.int rand 6))) ];
@@ -145,11 +146,10 @@ let test_sparse () = diff_queries ~label:"sparse" (sparse_db ()) int_key_queries
 (* Dict-key differential must also hold with encoding disabled: raw string
    keys take the decode hash path. *)
 let test_dict_keys_raw () =
-  with_config ~dict:false (fun () ->
-      diff_queries ~label:"dictkey-raw" (dictkey_db ())
-        [ "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k";
-          "SELECT p.id, b.w FROM probe AS p LEFT JOIN build AS b \
-           ON p.k = b.k" ])
+  diff_queries ~label:"dictkey-raw"
+    (dictkey_db ~settings:{ Settings.default with dict = false } ())
+    [ "SELECT p.id, b.w FROM probe AS p, build AS b WHERE p.k = b.k";
+      "SELECT p.id, b.w FROM probe AS p LEFT JOIN build AS b ON p.k = b.k" ]
 
 (* ------------------------------------------------------------------ *)
 (* Faults soak: scatter/build checkpoints recover to the clean answer  *)
@@ -157,26 +157,24 @@ let test_dict_keys_raw () =
 
 let test_faults_soak () =
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~cache:false ~radix:true ~grain:0 (fun () ->
-          let db = skewed_db () in
-          let sql =
-            "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM probe AS p, \
-             build AS b WHERE p.k = b.k GROUP BY b.tag"
-          in
-          Faults.disarm ();
-          let reference = Db.execute ~threads:3 db sql in
+      let db = skewed_db () and settings = forced in
+      let sql =
+        "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM probe AS p, build \
+         AS b WHERE p.k = b.k GROUP BY b.tag"
+      in
+      Faults.disarm ();
+      let reference = Db.execute ~threads:3 ~settings db sql in
+      List.iter
+        (fun backend ->
           List.iter
-            (fun backend ->
-              List.iter
-                (fun seed ->
-                  Faults.arm ~seed ();
-                  let r = Db.execute ~backend ~threads:3 db sql in
-                  check_rel
-                    (Printf.sprintf "%s seed=%d" (Db.backend_name backend)
-                       seed)
-                    reference r)
-                [ 11; 23; 47 ])
-            backends))
+            (fun seed ->
+              Faults.arm ~seed ();
+              let r = Db.execute ~backend ~threads:3 ~settings db sql in
+              check_rel
+                (Printf.sprintf "%s seed=%d" (Db.backend_name backend) seed)
+                reference r)
+            [ 11; 23; 47 ])
+        backends)
 
 (* A build under the size gate is one region with no chunk retry of its
    own, so it must be no fault site: otherwise, under injection, an
@@ -185,19 +183,20 @@ let test_faults_soak () =
 let test_small_build_no_fault_site () =
   let cols = [| ints (Array.init 500 (fun i -> i mod 50)) |] in
   Fun.protect ~finally:Faults.arm_from_env (fun () ->
-      with_config ~radix:true ~grain:Parallel.default_grain
-        (fun () ->
+      List.iter
+        (fun seed ->
+          Faults.arm ~seed ();
           List.iter
-            (fun seed ->
-              Faults.arm ~seed ();
-              List.iter
-                (fun threads ->
-                  for _ = 1 to 40 do
-                    let t = Radix.build ~threads cols [ 0 ] ~n:500 in
-                    Alcotest.(check int) "one partition" 0 t.Radix.mask
-                  done)
-                thread_counts)
-            [ 11; 23; 47 ]))
+            (fun threads ->
+              for _ = 1 to 40 do
+                let t =
+                  Radix.build ~settings:Settings.default ~threads cols [ 0 ]
+                    ~n:500
+                in
+                Alcotest.(check int) "one partition" 0 t.Radix.mask
+              done)
+            thread_counts)
+        [ 11; 23; 47 ])
 
 (* ------------------------------------------------------------------ *)
 (* Join edge cases against a nested-loop reference                    *)
@@ -381,21 +380,20 @@ let test_join_edges () =
   let db = edge_db () in
   let cases = edge_cases () in
   List.iter
-    (fun (label, config) ->
-      config (fun () ->
-          with_config ~cache:false (fun () ->
-              List.iter
-                (fun (sql, vec, comp) ->
-                  let each backend threads r =
-                    Alcotest.(check (list string))
-                      (Printf.sprintf "%s %s @%dt | %s" label
-                         (Db.backend_name backend) threads sql)
-                      (if backend = Db.Compiled then comp else vec)
-                      (ordered_rows r)
-                  in
-                  ignore (execute_everywhere ~each db sql))
-                cases)))
-    [ ("radix forced", forced); ("default", fun f -> with_config f) ]
+    (fun (label, settings) ->
+      List.iter
+        (fun (sql, vec, comp) ->
+          let each backend threads r =
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s %s @%dt | %s" label
+                 (Db.backend_name backend) threads sql)
+              (if backend = Db.Compiled then comp else vec)
+              (ordered_rows r)
+          in
+          ignore (execute_everywhere ~each ~settings db sql))
+        cases)
+    [ ("radix forced", forced);
+      ("default", { Settings.default with cache = false }) ]
 
 let suites =
   [ ( "radix-differential",

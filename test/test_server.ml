@@ -169,8 +169,8 @@ let test_breaker_fallback () =
 (* Snapshot-isolated ingest + per-table cache invalidation             *)
 (* ------------------------------------------------------------------ *)
 
-let two_table_db () =
-  let db = Db.create () in
+let two_table_db ?settings () =
+  let db = Db.create ?settings () in
   Db.load_table db "a"
     (Helpers.rel [ "x"; "grp" ]
        [ Helpers.ints [| 1; 2; 3; 4 |]; Helpers.ints [| 0; 1; 0; 1 |] ]);
@@ -178,13 +178,11 @@ let two_table_db () =
     (Helpers.rel [ "y" ] [ Helpers.ints [| 10; 20 |] ]);
   db
 
-(* the cache stands down while faults are armed, so pin it on for these *)
+(* the cache stands down while faults are armed, so disarm them for these *)
 let with_clean_cache f () =
   let refault = Faults.armed () in
   Faults.disarm ();
-  Fun.protect
-    ~finally:(fun () -> if refault then Faults.arm_from_env ())
-    (fun () -> Helpers.with_config ~cache:true f)
+  Fun.protect ~finally:(fun () -> if refault then Faults.arm_from_env ()) f
 
 let q_a = "SELECT SUM(x) AS s FROM a"
 
@@ -207,8 +205,6 @@ let append_a db =
   Db.append_table db "a" (Helpers.rel [ "x"; "grp" ]
       [ Helpers.ints [| 10 |]; Helpers.ints [| 0 |] ])
 
-let with_plancache on f = Helpers.with_config ~plancache:on f
-
 (* A shape {!Planner.analyze_ivm} rejects (DISTINCT below the aggregate):
    every stale read binds the cached template and re-executes. *)
 let q_distinct =
@@ -216,7 +212,6 @@ let q_distinct =
 
 let test_cache_plan_reuse_on_append =
   with_clean_cache (fun () ->
-      with_plancache true (fun () ->
       let db = two_table_db () in
       (match Planner.analyze_ivm (Db.plan db q_distinct) with
       | Ok _ -> Alcotest.fail "expected a shape the delta engine rejects"
@@ -251,14 +246,13 @@ let test_cache_plan_reuse_on_append =
         [ "20"; "20" ];
       (* the re-stamped entry is a full hit again *)
       ignore (Db.execute db q_distinct);
-      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits))
+      Alcotest.(check int) "hit after re-stamp" 1 (Db.cache_stats db).Db.hits)
 
 (* A maintainable shape: its first stale read builds the entry's view
    (counted as a recompute), later stale reads apply the appended rows by
    delta — no bind, no miss. *)
 let test_cache_delta_on_append =
   with_clean_cache (fun () ->
-      with_plancache true (fun () ->
       let db = two_table_db () in
       ignore (Db.execute db q_a);
       append_a db;
@@ -288,12 +282,12 @@ let test_cache_delta_on_append =
         cs.Db.bind_hits;
       Alcotest.(check int) "entry holds its view" 1 cs.Db.maintained_entries;
       ignore (Db.execute db q_a);
-      Alcotest.(check int) "hit after refresh" 1 (Db.cache_stats db).Db.hits))
+      Alcotest.(check int) "hit after refresh" 1 (Db.cache_stats db).Db.hits)
 
 let test_cache_recompute_without_plancache =
   with_clean_cache (fun () ->
-      with_plancache false (fun () ->
-      let db = two_table_db () in
+      let settings = { Settings.default with plancache = false } in
+      let db = two_table_db ~settings () in
       ignore (Db.execute db q_a);
       append_a db;
       let r = Db.execute db q_a in
@@ -306,7 +300,7 @@ let test_cache_recompute_without_plancache =
       Alcotest.(check int) "stale read counted as a recompute" 1
         cs.Db.plan_hits;
       Alcotest.(check int) "no template bound" 0 cs.Db.bind_hits;
-      Alcotest.(check int) "no template planned" 0 cs.Db.bind_misses))
+      Alcotest.(check int) "no template planned" 0 cs.Db.bind_misses)
 
 let test_cache_dropped_on_replace =
   with_clean_cache (fun () ->
@@ -480,7 +474,7 @@ let test_soak () =
   in
   (* Simulated keeps chunk dispatch (and its injection points) inline, so
      the soak's domain population stays bounded at clients + workers *)
-  Helpers.with_config ~parallel:Parallel.Simulated @@ fun () ->
+  Helpers.with_parallel Parallel.Simulated @@ fun () ->
   Faults.arm ~seed:20260808 ();
   let results = Array.make n_clients [] in
   let typed_errors = Atomic.make 0 in

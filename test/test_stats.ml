@@ -13,10 +13,10 @@ open Helpers
 
 (* Cache tests must observe cache behaviour regardless of the environment:
    PYTOND_FAULTS=<seed> in CI would make the cache stand down. Run [f] with
-   faults disarmed and the cache on, then restore both. *)
+   faults disarmed, then re-arm them from the environment. *)
 let with_clean_cache_env f =
   Faults.disarm ();
-  Fun.protect ~finally:Faults.arm_from_env (fun () -> with_config ~cache:true f)
+  Fun.protect ~finally:Faults.arm_from_env f
 
 (* ------------------------------------------------------------------ *)
 (* Column statistics                                                  *)
@@ -50,10 +50,9 @@ let test_basic_stats () =
 let test_dict_distinct_consistency () =
   let data = Array.init 6000 (fun i -> Printf.sprintf "g%d" (i mod 37)) in
   let stats_with dict =
-    with_config ~dict (fun () ->
-        let db = Db.create () in
-        Db.load_table db "t" (rel [ "g" ] [ strings data ]);
-        (Option.get (Catalog.stats_opt (Db.catalog db) "t")).Stats.cols.(0))
+    let db = Db.create ~settings:{ Settings.default with dict } () in
+    Db.load_table db "t" (rel [ "g" ] [ strings data ]);
+    (Option.get (Catalog.stats_opt (Db.catalog db) "t")).Stats.cols.(0)
   in
   let d = stats_with true and r = stats_with false in
   Alcotest.(check (float 0.)) "dict distinct exact" 37. d.Stats.distinct;
@@ -287,8 +286,8 @@ let test_explain_shows_est_and_actual () =
 (* Query cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let cache_db () =
-  let db = Db.create () in
+let cache_db ?settings () =
+  let db = Db.create ?settings () in
   Db.load_table db "t"
     (rel [ "k"; "v" ]
        [ ints [| 1; 2; 3; 4; 5 |]; floats [| 1.; 2.; 3.; 4.; 5. |] ]);
@@ -351,19 +350,29 @@ let test_cache_disabled_under_faults () =
       Alcotest.(check int) "no cache traffic under faults" 0
         (st.Db.hits + st.Db.misses))
 
+(* [cache = false] in a query's settings, or in the database's settings,
+   which a snapshot keeps: no hit is served and no miss counted. *)
 let test_cache_toggle () =
   with_clean_cache_env (fun () ->
-      let db = cache_db () in
+      let off = { Settings.default with cache = false } in
       let sql = "SELECT COUNT(*) AS n FROM t" in
-      Db.set_cache_enabled false;
+      let traffic db =
+        let st = Db.cache_stats db in
+        st.Db.hits + st.Db.misses
+      in
+      let db = cache_db () in
+      ignore (Db.execute ~settings:off db sql);
+      ignore (Db.execute ~settings:off db sql);
+      Alcotest.(check int) "query settings off: no traffic" 0 (traffic db);
+      let snap = Db.snapshot (cache_db ~settings:off ()) in
+      ignore (Db.execute snap sql);
+      ignore (Db.execute snap sql);
+      Alcotest.(check int) "snapshot of a cache-off database: no traffic" 0
+        (traffic snap);
       ignore (Db.execute db sql);
       ignore (Db.execute db sql);
-      Alcotest.(check int) "disabled: no traffic" 0
-        ((Db.cache_stats db).Db.hits + (Db.cache_stats db).Db.misses);
-      Db.set_cache_enabled true;
-      ignore (Db.execute db sql);
-      ignore (Db.execute db sql);
-      Alcotest.(check int) "re-enabled: hit" 1 (Db.cache_stats db).Db.hits)
+      Alcotest.(check int) "database settings on: hit" 1
+        (Db.cache_stats db).Db.hits)
 
 (* LRU bound: far more distinct queries than [cache] capacity; entries stay
    bounded and evictions are counted. *)
@@ -396,5 +405,5 @@ let suites =
       [ tc "hit/miss accounting and repeat identity" test_cache_hit_miss;
         tc "invalidation on ingest" test_cache_invalidation_on_ingest;
         tc "stands down under faults" test_cache_disabled_under_faults;
-        tc "set_cache_enabled toggle" test_cache_toggle;
+        tc "cache = false settings" test_cache_toggle;
         tc "LRU eviction bound" test_cache_eviction ] ) ]

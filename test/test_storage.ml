@@ -238,7 +238,8 @@ let relation_tests =
     tc "concat" (fun () ->
         let a = rel [ "x" ] [ ints [| 1 |] ] in
         let b = rel [ "x" ] [ ints [| 2 |] ] in
-        Alcotest.(check int) "rows" 2 (Relation.n_rows (Relation.concat [ a; b ])))
+        Alcotest.(check int) "rows" 2
+          (Relation.n_rows (Relation.concat ~grain:0 [ a; b ])))
   ]
 
 let like_props =
