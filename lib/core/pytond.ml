@@ -153,12 +153,6 @@ let run ?(level = O4) ?(backend = Vectorized) ?(threads = 1) ?settings
   Errors.guard ~stage:Errors.Exec (fun () ->
       Db.execute ~threads ~backend ?settings ?timeout_ms ?row_budget db sql)
 
-(** {!compile} returning the typed error instead of raising. *)
-let compile_result ?level ?dialect ~db ~source ~fname () :
-    (string, Errors.t) result =
-  Errors.protect ~stage:Errors.Exec (fun () ->
-      compile ?level ?dialect ~db ~source ~fname ())
-
 (** {!run} returning the typed error instead of raising. *)
 let run_result ?level ?backend ?threads ?timeout_ms ?row_budget ~db ~source
     ~fname () : (Relation.t, Errors.t) result =

@@ -221,5 +221,3 @@ let is_unique t name cols =
   | Some { cons; _ } ->
     let covered key = key <> [] && List.for_all (fun c -> List.mem c cols) key in
     covered cons.primary_key || List.exists covered cons.unique
-
-let schema_of t name = Relation.schema (relation t name)

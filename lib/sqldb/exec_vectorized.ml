@@ -21,20 +21,29 @@ type srel = { rel : Relation.t; sel : int array option }
 
 let srel_all (r : Relation.t) : srel = { rel = r; sel = None }
 
-(* An inner join's build side: the right input's rows and their hash
-   table over the join keys. *)
+(* An inner join's build side: one input's rows and their hash table over
+   that input's join keys. *)
 type build = { side : srel; table : Radix.t }
+
+(* Which input of an inner join a build is over; the other one probes it. *)
+type built = Build_left | Build_right
 
 (* Optional hooks into a run. [on_rows] is EXPLAIN instrumentation: actual
    output rows per operator. [builds] supplies the build side of every
-   inner join: given the join's right input and a thunk that runs it and
-   builds over it, it returns that build or one it kept from an earlier
-   run. Only the Matview delta engine passes it. Both sit in one optional
-   record so that a run without hooks allocates exactly what it did
-   before them (test/golden/alloc.txt). *)
+   inner join: given the join's left and right inputs, each with its key
+   columns, and a function that runs one input and builds over its keys,
+   it returns which input it built and that build, or one it kept from an
+   earlier run. Only the Matview delta engine passes it. Both sit in one
+   optional record so that a run without hooks allocates exactly what it
+   did before them (test/golden/alloc.txt). *)
 type hooks = {
   on_rows : (Plan.plan -> int -> unit) option;
-  builds : (Plan.plan -> (unit -> build) -> build) option;
+  builds :
+    (Plan.plan * int list ->
+    Plan.plan * int list ->
+    (built -> build) ->
+    built * build)
+    option;
 }
 
 type ctx = {
@@ -151,11 +160,18 @@ let sort_indices (r : Relation.t) (keys : (int * bool) list) : int array =
 (* Joins                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The hash table over an equi-join's right side [r], on its keys; no
-   keys make a cross join's one-entry build. *)
-let build_table ctx (r : srel) (keys : (int * int) list) : Radix.t =
+(* The hash table over one side [r] of an equi-join, on its key columns
+   [idxs]; no keys make a cross join's one-entry build. *)
+let build_table ctx (r : srel) (idxs : int list) : Radix.t =
   Radix.build ~settings:ctx.settings ~threads:ctx.threads ?sel:r.sel
-    (relation_cols r.rel) (List.map snd keys) ~n:(Relation.n_rows r.rel)
+    (relation_cols r.rel) idxs ~n:(Relation.n_rows r.rel)
+
+(* The matching (probe row, build row) pairs of [s] on its key columns
+   [idxs] against [tbl], in probe order. [s] probes straight through its
+   selection; both rows are base rows of their side's relation. *)
+let probe_pairs ctx (s : srel) (tbl : Radix.t) (idxs : int list) =
+  Join.collect ~grain:ctx.settings.grain ~threads:ctx.threads ?sel:s.sel
+    Join.Inner tbl (relation_cols s.rel) idxs ~n:(srel_nrows s)
 
 let concat_relations ?(threads = 1) ~grain (l : Relation.t) (r : Relation.t) li
     ri : Relation.t =
@@ -325,33 +341,40 @@ and run_sel_inner (ctx : ctx) (p : plan) : srel =
   | Window (sub, keys, name) ->
     srel_all (window_relation (materialize (run_sel ctx sub)) keys name)
 
-(* The left side runs first, then the build: the [builds] hook's for an
-   inner join, else one over the right side. *)
+(* Without a [builds] hook, or for an outer join, the left side runs
+   first, then the build over the right side. With one, the hook picks the
+   build; a build over the left side is probed by the right side. *)
 and run_join ctx kind left right keys residual =
-  let ls = run_sel ctx left in
   match (ctx.hooks, kind) with
-  | Some { builds = Some build; _ }, JInner ->
-    let b =
-      build right (fun () ->
-          let rs = run_sel ctx right in
-          { side = rs; table = build_table ctx rs keys })
+  | Some { builds = Some hook; _ }, JInner -> (
+    let l = (left, List.map fst keys) and r = (right, List.map snd keys) in
+    let make built =
+      let input, idxs = match built with Build_left -> l | Build_right -> r in
+      let s = run_sel ctx input in
+      { side = s; table = build_table ctx s idxs }
     in
-    join_output ctx kind ls b.side b.table keys residual
+    match hook l r make with
+    | Build_right, b ->
+      let ls = run_sel ctx left in
+      let li, ri = probe_pairs ctx ls b.table (snd l) in
+      join_pairs ctx kind ls b.side li ri residual
+    | Build_left, b ->
+      let rs = run_sel ctx right in
+      let ri, li = probe_pairs ctx rs b.table (snd r) in
+      join_pairs ctx kind b.side rs li ri residual)
   | _ ->
+    let ls = run_sel ctx left in
     let rs = run_sel ctx right in
-    join_output ctx kind ls rs (build_table ctx rs keys) keys residual
+    let tbl = build_table ctx rs (List.map snd keys) in
+    let li, ri = probe_pairs ctx ls tbl (List.map fst keys) in
+    join_pairs ctx kind ls rs li ri residual
 
-(* Both sides probe and gather straight through their selections; only
-   the join output is materialized. The matching (left row, right row)
-   pairs come in probe order, as base rows of [ls.rel] and of [rs.rel],
-   which [tbl] was built over; the residual is applied afterwards over the
-   concatenated relation. *)
-and join_output ctx kind ls rs tbl keys residual =
+(* The output of the (left row, right row) pairs [li, ri], base rows of
+   [ls.rel] and of [rs.rel]; only the join output is materialized. The
+   residual is applied over the concatenated relation, then an outer join
+   is completed. *)
+and join_pairs ctx kind ls rs li ri residual =
   let threads = ctx.threads and grain = ctx.settings.grain in
-  let li, ri =
-    Join.collect ~grain ~threads ?sel:ls.sel Join.Inner tbl
-      (relation_cols ls.rel) (List.map fst keys) ~n:(srel_nrows ls)
-  in
   let li, ri =
     apply_residual ~threads ~settings:ctx.settings ls.rel rs.rel li ri residual
   in

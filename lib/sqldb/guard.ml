@@ -1,5 +1,5 @@
-(** Cooperative execution guards: a per-query deadline / cancellation token
-    plus a processed-row budget.
+(** Cooperative execution guards: a per-query deadline plus a
+    processed-row budget.
 
     A guard is installed for the duration of one [Db.execute] call and
     checked cooperatively at morsel boundaries ({!Parallel} chunk dispatch,
@@ -13,8 +13,8 @@
     their own guard without interfering. Pool workers running a chunk of a
     query ({!Parallel}) install the dispatching query's guard explicitly via
     {!current} / {!with_installed}; the guard record itself is shared and
-    its counters are atomics, so row accounting and cancellation are visible
-    across every domain working on the same query. When no guard is
+    its row counter is an atomic, so row accounting is visible across every
+    domain working on the same query. When no guard is
     installed a checkpoint is a single domain-local load. *)
 
 type trip = Timeout | Row_budget | Cancelled
@@ -30,7 +30,6 @@ type t = {
   deadline : float option; (* absolute, in Unix.gettimeofday seconds *)
   row_budget : int option; (* max rows materialized across breakers *)
   rows : int Atomic.t;
-  cancelled : bool Atomic.t;
 }
 
 (* One slot per domain: the guard of the query this domain is currently
@@ -57,29 +56,21 @@ let install ?timeout_ms ?row_budget () : t option =
             (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
             timeout_ms;
         row_budget;
-        rows = Atomic.make 0;
-        cancelled = Atomic.make false }
+        rows = Atomic.make 0 }
     in
     Domain.DLS.set active (Some g);
     Some g
 
 let clear () = Domain.DLS.set active None
 
-let cancel g = Atomic.set g.cancelled true
-
 (* Checkpoint: free when no guard is installed. *)
 let check () =
   match Domain.DLS.get active with
-  | None -> ()
-  | Some g ->
-    if Atomic.get g.cancelled then
-      raise (Trip { reason = Cancelled; detail = "query cancelled" });
-    (match g.deadline with
-    (* [>=], not [>]: a 0ms budget sets the deadline to install time, and a
-       checkpoint reached within the same clock tick must still trip. *)
-    | Some d when Unix.gettimeofday () >= d ->
-      raise (Trip { reason = Timeout; detail = "deadline exceeded" })
-    | _ -> ())
+  (* [>=], not [>]: a 0ms budget sets the deadline to install time, and a
+     checkpoint reached within the same clock tick must still trip. *)
+  | Some { deadline = Some d; _ } when Unix.gettimeofday () >= d ->
+    raise (Trip { reason = Timeout; detail = "deadline exceeded" })
+  | _ -> ()
 
 (* Account [n] materialized rows against the budget (if any). *)
 let add_rows n =

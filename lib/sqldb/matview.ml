@@ -47,16 +47,20 @@
     to the {e old} pinned snapshot; the terms' outputs are replayed into
     the group state in order.
 
-    {b Retained builds.} A join whose right (build) side reads no changed
-    table binds that side to the current snapshot in every term, so the
-    refresh hands the executor its build through the [builds] hook of
-    {!Exec_vectorized.run_plan}: made on first need, shared by the terms,
-    and kept in the stream state stamped with the version of every base
-    table under the side. A later refresh reuses it while those versions
-    are current, skipping the subtree and its hash build, so a driver
-    append refreshes in O(delta). A side over a changed table is built
-    per term and not kept; when the appended table is itself a build side
-    (q12), its term probes the whole other side.
+    {b Retained builds.} The refresh picks the build side of every inner
+    join through the [builds] hook of {!Exec_vectorized.run_plan}: the
+    right input, as without the hook, unless only the right input reads a
+    changed table, and then the left input, which the right one probes
+    (q12 builds over orders and probes with the lineitem delta). An input
+    that reads no changed table binds to the current snapshot in every
+    term, so its build is made on first need, shared by the terms, and
+    kept in the stream state stamped with the key columns it hashes and
+    the version of every base table under the input. A later refresh
+    reuses it for the same input on the same keys while those versions
+    are current, skipping the subtree and its hash build, so an append
+    refreshes in O(delta) whenever every join has an input it left
+    unchanged. A build over a changed table is made per term and not
+    kept.
 
     {b Exactness.} Every stream chunk feeds the group state through
     {!Agg_util.groups_feeder}, the executors' own grouped fold — the same
@@ -67,8 +71,10 @@
     fold is a prefix-continuation of the recompute fold and the state is
     {e bit-identical} to recomputing on the final snapshot. When a
     non-driver (build-side) table grows, the delta-rule terms see the same
-    multiset of rows in a different interleaving: results are exact up to
-    compensated-summation rounding (~1 ulp), which output rounding absorbs.
+    multiset of rows in a different interleaving (a term that builds over
+    the left input emits its pairs in delta-row order): results are exact
+    up to compensated-summation rounding (~1 ulp), which output rounding
+    absorbs.
 
     {b Crash safety.} A refresh deep-copies the group state
     ({!Agg_util.groups_copy}), replays into the copy, and installs the new
@@ -85,10 +91,11 @@ type acc =
   | Rows of Relation.t (* filter/project views: the stream rows *)
 
 (* A join build side kept across refreshes: the build a delta term made
-   over [input], and the version of every base table under [input] when
-   it was made. *)
+   over [input] on its key columns [keys], and the version of every base
+   table under [input] when it was made. *)
 type retained = {
-  input : Plan.plan; (* physically the right input of a stream join *)
+  input : Plan.plan; (* physically one input of a stream join *)
+  keys : int list;
   build : Exec_vectorized.build;
   stamps : (string * int) list;
 }
@@ -350,32 +357,41 @@ let reset_build_rows () = Atomic.set built 0
 let build_rows () = Atomic.get built
 
 (* Incremental refresh: replay each changed table's delta-rule term into a
-   deep copy of the stream state, then finish and install. A join whose
-   right side reads no changed table binds that side to [cat] in every
-   term, so its build is shared by the terms and kept for later refreshes
-   while the versions it was made at are current. *)
+   deep copy of the stream state, then finish and install. A join builds
+   over its left input when only its right input reads a changed table,
+   and over its right input otherwise. An input that reads no changed
+   table binds to [cat] in every term, so its build is shared by the terms
+   and kept for later refreshes while the versions it was made at are
+   current; a build over a changed table is made per term. *)
 let delta_refresh settings (view : t) (s : stream) (cat : Catalog.t)
     ~(changed : string list) : state =
   let shape = s.shape in
   let made = ref [] (* kept only if this refresh installs its state *) in
-  let builds input make =
+  let reads_changed p =
+    List.exists (fun t -> List.mem t changed) (Planner.ivm_scans p)
+  in
+  let builds ((left, _) as l) ((right, _) as r) make =
+    let side, (input, keys) =
+      if reads_changed right && not (reads_changed left) then
+        (Exec_vectorized.Build_left, l)
+      else (Exec_vectorized.Build_right, r)
+    in
     let make () =
-      let b = make () in
+      let b = make side in
       let rows = Exec_vectorized.srel_nrows b.Exec_vectorized.side in
       ignore (Atomic.fetch_and_add built rows);
       b
     in
-    let tables = Planner.ivm_scans input in
-    if List.exists (fun t -> List.mem t changed) tables then make ()
+    if reads_changed input then (side, make ())
     else begin
-      let stamps = stamp_deps cat tables in
-      let current r = r.input == input && r.stamps = stamps in
+      let stamps = stamp_deps cat (Planner.ivm_scans input) in
+      let current r = r.input == input && r.keys = keys && r.stamps = stamps in
       match List.find_opt current (!made @ s.builds) with
-      | Some r -> r.build
+      | Some r -> (side, r.build)
       | None ->
         let build = make () in
-        made := { input; build; stamps } :: !made;
-        build
+        made := { input; keys; build; stamps } :: !made;
+        (side, build)
     end
   in
   (* the delta-rule terms' streams, in stream table order *)
@@ -393,7 +409,11 @@ let delta_refresh settings (view : t) (s : stream) (cat : Catalog.t)
   let next acc =
     let kept =
       List.filter
-        (fun r -> not (List.exists (fun m -> m.input == r.input) !made))
+        (fun r ->
+          not
+            (List.exists
+               (fun m -> m.input == r.input && m.keys = r.keys)
+               !made))
         s.builds
     in
     next_state view cat shape.Planner.ivm_tables

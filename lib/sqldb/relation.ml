@@ -74,9 +74,6 @@ let concat ?(threads = 1) ~grain = function
              (fun i -> Column.concat (List.map (fun r -> r.cols.(i)) rs))
              (List.init (Array.length first.cols) Fun.id)) }
 
-let to_rows t =
-  List.init (n_rows t) (fun i -> Array.to_list (row t i))
-
 (* Canonical multiset of rows as sorted strings: order-insensitive
    comparison in tests. Floats are rounded to [digits] decimals. *)
 let canonical ?(digits = 4) t =

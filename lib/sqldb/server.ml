@@ -175,13 +175,6 @@ let stop t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(** Register (or re-register) a tenant with an explicit policy. Unknown
-    tenants submitting for the first time are created with the server's
-    default policy. *)
-let register_tenant t name policy =
-  locked t (fun () ->
-      Hashtbl.replace t.tenants name (Tenant.create ~policy name))
-
 let tenant t name = locked t (fun () -> Hashtbl.find_opt t.tenants name)
 
 let find_or_create_tenant t name =

@@ -736,20 +736,50 @@ let append_copies db name ~n ~k =
 (* Retained join builds                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* q3's stream probes lineitem against the build over orders ⋈ customer. A
-   lineitem append changes neither: once a refresh has built over them,
-   the next refreshes build no rows at all, and each still answers what a
-   cold run answers, bit for bit. A cache entry's first stale read
-   promotes it, so its first delta, which builds, comes one append later
-   than a registered view's. *)
-let test_q3_builds_retained ~entry () =
+(* The lineitem rows that q12 counts. *)
+let q12_counted db =
+  let rel = Catalog.relation (Db.catalog db) "lineitem" in
+  let get col i = Column.get (Relation.column rel col) i in
+  let date iso = Value.VDate (Value.date_of_iso iso) in
+  let counted i =
+    List.mem (get "l_shipmode" i) [ Value.VString "MAIL"; VString "SHIP" ]
+    && get "l_commitdate" i < get "l_receiptdate" i
+    && get "l_shipdate" i < get "l_commitdate" i
+    && get "l_receiptdate" i >= date "1994-01-01"
+    && get "l_receiptdate" i < date "1995-01-01"
+  in
+  let rows = List.init (Relation.n_rows rel) Fun.id in
+  (rel, Array.of_list (List.filter counted rows))
+
+(* [n] lineitem rows that q12 counts, from offset [13 k] of them on
+   (cyclically), appended again. *)
+let append_counted db ~n ~k =
+  let rel, rows = q12_counted db in
+  Db.append_table db "lineitem"
+    (Relation.take rel
+       (Array.init n (fun i -> rows.(((k * 13) + i) mod Array.length rows))))
+
+(* The batches of the retention tests below. q12's are lines it counts,
+   so that each of its deltas has rows to build over or probe with. *)
+let lineitem_copies db ~k = append_copies db "lineitem" ~n:299 ~k
+let q12_lines db ~k = append_counted db ~n:50 ~k
+
+(* q3's stream probes lineitem against the build over orders ⋈ customer.
+   q12's builds over lineitem, the appended table, so its refreshes build
+   over orders and probe with the delta. A lineitem append changes neither
+   orders nor customer: once a refresh has built over them, the next
+   refreshes build no rows at all, and each still answers what a cold run
+   answers, bit for bit (q12's sums count integers). A cache entry's first
+   stale read promotes it, so its first delta, which builds, comes one
+   append later than a registered view's. *)
+let test_builds_retained ~append q ~entry () =
   let db = Tpch.Dbgen.make_db 0.01 in
-  let sql = tpch_sql db "q3" in
+  let sql = tpch_sql db q in
   if entry then ignore (Db.execute db sql)
-  else ok_or_fail (Db.register_view db ~name:"q3" sql);
+  else ok_or_fail (Db.register_view db ~name:q sql);
   let first = if entry then 2 else 1 in
   for k = 1 to first + 2 do
-    append_copies db "lineitem" ~n:299 ~k;
+    append db ~k;
     Matview.reset_build_rows ();
     let got = Db.execute db sql in
     let built = Matview.build_rows () in
@@ -816,6 +846,38 @@ let test_q3_dimension_appends ~entry () =
   ignore (append_matching db "lineitem" "l_orderkey" top);
   check "lineitem append 3"
 
+(* q12 across appends to both of its tables. The lineitem refreshes build
+   over orders; an orders append makes that build stale, and a refresh of
+   both tables probes both deltas. The orders copies duplicate orders that
+   q12 counts lines of, and the last lineitem batch copies those lines, so
+   a refresh that probed a build of orders from before the orders appends
+   would miss the copies' matches. *)
+let test_q12_both_appends ~entry () =
+  let db = Tpch.Dbgen.make_db 0.01 in
+  let sql = tpch_sql db "q12" in
+  if entry then ignore (Db.execute db sql)
+  else ok_or_fail (Db.register_view db ~name:"q12" sql);
+  let check what =
+    Alcotest.(check (list string)) what
+      (exact_rows (Db.execute (Db.snapshot db) sql))
+      (exact_rows (Db.execute db sql))
+  in
+  append_copies db "lineitem" ~n:299 ~k:1;
+  check "lineitem append 1";
+  append_copies db "lineitem" ~n:299 ~k:2;
+  check "lineitem append 2";
+  let keys =
+    let rel, rows = q12_counted db in
+    column_values (Relation.take rel (Array.sub rows 0 40)) "l_orderkey"
+  in
+  ignore (append_matching db "orders" "o_orderkey" keys);
+  check "orders append";
+  append_copies db "orders" ~n:50 ~k:3;
+  append_copies db "lineitem" ~n:299 ~k:3;
+  check "orders and lineitem append";
+  ignore (append_matching db "lineitem" "l_orderkey" keys);
+  check "lineitem append 3"
+
 (* [f ()] run under a guard that trips never; returns its result and the
    rows it materialized. *)
 let rows_used f =
@@ -857,9 +919,9 @@ let crashed_build_refresh ~prepare ~read_a ~read_b ~peek_b db sql =
       Alcotest.(check int) "the next read reuses the builds" 0
         (Matview.build_rows ()))
 
-let test_q3_crashed_build_view () =
+let test_crashed_build_view q () =
   let db = Tpch.Dbgen.make_db 0.01 in
-  let sql = tpch_sql db "q3" in
+  let sql = tpch_sql db q in
   ok_or_fail (Db.register_view db ~name:"a" sql);
   ok_or_fail (Db.register_view db ~name:"b" sql);
   crashed_build_refresh db sql
@@ -870,9 +932,9 @@ let test_q3_crashed_build_view () =
 
 (* The same on two cache entries of one query, one per backend: both
    promote on the first stale read and build on the second. *)
-let test_q3_crashed_build_entry () =
+let test_crashed_build_entry q () =
   let db = Tpch.Dbgen.make_db 0.01 in
-  let sql = tpch_sql db "q3" in
+  let sql = tpch_sql db q in
   let read backend () = Db.execute ~backend db sql in
   crashed_build_refresh db sql
     ~prepare:(fun () ->
@@ -1282,14 +1344,26 @@ let suites =
     );
     ( "matview-builds",
       [ tc "q3 view keeps its build sides"
-          (test_q3_builds_retained ~entry:false);
+          (test_builds_retained ~append:lineitem_copies "q3" ~entry:false);
         tc "q3 entry keeps its build sides"
-          (test_q3_builds_retained ~entry:true);
+          (test_builds_retained ~append:lineitem_copies "q3" ~entry:true);
         tc "q3 view across orders and customer appends"
           (test_q3_dimension_appends ~entry:false);
         tc "q3 entry across orders and customer appends"
           (test_q3_dimension_appends ~entry:true);
         tc "q3 view: tripped refresh keeps no builds"
-          test_q3_crashed_build_view;
+          (test_crashed_build_view "q3");
         tc "q3 entry: tripped refresh keeps no builds"
-          test_q3_crashed_build_entry ] ) ]
+          (test_crashed_build_entry "q3");
+        tc "q12 view keeps its orders build"
+          (test_builds_retained ~append:q12_lines "q12" ~entry:false);
+        tc "q12 entry keeps its orders build"
+          (test_builds_retained ~append:q12_lines "q12" ~entry:true);
+        tc "q12 view across orders and lineitem appends"
+          (test_q12_both_appends ~entry:false);
+        tc "q12 entry across orders and lineitem appends"
+          (test_q12_both_appends ~entry:true);
+        tc "q12 view: tripped refresh keeps no left build"
+          (test_crashed_build_view "q12");
+        tc "q12 entry: tripped refresh keeps no left build"
+          (test_crashed_build_entry "q12") ] ) ]
